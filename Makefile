@@ -46,12 +46,13 @@ fuzz-short:
 
 # bench runs the hot-path benchmark suite with allocation tracking:
 # the sim event core, the Wi-Fi CSMA and LTE subframe loops, the
-# propagation link cache, and the runner fleet.
+# propagation link cache, the runner fleet, and the IM epoch (netsim
+# Step at 14 and 200 APs, the core controller).
 bench:
 	$(GO) test -bench . -benchmem -benchtime 100ms -run '^$$' \
 		./internal/sim ./internal/propagation ./internal/wifi ./internal/lte \
 		./internal/runner ./internal/geo ./internal/stats ./internal/metro \
-		./internal/shard
+		./internal/shard ./internal/netsim ./internal/core
 
 # Regenerate the committed engine benchmark artifact (also enforces
 # 0 allocs/op on Schedule+fire and the >=2x speedup floor).

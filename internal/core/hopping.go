@@ -7,26 +7,6 @@ import (
 	"cellfi/internal/trace"
 )
 
-// sortedKeysF returns the keys of a float-valued map in ascending order.
-func sortedKeysF(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// sortedKeysI returns the keys of an int-valued map in ascending order.
-func sortedKeysI(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Distributed subchannel selection (Section 5.3). Each epoch the
 // controller reconciles its held subchannel set against the target
 // share, decrements exponential bucket values for subchannels its
@@ -89,6 +69,9 @@ func (c *Controller) traceShare(target int) {
 }
 
 // EpochInput carries one epoch's observations into the controller.
+// Controller.Epoch and RandomHopper.Epoch only read the maps, and only
+// for the duration of the call — neither keeps a reference — so a driver
+// may clear and refill one EpochInput's maps for every cell and epoch.
 type EpochInput struct {
 	// TargetShare is the share-calculation output for this epoch.
 	TargetShare int
@@ -160,9 +143,10 @@ func (c *Controller) Epoch(in EpochInput) []int {
 
 	// 1. Bucket updates: decrement buckets of subchannels observed
 	// bad; give up the ones that reach zero and hop to the best
-	// available alternative. Keys are visited in ascending order so
-	// runs are deterministic for a given seed.
-	for _, k := range sortedKeysF(in.BadFrac) {
+	// available alternative. Subchannels are visited in ascending order
+	// so runs are deterministic for a given seed (only held ones matter,
+	// and those lie in [0, S)).
+	for k := 0; k < c.S; k++ {
 		frac := in.BadFrac[k]
 		if _, held := c.buckets[k]; !held || frac <= 0 {
 			continue
@@ -201,9 +185,9 @@ func (c *Controller) Epoch(in EpochInput) []int {
 	// subchannels so lightly interfered cells spontaneously overlap
 	// there (Section 5.3).
 	if c.PackingEnabled {
-		for _, from := range sortedKeysI(in.PackCandidate) {
-			to := in.PackCandidate[from]
-			if !c.Holds(from) || c.Holds(to) || to >= from {
+		for from := 0; from < c.S; from++ {
+			to, ok := in.PackCandidate[from]
+			if !ok || !c.Holds(from) || c.Holds(to) || to >= from {
 				continue
 			}
 			if in.SensedBusy[to] {

@@ -70,7 +70,7 @@ func (r *RandomHopper) Epoch(in EpochInput) []int {
 	if target < 0 {
 		target = 0
 	}
-	for _, k := range sortedKeysF(in.BadFrac) {
+	for k := 0; k < r.S; k++ {
 		if in.BadFrac[k] > 0 && r.held[k] {
 			delete(r.held, k)
 			r.hops++

@@ -17,12 +17,10 @@ import (
 // free of same-provider conflicts. Cross-provider interference is
 // still resolved purely by the distributed protocol.
 
-// updateHybrid runs the per-cell distributed layer, then each
-// provider's centralized deconfliction.
-func (n *Network) updateHybrid(prevTxMask [][]bool, prevActive, nowActive [][]int) {
-	// Distributed layer: identical to plain CellFi.
-	n.updateControllers(prevTxMask, prevActive, nowActive)
-
+// deconflictProviders runs each provider's centralized deconfliction.
+// Step calls it after the per-cell distributed layer (updateControllers,
+// identical to plain CellFi).
+func (n *Network) deconflictProviders() {
 	np := 0
 	for _, p := range n.providers {
 		if p+1 > np {
@@ -33,7 +31,7 @@ func (n *Network) updateHybrid(prevTxMask [][]bool, prevActive, nowActive [][]in
 	for i, p := range n.providers {
 		cellsOf[p] = append(cellsOf[p], i)
 	}
-	threshold := n.noiseRBDBm() + n.Cfg.OracleInterferenceMarginDB
+	threshold := n.noiseRBDBm + n.Cfg.OracleInterferenceMarginDB
 	conflict := func(i, j int) bool {
 		// A boolean over a symmetric pair — truncation only has to
 		// admit the same verdict in indexed and brute modes, which the
@@ -58,7 +56,7 @@ func (n *Network) updateHybrid(prevTxMask [][]bool, prevActive, nowActive [][]in
 	}
 
 	for _, cells := range cellsOf {
-		n.deconflictProvider(cells, nowActive, conflict)
+		n.deconflictProvider(cells, n.active, conflict)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 // SINR denominator, the PRACH census, the oracle's conflict edges, the
 // hybrid deconfliction test, the handover sweep — ignores nodes beyond
 // the significance radius (propagation.Model.InterferenceRadius). With
-// Config.UseSpatialIndex also set, those scans run as uniform-grid
-// queries instead of all-node loops.
+// Config.UseSpatialIndex also set, the scans that would walk every node
+// run as uniform-grid queries instead; the SINR denominator walks its
+// subchannel's transmitter list in every mode (see sinrParts) and only
+// applies the predicate.
 //
 // The truncation rule is the same inclusive squared-distance test in
 // both modes, and every scan either visits survivors in ascending index

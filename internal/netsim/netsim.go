@@ -112,9 +112,12 @@ type Config struct {
 	// a receiver contribute nothing. Zero keeps the historical
 	// all-pairs scans.
 	InterferenceRadiusM float64
-	// UseSpatialIndex runs the truncated scans through uniform-grid
-	// queries instead of all-node loops — bit-identical results, O(N)
-	// to O(neighborhood) cost. Requires InterferenceRadiusM > 0.
+	// UseSpatialIndex runs the truncated scans that walk every node —
+	// the PRACH census, the oracle's conflict edges, the handover sweep
+	// and the mobile budget refresh — through uniform-grid queries, O(N)
+	// to O(neighborhood) each, with bit-identical results. The SINR
+	// denominator is not among them: it walks the subchannel's
+	// transmitter list in both modes. Requires InterferenceRadiusM > 0.
 	UseSpatialIndex bool
 	// Trace, when non-nil, flight-records every cell's interference-
 	// management decisions (im-share per epoch, im-hop per holding
@@ -126,8 +129,8 @@ type Config struct {
 	// cells × clients × subchannels × fading blocks) fork-joined across
 	// that many workers on an internal/shard cluster. Per-client service
 	// is self-contained — each worker owns a contiguous cell range and
-	// every read it shares (link budget, tx masks, fading hashes) is
-	// frozen during the sweep — so results are bit-identical to the
+	// every read it shares (link budget, transmitter lists, fading
+	// hashes) is frozen during the sweep — so results are bit-identical to the
 	// sequential path. Call Network.Close to release the workers.
 	Shards int
 }
@@ -182,24 +185,33 @@ type Network struct {
 	linkCache *propagation.LinkCache
 	rng       *rand.Rand
 
-	// Cached link budget: rxRB[i][c] is the per-RB power client c
-	// receives from cell i, before fading; rxRBmw is the same table in
-	// milliwatts, feeding the linear-domain SINR kernel (the dB form
-	// stays for threshold scans like cellNearPos).
-	rxRB   [][]float64
-	rxRBmw [][]float64
+	// Cached link budget: rxRB[i][c] is the per-RB power in dBm client
+	// c receives from cell i, before fading (threshold scans, handover).
+	// rxMW is the same budget in milliwatts for the linear-domain SINR
+	// kernel, stored client-major — client c's row is
+	// rxMW[c*len(Cells):(c+1)*len(Cells)] — because the kernel walks one
+	// client's interferers at a time.
+	rxRB [][]float64
+	rxMW []float64
 	// prachSNR[i][c]: SNR of client c's PRACH at cell i.
 	prachSNR [][]float64
+	// noiseRBDBm / noiseMW: the per-RB thermal noise floor, computed once.
+	noiseRBDBm, noiseMW float64
+	// rateBps[k][cqi] tables lte.SubchannelRateBps for this carrier.
+	rateBps [][phy.LTECQICount + 1]float64
 
 	controllers []core.IM
 	// providers maps cell -> operator for SchemeHybrid.
 	providers []int
 	allowed   [][]int // per cell, current permitted subchannels
 	epoch     int64
-	// prevTxMask / prevActive carry the last epoch's transmissions
-	// into the next controller update (sensing looks backward).
-	prevTxMask [][]bool
-	prevActive [][]int
+	// tx[k] lists, in ascending order, the cells emitting data in
+	// subchannel k this epoch; active[j] lists cell j's clients with
+	// queued data. prevTx / prevActive carry the last epoch's into the
+	// next controller update (sensing looks backward); the two pairs
+	// swap every Step and reuse their backing arrays.
+	tx, prevTx         [][]int32
+	active, prevActive [][]int
 	// cleanStreak[i][k] counts consecutive epochs cell i's clients all
 	// observed subchannel k clean — the "contiguous period of time"
 	// the channel re-use heuristic requires (Section 5.3).
@@ -218,10 +230,14 @@ type Network struct {
 	cellScratch, clientScratch []int32
 	activeFlag                 []bool
 
-	// Parallel fluid-service plumbing (Cfg.Shards > 1): a fork-join
-	// cluster plus one grid-query scratch slice per worker.
-	cluster      *shard.Cluster
-	shardScratch [][]int32
+	// Fork-join cluster for the fluid-service sweep (Cfg.Shards > 1).
+	cluster *shard.Cluster
+
+	// Per-step scratch for updateControllers, reused across cells and
+	// epochs: the controller input (maps cleared between cells) and the
+	// per-subchannel clean/held flags.
+	imIn              core.EpochInput
+	cleanForAll, held []bool
 
 	// Hops accumulates controller hops for convergence reporting.
 	Hops int
@@ -249,9 +265,26 @@ func New(t *topo.Topology, cfg Config) *Network {
 		}
 	}
 	n.linkCache = propagation.NewLinkCache(n.model, len(n.Cells)+len(n.Clients))
+	n.noiseRBDBm = propagation.NoiseDBm(lte.RBBandwidthHz, 7)
+	n.noiseMW = propagation.DBmToMW(n.noiseRBDBm)
 	n.precomputeLinkBudget()
 	n.setupNeighborhoods()
 	s := cfg.BW.Subchannels()
+	n.rateBps = make([][phy.LTECQICount + 1]float64, s)
+	for k := range n.rateBps {
+		for cqi := range n.rateBps[k] {
+			n.rateBps[k][cqi] = lte.SubchannelRateBps(cfg.BW, cfg.TDD, k, cqi)
+		}
+	}
+	n.tx, n.prevTx = make([][]int32, s), make([][]int32, s)
+	n.active, n.prevActive = make([][]int, len(n.Cells)), make([][]int, len(n.Cells))
+	n.imIn = core.EpochInput{
+		BadFrac:       map[int]float64{},
+		Utility:       map[int]float64{},
+		SensedBusy:    map[int]bool{},
+		PackCandidate: map[int]int{},
+	}
+	n.cleanForAll, n.held = make([]bool, s), make([]bool, s)
 	n.allowed = make([][]int, len(n.Cells))
 	n.cleanStreak = make([][]int, len(n.Cells))
 	for i := range n.cleanStreak {
@@ -319,7 +352,6 @@ func New(t *topo.Topology, cfg Config) *Network {
 			Window: time.Second, // unused: the sweep is pure fork-join (Do), never Run
 			Seed:   cfg.Seed,
 		})
-		n.shardScratch = make([][]int32, cfg.Shards)
 	}
 	return n
 }
@@ -348,17 +380,16 @@ func (n *Network) precomputeLinkBudget() {
 	prachTx := n.Cfg.ClientPowerDBm
 
 	n.rxRB = make([][]float64, len(n.Cells))
-	n.rxRBmw = make([][]float64, len(n.Cells))
+	n.rxMW = make([]float64, len(n.Clients)*len(n.Cells))
 	n.prachSNR = make([][]float64, len(n.Cells))
 	for i, ap := range n.Cells {
 		n.rxRB[i] = make([]float64, len(n.Clients))
-		n.rxRBmw[i] = make([]float64, len(n.Clients))
 		n.prachSNR[i] = make([]float64, len(n.Clients))
 		for c, cl := range n.Clients {
 			loss := n.linkCache.LossDB(i, n.clientNode(c), ap, cl.Pos)
 			// Omnidirectional cells with 6 dBi gain both ways.
 			n.rxRB[i][c] = perRB + 6 - loss
-			n.rxRBmw[i][c] = propagation.DBmToMW(n.rxRB[i][c])
+			n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxRB[i][c])
 			n.prachSNR[i][c] = prachTx + 6 - loss - noisePRACH
 		}
 	}
@@ -371,11 +402,6 @@ func (n *Network) clientNode(c int) int { return len(n.Cells) + c }
 // LinkCacheStats exposes the link-gain cache counters for telemetry.
 func (n *Network) LinkCacheStats() propagation.CacheStats {
 	return n.linkCache.Stats()
-}
-
-// noiseRBDBm is the per-RB thermal noise floor.
-func (n *Network) noiseRBDBm() float64 {
-	return propagation.NoiseDBm(lte.RBBandwidthHz, 7)
 }
 
 // Backlog marks every client as infinitely backlogged.
@@ -394,63 +420,46 @@ func (n *Network) AddBits(clientIndex int, bits int64) {
 // Allowed returns the subchannels cell i may currently use.
 func (n *Network) Allowed(i int) []int { return n.allowed[i] }
 
-// activeClients lists clients of cell i with queued data.
-func (n *Network) activeClients(i int) []int {
-	var out []int
+// appendActive appends the clients of cell i with queued data to dst.
+func (n *Network) appendActive(dst []int, i int) []int {
 	for _, c := range n.ClientsOf[i] {
 		if n.Clients[c].QueuedBits > 0 {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // sinrParts computes the downlink SINR ingredients of client c from its
-// cell in subchannel k during fading block b, given per-cell transmit
-// masks: the received signal and the interference-plus-noise sum, both
-// in mW per RB. Everything stays in the linear domain — one fading
-// table probe per link, no per-interferer pow — and the pair feeds
-// phy.LTECQIFromLinearSINR directly on the CQI paths. scratch is the
-// grid-query buffer — per-worker when the fluid sweep runs sharded, so
-// concurrent calls never share it.
-func (n *Network) sinrParts(c, k int, b int64, txMask [][]bool, scratch *[]int32) (sig, den float64) {
+// cell in subchannel k during fading block b, given an epoch's
+// per-subchannel transmitter lists: the received signal and the
+// interference-plus-noise sum, both in mW per RB. Everything stays in
+// the linear domain — one fading table probe per link, no per-interferer
+// pow — and the pair feeds phy.LTECQIFromLinearSINR directly on the CQI
+// paths; sig over noiseMW alone is the interference-free reference.
+//
+// The denominator visits only the cells that transmit in k, in
+// ascending cell order. That order is the determinism contract: float
+// addition is not associative, so all-pairs, truncated and indexed runs
+// (and any shard count) agree to the bit because they add the same terms
+// in the same order — the truncated modes merely drop, by the shared
+// cellNearPos predicate, terms from the one ascending list. It reads
+// only state frozen during the sweep, so shards may call it concurrently.
+func (n *Network) sinrParts(c, k int, b int64, tx [][]int32) (sig, den float64) {
 	cl := n.Clients[c]
 	i := cl.Cell
-	tMS := n.epoch*1000 + b*100
-	sig = n.rxRBmw[i][c] * n.fading.GainLinear(propagation.LinkID(i, c), k, tMS)
-	den = propagation.DBmToMW(n.noiseRBDBm())
-	if n.cellGrid != nil {
-		// Grid query returns ascending cell indices — the same order
-		// the scan below visits them — so the float sum is identical.
-		*scratch = n.cellGrid.AppendWithin((*scratch)[:0], cl.Pos, n.sigRadius)
-		for _, jj := range *scratch {
-			j := int(jj)
-			if j == i || !txMask[j][k] {
-				continue
-			}
-			den += n.rxRBmw[j][c] * n.fading.GainLinear(propagation.LinkID(j, c), k, tMS)
-		}
-		return sig, den
-	}
-	for j := range n.Cells {
-		if j == i || !txMask[j][k] {
+	rx := n.rxMW[c*len(n.Cells) : (c+1)*len(n.Cells)]
+	row := n.fading.Row(k, n.epoch*1000+b*100)
+	sig = rx[i] * row.Gain(propagation.LinkID(i, c))
+	den = n.noiseMW
+	for _, jj := range tx[k] {
+		j := int(jj)
+		if j == i || (n.truncate && !n.cellNearPos(j, cl.Pos)) {
 			continue
 		}
-		if n.truncate && !n.cellNearPos(j, cl.Pos) {
-			continue
-		}
-		den += n.rxRBmw[j][c] * n.fading.GainLinear(propagation.LinkID(j, c), k, tMS)
+		den += rx[j] * row.Gain(propagation.LinkID(j, c))
 	}
 	return sig, den
-}
-
-// cleanParts is sinrParts with no interference — the reference the CQI
-// tracker's windowed max approximates.
-func (n *Network) cleanParts(c, k int, b int64) (sig, den float64) {
-	cl := n.Clients[c]
-	tMS := n.epoch*1000 + b*100
-	sig = n.rxRBmw[cl.Cell][c] * n.fading.GainLinear(propagation.LinkID(cl.Cell, c), k, tMS)
-	return sig, propagation.DBmToMW(n.noiseRBDBm())
 }
 
 // EpochResult summarizes one stepped epoch.
@@ -462,7 +471,6 @@ type EpochResult struct {
 // Step advances one 1-second epoch and returns per-client service.
 func (n *Network) Step() EpochResult {
 	nCells := len(n.Cells)
-	s := n.Cfg.BW.Subchannels()
 
 	// Refill backlogged clients.
 	for _, c := range n.Clients {
@@ -476,9 +484,9 @@ func (n *Network) Step() EpochResult {
 	}
 
 	// Active sets for this epoch.
-	active := make([][]int, nCells)
+	active := n.active
 	for j := 0; j < nCells; j++ {
-		active[j] = n.activeClients(j)
+		active[j] = n.appendActive(active[j][:0], j)
 	}
 	n.markActive(active)
 
@@ -498,21 +506,25 @@ func (n *Network) Step() EpochResult {
 	case SchemeOracle:
 		n.allowed = n.oracleAllocate()
 	case SchemeCellFi, SchemeRandomHop:
-		n.updateControllers(n.prevTxMask, n.prevActive, active)
+		n.updateControllers()
 	case SchemeHybrid:
-		n.updateHybrid(n.prevTxMask, n.prevActive, active)
+		n.updateControllers()
+		n.deconflictProviders()
 	}
 
-	// Transmit masks for this epoch: cell j emits data in k iff k is
-	// allowed and it has at least one active client.
-	txMask := make([][]bool, nCells)
+	// Transmitter lists for this epoch: cell j emits data in k iff k is
+	// allowed and it has at least one active client. Cells are visited
+	// in ascending order, which is what sinrParts' float sum relies on.
+	tx := n.tx
+	for k := range tx {
+		tx[k] = tx[k][:0]
+	}
 	for j := 0; j < nCells; j++ {
-		txMask[j] = make([]bool, s)
 		if len(active[j]) == 0 {
 			continue
 		}
 		for _, k := range n.allowed[j] {
-			txMask[j][k] = true
+			tx[k] = append(tx[k], int32(j))
 		}
 	}
 
@@ -520,25 +532,24 @@ func (n *Network) Step() EpochResult {
 	// equally among the cell's active clients; rates average over
 	// fading blocks. Per-client service is self-contained, so the cell
 	// loop fork-joins across the cluster when Cfg.Shards > 1 — each
-	// worker owns a contiguous cell range (disjoint client sets) and a
-	// private grid scratch, making the parallel sweep bit-identical to
-	// this sequential one.
+	// worker owns a contiguous cell range (disjoint client sets),
+	// making the parallel sweep bit-identical to this sequential one.
 	res := EpochResult{ServedBits: make([]int64, len(n.Clients))}
 	if n.cluster != nil {
 		n.cluster.Do(func(s int) {
 			lo, hi := n.shardRange(s)
 			for j := lo; j < hi; j++ {
-				n.serveCell(j, active[j], txMask, res.ServedBits, &n.shardScratch[s])
+				n.serveCell(j, res.ServedBits)
 			}
 		})
 	} else {
 		for j := 0; j < nCells; j++ {
-			n.serveCell(j, active[j], txMask, res.ServedBits, &n.cellScratch)
+			n.serveCell(j, res.ServedBits)
 		}
 	}
 
-	n.prevTxMask = txMask
-	n.prevActive = active
+	n.tx, n.prevTx = n.prevTx, n.tx
+	n.active, n.prevActive = n.prevActive, n.active
 	n.epoch++
 	return res
 }
@@ -546,7 +557,8 @@ func (n *Network) Step() EpochResult {
 // serveCell delivers one epoch of fluid service to cell j's active
 // clients. It writes only those clients' queue/delivered counters and
 // servedBits slots, so distinct cells may be served concurrently.
-func (n *Network) serveCell(j int, active []int, txMask [][]bool, servedBits []int64, scratch *[]int32) {
+func (n *Network) serveCell(j int, servedBits []int64) {
+	active := n.active[j]
 	if len(active) == 0 {
 		return
 	}
@@ -557,8 +569,8 @@ func (n *Network) serveCell(j int, active []int, txMask [][]bool, servedBits []i
 		for _, k := range n.allowed[j] {
 			var scRate float64
 			for b := int64(0); b < blocks; b++ {
-				cqi := phy.LTECQIFromLinearSINR(n.sinrParts(c, k, b, txMask, scratch))
-				scRate += lte.SubchannelRateBps(n.Cfg.BW, n.Cfg.TDD, k, cqi)
+				cqi := phy.LTECQIFromLinearSINR(n.sinrParts(c, k, b, n.tx))
+				scRate += n.rateBps[k][cqi]
 			}
 			rate += scRate / float64(blocks)
 		}
@@ -589,10 +601,15 @@ func (n *Network) detect(truth bool) bool {
 // updateControllers builds each cell's EpochInput — the target share
 // from the clients active *now* (so a cell reacts before serving) and
 // interference observations from the previous epoch's transmissions —
-// and steps its controller.
-func (n *Network) updateControllers(prevTxMask [][]bool, prevActive, nowActive [][]int) {
+// and steps its controller. Observations are evaluated on the *new*
+// epoch's clock (its last fading block) against the *previous* epoch's
+// transmitter lists: the epoch counter has not advanced yet when the
+// update runs.
+func (n *Network) updateControllers() {
 	s := n.Cfg.BW.Subchannels()
 	lastBlock := int64(n.Cfg.BlocksPerEpoch - 1)
+	nowActive, prevActive, prevTx := n.active, n.prevActive, n.prevTx
+	in, cleanForAll, held := n.imIn, n.cleanForAll, n.held
 	for i, ctl := range n.controllers {
 		// Shares count *active* clients: PDCCH-order RACH solicits
 		// preambles every second and sightings expire after one
@@ -620,47 +637,48 @@ func (n *Network) updateControllers(prevTxMask [][]bool, prevActive, nowActive [
 				}
 			}
 		}
-		target := core.Share(s, own, sensed)
+		in.TargetShare = core.Share(s, own, sensed)
+		clear(in.BadFrac)
+		clear(in.Utility)
+		clear(in.SensedBusy)
+		clear(in.PackCandidate)
 
-		in := core.EpochInput{
-			TargetShare:   target,
-			BadFrac:       map[int]float64{},
-			Utility:       map[int]float64{},
-			SensedBusy:    map[int]bool{},
-			PackCandidate: map[int]int{},
-		}
-		if prevTxMask == nil || len(prevActive[i]) == 0 {
-			// No observations from the previous epoch.
-			ctl.Epoch(in)
-			n.allowed[i] = ctl.Held()
+		if len(prevActive[i]) == 0 {
+			// No observations from the previous epoch (or no previous
+			// epoch: prevActive starts empty).
+			n.allowed[i] = ctl.Epoch(in)
 			continue
 		}
 
 		nAct := float64(len(prevActive[i]))
-		// Per-subchannel observations from this cell's clients' CQI
-		// reports (LTE clients sense all subchannels, Section 5).
-		cleanForAll := make([]bool, s)
+		// n.allowed[i] is the held set the last update left (every path
+		// that changes a controller's holdings refreshes it).
+		heldNow := n.allowed[i]
 		for k := 0; k < s; k++ {
 			cleanForAll[k] = true
+			held[k] = false
 		}
-		held := map[int]bool{}
-		for _, k := range ctl.Held() {
+		for _, k := range heldNow {
 			held[k] = true
 		}
+		// Per-subchannel observations from this cell's clients' CQI
+		// reports (LTE clients sense all subchannels, Section 5). One
+		// SINR evaluation per (client, subchannel) yields the CQI-drop
+		// ground truth and the utility.
 		for k := 0; k < s; k++ {
 			anyBad := false
 			badFrac := 0.0
 			util := 0.0
 			for _, c := range prevActive[i] {
-				trueBad := n.clientSeesInterference(c, k, lastBlock, prevTxMask)
-				det := n.detect(trueBad)
-				if det {
+				sig, den := n.sinrParts(c, k, lastBlock, prevTx)
+				withI := phy.LTECQIFromLinearSINR(sig, den)
+				clean := phy.LTECQIFromLinearSINR(sig, n.noiseMW)
+				if n.detect(cqiDropped(withI, clean)) {
 					anyBad = true
 					badFrac += 1 / nAct
 					cleanForAll[k] = false
 				}
-				cqi := phy.LTECQIFromLinearSINR(n.sinrParts(c, k, lastBlock, prevTxMask, &n.cellScratch))
-				util += lte.SubchannelRateBps(n.Cfg.BW, n.Cfg.TDD, k, cqi) / nAct
+				util += n.rateBps[k][withI] / nAct
 			}
 			in.Utility[k] = util
 			if held[k] {
@@ -682,7 +700,7 @@ func (n *Network) updateControllers(prevTxMask [][]bool, prevActive, nowActive [
 				n.cleanStreak[i][k] = 0
 			}
 		}
-		for _, k := range ctl.Held() {
+		for _, k := range heldNow {
 			for j := 0; j < k; j++ {
 				if !held[j] && !in.SensedBusy[j] && n.cleanStreak[i][j] >= PackStreakEpochs {
 					in.PackCandidate[k] = j
@@ -691,23 +709,17 @@ func (n *Network) updateControllers(prevTxMask [][]bool, prevActive, nowActive [
 			}
 		}
 		before := ctl.HopCount()
-		ctl.Epoch(in)
+		n.allowed[i] = ctl.Epoch(in)
 		n.Hops += ctl.HopCount() - before
-		n.allowed[i] = ctl.Held()
 	}
 }
 
-// clientSeesInterference is the ground truth behind a CQI-drop verdict:
-// the client's SINR in subchannel k sits well below its interference-
-// free reference (the 60% CQI drop of Section 6.3.2 maps to roughly a
+// cqiDropped is the ground truth behind a CQI-drop verdict: the
+// client's CQI with interference sits well below its interference-free
+// reference (the 60% CQI drop of Section 6.3.2 maps to roughly a
 // CQI-level gap; we use the same fraction on CQI directly).
-func (n *Network) clientSeesInterference(c, k int, b int64, txMask [][]bool) bool {
-	withI := phy.LTECQIFromLinearSINR(n.sinrParts(c, k, b, txMask, &n.cellScratch))
-	clean := phy.LTECQIFromLinearSINR(n.cleanParts(c, k, b))
-	if clean == 0 {
-		return false
-	}
-	return float64(withI) < core.DetectDropFraction*float64(clean)
+func cqiDropped(withI, clean int) bool {
+	return clean != 0 && float64(withI) < core.DetectDropFraction*float64(clean)
 }
 
 // oracleAllocate builds the true conflict graph over cells with active
@@ -715,8 +727,7 @@ func (n *Network) clientSeesInterference(c, k int, b int64, txMask [][]bool) boo
 func (n *Network) oracleAllocate() [][]int {
 	nCells := len(n.Cells)
 	g := netgraph.New(nCells)
-	noise := n.noiseRBDBm()
-	threshold := noise + n.Cfg.OracleInterferenceMarginDB
+	threshold := n.noiseRBDBm + n.Cfg.OracleInterferenceMarginDB
 	// Edge if cell j's signal at any of cell i's clients rises
 	// materially above the noise floor (it would visibly degrade SINR
 	// there). AddEdge is symmetric and idempotent, so the indexed and
@@ -754,7 +765,7 @@ func (n *Network) oracleAllocate() [][]int {
 	}
 	s := n.Cfg.BW.Subchannels()
 	for i := 0; i < nCells; i++ {
-		own := len(n.activeClients(i))
+		own := len(n.active[i])
 		if own == 0 {
 			g.Demand[i] = 0
 			continue
@@ -763,7 +774,7 @@ func (n *Network) oracleAllocate() [][]int {
 		// neighbourhood.
 		contenders := own
 		for _, j := range g.Neighbors(i) {
-			contenders += len(n.activeClients(j))
+			contenders += len(n.active[j])
 		}
 		g.Demand[i] = core.Share(s, own, contenders)
 	}

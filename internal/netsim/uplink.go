@@ -39,30 +39,22 @@ func (n *Network) ulRxRB(i, c, rbs int) float64 {
 func (n *Network) UplinkThroughputs(epochs int) []float64 {
 	n.Backlog()
 	delivered := make([]float64, len(n.Clients))
+	rep := make([]int, len(n.Cells))
+	active := make([][]int, len(n.Cells))
 
 	for e := 0; e < epochs; e++ {
 		n.Step() // drive the controllers and downlink exactly as usual
 
 		// Active sets and this epoch's representative uplink client
 		// per cell (the scheduler rotates; we rotate per epoch).
-		rep := make([]int, len(n.Cells))
-		active := make([][]int, len(n.Cells))
 		for j := range n.Cells {
-			active[j] = n.activeClients(j)
+			active[j] = n.appendActive(active[j][:0], j)
 			if len(active[j]) > 0 {
 				rep[j] = active[j][e%len(active[j])]
 			} else {
 				rep[j] = -1
 			}
 		}
-		inSet := make([]map[int]bool, len(n.Cells))
-		for j := range n.Cells {
-			inSet[j] = map[int]bool{}
-			for _, k := range n.allowed[j] {
-				inSet[j][k] = true
-			}
-		}
-		noise := propagation.NoiseDBm(lte.RBBandwidthHz, 7)
 
 		for i := range n.Cells {
 			if len(active[i]) == 0 {
@@ -76,9 +68,12 @@ func (n *Network) UplinkThroughputs(epochs int) []float64 {
 					// (one subchannel's RBs at a time).
 					rbs := n.Cfg.BW.SubchannelRBs(k)
 					sig := n.ulRxRB(i, c, rbs)
-					den := propagation.DBmToMW(noise)
-					for j := range n.Cells {
-						if j == i || rep[j] < 0 || !inSet[j][k] {
+					den := n.noiseMW
+					// n.prevTx is the epoch just stepped: the cells
+					// that held k with a client to schedule, ascending.
+					for _, jj := range n.prevTx[k] {
+						j := int(jj)
+						if j == i || rep[j] < 0 {
 							continue
 						}
 						// Same truncation predicate as the downlink

@@ -51,10 +51,42 @@ func (f *Fading) GainDB(linkID uint64, subchannel int, tMS int64) float64 {
 // milliwatts use it to skip the log10/pow round trip per interferer.
 // The gain is strictly positive.
 func (f *Fading) GainLinear(linkID uint64, subchannel int, tMS int64) float64 {
+	return f.Row(subchannel, tMS).Gain(linkID)
+}
+
+// FadeRow is the draw stream of one (subchannel, coherence block) row
+// with the (seed, subchannel, block) hash prefix already folded: callers
+// that evaluate many links of one row take it once and pay one mixing
+// round plus the ziggurat probe per link. Every gain — scalar, row or
+// batch — comes out of this one sampler.
+type FadeRow struct {
+	base uint64
+	flat bool // fading nil or disabled: every gain is 1
+}
+
+// Row returns the fade row for the subchannel during the coherence block
+// containing tMS.
+func (f *Fading) Row(subchannel int, tMS int64) FadeRow {
 	if f == nil || f.Disabled {
+		return FadeRow{flat: true}
+	}
+	return FadeRow{base: f.fadeBase(subchannel, tMS/f.BlockMS)}
+}
+
+// Gain returns the row's linear power gain for the directed link.
+func (r FadeRow) Gain(linkID uint64) float64 {
+	if r.flat {
 		return 1
 	}
-	return expFromHash(fadeRound(f.fadeBase(subchannel, tMS/f.BlockMS), linkID))
+	// Ziggurat accept test open-coded, as in AppendGainsLinear: ~99% of
+	// draws return here without a second call.
+	h := fadeRound(r.base, linkID)
+	j := uint32(h)
+	zi := j & 0xff
+	if j < zigK[zi] && j != 0 {
+		return float64(j) * zigW[zi]
+	}
+	return expFromHash(h)
 }
 
 // AppendGainsLinear appends one linear fading gain per link in links,
@@ -65,13 +97,14 @@ func (f *Fading) GainLinear(linkID uint64, subchannel int, tMS int64) float64 {
 // cost is one mixing round plus the ziggurat table probe. With fading
 // nil or disabled every gain is 1.
 func (f *Fading) AppendGainsLinear(dst []float64, links []uint64, subchannel int, tMS int64) []float64 {
-	if f == nil || f.Disabled {
+	row := f.Row(subchannel, tMS)
+	if row.flat {
 		for range links {
 			dst = append(dst, 1)
 		}
 		return dst
 	}
-	base := f.fadeBase(subchannel, tMS/f.BlockMS)
+	base := row.base
 	n := len(dst)
 	if cap(dst)-n < len(links) {
 		grown := make([]float64, n, n+len(links))
