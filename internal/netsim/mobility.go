@@ -4,8 +4,6 @@ import (
 	"math"
 
 	"cellfi/internal/geo"
-	"cellfi/internal/lte"
-	"cellfi/internal/propagation"
 )
 
 // Mobility and roaming (Section 7): "CellFi inherits the benefits of
@@ -125,15 +123,8 @@ func (n *Network) stepMobility() {
 // unreachable — and both modes apply identical refresh histories, so
 // even stale values stay bit-identical across modes.
 func (n *Network) refreshLinkBudget(ci int) {
-	nf := 7.0
-	perRB := n.Cfg.APPowerDBm - 10*math.Log10(float64(n.Cfg.BW.ResourceBlocks()))
-	noisePRACH := propagation.NoiseDBm(6*lte.RBBandwidthHz, nf) + n.Cfg.PRACHFloorRiseDB
 	cl := n.Clients[ci]
-	refresh := func(i int) {
-		loss := n.linkCache.LossDB(i, n.clientNode(ci), n.Cells[i], cl.Pos)
-		n.rxRB[i][ci] = perRB + 6 - loss
-		n.prachSNR[i][ci] = n.Cfg.ClientPowerDBm + 6 - loss - noisePRACH
-	}
+	refresh := func(i int) { n.setLinkBudget(i, ci) }
 	switch {
 	case n.cellGrid != nil:
 		n.cellScratch = n.cellGrid.AppendWithin(n.cellScratch[:0], cl.Pos, n.sigRadius)

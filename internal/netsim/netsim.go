@@ -195,8 +195,11 @@ type Network struct {
 	rxMW []float64
 	// prachSNR[i][c]: SNR of client c's PRACH at cell i.
 	prachSNR [][]float64
-	// noiseRBDBm / noiseMW: the per-RB thermal noise floor, computed once.
-	noiseRBDBm, noiseMW float64
+	// Link-budget constants, computed once: the per-RB thermal noise
+	// floor (dBm and mW), the AP's per-RB transmit power, and the PRACH
+	// detector's effective floor.
+	noiseRBDBm, noiseMW     float64
+	perRBDBm, prachNoiseDBm float64
 	// rateBps[k][cqi] tables lte.SubchannelRateBps for this carrier.
 	rateBps [][phy.LTECQICount + 1]float64
 
@@ -267,6 +270,10 @@ func New(t *topo.Topology, cfg Config) *Network {
 	n.linkCache = propagation.NewLinkCache(n.model, len(n.Cells)+len(n.Clients))
 	n.noiseRBDBm = propagation.NoiseDBm(lte.RBBandwidthHz, 7)
 	n.noiseMW = propagation.DBmToMW(n.noiseRBDBm)
+	n.perRBDBm = cfg.APPowerDBm - 10*math.Log10(float64(cfg.BW.ResourceBlocks()))
+	// PRACH occupies six RBs (1.08 MHz); the effective floor includes
+	// the configured co-channel uplink interference rise.
+	n.prachNoiseDBm = propagation.NoiseDBm(6*lte.RBBandwidthHz, 7) + cfg.PRACHFloorRiseDB
 	n.precomputeLinkBudget()
 	n.setupNeighborhoods()
 	s := cfg.BW.Subchannels()
@@ -372,27 +379,28 @@ func (n *Network) shardRange(s int) (lo, hi int) {
 }
 
 func (n *Network) precomputeLinkBudget() {
-	nf := 7.0
-	perRB := n.Cfg.APPowerDBm - 10*math.Log10(float64(n.Cfg.BW.ResourceBlocks()))
-	// PRACH occupies six RBs (1.08 MHz); the effective floor includes
-	// the configured co-channel uplink interference rise.
-	noisePRACH := propagation.NoiseDBm(6*lte.RBBandwidthHz, nf) + n.Cfg.PRACHFloorRiseDB
-	prachTx := n.Cfg.ClientPowerDBm
-
 	n.rxRB = make([][]float64, len(n.Cells))
 	n.rxMW = make([]float64, len(n.Clients)*len(n.Cells))
 	n.prachSNR = make([][]float64, len(n.Cells))
-	for i, ap := range n.Cells {
+	for i := range n.Cells {
 		n.rxRB[i] = make([]float64, len(n.Clients))
 		n.prachSNR[i] = make([]float64, len(n.Clients))
-		for c, cl := range n.Clients {
-			loss := n.linkCache.LossDB(i, n.clientNode(c), ap, cl.Pos)
-			// Omnidirectional cells with 6 dBi gain both ways.
-			n.rxRB[i][c] = perRB + 6 - loss
-			n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxRB[i][c])
-			n.prachSNR[i][c] = prachTx + 6 - loss - noisePRACH
+		for c := range n.Clients {
+			n.setLinkBudget(i, c)
 		}
 	}
+}
+
+// setLinkBudget computes the (cell i, client c) budget at the client's
+// current position and writes all three cached forms — the dB entry,
+// the mW entry the SINR kernel reads, and the PRACH SNR — so a refresh
+// can never leave them disagreeing.
+func (n *Network) setLinkBudget(i, c int) {
+	loss := n.linkCache.LossDB(i, n.clientNode(c), n.Cells[i], n.Clients[c].Pos)
+	// Omnidirectional cells with 6 dBi gain both ways.
+	n.rxRB[i][c] = n.perRBDBm + 6 - loss
+	n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxRB[i][c])
+	n.prachSNR[i][c] = n.Cfg.ClientPowerDBm + 6 - loss - n.prachNoiseDBm
 }
 
 // clientNode maps a client index into the link-cache node-ID space,

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"cellfi/internal/geo"
 	"cellfi/internal/stats"
 	"cellfi/internal/topo"
 )
@@ -534,6 +535,42 @@ func TestMobilityDeterministic(t *testing.T) {
 	h2, s2 := run()
 	if h1 != h2 || s1 != s2 {
 		t.Fatal("mobile runs not deterministic")
+	}
+}
+
+// A moved client's interference must follow it: the budget refresh has
+// to rewrite the mW entries the SINR kernel reads, not only the dB and
+// PRACH ones. Teleport a client of cell 0 to 5 m from cell 1 (which
+// transmits in every subchannel under plain LTE) and refresh: the SINR
+// denominator must jump, and (sig, den) must equal what a network built
+// from scratch with the client already there computes.
+func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
+	tp := topo.Generate(topo.Paper(4, 3), 73)
+	cfg := DefaultConfig(SchemeLTE, 73)
+	n := New(tp, cfg)
+	n.Backlog()
+	n.Step()
+	c := n.ClientsOf[0][0]
+	const k, b = 2, 0
+	_, denBefore := n.sinrParts(c, k, b, n.prevTx)
+
+	pos := n.Cells[1].Add(5, 0)
+	n.Clients[c].Pos = pos
+	n.linkCache.Invalidate(n.clientNode(c))
+	n.refreshLinkBudget(c)
+	sig, den := n.sinrParts(c, k, b, n.prevTx)
+	if den < 100*denBefore {
+		t.Fatalf("denominator %g -> %g after moving beside a transmitting cell: interference did not follow the client", denBefore, den)
+	}
+
+	moved := *tp
+	moved.Clients = append([][]geo.Point(nil), tp.Clients...)
+	moved.Clients[0] = append([]geo.Point(nil), tp.Clients[0]...)
+	moved.Clients[0][0] = pos
+	fresh := New(&moved, cfg)
+	fresh.epoch = n.epoch
+	if fsig, fden := fresh.sinrParts(c, k, b, n.prevTx); fsig != sig || fden != den {
+		t.Fatalf("refreshed (sig, den) = (%g, %g), from-scratch network at the new position (%g, %g)", sig, den, fsig, fden)
 	}
 }
 

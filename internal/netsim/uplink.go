@@ -24,8 +24,7 @@ import (
 // client concentrates its power in `rbs` resource blocks.
 func (n *Network) ulRxRB(i, c, rbs int) float64 {
 	// Recover the symmetric link loss from the cached downlink budget.
-	perRBDown := n.Cfg.APPowerDBm - 10*math.Log10(float64(n.Cfg.BW.ResourceBlocks()))
-	loss := perRBDown + 6 - n.rxRB[i][c]
+	loss := n.perRBDBm + 6 - n.rxRB[i][c]
 	perRBUp := n.Cfg.ClientPowerDBm - 10*math.Log10(float64(rbs))
 	return perRBUp + 6 - loss
 }
