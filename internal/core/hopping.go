@@ -7,6 +7,19 @@ import (
 	"cellfi/internal/trace"
 )
 
+// appendSortedKeys appends m's keys to dst (passed empty, so its backing
+// array is reused) in ascending order.
+func appendSortedKeys[V any](dst []int, m map[int]V) []int {
+	if len(m) == 0 { // the common case: nothing observed bad, nothing to pack
+		return dst
+	}
+	for k := range m {
+		dst = append(dst, k)
+	}
+	sort.Ints(dst)
+	return dst
+}
+
 // Distributed subchannel selection (Section 5.3). Each epoch the
 // controller reconciles its held subchannel set against the target
 // share, decrements exponential bucket values for subchannels its
@@ -39,6 +52,7 @@ type Controller struct {
 
 	rng     *rand.Rand
 	buckets map[int]float64 // held subchannel -> remaining bucket value
+	keys    []int           // Epoch's sorted-key scratch, reused across calls
 	// Hops counts subchannel changes (for convergence reporting).
 	Hops int
 }
@@ -143,10 +157,10 @@ func (c *Controller) Epoch(in EpochInput) []int {
 
 	// 1. Bucket updates: decrement buckets of subchannels observed
 	// bad; give up the ones that reach zero and hop to the best
-	// available alternative. Subchannels are visited in ascending order
-	// so runs are deterministic for a given seed (only held ones matter,
-	// and those lie in [0, S)).
-	for k := 0; k < c.S; k++ {
+	// available alternative. Keys are visited in ascending order so
+	// runs are deterministic for a given seed.
+	c.keys = appendSortedKeys(c.keys[:0], in.BadFrac)
+	for _, k := range c.keys {
 		frac := in.BadFrac[k]
 		if _, held := c.buckets[k]; !held || frac <= 0 {
 			continue
@@ -185,9 +199,10 @@ func (c *Controller) Epoch(in EpochInput) []int {
 	// subchannels so lightly interfered cells spontaneously overlap
 	// there (Section 5.3).
 	if c.PackingEnabled {
-		for from := 0; from < c.S; from++ {
-			to, ok := in.PackCandidate[from]
-			if !ok || !c.Holds(from) || c.Holds(to) || to >= from {
+		c.keys = appendSortedKeys(c.keys[:0], in.PackCandidate)
+		for _, from := range c.keys {
+			to := in.PackCandidate[from]
+			if !c.Holds(from) || c.Holds(to) || to >= from {
 				continue
 			}
 			if in.SensedBusy[to] {

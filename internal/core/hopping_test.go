@@ -333,3 +333,23 @@ func TestBucketDistribution(t *testing.T) {
 		t.Fatalf("bucket mean = %g, want about %g", mean, DefaultLambda)
 	}
 }
+
+// BenchmarkControllerEpoch is one steady-state update at the paper's 13
+// subchannels: a held share of 4, two subchannels sensed busy, one held
+// subchannel reported bad every epoch (so buckets drain and hop).
+func BenchmarkControllerEpoch(b *testing.B) {
+	const s = 13
+	ctl := NewController(s, rand.New(rand.NewSource(1)))
+	in := EpochInput{TargetShare: 4, BadFrac: map[int]float64{},
+		Utility: map[int]float64{}, SensedBusy: map[int]bool{2: true, 7: true}, PackCandidate: map[int]int{}}
+	for k := 0; k < s; k++ {
+		in.Utility[k] = float64(1 + k%5)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clear(in.BadFrac)
+		if held := ctl.Epoch(in); len(held) > 0 {
+			in.BadFrac[held[0]] = 0.5
+		}
+	}
+}

@@ -70,8 +70,10 @@ func (r *RandomHopper) Epoch(in EpochInput) []int {
 	if target < 0 {
 		target = 0
 	}
-	for k := 0; k < r.S; k++ {
-		if in.BadFrac[k] > 0 && r.held[k] {
+	// Dropping is order-independent (no random draw), so the map is
+	// ranged directly.
+	for k, frac := range in.BadFrac {
+		if frac > 0 && r.held[k] {
 			delete(r.held, k)
 			r.hops++
 		}

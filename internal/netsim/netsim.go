@@ -238,9 +238,10 @@ type Network struct {
 
 	// Per-step scratch for updateControllers, reused across cells and
 	// epochs: the controller input (maps cleared between cells) and the
-	// per-subchannel clean/held flags.
+	// per-subchannel clean/held flags. servedBits backs EpochResult.
 	imIn              core.EpochInput
 	cleanForAll, held []bool
+	servedBits        []int64
 
 	// Hops accumulates controller hops for convergence reporting.
 	Hops int
@@ -292,6 +293,7 @@ func New(t *topo.Topology, cfg Config) *Network {
 		PackCandidate: map[int]int{},
 	}
 	n.cleanForAll, n.held = make([]bool, s), make([]bool, s)
+	n.servedBits = make([]int64, len(n.Clients))
 	n.allowed = make([][]int, len(n.Cells))
 	n.cleanStreak = make([][]int, len(n.Cells))
 	for i := range n.cleanStreak {
@@ -472,7 +474,8 @@ func (n *Network) sinrParts(c, k int, b int64, tx [][]int32) (sig, den float64) 
 
 // EpochResult summarizes one stepped epoch.
 type EpochResult struct {
-	// ServedBits per client this epoch.
+	// ServedBits per client this epoch. The slice is the network's own
+	// buffer, overwritten by the next Step: copy it to keep it.
 	ServedBits []int64
 }
 
@@ -542,7 +545,8 @@ func (n *Network) Step() EpochResult {
 	// loop fork-joins across the cluster when Cfg.Shards > 1 — each
 	// worker owns a contiguous cell range (disjoint client sets),
 	// making the parallel sweep bit-identical to this sequential one.
-	res := EpochResult{ServedBits: make([]int64, len(n.Clients))}
+	clear(n.servedBits)
+	res := EpochResult{ServedBits: n.servedBits}
 	if n.cluster != nil {
 		n.cluster.Do(func(s int) {
 			lo, hi := n.shardRange(s)

@@ -610,9 +610,9 @@ func BenchmarkStepDense(b *testing.B) { benchStepDense(b, false) }
 func BenchmarkStepDenseIndexed(b *testing.B) { benchStepDense(b, true) }
 
 // Steady-state Step at the im_dense shape reuses its per-epoch scratch
-// (active sets, transmitter lists, controller-input maps): what is left
-// is one held-set slice per controller update plus the result slice
-// (210 measured, 5,002 before the scratch existed).
+// (active sets, transmitter lists, controller-input maps, the result
+// slice): what is left is one held-set slice per controller update
+// (209 measured, 5,002 before the scratch existed).
 func TestStepDenseAllocs(t *testing.T) {
 	n := denseNetwork(t, false)
 	if allocs := testing.AllocsPerRun(10, func() { n.Step() }); allocs > 250 {
