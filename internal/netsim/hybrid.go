@@ -56,7 +56,7 @@ func (n *Network) deconflictProviders() {
 	}
 
 	for _, cells := range cellsOf {
-		n.deconflictProvider(cells, n.active, conflict)
+		n.deconflictProvider(cells, conflict)
 	}
 }
 
@@ -64,7 +64,7 @@ func (n *Network) deconflictProviders() {
 // every conflicting pair of the provider's cells sharing a subchannel,
 // the cell with fewer active clients releases it and, where possible,
 // acquires a subchannel no conflicting same-provider cell holds.
-func (n *Network) deconflictProvider(cells []int, nowActive [][]int, conflict func(i, j int) bool) {
+func (n *Network) deconflictProvider(cells []int, conflict func(i, j int) bool) {
 	ctl := func(i int) *core.Controller { return n.controllers[i].(*core.Controller) }
 
 	for ai, i := range cells {
@@ -82,7 +82,7 @@ func (n *Network) deconflictProvider(cells []int, nowActive [][]int, conflict fu
 				}
 				// Collision on k: the lighter cell moves.
 				loser, winner := j, i
-				if len(nowActive[j]) > len(nowActive[i]) {
+				if len(n.active[j]) > len(n.active[i]) {
 					loser, winner = i, j
 				}
 				_ = winner

@@ -130,8 +130,8 @@ type Config struct {
 	// that many workers on an internal/shard cluster. Per-client service
 	// is self-contained — each worker owns a contiguous cell range and
 	// every read it shares (link budget, transmitter lists, fading
-	// hashes) is frozen during the sweep — so results are bit-identical to the
-	// sequential path. Call Network.Close to release the workers.
+	// hashes) is frozen during the sweep — so results are bit-identical
+	// to the sequential path. Call Network.Close to release the workers.
 	Shards int
 }
 
@@ -546,30 +546,29 @@ func (n *Network) Step() EpochResult {
 	// worker owns a contiguous cell range (disjoint client sets),
 	// making the parallel sweep bit-identical to this sequential one.
 	clear(n.servedBits)
-	res := EpochResult{ServedBits: n.servedBits}
 	if n.cluster != nil {
 		n.cluster.Do(func(s int) {
 			lo, hi := n.shardRange(s)
 			for j := lo; j < hi; j++ {
-				n.serveCell(j, res.ServedBits)
+				n.serveCell(j)
 			}
 		})
 	} else {
 		for j := 0; j < nCells; j++ {
-			n.serveCell(j, res.ServedBits)
+			n.serveCell(j)
 		}
 	}
 
 	n.tx, n.prevTx = n.prevTx, n.tx
 	n.active, n.prevActive = n.prevActive, n.active
 	n.epoch++
-	return res
+	return EpochResult{ServedBits: n.servedBits}
 }
 
 // serveCell delivers one epoch of fluid service to cell j's active
 // clients. It writes only those clients' queue/delivered counters and
 // servedBits slots, so distinct cells may be served concurrently.
-func (n *Network) serveCell(j int, servedBits []int64) {
+func (n *Network) serveCell(j int) {
 	active := n.active[j]
 	if len(active) == 0 {
 		return
@@ -594,7 +593,7 @@ func (n *Network) serveCell(j int, servedBits []int64) {
 		}
 		cl.QueuedBits -= served
 		cl.DeliveredBits += served
-		servedBits[c] = served
+		n.servedBits[c] = served
 	}
 }
 
