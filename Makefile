@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify bench sweep experiments fmt chaos chaos-soak fuzz-short race
+.PHONY: all build test verify bench bench-all sweep experiments fmt chaos chaos-soak fuzz-short race
 
 all: build
 
@@ -11,7 +11,9 @@ test:
 	$(GO) test ./...
 
 # verify is the fast correctness gate: static analysis, a full build,
-# and the race detector over the concurrency-bearing packages.
+# the legacy-harness guard, and the race detector over every package
+# that owns goroutines or is driven from them (runner, sim, core, paws,
+# faults, trace, shard, pawsdb, pawsload, metro, netsim).
 verify:
 	./scripts/verify.sh
 
@@ -44,52 +46,23 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
 
-# bench runs the hot-path benchmark suite with allocation tracking:
-# the sim event core, the Wi-Fi CSMA and LTE subframe loops, the
-# propagation link cache, the runner fleet, and the IM epoch (netsim
-# Step at 14 and 200 APs, the core controller).
+# bench is for microbenchmarks while you work: the per-package
+# `go test -bench` sweep with allocation tracking (sim event core,
+# Wi-Fi CSMA and LTE subframe loops, propagation link cache, runner
+# fleet, netsim Step at 14 and 200 APs, the core controller). Nothing it
+# prints is committed or compared; `make bench-all` is the number of
+# record.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 100ms -run '^$$' \
 		./internal/sim ./internal/propagation ./internal/wifi ./internal/lte \
 		./internal/runner ./internal/geo ./internal/stats ./internal/metro \
 		./internal/shard ./internal/netsim ./internal/core
 
-# Regenerate the committed engine benchmark artifact (also enforces
-# 0 allocs/op on Schedule+fire and the >=2x speedup floor).
-BENCH_sim.json: FORCE
-	SIM_BENCH_OUT=$(CURDIR)/BENCH_sim.json $(GO) test -run TestEngineBenchArtifact -count 1 -v .
-
-# Regenerate the committed runner speedup artifact.
-BENCH_runner.json: FORCE
-	RUNNER_BENCH_OUT=$(CURDIR)/BENCH_runner.json $(GO) test -run TestCampaignSpeedup -count 1 ./internal/runner
-
-# Regenerate the committed flight-recorder overhead artifact (also
-# enforces 0 allocs/op on the instrumented hot loops with tracing off
-# AND on).
-BENCH_trace.json: FORCE
-	TRACE_BENCH_OUT=$(CURDIR)/BENCH_trace.json $(GO) test -run TestTraceBenchArtifact -count 1 -v .
-
-# Regenerate the committed spectrum-database load artifact (also
-# enforces >= 50k qps sustained, the cache beating the raw index path,
-# and a bounded p99 under a scripted database outage).
-BENCH_paws.json: FORCE
-	PAWS_BENCH_OUT=$(CURDIR)/BENCH_paws.json $(GO) test -run TestPAWSBenchArtifact -count 1 -v .
-
-# Regenerate the committed city-scale baseline: the examples/metro
-# scenario (2,000 APs / 100k UEs, one diurnal cycle) single-threaded.
-# Enforces faster-than-real-time, 0 allocs/op on the grid query and the
-# steady-state metro epoch, and indexed-beats-brute SINR at N=1000.
-BENCH_city.json: FORCE
-	CITY_BENCH_OUT=$(CURDIR)/BENCH_city.json $(GO) test -run TestCityBenchArtifact -count 1 -v -timeout 20m .
-
-# Regenerate the committed sharded-execution baseline: the metro city at
-# K in {1, 2, 4, 8} shards. Enforces 0 allocs/op on the lockstep barrier
-# path, identical attached-count telemetry at every K, and — on machines
-# with >= 8 cores — a >= 3x speedup at K=8.
-BENCH_shard.json: FORCE
-	SHARD_BENCH_OUT=$(CURDIR)/BENCH_shard.json $(GO) test -run TestShardBenchArtifact -count 1 -v -timeout 20m .
-
-FORCE:
+# bench-all runs the one benchmark (BENCHMARK.json, bench/README.md):
+# all seven workloads, one machine-stamped result set under bench/out/.
+# Compare two result sets with `go run ./bench compare A B`.
+bench-all:
+	$(GO) run ./bench -workload all -seed 1
 
 sweep:
 	$(GO) run ./cmd/cellfi-sweep

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 
 	"cellfi/internal/netsim"
@@ -34,7 +35,11 @@ import (
 	"cellfi/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body returning the exit code, so the deferred profile
+// flush happens on every exit, including an invariant violation.
+func run() int {
 	scheme := flag.String("scheme", "cellfi", "cellfi, lte or oracle")
 	aps := flag.Int("aps", 14, "number of access points")
 	clients := flag.Int("clients", 6, "clients per AP")
@@ -55,7 +60,8 @@ func main() {
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatalf("cellfi-sim: %v", err)
+		log.Printf("cellfi-sim: %v", err)
+		return 1
 	}
 	defer stopProf()
 
@@ -68,7 +74,8 @@ func main() {
 	case "oracle":
 		s = netsim.SchemeOracle
 	default:
-		log.Fatalf("cellfi-sim: unknown scheme %q", *scheme)
+		log.Printf("cellfi-sim: unknown scheme %q", *scheme)
+		return 1
 	}
 
 	type trialResult struct {
@@ -113,14 +120,16 @@ func main() {
 	if *invariants {
 		for _, r := range rep.Runs {
 			if r.InvariantRule != "" {
-				log.Fatalf("cellfi-sim: trial %d (%s): invariant %s violated %d time(s), first at record %d: %s",
+				log.Printf("cellfi-sim: trial %d (%s): invariant %s violated %d time(s), first at record %d: %s",
 					r.Index, r.Label, r.InvariantRule, r.InvariantViolations, r.InvariantIndex, r.InvariantRecord)
+				return 1
 			}
 		}
 	}
 	results, err := runner.Values[trialResult](rep)
 	if err != nil {
-		log.Fatalf("cellfi-sim: %v", err)
+		log.Printf("cellfi-sim: %v", err)
+		return 1
 	}
 	if *traceDir != "" {
 		for _, r := range rep.Runs {
@@ -150,4 +159,5 @@ func main() {
 			fmt.Println()
 		}
 	}
+	return 0
 }

@@ -69,7 +69,11 @@ func parseSchemes(s string) ([]netsim.Scheme, error) {
 	return out, nil
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body returning the exit code, so the deferred profile
+// flush happens on every exit.
+func run() int {
 	schemesFlag := flag.String("schemes", "cellfi,lte,oracle", "comma-separated schemes")
 	apsFlag := flag.String("aps", "6,8,10,12,14", "comma-separated AP counts")
 	clientsFlag := flag.String("clients", "6", "comma-separated clients per AP")
@@ -85,28 +89,33 @@ func main() {
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatalf("cellfi-sweep: %v", err)
+		log.Printf("cellfi-sweep: %v", err)
+		return 1
 	}
 	defer stopProf()
 
 	schemes, err := parseSchemes(*schemesFlag)
 	if err != nil {
-		log.Fatalf("cellfi-sweep: %v", err)
+		log.Printf("cellfi-sweep: %v", err)
+		return 1
 	}
 	apsList, err := parseInts(*apsFlag)
 	if err != nil {
-		log.Fatalf("cellfi-sweep: bad -aps: %v", err)
+		log.Printf("cellfi-sweep: bad -aps: %v", err)
+		return 1
 	}
 	clientsList, err := parseInts(*clientsFlag)
 	if err != nil {
-		log.Fatalf("cellfi-sweep: bad -clients: %v", err)
+		log.Printf("cellfi-sweep: bad -clients: %v", err)
+		return 1
 	}
 	var bw lte.Bandwidth
 	switch *bwFlag {
 	case 5, 10, 15, 20:
 		bw = lte.Bandwidth(*bwFlag)
 	default:
-		log.Fatalf("cellfi-sweep: bandwidth must be 5, 10, 15 or 20 MHz")
+		log.Printf("cellfi-sweep: bandwidth must be 5, 10, 15 or 20 MHz")
+		return 1
 	}
 
 	// One runner spec per (aps, clients, trial) grid point; each spec
@@ -153,7 +162,8 @@ func main() {
 	rep := runner.Run(context.Background(), "cellfi-sweep", specs, runner.Options{Workers: *workers})
 	rows, err := runner.Values[[]string](rep)
 	if err != nil {
-		log.Fatalf("cellfi-sweep: %v", err)
+		log.Printf("cellfi-sweep: %v", err)
+		return 1
 	}
 
 	w := os.Stdout
@@ -166,9 +176,11 @@ func main() {
 
 	if *telemetry != "" {
 		if err := rep.WriteJSON(*telemetry); err != nil {
-			log.Fatalf("cellfi-sweep: writing telemetry: %v", err)
+			log.Printf("cellfi-sweep: writing telemetry: %v", err)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "cellfi-sweep: %d runs, %d sim events in %.0f ms -> %s\n",
 			len(rep.Runs), rep.TotalSimEvents, rep.WallMS, *telemetry)
 	}
+	return 0
 }

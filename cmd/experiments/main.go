@@ -26,7 +26,11 @@ import (
 	"cellfi/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body returning the exit code, so the deferred profile
+// flush happens on every exit, including a failed telemetry write.
+func run() int {
 	id := flag.String("id", "", "experiment ID to run (default: all)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	quick := flag.Bool("quick", false, "reduced trials for a fast pass")
@@ -42,7 +46,7 @@ func main() {
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopProf()
 
@@ -58,21 +62,21 @@ func main() {
 		for _, eid := range experiments.IDs() {
 			fmt.Println(eid)
 		}
-		return
+		return 0
 	}
 
 	ids := experiments.IDs()
 	if *id != "" {
 		if _, ok := experiments.Get(*id); !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *id)
-			os.Exit(2)
+			return 2
 		}
 		ids = []string{*id}
 	}
 
 	for _, eid := range ids {
-		run, _ := experiments.Get(eid)
-		res := run(*seed, *quick)
+		runExp, _ := experiments.Get(eid)
+		res := runExp(*seed, *quick)
 		fmt.Printf("==== %s ====\n\n", res.Title)
 		for _, tb := range res.Tables {
 			fmt.Println(tb.String())
@@ -113,14 +117,15 @@ func main() {
 			merged, err = runner.Merge("experiments", reps...)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: merging telemetry: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if err := merged.WriteJSON(*telemetry); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: writing telemetry: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "experiments: %d campaigns, %d runs, %d sim events -> %s\n",
 			len(reps), len(merged.Runs), merged.TotalSimEvents, *telemetry)
 	}
+	return 0
 }

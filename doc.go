@@ -11,5 +11,5 @@
 // paper-versus-measured scorecard. The public surface lives under
 // internal/ (this is a research reproduction, not a semver-stable
 // library); cmd/experiments regenerates the evaluation and
-// bench_test.go exposes each experiment as a testing.B benchmark.
+// `make bench-all` (bench/README.md) is the one benchmark.
 package cellfi

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"time"
 
@@ -29,17 +28,28 @@ import (
 	"cellfi/internal/profiling"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body returning the exit code, so the deferred profile
+// flush and World.Close happen on every exit, including the
+// slower-than-real-time one.
+func run() int {
 	epochs := flag.Int("epochs", 240, "simulated seconds (one diurnal cycle = 240)")
 	seed := flag.Int64("seed", 1, "world seed")
 	shards := flag.Int("shards", 1, "region shards (1 = single-threaded direct path)")
 	asJSON := flag.Bool("json", false, "emit a JSON summary instead of text")
 	prof := profiling.AddFlags()
 	flag.Parse()
+	if *shards < 1 || *shards > 256 {
+		fmt.Fprintf(os.Stderr, "metro: -shards %d out of range, want 1..256\n", *shards)
+		flag.Usage()
+		return 2
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatalf("metro: %v", err)
+		fmt.Fprintf(os.Stderr, "metro: %v\n", err)
+		return 1
 	}
 	defer stopProf()
 
@@ -82,9 +92,9 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(summary); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	fmt.Printf("metro: %d APs, %d UEs on %.0f km²\n",
@@ -111,6 +121,7 @@ func main() {
 	}
 	if realtime < 1 {
 		fmt.Println("WARNING: slower than real time")
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

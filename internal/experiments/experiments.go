@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation. Each experiment is a Runner keyed by the ID used
-// in EXPERIMENTS.md (table1, fig1, fig2, fig6, fig7, fig8, prach,
-// fig9a, fig9b, fig9c, theorem1, overhead, reuse, lambda); runners
-// return typed tables and series that cmd/experiments prints and
-// bench_test.go exercises.
+// paper's evaluation, plus the ablations and extensions. Each
+// experiment is a Runner keyed by the ID used in EXPERIMENTS.md (IDs()
+// lists all 21: table1, fig1, fig2, fig6, fig7, fig8, prach, fig9a,
+// fig9b, fig9c, theorem1, overhead, reuse, lambda, sensing, hopping,
+// hybrid, sched, uplink, aggregation, mobility); runners return typed
+// tables and series that cmd/experiments prints and the benchmark's
+// repro_full workload times.
 package experiments
 
 import (

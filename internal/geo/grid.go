@@ -30,8 +30,7 @@ import (
 // "who is near", never "how loud".
 //
 // The query path is allocation-free once the caller's scratch slice
-// has grown to the neighborhood size; the artifact gate in
-// BENCH_city.json enforces 0 allocs/op on it.
+// has grown to the neighborhood size (TestGridAppendWithinZeroAllocs).
 type Grid struct {
 	bounds   Rect
 	cellSize float64

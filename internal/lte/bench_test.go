@@ -6,6 +6,7 @@ import (
 
 	"cellfi/internal/geo"
 	"cellfi/internal/sim"
+	"cellfi/internal/trace"
 )
 
 // benchCellSim builds a cell with four backlogged clients at staggered
@@ -41,7 +42,7 @@ func benchCellSim(tb testing.TB) (*sim.Engine, *CellSim) {
 // per op: TDD pattern, HARQ retransmissions, the MAC scheduler, DCI
 // codec and per-subchannel SINR/CQI (cached link gains). Allocations
 // are tracked because this is the engine's densest periodic callback;
-// see BENCH_sim.json.
+// TestCellSimSubframeZeroAllocs gates them.
 func BenchmarkLTESubframeLoop(b *testing.B) {
 	eng, _ := benchCellSim(b)
 	b.ReportAllocs()
@@ -107,26 +108,30 @@ func BenchmarkTBSMath(b *testing.B) {
 var benchSink int
 
 // The whole subframe callback — HARQ, scheduler, DCI codec, SINR
-// lookups, trace-off — must be allocation-free once warmed up.
+// lookups — must be allocation-free once warmed up, with the flight
+// recorder off (nil) and on (a live ring).
 func TestCellSimSubframeZeroAllocs(t *testing.T) {
-	eng, _ := benchCellSim(t)
-	horizon := sim.Time(0)
-	// Warm up past the first fading block so scratch buffers and the
-	// rx-power memo are grown.
-	for i := 0; i < 200; i++ {
-		horizon += SubframeDuration
-		eng.Run(horizon)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		horizon += SubframeDuration
-		eng.Run(horizon)
-	})
-	// The rx-power memo repopulates once per 100 ms coherence block;
-	// amortized over subframes that rounds to zero, but a map bucket
-	// growth can still land inside one sampled window early in the
-	// run. Demand strictly amortized-zero behaviour.
-	if avg != 0 {
-		t.Fatalf("subframe loop allocates %.2f times per ms in steady state", avg)
+	for name, rec := range map[string]trace.Recorder{"recorder=nil": nil, "recorder=ring": trace.NewRing(0)} {
+		eng, _ := benchCellSim(t)
+		eng.SetRecorder(rec)
+		horizon := sim.Time(0)
+		// Warm up past the first fading block so scratch buffers and the
+		// rx-power memo are grown.
+		for i := 0; i < 200; i++ {
+			horizon += SubframeDuration
+			eng.Run(horizon)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			horizon += SubframeDuration
+			eng.Run(horizon)
+		})
+		// The rx-power memo repopulates once per 100 ms coherence block;
+		// amortized over subframes that rounds to zero, but a map bucket
+		// growth can still land inside one sampled window early in the
+		// run. Demand strictly amortized-zero behaviour.
+		if avg != 0 {
+			t.Errorf("%s: subframe loop allocates %.2f times per ms in steady state", name, avg)
+		}
 	}
 }
 

@@ -58,6 +58,7 @@
 package metro
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -71,6 +72,9 @@ import (
 	"cellfi/internal/stats"
 	"cellfi/internal/trace"
 )
+
+// maxShards is what a ueShard byte can name.
+const maxShards = math.MaxUint8 + 1
 
 // Phase offsets inside one 1-second epoch; shardWindow is the
 // conservative lookahead of the cluster (see package doc).
@@ -137,7 +141,8 @@ type Config struct {
 	// Shards > 1 runs the world on a conservative parallel cluster of
 	// that many vertical slabs (see package doc); 0 or 1 runs the
 	// classic single-threaded direct path. Results are byte-identical
-	// either way.
+	// either way. New panics above 256: slab ownership is one byte per
+	// UE.
 	Shards int
 	// Incumbents are scheduled primary-user pop-ups.
 	Incumbents []IncumbentEvent
@@ -145,7 +150,7 @@ type Config struct {
 
 // DefaultCity returns the headline scenario: 2,000 APs and 100k UEs on
 // a 14 km x 7 km city, which must simulate faster than real time on a
-// single core (the BENCH_city.json gate).
+// single core (the benchmark's city_diurnal workload measures it).
 func DefaultCity(seed int64) Config {
 	return Config{
 		Seed:            seed,
@@ -265,6 +270,9 @@ func New(cfg Config) *World {
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
+	}
+	if cfg.Shards > maxShards {
+		panic(fmt.Sprintf("metro: %d shards, want at most %d", cfg.Shards, maxShards))
 	}
 	w := &World{
 		Cfg:         cfg,

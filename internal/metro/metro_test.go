@@ -96,9 +96,9 @@ func TestMetroStepZeroAllocs(t *testing.T) {
 }
 
 // City-scale smoke: the headline configuration builds and makes
-// forward progress. The committed BENCH_city.json artifact (make
-// BENCH_city.json) carries the faster-than-real-time gate; this test
-// only guards that the scenario functions.
+// forward progress. The benchmark's city_diurnal workload carries the
+// realtime factor (ops_per_s); this test only guards that the scenario
+// functions.
 func TestMetroCityScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale world build is ~1s; skipped in -short")

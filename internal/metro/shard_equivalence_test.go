@@ -136,3 +136,25 @@ func TestMetroIncumbentBitesAndClears(t *testing.T) {
 		}
 	}
 }
+
+// Slab ownership is one byte per UE, so 256 shards is the most New can
+// honour: 257 must be refused (it used to wrap and silently diverge),
+// and 256 must still match the direct path.
+func TestMetroShardCountLimit(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("New accepted Shards: 257")
+			}
+		}()
+		New(shardCity(1, 257)).Close()
+	}()
+
+	const epochs = 8
+	ref := runShardCity(t, 1, 1, epochs)
+	got := runShardCity(t, 1, 256, epochs)
+	if !bytes.Equal(got.trace, ref.trace) || got.w.DeliveredBits() != ref.w.DeliveredBits() {
+		t.Fatalf("K=256 diverges from the direct run: delivered %d bits vs %d",
+			got.w.DeliveredBits(), ref.w.DeliveredBits())
+	}
+}

@@ -1,7 +1,9 @@
 // Package profiling wires the standard Go profilers into the repo's
 // binaries with one flag set: -cpuprofile, -memprofile and -trace.
 // Profiles feed `go tool pprof` / `go tool trace` against the hot
-// paths the benchmarks in BENCH_sim.json track.
+// paths the benchmark's per-layer metrics track (bench/README.md).
+// Binaries call Start from a run() int that main wraps in os.Exit, so
+// the deferred stop flushes on every exit path.
 package profiling
 
 import (

@@ -77,8 +77,8 @@ func TestFadingZigguratDeepFades(t *testing.T) {
 // The v2 draw stream is pinned: these exact float64 bits must never
 // change without a deliberate kernel version bump (regenerate with
 // go test -run TestFadingGoldenVector -v -tags fadinggen and update
-// both this table and the DESIGN.md kernel note). Committed artifacts
-// (BENCH_city.json) and any cross-binary reproduction depend on it.
+// both this table and the DESIGN.md kernel note). The benchmark's city
+// digests and any cross-binary reproduction depend on it.
 func TestFadingGoldenVector(t *testing.T) {
 	f := NewFading(7)
 	cases := []struct {
@@ -173,38 +173,6 @@ func TestZigguratAcceptRate(t *testing.T) {
 	}
 }
 
-// fadingV1 reproduces the kernel-v1 draw verbatim (one full varargs
-// hash64 plus -log(u) per link, behind the same method-call shape the
-// old hot loops paid), kept as the reference the fade-draw speedup is
-// measured against in BENCH_city.json.
-type fadingV1 struct {
-	Seed     int64
-	BlockMS  int64
-	Disabled bool
-}
-
-func (f *fadingV1) GainLinear(linkID uint64, subchannel int, tMS int64) float64 {
-	if f == nil || f.Disabled {
-		return 1
-	}
-	block := tMS / f.BlockMS
-	h := hash64(f.Seed, linkID, uint64(subchannel)+0x5bd1e995, uint64(block))
-	u := (float64(h>>11) + 1) / (1 << 53)
-	return -math.Log(u)
-}
-
-func BenchmarkFadeDrawV1(b *testing.B) {
-	f := &fadingV1{Seed: 1, BlockMS: 100}
-	links := benchLinks()
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += f.GainLinear(links[i&1023], 3, 4200)
-	}
-	_ = sink
-}
-
 func BenchmarkFadeDrawScalar(b *testing.B) {
 	f := NewFading(1)
 	links := benchLinks()
@@ -229,6 +197,19 @@ func BenchmarkFadeDrawBatch(b *testing.B) {
 		dst = f.AppendGainsLinear(dst[:0], links, 3, 4200)
 	}
 	_ = dst
+}
+
+// The batch draw over one 32-link adjacency row writes into the caller's
+// slice and nothing else: the metro sweep's 0-alloc epoch depends on it.
+func TestAppendGainsLinearZeroAllocs(t *testing.T) {
+	f := NewFading(1)
+	links := benchLinks()[:32]
+	dst := make([]float64, 0, 32)
+	if avg := testing.AllocsPerRun(200, func() {
+		dst = f.AppendGainsLinear(dst[:0], links, 3, 4200)
+	}); avg != 0 {
+		t.Errorf("AppendGainsLinear over a 32-link row allocates %.1f allocs/op, want 0", avg)
+	}
 }
 
 func benchLinks() []uint64 {

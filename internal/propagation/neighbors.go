@@ -1,25 +1,6 @@
 package propagation
 
-import (
-	"math"
-
-	"cellfi/internal/geo"
-)
-
-// NeighborSource enumerates the nodes whose transmissions can matter at
-// a point: everything within the interference-significance radius.
-// Implementations must append ids in ascending order so that float
-// interference sums accumulate in the same order as a brute-force scan
-// over a dense node slice (the determinism contract the equivalence
-// tests pin down). *geo.Grid satisfies it directly.
-//
-// A nil NeighborSource in the consumers (lte.Environment, wifi.Network,
-// netsim) means "scan everyone" — the pre-index behavior.
-type NeighborSource interface {
-	AppendWithin(dst []int32, p geo.Point, radius float64) []int32
-}
-
-var _ NeighborSource = (*geo.Grid)(nil)
+import "math"
 
 // DefaultInterferenceDeltaDB is the default noise-floor margin for
 // InterferenceRadius: a transmitter whose median received power is this

@@ -3,9 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -81,29 +79,10 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
-// benchArtifact is the schema of BENCH_runner.json: the committed
-// perf-trajectory baseline for the fleet executor.
-type benchArtifact struct {
-	Generated   time.Time `json:"generated"`
-	GoMaxProcs  int       `json:"go_max_procs"`
-	NumCPU      int       `json:"num_cpu"`
-	GoVersion   string    `json:"go_version"`
-	Description string    `json:"description"`
-	// Speedups are 1-worker wall time divided by 8-worker wall time
-	// for a 32-scenario campaign of each shape.
-	CPUBoundSpeedup8W     float64 `json:"cpu_bound_speedup_8w"`
-	LatencyBoundSpeedup8W float64 `json:"latency_bound_speedup_8w"`
-	// EngineEventsPerSec is single-run dispatch throughput measured by
-	// the CPU campaign (TotalSimEvents / sum of run wall times).
-	EngineEventsPerSec float64   `json:"engine_events_per_sec"`
-	Campaigns          []*Report `json:"campaigns"`
-}
-
 // TestCampaignSpeedup runs the acceptance campaign: 32 scenarios, 1
 // worker vs 8 workers, byte-identical results, and a >= 3x wall-clock
 // speedup with 8 workers (CPU-bound on machines with >= 4 cores, and
-// always for the latency-bound fleet). With RUNNER_BENCH_OUT set it
-// also writes the BENCH_runner.json artifact.
+// always for the latency-bound fleet).
 func TestCampaignSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second timing campaign")
@@ -140,36 +119,4 @@ func TestCampaignSpeedup(t *testing.T) {
 	}
 	t.Logf("speedups with 8 workers on %d cores: cpu-bound %.2fx, latency-bound %.2fx",
 		runtime.NumCPU(), cpuSpeedup, latSpeedup)
-
-	out := os.Getenv("RUNNER_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	var runWallMS float64
-	for _, r := range cpu1.Runs {
-		runWallMS += r.WallMS
-	}
-	art := benchArtifact{
-		Generated:  time.Now().UTC(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Description: "internal/runner fleet-executor baseline: a 32-scenario campaign " +
-			"run with 1 and 8 workers. cpu campaigns drive sim.Engine event chains; " +
-			"latency campaigns model database-bound scenarios (40 ms external wait each). " +
-			"Speedup = wall(1 worker) / wall(8 workers); cpu-bound speedup tracks core " +
-			"count, latency-bound speedup tracks worker count.",
-		CPUBoundSpeedup8W:     cpuSpeedup,
-		LatencyBoundSpeedup8W: latSpeedup,
-		EngineEventsPerSec:    float64(cpu1.TotalSimEvents) / (runWallMS / 1000),
-		Campaigns:             []*Report{cpu1, cpu8, lat1, lat8},
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -103,8 +103,7 @@ type Report struct {
 	PeakRSSMB float64 `json:"peak_rss_mb,omitempty"`
 	// NumCPU / GoMaxProcs pin the machine the campaign ran on.
 	// Throughput and speedup numbers are only comparable between
-	// reports taken at the same core count; scripts/benchdiff.sh skips
-	// speedup gates when they differ.
+	// reports taken at the same core count.
 	NumCPU     int         `json:"num_cpu"`
 	GoMaxProcs int         `json:"go_max_procs"`
 	Runs       []RunResult `json:"runs"`

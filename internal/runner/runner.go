@@ -22,7 +22,7 @@
 //
 // Telemetry: each run records wall time and the event counters of
 // every sim.Engine it registered through its Ctx; Report aggregates
-// them and serializes to JSON (see report.go and BENCH_runner.json).
+// them and serializes to JSON (see report.go).
 package runner
 
 import (

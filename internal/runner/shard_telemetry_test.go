@@ -67,7 +67,7 @@ func TestShardTelemetry(t *testing.T) {
 	}
 
 	// The serialized report pins the machine (num_cpu / go_max_procs —
-	// benchdiff refuses cross-core speedup comparisons without them) and
+	// speedups are not comparable across core counts without them) and
 	// carries the sharded run's fields while omitting them for the plain
 	// run.
 	if rep.NumCPU != runtime.NumCPU() || rep.GoMaxProcs != runtime.GOMAXPROCS(0) {

@@ -44,8 +44,8 @@ func newBenchCluster(k, cells int) (*Cluster, *ringWorld) {
 // BenchmarkWindowBarrier measures one conservative window at K=4 with
 // cross-shard traffic in flight. Steady state must be 0 allocs/op —
 // message buffers, engine event slots and the pending queue all reach
-// their high-water mark during warmup and recycle thereafter (the
-// BENCH_shard.json barrier gate).
+// their high-water mark during warmup and recycle thereafter
+// (TestWindowBarrierZeroAllocs holds the gate).
 func BenchmarkWindowBarrier(b *testing.B) {
 	c, _ := newBenchCluster(4, 64)
 	defer c.Close()
@@ -54,6 +54,17 @@ func BenchmarkWindowBarrier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Run(c.Now() + win)
+	}
+}
+
+// AllocsPerRun counts mallocs process-wide, so the workers' side of the
+// barrier is covered too.
+func TestWindowBarrierZeroAllocs(t *testing.T) {
+	c, _ := newBenchCluster(4, 64)
+	defer c.Close()
+	c.Run(8 * win) // warm buffers to the workload's high-water mark
+	if avg := testing.AllocsPerRun(100, func() { c.Run(c.Now() + win) }); avg != 0 {
+		t.Errorf("window barrier with cross-shard traffic allocates %.1f allocs/op, want 0", avg)
 	}
 }
 

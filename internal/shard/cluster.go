@@ -148,8 +148,8 @@ func (c *Cluster) Run(until sim.Time) {
 // runWindow executes one conservative window ending at end: deliver
 // due messages, run every shard in parallel, harvest staged messages,
 // fold. This whole path is allocation-free once the message buffers
-// have reached the workload's high-water mark (the BENCH_shard.json
-// barrier gate).
+// have reached the workload's high-water mark
+// (TestWindowBarrierZeroAllocs).
 func (c *Cluster) runWindow(end sim.Time) {
 	c.curEnd = end
 	c.deliver(end)

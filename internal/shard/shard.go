@@ -44,7 +44,7 @@
 // The steady-state barrier path — dispatch, busy/stall accounting,
 // message harvest, sort, delivery — performs zero heap allocations
 // once buffers have grown to the workload's high-water mark;
-// BENCH_shard.json enforces it.
+// TestWindowBarrierZeroAllocs enforces it.
 package shard
 
 import (

@@ -3,12 +3,14 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"cellfi/internal/trace"
 )
 
 // BenchmarkEngine measures raw event dispatch throughput: a fixed fan
 // of self-rescheduling callbacks, reported in events/sec. This is the
-// hot loop under every CSMA and LTE simulation, so regressions here
-// show up directly in the bench trajectory (BENCH_sim.json).
+// hot loop under every CSMA and LTE simulation; the benchmark's
+// sim.schedule_fire_ns and sim.ns_per_event rows track it.
 func BenchmarkEngine(b *testing.B) {
 	const fan = 64 // concurrent timer chains, a typical network's worth
 	e := NewEngine(1)
@@ -32,8 +34,8 @@ func BenchmarkEngine(b *testing.B) {
 // BenchmarkScheduleFire is the pure Schedule+fire cycle: one
 // self-rescheduling chain, so the heap stays at depth 1 and the number
 // measures the engine's fixed per-event cost with no queue pressure and
-// no user payload. This is the headline engine_events_per_sec in
-// BENCH_sim.json and must run at 0 amortized allocs/op.
+// no user payload. It must run at 0 amortized allocs/op
+// (TestDispatchZeroAllocs).
 func BenchmarkScheduleFire(b *testing.B) {
 	e := NewEngine(1)
 	fired := 0
@@ -88,6 +90,41 @@ func BenchmarkTicker(b *testing.B) {
 	}
 }
 
-// The BENCH_sim.json artifact writer lives in the repo root
-// (bench_artifact_test.go) so it can also measure the Wi-Fi CSMA and
-// LTE subframe loops without an import cycle.
+// Schedule+fire and the Ticker's in-place reschedule are the engine's
+// fixed cost under every simulation. Both must stay allocation-free
+// with the recorder nil (the default) and with a live trace.Ring
+// attached — the two halves of the trace package's zero-cost contract.
+func TestDispatchZeroAllocs(t *testing.T) {
+	for name, rec := range map[string]trace.Recorder{"recorder=nil": nil, "recorder=ring": trace.NewRing(0)} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(1)
+			e.SetRecorder(rec)
+			left := 0
+			var tick func()
+			tick = func() {
+				if left > 0 {
+					left--
+					e.After(time.Microsecond, tick)
+				}
+			}
+			chain := func() {
+				left = 7
+				e.After(0, tick)
+				e.RunAll()
+			}
+			if avg := testing.AllocsPerRun(200, chain); avg != 0 {
+				t.Errorf("Schedule+fire allocates %.1f allocs per 8-event chain, want 0", avg)
+			}
+
+			e.Every(time.Millisecond, func() {})
+			horizon := e.Now()
+			period := func() {
+				horizon += time.Millisecond
+				e.Run(horizon)
+			}
+			if avg := testing.AllocsPerRun(200, period); avg != 0 {
+				t.Errorf("Ticker period allocates %.1f allocs/op, want 0", avg)
+			}
+		})
+	}
+}

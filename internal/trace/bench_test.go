@@ -7,7 +7,8 @@ import (
 
 // BenchmarkRingRecordWrap is the raw record path in wrap mode: one
 // slot store per op. This is the per-event cost an instrumented hot
-// loop pays on top of the nil check; see BENCH_trace.json.
+// loop pays on top of the nil check (the benchmark's
+// trace.ring_record_ns).
 func BenchmarkRingRecordWrap(b *testing.B) {
 	r := NewRing(8192)
 	rc := Record{T: 1, AP: 3, Kind: KindSimFire}

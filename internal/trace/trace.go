@@ -16,9 +16,10 @@
 //
 // so with tracing off the only cost is one predictable branch, and
 // with tracing on the cost is one interface call plus one 64-byte
-// store into the ring — no heap allocation either way. BENCH_trace.json
-// (see bench_artifact_test.go at the repo root) enforces both halves:
-// the sim event loop stays 0 allocs/op with the recorder off *and* on.
+// store into the ring — no heap allocation either way. Tier-1 tests
+// enforce both halves: sim.TestDispatchZeroAllocs, and the lte subframe
+// and wifi CSMA zero-alloc tests, run with the recorder off *and* on;
+// TestRecordPathZeroAllocs covers the ring itself.
 //
 // # Record semantics
 //

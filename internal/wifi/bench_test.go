@@ -6,6 +6,7 @@ import (
 
 	"cellfi/internal/geo"
 	"cellfi/internal/sim"
+	"cellfi/internal/trace"
 )
 
 // benchNetwork builds a two-BSS contention domain with backlogged
@@ -29,7 +30,7 @@ func benchNetwork(tb testing.TB, params Params) (*sim.Engine, *Network) {
 // deferral, slot countdown, carrier-sense scans and the RTS/CTS/data/
 // ACK exchanges they gate — per millisecond of virtual time. Tracked
 // with allocations because busyAt runs on every slot tick for every
-// contender; see BENCH_sim.json.
+// contender; TestCSMASlotStepZeroAllocs gates them.
 func BenchmarkCSMASlotLoop(b *testing.B) {
 	eng, _ := benchNetwork(b, Params11af())
 	b.ReportAllocs()
@@ -56,19 +57,23 @@ func BenchmarkCSMASlotLoop11ac(b *testing.B) {
 
 // The CSMA slot step — carrier-sense scans, backoff, pooled frame
 // records and the pre-bound exchange handlers — must be allocation-free
-// once the transmission pool and overlap slices are warm.
+// once the transmission pool and overlap slices are warm, with the
+// flight recorder off (nil) and on (a live ring).
 func TestCSMASlotStepZeroAllocs(t *testing.T) {
-	eng, _ := benchNetwork(t, Params11af())
-	horizon := sim.Time(0)
-	for i := 0; i < 200; i++ {
-		horizon += time.Millisecond
-		eng.Run(horizon)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		horizon += time.Millisecond
-		eng.Run(horizon)
-	})
-	if avg != 0 {
-		t.Fatalf("CSMA slot loop allocates %.2f times per ms in steady state", avg)
+	for name, rec := range map[string]trace.Recorder{"recorder=nil": nil, "recorder=ring": trace.NewRing(0)} {
+		eng, _ := benchNetwork(t, Params11af())
+		eng.SetRecorder(rec)
+		horizon := sim.Time(0)
+		for i := 0; i < 200; i++ {
+			horizon += time.Millisecond
+			eng.Run(horizon)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			horizon += time.Millisecond
+			eng.Run(horizon)
+		})
+		if avg != 0 {
+			t.Errorf("%s: CSMA slot loop allocates %.2f times per ms in steady state", name, avg)
+		}
 	}
 }
