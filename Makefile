@@ -11,9 +11,11 @@ test:
 	$(GO) test ./...
 
 # verify is the fast correctness gate: static analysis, a full build,
-# the legacy-harness guard, and the race detector over every package
-# that owns goroutines or is driven from them (runner, sim, core, paws,
-# faults, trace, shard, pawsdb, pawsload, metro, netsim).
+# the legacy-harness and collapsed-path guards (no metro/wifi index
+# selector, no runner shard telemetry), and the race detector over
+# every package that owns goroutines or is driven from them (runner,
+# sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
+# netsim).
 verify:
 	./scripts/verify.sh
 

@@ -9,9 +9,9 @@
 // matter how long the city runs.
 //
 // With -shards K > 1 the same world runs on K region shards in
-// conservative lockstep windows, one engine per core; the integer epoch
-// telemetry is identical at every K (see DESIGN.md, "Sharded execution
-// and the determinism contract").
+// conservative lockstep windows, one engine per core; every number
+// below except the wall-clock ones is identical at every K (see
+// DESIGN.md, "Sharded execution and the determinism contract").
 //
 //	go run ./examples/metro [-epochs N] [-seed S] [-shards K] [-json]
 //	    [-cpuprofile F] [-memprofile F] [-trace F]
@@ -36,7 +36,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	epochs := flag.Int("epochs", 240, "simulated seconds (one diurnal cycle = 240)")
 	seed := flag.Int64("seed", 1, "world seed")
-	shards := flag.Int("shards", 1, "region shards (1 = single-threaded direct path)")
+	shards := flag.Int("shards", 1, "region shards (1 = single-threaded)")
 	asJSON := flag.Bool("json", false, "emit a JSON summary instead of text")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -64,6 +64,7 @@ func run() int {
 	w.Run(*epochs)
 	simWall := time.Since(simStart)
 	realtime := float64(*epochs) / simWall.Seconds()
+	thr, thrQ := w.Throughput(), w.ThroughputQ()
 
 	summary := map[string]any{
 		"aps":                 cfg.NAPs,
@@ -77,9 +78,9 @@ func run() int {
 		"attached_mean":       w.Attached.Mean(),
 		"attached_peak":       w.Attached.Max(),
 		"delivered_gbit":      float64(w.DeliveredBits()) / 1e9,
-		"ue_mbps_mean":        w.Throughput.Mean(),
-		"ue_mbps_p50":         w.ThroughputQ.Quantile(0.5),
-		"ue_mbps_p95":         w.ThroughputQ.Quantile(0.95),
+		"ue_mbps_mean":        thr.Mean,
+		"ue_mbps_p50":         thrQ.Quantile(0.5),
+		"ue_mbps_p95":         thrQ.Quantile(0.95),
 	}
 	if st, ok := w.ShardStats(); ok {
 		summary["shard_windows"] = st.Windows
@@ -110,7 +111,7 @@ func run() int {
 		w.Attached.Mean(), w.Attached.Max())
 	fmt.Printf("delivered: %.1f Gbit total\n", float64(w.DeliveredBits())/1e9)
 	fmt.Printf("per-UE throughput: %.2f Mbps mean, %.2f p50, %.2f p95\n",
-		w.Throughput.Mean(), w.ThroughputQ.Quantile(0.5), w.ThroughputQ.Quantile(0.95))
+		thr.Mean, thrQ.Quantile(0.5), thrQ.Quantile(0.95))
 	if st, ok := w.ShardStats(); ok {
 		fmt.Printf("shards: %d windows, %.1f ms total barrier stall, utilization",
 			st.Windows, st.BarrierStallMS())

@@ -9,8 +9,9 @@ import (
 // are bucketed by position so that "every node within radius r of p"
 // is answered by scanning only the buckets the disk overlaps, instead
 // of every node in the world. This is the structure that turns the
-// interference hot paths (SINR accumulation, carrier-sense scans, the
-// PRACH census) from O(N) per query into O(neighborhood).
+// interference hot paths (metro's adjacency rows, netsim's PRACH
+// census, handover sweep and conflict edges) from O(N) per query into
+// O(neighborhood).
 //
 // The bucket side is normally the query radius — the interference-
 // significance radius, see propagation.Model.InterferenceRadius — so a
@@ -25,8 +26,8 @@ import (
 // bit-identical to it.
 //
 // Mobility: Move rebuckets a node in O(1) (plus the bucket-list edit).
-// Callers that also cache link gains must still invalidate those
-// caches (propagation.LinkCache.Invalidate) — the grid only answers
+// Callers that also cache link budgets must still refresh them
+// (netsim.refreshLinkBudget, metro.rebuildRow) — the grid only answers
 // "who is near", never "how loud".
 //
 // The query path is allocation-free once the caller's scratch slice
@@ -83,9 +84,6 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 		buckets:  make([][]int32, nx*ny),
 	}
 }
-
-// CellSize returns the effective bucket side in metres.
-func (g *Grid) CellSize() float64 { return g.cellSize }
 
 // Len returns the number of indexed nodes.
 func (g *Grid) Len() int { return g.count }
@@ -148,16 +146,6 @@ func (g *Grid) Move(id int32, p Point) {
 	g.removeFromBucket(old, id)
 	g.bucket[id] = b
 	g.buckets[b] = append(g.buckets[b], id)
-}
-
-// Remove deletes id from the index.
-func (g *Grid) Remove(id int32) {
-	if int(id) >= len(g.bucket) || g.bucket[id] < 0 {
-		panic("geo: Grid.Remove on unindexed id")
-	}
-	g.removeFromBucket(g.bucket[id], id)
-	g.bucket[id] = -1
-	g.count--
 }
 
 func (g *Grid) removeFromBucket(b, id int32) {

@@ -98,21 +98,6 @@ func TestGridMoveRebuckets(t *testing.T) {
 	}
 }
 
-func TestGridRemove(t *testing.T) {
-	g := NewGrid(Square(100), 10)
-	g.Insert(0, Point{5, 5})
-	g.Insert(1, Point{6, 6})
-	g.Remove(0)
-	got := g.AppendWithin(nil, Point{5, 5}, 50)
-	if !equalIDs(got, []int32{1}) {
-		t.Fatalf("after Remove: %v, want [1]", got)
-	}
-	g.Insert(0, Point{7, 7}) // re-insert after removal is legal
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
-	}
-}
-
 func TestGridDuplicateInsertPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -20,7 +20,7 @@
 //     the CQI quantizes straight from the linear ratio
 //     (phy.LTECQIFromLinearSINR) — no transcendentals in the sweep.
 //   - Whole-run metrics go to bounded-memory streaming aggregates
-//     (stats.StreamStat, stats.QuantileSketch) instead of retained
+//     (integer moments, stats.QuantileSketch) instead of retained
 //     samples.
 //
 // # Sharded execution
@@ -43,23 +43,23 @@
 //	       epoch counter advances and incumbent arrivals/departures for
 //	       the next epoch apply
 //
-// Every quantity that crosses a shard boundary is either an integer
-// delta (commutative, so fold order cannot matter) or a handoff whose
-// effect is a single ownership byte — which is why the same seed and
-// config produce byte-identical trace streams and per-UE state at ANY
-// shard count, including the unsharded direct path. The 50-seed
-// equivalence test in shard_equivalence_test.go pins that contract.
+// With Shards <= 1 there is one slab and no cluster: Step runs the same
+// phases and the same folds inline on the caller's goroutine.
 //
-// Determinism within one mode mirrors the rest of the repo: with
-// UseSpatialIndex off, neighbor rows are rebuilt by brute-force scans
-// truncated with the identical inclusive r^2 predicate, visiting APs in
-// ascending index order — byte-identical results, used by the
-// equivalence tests.
+// Every quantity that crosses a shard boundary is either an integer
+// delta or moment (commutative, so fold order cannot matter) or a
+// handoff whose effect is a single ownership byte — which is why the
+// same seed and config produce byte-identical trace streams, per-UE
+// state and whole-run aggregates at ANY shard count. The 50-seed
+// TestMetroShardEquivalence pins that contract;
+// TestMetroIndexedEquivalence pins the grid-built adjacency rows to a
+// brute ascending scan under the same inclusive r^2 predicate.
 package metro
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -119,13 +119,8 @@ type Config struct {
 	// this from a UE contribute nothing (see
 	// propagation.Model.InterferenceRadius for the principled choice).
 	RadiusM float64
-	// UseSpatialIndex resolves neighborhoods through geo.Grid queries;
-	// off, the same truncation runs as a brute-force scan (reference
-	// mode for equivalence tests — quadratic, small worlds only).
-	UseSpatialIndex bool
 	// MaxNeighbors bounds each UE's adjacency row. Overflow keeps the
-	// lowest AP indices (both modes enumerate ascending, so the kept
-	// set is mode-independent).
+	// lowest AP indices (the grid enumerates ascending).
 	MaxNeighbors int
 	// APPowerDBm / noise figure follow the paper's Section 6.3.4 setup.
 	APPowerDBm float64
@@ -139,8 +134,8 @@ type Config struct {
 	MoveFraction float64
 	SpeedMps     float64
 	// Shards > 1 runs the world on a conservative parallel cluster of
-	// that many vertical slabs (see package doc); 0 or 1 runs the
-	// classic single-threaded direct path. Results are byte-identical
+	// that many vertical slabs (see package doc); 0 or 1 runs the one
+	// slab inline on the caller's goroutine. Results are byte-identical
 	// either way. New panics above 256: slab ownership is one byte per
 	// UE.
 	Shards int
@@ -153,28 +148,26 @@ type Config struct {
 // single core (the benchmark's city_diurnal workload measures it).
 func DefaultCity(seed int64) Config {
 	return Config{
-		Seed:            seed,
-		NAPs:            2000,
-		NUEs:            100_000,
-		AreaW:           14_000,
-		AreaH:           7_000,
-		APSpacingM:      220,
-		RadiusM:         800,
-		MaxNeighbors:    32,
-		APPowerDBm:      30,
-		DayEpochs:       240,
-		MinLoadFrac:     0.25,
-		MaxLoadFrac:     0.95,
-		MoveFraction:    0.02,
-		SpeedMps:        15,
-		UseSpatialIndex: true,
+		Seed:         seed,
+		NAPs:         2000,
+		NUEs:         100_000,
+		AreaW:        14_000,
+		AreaH:        7_000,
+		APSpacingM:   220,
+		RadiusM:      800,
+		MaxNeighbors: 32,
+		APPowerDBm:   30,
+		DayEpochs:    240,
+		MinLoadFrac:  0.25,
+		MaxLoadFrac:  0.95,
+		MoveFraction: 0.02,
+		SpeedMps:     15,
 	}
 }
 
 // shardCtx is the per-shard working set: scratch, per-AP load deltas
 // staged during a window, per-epoch integer aggregates, and the shard's
-// slice of the streaming stats. The direct path uses sctx[0] with loads
-// applied inline.
+// share of the whole-run throughput samples.
 type shardCtx struct {
 	scratch   []int32
 	gains     []float64 // reusable fade-gain row for the batch sweep kernel
@@ -184,8 +177,49 @@ type shardCtx struct {
 	served    int64 // bits delivered this epoch
 	cqiSum    int64 // sum of attached UEs' CQI this epoch
 
-	thr  stats.StreamStat
+	thr  bitMoments
 	thrQ *stats.QuantileSketch
+}
+
+// bitMoments accumulates one shard's per-UE served-bit samples as
+// integers — count, sum, 128-bit sum of squares, min, max — so that
+// merging shards is exact and the merged moments do not depend on how
+// the samples were partitioned.
+type bitMoments struct {
+	n          int64
+	sum        uint64
+	sqHi, sqLo uint64
+	min, max   int64
+}
+
+func (m *bitMoments) add(v int64) {
+	hi, lo := bits.Mul64(uint64(v), uint64(v))
+	m.merge(bitMoments{n: 1, sum: uint64(v), sqHi: hi, sqLo: lo, min: v, max: v})
+}
+
+func (m *bitMoments) merge(o bitMoments) {
+	if o.n == 0 {
+		return
+	}
+	if m.n == 0 || o.min < m.min {
+		m.min = o.min
+	}
+	if o.max > m.max {
+		m.max = o.max
+	}
+	m.n += o.n
+	m.sum += o.sum
+	var carry uint64
+	m.sqLo, carry = bits.Add64(m.sqLo, o.sqLo, 0)
+	m.sqHi += o.sqHi + carry
+}
+
+// ThroughputStats summarizes the per-UE throughput samples of a run in
+// Mbps, one sample per attached UE per epoch.
+type ThroughputStats struct {
+	Count          int64
+	Mean, Variance float64 // population variance
+	Min, Max       float64
 }
 
 // incChange is one precomputed incumbent timeline entry.
@@ -212,7 +246,7 @@ type World struct {
 	ueWpN        []uint32  // waypoints consumed (per-UE counter-hash stream)
 	ueCell       []int32   // serving AP, -1 when out of coverage
 	ueServI      []uint8   // serving AP's adjacency-row index (valid when ueCell >= 0)
-	ueShard      []uint8   // owning slab; all zero on the direct path
+	ueShard      []uint8   // owning slab
 	ueAttached   []bool
 	ueQueued     []int64
 	ueDelivered  []int64
@@ -236,14 +270,11 @@ type World struct {
 	rateBps [16]float64
 	sc      int // the evaluated subchannel
 
-	// Streaming aggregates over the whole run (bounded memory). When
-	// sharded they are recomputed at every epoch fold from per-shard
-	// partials; exact values then depend on the partition (float
-	// summation order), unlike the integer trace aggregates.
-	Throughput    stats.StreamStat      // per-UE Mbps, one sample per attached UE per epoch
-	ThroughputQ   *stats.QuantileSketch // same stream, quantiles
-	Attached      stats.StreamStat      // attached count per epoch
-	attachSeq     []int32               // diurnal attach order (permutation)
+	// Attached is the streaming aggregate of the attached count per
+	// epoch (folded single-threaded). The per-UE throughput samples live
+	// in the per-shard partials; see Throughput and ThroughputQ.
+	Attached      stats.StreamStat
+	attachSeq     []int32 // diurnal attach order (permutation)
 	attachedCount int32
 
 	// Incumbent machinery.
@@ -252,8 +283,7 @@ type World struct {
 	incNext     int
 	hasInc      bool
 
-	// Execution plumbing.
-	direct  bool
+	// Execution plumbing; cluster is nil with a single slab.
 	cluster *shard.Cluster
 	sctx    []*shardCtx
 	slabW   float64
@@ -275,14 +305,12 @@ func New(cfg Config) *World {
 		panic(fmt.Sprintf("metro: %d shards, want at most %d", cfg.Shards, maxShards))
 	}
 	w := &World{
-		Cfg:         cfg,
-		model:       propagation.DefaultUrban(cfg.Seed),
-		fade:        propagation.NewFading(cfg.Seed + 1),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		ThroughputQ: stats.NewQuantileSketch(0),
-		direct:      cfg.Shards <= 1,
-		slabW:       cfg.AreaW / float64(cfg.Shards),
-		hasInc:      len(cfg.Incumbents) > 0,
+		Cfg:    cfg,
+		model:  propagation.DefaultUrban(cfg.Seed),
+		fade:   propagation.NewFading(cfg.Seed + 1),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		slabW:  cfg.AreaW / float64(cfg.Shards),
+		hasInc: len(cfg.Incumbents) > 0,
 	}
 	w.sctx = make([]*shardCtx, cfg.Shards)
 	for i := range w.sctx {
@@ -301,11 +329,9 @@ func New(cfg Config) *World {
 	for i, p := range aps {
 		w.apX[i], w.apY[i] = p.X, p.Y
 	}
-	if cfg.UseSpatialIndex {
-		w.grid = geo.NewGrid(area, cfg.RadiusM)
-		for i, p := range aps {
-			w.grid.Insert(int32(i), p)
-		}
+	w.grid = geo.NewGrid(area, cfg.RadiusM)
+	for i, p := range aps {
+		w.grid.Insert(int32(i), p)
 	}
 
 	n := cfg.NUEs
@@ -347,7 +373,7 @@ func New(cfg Config) *World {
 
 	w.incTimeline = buildIncTimeline(cfg.Incumbents)
 
-	if !w.direct {
+	if cfg.Shards > 1 {
 		w.cluster = shard.New(shard.Config{
 			Shards:      cfg.Shards,
 			Window:      shardWindow,
@@ -364,7 +390,7 @@ func New(cfg Config) *World {
 
 // buildIncTimeline flattens incumbent events into a sorted change list:
 // (epoch asc, arrivals before departures, event index asc) — one fixed
-// application order shared by the direct and sharded paths.
+// application order at every shard count.
 func buildIncTimeline(evs []IncumbentEvent) []incChange {
 	if len(evs) == 0 {
 		return nil
@@ -435,8 +461,8 @@ func (w *World) afterWindow(end sim.Time) {
 }
 
 // foldLoads applies and clears every shard's per-AP load deltas, in
-// shard order. Integer addition commutes, so the folded loads are
-// identical to the direct path's inline bookkeeping.
+// shard order. Integer addition commutes, so the folded loads do not
+// depend on the partition.
 func (w *World) foldLoads() {
 	for _, sc := range w.sctx {
 		for a, d := range sc.loadDelta {
@@ -450,46 +476,33 @@ func (w *World) foldLoads() {
 
 // rebuildRow recomputes UE u's adjacency row and serving AP from its
 // current position — the only place link budgets are evaluated, run at
-// construction and after a mobility step. Both enumeration modes visit
-// APs in ascending index order under the same inclusive r^2 predicate.
+// construction and after a mobility step. The grid returns the APs
+// within RadiusM (inclusive r^2 predicate) in ascending index order.
 func (w *World) rebuildRow(u int, sc *shardCtx) {
 	k := w.Cfg.MaxNeighbors
 	base := u * k
-	r2 := w.Cfg.RadiusM * w.Cfg.RadiusM
 	pos := geo.Point{X: w.ueX[u], Y: w.ueY[u]}
+	sc.scratch = w.grid.AppendWithin(sc.scratch[:0], pos, w.Cfg.RadiusM)
 	cnt := 0
-	consider := func(a int32) {
+	for _, a := range sc.scratch {
 		if cnt >= k {
-			return // bounded degree: keep the lowest indices
+			break // bounded degree: keep the lowest indices
 		}
 		ap := geo.Point{X: w.apX[a], Y: w.apY[a]}
 		loss := w.model.LinkLossDB(ap, pos)
 		w.nbrAP[base+cnt] = a
 		// exp(x·ln10/10) ≡ 10^(x/10) to ~1 ulp in float64 and is ~3x
 		// cheaper than math.Pow; the difference vanishes in the float32
-		// round, and the function is pure, so every enumeration mode and
-		// shard count sees the same row.
+		// round, and the function is pure, so every shard count sees the
+		// same row.
 		w.nbrRxMW[base+cnt] = float32(math.Exp((w.Cfg.APPowerDBm - loss) * (math.Ln10 / 10)))
 		w.nbrLink[base+cnt] = propagation.LinkID(int(a), w.Cfg.NAPs+u)
 		cnt++
 	}
-	if w.grid != nil {
-		sc.scratch = w.grid.AppendWithin(sc.scratch[:0], pos, w.Cfg.RadiusM)
-		for _, a := range sc.scratch {
-			consider(a)
-		}
-	} else {
-		for a := range w.apX {
-			dx, dy := w.apX[a]-pos.X, w.apY[a]-pos.Y
-			if dx*dx+dy*dy <= r2 {
-				consider(int32(a))
-			}
-		}
-	}
 	w.nbrN[u] = uint16(cnt)
 
 	// Serving AP: strongest mean rx in the row (ascending, strict >,
-	// so ties keep the lowest index in both modes).
+	// so ties keep the lowest index).
 	oldCell := w.ueCell[u]
 	best, bestRx, bestI := int32(-1), float32(0), 0
 	for i := 0; i < cnt; i++ {
@@ -501,20 +514,11 @@ func (w *World) rebuildRow(u int, sc *shardCtx) {
 	w.ueServI[u] = uint8(bestI)
 	if w.ueAttached[u] && oldCell != best {
 		sc.handovers++
-		if w.direct {
-			if oldCell >= 0 {
-				w.apLoad[oldCell]--
-			}
-			if best >= 0 {
-				w.apLoad[best]++
-			}
-		} else {
-			if oldCell >= 0 {
-				sc.loadDelta[oldCell]--
-			}
-			if best >= 0 {
-				sc.loadDelta[best]++
-			}
+		if oldCell >= 0 {
+			sc.loadDelta[oldCell]--
+		}
+		if best >= 0 {
+			sc.loadDelta[best]++
 		}
 	}
 }
@@ -550,11 +554,7 @@ func (w *World) attachPhase(s int) {
 		w.ueAttached[u] = true
 		w.ueQueued[u] = 1 << 40 // backlogged
 		if c := w.ueCell[u]; c >= 0 {
-			if w.direct {
-				w.apLoad[c]++
-			} else {
-				sc.loadDelta[c]++
-			}
+			sc.loadDelta[c]++
 		}
 	}
 	for i := prev - 1; i >= target; i-- {
@@ -564,11 +564,7 @@ func (w *World) attachPhase(s int) {
 		}
 		w.ueAttached[u] = false
 		if c := w.ueCell[u]; c >= 0 {
-			if w.direct {
-				w.apLoad[c]--
-			} else {
-				sc.loadDelta[c]--
-			}
+			sc.loadDelta[c]--
 		}
 	}
 }
@@ -583,8 +579,8 @@ func (w *World) mobilityPhase(s int) {
 	if cfg.MoveFraction <= 0 {
 		return
 	}
-	// A rotating deterministic cohort moves each epoch: identical in
-	// both neighbor-enumeration modes and at every shard count.
+	// A rotating deterministic cohort moves each epoch: identical at
+	// every shard count.
 	stride := int64(1)
 	if cfg.MoveFraction < 1 {
 		stride = int64(1 / cfg.MoveFraction)
@@ -609,16 +605,14 @@ func (w *World) mobilityPhase(s int) {
 			w.ueY[u] += step * dy / d
 		}
 		w.rebuildRow(u, sc)
-		if !w.direct {
-			if ns := w.slabOf(w.ueX[u]); ns != s {
-				sh := w.cluster.Shard(s)
-				sh.Send(shard.Msg{
-					At:   sh.Engine.Now() + shardWindow,
-					Dst:  int32(ns),
-					Kind: msgHandoff,
-					Args: [4]int64{int64(u), int64(ns)},
-				})
-			}
+		if ns := w.slabOf(w.ueX[u]); ns != s { // never with a single slab
+			sh := w.cluster.Shard(s)
+			sh.Send(shard.Msg{
+				At:   sh.Engine.Now() + shardWindow,
+				Dst:  int32(ns),
+				Kind: msgHandoff,
+				Args: [4]int64{int64(u), int64(ns)},
+			})
 		}
 	}
 }
@@ -658,7 +652,7 @@ func (w *World) sweepPhase(s int) {
 		serving := w.ueCell[u]
 		if serving < 0 {
 			w.ueCQI[u] = 0
-			w.addSample(sc, 0)
+			sc.addSample(0)
 			continue
 		}
 		base := u * k
@@ -689,7 +683,7 @@ func (w *World) sweepPhase(s int) {
 			// off by its cached row index. The subtraction's rounding
 			// error is bounded by ~n ulps of the total — negligible next
 			// to the thermal noise floor already in den, and identical
-			// across enumeration modes and shard counts.
+			// across shard counts.
 			rx, g := w.nbrRxMW[base:base+n], gains[:n]
 			total := 0.0
 			for i := range rx {
@@ -701,7 +695,7 @@ func (w *World) sweepPhase(s int) {
 		}
 		if sig == 0 { // serving AP silenced by an incumbent
 			w.ueCQI[u] = 0
-			w.addSample(sc, 0)
+			sc.addSample(0)
 			continue
 		}
 		cqi := phy.LTECQIFromLinearSINR(sig, den)
@@ -715,44 +709,30 @@ func (w *World) sweepPhase(s int) {
 		w.ueQueued[u] -= served
 		w.ueDelivered[u] += served
 		sc.served += served
-		w.addSample(sc, float64(served)/1e6)
+		sc.addSample(served)
 	}
 }
 
-// addSample records one per-UE throughput observation: straight into
-// the world aggregates on the direct path, into the shard partial when
-// sharded (merged at the fold).
-func (w *World) addSample(sc *shardCtx, mbps float64) {
-	if w.direct {
-		w.Throughput.Add(mbps)
-		w.ThroughputQ.Add(mbps)
-	} else {
-		sc.thr.Add(mbps)
-		sc.thrQ.Add(mbps)
-	}
+// addSample records one per-UE throughput observation (bits served in
+// the 1 s epoch) in the shard's partials.
+func (sc *shardCtx) addSample(bits int64) {
+	sc.thr.add(bits)
+	sc.thrQ.Add(float64(bits) / 1e6)
 }
 
 // epochFold closes one epoch, single-threaded: commit the attach
-// target, merge per-shard aggregates, emit trace records, advance the
-// epoch and apply the next epoch's incumbent changes.
+// target, sum the per-shard epoch counters, emit trace records, advance
+// the epoch and apply the next epoch's incumbent changes.
 func (w *World) epochFold() {
 	target := w.attachTarget(w.epoch)
 	w.attachedCount = int32(target)
 	w.Attached.Add(float64(target))
-	if !w.direct {
-		w.Throughput = stats.StreamStat{}
-		w.ThroughputQ.Reset()
-	}
 	var hand, served, cqis int64
 	for _, sc := range w.sctx {
 		hand += sc.handovers
 		served += sc.served
 		cqis += sc.cqiSum
 		sc.handovers, sc.served, sc.cqiSum = 0, 0, 0
-		if !w.direct {
-			w.Throughput.Merge(sc.thr)
-			w.ThroughputQ.Merge(sc.thrQ)
-		}
 	}
 	if w.rec != nil {
 		w.rec.Record(trace.Record{
@@ -810,34 +790,30 @@ func (w *World) ensureStarted() {
 	w.applyIncumbents(0)
 }
 
-// Step advances one 1-second epoch. On the direct path the four phases
-// run inline; sharded worlds advance the cluster by one epoch.
-func (w *World) Step() {
-	if !w.direct {
-		w.Run(1)
-		return
-	}
-	w.ensureStarted()
-	w.attachPhase(0)
-	w.mobilityPhase(0)
-	w.sweepPhase(0)
-	w.epochFold()
-}
+// Step advances one 1-second epoch.
+func (w *World) Step() { w.Run(1) }
 
-// Run advances the world the given number of epochs.
+// Run advances the world the given number of epochs. A single slab runs
+// the cluster's schedule — phase, load fold, ..., epoch fold — inline on
+// the caller's goroutine; more slabs advance the cluster.
 func (w *World) Run(epochs int) {
-	if w.direct {
-		for i := 0; i < epochs; i++ {
-			w.Step()
-		}
+	w.ensureStarted()
+	if w.cluster != nil {
+		w.cluster.Run(time.Duration(w.epoch+int64(epochs)) * epochDur)
 		return
 	}
-	w.ensureStarted()
-	w.cluster.Run(time.Duration(w.epoch+int64(epochs)) * epochDur)
+	for i := 0; i < epochs; i++ {
+		w.attachPhase(0)
+		w.foldLoads()
+		w.mobilityPhase(0)
+		w.foldLoads()
+		w.sweepPhase(0)
+		w.epochFold()
+	}
 }
 
-// Close releases the shard cluster's worker goroutines (no-op on the
-// direct path). The world stays readable.
+// Close releases the shard cluster's worker goroutines (no-op with a
+// single slab). The world stays readable.
 func (w *World) Close() {
 	if w.cluster != nil {
 		w.cluster.Close()
@@ -849,13 +825,45 @@ func (w *World) Close() {
 // emits single-threaded, so one recorder serves every shard.
 func (w *World) SetRecorder(r trace.Recorder) { w.rec = r }
 
-// ShardStats returns the cluster telemetry snapshot; ok is false on the
-// direct path.
+// ShardStats returns the cluster telemetry snapshot; ok is false with a
+// single slab (there is no cluster).
 func (w *World) ShardStats() (st shard.Stats, ok bool) {
 	if w.cluster == nil {
 		return shard.Stats{}, false
 	}
 	return w.cluster.Stats(), true
+}
+
+// Throughput returns the whole-run per-UE throughput moments, merged
+// from the per-shard integer partials: identical at any shard count.
+func (w *World) Throughput() ThroughputStats {
+	var m bitMoments
+	for _, sc := range w.sctx {
+		m.merge(sc.thr)
+	}
+	if m.n == 0 {
+		return ThroughputStats{}
+	}
+	n := float64(m.n)
+	mean := float64(m.sum) / n
+	meanSq := (float64(m.sqHi)*0x1p64 + float64(m.sqLo)) / n
+	return ThroughputStats{
+		Count:    m.n,
+		Mean:     mean / 1e6,
+		Variance: math.Max(0, meanSq-mean*mean) / 1e12,
+		Min:      float64(m.min) / 1e6,
+		Max:      float64(m.max) / 1e6,
+	}
+}
+
+// ThroughputQ returns the quantile sketch of the same sample stream in
+// Mbps, merged from the per-shard sketches (an exact bucket-wise add).
+func (w *World) ThroughputQ() *stats.QuantileSketch {
+	q := stats.NewQuantileSketch(0)
+	for _, sc := range w.sctx {
+		q.Merge(sc.thrQ)
+	}
+	return q
 }
 
 // Epoch returns the number of completed epochs (== simulated seconds).

@@ -12,7 +12,7 @@ import (
 // an incumbent pop-up centered exactly on the K=2/K=8 boundary line
 // (x = AreaW/2), so its silenced APs straddle two slabs.
 func shardCity(seed int64, shards int) Config {
-	cfg := smallCity(seed, true)
+	cfg := smallCity(seed)
 	cfg.Shards = shards
 	cfg.Incumbents = []IncumbentEvent{
 		{Epoch: 6, Duration: 12, X: cfg.AreaW / 2, Y: cfg.AreaH / 2, RadiusM: 450},
@@ -49,10 +49,12 @@ func runShardCity(t *testing.T, seed int64, shards, epochs int) shardRunResult {
 }
 
 // TestMetroShardEquivalence is the sharded-execution contract: over 50
-// seeds, the direct single-threaded path and cluster runs at 2 and 8
-// shards produce byte-identical trace streams, identical per-UE state,
-// identical AP load tables and identical delivered-bit totals — with
-// boundary-crossing mobility and a shard-boundary incumbent in play.
+// seeds, the inline single-slab run and cluster runs at 2 and 8 shards
+// produce byte-identical trace streams, identical per-UE state,
+// identical AP load tables, identical delivered-bit totals and
+// identical whole-run throughput aggregates (moments and quantiles) —
+// with boundary-crossing mobility and a shard-boundary incumbent in
+// play.
 func TestMetroShardEquivalence(t *testing.T) {
 	seeds := int64(50)
 	if testing.Short() {
@@ -68,29 +70,41 @@ func TestMetroShardEquivalence(t *testing.T) {
 		for _, k := range []int{2, 8} {
 			got := runShardCity(t, seed, k, epochs)
 			if !bytes.Equal(got.trace, ref.trace) {
-				t.Fatalf("seed %d K=%d: trace stream (%d bytes) differs from direct run (%d bytes)",
+				t.Fatalf("seed %d K=%d: trace stream (%d bytes) differs from K=1 run (%d bytes)",
 					seed, k, len(got.trace), len(ref.trace))
 			}
 			for u := 0; u < ref.w.Cfg.NUEs; u++ {
 				ax, ay, ac, ad, aq := ref.w.UEState(u)
 				bx, by, bc, bd, bq := got.w.UEState(u)
 				if ax != bx || ay != by || ac != bc || ad != bd || aq != bq {
-					t.Fatalf("seed %d K=%d UE %d diverges: direct (%v,%v,%d,%d,%d) sharded (%v,%v,%d,%d,%d)",
+					t.Fatalf("seed %d K=%d UE %d diverges: K=1 (%v,%v,%d,%d,%d) sharded (%v,%v,%d,%d,%d)",
 						seed, k, u, ax, ay, ac, ad, aq, bx, by, bc, bd, bq)
 				}
 			}
 			for a := range ref.apLoad {
 				if got.apLoad[a] != ref.apLoad[a] {
-					t.Fatalf("seed %d K=%d: AP %d load %d, direct %d", seed, k, a, got.apLoad[a], ref.apLoad[a])
+					t.Fatalf("seed %d K=%d: AP %d load %d, K=1 %d", seed, k, a, got.apLoad[a], ref.apLoad[a])
 				}
 			}
 			if got.w.DeliveredBits() != ref.w.DeliveredBits() {
-				t.Fatalf("seed %d K=%d: delivered %d bits, direct %d",
+				t.Fatalf("seed %d K=%d: delivered %d bits, K=1 %d",
 					seed, k, got.w.DeliveredBits(), ref.w.DeliveredBits())
 			}
 			if got.w.AttachedCount() != ref.w.AttachedCount() {
-				t.Fatalf("seed %d K=%d: attached %d, direct %d",
+				t.Fatalf("seed %d K=%d: attached %d, K=1 %d",
 					seed, k, got.w.AttachedCount(), ref.w.AttachedCount())
+			}
+			if a, b := ref.w.Throughput(), got.w.Throughput(); a != b || a.Count == 0 || a.Variance == 0 {
+				t.Fatalf("seed %d K=%d: throughput aggregate %+v, K=1 %+v", seed, k, b, a)
+			}
+			if got.w.Attached != ref.w.Attached {
+				t.Fatalf("seed %d K=%d: attached aggregate %+v, K=1 %+v", seed, k, got.w.Attached, ref.w.Attached)
+			}
+			aq, bq := ref.w.ThroughputQ(), got.w.ThroughputQ()
+			for _, q := range []float64{0.5, 0.9, 0.99} {
+				if aq.Quantile(q) != bq.Quantile(q) {
+					t.Fatalf("seed %d K=%d: p%g %v Mbps, K=1 %v", seed, k, 100*q, bq.Quantile(q), aq.Quantile(q))
+				}
 			}
 			if got.windows != int64(epochs)*4 {
 				t.Fatalf("seed %d K=%d: ran %d windows, want %d", seed, k, got.windows, epochs*4)
@@ -106,8 +120,8 @@ func TestMetroShardEquivalence(t *testing.T) {
 
 // The incumbent must actually silence APs: mid-outage throughput and
 // CQI drop relative to the same world without the pop-up, identically
-// in direct and sharded mode (already pinned above) and materially
-// (pinned here).
+// at every shard count (already pinned above) and materially (pinned
+// here).
 func TestMetroIncumbentBitesAndClears(t *testing.T) {
 	cfgOn := shardCity(3, 1)
 	cfgOn.Incumbents = cfgOn.Incumbents[:1] // the bounded-duration pop-up only
@@ -139,7 +153,7 @@ func TestMetroIncumbentBitesAndClears(t *testing.T) {
 
 // Slab ownership is one byte per UE, so 256 shards is the most New can
 // honour: 257 must be refused (it used to wrap and silently diverge),
-// and 256 must still match the direct path.
+// and 256 must still match the single-slab run.
 func TestMetroShardCountLimit(t *testing.T) {
 	func() {
 		defer func() {
@@ -154,7 +168,7 @@ func TestMetroShardCountLimit(t *testing.T) {
 	ref := runShardCity(t, 1, 1, epochs)
 	got := runShardCity(t, 1, 256, epochs)
 	if !bytes.Equal(got.trace, ref.trace) || got.w.DeliveredBits() != ref.w.DeliveredBits() {
-		t.Fatalf("K=256 diverges from the direct run: delivered %d bits vs %d",
+		t.Fatalf("K=256 diverges from the K=1 run: delivered %d bits vs %d",
 			got.w.DeliveredBits(), ref.w.DeliveredBits())
 	}
 }

@@ -76,10 +76,8 @@ func (n *Network) stepMobility() {
 				ang := cl.Pos.Bearing(st.waypoint)
 				cl.Pos = cl.Pos.Add(step*math.Cos(ang), step*math.Sin(ang))
 			}
-			// The client moved: drop its cached link gains before the
-			// budget refresh recomputes them at the new position, and
-			// rebucket it in the spatial index.
-			n.linkCache.Invalidate(n.clientNode(ci))
+			// The client moved: rebucket it in the spatial index and
+			// recompute its link budget at the new position.
 			if n.clientGrid != nil {
 				n.clientGrid.Move(int32(ci), cl.Pos)
 			}

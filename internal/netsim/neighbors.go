@@ -20,9 +20,8 @@ import (
 // counts, conflict-edge sets), so indexed and brute-truncated runs are
 // bit-identical — the property the 50-seed trace test pins down.
 //
-// Mobility reuses the existing epoch-invalidation contract: a moved
-// client calls linkCache.Invalidate + refreshLinkBudget as before, and
-// additionally clientGrid.Move; the grid answers only "who is near".
+// Mobility: a moved client calls clientGrid.Move + refreshLinkBudget;
+// the grid answers only "who is near".
 // Link budgets are refreshed only within the client's new neighborhood
 // (plus its serving cell) — entries beyond the radius go stale, and
 // every reader filters by the same radius, so stale entries are

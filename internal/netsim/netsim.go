@@ -178,14 +178,11 @@ type Network struct {
 
 	model  *propagation.Model
 	fading *propagation.Fading
-	// linkCache memoizes model.LinkLossDB per (cell, client) node
-	// pair; mobility steps invalidate a client's links before the
-	// budget refresh, so static clients never recompute shadowing.
-	// Node IDs: cell i -> i, client c -> len(Cells)+c.
-	linkCache *propagation.LinkCache
-	rng       *rand.Rand
+	rng    *rand.Rand
 
-	// Cached link budget: rxRB[i][c] is the per-RB power in dBm client
+	// Cached link budget (path loss and shadowing are evaluated once per
+	// pair at New and again only for a client that moved; see
+	// setLinkBudget): rxRB[i][c] is the per-RB power in dBm client
 	// c receives from cell i, before fading (threshold scans, handover).
 	// rxMW is the same budget in milliwatts for the linear-domain SINR
 	// kernel, stored client-major — client c's row is
@@ -268,7 +265,6 @@ func New(t *topo.Topology, cfg Config) *Network {
 			n.ClientsOf[i] = append(n.ClientsOf[i], c.Index)
 		}
 	}
-	n.linkCache = propagation.NewLinkCache(n.model, len(n.Cells)+len(n.Clients))
 	n.noiseRBDBm = propagation.NoiseDBm(lte.RBBandwidthHz, 7)
 	n.noiseMW = propagation.DBmToMW(n.noiseRBDBm)
 	n.perRBDBm = cfg.APPowerDBm - 10*math.Log10(float64(cfg.BW.ResourceBlocks()))
@@ -398,20 +394,20 @@ func (n *Network) precomputeLinkBudget() {
 // the mW entry the SINR kernel reads, and the PRACH SNR — so a refresh
 // can never leave them disagreeing.
 func (n *Network) setLinkBudget(i, c int) {
-	loss := n.linkCache.LossDB(i, n.clientNode(c), n.Cells[i], n.Clients[c].Pos)
+	loss := n.model.LinkLossDB(n.Cells[i], n.Clients[c].Pos)
 	// Omnidirectional cells with 6 dBi gain both ways.
 	n.rxRB[i][c] = n.perRBDBm + 6 - loss
 	n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxRB[i][c])
 	n.prachSNR[i][c] = n.Cfg.ClientPowerDBm + 6 - loss - n.prachNoiseDBm
 }
 
-// clientNode maps a client index into the link-cache node-ID space,
-// past the cell IDs.
-func (n *Network) clientNode(c int) int { return len(n.Cells) + c }
-
-// LinkCacheStats exposes the link-gain cache counters for telemetry.
+// LinkCacheStats reports zero counters: the dense budget tables above
+// are the only cache (every setLinkBudget call is the first for its
+// pair or follows a move, so a propagation.LinkCache in front of it
+// could not hit). Kept for bench/imdense.go, which reads it for
+// propagation.linkcache_hit_ratio.
 func (n *Network) LinkCacheStats() propagation.CacheStats {
-	return n.linkCache.Stats()
+	return propagation.CacheStats{}
 }
 
 // Backlog marks every client as infinitely backlogged.

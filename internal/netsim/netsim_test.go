@@ -542,8 +542,9 @@ func TestMobilityDeterministic(t *testing.T) {
 // to rewrite the mW entries the SINR kernel reads, not only the dB and
 // PRACH ones. Teleport a client of cell 0 to 5 m from cell 1 (which
 // transmits in every subchannel under plain LTE) and refresh: the SINR
-// denominator must jump, and (sig, den) must equal what a network built
-// from scratch with the client already there computes.
+// denominator must jump, and (sig, den) and the dB and PRACH entries
+// toward cell 1 must equal what a network built from scratch with the
+// client already there computes.
 func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	tp := topo.Generate(topo.Paper(4, 3), 73)
 	cfg := DefaultConfig(SchemeLTE, 73)
@@ -553,10 +554,10 @@ func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	c := n.ClientsOf[0][0]
 	const k, b = 2, 0
 	_, denBefore := n.sinrParts(c, k, b, n.prevTx)
+	rxBefore, prachBefore := n.rxRB[1][c], n.prachSNR[1][c]
 
 	pos := n.Cells[1].Add(5, 0)
 	n.Clients[c].Pos = pos
-	n.linkCache.Invalidate(n.clientNode(c))
 	n.refreshLinkBudget(c)
 	sig, den := n.sinrParts(c, k, b, n.prevTx)
 	if den < 100*denBefore {
@@ -571,6 +572,11 @@ func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	fresh.epoch = n.epoch
 	if fsig, fden := fresh.sinrParts(c, k, b, n.prevTx); fsig != sig || fden != den {
 		t.Fatalf("refreshed (sig, den) = (%g, %g), from-scratch network at the new position (%g, %g)", sig, den, fsig, fden)
+	}
+	if rx, prach := n.rxRB[1][c], n.prachSNR[1][c]; rx == rxBefore || prach == prachBefore ||
+		rx != fresh.rxRB[1][c] || prach != fresh.prachSNR[1][c] {
+		t.Fatalf("refreshed dB / PRACH entries (%g, %g), before the move (%g, %g), from-scratch (%g, %g)",
+			rx, prach, rxBefore, prachBefore, fresh.rxRB[1][c], fresh.prachSNR[1][c])
 	}
 }
 

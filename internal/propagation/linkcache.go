@@ -14,16 +14,16 @@ import "cellfi/internal/geo"
 // counter, each cache entry remembers the epochs of both endpoints at
 // fill time, and an entry whose endpoint epochs no longer match is
 // recomputed on next use. Callers that move a node (mobility steps,
-// handover re-sites) must call Invalidate with that node's ID —
-// internal/netsim wires this into its mobility updates. Over-
-// invalidation is harmless (one extra recompute); skipping Invalidate
-// after a position change serves stale gains.
+// handover re-sites) must call Invalidate with that node's ID
+// (lte.Environment.Invalidate). Over-invalidation is harmless (one
+// extra recompute); skipping Invalidate after a position change serves
+// stale gains.
 //
 // Node IDs are caller-defined. The cache never normalizes key order, so
 // two ID spaces (say cells and clients) may overlap safely as long as
 // every (tx, rx) pair is unambiguous in the caller's convention —
-// internal/lte always keys (cell, client), internal/netsim offsets
-// client IDs past the cell range, internal/wifi uses one dense space.
+// internal/lte always keys (cell, client), internal/wifi uses one dense
+// space.
 //
 // A LinkCache is deterministic by construction: it caches the exact
 // float64 LinkLossDB returns, so cached and uncached runs are
@@ -117,15 +117,6 @@ func (c *LinkCache) PathGainLinear(tx, rx int, txPos, rxPos geo.Point) float64 {
 func (c *LinkCache) Invalidate(node int) {
 	c.epoch(node) // ensure the table covers node
 	c.epochs[node]++
-	c.invalidations++
-}
-
-// InvalidateAll drops every cached link (topology regeneration).
-func (c *LinkCache) InvalidateAll() {
-	for i := range c.epochs {
-		c.epochs[i]++
-	}
-	c.entries = make(map[uint64]linkEntry)
 	c.invalidations++
 }
 

@@ -65,18 +65,6 @@ func TestLinkCacheInvalidate(t *testing.T) {
 	}
 }
 
-func TestLinkCacheInvalidateAll(t *testing.T) {
-	c := NewLinkCache(DefaultUrban(1), 4)
-	a, b := geo.Point{X: 0}, geo.Point{X: 100}
-	c.LossDB(0, 1, a, b)
-	c.InvalidateAll()
-	c.LossDB(0, 1, a, b)
-	st := c.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("InvalidateAll did not drop entries: %+v", st)
-	}
-}
-
 func TestLinkCacheGrowsEpochTable(t *testing.T) {
 	c := NewLinkCache(DefaultUrban(1), 0)
 	a, b := geo.Point{X: 0}, geo.Point{X: 50}

@@ -35,7 +35,7 @@ type RunResult struct {
 	// sim.Engines plus coarse steps recorded via Ctx.AddSteps.
 	SimEvents int64 `json:"sim_events"`
 	// SimClockMS is the total virtual time advanced by tracked
-	// engines (plus Ctx.AddSimTime), in milliseconds.
+	// engines, in milliseconds.
 	SimClockMS float64 `json:"sim_clock_ms"`
 	// SimRealtimeFactor is SimClockMS / WallMS — how much faster than
 	// the wall clock this run simulated. > 1 means faster than real
@@ -66,14 +66,6 @@ type RunResult struct {
 	InvariantRule       string `json:"invariant_rule,omitempty"`
 	InvariantIndex      int    `json:"invariant_index,omitempty"`
 	InvariantRecord     string `json:"invariant_record,omitempty"`
-	// Shard telemetry (Ctx.AddShardStats): shard count of the run's
-	// widest cluster, conservative windows executed, per-shard busy
-	// fraction of parallel wall time, and total time shards spent
-	// parked at lockstep barriers.
-	Shards              int       `json:"shards,omitempty"`
-	ShardWindows        int64     `json:"shard_windows,omitempty"`
-	ShardUtilization    []float64 `json:"shard_utilization,omitempty"`
-	ShardBarrierStallMS float64   `json:"shard_barrier_stall_ms,omitempty"`
 	// Value is the scenario's return value (not serialized).
 	Value any `json:"-"`
 }
@@ -144,16 +136,6 @@ func (r *Report) Err() error {
 		}
 	}
 	return nil
-}
-
-// RawValues returns every run's value in spec order. Failed or
-// canceled runs contribute their zero value (nil).
-func (r *Report) RawValues() []any {
-	out := make([]any, len(r.Runs))
-	for i := range r.Runs {
-		out[i] = r.Runs[i].Value
-	}
-	return out
 }
 
 // Values returns every run's value in spec order, asserted to T.

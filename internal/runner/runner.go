@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"cellfi/internal/invariant"
-	"cellfi/internal/shard"
 	"cellfi/internal/sim"
 	"cellfi/internal/trace"
 )
@@ -66,11 +65,9 @@ type Ctx struct {
 	index int
 	opts  *Options
 
-	mu         sync.Mutex
-	engines    []*sim.Engine
-	steps      int64
-	simTime    time.Duration
-	shardStats []shard.Stats
+	mu      sync.Mutex
+	engines []*sim.Engine
+	steps   int64
 
 	traceRing *trace.Ring
 	tracePath string
@@ -238,41 +235,12 @@ func (c *Ctx) closeInvariants(res *RunResult) {
 	}
 }
 
-// Track registers an externally constructed engine for telemetry.
-func (c *Ctx) Track(e *sim.Engine) {
-	c.mu.Lock()
-	c.engines = append(c.engines, e)
-	c.mu.Unlock()
-}
-
 // AddSteps accounts coarse simulation work for scenarios that are not
 // driven by a sim.Engine (the fluid epoch simulator, analytic models).
 // Steps are added to the run's SimEvents count.
 func (c *Ctx) AddSteps(n int64) {
 	c.mu.Lock()
 	c.steps += n
-	c.mu.Unlock()
-}
-
-// AddSimTime accounts virtual time advanced by scenarios that are not
-// driven by a sim.Engine (the epoch simulators advance one second per
-// epoch, the metro world likewise). It feeds the run's SimClockMS and
-// hence its sim_realtime_factor.
-func (c *Ctx) AddSimTime(d time.Duration) {
-	c.mu.Lock()
-	c.simTime += d
-	c.mu.Unlock()
-}
-
-// AddShardStats records the final telemetry snapshot of a shard
-// cluster the scenario drove (shard.Cluster.Stats, taken after the last
-// Run/Do). The run's RunResult surfaces shard count, windows executed,
-// per-shard utilization and total barrier-stall time; a scenario that
-// drives several clusters calls this once per cluster and the snapshots
-// aggregate.
-func (c *Ctx) AddShardStats(st shard.Stats) {
-	c.mu.Lock()
-	c.shardStats = append(c.shardStats, st)
 	c.mu.Unlock()
 }
 
@@ -283,7 +251,6 @@ func (c *Ctx) collect(res *RunResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	res.SimEvents = c.steps
-	res.SimClockMS = float64(c.simTime) / float64(time.Millisecond)
 	for _, e := range c.engines {
 		st := e.Stats()
 		res.SimEvents += int64(st.Fired)
@@ -295,47 +262,6 @@ func (c *Ctx) collect(res *RunResult) {
 	}
 	if res.WallMS > 0 {
 		res.SimRealtimeFactor = res.SimClockMS / res.WallMS
-	}
-	c.collectShardsLocked(res)
-}
-
-// collectShardsLocked aggregates AddShardStats snapshots into the
-// result: shard count is the widest cluster, windows and barrier stall
-// sum, and per-shard utilization recomputes from the summed busy and
-// wall nanoseconds so multi-cluster runs stay wall-weighted.
-func (c *Ctx) collectShardsLocked(res *RunResult) {
-	if len(c.shardStats) == 0 {
-		return
-	}
-	var wallNS int64
-	var busyNS []int64
-	var stallNS int64
-	for _, st := range c.shardStats {
-		if st.Shards > res.Shards {
-			res.Shards = st.Shards
-		}
-		res.ShardWindows += st.Windows
-		wallNS += st.WallNS
-		for i, b := range st.BusyNS {
-			if i >= len(busyNS) {
-				busyNS = append(busyNS, 0)
-			}
-			busyNS[i] += b
-		}
-		for _, s := range st.StallNS {
-			stallNS += s
-		}
-	}
-	res.ShardBarrierStallMS = float64(stallNS) / 1e6
-	res.ShardUtilization = make([]float64, len(busyNS))
-	if wallNS > 0 {
-		for i, b := range busyNS {
-			u := float64(b) / float64(wallNS)
-			if u > 1 {
-				u = 1
-			}
-			res.ShardUtilization[i] = u
-		}
 	}
 }
 

@@ -470,9 +470,9 @@ func TestSanitizeLabel(t *testing.T) {
 	}
 }
 
-// Realtime telemetry: a run that advances virtual time — via a tracked
-// engine or AddSimTime — reports sim_realtime_factor, and the campaign
-// aggregates it plus the peak-RSS estimate.
+// Realtime telemetry: a run that advances virtual time on a tracked
+// engine reports sim_realtime_factor, and the campaign aggregates it
+// plus the peak-RSS estimate.
 func TestRealtimeFactorTelemetry(t *testing.T) {
 	specs := []Spec{
 		{
@@ -485,14 +485,6 @@ func TestRealtimeFactorTelemetry(t *testing.T) {
 				return nil, nil
 			},
 		},
-		{
-			Label: "epoch-driven",
-			Seed:  2,
-			Run: func(c *Ctx) (any, error) {
-				c.AddSimTime(30 * time.Second) // 30 fluid epochs
-				return nil, nil
-			},
-		},
 	}
 	rep := Run(context.Background(), "realtime", specs, Options{Workers: 1})
 	if err := rep.Err(); err != nil {
@@ -502,8 +494,8 @@ func TestRealtimeFactorTelemetry(t *testing.T) {
 		if r.SimClockMS <= 0 {
 			t.Fatalf("run %q: sim_clock_ms %v, want > 0", r.Label, r.SimClockMS)
 		}
-		// Both scenarios do ~zero real work over seconds of virtual
-		// time, so they must be far faster than real time.
+		// The scenario does ~zero real work over seconds of virtual
+		// time, so it must be far faster than real time.
 		if r.SimRealtimeFactor <= 1 {
 			t.Fatalf("run %q: sim_realtime_factor %v, want > 1", r.Label, r.SimRealtimeFactor)
 		}

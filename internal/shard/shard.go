@@ -112,14 +112,3 @@ func (s *Shard) Send(m Msg) {
 	m.Seq = s.seq
 	s.out = append(s.out, m)
 }
-
-// Broadcast stages one copy of m per shard (self included), in
-// ascending destination order. Replicated state — the metro world's
-// per-AP load counters — is kept coherent this way: every replica
-// applies the same deltas in the same merged order.
-func (s *Shard) Broadcast(m Msg) {
-	for d := range s.c.shards {
-		m.Dst = int32(d)
-		s.Send(m)
-	}
-}

@@ -105,9 +105,8 @@ type Engine struct {
 	fired      uint64
 	cancelled  uint64
 	maxPending int
-	rng        *rand.Rand
 	stopped    bool
-	// streams hands out decorrelated child RNGs; see RNG.
+	// streamSeed seeds the decorrelated child RNGs; see NewStream.
 	streamSeed int64
 	// rec, when non-nil, receives a trace record per dispatched event.
 	// Nil by default so the dispatch loop pays only a predictable
@@ -167,7 +166,6 @@ func (e *Engine) Stats() Stats {
 // streams all derive deterministically from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:        rand.New(rand.NewSource(seed)),
 		streamSeed: seed,
 		freeHead:   -1,
 	}
@@ -175,9 +173,6 @@ func NewEngine(seed int64) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// RNG returns the engine's primary random stream.
-func (e *Engine) RNG() *rand.Rand { return e.rng }
 
 // NewStream returns an independent random stream derived from the engine
 // seed and the given label hash. Separate model components (fading,

@@ -149,15 +149,6 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	return s.valueOf(last)
 }
 
-// Reset empties the sketch, retaining bucket capacity so a
-// reset-and-remerge cycle (the sharded metro fold) is allocation-free
-// in steady state.
-func (s *QuantileSketch) Reset() {
-	clear(s.counts)
-	s.zeros = 0
-	s.count = 0
-}
-
 // Merge folds other into s. Both sketches must share the same alpha
 // (same gamma); merging is an exact bucket-wise add, so the result
 // answers every query exactly as a single sketch fed both streams.

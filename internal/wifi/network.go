@@ -58,20 +58,6 @@ type Network struct {
 	// back to back at the same timestamp).
 	txPool []*transmission
 
-	// Interference truncation: with sigRadius > 0 a transmitter farther
-	// than the significance radius from a receiver contributes nothing —
-	// not to carrier sense, not to SINR denominators, not to NAV. The
-	// truncation rule is identical with and without the spatial index
-	// (same inclusive squared-distance test, same iteration order), so
-	// the two modes are bit-identical; the index only changes who gets
-	// scanned. grid, when non-nil, indexes every registered node by its
-	// dense idx.
-	sigRadius  float64
-	sigR2      float64
-	grid       *geo.Grid
-	navScratch []int32
-	nmcScratch []int32
-
 	// noise floor memo, guarded by the parameters it was built from.
 	noiseSet   bool
 	noiseWidth float64
@@ -137,34 +123,6 @@ func NewNetwork(eng *sim.Engine, model *propagation.Model, params Params) *Netwo
 		cache:  propagation.NewLinkCache(model, 0),
 		rng:    eng.NewStream("wifi:" + params.Name),
 	}
-}
-
-// SetSignificanceRadius enables interference truncation at radiusM
-// metres without a spatial index: every scan still visits all nodes but
-// ignores those beyond the radius. This is the brute-force reference
-// mode the indexed path is tested bit-identical against. Zero disables
-// truncation (the historical all-pairs behavior).
-//
-// The radius should come from propagation.Model.InterferenceRadius and
-// sit well above the carrier-sense/decode range, so exchanges that can
-// decode at all are never split across the truncation boundary.
-func (n *Network) SetSignificanceRadius(radiusM float64) {
-	n.sigRadius = radiusM
-	n.sigR2 = radiusM * radiusM
-}
-
-// EnableSpatialIndex turns on interference truncation at radiusM and
-// builds a uniform grid over bounds so NAV propagation and medium-
-// change notification query only the neighborhood instead of scanning
-// every node. Nodes registered before and after the call are indexed.
-// Wi-Fi topologies are static for a run; there is no move hook.
-func (n *Network) EnableSpatialIndex(bounds geo.Rect, radiusM float64) {
-	n.SetSignificanceRadius(radiusM)
-	g := geo.NewGrid(bounds, radiusM)
-	for _, node := range n.nodes {
-		g.Insert(int32(node.idx), node.Pos)
-	}
-	n.grid = g
 }
 
 // Node is an AP or a client station.
@@ -241,9 +199,6 @@ func (n *Network) AddAP(id int, pos geo.Point, txPowerDBm float64) *Node {
 	ap.afterAckFn = ap.afterAck
 	n.nodes = append(n.nodes, ap)
 	n.aps = append(n.aps, ap)
-	if n.grid != nil {
-		n.grid.Insert(int32(ap.idx), ap.Pos)
-	}
 	return ap
 }
 
@@ -252,9 +207,6 @@ func (n *Network) AddClient(id int, pos geo.Point, txPowerDBm float64, ap *Node)
 	c := &Node{ID: id, Pos: pos, TxPowerDBm: txPowerDBm, net: n, idx: len(n.nodes)}
 	n.nodes = append(n.nodes, c)
 	ap.clients = append(ap.clients, c)
-	if n.grid != nil {
-		n.grid.Insert(int32(c.idx), c.Pos)
-	}
 	return c
 }
 
@@ -340,7 +292,7 @@ func (t *transmission) finish() {
 		}
 	}
 	n.txPool = append(n.txPool, t)
-	n.notifyMediumChange(t.from)
+	n.notifyMediumChange()
 }
 
 // takeTX pops a pooled transmission record (or makes one), resetting
@@ -391,9 +343,6 @@ func (n *Network) busyAt(node *Node) bool {
 		if t.from == node {
 			return true // transmitting counts as busy
 		}
-		if n.sigRadius > 0 && !n.withinSig(t.from, node) {
-			continue
-		}
 		// Linear-domain scan: the mW comparison decides exactly what the
 		// dB one did (dBm to mW is monotone), with no pow per frame.
 		p := n.rxPowerMW(t.from, node)
@@ -405,14 +354,6 @@ func (n *Network) busyAt(node *Node) bool {
 	return den > 0 && propagation.MWToDBm(den) >= n.Params.EnergyDetectDBm
 }
 
-// withinSig is the truncation predicate: inclusive squared distance
-// against the significance radius, the same test geo.Grid applies, so
-// indexed and brute scans admit exactly the same set.
-func (n *Network) withinSig(a, b *Node) bool {
-	dx, dy := a.Pos.X-b.Pos.X, a.Pos.Y-b.Pos.Y
-	return dx*dx+dy*dy <= n.sigR2
-}
-
 // sinrOf returns the SINR of transmission t at receiver rx, counting
 // every transmission that overlapped t (fully, as CSMA collisions
 // typically do) as interference. Interferers are summed in insertion
@@ -422,9 +363,6 @@ func (n *Network) sinrOf(t *transmission, rx *Node) float64 {
 	_, den := n.noise()
 	for _, from := range t.interferers {
 		if from == rx {
-			continue
-		}
-		if n.sigRadius > 0 && !n.withinSig(from, rx) {
 			continue
 		}
 		den += n.rxPowerMW(from, rx)
@@ -446,20 +384,6 @@ func (n *Network) beginTX(from *Node, d time.Duration, kind string) *transmissio
 		n.stats.ControlAirtime += d
 	}
 	for _, a := range n.active {
-		// With truncation on, an overlap only matters if some receiver
-		// can see both transmitters, i.e. the two sources are within
-		// twice the significance radius (a receiver inside the radius of
-		// each lies in the lens between them). Skipping farther pairs
-		// keeps interferer lists neighborhood-sized at metro scale and
-		// changes no decode: sinrOf truncates per receiver anyway, and
-		// receivers sit within decode range — far inside the radius — of
-		// their signal source.
-		if n.sigRadius > 0 {
-			dx, dy := a.from.Pos.X-from.Pos.X, a.from.Pos.Y-from.Pos.Y
-			if dx*dx+dy*dy > 4*n.sigR2 {
-				continue
-			}
-		}
 		t.addInterferer(a.from)
 		a.addInterferer(from)
 	}
@@ -468,38 +392,14 @@ func (n *Network) beginTX(from *Node, d time.Duration, kind string) *transmissio
 			N: 2, Args: [trace.MaxArgs]int64{frameCode(kind), int64(d)}})
 	}
 	n.active = append(n.active, t)
-	n.notifyMediumChange(from)
+	n.notifyMediumChange()
 	n.eng.After(d, t.endFn)
 	return t
 }
 
-// notifyMediumChange pokes idle APs so they can re-evaluate contention
-// after a frame from origin started or ended. With truncation on, only
-// APs within the significance radius of origin can have seen the frame,
-// so only they are poked — through the grid when one is attached,
-// otherwise by a truncated scan. Both walk APs in registration order
-// (ascending dense idx), so the event schedule is identical either way.
-func (n *Network) notifyMediumChange(origin *Node) {
-	if n.sigRadius > 0 {
-		if n.grid != nil {
-			n.nmcScratch = n.grid.AppendWithin(n.nmcScratch[:0], origin.Pos, n.sigRadius)
-			for _, idx := range n.nmcScratch {
-				if ap := n.nodes[idx]; ap.isAP && ap.contending && !ap.inTX {
-					ap.reschedule()
-				}
-			}
-			return
-		}
-		for _, ap := range n.aps {
-			if !n.withinSig(ap, origin) {
-				continue
-			}
-			if ap.contending && !ap.inTX {
-				ap.reschedule()
-			}
-		}
-		return
-	}
+// notifyMediumChange pokes idle APs, in registration order, so they can
+// re-evaluate contention after a frame started or ended.
+func (n *Network) notifyMediumChange() {
 	for _, ap := range n.aps {
 		if ap.contending && !ap.inTX {
 			ap.reschedule()
@@ -508,42 +408,22 @@ func (n *Network) notifyMediumChange(origin *Node) {
 }
 
 // setNAVFromExchange makes third-party nodes that can decode an RTS/CTS
-// defer until the exchange would complete. The NAV update is an
-// idempotent max, so visiting a node twice (near both endpoints) or in
-// a different order cannot change the outcome — the indexed and scan
-// paths end in identical state.
+// defer until the exchange would complete.
 func (n *Network) setNAVFromExchange(initiator, responder *Node, until sim.Time) {
-	if n.grid != nil {
-		n.navScratch = n.grid.AppendWithin(n.navScratch[:0], initiator.Pos, n.sigRadius)
-		n.navScratch = n.grid.AppendWithin(n.navScratch, responder.Pos, n.sigRadius)
-		for _, idx := range n.navScratch {
-			n.maybeSetNAV(n.nodes[idx], initiator, responder, until)
-		}
-		return
-	}
 	for _, node := range n.nodes {
-		n.maybeSetNAV(node, initiator, responder, until)
-	}
-}
-
-// maybeSetNAV applies one node's NAV update for an overheard exchange.
-func (n *Network) maybeSetNAV(node, initiator, responder *Node, until sim.Time) {
-	if node == initiator || node == responder {
-		return
-	}
-	heard := n.canHear(initiator, node) || n.canHear(responder, node)
-	if heard && until > node.navUntil {
-		node.navUntil = until
+		if node == initiator || node == responder {
+			continue
+		}
+		heard := n.canHear(initiator, node) || n.canHear(responder, node)
+		if heard && until > node.navUntil {
+			node.navUntil = until
+		}
 	}
 }
 
 // canHear reports whether rx detects a preamble from tx: above the
-// carrier-sense threshold and, when truncation is on, within the
-// significance radius.
+// carrier-sense threshold.
 func (n *Network) canHear(tx, rx *Node) bool {
-	if n.sigRadius > 0 && !n.withinSig(tx, rx) {
-		return false
-	}
 	return n.rxPowerDBm(tx, rx) >= n.Params.CSThresholdDBm
 }
 

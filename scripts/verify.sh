@@ -1,10 +1,11 @@
 #!/bin/sh
 # verify.sh — the repo's fast correctness gate.
 #
-# Runs static analysis, a full build, the legacy-harness guard, and the
-# race detector over every package that owns goroutines or is driven
-# from them (race_pkgs below: persistent shard workers, pawsdb's
-# lock-free snapshot and lease wheel, the fork-join worlds, ...).
+# Runs static analysis, a full build, the legacy-harness and
+# collapsed-path guards, and the race detector over every package that
+# owns goroutines or is driven from them (race_pkgs below: persistent
+# shard workers, pawsdb's lock-free snapshot and lease wheel, the
+# fork-join worlds, ...).
 #
 # Opt-in stages: VERIFY_RACE=1 (whole suite under -race),
 # VERIFY_CHAOS=1 (ETSI vacate soak), VERIFY_INVARIANTS=1 (chaos worlds
@@ -36,6 +37,16 @@ echo "== legacy bench harness guard"
 if git grep --untracked -nE 'BENCH_[a-z]+\.json|bench[d]iff|_BENCH[_]OUT' -- . \
 	':!bench/README.md' ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
 	echo "verify: a legacy bench harness reference reappeared (see bench/README.md)" >&2
+	exit 1
+fi
+
+# metro and wifi have one neighbor-enumeration mode each (grid rows,
+# all-pairs) and the runner no shard telemetry; the selectors that
+# picked the other halves must not grow back.
+echo "== collapsed-path guard"
+if git grep --untracked -n 'UseSpatialIndex' -- internal/metro internal/wifi examples ||
+	git grep --untracked -n 'AddShard[S]tats' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
+	echo "verify: a removed mode selector or telemetry hook reappeared (see CHANGES.md, PR 15)" >&2
 	exit 1
 fi
 
