@@ -12,7 +12,9 @@ test:
 
 # verify is the fast correctness gate: static analysis, a full build,
 # the legacy-harness and collapsed-path guards (no metro/wifi index
-# selector, no runner shard telemetry), and the race detector over
+# selector, no runner shard telemetry, ring-size or slack option, no
+# netsim shard count or cluster fork-join entry, no float
+# streaming-moments type), and the race detector over
 # every package that owns goroutines or is driven from them (runner,
 # sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
 # netsim).

@@ -86,7 +86,6 @@ func run() int {
 	}
 	var specs []runner.Spec
 	for tr := 0; tr < *trials; tr++ {
-		tr := tr
 		specs = append(specs, runner.Spec{
 			Label: fmt.Sprintf("trial=%d", tr),
 			Seed:  *seed + int64(tr)*7919,

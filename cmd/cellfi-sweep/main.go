@@ -124,11 +124,8 @@ func run() int {
 	// CSV is identical at any worker count.
 	var specs []runner.Spec
 	for _, aps := range apsList {
-		aps := aps
 		for _, clients := range clientsList {
-			clients := clients
 			for tr := 0; tr < *trials; tr++ {
-				tr := tr
 				trialSeed := *seed + int64(tr)*7919 + int64(aps)*131 + int64(clients)*17
 				specs = append(specs, runner.Spec{
 					Label: fmt.Sprintf("aps=%d/clients=%d/trial=%d", aps, clients, tr),

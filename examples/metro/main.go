@@ -65,6 +65,7 @@ func run() int {
 	simWall := time.Since(simStart)
 	realtime := float64(*epochs) / simWall.Seconds()
 	thr, thrQ := w.Throughput(), w.ThroughputQ()
+	attMean, attPeak := w.Attached()
 
 	summary := map[string]any{
 		"aps":                 cfg.NAPs,
@@ -75,8 +76,8 @@ func run() int {
 		"build_ms":            buildWall.Milliseconds(),
 		"sim_wall_ms":         simWall.Milliseconds(),
 		"sim_realtime_factor": realtime,
-		"attached_mean":       w.Attached.Mean(),
-		"attached_peak":       w.Attached.Max(),
+		"attached_mean":       attMean,
+		"attached_peak":       attPeak,
 		"delivered_gbit":      float64(w.DeliveredBits()) / 1e9,
 		"ue_mbps_mean":        thr.Mean,
 		"ue_mbps_p50":         thrQ.Quantile(0.5),
@@ -107,8 +108,7 @@ func run() int {
 	}
 	fmt.Printf("simulated %d s in %v — %.1fx real time, %s\n",
 		*epochs, simWall.Round(time.Millisecond), realtime, mode)
-	fmt.Printf("attached: %.0f mean / %.0f peak UEs\n",
-		w.Attached.Mean(), w.Attached.Max())
+	fmt.Printf("attached: %.0f mean / %d peak UEs\n", attMean, attPeak)
 	fmt.Printf("delivered: %.1f Gbit total\n", float64(w.DeliveredBits())/1e9)
 	fmt.Printf("per-UE throughput: %.2f Mbps mean, %.2f p50, %.2f p95\n",
 		thr.Mean, thrQ.Quantile(0.5), thrQ.Quantile(0.95))

@@ -16,9 +16,9 @@ func Spec(label string, cfg Config) runner.Spec {
 		Label: label,
 		Seed:  cfg.Seed,
 		Run: func(c *runner.Ctx) (any, error) {
-			cfg := cfg
-			cfg.Seed = c.Seed()
-			res, err := Run(cfg, c.Recorder())
+			run := cfg // per-call copy: the closure may be invoked more than once
+			run.Seed = c.Seed()
+			res, err := Run(run, c.Recorder())
 			if err != nil {
 				return nil, err
 			}

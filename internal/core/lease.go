@@ -104,14 +104,6 @@ func LeaseReasonCode(reason string) int64 {
 	return -1
 }
 
-// LeaseReasonString inverts LeaseReasonCode for trace rendering.
-func LeaseReasonString(code int64) string {
-	if code < 0 || code >= int64(len(leaseReasons)) {
-		return fmt.Sprintf("reason(%d)", code)
-	}
-	return leaseReasons[code]
-}
-
 // SelectorStats is a counter snapshot of a ChannelSelector, in the
 // mould of sim.Engine.Stats: monotonic counters plus current state,
 // cheap enough to sample every poll.

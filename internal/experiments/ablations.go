@@ -129,9 +129,7 @@ func LambdaAblation(seed int64, quick bool) Result {
 	}
 	var legs []leg[lambdaRun]
 	for _, l := range lambdas {
-		l := l
 		for tr := 0; tr < trials; tr++ {
-			tr := tr
 			legs = append(legs, leg[lambdaRun]{
 				label: note("lambda/l=%g/trial=%d", l, tr),
 				seed:  seed + int64(tr),

@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cellfi/internal/stats"
 )
@@ -87,13 +86,6 @@ func note(format string, args ...any) string {
 // cdfSeries converts samples into a plottable CDF line.
 func cdfSeries(name string, samples []float64, points int) stats.Series {
 	return stats.Series{Name: name, Points: stats.NewCDF(samples).Points(points)}
-}
-
-// sortedCopy returns an ascending copy (handy for medians in notes).
-func sortedCopy(v []float64) []float64 {
-	out := append([]float64(nil), v...)
-	sort.Float64s(out)
-	return out
 }
 
 // newSeededRand returns a rand.Rand on its own deterministic source.

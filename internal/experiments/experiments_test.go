@@ -34,7 +34,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 		t.Skip("quick experiment sweep still takes tens of seconds")
 	}
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			r, _ := Get(id)
 			res := r(42, true)

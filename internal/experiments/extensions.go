@@ -200,9 +200,7 @@ func AggregationExtension(seed int64, quick bool) Result {
 	// One leg per (bandwidth, trial); aggregate bandwidth-major.
 	var aggLegs []leg[[]float64]
 	for _, bw := range bws {
-		bw := bw
 		for tr := 0; tr < trials; tr++ {
-			tr := tr
 			aggLegs = append(aggLegs, leg[[]float64]{
 				label: note("aggregation/bw=%gMHz/trial=%d", float64(bw), tr),
 				seed:  seed + int64(tr),

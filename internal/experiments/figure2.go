@@ -5,6 +5,7 @@ import (
 
 	"cellfi/internal/propagation"
 	"cellfi/internal/runner"
+	"cellfi/internal/sim"
 	"cellfi/internal/stats"
 	"cellfi/internal/topo"
 	"cellfi/internal/wifi"
@@ -12,10 +13,10 @@ import (
 
 func init() { register("fig2", Figure2) }
 
-// wifiTrial runs one backlogged Wi-Fi network over a topology and
-// returns per-client throughput in Mbps.
-func wifiTrial(c *runner.Ctx, t *topo.Topology, params wifi.Params, model *propagation.Model, txPowerDBm float64, seed int64, dur time.Duration) []float64 {
-	eng := fleetEngine(c, seed)
+// wifiNet builds a Wi-Fi network over a topology: one AP per cell and
+// its clients, every node at the same transmit power, IDs in topology
+// order (which is also the order APs() and Clients() enumerate).
+func wifiNet(eng *sim.Engine, t *topo.Topology, params wifi.Params, model *propagation.Model, txPowerDBm float64) *wifi.Network {
 	n := wifi.NewNetwork(eng, model, params)
 	id := 1
 	for i, apPos := range t.APs {
@@ -26,6 +27,15 @@ func wifiTrial(c *runner.Ctx, t *topo.Topology, params wifi.Params, model *propa
 			id++
 		}
 	}
+	return n
+}
+
+// wifiTrial runs one backlogged Wi-Fi network over a topology, its
+// downlink queues refilled every topUp, and returns per-client
+// throughput in Mbps.
+func wifiTrial(c *runner.Ctx, t *topo.Topology, params wifi.Params, model *propagation.Model, txPowerDBm float64, seed int64, dur, topUp time.Duration) []float64 {
+	eng := fleetEngine(c, seed)
+	n := wifiNet(eng, t, params, model, txPowerDBm)
 	top := func() {
 		for _, ap := range n.APs() {
 			for _, c := range ap.Clients() {
@@ -36,7 +46,7 @@ func wifiTrial(c *runner.Ctx, t *topo.Topology, params wifi.Params, model *propa
 		}
 	}
 	top()
-	eng.EveryAt(0, 50*time.Millisecond, top)
+	eng.EveryAt(0, topUp, top)
 	eng.Run(dur)
 	var out []float64
 	for _, ap := range n.APs() {
@@ -79,7 +89,7 @@ func Figure2(seed int64, quick bool) Result {
 				run: func(c *runner.Ctx) []float64 {
 					afTopo := topo.Generate(topo.Paper(8, 6), c.Seed())
 					return wifiTrial(c, afTopo, wifi.Params11af20(),
-						propagation.DefaultUrban(c.Seed()), 30, c.Seed(), dur)
+						propagation.DefaultUrban(c.Seed()), 30, c.Seed(), dur, 50*time.Millisecond)
 				},
 			},
 			leg[[]float64]{
@@ -90,7 +100,7 @@ func Figure2(seed int64, quick bool) Result {
 					acParams.CellRadius = 290 // 20 dBm indoor edge SNR == 30 dBm urban at 700 m
 					acTopo := topo.Generate(acParams, c.Seed())
 					return wifiTrial(c, acTopo, wifi.Params11ac20(),
-						propagation.IndoorShortRange(c.Seed()), 20, c.Seed(), dur)
+						propagation.IndoorShortRange(c.Seed()), 20, c.Seed(), dur, 50*time.Millisecond)
 				},
 			})
 	}

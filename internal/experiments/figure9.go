@@ -34,7 +34,7 @@ func runFig9Trial(c *runner.Ctx, aps, clients int, seed int64, epochs int, wifiD
 	tp := topo.Generate(topo.Paper(aps, clients), seed)
 
 	// 802.11af on a 6 MHz TV channel (the paper's Wi-Fi arm).
-	out.wifi = wifiBackloggedThroughputs(c, tp, wifi.Params11af(), 30, seed, wifiDur)
+	out.wifi = wifiTrial(c, tp, wifi.Params11af(), propagation.DefaultUrban(seed), 30, seed, wifiDur, 100*time.Millisecond)
 
 	for _, s := range []netsim.Scheme{netsim.SchemeLTE, netsim.SchemeCellFi, netsim.SchemeOracle} {
 		if s == netsim.SchemeOracle && !withOracle {
@@ -50,41 +50,6 @@ func runFig9Trial(c *runner.Ctx, aps, clients int, seed int64, epochs int, wifiD
 			out.cellfi = th
 		case netsim.SchemeOracle:
 			out.oracle = th
-		}
-	}
-	return out
-}
-
-// wifiBackloggedThroughputs runs the event-driven Wi-Fi simulator over
-// a topology with saturated downlink queues.
-func wifiBackloggedThroughputs(c *runner.Ctx, tp *topo.Topology, params wifi.Params, power float64, seed int64, dur time.Duration) []float64 {
-	eng := fleetEngine(c, seed)
-	n := wifi.NewNetwork(eng, propagation.DefaultUrban(seed), params)
-	id := 1
-	for i, apPos := range tp.APs {
-		ap := n.AddAP(id, apPos, power)
-		id++
-		for _, cp := range tp.Clients[i] {
-			n.AddClient(id, cp, power, ap)
-			id++
-		}
-	}
-	top := func() {
-		for _, ap := range n.APs() {
-			for _, c := range ap.Clients() {
-				if ap.QueuedBits(c) < 1<<22 {
-					ap.Enqueue(c, 1<<26)
-				}
-			}
-		}
-	}
-	top()
-	eng.EveryAt(0, 100*time.Millisecond, top)
-	eng.Run(dur)
-	var out []float64
-	for _, ap := range n.APs() {
-		for _, c := range ap.Clients() {
-			out = append(out, float64(ap.DeliveredBits(c))/dur.Seconds()/1e6)
 		}
 	}
 	return out
@@ -114,9 +79,7 @@ func Figure9a(seed int64, quick bool) Result {
 	// scenario runs, aggregated below in density order.
 	var legs []leg[fig9Throughputs]
 	for _, aps := range densities {
-		aps := aps
 		for tr := 0; tr < trials; tr++ {
-			tr := tr
 			legs = append(legs, leg[fig9Throughputs]{
 				label: note("fig9a/aps=%d/trial=%d", aps, tr),
 				seed:  seed + int64(tr)*7919 + int64(aps),
@@ -303,7 +266,6 @@ func Figure9c(seed int64, quick bool) Result {
 	for tr := 0; tr < trials; tr++ {
 		trialSeed := seed + int64(tr)*60013
 		for _, a := range arms {
-			a := a
 			legs = append(legs, leg[[]float64]{
 				label: note("fig9c/%s/trial=%d", a.name, tr),
 				seed:  trialSeed,
@@ -417,24 +379,18 @@ func pageLoadSamples(tracker *traffic.FlowTracker, horizon time.Duration) []floa
 // simulator's epochs quantize them, so neither side gets a head start.
 func wifiWebPageLoads(c *runner.Ctx, tp *topo.Topology, web traffic.WebParams, seed int64, durS int) []float64 {
 	eng := fleetEngine(c, seed)
-	n := wifi.NewNetwork(eng, propagation.DefaultUrban(seed), wifi.Params11af())
+	n := wifiNet(eng, tp, wifi.Params11af(), propagation.DefaultUrban(seed), 30)
 	tracker := traffic.NewFlowTracker()
 	type pair struct {
 		ap, cl *wifi.Node
 	}
 	var pairs []pair
-	id := 1
-	for i, apPos := range tp.APs {
-		ap := n.AddAP(id, apPos, 30)
-		id++
-		for _, cp := range tp.Clients[i] {
-			cl := n.AddClient(id, cp, 30, ap)
-			id++
+	for _, ap := range n.APs() {
+		for _, cl := range ap.Clients() {
 			pairs = append(pairs, pair{ap, cl})
 		}
 	}
 	for i := range pairs {
-		i := i
 		gen := traffic.NewWebGenerator(web, newSeededRand(seed+int64(i)*31+7))
 		var schedule func(p traffic.Page)
 		schedule = func(p traffic.Page) {

@@ -82,9 +82,7 @@ func SchedulerAblation(seed int64, quick bool) Result {
 	}
 	var legs []leg[schedRun]
 	for _, r := range rows {
-		r := r
 		for s := int64(0); s < int64(seeds); s++ {
-			s := s
 			legs = append(legs, leg[schedRun]{
 				label: note("sched/%s/seed=%d", r.name, s),
 				seed:  seed + s,

@@ -149,7 +149,7 @@ func TestBenchCellSimDelivers(t *testing.T) {
 	if cs.DeliveredBits(100) == 0 {
 		t.Fatal("benchmark-shaped cell delivered nothing")
 	}
-	if env.Cache == nil || env.Cache.Stats().Hits == 0 {
-		t.Fatalf("link cache saw no hits: %+v", env.Cache.Stats())
+	if env.cache.Stats().Hits == 0 {
+		t.Fatalf("link cache saw no hits: %+v", env.cache.Stats())
 	}
 }

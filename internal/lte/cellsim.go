@@ -288,14 +288,6 @@ func (cs *CellSim) tick() {
 	}
 }
 
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // byID resolves a scheduled client ID to its simUE and scheds index.
 func (cs *CellSim) byID(id int) (*simUE, int) {
 	for i, ue := range cs.ues {

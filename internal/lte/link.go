@@ -105,14 +105,13 @@ type Environment struct {
 	Model         *propagation.Model
 	Fading        *propagation.Fading
 	NoiseFigureDB float64
-	// Cache, when non-nil, memoizes the static link loss (path loss +
-	// frozen shadowing) per (cell ID, client ID) pair, so per-subframe
+	// cache memoizes the static link loss (path loss + frozen
+	// shadowing) per (cell ID, client ID) pair, so per-subframe
 	// SINR/CQI queries over a static topology skip the full model —
 	// including the per-call RNG the shadowing term seeds. Positions
 	// are only consulted on a miss: code that moves a cell or client
-	// mid-run must call Invalidate with its ID. NewEnvironment enables
-	// the cache; zero-value Environments compute uncached.
-	Cache *propagation.LinkCache
+	// mid-run must call Invalidate with its ID.
+	cache *propagation.LinkCache
 
 	// rxTab caches the full per-subchannel received power — static
 	// link gain plus the fading draw of the current coherence block —
@@ -120,9 +119,9 @@ type Environment struct {
 	// fading process is a pure function of (link, subchannel, block),
 	// so within one block the cached value is bit-identical to the
 	// recomputation it replaces; entries self-expire when the block
-	// advances. Active only when the link-loss cache is (the
-	// Invalidate contract is the same: movers must call Invalidate,
-	// which bumps rxEpoch). Interferer activity is NOT cached —
+	// advances. The Invalidate contract is the link-loss cache's:
+	// movers must call Invalidate, which bumps rxEpoch. Interferer
+	// activity is NOT cached —
 	// TransmitsIn gating stays per-call, so toggling a cell's
 	// Activity or ActiveSubchannels mid-run is safe.
 	//
@@ -163,78 +162,54 @@ type rxEntry struct {
 
 // NewEnvironment builds the default evaluation environment: calibrated
 // urban propagation, block Rayleigh fading, 7 dB receiver noise figure,
-// link-gain caching on.
+// link-gain caching on. It is the only constructor: a zero-value
+// Environment has no link-loss cache and panics on its first query.
 func NewEnvironment(seed int64) *Environment {
 	model := propagation.DefaultUrban(seed)
 	return &Environment{
 		Model:         model,
 		Fading:        propagation.NewFading(seed + 1),
 		NoiseFigureDB: 7,
-		Cache:         propagation.NewLinkCache(model, 0),
+		cache:         propagation.NewLinkCache(model, 0),
 	}
 }
 
 // Invalidate marks every cached link touching the given cell or client
 // ID stale. Call after moving a node.
 func (e *Environment) Invalidate(nodeID int) {
-	if e.Cache != nil {
-		e.Cache.Invalidate(nodeID)
-	}
+	e.cache.Invalidate(nodeID)
 	// Received-power entries fold the (now stale) static gain in, so
 	// drop them all; the epoch bump is O(1) and misses repopulate from
 	// the link-loss cache, which invalidates per node underneath.
 	e.rxEpoch++
 }
 
-// linkLossDB returns the static link loss for the (cell, client) pair,
-// through the cache when one is attached to the current model.
-func (e *Environment) linkLossDB(cellID, clientID int, cellPos, clientPos geo.Point) float64 {
-	if e.Cache != nil && e.Cache.Model() == e.Model {
-		return e.Cache.LossDB(cellID, clientID, cellPos, clientPos)
-	}
-	return e.Model.LinkLossDB(cellPos, clientPos)
-}
-
 // rxPowerDBm returns the power a receiver at rxPos sees from cell tx on
 // one resource block of subchannel sc at time tMS.
 func (e *Environment) rxPowerDBm(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int64) float64 {
-	if e.memoActive() {
-		ent := e.rxLookup(tx, rxPos, rxID, sc, tMS)
-		if !ent.dbmOK {
-			ent.dbm, ent.dbmOK = propagation.MWToDBm(ent.mw), true
-		}
-		return ent.dbm
+	ent := e.rxLookup(tx, rxPos, rxID, sc, tMS)
+	if !ent.dbmOK {
+		ent.dbm, ent.dbmOK = propagation.MWToDBm(ent.mw), true
 	}
-	return propagation.MWToDBm(e.rxPowerMWUncached(tx, rxPos, rxID, sc, tMS))
+	return ent.dbm
 }
 
 // rxPowerMW is rxPowerDBm in milliwatts — the interferer-summation form,
 // and since kernel v2 the primary one: the memo computes mW first and
 // derives dBm only on demand.
 func (e *Environment) rxPowerMW(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int64) float64 {
-	if e.memoActive() {
-		return e.rxLookup(tx, rxPos, rxID, sc, tMS).mw
-	}
-	return e.rxPowerMWUncached(tx, rxPos, rxID, sc, tMS)
+	return e.rxLookup(tx, rxPos, rxID, sc, tMS).mw
 }
 
 // rxPowerMWUncached is the direct computation behind the memo, in the
 // linear domain end to end: the static dB budget converts once, then the
 // fading draw multiplies in as a linear gain (no per-call log10 of the
-// fade). The cached and uncached paths both go through here, so they
-// stay bit-identical.
+// fade).
 func (e *Environment) rxPowerMWUncached(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int64) float64 {
 	gain := tx.Antenna.GainDB(tx.Pos.Bearing(rxPos))
-	loss := e.linkLossDB(tx.ID, rxID, tx.Pos, rxPos)
+	loss := e.cache.LossDB(tx.ID, rxID, tx.Pos, rxPos)
 	static := propagation.DBmToMW(tx.PerRBPowerDBm() + gain - loss)
 	return static * e.Fading.GainLinear(propagation.LinkID(tx.ID, rxID), sc, tMS)
-}
-
-// memoActive mirrors linkLossDB's condition: received-power caching is
-// on exactly when static-loss caching is, so the two layers share one
-// Invalidate contract.
-func (e *Environment) memoActive() bool {
-	return e.Cache != nil && e.Cache.Model() == e.Model
 }
 
 // rxLookup serves rxPowerDBm/rxPowerMW from the memo, computing and
@@ -321,12 +296,10 @@ func (e *Environment) noise() (float64, float64) {
 // matching the paper's finding that signalling-only interference leaves
 // data SINR intact and costs at most ~20% goodput (Figure 7b).
 func (e *Environment) DownlinkSINR(serving *Cell, interferers []*Cell, cl *Client, sc int, tMS int64) float64 {
-	sig, den := e.DownlinkSINRParts(serving, interferers, cl, sc, tMS)
-	if !e.memoActive() {
-		return propagation.MWToDBm(sig) - propagation.MWToDBm(den)
-	}
+	_, den := e.DownlinkSINRParts(serving, interferers, cl, sc, tMS)
 	// Serving-link dB via the memo's lazy conversion — bit-identical to
-	// MWToDBm(sig), but cached for the rest of the coherence block.
+	// MWToDBm of the parts' signal, but cached for the rest of the
+	// coherence block.
 	signal := e.rxPowerDBm(serving, cl.Pos, cl.ID, sc, tMS)
 	// The mW denominator repeats for the whole coherence block while
 	// the interferer set holds still, so memoize its dB conversion on
@@ -407,7 +380,7 @@ func (e *Environment) UplinkSINR(cl *Client, serving *Cell, nRBs, sc int, tMS in
 	gain := serving.Antenna.GainDB(serving.Pos.Bearing(cl.Pos))
 	// Link loss is symmetric, so the uplink shares the downlink's
 	// (cell, client) cache entry.
-	loss := e.linkLossDB(serving.ID, cl.ID, serving.Pos, cl.Pos)
+	loss := e.cache.LossDB(serving.ID, cl.ID, serving.Pos, cl.Pos)
 	fade := e.Fading.GainDB(propagation.LinkID(cl.ID+1<<16, serving.ID), sc, tMS)
 	signal := perRB + gain - loss + fade
 	noise, _ := e.noise()

@@ -270,10 +270,11 @@ type World struct {
 	rateBps [16]float64
 	sc      int // the evaluated subchannel
 
-	// Attached is the streaming aggregate of the attached count per
-	// epoch (folded single-threaded). The per-UE throughput samples live
-	// in the per-shard partials; see Throughput and ThroughputQ.
-	Attached      stats.StreamStat
+	// attached holds the moments of the attached count per epoch
+	// (folded single-threaded; see Attached). The per-UE throughput
+	// samples live in the per-shard partials; see Throughput and
+	// ThroughputQ.
+	attached      bitMoments
 	attachSeq     []int32 // diurnal attach order (permutation)
 	attachedCount int32
 
@@ -726,7 +727,7 @@ func (sc *shardCtx) addSample(bits int64) {
 func (w *World) epochFold() {
 	target := w.attachTarget(w.epoch)
 	w.attachedCount = int32(target)
-	w.Attached.Add(float64(target))
+	w.attached.add(int64(target))
 	var hand, served, cqis int64
 	for _, sc := range w.sctx {
 		hand += sc.handovers
@@ -871,6 +872,15 @@ func (w *World) Epoch() int64 { return w.epoch }
 
 // AttachedCount returns the currently attached UE population.
 func (w *World) AttachedCount() int { return int(w.attachedCount) }
+
+// Attached returns the mean and peak of the attached population over
+// the completed epochs (zeros before the first).
+func (w *World) Attached() (mean float64, peak int) {
+	if w.attached.n == 0 {
+		return 0, 0
+	}
+	return float64(w.attached.sum) / float64(w.attached.n), int(w.attached.max)
+}
 
 // DeliveredBits returns total downlink bits delivered so far.
 func (w *World) DeliveredBits() int64 {

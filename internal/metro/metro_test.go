@@ -111,6 +111,11 @@ func TestMetroDiurnalRamp(t *testing.T) {
 	if high < wantHigh {
 		t.Fatalf("mid-day attach %d, want >= %d", high, wantHigh)
 	}
+	// Over the rising half-day the latest count is the run's peak and
+	// the mean lies strictly between the two ends.
+	if mean, peak := w.Attached(); peak != high || mean <= float64(low) || mean >= float64(high) {
+		t.Fatalf("attached mean %.1f / peak %d over a ramp from %d to %d", mean, peak, low, high)
+	}
 }
 
 // With the attach population frozen and mobility off, the epoch sweep

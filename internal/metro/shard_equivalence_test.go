@@ -97,8 +97,8 @@ func TestMetroShardEquivalence(t *testing.T) {
 			if a, b := ref.w.Throughput(), got.w.Throughput(); a != b || a.Count == 0 || a.Variance == 0 {
 				t.Fatalf("seed %d K=%d: throughput aggregate %+v, K=1 %+v", seed, k, b, a)
 			}
-			if got.w.Attached != ref.w.Attached {
-				t.Fatalf("seed %d K=%d: attached aggregate %+v, K=1 %+v", seed, k, got.w.Attached, ref.w.Attached)
+			if got.w.attached != ref.w.attached {
+				t.Fatalf("seed %d K=%d: attached aggregate %+v, K=1 %+v", seed, k, got.w.attached, ref.w.attached)
 			}
 			aq, bq := ref.w.ThroughputQ(), got.w.ThroughputQ()
 			for _, q := range []float64{0.5, 0.9, 0.99} {

@@ -17,7 +17,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"cellfi/internal/core"
 	"cellfi/internal/geo"
@@ -26,7 +25,6 @@ import (
 	"cellfi/internal/oracle"
 	"cellfi/internal/phy"
 	"cellfi/internal/propagation"
-	"cellfi/internal/shard"
 	"cellfi/internal/topo"
 	"cellfi/internal/trace"
 )
@@ -125,14 +123,6 @@ type Config struct {
 	// to schemes driven by core.Controller (cellfi, hybrid); the
 	// memoryless random hopper is untraced.
 	Trace trace.Recorder
-	// Shards > 1 runs the fluid-service sweep (the per-epoch hot loop:
-	// cells × clients × subchannels × fading blocks) fork-joined across
-	// that many workers on an internal/shard cluster. Per-client service
-	// is self-contained — each worker owns a contiguous cell range and
-	// every read it shares (link budget, transmitter lists, fading
-	// hashes) is frozen during the sweep — so results are bit-identical
-	// to the sequential path. Call Network.Close to release the workers.
-	Shards int
 }
 
 // DefaultConfig returns the paper's simulation settings for a scheme.
@@ -230,9 +220,6 @@ type Network struct {
 	cellScratch, clientScratch []int32
 	activeFlag                 []bool
 
-	// Fork-join cluster for the fluid-service sweep (Cfg.Shards > 1).
-	cluster *shard.Cluster
-
 	// Per-step scratch for updateControllers, reused across cells and
 	// epochs: the controller input (maps cleared between cells) and the
 	// per-subchannel clean/held flags. servedBits backs EpochResult.
@@ -304,7 +291,19 @@ func New(t *topo.Topology, cfg Config) *Network {
 		for i := range n.allowed {
 			n.allowed[i] = all
 		}
-	case SchemeCellFi:
+	case SchemeCellFi, SchemeHybrid:
+		// Hybrid runs the same per-cell distributed controllers as
+		// CellFi; its provider layer deconflicts on top each epoch.
+		if cfg.Scheme == SchemeHybrid {
+			np := cfg.NumProviders
+			if np < 1 {
+				np = 2
+			}
+			n.providers = make([]int, len(n.Cells))
+			for i := range n.providers {
+				n.providers[i] = i % np
+			}
+		}
 		n.controllers = make([]core.IM, len(n.Cells))
 		for i := range n.controllers {
 			ctl := core.NewController(s, rand.New(rand.NewSource(cfg.Seed+100+int64(i))))
@@ -324,57 +323,15 @@ func New(t *topo.Topology, cfg Config) *Network {
 			n.controllers[i] = core.NewRandomHopper(s, rand.New(rand.NewSource(cfg.Seed+100+int64(i))))
 			n.allowed[i] = nil
 		}
-	case SchemeHybrid:
-		np := cfg.NumProviders
-		if np < 1 {
-			np = 2
-		}
-		n.providers = make([]int, len(n.Cells))
-		for i := range n.providers {
-			n.providers[i] = i % np
-		}
-		// Per-cell distributed controllers, exactly as CellFi; the
-		// provider layer deconflicts on top each epoch.
-		n.controllers = make([]core.IM, len(n.Cells))
-		for i := range n.controllers {
-			ctl := core.NewController(s, rand.New(rand.NewSource(cfg.Seed+100+int64(i))))
-			ctl.PackingEnabled = cfg.PackingEnabled
-			if cfg.Lambda > 0 {
-				ctl.Lambda = cfg.Lambda
-			}
-			if cfg.Trace != nil {
-				ctl.Trace, ctl.TraceAP = cfg.Trace, int32(i)
-			}
-			n.controllers[i] = ctl
-			n.allowed[i] = nil
-		}
 	case SchemeOracle:
 		// Computed per epoch from the active-client graph.
-	}
-	if cfg.Shards > 1 {
-		n.cluster = shard.New(shard.Config{
-			Shards: cfg.Shards,
-			Window: time.Second, // unused: the sweep is pure fork-join (Do), never Run
-			Seed:   cfg.Seed,
-		})
 	}
 	return n
 }
 
-// Close releases the fork-join workers (no-op without Cfg.Shards). The
-// network stays readable.
-func (n *Network) Close() {
-	if n.cluster != nil {
-		n.cluster.Close()
-	}
-}
-
-// shardRange returns the contiguous cell range worker s owns.
-func (n *Network) shardRange(s int) (lo, hi int) {
-	k := n.cluster.Shards()
-	nCells := len(n.Cells)
-	return s * nCells / k, (s + 1) * nCells / k
-}
+// Close does nothing: a network owns no goroutines or handles. Kept for
+// bench/imdense.go, which calls it.
+func (n *Network) Close() {}
 
 func (n *Network) precomputeLinkBudget() {
 	n.rxRB = make([][]float64, len(n.Cells))
@@ -447,10 +404,9 @@ func (n *Network) appendActive(dst []int, i int) []int {
 // The denominator visits only the cells that transmit in k, in
 // ascending cell order. That order is the determinism contract: float
 // addition is not associative, so all-pairs, truncated and indexed runs
-// (and any shard count) agree to the bit because they add the same terms
-// in the same order — the truncated modes merely drop, by the shared
-// cellNearPos predicate, terms from the one ascending list. It reads
-// only state frozen during the sweep, so shards may call it concurrently.
+// agree to the bit because they add the same terms in the same order —
+// the truncated modes merely drop, by the shared cellNearPos predicate,
+// terms from the one ascending list.
 func (n *Network) sinrParts(c, k int, b int64, tx [][]int32) (sig, den float64) {
 	cl := n.Clients[c]
 	i := cl.Cell
@@ -537,22 +493,10 @@ func (n *Network) Step() EpochResult {
 
 	// Fluid service: each allowed subchannel's airtime is shared
 	// equally among the cell's active clients; rates average over
-	// fading blocks. Per-client service is self-contained, so the cell
-	// loop fork-joins across the cluster when Cfg.Shards > 1 — each
-	// worker owns a contiguous cell range (disjoint client sets),
-	// making the parallel sweep bit-identical to this sequential one.
+	// fading blocks.
 	clear(n.servedBits)
-	if n.cluster != nil {
-		n.cluster.Do(func(s int) {
-			lo, hi := n.shardRange(s)
-			for j := lo; j < hi; j++ {
-				n.serveCell(j)
-			}
-		})
-	} else {
-		for j := 0; j < nCells; j++ {
-			n.serveCell(j)
-		}
+	for j := 0; j < nCells; j++ {
+		n.serveCell(j)
 	}
 
 	n.tx, n.prevTx = n.prevTx, n.tx
@@ -562,8 +506,7 @@ func (n *Network) Step() EpochResult {
 }
 
 // serveCell delivers one epoch of fluid service to cell j's active
-// clients. It writes only those clients' queue/delivered counters and
-// servedBits slots, so distinct cells may be served concurrently.
+// clients.
 func (n *Network) serveCell(j int) {
 	active := n.active[j]
 	if len(active) == 0 {

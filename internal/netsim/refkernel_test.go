@@ -247,10 +247,10 @@ func maskOf(tx [][]int32, nCells int) [][]bool {
 }
 
 // TestKernelMatchesReference pins the transmitter-list kernel to the old
-// one: over 20 seeds x every scheme x {all-pairs, truncated, indexed} x
-// Shards in {1,2}, every (sig, den) the kernel can produce for the
-// epoch just stepped equals the reference's to the bit, and whole runs
-// end with identical per-client throughputs and hop counts.
+// one: over 20 seeds x every scheme x {all-pairs, truncated, indexed},
+// every (sig, den) the kernel can produce for the epoch just stepped
+// equals the reference's to the bit, and whole runs end with identical
+// per-client throughputs and hop counts.
 func TestKernelMatchesReference(t *testing.T) {
 	const epochs = 6
 	schemes := []Scheme{SchemeCellFi, SchemeRandomHop, SchemeHybrid, SchemeOracle, SchemeLTE}
@@ -263,59 +263,51 @@ func TestKernelMatchesReference(t *testing.T) {
 		tp := topo.Generate(topo.Paper(8, 4), seed)
 		for _, scheme := range schemes {
 			for _, mode := range modes {
-				build := func(shards int) *Network {
+				build := func() *Network {
 					cfg := DefaultConfig(scheme, seed)
 					cfg.InterferenceRadiusM = mode.radius
 					cfg.UseSpatialIndex = mode.indexed
-					cfg.Shards = shards
 					n := New(tp, cfg)
 					n.Backlog()
 					return n
 				}
-				ref := refNet{n: build(1)}
+				ref := refNet{n: build()}
 				for e := 0; e < epochs; e++ {
 					ref.step()
 				}
 				want := ref.n.ThroughputsMbps()
 
-				for _, shards := range []int{1, 2} {
-					name := fmt.Sprintf("seed %d %v %s shards %d", seed, scheme, mode.name, shards)
-					n := build(shards)
-					var scratch []int32
-					for e := 0; e < epochs; e++ {
-						n.Step()
-						if shards > 1 {
-							continue
-						}
-						// n.prevTx is the epoch just served; the epoch
-						// counter has advanced, as it has when the next
-						// update takes its observations.
-						mask := maskOf(n.prevTx, len(n.Cells))
-						for c := range n.Clients {
-							for k := range n.prevTx {
-								for _, b := range []int64{0, int64(n.Cfg.BlocksPerEpoch - 1)} {
-									sig, den := n.sinrParts(c, k, b, n.prevTx)
-									rsig, rden := n.refSinrParts(c, k, b, mask, &scratch)
-									if sig != rsig || den != rden {
-										t.Fatalf("%s epoch %d client %d k %d block %d: (sig, den) = (%v, %v), reference (%v, %v)",
-											name, e, c, k, b, sig, den, rsig, rden)
-									}
+				name := fmt.Sprintf("seed %d %v %s", seed, scheme, mode.name)
+				n := build()
+				var scratch []int32
+				for e := 0; e < epochs; e++ {
+					n.Step()
+					// n.prevTx is the epoch just served; the epoch
+					// counter has advanced, as it has when the next
+					// update takes its observations.
+					mask := maskOf(n.prevTx, len(n.Cells))
+					for c := range n.Clients {
+						for k := range n.prevTx {
+							for _, b := range []int64{0, int64(n.Cfg.BlocksPerEpoch - 1)} {
+								sig, den := n.sinrParts(c, k, b, n.prevTx)
+								rsig, rden := n.refSinrParts(c, k, b, mask, &scratch)
+								if sig != rsig || den != rden {
+									t.Fatalf("%s epoch %d client %d k %d block %d: (sig, den) = (%v, %v), reference (%v, %v)",
+										name, e, c, k, b, sig, den, rsig, rden)
 								}
 							}
 						}
 					}
-					got := n.ThroughputsMbps()
-					n.Close()
-					for c := range want {
-						if got[c] != want[c] {
-							t.Fatalf("%s: client %d throughput %v, reference %v", name, c, got[c], want[c])
-						}
-					}
-					if n.Hops != ref.n.Hops {
-						t.Fatalf("%s: hops %d, reference %d", name, n.Hops, ref.n.Hops)
+				}
+				got := n.ThroughputsMbps()
+				for c := range want {
+					if got[c] != want[c] {
+						t.Fatalf("%s: client %d throughput %v, reference %v", name, c, got[c], want[c])
 					}
 				}
-				ref.n.Close()
+				if n.Hops != ref.n.Hops {
+					t.Fatalf("%s: hops %d, reference %d", name, n.Hops, ref.n.Hops)
+				}
 			}
 		}
 	}

@@ -81,11 +81,9 @@ type Config struct {
 	// ("" injects nothing). Ignored in lean mode.
 	FaultProfile string
 	// Outages are scripted server-side outage windows (offsets from
-	// the run start) applied through faults.FlakyHandler.
+	// the run start) applied through faults.FlakyHandler, which serves
+	// 503 inside them.
 	Outages []faults.Window
-	// OutageStatus is the HTTP status served inside outage windows;
-	// 0 means 503.
-	OutageStatus int
 }
 
 func (c Config) withDefaults() Config {
@@ -239,7 +237,6 @@ func RunAgainst(cfg Config, srv *paws.Server) (Result, error) {
 			Inner:   srv,
 			Windows: cfg.Outages,
 			Start:   start,
-			Status:  cfg.OutageStatus,
 		}
 	}
 

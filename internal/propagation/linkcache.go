@@ -60,9 +60,6 @@ func NewLinkCache(model *Model, nodes int) *LinkCache {
 	}
 }
 
-// Model returns the wrapped propagation model.
-func (c *LinkCache) Model() *Model { return c.model }
-
 // epoch returns node's current epoch, growing the table if needed.
 func (c *LinkCache) epoch(node int) uint32 {
 	if node >= len(c.epochs) {

@@ -66,11 +66,12 @@ func TestLinkCacheInvalidate(t *testing.T) {
 }
 
 func TestLinkCacheGrowsEpochTable(t *testing.T) {
-	c := NewLinkCache(DefaultUrban(1), 0)
+	m := DefaultUrban(1)
+	c := NewLinkCache(m, 0)
 	a, b := geo.Point{X: 0}, geo.Point{X: 50}
 	c.LossDB(1000, 2000, a, b) // IDs beyond the initial table
 	c.Invalidate(5000)
-	if got := c.LossDB(1000, 2000, a, b); got != c.Model().LinkLossDB(a, b) {
+	if got := c.LossDB(1000, 2000, a, b); got != m.LinkLossDB(a, b) {
 		t.Fatalf("grown-table lookup wrong: %v", got)
 	}
 }

@@ -130,7 +130,7 @@ func (c *Ctx) recorderLocked() trace.Recorder {
 	}
 	ring := c.ringLocked()
 	if c.opts != nil && c.opts.Invariants && c.checker == nil {
-		c.checker = &invariant.Checker{Slack: c.opts.InvariantSlack}
+		c.checker = &invariant.Checker{}
 	}
 	switch {
 	case c.checker != nil:
@@ -159,7 +159,7 @@ func (c *Ctx) ringLocked() *trace.Ring {
 			c.traceErr = fmt.Errorf("runner: open trace file: %w", err)
 			return nil
 		}
-		r := trace.NewRing(c.opts.TraceRing)
+		r := trace.NewRing(0)
 		r.SpillTo(f)
 		c.traceRing = r
 		c.tracePath = path
@@ -289,9 +289,6 @@ type Options struct {
 	// scenario wires to Ctx.Recorder) spills a binary trace stream to
 	// <TraceDir>/run<index>-<label>.trace. The directory must exist.
 	TraceDir string
-	// TraceRing caps the per-run in-memory record buffer before a
-	// spill; <= 0 uses trace.DefaultRingSize.
-	TraceRing int
 	// Invariants, when true, attaches an online regulatory verifier
 	// (invariant.Checker) to every run's record stream — everything a
 	// scenario emits through Ctx.Recorder or a Ctx.Engine flight
@@ -299,9 +296,6 @@ type Options struct {
 	// and its details land in the RunResult (invariant_* JSON fields).
 	// Works with or without TraceDir.
 	Invariants bool
-	// InvariantSlack widens the checker's cross-clock incumbent rule;
-	// set it to the scenario's maximum per-AP clock skew.
-	InvariantSlack time.Duration
 }
 
 // Run executes the campaign and returns its report. It blocks until
@@ -350,6 +344,7 @@ func Run(ctx context.Context, name string, specs []Spec, opts Options) *Report {
 	}
 	finish := func(i int) {
 		mu.Lock()
+		defer mu.Unlock() // held across the callback: calls are serialized, in Done order
 		done++
 		if rep.Runs[i].Status != StatusOK {
 			failed++
@@ -362,10 +357,8 @@ func Run(ctx context.Context, name string, specs []Spec, opts Options) *Report {
 			Label:    rep.Runs[i].Label,
 			Elapsed:  time.Since(start),
 		}
-		cb := opts.OnProgress
-		mu.Unlock()
-		if cb != nil {
-			cb(p)
+		if opts.OnProgress != nil {
+			opts.OnProgress(p)
 		}
 	}
 

@@ -24,7 +24,6 @@ import (
 func scenarioSpecs(n int) []Spec {
 	specs := make([]Spec, n)
 	for i := 0; i < n; i++ {
-		i := i
 		specs[i] = Spec{
 			Label: fmt.Sprintf("scenario/%02d", i),
 			Seed:  int64(1000 + i*7919),
@@ -347,7 +346,6 @@ func TestSharedStateWouldBeCaught(t *testing.T) {
 func traceSpecs(seedOf func(i int) int64, n int) []Spec {
 	specs := make([]Spec, n)
 	for i := 0; i < n; i++ {
-		i := i
 		specs[i] = Spec{
 			Label: fmt.Sprintf("shard/%d", i),
 			Seed:  seedOf(i),
@@ -378,7 +376,7 @@ func TestTraceCapture(t *testing.T) {
 	dir := t.TempDir()
 	rep := Run(context.Background(), "traced",
 		traceSpecs(func(i int) int64 { return 42 }, 2), // identical seeds
-		Options{Workers: 2, TraceDir: dir, TraceRing: 64})
+		Options{Workers: 2, TraceDir: dir})
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"testing"
-
-	"cellfi/internal/sim"
-)
+import "testing"
 
 // newBenchCluster builds a K-shard ring workload: every window each
 // shard sends one message per owned cell to the successor's owner, so
@@ -24,7 +20,6 @@ func newBenchCluster(k, cells int) (*Cluster, *ringWorld) {
 		},
 	})
 	for s := 0; s < k; s++ {
-		s := s
 		c.Shard(s).Engine.Every(win, func() {
 			sh := c.Shard(s)
 			at := sh.Engine.Now() + win
@@ -80,29 +75,4 @@ func BenchmarkWindowBarrierIdle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Run(c.Now() + win)
 	}
-}
-
-var benchSink int64
-
-// BenchmarkClusterDo measures the fork-join path used by netsim's
-// sharded service sweep.
-func BenchmarkClusterDo(b *testing.B) {
-	c := New(Config{Shards: 4, Window: win, Seed: 1})
-	defer c.Close()
-	var acc [4]int64
-	work := func(s int) {
-		x := int64(0)
-		for i := 0; i < 256; i++ {
-			x += int64(i * s)
-		}
-		acc[s] += x
-	}
-	c.Do(work)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Do(work)
-	}
-	benchSink = acc[0]
-	_ = sim.Time(0)
 }

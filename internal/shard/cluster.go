@@ -30,8 +30,8 @@ type Config struct {
 }
 
 // Cluster drives K shard engines in conservative lockstep windows.
-// Construct with New, drive with Run (or Do for plain fork-join), and
-// release the worker goroutines with Close.
+// Construct with New, drive with Run, and release the worker goroutines
+// with Close.
 type Cluster struct {
 	cfg    Config
 	shards []*Shard
@@ -44,7 +44,7 @@ type Cluster struct {
 	now    sim.Time
 	curEnd sim.Time
 
-	jobs []chan job
+	jobs []chan sim.Time // a window end per send
 	done chan doneMsg
 	wg   sync.WaitGroup
 
@@ -52,17 +52,11 @@ type Cluster struct {
 
 	// Telemetry (see Stats).
 	windows int64
-	forks   int64
 	msgs    int64
 	wallNS  int64
 	busyNS  []int64
 	stallNS []int64
 	winBusy []int64 // scratch: this window's busy time per shard
-}
-
-type job struct {
-	end sim.Time
-	fn  func(shard int)
 }
 
 type doneMsg struct {
@@ -84,7 +78,7 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:     cfg,
 		shards:  make([]*Shard, cfg.Shards),
-		jobs:    make([]chan job, cfg.Shards),
+		jobs:    make([]chan sim.Time, cfg.Shards),
 		done:    make(chan doneMsg, cfg.Shards),
 		busyNS:  make([]int64, cfg.Shards),
 		stallNS: make([]int64, cfg.Shards),
@@ -96,7 +90,7 @@ func New(cfg Config) *Cluster {
 			Engine: sim.NewEngine(cfg.Seed + int64(i)*-0x61c8864680b583eb), // golden-ratio stride
 			c:      c,
 		}
-		c.jobs[i] = make(chan job, 1)
+		c.jobs[i] = make(chan sim.Time, 1)
 		c.wg.Add(1)
 		go c.worker(i)
 	}
@@ -105,13 +99,9 @@ func New(cfg Config) *Cluster {
 
 func (c *Cluster) worker(i int) {
 	defer c.wg.Done()
-	for j := range c.jobs[i] {
+	for end := range c.jobs[i] {
 		t0 := time.Now()
-		if j.fn != nil {
-			j.fn(i)
-		} else {
-			c.shards[i].Engine.RunBefore(j.end)
-		}
+		c.shards[i].Engine.RunBefore(end)
 		c.done <- doneMsg{id: i, busy: time.Since(t0)}
 	}
 }
@@ -155,7 +145,7 @@ func (c *Cluster) runWindow(end sim.Time) {
 	c.deliver(end)
 	t0 := time.Now()
 	for i := range c.jobs {
-		c.jobs[i] <- job{end: end}
+		c.jobs[i] <- end
 	}
 	c.collect(t0)
 	c.harvest(end)
@@ -164,22 +154,6 @@ func (c *Cluster) runWindow(end sim.Time) {
 	}
 	c.now = end
 	c.windows++
-}
-
-// Do runs f(shardID) on every worker in parallel and blocks until all
-// return — the plain deterministic fork-join entry for epoch-parallel
-// workloads that partition work by shard but need no event exchange
-// (netsim's fluid-service sweep). f must touch only shard-owned state.
-func (c *Cluster) Do(f func(shard int)) {
-	if c.closed {
-		panic("shard: Do on a closed cluster")
-	}
-	t0 := time.Now()
-	for i := range c.jobs {
-		c.jobs[i] <- job{fn: f}
-	}
-	c.collect(t0)
-	c.forks++
 }
 
 // collect waits for every worker to park and accounts busy and stall
@@ -258,7 +232,7 @@ func (c *Cluster) harvest(end sim.Time) {
 }
 
 // Close parks and releases the worker goroutines. The cluster's state
-// and telemetry stay readable; Run and Do panic afterwards.
+// and telemetry stay readable; Run panics afterwards.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
@@ -274,11 +248,9 @@ func (c *Cluster) Close() {
 // spread the work (per-shard utilization) and how much time the
 // lockstep barriers cost (per-shard stall).
 type Stats struct {
-	// Shards is the shard count; Windows and Forks count Run windows
-	// and Do fork-joins executed.
+	// Shards is the shard count; Windows counts Run windows executed.
 	Shards  int
 	Windows int64
-	Forks   int64
 	// Msgs counts cross-shard messages harvested; Pending is the
 	// undelivered backlog at snapshot time.
 	Msgs    int64
@@ -296,7 +268,6 @@ func (c *Cluster) Stats() Stats {
 	return Stats{
 		Shards:  len(c.shards),
 		Windows: c.windows,
-		Forks:   c.forks,
 		Msgs:    c.msgs,
 		Pending: len(c.pending),
 		WallNS:  c.wallNS,

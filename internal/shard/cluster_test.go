@@ -97,7 +97,6 @@ func runRing(t *testing.T, k, cells, windows int, seed int64) []int64 {
 	})
 	defer c.Close()
 	for s := 0; s < k; s++ {
-		s := s
 		c.Shard(s).Engine.Every(win, func() {
 			sh := c.Shard(s)
 			at := sh.Engine.Now() + win
@@ -170,26 +169,6 @@ func TestSendLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-// Do is the fork-join face: every worker runs the function once, on
-// its own shard index, and the call blocks until all return.
-func TestClusterDo(t *testing.T) {
-	c := New(Config{Shards: 4, Window: win, Seed: 1})
-	defer c.Close()
-	out := make([]int, 4)
-	for round := 1; round <= 3; round++ {
-		c.Do(func(s int) { out[s] += s + round })
-	}
-	want := []int{6, 9, 12, 15}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("shard %d: got %d, want %d", i, out[i], want[i])
-		}
-	}
-	if st := c.Stats(); st.Forks != 3 {
-		t.Fatalf("forks = %d, want 3", st.Forks)
-	}
-}
-
 // Telemetry sanity: busy and wall accumulate, utilization stays in
 // [0, 1], and stall never exceeds wall.
 func TestClusterStats(t *testing.T) {
@@ -244,7 +223,6 @@ func TestClusterRunChunkingInvariance(t *testing.T) {
 	}})
 	defer c.Close()
 	for s := 0; s < 2; s++ {
-		s := s
 		c.Shard(s).Engine.Every(win, func() {
 			sh := c.Shard(s)
 			at := sh.Engine.Now() + win

@@ -28,7 +28,6 @@ func TestFIFOTieBreak(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.Schedule(5*time.Millisecond, func() { got = append(got, i) })
 	}
 	e.Run(time.Second)
@@ -400,7 +399,6 @@ func TestRandomCancelStress(t *testing.T) {
 		firedSeq := make([]int, 0, n)
 		cancelled := make(map[int]bool)
 		for i := 0; i < n; i++ {
-			i := i
 			at := Time(rng.Intn(50)) * time.Millisecond
 			events[i] = e.Schedule(at, func() {
 				firedSeq = append(firedSeq, i)

@@ -8,8 +8,8 @@ import (
 // Streaming statistics for city-scale runs: a metric observed once per
 // UE per epoch at 100k UEs produces hundreds of millions of samples per
 // simulated hour, far past what CDF's retained-sample model can hold.
-// StreamStat and QuantileSketch absorb unbounded streams in bounded
-// memory and merge exactly across shards.
+// QuantileSketch absorbs an unbounded stream in bounded memory and
+// merges exactly across shards.
 //
 // The sketch is a log-bucket (DDSketch-family) design rather than P² or
 // Greenwald-Khanna: buckets are fixed functions of the value alone, so
@@ -173,82 +173,3 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) {
 		}
 	}
 }
-
-// StreamStat tracks count, mean, variance (Welford), min, max and sum
-// of an unbounded stream in O(1) memory. The zero value is ready to
-// use; Merge combines shards exactly (Chan et al. parallel variance).
-type StreamStat struct {
-	N          int64
-	MeanV, m2  float64
-	MinV, MaxV float64
-	SumV       float64
-}
-
-// Add absorbs one observation.
-func (t *StreamStat) Add(v float64) {
-	t.N++
-	if t.N == 1 {
-		t.MinV, t.MaxV = v, v
-	} else {
-		if v < t.MinV {
-			t.MinV = v
-		}
-		if v > t.MaxV {
-			t.MaxV = v
-		}
-	}
-	t.SumV += v
-	d := v - t.MeanV
-	t.MeanV += d / float64(t.N)
-	t.m2 += d * (v - t.MeanV)
-}
-
-// Merge folds other into t.
-func (t *StreamStat) Merge(other StreamStat) {
-	if other.N == 0 {
-		return
-	}
-	if t.N == 0 {
-		*t = other
-		return
-	}
-	n1, n2 := float64(t.N), float64(other.N)
-	d := other.MeanV - t.MeanV
-	t.m2 += other.m2 + d*d*n1*n2/(n1+n2)
-	t.MeanV += d * n2 / (n1 + n2)
-	t.N += other.N
-	t.SumV += other.SumV
-	if other.MinV < t.MinV {
-		t.MinV = other.MinV
-	}
-	if other.MaxV > t.MaxV {
-		t.MaxV = other.MaxV
-	}
-}
-
-// Count returns the number of observations.
-func (t *StreamStat) Count() int64 { return t.N }
-
-// Mean returns the running mean (0 when empty).
-func (t *StreamStat) Mean() float64 { return t.MeanV }
-
-// Min returns the smallest observation (0 when empty).
-func (t *StreamStat) Min() float64 { return t.MinV }
-
-// Max returns the largest observation (0 when empty).
-func (t *StreamStat) Max() float64 { return t.MaxV }
-
-// Sum returns the sum of observations.
-func (t *StreamStat) Sum() float64 { return t.SumV }
-
-// Variance returns the population variance (0 for fewer than two
-// observations).
-func (t *StreamStat) Variance() float64 {
-	if t.N < 2 {
-		return 0
-	}
-	return t.m2 / float64(t.N)
-}
-
-// Stddev returns the population standard deviation.
-func (t *StreamStat) Stddev() float64 { return math.Sqrt(t.Variance()) }

@@ -119,84 +119,6 @@ func TestQuantileSketchRejectsNegative(t *testing.T) {
 	NewQuantileSketch(0).Add(-1)
 }
 
-func TestStreamStatMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var st StreamStat
-	samples := make([]float64, 10000)
-	for i := range samples {
-		samples[i] = rng.NormFloat64()*7 + 3
-		st.Add(samples[i])
-	}
-	var sum float64
-	mn, mx := samples[0], samples[0]
-	for _, v := range samples {
-		sum += v
-		mn = math.Min(mn, v)
-		mx = math.Max(mx, v)
-	}
-	mean := sum / float64(len(samples))
-	var m2 float64
-	for _, v := range samples {
-		m2 += (v - mean) * (v - mean)
-	}
-	if math.Abs(st.Mean()-mean) > 1e-9 {
-		t.Fatalf("mean %v, want %v", st.Mean(), mean)
-	}
-	if math.Abs(st.Variance()-m2/float64(len(samples))) > 1e-6 {
-		t.Fatalf("variance %v, want %v", st.Variance(), m2/float64(len(samples)))
-	}
-	if st.Min() != mn || st.Max() != mx {
-		t.Fatalf("min/max %v/%v, want %v/%v", st.Min(), st.Max(), mn, mx)
-	}
-	if st.Count() != int64(len(samples)) {
-		t.Fatalf("count %d, want %d", st.Count(), len(samples))
-	}
-}
-
-// Sharded StreamStats merged in any order must agree with the
-// single-stream accumulator to floating-point noise.
-func TestStreamStatMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var whole StreamStat
-	parts := make([]StreamStat, 5)
-	for sh := range parts {
-		n := 100 + rng.Intn(5000) // uneven shards
-		for i := 0; i < n; i++ {
-			v := math.Exp(rng.NormFloat64())
-			whole.Add(v)
-			parts[sh].Add(v)
-		}
-	}
-	var merged StreamStat
-	for _, sh := range rng.Perm(len(parts)) {
-		merged.Merge(parts[sh])
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("count %d, want %d", merged.Count(), whole.Count())
-	}
-	if math.Abs(merged.Mean()-whole.Mean()) > 1e-9*math.Abs(whole.Mean()) {
-		t.Fatalf("mean %v, want %v", merged.Mean(), whole.Mean())
-	}
-	if math.Abs(merged.Variance()-whole.Variance()) > 1e-9*whole.Variance() {
-		t.Fatalf("variance %v, want %v", merged.Variance(), whole.Variance())
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("min/max diverge")
-	}
-	// Merging an empty shard is a no-op; merging into empty copies.
-	var empty StreamStat
-	before := merged
-	merged.Merge(empty)
-	if merged != before {
-		t.Fatal("merging empty changed the accumulator")
-	}
-	var fresh StreamStat
-	fresh.Merge(whole)
-	if fresh != whole {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
 func BenchmarkQuantileSketchAdd(b *testing.B) {
 	s := NewQuantileSketch(0.01)
 	rng := rand.New(rand.NewSource(5))

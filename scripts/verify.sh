@@ -5,7 +5,11 @@
 # collapsed-path guards, and the race detector over every package that
 # owns goroutines or is driven from them (race_pkgs below: persistent
 # shard workers, pawsdb's lock-free snapshot and lease wheel, the
-# fork-join worlds, ...).
+# runner's worker pool, ...). The collapsed-path guard fails if a
+# deleted selector, option or execution mode is named again: metro/wifi
+# index knobs, runner shard telemetry and its ring-size and checker-slack
+# options, netsim's shard count and the cluster's fork-join entry point,
+# the float streaming-moments type in internal/stats.
 #
 # Opt-in stages: VERIFY_RACE=1 (whole suite under -race),
 # VERIFY_CHAOS=1 (ETSI vacate soak), VERIFY_INVARIANTS=1 (chaos worlds
@@ -41,12 +45,16 @@ if git grep --untracked -nE 'BENCH_[a-z]+\.json|bench[d]iff|_BENCH[_]OUT' -- . \
 fi
 
 # metro and wifi have one neighbor-enumeration mode each (grid rows,
-# all-pairs) and the runner no shard telemetry; the selectors that
-# picked the other halves must not grow back.
+# all-pairs), the runner no shard telemetry, ring-size or slack option,
+# netsim one execution mode (sequential), a shard cluster one face (Run
+# windows) and metro one moment accumulator; the selectors and types
+# that made the other halves must not grow back.
 echo "== collapsed-path guard"
 if git grep --untracked -n 'UseSpatialIndex' -- internal/metro internal/wifi examples ||
-	git grep --untracked -n 'AddShard[S]tats' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
-	echo "verify: a removed mode selector or telemetry hook reappeared (see CHANGES.md, PR 15)" >&2
+	git grep --untracked -n 'AddShard[S]tats\|Stream[S]tat\|Invariant[S]lack\|Trace[R]ing:' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ||
+	git grep --untracked -nw 'Shards' -- internal/netsim ||
+	git grep --untracked -n 'func (c \*Cluster) Do(' -- internal/shard; then
+	echo "verify: a removed mode selector, option or type reappeared (see CHANGES.md, PRs 15 and 22)" >&2
 	exit 1
 fi
 

@@ -24,7 +24,6 @@ import (
 func traceShardSpecs(seedOf func(shard int) int64) []runner.Spec {
 	specs := make([]runner.Spec, 2)
 	for i := range specs {
-		i := i
 		specs[i] = runner.Spec{
 			Label: fmt.Sprintf("shard=%d", i),
 			Seed:  seedOf(i),
