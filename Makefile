@@ -12,9 +12,9 @@ test:
 
 # verify is the fast correctness gate: static analysis, a full build,
 # the legacy-harness and collapsed-path guards (no metro/wifi index
-# selector, no runner shard telemetry, ring-size or slack option, no
-# netsim shard count or cluster fork-join entry, no float
-# streaming-moments type), and the race detector over
+# selector, no metro link-ID slab, no runner shard telemetry, ring-size
+# or slack option, no netsim shard count or cluster fork-join entry, no
+# float streaming-moments type), and the race detector over
 # every package that owns goroutines or is driven from them (runner,
 # sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
 # netsim).
@@ -42,17 +42,21 @@ chaos-soak:
 race:
 	$(GO) test -race ./...
 
-# fuzz-short gives the parsing surfaces a quick shake: the PAWS
+# fuzz-short gives the parsing surfaces a quick shake — the PAWS
 # client-side response decoder, the flight-recorder stream decoder,
-# and the invariant verifier replaying arbitrary decoded streams.
+# the invariant verifier replaying arbitrary decoded streams — and
+# checks the squeezed ziggurat slow path against its pre-squeeze
+# reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
+	$(GO) test -fuzz=FuzzExpFromHash -fuzztime=10s -run '^$$' ./internal/propagation
 
 # bench is for microbenchmarks while you work: the per-package
 # `go test -bench` sweep with allocation tracking (sim event core,
-# Wi-Fi CSMA and LTE subframe loops, propagation link cache, runner
+# Wi-Fi CSMA and LTE subframe loops, propagation link cache and the
+# fused fade row kernel (BenchmarkFadeWeightedSum, ns/link), runner
 # fleet, netsim Step at 14 and 200 APs, the core controller). Nothing it
 # prints is committed or compared; `make bench-all` is the number of
 # record.

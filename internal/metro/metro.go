@@ -15,13 +15,25 @@
 //     CSR-style nbrAP/nbrRxMW slabs) holding only the APs inside the
 //     interference-significance radius, found through the geo.Grid
 //     spatial index; mean rx powers are precomputed in float32
-//     milliwatts, fades come one batch row at a time from
-//     propagation.Fading.AppendGainsLinear (the ziggurat kernel), and
-//     the CQI quantizes straight from the linear ratio
-//     (phy.LTECQIFromLinearSINR) — no transcendentals in the sweep.
+//     milliwatts. The sweep makes one fused pass per row
+//     (propagation.FadeRow.WeightedSum): link IDs are formed in
+//     registers from the AP index and the UE's node ID — no link-ID
+//     slab — each fade comes from the ziggurat sampler and Σ rx·gain
+//     accumulates without the gains touching memory; the CQI quantizes
+//     straight from the linear ratio (phy.LTECQIFromLinearSINR).
 //   - Whole-run metrics go to bounded-memory streaming aggregates
 //     (integer moments, stats.QuantileSketch) instead of retained
-//     samples.
+//     samples. A backlogged UE's served bits are a pure function of
+//     (serving-AP load, CQI), so the sweep counts UEs per pair in a
+//     per-shard tally and folds each non-empty pair once at the end of
+//     the phase; only a UE whose queue runs dry, or one with no usable
+//     serving AP, is recorded sample by sample.
+//
+// The transcendental math left in an epoch: rebuildRow's link budgets
+// for the UEs that moved (distance, log10, shadowing, exp per link);
+// inside the sweep, the ziggurat's tail log and the exp of the few wedge
+// tests its squeeze cannot decide (under 0.1% of draws together), and
+// one log per distinct (load, CQI) pair in the tally fold.
 //
 // # Sharded execution
 //
@@ -73,8 +85,12 @@ import (
 	"cellfi/internal/trace"
 )
 
-// maxShards is what a ueShard byte can name.
-const maxShards = math.MaxUint8 + 1
+// maxShards is what a ueShard byte can name; maxRow is the longest
+// adjacency row a ueServI byte can index.
+const (
+	maxShards = math.MaxUint8 + 1
+	maxRow    = math.MaxUint8 + 1
+)
 
 // Phase offsets inside one 1-second epoch; shardWindow is the
 // conservative lookahead of the cluster (see package doc).
@@ -120,14 +136,18 @@ type Config struct {
 	// propagation.Model.InterferenceRadius for the principled choice).
 	RadiusM float64
 	// MaxNeighbors bounds each UE's adjacency row. Overflow keeps the
-	// lowest AP indices (the grid enumerates ascending).
+	// lowest AP indices (the grid enumerates ascending). 0 selects 32;
+	// New panics above 256: the serving AP's row index is one byte per
+	// UE.
 	MaxNeighbors int
 	// APPowerDBm / noise figure follow the paper's Section 6.3.4 setup.
 	APPowerDBm float64
 	// DayEpochs is the length of the compressed diurnal cycle driving
-	// the attach ramp (1 s epochs).
+	// the attach ramp (1 s epochs). New panics below 1.
 	DayEpochs int
-	// MinLoadFrac / MaxLoadFrac bound the diurnal attached fraction.
+	// MinLoadFrac / MaxLoadFrac bound the diurnal attached fraction. New
+	// panics unless both lie in [0, 1]: the fraction indexes the attach
+	// permutation.
 	MinLoadFrac, MaxLoadFrac float64
 	// MoveFraction of attached UEs takes a random-waypoint step each
 	// epoch at SpeedMps.
@@ -170,8 +190,7 @@ func DefaultCity(seed int64) Config {
 // share of the whole-run throughput samples.
 type shardCtx struct {
 	scratch   []int32
-	gains     []float64 // reusable fade-gain row for the batch sweep kernel
-	loadDelta []int32   // per-AP attach/handover deltas, folded at barriers
+	loadDelta []int32 // per-AP attach/handover deltas, folded at barriers
 
 	handovers int64 // this epoch
 	served    int64 // bits delivered this epoch
@@ -179,6 +198,11 @@ type shardCtx struct {
 
 	thr  bitMoments
 	thrQ *stats.QuantileSketch
+	// tally[load<<4|cqi] counts this sweep's unclipped samples by
+	// (serving-AP load, CQI); the end of the sweep folds each non-empty
+	// cell into thr and thrQ and zeroes it. Grows on demand to the
+	// highest load seen, then stays.
+	tally []int32
 }
 
 // bitMoments accumulates one shard's per-UE served-bit samples as
@@ -192,9 +216,13 @@ type bitMoments struct {
 	min, max   int64
 }
 
-func (m *bitMoments) add(v int64) {
+func (m *bitMoments) add(v int64) { m.addN(v, 1) }
+
+// addN absorbs n samples of value v: the same state as n calls of add.
+func (m *bitMoments) addN(v, n int64) {
 	hi, lo := bits.Mul64(uint64(v), uint64(v))
-	m.merge(bitMoments{n: 1, sum: uint64(v), sqHi: hi, sqLo: lo, min: v, max: v})
+	carry, lo := bits.Mul64(lo, uint64(n))
+	m.merge(bitMoments{n: n, sum: uint64(v) * uint64(n), sqHi: hi*uint64(n) + carry, sqLo: lo, min: v, max: v})
 }
 
 func (m *bitMoments) merge(o bitMoments) {
@@ -257,10 +285,10 @@ type World struct {
 	// of that AP at the UE in milliwatts (path loss + shadowing, no
 	// fast fading) — float32, since a ~24-bit mantissa is far below the
 	// shadowing model's fidelity and halving the row width halves the
-	// sweep's memory traffic; nbrLink caches the fading LinkID.
+	// sweep's memory traffic. Fading link IDs are not stored: the sweep
+	// forms LinkID(AP, NAPs+u) in registers from nbrAP.
 	nbrAP   []int32
 	nbrRxMW []float32
-	nbrLink []uint64
 	nbrN    []uint16
 
 	rng     *rand.Rand
@@ -305,6 +333,15 @@ func New(cfg Config) *World {
 	if cfg.Shards > maxShards {
 		panic(fmt.Sprintf("metro: %d shards, want at most %d", cfg.Shards, maxShards))
 	}
+	if cfg.MaxNeighbors > maxRow {
+		panic(fmt.Sprintf("metro: MaxNeighbors %d, want at most %d", cfg.MaxNeighbors, maxRow))
+	}
+	if cfg.DayEpochs < 1 {
+		panic(fmt.Sprintf("metro: DayEpochs %d, want at least 1", cfg.DayEpochs))
+	}
+	if lo, hi := cfg.MinLoadFrac, cfg.MaxLoadFrac; !(lo >= 0 && lo <= 1 && hi >= 0 && hi <= 1) {
+		panic(fmt.Sprintf("metro: MinLoadFrac %v, MaxLoadFrac %v, want both in [0, 1]", lo, hi))
+	}
 	w := &World{
 		Cfg:    cfg,
 		model:  propagation.DefaultUrban(cfg.Seed),
@@ -316,7 +353,6 @@ func New(cfg Config) *World {
 	w.sctx = make([]*shardCtx, cfg.Shards)
 	for i := range w.sctx {
 		w.sctx[i] = &shardCtx{
-			gains:     make([]float64, 0, cfg.MaxNeighbors),
 			loadDelta: make([]int32, cfg.NAPs),
 			thrQ:      stats.NewQuantileSketch(0),
 		}
@@ -350,7 +386,6 @@ func New(cfg Config) *World {
 	w.ueCQI = make([]uint8, n)
 	w.nbrAP = make([]int32, n*cfg.MaxNeighbors)
 	w.nbrRxMW = make([]float32, n*cfg.MaxNeighbors)
-	w.nbrLink = make([]uint64, n*cfg.MaxNeighbors)
 	w.nbrN = make([]uint16, n)
 	for u := 0; u < n; u++ {
 		p := area.RandomPoint(w.rng)
@@ -497,7 +532,6 @@ func (w *World) rebuildRow(u int, sc *shardCtx) {
 		// round, and the function is pure, so every shard count sees the
 		// same row.
 		w.nbrRxMW[base+cnt] = float32(math.Exp((w.Cfg.APPowerDBm - loss) * (math.Ln10 / 10)))
-		w.nbrLink[base+cnt] = propagation.LinkID(int(a), w.Cfg.NAPs+u)
 		cnt++
 	}
 	w.nbrN[u] = uint16(cnt)
@@ -644,7 +678,10 @@ func (w *World) sweepPhase(s int) {
 	cfg := &w.Cfg
 	sc := w.sctx[s]
 	own := uint8(s)
-	tMS := w.epoch * 1000
+	// The whole sweep shares the subchannel and coherence block, so one
+	// fade row serves every UE; draws are counter-hashed per link, so
+	// which of them get evaluated does not perturb any other.
+	row := w.fade.Row(w.sc, w.epoch*1000)
 	k := cfg.MaxNeighbors
 	for u := 0; u < cfg.NUEs; u++ {
 		if w.ueShard[u] != own || !w.ueAttached[u] {
@@ -658,21 +695,15 @@ func (w *World) sweepPhase(s int) {
 		}
 		base := u * k
 		n := int(w.nbrN[u])
-		// One batch fade draw per row (the whole row shares the
-		// subchannel and coherence block); silenced APs get a gain too —
-		// unused, but draws are counter-hashed so computing them does
-		// not perturb any other draw.
-		gains := w.fade.AppendGainsLinear(sc.gains[:0], w.nbrLink[base:base+n], w.sc, tMS)
-		sc.gains = gains[:0]
+		aps, rx := w.nbrAP[base:base+n], w.nbrRxMW[base:base+n]
 		var sig float64
 		den := w.noiseMW
 		if w.hasInc {
-			for i := 0; i < n; i++ {
-				a := w.nbrAP[base+i]
+			for i, a := range aps {
 				if w.apDownCnt[a] > 0 {
-					continue // incumbent-silenced: no signal, no interference
+					continue // incumbent-silenced: no signal, no interference, no draw
 				}
-				p := float64(w.nbrRxMW[base+i]) * gains[i]
+				p := float64(rx[i]) * row.Gain(propagation.LinkID(int(a), cfg.NAPs+u))
 				if a == serving {
 					sig = p
 				} else {
@@ -680,18 +711,13 @@ func (w *World) sweepPhase(s int) {
 				}
 			}
 		} else {
-			// Branchless: sum the whole row, then peel the serving term
-			// off by its cached row index. The subtraction's rounding
-			// error is bounded by ~n ulps of the total — negligible next
-			// to the thermal noise floor already in den, and identical
-			// across shard counts.
-			rx, g := w.nbrRxMW[base:base+n], gains[:n]
-			total := 0.0
-			for i := range rx {
-				total += float64(rx[i]) * g[i]
-			}
-			si := int(w.ueServI[u])
-			sig = float64(rx[si]) * g[si]
+			// Branchless: one fused draw-and-sum pass over the whole row,
+			// then peel the serving term off by its cached row index. The
+			// subtraction's rounding error is bounded by ~n ulps of the
+			// total — negligible next to the thermal noise floor already in
+			// den, and identical across shard counts.
+			var total float64
+			total, sig = row.WeightedSum(aps, cfg.NAPs+u, rx, int(w.ueServI[u]))
 			den += total - sig
 		}
 		if sig == 0 { // serving AP silenced by an incumbent
@@ -702,16 +728,42 @@ func (w *World) sweepPhase(s int) {
 		cqi := phy.LTECQIFromLinearSINR(sig, den)
 		w.ueCQI[u] = uint8(cqi)
 		sc.cqiSum += int64(cqi)
-		rate := w.rateBps[cqi] / float64(w.apLoad[serving])
-		served := int64(rate)
+		load := w.apLoad[serving]
+		served := servedBits(w.rateBps[cqi], load)
 		if served > w.ueQueued[u] {
+			// Queue-clipped: the sample is what was left, not a function
+			// of (load, CQI), so it takes the per-sample path.
 			served = w.ueQueued[u]
+			sc.addSample(served)
+		} else {
+			cell := int(load)<<4 | cqi
+			if cell >= len(sc.tally) {
+				sc.tally = append(sc.tally, make([]int32, cell+1-len(sc.tally))...)
+			}
+			sc.tally[cell]++
 		}
 		w.ueQueued[u] -= served
 		w.ueDelivered[u] += served
 		sc.served += served
-		sc.addSample(served)
 	}
+	// Fold the tally: one moments update and one sketch insert (one log)
+	// per distinct (load, CQI) pair seen, instead of one per attached UE.
+	for cell, n := range sc.tally {
+		if n == 0 {
+			continue
+		}
+		sc.tally[cell] = 0
+		served := servedBits(w.rateBps[cell&15], int32(cell>>4))
+		sc.thr.addN(served, int64(n))
+		sc.thrQ.AddN(float64(served)/1e6, int64(n))
+	}
+}
+
+// servedBits is what one backlogged UE is served in a 1 s epoch on an AP
+// shared load ways: a pure function of the (load, CQI) pair, which is
+// what lets the sweep tally pairs and fold each once.
+func servedBits(rateBps float64, load int32) int64 {
+	return int64(rateBps / float64(load))
 }
 
 // addSample records one per-UE throughput observation (bits served in

@@ -2,6 +2,7 @@ package metro
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,6 +93,52 @@ func TestMetroIndexedEquivalence(t *testing.T) {
 	}
 }
 
+// New must refuse, by a panic naming the field, every config that would
+// otherwise corrupt or crash a run some epochs in: a row longer than the
+// one-byte serving index can address (the branchless sweep would peel
+// the wrong entry), a load fraction that walks the attach permutation
+// out of range, a day length that divides by zero in loadFrac. The
+// legal extremes next to each must build and run.
+func TestMetroNewRefusesBadConfig(t *testing.T) {
+	tiny := func(mut func(*Config)) Config {
+		cfg := smallCity(1)
+		cfg.NAPs, cfg.NUEs = 12, 80
+		mut(&cfg)
+		return cfg
+	}
+	for _, c := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"MaxNeighbors", func(c *Config) { c.MaxNeighbors = 257 }},
+		{"MaxLoadFrac", func(c *Config) { c.MaxLoadFrac = 1.01 }},
+		{"MinLoadFrac", func(c *Config) { c.MinLoadFrac = -0.01 }},
+		{"MinLoadFrac", func(c *Config) { c.MinLoadFrac = math.NaN() }},
+		{"DayEpochs", func(c *Config) { c.DayEpochs = 0 }},
+		{"DayEpochs", func(c *Config) { c.DayEpochs = -5 }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.field) {
+					t.Errorf("New with a bad %s: recovered %q, want a panic naming the field", c.field, msg)
+				}
+			}()
+			New(tiny(c.mut))
+		}()
+	}
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.MaxNeighbors = 256 },
+		func(c *Config) { c.MinLoadFrac, c.MaxLoadFrac = 0, 1 },
+		func(c *Config) { c.DayEpochs = 1 },
+	} {
+		w := New(tiny(mut))
+		w.Run(3)
+		if w.Epoch() != 3 {
+			t.Fatalf("legal extreme config stopped at epoch %d", w.Epoch())
+		}
+	}
+}
+
 // The attach population must actually follow the diurnal curve: low at
 // the day boundary, peaking mid-day.
 func TestMetroDiurnalRamp(t *testing.T) {
@@ -120,7 +167,8 @@ func TestMetroDiurnalRamp(t *testing.T) {
 
 // With the attach population frozen and mobility off, the epoch sweep
 // is the pure hot path — SoA scan + grid-free fading multiplies — and
-// must not allocate once the streaming sketch has seen the value set.
+// must not allocate once the streaming sketch has seen the value set
+// and the (load, CQI) tally has grown to the highest load.
 func TestMetroStepZeroAllocs(t *testing.T) {
 	cfg := smallCity(5)
 	cfg.MoveFraction = 0
@@ -130,6 +178,87 @@ func TestMetroStepZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(50, func() { w.Step() })
 	if avg != 0 {
 		t.Fatalf("metro Step allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// The sweep tallies unclipped samples by (load, CQI) and folds each pair
+// once, while a UE whose queue runs dry takes the per-sample path with
+// the clipped value. Whatever the route, one epoch must add exactly one
+// sample per attached UE, equal to the bits that UE was delivered: give
+// every seventh attached UE a 5-bit queue, step once, and rebuild the
+// expected moments and sketch one Add at a time from the per-UE
+// delivered deltas. With and without incumbents, so both row loops run.
+func TestMetroSamplesAreDeliveredBits(t *testing.T) {
+	for _, cfg := range []Config{smallCity(4), shardCity(4, 1)} {
+		w := New(cfg)
+		w.Run(8) // rising ramp; shardCity's first incumbent is on the air
+		short := 0
+		for u := range w.ueQueued {
+			if w.ueAttached[u] && w.ueCell[u] >= 0 {
+				if short++; short%7 == 0 {
+					w.ueQueued[u] = 5
+				}
+			}
+		}
+		before := append([]int64(nil), w.ueDelivered...)
+		wantThr, wantQ := w.sctx[0].thr, w.ThroughputQ()
+		w.Step()
+
+		var clipped, unclipped, zeros int
+		for u, attached := range w.ueAttached {
+			if !attached {
+				continue
+			}
+			d := w.ueDelivered[u] - before[u]
+			switch {
+			case d == 0:
+				zeros++
+			case d == 5 && w.ueQueued[u] == 0:
+				clipped++
+			default:
+				unclipped++
+			}
+			wantThr.add(d)
+			wantQ.Add(float64(d) / 1e6)
+		}
+		if clipped == 0 || unclipped == 0 || zeros == 0 {
+			t.Fatalf("vacuous epoch: %d clipped, %d unclipped, %d zero samples", clipped, unclipped, zeros)
+		}
+		if got := w.sctx[0].thr; got != wantThr {
+			t.Fatalf("moments %+v, per-UE deltas give %+v", got, wantThr)
+		}
+		gotQ := w.ThroughputQ()
+		if gotQ.Count() != wantQ.Count() {
+			t.Fatalf("sketch holds %d samples, per-UE deltas give %d", gotQ.Count(), wantQ.Count())
+		}
+		n := float64(gotQ.Count() - 1)
+		for r := 0.5; r < n; r++ { // every rank
+			if a, b := gotQ.Quantile(r/n), wantQ.Quantile(r/n); a != b {
+				t.Fatalf("rank %d: sketch %v Mbps, per-UE deltas give %v", int(r), a, b)
+			}
+		}
+	}
+}
+
+// addN(v, n) is n calls of add(v), through the 128-bit carry: v near
+// 2^40 (a backlogged queue) squared and multiplied by 10^5 overflows the
+// low word many times over.
+func TestBitMomentsAddN(t *testing.T) {
+	for _, v := range []int64{0, 1, 12345, 1<<40 - 3, 1<<40 + 7} {
+		const n = 100_000
+		var batch, single bitMoments
+		batch.add(77) // a prior sample, so min/max/carry merge into state
+		single.add(77)
+		batch.addN(v, n)
+		for i := 0; i < n; i++ {
+			single.add(v)
+		}
+		if batch != single {
+			t.Fatalf("addN(%d, %d) = %+v, %d adds give %+v", v, n, batch, n, single)
+		}
+		if v > 1<<39 && batch.sqHi == 0 {
+			t.Fatalf("addN(%d, %d) never carried into the high word", v, n)
+		}
 	}
 }
 

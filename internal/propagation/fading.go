@@ -10,12 +10,14 @@ import "math"
 // # Fading kernel v2
 //
 // Draws come from a ziggurat Exponential(1) sampler fed by the same
-// SplitMix64-style hash stream as kernel v1, not from -log(u): about 99%
-// of draws are one table compare plus one multiply, with the log only on
-// the tail and the exp only on wedge rejection. The hash absorbs
-// (subchannel, block) first and the link ID last, so batch callers pay
-// the (subchannel, block) prefix once per row and one mixing round per
-// link (AppendGainsLinear). The distribution is unchanged — mean-1
+// SplitMix64-style hash stream as kernel v1, not from -log(u): 97.8% of
+// draws are one table compare plus one multiply; the other 2.2% take
+// expFromHash's slow path, where the log runs only on the tail and the
+// exp only on the sliver of wedge tests the tangent/chord squeeze cannot
+// decide. The hash absorbs (subchannel, block) first and the link ID
+// last, so row callers pay the (subchannel, block) prefix once per row
+// and one mixing round per link (FadeRow.WeightedSum,
+// AppendGainsLinear). The distribution is unchanged — mean-1
 // exponential power, Rayleigh envelope — but individual per-link draws
 // re-rolled relative to kernel v1, following the ShadowingDB precedent:
 // goldens and bench artifacts regenerate, cross-mode and cross-shard
@@ -78,8 +80,8 @@ func (r FadeRow) Gain(linkID uint64) float64 {
 	if r.flat {
 		return 1
 	}
-	// Ziggurat accept test open-coded, as in AppendGainsLinear: ~99% of
-	// draws return here without a second call.
+	// Ziggurat accept test open-coded, as in WeightedSum: 97.8% of draws
+	// return here without a second call.
 	h := fadeRound(r.base, linkID)
 	j := uint32(h)
 	zi := j & 0xff
@@ -87,6 +89,55 @@ func (r FadeRow) Gain(linkID uint64) float64 {
 		return float64(j) * zigW[zi]
 	}
 	return expFromHash(h)
+}
+
+// WeightedSum is the fused row kernel: for one receiver ue and the
+// transmitters aps[i] with mean rx powers rx[i], it draws the fade of
+// every link LinkID(aps[i], ue) and returns
+//
+//	total = Σ float64(rx[i]) * Gain(LinkID(aps[i], ue))
+//
+// accumulated from 0 in index order, together with the serving index's
+// term sig (0 when serving is outside the row). Link IDs are formed in
+// registers and gains never touch memory; every term is bit-identical to
+// the scalar expression above. aps and rx must have equal length.
+func (r FadeRow) WeightedSum(aps []int32, ue int, rx []float32, serving int) (total, sig float64) {
+	rx = rx[:len(aps)]
+	if r.flat {
+		for _, p := range rx {
+			total += float64(p)
+		}
+		if uint(serving) < uint(len(rx)) {
+			sig = float64(rx[serving])
+		}
+		return total, sig
+	}
+	base := r.base ^ uint64(uint32(ue)) // LinkID's low word, folded once
+	for i := 0; i < len(aps); i++ {
+		var h uint64
+		// The inner loop is the 97.8% fast path — one mixing round, the
+		// ziggurat accept test open-coded — and holds no call the compiler
+		// does not inline, so the running sum stays in a register; a
+		// rejection leaves it for expFromHash, which redoes the (cheap)
+		// accept test and therefore returns bit-identical values, and
+		// re-enters.
+		for ; i < len(aps); i++ {
+			h = fadeRound(base, uint64(uint32(aps[i]))<<32)
+			j := uint32(h)
+			zi := j & 0xff
+			if j >= zigK[zi] || j == 0 {
+				break
+			}
+			total += float64(rx[i]) * (float64(j) * zigW[zi])
+		}
+		if i < len(aps) {
+			total += float64(rx[i]) * expFromHash(h)
+		}
+	}
+	if uint(serving) < uint(len(aps)) {
+		sig = float64(rx[serving]) * r.Gain(LinkID(int(aps[serving]), ue))
+	}
+	return total, sig
 }
 
 // AppendGainsLinear appends one linear fading gain per link in links,
@@ -114,10 +165,8 @@ func (f *Fading) AppendGainsLinear(dst []float64, links []uint64, subchannel int
 	dst = dst[:n+len(links)]
 	out := dst[n:][:len(links)] // len(out) == len(links): elides the store bounds check
 	for i, l := range links {
-		// fadeRound inlined, with the ziggurat accept test open-coded so
-		// the ~99% fast path never leaves the loop body; rejections fall
-		// back to expFromHash, which redoes the (cheap) accept test and
-		// therefore returns bit-identical values.
+		// Same loop body as WeightedSum: fadeRound inlined, accept test
+		// open-coded, the 2.2% of rejections redone by expFromHash.
 		h := base ^ l
 		h *= 0xbf58476d1ce4e5b9
 		h ^= h >> 27
@@ -169,14 +218,17 @@ func remix(h uint64) uint64 {
 // Ziggurat tables for the Exponential(1) density f(x) = exp(-x), 256
 // layers, built once at init by the Marsaglia–Tsang recursion. zigK[i]
 // is the integer acceptance threshold for layer i, zigW[i] scales a
-// 32-bit uniform onto the layer's x extent, zigF[i] = exp(-x_i) for the
-// wedge test. zigTailX is where the tail layer starts.
+// 32-bit uniform onto the layer's x extent [0, x_i), zigF[i] = exp(-x_i)
+// for the wedge test, and zigC[i] = (f(x_{i-1}) - f(x_i)) / (x_i -
+// x_{i-1}) is the slope of the chord across layer i's wedge (x_0 = 0).
+// zigTailX is where the tail layer starts.
 const zigTailX = 7.69711747013104972
 
 var (
 	zigK [256]uint32
 	zigW [256]float64
 	zigF [256]float64
+	zigC [256]float64
 )
 
 func init() {
@@ -196,6 +248,12 @@ func init() {
 		te = de
 		zigF[i] = math.Exp(-de)
 		zigW[i] = de / m
+	}
+	xPrev := 0.0
+	for i := 1; i <= 255; i++ {
+		x := zigW[i] * m // exact: zigW[i] is x_i scaled by a power of two
+		zigC[i] = (zigF[i-1] - zigF[i]) / (x - xPrev)
+		xPrev = x
 	}
 }
 
@@ -222,9 +280,41 @@ func expFromHash(h uint64) float64 {
 			// Tail: x beyond zigTailX is itself exponential.
 			return zigTailX - math.Log(u)
 		}
-		if zigF[i]+u*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
+		y := zigF[i] + u*(zigF[i-1]-zigF[i])
+		accept, decided := wedgeSqueeze(i, j, y)
+		if !decided {
+			accept = y < math.Exp(-x)
+		}
+		if accept {
 			return x
 		}
 		h = remix(h)
 	}
+}
+
+// squeezeGuard is the relative band around the tangent and the chord
+// inside which wedgeSqueeze leaves the verdict to math.Exp. Every
+// quantity compared is a handful of roundings (~1e-15 relative) away
+// from its real value and math.Exp is good to an ulp, so a band seven
+// orders wider cannot let the squeeze and the exact comparison disagree.
+const squeezeGuard = 1e-9
+
+// wedgeSqueeze decides layer i's wedge test "y < exp(-x)" at x = j *
+// zigW[i] without evaluating the exponential when it can. exp(-x) is
+// convex, so on the wedge [x_{i-1}, x_i] it lies above its tangent at
+// x_i and below the chord through both corners: a y under the tangent
+// accepts, a y over the chord rejects, and only the sliver between them
+// (about 1.4% of wedge tests) is left undecided. Left of x_{i-1} — zigK
+// is floored, so j can undershoot by one — the extended chord exceeds
+// f(x_{i-1}) >= y and cannot reject wrongly; the tangent bound holds
+// everywhere.
+func wedgeSqueeze(i, j uint32, y float64) (accept, decided bool) {
+	dx := float64(1<<32-uint64(j)) * zigW[i] // x_i - x
+	if y < zigF[i]*(1+dx)*(1-squeezeGuard) {
+		return true, true
+	}
+	if y > (zigF[i]+zigC[i]*dx)*(1+squeezeGuard) {
+		return false, true
+	}
+	return false, false
 }

@@ -29,9 +29,10 @@ const DefaultSketchAlpha = 0.01
 // non-negative observations with relative value error at most alpha.
 // The zero value is not ready; use NewQuantileSketch.
 //
-// Bucket counts live in a dense slice rather than a map: the hot Add
-// path (once per UE per epoch in the metro sweep) becomes a log, an
-// index and an increment, with no hashing. Real metric streams occupy a
+// Bucket counts live in a dense slice rather than a map: Add is a log,
+// an index and an increment, with no hashing, and a caller that can
+// group equal samples (the metro sweep, by (load, CQI) pair) pays the
+// log once per group through AddN. Real metric streams occupy a
 // contiguous-ish index range, so the slice stays small; it grows (with
 // slack) only when a sample lands outside the covered range, which
 // makes steady-state Add allocation-free.
@@ -57,37 +58,44 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 	}
 }
 
-// Add absorbs one observation. Negative or NaN values panic: the
-// callers feed physical metrics (rates, delays, factors) where a
-// negative sample is a bug worth crashing on.
-func (s *QuantileSketch) Add(v float64) {
-	if v < 0 || math.IsNaN(v) {
-		panic(fmt.Sprintf("stats: QuantileSketch.Add(%v): negative or NaN", v))
+// Add absorbs one observation; see AddN for the values it refuses.
+func (s *QuantileSketch) Add(v float64) { s.AddN(v, 1) }
+
+// AddN absorbs n observations of the same value, leaving exactly the
+// state n calls of Add(v) would; n == 0 is a no-op. Negative, NaN or
+// +Inf values and negative counts panic: the callers feed physical
+// metrics (rates, delays, factors) where such a sample is a bug worth
+// crashing on.
+func (s *QuantileSketch) AddN(v float64, n int64) {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 1) || n < 0 {
+		panic(fmt.Sprintf("stats: QuantileSketch.AddN(%v, %d): negative, NaN or infinite value, or negative count", v, n))
 	}
-	s.count++
+	if n == 0 {
+		return
+	}
+	s.count += n
 	if v == 0 {
-		s.zeros++
+		s.zeros += n
 		return
 	}
-	i := s.bucketOf(v) - s.lo
-	if i >= 0 && i < len(s.counts) {
-		s.counts[i]++
-		return
-	}
-	s.bump(i + s.lo)
+	idx := s.bucketOf(v)
+	s.cover(idx)
+	s.counts[idx-s.lo] += n
 }
 
-// bump increments bucket idx, growing the covered range with slack so
+// cover grows the covered range to include bucket idx, with slack so
 // repeated out-of-range samples amortize to O(1).
-func (s *QuantileSketch) bump(idx int) {
+func (s *QuantileSketch) cover(idx int) {
 	const slack = 64
 	if len(s.counts) == 0 {
 		s.lo = idx - slack
 		s.counts = make([]int64, 2*slack+1)
-		s.counts[idx-s.lo]++
 		return
 	}
 	lo, hi := s.lo, s.lo+len(s.counts)-1 // inclusive covered range
+	if idx >= lo && idx <= hi {
+		return
+	}
 	if idx < lo {
 		lo = idx - slack
 	}
@@ -97,7 +105,6 @@ func (s *QuantileSketch) bump(idx int) {
 	grown := make([]int64, hi-lo+1)
 	copy(grown[s.lo-lo:], s.counts)
 	s.lo, s.counts = lo, grown
-	s.counts[idx-s.lo]++
 }
 
 // bucketOf maps a positive value to its log bucket: the smallest i with
@@ -163,13 +170,8 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) {
 	s.zeros += other.zeros
 	for i, c := range other.counts {
 		if c != 0 {
-			idx := other.lo + i - s.lo
-			if idx >= 0 && idx < len(s.counts) {
-				s.counts[idx] += c
-			} else {
-				s.bump(other.lo + i)
-				s.counts[other.lo+i-s.lo] += c - 1
-			}
+			s.cover(other.lo + i)
+			s.counts[other.lo+i-s.lo] += c
 		}
 	}
 }

@@ -110,13 +110,77 @@ func TestQuantileSketchMergeExact(t *testing.T) {
 	}
 }
 
+// Values and counts the sketch must refuse, each with a panic raised
+// before any state changes: +Inf used to pass the guard, count itself
+// and die in the bucket slice's make.
 func TestQuantileSketchRejectsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add(-1) did not panic")
+	for _, c := range []struct {
+		name string
+		add  func(s *QuantileSketch)
+	}{
+		{"Add(-1)", func(s *QuantileSketch) { s.Add(-1) }},
+		{"Add(NaN)", func(s *QuantileSketch) { s.Add(math.NaN()) }},
+		{"Add(+Inf)", func(s *QuantileSketch) { s.Add(math.Inf(1)) }},
+		{"AddN(-1, 3)", func(s *QuantileSketch) { s.AddN(-1, 3) }},
+		{"AddN(+Inf, 3)", func(s *QuantileSketch) { s.AddN(math.Inf(1), 3) }},
+		{"AddN(1, -1)", func(s *QuantileSketch) { s.AddN(1, -1) }},
+	} {
+		func() {
+			s := NewQuantileSketch(0)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+				if s.Count() != 0 || len(s.counts) != 0 {
+					t.Errorf("%s left state behind: count %d, %d buckets", c.name, s.Count(), len(s.counts))
+				}
+			}()
+			c.add(s)
+		}()
+	}
+}
+
+// AddN(v, n) must leave exactly the state n calls of Add(v) leave —
+// same window origin, same bucket slice, same zero and total counts —
+// through zeros, in-range hits, and growth below and above the covered
+// range; n == 0 changes nothing.
+func TestQuantileSketchAddNMatchesAdd(t *testing.T) {
+	steps := []struct {
+		v float64
+		n int64
+	}{
+		{1.5, 7},     // first sample: allocates the window
+		{0, 4},       // zeros
+		{1.52, 1},    // in range
+		{1.5, 0},     // no-op
+		{1e-7, 3},    // far below: grows downward
+		{3e9, 100},   // far above: grows upward
+		{0.02, 1000}, // inside the grown range
+		{0, 0},       // no-op on zero
+		{1e-12, 2},   // below again
+	}
+	batch, single := NewQuantileSketch(0.01), NewQuantileSketch(0.01)
+	for _, st := range steps {
+		batch.AddN(st.v, st.n)
+		for i := int64(0); i < st.n; i++ {
+			single.Add(st.v)
 		}
-	}()
-	NewQuantileSketch(0).Add(-1)
+		if batch.lo != single.lo || batch.zeros != single.zeros || batch.count != single.count ||
+			len(batch.counts) != len(single.counts) {
+			t.Fatalf("after AddN(%v, %d): lo %d zeros %d count %d buckets %d; %d Adds give lo %d zeros %d count %d buckets %d",
+				st.v, st.n, batch.lo, batch.zeros, batch.count, len(batch.counts),
+				st.n, single.lo, single.zeros, single.count, len(single.counts))
+		}
+		for i := range batch.counts {
+			if batch.counts[i] != single.counts[i] {
+				t.Fatalf("after AddN(%v, %d): bucket %d holds %d, %d Adds give %d",
+					st.v, st.n, batch.lo+i, batch.counts[i], st.n, single.counts[i])
+			}
+		}
+	}
+	if batch.count != 1117 || batch.zeros != 4 {
+		t.Fatalf("count %d zeros %d, want 1117 and 4", batch.count, batch.zeros)
+	}
 }
 
 func BenchmarkQuantileSketchAdd(b *testing.B) {
