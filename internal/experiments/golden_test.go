@@ -43,6 +43,33 @@ var goldenQuickSeed1 = map[string]string{
 	"mobility":    "02bc40aec4bf13f5",
 }
 
+// goldenFullSeed1 pins the same digest for seed-1 full mode, where the
+// trial counts, density / lambda / bandwidth lists and cross-trial
+// pooling that quick mode collapses to one trial are exercised. Same
+// re-roll procedure; skipped under -short.
+var goldenFullSeed1 = map[string]string{
+	"table1":      "83edf2093d92d7c1",
+	"fig1":        "7644418800182583",
+	"fig2":        "ed58894575cd13f5",
+	"fig6":        "b5a8884d5692363f",
+	"fig7":        "1a10137477ce7f01",
+	"fig8":        "4b0c9aec19dadc03",
+	"fig9a":       "0b447a6406e11f89",
+	"fig9b":       "6175bc7a6731ec85",
+	"fig9c":       "31c52e192267b3a8",
+	"theorem1":    "947e1a4eaae5191b",
+	"overhead":    "09ad6fe47c98152e",
+	"reuse":       "889f472083888e14",
+	"lambda":      "b52668da685b295d",
+	"sensing":     "b5843970a0ff1470",
+	"hopping":     "a4659b36390927bb",
+	"hybrid":      "ef24d670507b1721",
+	"sched":       "ac5408ec7c40cc60",
+	"uplink":      "bc0c7d803bc40b9f",
+	"aggregation": "4cd0da0b7851c4d8",
+	"mobility":    "e2cce299cb028dfc",
+}
+
 func resultDigest(res Result) string {
 	h := sha256.New()
 	for _, tb := range res.Tables {
@@ -65,18 +92,29 @@ func resultDigest(res Result) string {
 }
 
 func TestGolden(t *testing.T) {
+	checkGolden(t, true, goldenQuickSeed1)
+}
+
+func TestGoldenFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-mode sweep of every experiment")
+	}
+	checkGolden(t, false, goldenFullSeed1)
+}
+
+func checkGolden(t *testing.T, quick bool, golden map[string]string) {
 	for _, id := range IDs() {
 		if id == "prach" {
 			continue
 		}
 		run, _ := Get(id)
-		got := resultDigest(run(1, true))
+		got := resultDigest(run(1, quick))
 		t.Logf("%q: %q,", id, got)
-		if want := goldenQuickSeed1[id]; got != want {
+		if want := golden[id]; got != want {
 			t.Errorf("%s: digest %s, golden %s", id, got, want)
 		}
 	}
-	if len(goldenQuickSeed1) != len(IDs())-1 {
-		t.Errorf("golden table has %d entries for %d experiments", len(goldenQuickSeed1), len(IDs())-1)
+	if len(golden) != len(IDs())-1 {
+		t.Errorf("golden table has %d entries for %d experiments", len(golden), len(IDs())-1)
 	}
 }
