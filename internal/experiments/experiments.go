@@ -6,6 +6,16 @@
 // hybrid, sched, uplink, aggregation, mobility); runners return typed
 // tables and series that cmd/experiments prints and the benchmark's
 // repro_full workload times.
+//
+// There is one sweep path. grid (parallel.go) fans a campaign's
+// (arm, trial) legs across the runner pool and hands back
+// results[arm][trial]; every trial loop in the package goes through it.
+// The large-scale evaluation and everything built on it — fig9a, fig9b,
+// reuse, lambda, sensing, hopping, hybrid, uplink, aggregation,
+// mobility — is an arm list, a seed rule and table text on top of sweep
+// (sweep.go), whose arm.run is the single place a backlogged
+// netsim.Network is built and driven; Figure 9c's web-workload driver
+// is the only other netsim caller.
 package experiments
 
 import (
@@ -32,48 +42,36 @@ type Result struct {
 // matches the paper's scale.
 type Runner func(seed int64, quick bool) Result
 
-// registry maps experiment IDs to runners.
-var registry = map[string]Runner{}
-
-// ordered preserves presentation order.
-var ordered []string
-
-func register(id string, r Runner) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = r
-	ordered = append(ordered, id)
+// catalog lists every runner under its ID, in the paper's presentation
+// order.
+var catalog = []struct {
+	id  string
+	run Runner
+}{
+	{"table1", Table1}, {"fig1", Figure1}, {"fig2", Figure2}, {"fig6", Figure6},
+	{"fig7", Figure7}, {"fig8", Figure8}, {"prach", PRACH},
+	{"fig9a", Figure9a}, {"fig9b", Figure9b}, {"fig9c", Figure9c},
+	{"theorem1", Theorem1}, {"overhead", Overhead},
+	{"reuse", ReuseAblation}, {"lambda", LambdaAblation}, {"sensing", SensingAblation},
+	{"hopping", HoppingBaseline}, {"hybrid", HybridExtension}, {"sched", SchedulerAblation},
+	{"uplink", UplinkExtension}, {"aggregation", AggregationExtension}, {"mobility", MobilityExtension},
 }
 
 // Get returns the runner for an experiment ID.
 func Get(id string) (Runner, bool) {
-	r, ok := registry[id]
-	return r, ok
-}
-
-// canonicalOrder is the paper's presentation order; registered
-// experiments not listed here are appended at the end.
-var canonicalOrder = []string{
-	"table1", "fig1", "fig2", "fig6", "fig7", "fig8", "prach",
-	"fig9a", "fig9b", "fig9c", "theorem1", "overhead",
-	"reuse", "lambda", "sensing", "hopping", "hybrid", "sched", "uplink", "aggregation", "mobility",
+	for _, e := range catalog {
+		if e.id == id {
+			return e.run, true
+		}
+	}
+	return nil, false
 }
 
 // IDs returns all experiment IDs in presentation order.
 func IDs() []string {
-	out := make([]string, 0, len(ordered))
-	seen := map[string]bool{}
-	for _, id := range canonicalOrder {
-		if _, ok := registry[id]; ok {
-			out = append(out, id)
-			seen[id] = true
-		}
-	}
-	for _, id := range ordered {
-		if !seen[id] {
-			out = append(out, id)
-		}
+	out := make([]string, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.id
 	}
 	return out
 }

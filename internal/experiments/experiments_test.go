@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"cellfi/internal/topo"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -120,24 +123,29 @@ func TestFigure9bDirections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system simulation")
 	}
-	r := runFig9Trial(nil, 10, 6, 99, 12, 500000000, true) // 0.5 s Wi-Fi
-	starve := func(th []float64) float64 {
+	tp := topo.Generate(topo.Paper(10, 6), 99)
+	starved := map[string]float64{}
+	for _, a := range fig9Arms(500*time.Millisecond, true) {
+		th := a.run(nil, tp, 99, 12).samples
+		if len(th) == 0 {
+			t.Errorf("%s arm missing", a.name)
+		}
 		n := 0
 		for _, v := range th {
 			if v < StarveThresholdMbps {
 				n++
 			}
 		}
-		return float64(n) / float64(len(th))
+		starved[a.name] = float64(n) / float64(len(th))
 	}
-	cf, lte, wf := starve(r.cellfi), starve(r.lte), starve(r.wifi)
+	cf, lte, wf := starved["CellFi"], starved["LTE"], starved["802.11af"]
 	if cf > lte {
 		t.Errorf("CellFi starved %.2f > LTE %.2f", cf, lte)
 	}
 	if cf > wf {
 		t.Errorf("CellFi starved %.2f > Wi-Fi %.2f", cf, wf)
 	}
-	if len(r.oracle) == 0 {
+	if _, ok := starved["Oracle"]; !ok {
 		t.Error("oracle arm missing")
 	}
 }

@@ -4,49 +4,9 @@ import (
 	"cellfi/internal/core"
 	"cellfi/internal/lte"
 	"cellfi/internal/netsim"
-	"cellfi/internal/runner"
 	"cellfi/internal/stats"
 	"cellfi/internal/topo"
 )
-
-func init() {
-	register("hybrid", HybridExtension)
-	register("hopping", HoppingBaseline)
-	register("uplink", UplinkExtension)
-	register("aggregation", AggregationExtension)
-	register("mobility", MobilityExtension)
-}
-
-// schemeSweep runs several schemes over common topologies and returns
-// per-scheme client throughputs plus hop counts. Trials fan out as
-// fleet legs; each leg runs every scheme on its shared topology.
-func schemeSweep(campaign string, schemes []netsim.Scheme, seed int64, trials, epochs, aps, clients int) (map[netsim.Scheme][]float64, map[netsim.Scheme]int) {
-	type sweepTrial struct {
-		th   map[netsim.Scheme][]float64
-		hops map[netsim.Scheme]int
-	}
-	th := map[netsim.Scheme][]float64{}
-	hops := map[netsim.Scheme]int{}
-	for _, r := range trialFleet(campaign, trials,
-		func(tr int) int64 { return seed + int64(tr) },
-		func(c *runner.Ctx, tr int) sweepTrial {
-			tp := topo.Generate(topo.Paper(aps, clients), seed+int64(tr)*3571)
-			out := sweepTrial{th: map[netsim.Scheme][]float64{}, hops: map[netsim.Scheme]int{}}
-			for _, s := range schemes {
-				n := netsim.New(tp, netsim.DefaultConfig(s, c.Seed()))
-				out.th[s] = n.Run(epochs)
-				out.hops[s] = n.Hops
-				addSteps(c, epochs)
-			}
-			return out
-		}) {
-		for _, s := range schemes {
-			th[s] = append(th[s], r.th[s]...)
-			hops[s] += r.hops[s]
-		}
-	}
-	return th, hops
-}
 
 // HybridExtension evaluates the Section 7 proposal: centralized
 // coordination inside each provider, CellFi's distributed protocol
@@ -56,43 +16,31 @@ func HybridExtension(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	schemes := []netsim.Scheme{netsim.SchemeCellFi, netsim.SchemeHybrid, netsim.SchemeOracle}
-	th, hops := schemeSweep("hybrid", schemes, seed, trials, epochs, 10, 6)
+	res := sweep("hybrid", []arm{schemeArm(netsim.SchemeCellFi), schemeArm(netsim.SchemeHybrid), schemeArm(netsim.SchemeOracle)},
+		trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 3571))
+	cf, hy, orc := res[0], res[1], res[2]
 
 	t := &stats.Table{
 		Title:   "Extension (Section 7): per-provider centralized + cross-provider distributed",
 		Headers: []string{"Metric", "CellFi", "Hybrid (2 providers)", "Oracle"},
 	}
-	row := func(name string, f func(c *stats.CDF) string) {
-		t.AddRow(name,
-			f(stats.NewCDF(th[netsim.SchemeCellFi])),
-			f(stats.NewCDF(th[netsim.SchemeHybrid])),
-			f(stats.NewCDF(th[netsim.SchemeOracle])))
-	}
-	row("Median (Mbps)", func(c *stats.CDF) string { return stats.Fmt(c.Median()) })
-	row("Mean (Mbps)", func(c *stats.CDF) string { return stats.Fmt(c.Mean()) })
-	row("Starved (%)", func(c *stats.CDF) string {
-		return stats.Fmt(c.FractionBelow(StarveThresholdMbps) * 100)
-	})
-	t.AddRow("Distributed hops",
-		stats.Fmt(float64(hops[netsim.SchemeCellFi])),
-		stats.Fmt(float64(hops[netsim.SchemeHybrid])),
-		"-")
+	statRow(t, "Median (Mbps)", res, fmtMedian)
+	statRow(t, "Mean (Mbps)", res, fmtMean)
+	statRow(t, "Starved (%)", res, fmtStarved)
+	t.AddRow("Distributed hops", fmtHops(cf), fmtHops(hy), "-")
 
-	cf := stats.NewCDF(th[netsim.SchemeCellFi])
-	hy := stats.NewCDF(th[netsim.SchemeHybrid])
 	return Result{
 		ID:     "hybrid",
 		Title:  "Extension: hybrid control plane (Section 7)",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("hybrid: CellFi throughput CDF (Mbps)", th[netsim.SchemeCellFi], 41),
-			cdfSeries("hybrid: hybrid throughput CDF (Mbps)", th[netsim.SchemeHybrid], 41),
-			cdfSeries("hybrid: oracle throughput CDF (Mbps)", th[netsim.SchemeOracle], 41),
+			cdfSeries("hybrid: CellFi throughput CDF (Mbps)", cf.samples, 41),
+			cdfSeries("hybrid: hybrid throughput CDF (Mbps)", hy.samples, 41),
+			cdfSeries("hybrid: oracle throughput CDF (Mbps)", orc.samples, 41),
 		},
 		Notes: []string{
 			note("hybrid starves %.1f%% vs CellFi's %.1f%% — confirming the paper's speculation that intra-provider coordination 'could further improve performance'",
-				hy.FractionBelow(StarveThresholdMbps)*100, cf.FractionBelow(StarveThresholdMbps)*100),
+				starvedPct(hy, StarveThresholdMbps), starvedPct(cf, StarveThresholdMbps)),
 			note("the distributed layer is untouched; each operator only deconflicts its own cells over backhaul"),
 		},
 	}
@@ -106,20 +54,17 @@ func HoppingBaseline(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	schemes := []netsim.Scheme{netsim.SchemeCellFi, netsim.SchemeRandomHop}
-	th, hops := schemeSweep("hopping", schemes, seed, trials, epochs, 10, 6)
+	res := sweep("hopping", []arm{schemeArm(netsim.SchemeCellFi), schemeArm(netsim.SchemeRandomHop)},
+		trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 3571))
+	cf, rh := res[0], res[1]
 
-	cf := stats.NewCDF(th[netsim.SchemeCellFi])
-	rh := stats.NewCDF(th[netsim.SchemeRandomHop])
 	t := &stats.Table{
 		Title:   "Ablation: exponential buckets vs memoryless random hopping",
 		Headers: []string{"Metric", "CellFi (buckets)", "Random hop"},
 	}
-	t.AddRow("Median (Mbps)", stats.Fmt(cf.Median()), stats.Fmt(rh.Median()))
-	t.AddRow("Starved (%)", stats.Fmt(cf.FractionBelow(StarveThresholdMbps)*100),
-		stats.Fmt(rh.FractionBelow(StarveThresholdMbps)*100))
-	t.AddRow("Total hops", stats.Fmt(float64(hops[netsim.SchemeCellFi])),
-		stats.Fmt(float64(hops[netsim.SchemeRandomHop])))
+	statRow(t, "Median (Mbps)", res, fmtMedian)
+	statRow(t, "Starved (%)", res, fmtStarved)
+	statRow(t, "Total hops", res, fmtHops)
 
 	return Result{
 		ID:     "hopping",
@@ -127,8 +72,7 @@ func HoppingBaseline(seed int64, quick bool) Result {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("buckets hop %.1fx less than memoryless re-hopping (%d vs %d) — the hysteresis that lets reservations converge",
-				float64(hops[netsim.SchemeRandomHop])/maxf(float64(hops[netsim.SchemeCellFi]), 1),
-				hops[netsim.SchemeCellFi], hops[netsim.SchemeRandomHop]),
+				float64(rh.hops)/maxf(float64(cf.hops), 1), cf.hops, rh.hops),
 		},
 	}
 }
@@ -141,44 +85,28 @@ func UplinkExtension(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	ulSchemes := []netsim.Scheme{netsim.SchemeLTE, netsim.SchemeCellFi}
-	th := map[netsim.Scheme][]float64{}
-	for _, r := range trialFleet("uplink", trials,
-		func(tr int) int64 { return seed + int64(tr) },
-		func(c *runner.Ctx, tr int) map[netsim.Scheme][]float64 {
-			tp := topo.Generate(topo.Paper(10, 6), seed+int64(tr)*4219)
-			out := map[netsim.Scheme][]float64{}
-			for _, s := range ulSchemes {
-				n := netsim.New(tp, netsim.DefaultConfig(s, c.Seed()))
-				out[s] = n.UplinkThroughputs(epochs)
-				addSteps(c, epochs)
-			}
-			return out
-		}) {
-		for _, s := range ulSchemes {
-			th[s] = append(th[s], r[s]...)
-		}
-	}
-	lteCDF := stats.NewCDF(th[netsim.SchemeLTE])
-	cfCDF := stats.NewCDF(th[netsim.SchemeCellFi])
+	res := sweep("uplink", []arm{
+		{name: "lte", scheme: netsim.SchemeLTE, uplink: true},
+		{name: "cellfi", scheme: netsim.SchemeCellFi, uplink: true},
+	}, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 4219))
+	lteUL, cfUL := res[0], res[1]
 	t := &stats.Table{
 		Title:   "Extension (Section 5): uplink over the same reservations",
 		Headers: []string{"Metric", "LTE uplink", "CellFi uplink"},
 	}
-	t.AddRow("Median (Mbps)", stats.Fmt(lteCDF.Median()), stats.Fmt(cfCDF.Median()))
-	t.AddRow("Starved (< 10 kbps)", stats.Fmt(lteCDF.FractionBelow(0.01)*100)+"%",
-		stats.Fmt(cfCDF.FractionBelow(0.01)*100)+"%")
+	statRow(t, "Median (Mbps)", res, fmtMedian)
+	statRow(t, "Starved (< 10 kbps)", res, func(a armRun) string { return stats.Fmt(starvedPct(a, 0.01)) + "%" })
 	return Result{
 		ID:     "uplink",
 		Title:  "Extension: uplink interference management",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("uplink: LTE uplink throughput CDF (Mbps)", th[netsim.SchemeLTE], 41),
-			cdfSeries("uplink: CellFi uplink throughput CDF (Mbps)", th[netsim.SchemeCellFi], 41),
+			cdfSeries("uplink: LTE uplink throughput CDF (Mbps)", lteUL.samples, 41),
+			cdfSeries("uplink: CellFi uplink throughput CDF (Mbps)", cfUL.samples, 41),
 		},
 		Notes: []string{
 			note("the TDD reservations protect PUSCH too: CellFi's uplink starves %.1f%% vs LTE's %.1f%%",
-				cfCDF.FractionBelow(0.01)*100, lteCDF.FractionBelow(0.01)*100),
+				starvedPct(cfUL, 0.01), starvedPct(lteUL, 0.01)),
 		},
 	}
 }
@@ -193,44 +121,22 @@ func AggregationExtension(seed int64, quick bool) Result {
 		trials, epochs = 1, 10
 	}
 	bws := []lte.Bandwidth{lte.BW5MHz, lte.BW10MHz, lte.BW20MHz}
+	var arms []arm
+	for _, bw := range bws {
+		arms = append(arms, arm{name: note("bw=%gMHz", float64(bw)), scheme: netsim.SchemeCellFi,
+			tune: func(cfg *netsim.Config) { cfg.BW = bw }})
+	}
+	res := sweep("aggregation", arms, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 6113))
 	t := &stats.Table{
 		Title:   "Extension (Section 7): carrier width via TV-channel aggregation",
 		Headers: []string{"Carrier", "Subchannels", "TV channels (EU)", "Median Mbps", "Starved %"},
 	}
-	// One leg per (bandwidth, trial); aggregate bandwidth-major.
-	var aggLegs []leg[[]float64]
-	for _, bw := range bws {
-		for tr := 0; tr < trials; tr++ {
-			aggLegs = append(aggLegs, leg[[]float64]{
-				label: note("aggregation/bw=%gMHz/trial=%d", float64(bw), tr),
-				seed:  seed + int64(tr),
-				run: func(c *runner.Ctx) []float64 {
-					tp := topo.Generate(topo.Paper(10, 6), seed+int64(tr)*6113)
-					cfg := netsim.DefaultConfig(netsim.SchemeCellFi, c.Seed())
-					cfg.BW = bw
-					n := netsim.New(tp, cfg)
-					th := n.Run(epochs)
-					addSteps(c, epochs)
-					return th
-				},
-			})
-		}
-	}
-	aggRuns := fleet("aggregation", aggLegs)
-	medians := map[lte.Bandwidth]float64{}
 	for bi, bw := range bws {
-		var th []float64
-		for tr := 0; tr < trials; tr++ {
-			th = append(th, aggRuns[bi*trials+tr]...)
-		}
-		c := stats.NewCDF(th)
-		medians[bw] = c.Median()
 		t.AddRow(
 			stats.Fmt(float64(bw))+" MHz",
 			stats.Fmt(float64(bw.Subchannels())),
 			stats.Fmt(float64(core.RequiredTVChannels(bw, 8e6))),
-			stats.Fmt(c.Median()),
-			stats.Fmt(c.FractionBelow(StarveThresholdMbps)*100))
+			fmtMedian(res[bi]), fmtStarved(res[bi]))
 	}
 	return Result{
 		ID:     "aggregation",
@@ -238,7 +144,7 @@ func AggregationExtension(seed int64, quick bool) Result {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("median client throughput scales %.1fx from one TV channel to an aggregated 20 MHz carrier; the IM protocol needs no changes, only more subchannels",
-				medians[lte.BW20MHz]/maxf(medians[lte.BW5MHz], 1e-9)),
+				res[2].cdf.Median()/maxf(res[0].cdf.Median(), 1e-9)),
 			note("wider carriers need runs of contiguous free TV channels, which the channel selector already demands (RequiredTVChannels)"),
 		},
 	}
@@ -253,55 +159,21 @@ func MobilityExtension(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 15
 	}
-	type outcome struct {
-		starved   float64
-		median    float64
-		handovers int
-	}
-	type mobilityTrial struct {
-		th        []float64
-		handovers int
-	}
-	run := func(name string, speed float64) outcome {
-		var th []float64
-		ho := 0
-		for _, r := range trialFleet("mobility/"+name, trials,
-			func(tr int) int64 { return seed + int64(tr) },
-			func(c *runner.Ctx, tr int) mobilityTrial {
-				tp := topo.Generate(topo.Paper(10, 6), seed+int64(tr)*8191)
-				n := netsim.New(tp, netsim.DefaultConfig(netsim.SchemeCellFi, c.Seed()))
-				if speed > 0 {
-					cfg := netsim.DefaultMobility()
-					cfg.SpeedMps = speed
-					n.EnableMobility(cfg)
-				}
-				out := mobilityTrial{th: n.Run(epochs), handovers: n.Handovers()}
-				addSteps(c, epochs)
-				return out
-			}) {
-			th = append(th, r.th...)
-			ho += r.handovers
-		}
-		c := stats.NewCDF(th)
-		return outcome{
-			starved:   c.FractionBelow(StarveThresholdMbps) * 100,
-			median:    c.Median(),
-			handovers: ho,
-		}
-	}
-	static := run("static", 0)
-	walk := run("walk", 1.5)
-	drive := run("drive", 15)
+	res := sweep("mobility", []arm{
+		{name: "static", scheme: netsim.SchemeCellFi},
+		{name: "walk", scheme: netsim.SchemeCellFi, speed: 1.5},
+		{name: "drive", scheme: netsim.SchemeCellFi, speed: 15},
+	}, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 8191))
+	static, walk, drive := res[0], res[1], res[2]
+	fmtHandovers := func(a armRun) string { return stats.Fmt(float64(a.handovers)) }
 
 	t := &stats.Table{
 		Title:   "Extension (Section 7): mobility and roaming under CellFi",
 		Headers: []string{"Scenario", "Median Mbps", "Starved %", "Handovers"},
 	}
-	t.AddRow("Static", stats.Fmt(static.median), stats.Fmt(static.starved), "0")
-	t.AddRow("Pedestrian (1.5 m/s)", stats.Fmt(walk.median), stats.Fmt(walk.starved),
-		stats.Fmt(float64(walk.handovers)))
-	t.AddRow("Vehicular (15 m/s)", stats.Fmt(drive.median), stats.Fmt(drive.starved),
-		stats.Fmt(float64(drive.handovers)))
+	t.AddRow("Static", fmtMedian(static), fmtStarved(static), "0")
+	t.AddRow("Pedestrian (1.5 m/s)", fmtMedian(walk), fmtStarved(walk), fmtHandovers(walk))
+	t.AddRow("Vehicular (15 m/s)", fmtMedian(drive), fmtStarved(drive), fmtHandovers(drive))
 
 	return Result{
 		ID:     "mobility",
@@ -309,7 +181,7 @@ func MobilityExtension(seed int64, quick bool) Result {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("vehicular clients hand over %d times yet starvation moves %.1f -> %.1f%% — the PRACH census tracks movers with no protocol additions",
-				drive.handovers, static.starved, drive.starved),
+				drive.handovers, starvedPct(static, StarveThresholdMbps), starvedPct(drive, StarveThresholdMbps)),
 		},
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() { register("fig1", Figure1) }
-
 // tcpEfficiency derates PHY goodput to TCP goodput (headers, ACK
 // clocking, slow-start transients over the walk).
 const tcpEfficiency = 0.85
@@ -56,9 +54,9 @@ func Figure1(seed int64, quick bool) Result {
 		dlBlocks                          int
 		dlRates, ulRates, ulFrac, farBLER []float64
 	}
-	locs := trialFleet("fig1", len(dists),
+	locs := grid("fig1", []string{"walk"}, len(dists),
 		func(i int) int64 { return seed },
-		func(c *runner.Ctx, i int) fig1Loc {
+		func(c *runner.Ctx, _, i int) fig1Loc {
 			d := dists[i]
 			env := lte.NewEnvironment(seed)
 			cell := driveTestCell()
@@ -112,7 +110,7 @@ func Figure1(seed int64, quick bool) Result {
 			addSteps(c, blocksPerLoc)
 			out.tput = locBits / (float64(blocksPerLoc) * 0.1) * tcpEfficiency / 1e6
 			return out
-		})
+		})[0]
 
 	var aPoints [][2]float64
 	var dlRates, ulRates, dlFrac, ulFrac []float64

@@ -11,8 +11,6 @@ import (
 	"cellfi/internal/wifi"
 )
 
-func init() { register("fig2", Figure2) }
-
 // wifiNet builds a Wi-Fi network over a topology: one AP per cell and
 // its clients, every node at the same transmit power, IDs in topology
 // order (which is also the order APs() and Clients() enumerate).
@@ -79,60 +77,42 @@ func Figure2(seed int64, quick bool) Result {
 	// over indoor propagation — Section 3.2: "same number of clients
 	// within the corresponding range of each access point ... average
 	// SNR at the receiver is same").
-	var legs []leg[[]float64]
-	for tr := 0; tr < trials; tr++ {
-		trialSeed := seed + int64(tr)*131
-		legs = append(legs,
-			leg[[]float64]{
-				label: note("fig2/11af/trial=%d", tr),
-				seed:  trialSeed,
-				run: func(c *runner.Ctx) []float64 {
-					afTopo := topo.Generate(topo.Paper(8, 6), c.Seed())
-					return wifiTrial(c, afTopo, wifi.Params11af20(),
-						propagation.DefaultUrban(c.Seed()), 30, c.Seed(), dur, 50*time.Millisecond)
-				},
-			},
-			leg[[]float64]{
-				label: note("fig2/11ac/trial=%d", tr),
-				seed:  trialSeed,
-				run: func(c *runner.Ctx) []float64 {
-					acParams := topo.Paper(8, 6)
-					acParams.CellRadius = 290 // 20 dBm indoor edge SNR == 30 dBm urban at 700 m
-					acTopo := topo.Generate(acParams, c.Seed())
-					return wifiTrial(c, acTopo, wifi.Params11ac20(),
-						propagation.IndoorShortRange(c.Seed()), 20, c.Seed(), dur, 50*time.Millisecond)
-				},
-			})
-	}
-	runs := fleet("fig2", legs)
-	var af, ac []float64
-	for tr := 0; tr < trials; tr++ {
-		af = append(af, runs[2*tr]...)
-		ac = append(ac, runs[2*tr+1]...)
-	}
-	afCDF, acCDF := stats.NewCDF(af), stats.NewCDF(ac)
+	runs := grid("fig2", []string{"11af", "11ac"}, trials,
+		func(tr int) int64 { return seed + int64(tr)*131 },
+		func(c *runner.Ctx, ai, tr int) armRun {
+			if ai == 0 {
+				afTopo := topo.Generate(topo.Paper(8, 6), c.Seed())
+				return armRun{samples: wifiTrial(c, afTopo, wifi.Params11af20(),
+					propagation.DefaultUrban(c.Seed()), 30, c.Seed(), dur, 50*time.Millisecond)}
+			}
+			acParams := topo.Paper(8, 6)
+			acParams.CellRadius = 290 // 20 dBm indoor edge SNR == 30 dBm urban at 700 m
+			acTopo := topo.Generate(acParams, c.Seed())
+			return armRun{samples: wifiTrial(c, acTopo, wifi.Params11ac20(),
+				propagation.IndoorShortRange(c.Seed()), 20, c.Seed(), dur, 50*time.Millisecond)}
+		})
+	af, ac := pool(runs[0]), pool(runs[1])
+	res := []armRun{af, ac}
 
 	t := &stats.Table{
 		Title:   "Figure 2: client throughput, 802.11af vs 802.11ac (equal SNRs)",
 		Headers: []string{"Metric", "802.11af", "802.11ac"},
 	}
-	t.AddRow("Median (Mbps)", stats.Fmt(afCDF.Median()), stats.Fmt(acCDF.Median()))
-	t.AddRow("Mean (Mbps)", stats.Fmt(afCDF.Mean()), stats.Fmt(acCDF.Mean()))
-	t.AddRow("Starved (< 0.1 Mbps)",
-		stats.Fmt(afCDF.FractionBelow(0.1)*100)+"%",
-		stats.Fmt(acCDF.FractionBelow(0.1)*100)+"%")
+	statRow(t, "Median (Mbps)", res, fmtMedian)
+	statRow(t, "Mean (Mbps)", res, fmtMean)
+	statRow(t, "Starved (< 0.1 Mbps)", res, func(a armRun) string { return stats.Fmt(starvedPct(a, 0.1)) + "%" })
 
 	return Result{
 		ID:     "fig2",
 		Title:  "Figure 2: Wi-Fi MAC inefficiencies on long links",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("fig2: 802.11af client throughput CDF (Mbps)", af, 41),
-			cdfSeries("fig2: 802.11ac client throughput CDF (Mbps)", ac, 41),
+			cdfSeries("fig2: 802.11af client throughput CDF (Mbps)", af.samples, 41),
+			cdfSeries("fig2: 802.11ac client throughput CDF (Mbps)", ac.samples, 41),
 		},
 		Notes: []string{
 			note("802.11af median %.2f Mbps vs 802.11ac %.2f Mbps — the paper's Figure 2 gap direction",
-				afCDF.Median(), acCDF.Median()),
+				af.cdf.Median(), ac.cdf.Median()),
 		},
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() { register("fig6", Figure6) }
-
 // Figure6 reproduces the spectrum-database interaction experiment of
 // Section 6.2 over the real PAWS wire protocol: at t=57 s the channel
 // is removed from the database for 5 minutes; the AP must stop

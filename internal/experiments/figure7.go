@@ -11,8 +11,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() { register("fig7", Figure7) }
-
 // Figure7 reproduces the outdoor two-cell interference experiment of
 // Section 6.3.1: a serving and an interfering E40 cell on a rooftop,
 // a client walked along a path whose SINR spans -15..+30 dB. Three
@@ -49,9 +47,9 @@ func Figure7(seed int64, quick bool) Result {
 		}
 		return lte.GoodputBitsPerSymbol(cqi, phy.BLER(sinr, phy.LTECQI(cqi))) * factor
 	}
-	locs := trialFleet("fig7", len(dists),
+	locs := grid("fig7", []string{"walk"}, len(dists),
 		func(i int) int64 { return seed },
-		func(c *runner.Ctx, i int) fig7Loc {
+		func(c *runner.Ctx, _, i int) fig7Loc {
 			env := lte.NewEnvironment(seed)
 			// The serving cell's sector points down the walk; the
 			// interfering cell sits far beyond the path end with its
@@ -113,7 +111,7 @@ func Figure7(seed int64, quick bool) Result {
 			}
 			addSteps(c, blocks)
 			return out
-		})
+		})[0]
 
 	// Series (b): goodput vs RSSI for off vs signalling-only.
 	var bOff, bSig [][2]float64

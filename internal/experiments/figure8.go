@@ -10,8 +10,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() { register("fig8", Figure8) }
-
 // Figure8 reproduces the CQI/interference-tracking experiment of
 // Section 6.3.2: PHY throughput and reported CQI during alternating
 // ON/OFF periods of an interfering radio, over a fading channel, and

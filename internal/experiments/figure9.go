@@ -12,51 +12,34 @@ import (
 	"cellfi/internal/wifi"
 )
 
-func init() {
-	register("fig9a", Figure9a)
-	register("fig9b", Figure9b)
-	register("fig9c", Figure9c)
-}
-
 // StarveThresholdMbps defines a "starved"/unconnected client: average
 // throughput below 50 kbps under a backlogged load.
 const StarveThresholdMbps = 0.05
 
-// fig9Schemes are the systems compared in Figure 9.
-type fig9Throughputs struct {
-	wifi, lte, cellfi, oracle []float64
+// fig9Arms are the systems compared in Figure 9, in column order; the
+// arm names are the column headers.
+func fig9Arms(wifiDur time.Duration, withOracle bool) []arm {
+	arms := []arm{
+		// 802.11af on a 6 MHz TV channel (the paper's Wi-Fi arm).
+		{name: "802.11af", custom: func(c *runner.Ctx, tp *topo.Topology, seed int64) []float64 {
+			return wifiTrial(c, tp, wifi.Params11af(), propagation.DefaultUrban(seed), 30, seed, wifiDur, 100*time.Millisecond)
+		}},
+		{name: "LTE", scheme: netsim.SchemeLTE},
+		{name: "CellFi", scheme: netsim.SchemeCellFi},
+	}
+	if withOracle {
+		arms = append(arms, arm{name: "Oracle", scheme: netsim.SchemeOracle})
+	}
+	return arms
 }
 
-// runFig9Trial produces per-client backlogged throughputs for all four
-// systems over one topology. c may be nil outside a fleet.
-func runFig9Trial(c *runner.Ctx, aps, clients int, seed int64, epochs int, wifiDur time.Duration, withOracle bool) fig9Throughputs {
-	var out fig9Throughputs
-	tp := topo.Generate(topo.Paper(aps, clients), seed)
-
-	// 802.11af on a 6 MHz TV channel (the paper's Wi-Fi arm).
-	out.wifi = wifiTrial(c, tp, wifi.Params11af(), propagation.DefaultUrban(seed), 30, seed, wifiDur, 100*time.Millisecond)
-
-	for _, s := range []netsim.Scheme{netsim.SchemeLTE, netsim.SchemeCellFi, netsim.SchemeOracle} {
-		if s == netsim.SchemeOracle && !withOracle {
-			continue
-		}
-		n := netsim.New(tp, netsim.DefaultConfig(s, seed))
-		th := n.Run(epochs)
-		addSteps(c, epochs)
-		switch s {
-		case netsim.SchemeLTE:
-			out.lte = th
-		case netsim.SchemeCellFi:
-			out.cellfi = th
-		case netsim.SchemeOracle:
-			out.oracle = th
-		}
+// connectedPct is each arm's share of clients at or above barMbps.
+func connectedPct(arms []armRun, barMbps float64) []float64 {
+	out := make([]float64, len(arms))
+	for i, a := range arms {
+		out[i] = (1 - a.cdf.FractionBelow(barMbps)) * 100
 	}
 	return out
-}
-
-func connectedFrac(th []float64) float64 {
-	return 1 - stats.NewCDF(th).FractionBelow(StarveThresholdMbps)
 }
 
 // Figure9a reproduces coverage versus density: the fraction of
@@ -69,41 +52,25 @@ func Figure9a(seed int64, quick bool) Result {
 		densities = []int{6, 14}
 		trials, epochs, wifiDur = 1, 10, 500*time.Millisecond
 	}
+	arms := fig9Arms(wifiDur, false)
 	t := &stats.Table{
 		Title:   "Figure 9(a): fraction of connected users (%) vs density",
 		Headers: []string{"APs", "802.11af", "LTE", "CellFi"},
 	}
-	var sWifi, sLTE, sCellFi [][2]float64
-	var last struct{ wifi, lte, cellfi float64 }
-	// One fleet leg per (density, trial) point; legs are independent
-	// scenario runs, aggregated below in density order.
-	var legs []leg[fig9Throughputs]
-	for _, aps := range densities {
-		for tr := 0; tr < trials; tr++ {
-			legs = append(legs, leg[fig9Throughputs]{
-				label: note("fig9a/aps=%d/trial=%d", aps, tr),
-				seed:  seed + int64(tr)*7919 + int64(aps),
-				run: func(c *runner.Ctx) fig9Throughputs {
-					return runFig9Trial(c, aps, 6, c.Seed(), epochs, wifiDur, false)
-				},
-			})
-		}
+	series := make([]stats.Series, len(arms))
+	for ai, a := range arms {
+		series[ai].Name = note("fig9a: %s connected %%", a.name)
 	}
-	points := fleet("fig9a", legs)
-	for di, aps := range densities {
-		var wifiTh, lteTh, cfTh []float64
-		for tr := 0; tr < trials; tr++ {
-			r := points[di*trials+tr]
-			wifiTh = append(wifiTh, r.wifi...)
-			lteTh = append(lteTh, r.lte...)
-			cfTh = append(cfTh, r.cellfi...)
+	var last []float64
+	for _, aps := range densities {
+		last = connectedPct(sweep(note("fig9a/aps=%d", aps), arms, trials, epochs,
+			topo.Paper(aps, 6), sameSeeds(seed+int64(aps), 7919)), StarveThresholdMbps)
+		row := []string{stats.Fmt(float64(aps))}
+		for ai, pct := range last {
+			row = append(row, stats.Fmt(pct))
+			series[ai].Points = append(series[ai].Points, [2]float64{float64(aps), pct})
 		}
-		w, l, c := connectedFrac(wifiTh)*100, connectedFrac(lteTh)*100, connectedFrac(cfTh)*100
-		t.AddRow(stats.Fmt(float64(aps)), stats.Fmt(w), stats.Fmt(l), stats.Fmt(c))
-		sWifi = append(sWifi, [2]float64{float64(aps), w})
-		sLTE = append(sLTE, [2]float64{float64(aps), l})
-		sCellFi = append(sCellFi, [2]float64{float64(aps), c})
-		last.wifi, last.lte, last.cellfi = w, l, c
+		t.AddRow(row...)
 	}
 	// The paper's denser variant: 16 clients per AP at 14 APs ("CellFi
 	// still offers coverage to more than 80% of users, an increase of
@@ -112,53 +79,26 @@ func Figure9a(seed int64, quick bool) Result {
 		Title:   "Densest scenario: 14 APs x 16 clients",
 		Headers: []string{"System", "Connected %"},
 	}
-	var dense struct{ wifi, lte, cellfi float64 }
-	{
-		var wifiTh, lteTh, cfTh []float64
-		denseTrials := trials
-		if denseTrials > 2 {
-			denseTrials = 2
-		}
-		denseRuns := trialFleet("fig9a-dense", denseTrials,
-			func(tr int) int64 { return seed + int64(tr)*52361 },
-			func(c *runner.Ctx, tr int) fig9Throughputs {
-				return runFig9Trial(c, 14, 16, c.Seed(), epochs, wifiDur, false)
-			})
-		for _, r := range denseRuns {
-			wifiTh = append(wifiTh, r.wifi...)
-			lteTh = append(lteTh, r.lte...)
-			cfTh = append(cfTh, r.cellfi...)
-		}
-		// With 224 users on one 5 MHz channel the perfectly-fair share
-		// is ~55 kbps, so the 6-client 50 kbps threshold would label
-		// half of a perfect network "starved". Scale the connectivity
-		// bar with the load (50 kbps x 6/16 ~ 19 kbps).
-		denseBar := StarveThresholdMbps * 6 / 16
-		conn := func(th []float64) float64 {
-			return (1 - stats.NewCDF(th).FractionBelow(denseBar)) * 100
-		}
-		dense.wifi = conn(wifiTh)
-		dense.lte = conn(lteTh)
-		dense.cellfi = conn(cfTh)
-		t16.AddRow("802.11af", stats.Fmt(dense.wifi))
-		t16.AddRow("LTE", stats.Fmt(dense.lte))
-		t16.AddRow("CellFi", stats.Fmt(dense.cellfi))
+	// With 224 users on one 5 MHz channel the perfectly-fair share
+	// is ~55 kbps, so the 6-client 50 kbps threshold would label
+	// half of a perfect network "starved". Scale the connectivity
+	// bar with the load (50 kbps x 6/16 ~ 19 kbps).
+	dense := connectedPct(sweep("fig9a-dense", arms, min(trials, 2), epochs,
+		topo.Paper(14, 16), sameSeeds(seed, 52361)), StarveThresholdMbps*6/16)
+	for ai, a := range arms {
+		t16.AddRow(a.name, stats.Fmt(dense[ai]))
 	}
 
 	return Result{
 		ID:     "fig9a",
 		Title:  "Figure 9(a): coverage vs density",
 		Tables: []*stats.Table{t, t16},
-		Series: []stats.Series{
-			{Name: "fig9a: 802.11af connected %", Points: sWifi},
-			{Name: "fig9a: LTE connected %", Points: sLTE},
-			{Name: "fig9a: CellFi connected %", Points: sCellFi},
-		},
+		Series: series,
 		Notes: []string{
 			note("at the densest point CellFi connects %.0f%% vs Wi-Fi %.0f%% and LTE %.0f%% (paper: +37%% vs Wi-Fi, +16%% vs LTE at 14 APs)",
-				last.cellfi, last.wifi, last.lte),
+				last[2], last[0], last[1]),
 			note("with 16 clients per AP (224 users on 5 MHz) CellFi still connects %.0f%% (paper: more than 80%%) vs Wi-Fi %.0f%% and LTE %.0f%%",
-				dense.cellfi, dense.wifi, dense.lte),
+				dense[2], dense[0], dense[1]),
 		},
 	}
 }
@@ -171,44 +111,31 @@ func Figure9b(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs, wifiDur = 1, 10, 500*time.Millisecond
 	}
-	var agg fig9Throughputs
-	for _, r := range trialFleet("fig9b", trials,
-		func(tr int) int64 { return seed + int64(tr)*104729 },
-		func(c *runner.Ctx, tr int) fig9Throughputs {
-			return runFig9Trial(c, 14, 6, c.Seed(), epochs, wifiDur, true)
-		}) {
-		agg.wifi = append(agg.wifi, r.wifi...)
-		agg.lte = append(agg.lte, r.lte...)
-		agg.cellfi = append(agg.cellfi, r.cellfi...)
-		agg.oracle = append(agg.oracle, r.oracle...)
-	}
-	w, l, c, o := stats.NewCDF(agg.wifi), stats.NewCDF(agg.lte), stats.NewCDF(agg.cellfi), stats.NewCDF(agg.oracle)
+	arms := fig9Arms(wifiDur, true)
+	res := sweep("fig9b", arms, trials, epochs, topo.Paper(14, 6), sameSeeds(seed, 104729))
+	w, l, c, o := res[0].cdf, res[1].cdf, res[2].cdf, res[3].cdf
 
 	t := &stats.Table{
 		Title:   "Figure 9(b): client throughput, 14 APs x 6 clients on 5 MHz",
 		Headers: []string{"Metric", "802.11af", "LTE", "CellFi", "Oracle"},
 	}
-	t.AddRow("Median (Mbps)", stats.Fmt(w.Median()), stats.Fmt(l.Median()), stats.Fmt(c.Median()), stats.Fmt(o.Median()))
-	t.AddRow("Mean (Mbps)", stats.Fmt(w.Mean()), stats.Fmt(l.Mean()), stats.Fmt(c.Mean()), stats.Fmt(o.Mean()))
-	starve := func(cd *stats.CDF) string { return stats.Fmt(cd.FractionBelow(StarveThresholdMbps)*100) + "%" }
-	t.AddRow("Starved", starve(w), starve(l), starve(c), starve(o))
-	t.AddRow("Jain fairness",
-		stats.Fmt(stats.JainIndex(agg.wifi)), stats.Fmt(stats.JainIndex(agg.lte)),
-		stats.Fmt(stats.JainIndex(agg.cellfi)), stats.Fmt(stats.JainIndex(agg.oracle)))
+	statRow(t, "Median (Mbps)", res, fmtMedian)
+	statRow(t, "Mean (Mbps)", res, fmtMean)
+	statRow(t, "Starved", res, func(a armRun) string { return fmtStarved(a) + "%" })
+	statRow(t, "Jain fairness", res, func(a armRun) string { return stats.Fmt(stats.JainIndex(a.samples)) })
 
 	starvedReductionWifi := 1 - c.FractionBelow(StarveThresholdMbps)/maxf(w.FractionBelow(StarveThresholdMbps), 1e-9)
 	starvedReductionLTE := 1 - c.FractionBelow(StarveThresholdMbps)/maxf(l.FractionBelow(StarveThresholdMbps), 1e-9)
 
+	series := make([]stats.Series, len(arms))
+	for ai, a := range arms {
+		series[ai] = cdfSeries(note("fig9b: %s throughput CDF (Mbps)", a.name), res[ai].samples, 41)
+	}
 	return Result{
 		ID:     "fig9b",
 		Title:  "Figure 9(b): throughput CDFs vs the oracle",
 		Tables: []*stats.Table{t},
-		Series: []stats.Series{
-			cdfSeries("fig9b: 802.11af throughput CDF (Mbps)", agg.wifi, 41),
-			cdfSeries("fig9b: LTE throughput CDF (Mbps)", agg.lte, 41),
-			cdfSeries("fig9b: CellFi throughput CDF (Mbps)", agg.cellfi, 41),
-			cdfSeries("fig9b: Oracle throughput CDF (Mbps)", agg.oracle, 41),
-		},
+		Series: series,
 		Notes: []string{
 			note("CellFi cuts starved clients by %.0f%% vs Wi-Fi and %.0f%% vs LTE (paper: 70-90%%)",
 				starvedReductionWifi*100, starvedReductionLTE*100),
@@ -244,54 +171,27 @@ func Figure9c(seed int64, quick bool) Result {
 	// within the LTE schemes' spatial-reuse capacity.
 	web := traffic.DefaultWebParams()
 	web.ThinkTimeMean = 10 * time.Second
-	// Fan out each trial's three system arms as independent legs; every
-	// arm regenerates the trial topology from the same seed, so the
-	// split changes nothing but wall-clock time.
-	type arm struct {
-		name string
-		run  func(c *runner.Ctx, tp *topo.Topology, trialSeed int64) []float64
-	}
-	arms := []arm{
-		{"wifi", func(c *runner.Ctx, tp *topo.Topology, trialSeed int64) []float64 {
-			return wifiWebPageLoads(c, tp, web, trialSeed, durS)
-		}},
-		{"lte", func(c *runner.Ctx, tp *topo.Topology, trialSeed int64) []float64 {
-			return netsimWebPageLoads(c, tp, web, netsim.SchemeLTE, trialSeed, durS)
-		}},
-		{"cellfi", func(c *runner.Ctx, tp *topo.Topology, trialSeed int64) []float64 {
-			return netsimWebPageLoads(c, tp, web, netsim.SchemeCellFi, trialSeed, durS)
-		}},
-	}
-	var legs []leg[[]float64]
-	for tr := 0; tr < trials; tr++ {
-		trialSeed := seed + int64(tr)*60013
-		for _, a := range arms {
-			legs = append(legs, leg[[]float64]{
-				label: note("fig9c/%s/trial=%d", a.name, tr),
-				seed:  trialSeed,
-				run: func(c *runner.Ctx) []float64 {
-					tp := topo.Generate(topo.Paper(aps, clients), c.Seed())
-					return a.run(c, tp, c.Seed())
-				},
-			})
-		}
-	}
-	plts := fleet("fig9c", legs)
-	var wifiPLT, ltePLT, cfPLT []float64
-	for tr := 0; tr < trials; tr++ {
-		wifiPLT = append(wifiPLT, plts[tr*len(arms)]...)
-		ltePLT = append(ltePLT, plts[tr*len(arms)+1]...)
-		cfPLT = append(cfPLT, plts[tr*len(arms)+2]...)
-	}
-	w, l, c := stats.NewCDF(wifiPLT), stats.NewCDF(ltePLT), stats.NewCDF(cfPLT)
+	// Every arm of a trial regenerates the topology from the trial seed.
+	schemes := []netsim.Scheme{netsim.SchemeLTE, netsim.SchemeCellFi}
+	runs := grid("fig9c", []string{"wifi", "lte", "cellfi"}, trials,
+		func(tr int) int64 { return seed + int64(tr)*60013 },
+		func(c *runner.Ctx, ai, tr int) armRun {
+			tp := topo.Generate(topo.Paper(aps, clients), c.Seed())
+			if ai == 0 {
+				return armRun{samples: wifiWebPageLoads(c, tp, web, c.Seed(), durS)}
+			}
+			return armRun{samples: netsimWebPageLoads(c, tp, web, schemes[ai-1], c.Seed(), durS)}
+		})
+	res := []armRun{pool(runs[0]), pool(runs[1]), pool(runs[2])}
+	w, l, c := res[0].cdf, res[1].cdf, res[2].cdf
 
 	t := &stats.Table{
 		Title:   "Figure 9(c): page load time (s), web workload",
 		Headers: []string{"Metric", "802.11af", "LTE", "CellFi"},
 	}
-	t.AddRow("Median (s)", stats.Fmt(w.Median()), stats.Fmt(l.Median()), stats.Fmt(c.Median()))
-	t.AddRow("90th pct (s)", stats.Fmt(w.Quantile(0.9)), stats.Fmt(l.Quantile(0.9)), stats.Fmt(c.Quantile(0.9)))
-	t.AddRow("Pages (incl. censored)", stats.Fmt(float64(w.Len())), stats.Fmt(float64(l.Len())), stats.Fmt(float64(c.Len())))
+	statRow(t, "Median (s)", res, fmtMedian)
+	statRow(t, "90th pct (s)", res, func(a armRun) string { return stats.Fmt(a.cdf.Quantile(0.9)) })
+	statRow(t, "Pages (incl. censored)", res, func(a armRun) string { return stats.Fmt(float64(a.cdf.Len())) })
 
 	speedup := w.Median() / maxf(c.Median(), 1e-9)
 	return Result{
@@ -299,9 +199,9 @@ func Figure9c(seed int64, quick bool) Result {
 		Title:  "Figure 9(c): application-level performance",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("fig9c: 802.11af page load time CDF (s)", wifiPLT, 41),
-			cdfSeries("fig9c: LTE page load time CDF (s)", ltePLT, 41),
-			cdfSeries("fig9c: CellFi page load time CDF (s)", cfPLT, 41),
+			cdfSeries("fig9c: 802.11af page load time CDF (s)", res[0].samples, 41),
+			cdfSeries("fig9c: LTE page load time CDF (s)", res[1].samples, 41),
+			cdfSeries("fig9c: CellFi page load time CDF (s)", res[2].samples, 41),
 		},
 		Notes: []string{
 			note("CellFi median page load %.1fx faster than 802.11af (paper: 2.3x)", speedup),

@@ -82,8 +82,13 @@ func fleet[T any](campaign string, legs []leg[T]) []T {
 		}
 	}
 	rep := runner.Run(context.Background(), campaign, specs, fleetOptions())
-	recordReport(rep)
 	vals, err := runner.Values[T](rep)
+	// The report outlives this call in fleetReports; it is kept for its
+	// telemetry, so it must not pin every leg's result with it.
+	for i := range rep.Runs {
+		rep.Runs[i].Value = nil
+	}
+	recordReport(rep)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: campaign %s: %v", campaign, err))
 	}
@@ -108,17 +113,25 @@ func addSteps(c *runner.Ctx, n int) {
 	}
 }
 
-// trialFleet is the common special case: n trials of one scenario,
-// labelled by index, each seeded by seedOf.
-func trialFleet[T any](campaign string, n int, seedOf func(tr int) int64, run func(c *runner.Ctx, tr int) T) []T {
-	legs := make([]leg[T], n)
-	for i := 0; i < n; i++ {
-		tr := i
-		legs[i] = leg[T]{
-			label: fmt.Sprintf("%s/trial=%d", campaign, tr),
-			seed:  seedOf(tr),
-			run:   func(c *runner.Ctx) T { return run(c, tr) },
+// grid runs every (arm, trial) pair of a campaign as its own fleet leg,
+// labelled campaign/arm/trial=N and seeded seedOf(trial) whatever the
+// arm, and returns results[arm][trial]. It is the one fan-out every
+// experiment in this package goes through.
+func grid[T any](campaign string, arms []string, trials int, seedOf func(tr int) int64, run func(c *runner.Ctx, arm, tr int) T) [][]T {
+	legs := make([]leg[T], 0, len(arms)*trials)
+	for ai, name := range arms {
+		for tr := 0; tr < trials; tr++ {
+			legs = append(legs, leg[T]{
+				label: fmt.Sprintf("%s/%s/trial=%d", campaign, name, tr),
+				seed:  seedOf(tr),
+				run:   func(c *runner.Ctx) T { return run(c, ai, tr) },
+			})
 		}
 	}
-	return fleet(campaign, legs)
+	flat := fleet(campaign, legs)
+	out := make([][]T, len(arms))
+	for ai := range out {
+		out[ai] = flat[ai*trials : (ai+1)*trials]
+	}
+	return out
 }

@@ -9,8 +9,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() { register("prach", PRACH) }
-
 // PRACH reproduces the Section 6.3.3 evaluation of the low-complexity
 // PRACH detector: detection probability versus SNR (reliable at
 // -10 dB), false alarms on noise, agreement with the conventional
@@ -25,9 +23,9 @@ func PRACH(seed int64, quick bool) Result {
 	// One fleet leg per SNR point plus a noise-only false-alarm leg.
 	// Each leg owns its detector and random stream.
 	snrs := []float64{-24, -20, -16, -13, -10, -6, 0}
-	counts := trialFleet("prach", len(snrs)+1,
+	counts := grid("prach", []string{"snr"}, len(snrs)+1,
 		func(i int) int64 { return seed + int64(i)*9973 },
-		func(c *runner.Ctx, i int) int {
+		func(c *runner.Ctx, _, i int) int {
 			rng := rand.New(rand.NewSource(c.Seed()))
 			det := lte.NewFastDetector(25)
 			hits := 0
@@ -45,7 +43,7 @@ func PRACH(seed int64, quick bool) Result {
 			}
 			addSteps(c, trials)
 			return hits
-		})
+		})[0]
 
 	t := &stats.Table{
 		Title:   "PRACH detector: detection probability vs SNR",

@@ -9,8 +9,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() { register("sched", SchedulerAblation) }
-
 // SchedulerAblation exercises the claim behind Section 4.3 — that the
 // unmodified LTE scheduler composes with CellFi's subchannel grants —
 // at subframe granularity: a single cell with mixed-distance clients
@@ -75,31 +73,25 @@ func SchedulerAblation(seed int64, quick bool) Result {
 		Title:   "Scheduler composition at subframe granularity (4 clients, 200-1100 m)",
 		Headers: []string{"Configuration", "Cell Mbps", "Worst client Mbps", "First-tx BLER"},
 	}
-	// One leg per (configuration, seed); aggregate configuration-major.
 	type schedRun struct {
 		total, min int64
 		bler       float64
 	}
-	var legs []leg[schedRun]
-	for _, r := range rows {
-		for s := int64(0); s < int64(seeds); s++ {
-			legs = append(legs, leg[schedRun]{
-				label: note("sched/%s/seed=%d", r.name, s),
-				seed:  seed + s,
-				run: func(c *runner.Ctx) schedRun {
-					tt, mm, bb := run(c, r.sched(), r.allowed, c.Seed())
-					return schedRun{total: tt, min: mm, bler: bb}
-				},
-			})
-		}
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.name
 	}
-	runs := fleet("sched", legs)
+	runs := grid("sched", names, seeds,
+		func(s int) int64 { return seed + int64(s) },
+		func(c *runner.Ctx, ri, s int) schedRun {
+			tt, mm, bb := run(c, rows[ri].sched(), rows[ri].allowed, c.Seed())
+			return schedRun{total: tt, min: mm, bler: bb}
+		})
 	results := map[string][2]float64{}
 	for ri, r := range rows {
 		var total, min int64
 		var bler float64
-		for s := 0; s < seeds; s++ {
-			sr := runs[ri*seeds+s]
+		for _, sr := range runs[ri] {
 			total += sr.total
 			min += sr.min
 			bler += sr.bler

@@ -9,8 +9,6 @@ import (
 	"cellfi/internal/wifi"
 )
 
-func init() { register("table1", Table1) }
-
 // Table1 reproduces the paper's Table 1 — the PHY/MAC property
 // comparison between 802.11af and LTE — computed from the models'
 // actual constants rather than transcribed.

@@ -10,11 +10,6 @@ import (
 	"cellfi/internal/stats"
 )
 
-func init() {
-	register("theorem1", Theorem1)
-	register("overhead", Overhead)
-}
-
 // Theorem1 validates the Section 5.5 convergence analysis empirically:
 // the abstract hopping process converges, and its mean convergence
 // time scales like M log n / ((1 - p) * gamma) — we sweep n, p and the
@@ -87,14 +82,14 @@ func Theorem1(seed int64, quick bool) Result {
 	// Each case owns a seed-derived random stream, so the cases fan out
 	// as independent fleet legs.
 	type caseRun struct{ rounds, gamma float64 }
-	runs := trialFleet("theorem1", len(cases),
+	runs := grid("theorem1", []string{"case"}, len(cases),
 		func(i int) int64 { return seed + int64(i)*50021 },
-		func(c *runner.Ctx, i int) caseRun {
+		func(c *runner.Ctx, _, i int) caseRun {
 			rng := rand.New(rand.NewSource(c.Seed()))
 			r, gamma := mean(cases[i].n, cases[i].p, cases[i].budget, rng)
 			addSteps(c, trials)
 			return caseRun{rounds: r, gamma: gamma}
-		})
+		})[0]
 	for i, c := range cases {
 		r, gamma := runs[i].rounds, runs[i].gamma
 		// Use the *achieved* mean slack after demand shrinking, not
