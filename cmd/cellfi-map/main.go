@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cellfi-map [-aps 10] [-clients 6] [-scheme cellfi|lte] [-seed 1]
+//	cellfi-map [-aps 10] [-clients 6] [-scheme lte|cellfi|oracle|random-hop|hybrid] [-seed 1]
 //	           [-cols 96] [-rows 36] [-epochs 20] [-subchannel 0]
 package main
 
@@ -27,7 +27,7 @@ import (
 func main() {
 	aps := flag.Int("aps", 10, "access points")
 	clients := flag.Int("clients", 6, "clients per AP")
-	scheme := flag.String("scheme", "cellfi", "cellfi or lte")
+	scheme := flag.String("scheme", "cellfi", "lte, cellfi, oracle, random-hop or hybrid")
 	seed := flag.Int64("seed", 1, "random seed")
 	cols := flag.Int("cols", 96, "map width (characters)")
 	rows := flag.Int("rows", 36, "map height (characters)")
@@ -35,14 +35,12 @@ func main() {
 	subchannel := flag.Int("subchannel", 0, "subchannel to map")
 	flag.Parse()
 
-	var s netsim.Scheme
-	switch *scheme {
-	case "cellfi":
-		s = netsim.SchemeCellFi
-	case "lte":
-		s = netsim.SchemeLTE
-	default:
-		log.Fatalf("cellfi-map: unknown scheme %q", *scheme)
+	s, err := netsim.ParseScheme(*scheme)
+	if err != nil {
+		log.Fatalf("cellfi-map: %v", err)
+	}
+	if *aps < 1 || *clients < 1 || *epochs < 1 || *cols < 1 || *rows < 1 {
+		log.Fatalf("cellfi-map: -aps, -clients, -epochs, -cols and -rows must be at least 1")
 	}
 
 	tp := topo.Generate(topo.Paper(*aps, *clients), *seed)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cellfi-sim [-scheme cellfi|lte|oracle] [-aps 14] [-clients 6]
+//	cellfi-sim [-scheme lte|cellfi|oracle|random-hop|hybrid] [-aps 14] [-clients 6]
 //	           [-epochs 30] [-seed 1] [-area 2000]
 //	           [-no-packing] [-perfect-sensing] [-lambda 10]
 //	           [-interference-radius 800]
@@ -40,7 +40,7 @@ func main() { os.Exit(run()) }
 // run is main's body returning the exit code, so the deferred profile
 // flush happens on every exit, including an invariant violation.
 func run() int {
-	scheme := flag.String("scheme", "cellfi", "cellfi, lte or oracle")
+	scheme := flag.String("scheme", "cellfi", "lte, cellfi, oracle, random-hop or hybrid")
 	aps := flag.Int("aps", 14, "number of access points")
 	clients := flag.Int("clients", 6, "clients per AP")
 	epochs := flag.Int("epochs", 30, "1-second IM epochs to simulate")
@@ -65,16 +65,13 @@ func run() int {
 	}
 	defer stopProf()
 
-	var s netsim.Scheme
-	switch *scheme {
-	case "cellfi":
-		s = netsim.SchemeCellFi
-	case "lte":
-		s = netsim.SchemeLTE
-	case "oracle":
-		s = netsim.SchemeOracle
-	default:
-		log.Printf("cellfi-sim: unknown scheme %q", *scheme)
+	s, err := netsim.ParseScheme(*scheme)
+	if err != nil {
+		log.Printf("cellfi-sim: %v", err)
+		return 1
+	}
+	if *aps < 1 || *clients < 1 || *trials < 1 || *epochs < 1 {
+		log.Printf("cellfi-sim: -aps, -clients, -trials and -epochs must be at least 1")
 		return 1
 	}
 

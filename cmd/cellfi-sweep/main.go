@@ -36,12 +36,16 @@ import (
 	"cellfi/internal/topo"
 )
 
-func parseInts(s string) ([]int, error) {
+// parseSizes parses a comma-separated list of counts, each at least 1.
+func parseSizes(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("%d is below 1", v)
 		}
 		out = append(out, v)
 	}
@@ -51,20 +55,11 @@ func parseInts(s string) ([]int, error) {
 func parseSchemes(s string) ([]netsim.Scheme, error) {
 	var out []netsim.Scheme
 	for _, f := range strings.Split(s, ",") {
-		switch strings.TrimSpace(f) {
-		case "cellfi":
-			out = append(out, netsim.SchemeCellFi)
-		case "lte":
-			out = append(out, netsim.SchemeLTE)
-		case "oracle":
-			out = append(out, netsim.SchemeOracle)
-		case "random-hop":
-			out = append(out, netsim.SchemeRandomHop)
-		case "hybrid":
-			out = append(out, netsim.SchemeHybrid)
-		default:
-			return nil, fmt.Errorf("unknown scheme %q", f)
+		v, err := netsim.ParseScheme(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -99,14 +94,18 @@ func run() int {
 		log.Printf("cellfi-sweep: %v", err)
 		return 1
 	}
-	apsList, err := parseInts(*apsFlag)
+	apsList, err := parseSizes(*apsFlag)
 	if err != nil {
 		log.Printf("cellfi-sweep: bad -aps: %v", err)
 		return 1
 	}
-	clientsList, err := parseInts(*clientsFlag)
+	clientsList, err := parseSizes(*clientsFlag)
 	if err != nil {
 		log.Printf("cellfi-sweep: bad -clients: %v", err)
+		return 1
+	}
+	if *trials < 1 || *epochs < 1 {
+		log.Printf("cellfi-sweep: -trials and -epochs must be at least 1")
 		return 1
 	}
 	var bw lte.Bandwidth

@@ -15,8 +15,10 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"cellfi/internal/core"
 	"cellfi/internal/geo"
@@ -54,20 +56,24 @@ const (
 	SchemeHybrid
 )
 
+// schemeNames is indexed by Scheme.
+var schemeNames = [...]string{"lte", "cellfi", "oracle", "random-hop", "hybrid"}
+
 func (s Scheme) String() string {
-	switch s {
-	case SchemeLTE:
-		return "lte"
-	case SchemeCellFi:
-		return "cellfi"
-	case SchemeOracle:
-		return "oracle"
-	case SchemeRandomHop:
-		return "random-hop"
-	case SchemeHybrid:
-		return "hybrid"
+	if s < 0 || int(s) >= len(schemeNames) {
+		return "?"
 	}
-	return "?"
+	return schemeNames[s]
+}
+
+// ParseScheme is the inverse of Scheme.String.
+func ParseScheme(name string) (Scheme, error) {
+	for s, n := range schemeNames {
+		if n == name {
+			return Scheme(s), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want one of %s)", name, strings.Join(schemeNames[:], ", "))
 }
 
 // Config parametrizes a run.

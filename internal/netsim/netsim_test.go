@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
 	"cellfi/internal/geo"
@@ -623,5 +624,35 @@ func TestStepDenseAllocs(t *testing.T) {
 	n := denseNetwork(t, false)
 	if allocs := testing.AllocsPerRun(10, func() { n.Step() }); allocs > 250 {
 		t.Fatalf("Step allocates %.0f times per epoch at 200 APs x 10 clients, want <= 250", allocs)
+	}
+}
+
+// ParseScheme inverts Scheme.String for all five schemes and names the
+// valid ones when refusing anything else.
+func TestParseSchemeRoundTrip(t *testing.T) {
+	all := []Scheme{SchemeLTE, SchemeCellFi, SchemeOracle, SchemeRandomHop, SchemeHybrid}
+	if len(all) != len(schemeNames) {
+		t.Fatalf("%d scheme names for %d schemes", len(schemeNames), len(all))
+	}
+	for _, s := range all {
+		got, err := ParseScheme(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "?", "LTE", "wifi", " cellfi"} {
+		_, err := ParseScheme(bad)
+		if err == nil {
+			t.Errorf("ParseScheme(%q) accepted", bad)
+			continue
+		}
+		for _, s := range all {
+			if !strings.Contains(err.Error(), s.String()) {
+				t.Errorf("ParseScheme(%q) error %q does not list %q", bad, err, s)
+			}
+		}
+	}
+	if got := Scheme(99).String(); got != "?" {
+		t.Errorf("Scheme(99).String() = %q, want \"?\"", got)
 	}
 }
