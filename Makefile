@@ -14,7 +14,8 @@ test:
 # the legacy-harness and collapsed-path guards (no metro/wifi index
 # selector, no metro link-ID slab, no runner shard telemetry, ring-size
 # or slack option, no netsim shard count or cluster fork-join entry, no
-# float streaming-moments type), and the race detector over
+# float streaming-moments type, no hand-rolled netsim trial loop in
+# internal/experiments), and the race detector over
 # every package that owns goroutines or is driven from them (runner,
 # sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
 # netsim).

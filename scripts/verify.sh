@@ -10,7 +10,11 @@
 # metro/wifi index knobs, metro's per-row link-ID slab, runner shard
 # telemetry and its ring-size and checker-slack options, netsim's shard
 # count and the cluster's fork-join entry point, the float
-# streaming-moments type in internal/stats.
+# streaming-moments type in internal/stats; and internal/experiments'
+# hand-rolled trial loops — netsim.New( may appear in at most two
+# non-test files there (the sweep runner and Fig. 9c's web-workload
+# driver), and the per-trial fleet helper, the per-scheme sweep and the
+# Fig. 9 trial function may not be named again.
 #
 # Opt-in stages: VERIFY_RACE=1 (whole suite under -race),
 # VERIFY_CHAOS=1 (ETSI vacate soak), VERIFY_INVARIANTS=1 (chaos worlds
@@ -58,6 +62,19 @@ if git grep --untracked -n 'UseSpatialIndex' -- internal/metro internal/wifi exa
 	git grep --untracked -nw 'Shards' -- internal/netsim ||
 	git grep --untracked -n 'func (c \*Cluster) Do(' -- internal/shard; then
 	echo "verify: a removed mode selector, option, type or slab reappeared (see CHANGES.md, PRs 15, 22 and 23)" >&2
+	exit 1
+fi
+
+# internal/experiments has one sweep path: grid fans out every trial
+# loop, and sweep's arm.run is the one place a backlogged netsim network
+# is built (Fig. 9c's web driver is the other netsim caller).
+exp_netsim_files=$(git grep --untracked -l 'netsim\.New(' -- 'internal/experiments/*.go' ':!internal/experiments/*_test.go' | wc -l)
+if [ "$exp_netsim_files" -gt 2 ]; then
+	echo "verify: netsim.New( appears in $exp_netsim_files non-test files of internal/experiments; go through sweep (sweep.go)" >&2
+	exit 1
+fi
+if git grep --untracked -n 'trial[F]leet\|scheme[S]weep\|runFig9[T]rial' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
+	echo "verify: a hand-rolled experiment trial loop helper reappeared (see CHANGES.md, PR 24)" >&2
 	exit 1
 fi
 
