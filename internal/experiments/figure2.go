@@ -77,7 +77,7 @@ func Figure2(seed int64, quick bool) Result {
 	// over indoor propagation — Section 3.2: "same number of clients
 	// within the corresponding range of each access point ... average
 	// SNR at the receiver is same").
-	runs := grid("fig2", []string{"11af", "11ac"}, trials,
+	res := pool(grid("fig2", []string{"11af", "11ac"}, trials,
 		func(tr int) int64 { return seed + int64(tr)*131 },
 		func(c *runner.Ctx, ai, tr int) armRun {
 			if ai == 0 {
@@ -90,9 +90,8 @@ func Figure2(seed int64, quick bool) Result {
 			acTopo := topo.Generate(acParams, c.Seed())
 			return armRun{samples: wifiTrial(c, acTopo, wifi.Params11ac20(),
 				propagation.IndoorShortRange(c.Seed()), 20, c.Seed(), dur, 50*time.Millisecond)}
-		})
-	af, ac := pool(runs[0]), pool(runs[1])
-	res := []armRun{af, ac}
+		}))
+	af, ac := res[0], res[1]
 
 	t := &stats.Table{
 		Title:   "Figure 2: client throughput, 802.11af vs 802.11ac (equal SNRs)",

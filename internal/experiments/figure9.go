@@ -173,7 +173,7 @@ func Figure9c(seed int64, quick bool) Result {
 	web.ThinkTimeMean = 10 * time.Second
 	// Every arm of a trial regenerates the topology from the trial seed.
 	schemes := []netsim.Scheme{netsim.SchemeLTE, netsim.SchemeCellFi}
-	runs := grid("fig9c", []string{"wifi", "lte", "cellfi"}, trials,
+	res := pool(grid("fig9c", []string{"wifi", "lte", "cellfi"}, trials,
 		func(tr int) int64 { return seed + int64(tr)*60013 },
 		func(c *runner.Ctx, ai, tr int) armRun {
 			tp := topo.Generate(topo.Paper(aps, clients), c.Seed())
@@ -181,8 +181,7 @@ func Figure9c(seed int64, quick bool) Result {
 				return armRun{samples: wifiWebPageLoads(c, tp, web, c.Seed(), durS)}
 			}
 			return armRun{samples: netsimWebPageLoads(c, tp, web, schemes[ai-1], c.Seed(), durS)}
-		})
-	res := []armRun{pool(runs[0]), pool(runs[1]), pool(runs[2])}
+		}))
 	w, l, c := res[0].cdf, res[1].cdf, res[2].cdf
 
 	t := &stats.Table{

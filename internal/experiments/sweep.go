@@ -74,18 +74,21 @@ func (a arm) run(c *runner.Ctx, tp *topo.Topology, seed int64, epochs int) armRu
 	return out
 }
 
-// pool merges one arm's trials: samples concatenated in trial order,
+// pool merges each arm's trials: samples concatenated in trial order,
 // counters summed, the low-index share averaged.
-func pool(runs []armRun) armRun {
-	var out armRun
-	for _, r := range runs {
-		out.samples = append(out.samples, r.samples...)
-		out.hops += r.hops
-		out.handovers += r.handovers
-		out.lowIdx += r.lowIdx
+func pool(runs [][]armRun) []armRun {
+	out := make([]armRun, len(runs))
+	for ai, trials := range runs {
+		a := &out[ai]
+		for _, r := range trials {
+			a.samples = append(a.samples, r.samples...)
+			a.hops += r.hops
+			a.handovers += r.handovers
+			a.lowIdx += r.lowIdx
+		}
+		a.lowIdx /= float64(len(trials))
+		a.cdf = stats.NewCDF(a.samples)
 	}
-	out.lowIdx /= float64(len(runs))
-	out.cdf = stats.NewCDF(out.samples)
 	return out
 }
 
@@ -112,17 +115,12 @@ func sweep(campaign string, arms []arm, trials, epochs int, tp topo.Params, seed
 	for i, a := range arms {
 		names[i] = a.name
 	}
-	runs := grid(campaign, names, trials,
+	return pool(grid(campaign, names, trials,
 		func(tr int) int64 { s, _ := seeds(tr); return s },
 		func(c *runner.Ctx, ai, tr int) armRun {
 			_, topoSeed := seeds(tr)
 			return arms[ai].run(c, topo.Generate(tp, topoSeed), c.Seed(), epochs)
-		})
-	out := make([]armRun, len(arms))
-	for i := range out {
-		out[i] = pool(runs[i])
-	}
-	return out
+		}))
 }
 
 // statRow appends a row holding one statistic of every arm.

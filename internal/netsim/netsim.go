@@ -56,8 +56,13 @@ const (
 	SchemeHybrid
 )
 
-// schemeNames is indexed by Scheme.
-var schemeNames = [...]string{"lte", "cellfi", "oracle", "random-hop", "hybrid"}
+var schemeNames = [...]string{
+	SchemeLTE:       "lte",
+	SchemeCellFi:    "cellfi",
+	SchemeOracle:    "oracle",
+	SchemeRandomHop: "random-hop",
+	SchemeHybrid:    "hybrid",
+}
 
 func (s Scheme) String() string {
 	if s < 0 || int(s) >= len(schemeNames) {
