@@ -15,7 +15,9 @@ test:
 # selector, no metro link-ID slab, no runner shard telemetry, ring-size
 # or slack option, no netsim shard count or cluster fork-join entry, no
 # float streaming-moments type, no hand-rolled netsim trial loop in
-# internal/experiments), and the race detector over
+# internal/experiments), the dead-export guard (every exported function
+# in internal/ is reached from non-test code, or allowlisted with a
+# reason), and the race detector over
 # every package that owns goroutines or is driven from them (runner,
 # sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
 # netsim).

@@ -9,8 +9,11 @@
 //
 // -block registers permanent TV-station incumbents on the listed
 // channels; -mic registers a wireless-microphone event on a channel
-// for the given number of minutes starting now (it can repeat).
-// The server logs spectrum-use notifications it receives.
+// for the given number of minutes starting now (it can repeat). An
+// unknown -domain, or a -mic that is not a channel of the domain's
+// plan and a duration of at least one minute, is refused with exit
+// status 1. The server counts the spectrum-use notifications it
+// receives (/metrics, and the exit summary).
 //
 // -flaky serves scripted outage windows (offsets from process start,
 // e.g. "30s-90s,5m-6m"): requests inside a window get -flaky-status
@@ -29,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os/signal"
@@ -48,6 +52,28 @@ type micFlags []string
 func (m *micFlags) String() string     { return strings.Join(*m, ",") }
 func (m *micFlags) Set(v string) error { *m = append(*m, v); return nil }
 
+// parseMic parses a -mic value, "ch:minutes": a channel of dom's plan
+// and a duration of at least one minute.
+func parseMic(spec string, dom spectrum.Domain) (ch, minutes int, err error) {
+	chStr, minStr, ok := strings.Cut(spec, ":")
+	if !ok {
+		return 0, 0, fmt.Errorf("bad -mic %q, want ch:minutes", spec)
+	}
+	if ch, err = strconv.Atoi(chStr); err != nil {
+		return 0, 0, fmt.Errorf("bad -mic %q: channel: %v", spec, err)
+	}
+	if minutes, err = strconv.Atoi(minStr); err != nil {
+		return 0, 0, fmt.Errorf("bad -mic %q: minutes: %v", spec, err)
+	}
+	if minutes < 1 {
+		return 0, 0, fmt.Errorf("bad -mic %q: minutes must be at least 1", spec)
+	}
+	if _, err := dom.CenterFreqHz(ch); err != nil {
+		return 0, 0, fmt.Errorf("bad -mic %q: %v", spec, err)
+	}
+	return ch, minutes, nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	domain := flag.String("domain", "EU", "regulatory domain: EU or US")
@@ -59,9 +85,14 @@ func main() {
 	flag.Var(&mics, "mic", "wireless-mic event as ch:minutes (repeatable)")
 	flag.Parse()
 
-	dom := spectrum.EU
-	if strings.EqualFold(*domain, "US") {
+	var dom spectrum.Domain
+	switch strings.ToUpper(*domain) {
+	case "EU":
+		dom = spectrum.EU
+	case "US":
 		dom = spectrum.US
+	default:
+		log.Fatalf("pawsdb: bad -domain %q, want EU or US", *domain)
 	}
 	reg := spectrum.NewRegistry(dom)
 	origin := geo.Point{}
@@ -82,14 +113,9 @@ func main() {
 		}
 	}
 	for _, m := range mics {
-		parts := strings.SplitN(m, ":", 2)
-		if len(parts) != 2 {
-			log.Fatalf("pawsdb: bad -mic %q, want ch:minutes", m)
-		}
-		ch, err1 := strconv.Atoi(parts[0])
-		mins, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			log.Fatalf("pawsdb: bad -mic %q", m)
+		ch, mins, err := parseMic(m, dom)
+		if err != nil {
+			log.Fatalf("pawsdb: %v", err)
 		}
 		if err := reg.AddIncumbent(spectrum.Incumbent{
 			Kind: spectrum.WirelessMic, Channel: ch,

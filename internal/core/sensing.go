@@ -11,43 +11,7 @@
 // network-listen channel choice among the offered TV channels.
 package core
 
-import (
-	"math"
-	"time"
-
-	"cellfi/internal/sim"
-)
-
-// ClientEstimator tracks clients overheard via PRACH preambles. CellFi
-// APs solicit preambles every second (PDCCH-order RACH) and expire each
-// sighting after one second so inactive clients age out (Section 5.1).
-type ClientEstimator struct {
-	// Expiry is how long one sighting stays valid (default 1 s).
-	Expiry time.Duration
-	seen   map[int]sim.Time
-}
-
-// NewClientEstimator returns an estimator with the paper's 1-second
-// expiry.
-func NewClientEstimator() *ClientEstimator {
-	return &ClientEstimator{Expiry: time.Second, seen: make(map[int]sim.Time)}
-}
-
-// Hear records a preamble from the given client at time now.
-func (e *ClientEstimator) Hear(clientID int, now sim.Time) {
-	e.seen[clientID] = now
-}
-
-// Count returns the number of distinct clients heard within the expiry
-// window ending at now. Expired entries are pruned.
-func (e *ClientEstimator) Count(now sim.Time) int {
-	for id, at := range e.seen {
-		if now-at > e.Expiry {
-			delete(e.seen, id)
-		}
-	}
-	return len(e.seen)
-}
+import "math"
 
 // Interference detector constants (Section 6.3.2).
 const (

@@ -3,39 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
-
-func TestClientEstimatorExpiry(t *testing.T) {
-	e := NewClientEstimator()
-	e.Hear(1, 0)
-	e.Hear(2, 0)
-	e.Hear(3, 500*time.Millisecond)
-	if got := e.Count(900 * time.Millisecond); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
-	}
-	// At 1.2 s, the sightings at t=0 have expired (1 s window).
-	if got := e.Count(1200 * time.Millisecond); got != 1 {
-		t.Fatalf("count after expiry = %d, want 1", got)
-	}
-	// Re-hearing refreshes.
-	e.Hear(1, 1300*time.Millisecond)
-	if got := e.Count(1400 * time.Millisecond); got != 2 {
-		t.Fatalf("count after refresh = %d, want 2", got)
-	}
-}
-
-func TestClientEstimatorDuplicates(t *testing.T) {
-	e := NewClientEstimator()
-	for i := 0; i < 10; i++ {
-		e.Hear(42, sim2ms(i))
-	}
-	if got := e.Count(sim2ms(10)); got != 1 {
-		t.Fatalf("duplicate preambles counted %d times", got)
-	}
-}
-
-func sim2ms(i int) time.Duration { return time.Duration(i) * 2 * time.Millisecond }
 
 func TestShareCalculation(t *testing.T) {
 	cases := []struct {

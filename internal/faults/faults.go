@@ -54,7 +54,7 @@ const (
 	ClockSkew
 )
 
-// kindNames doubles as the String table and the profile vocabulary.
+// kindNames is the String table.
 var kindNames = map[Kind]string{
 	None:          "none",
 	Latency:       "latency",
@@ -130,13 +130,6 @@ type Injector struct {
 // given schedule.
 func NewInjector(base http.RoundTripper, sched Schedule) *Injector {
 	return &Injector{Base: base, Schedule: sched}
-}
-
-// Calls returns how many HTTP calls the injector has seen.
-func (in *Injector) Calls() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls
 }
 
 // Log returns a copy of the injected-fault event log (None faults are

@@ -99,7 +99,7 @@ func TestScriptFaults(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if got := inj.Calls(); got != 7 {
+	if got := inj.calls; got != 7 {
 		t.Fatalf("calls = %d, want 7", got)
 	}
 	if got := len(inj.Log()); got != 5 {
@@ -195,30 +195,6 @@ func TestSeededBurstsAreBlockCorrelated(t *testing.T) {
 	}
 	if down == 0 || up == 0 {
 		t.Fatalf("outage profile degenerate: %d down, %d up blocks", down, up)
-	}
-}
-
-func TestParseScript(t *testing.T) {
-	s, err := ParseScript("none*2,server-error:502*3,latency:300ms,drop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 7 {
-		t.Fatalf("len = %d, want 7", len(s))
-	}
-	if s[2].Kind != ServerError || s[2].Status != 502 {
-		t.Fatalf("entry 2 = %+v", s[2])
-	}
-	if s[5].Kind != Latency || s[5].Delay != 300*time.Millisecond {
-		t.Fatalf("entry 5 = %+v", s[5])
-	}
-	if s[6].Kind != Drop {
-		t.Fatalf("entry 6 = %+v", s[6])
-	}
-	for _, bad := range []string{"bogus", "latency:xyz", "drop:5", "none*0"} {
-		if _, err := ParseScript(bad); err == nil {
-			t.Fatalf("ParseScript(%q) accepted", bad)
-		}
 	}
 }
 

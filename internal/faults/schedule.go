@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -167,61 +166,4 @@ func (s *Seeded) materialize(k Kind, rng *rand.Rand) Fault {
 	default:
 		return Fault{Kind: k}
 	}
-}
-
-// ParseScript parses a compact scripted schedule: a comma-separated
-// list of entries, each "kind", "kind*count", or for latency
-// "latency:250ms" (optionally "latency:250ms*3"). Example:
-//
-//	none*5,server-error*10,latency:300ms,drop*2
-//
-// covers calls 0–17.
-func ParseScript(spec string) (Script, error) {
-	var out Script
-	if strings.TrimSpace(spec) == "" {
-		return out, nil
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		count := 1
-		if i := strings.IndexByte(entry, '*'); i >= 0 {
-			if _, err := fmt.Sscanf(entry[i+1:], "%d", &count); err != nil || count < 1 {
-				return nil, fmt.Errorf("faults: bad repeat in %q", entry)
-			}
-			entry = entry[:i]
-		}
-		f := Fault{}
-		name, arg, hasArg := strings.Cut(entry, ":")
-		found := false
-		for k, kn := range kindNames {
-			if kn == name {
-				f.Kind = k
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("faults: unknown fault kind %q", name)
-		}
-		if hasArg {
-			switch f.Kind {
-			case Latency:
-				d, err := time.ParseDuration(arg)
-				if err != nil {
-					return nil, fmt.Errorf("faults: bad latency %q: %v", arg, err)
-				}
-				f.Delay = d
-			case ServerError:
-				if _, err := fmt.Sscanf(arg, "%d", &f.Status); err != nil {
-					return nil, fmt.Errorf("faults: bad status %q", arg)
-				}
-			default:
-				return nil, fmt.Errorf("faults: %s takes no argument", name)
-			}
-		}
-		for i := 0; i < count; i++ {
-			out = append(out, f)
-		}
-	}
-	return out, nil
 }

@@ -69,22 +69,6 @@ func (r Rect) RandomPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-// RandomPointInDisk returns a point uniform over the disk of the given
-// radius centred at c, clipped to r if clip is non-nil. Clipping uses
-// rejection sampling; if the disk and the region barely overlap this can
-// loop, so callers must ensure c is inside r.
-func RandomPointInDisk(rng *rand.Rand, c Point, radius float64, clip *Rect) Point {
-	for {
-		// Uniform over a disk: r = R*sqrt(u), theta uniform.
-		rr := radius * math.Sqrt(rng.Float64())
-		th := rng.Float64() * 2 * math.Pi
-		p := Point{c.X + rr*math.Cos(th), c.Y + rr*math.Sin(th)}
-		if clip == nil || clip.Contains(p) {
-			return p
-		}
-	}
-}
-
 // RandomPointInRing returns a point uniform over the annulus
 // [minRadius, maxRadius] around c, clipped to r if clip is non-nil.
 func RandomPointInRing(rng *rand.Rand, c Point, minRadius, maxRadius float64, clip *Rect) Point {

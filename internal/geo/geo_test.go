@@ -119,6 +119,8 @@ func TestRandomPointsUniformQuadrants(t *testing.T) {
 	}
 }
 
+// A ring with inner radius 0 is a disk: samples must be uniform over
+// its area.
 func TestRandomPointInDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := Point{500, 500}
@@ -126,7 +128,7 @@ func TestRandomPointInDisk(t *testing.T) {
 	inner := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
-		p := RandomPointInDisk(rng, c, radius, nil)
+		p := RandomPointInRing(rng, c, 0, radius, nil)
 		d := c.Dist(p)
 		if d > radius+1e-9 {
 			t.Fatalf("point %v outside disk (d=%g)", p, d)
@@ -146,7 +148,7 @@ func TestRandomPointInDiskClipped(t *testing.T) {
 	r := Square(1000)
 	c := Point{10, 10} // near corner: most of the disk is outside
 	for i := 0; i < 500; i++ {
-		p := RandomPointInDisk(rng, c, 300, &r)
+		p := RandomPointInRing(rng, c, 0, 300, &r)
 		if !r.Contains(p) {
 			t.Fatalf("clipped point %v escaped region", p)
 		}

@@ -14,7 +14,7 @@ import (
 // O(neighborhood).
 //
 // The bucket side is normally the query radius — the interference-
-// significance radius, see propagation.Model.InterferenceRadius — so a
+// significance radius, see DESIGN.md — so a
 // radius-r query touches at most a 3x3 block of buckets. Queries with
 // other radii remain correct (the covered bucket range is computed per
 // call); only the constant factor moves.

@@ -12,7 +12,7 @@
 // allocated once and reused), and it is not goroutine-safe — each run
 // owns its checker, mirroring sim.Engine's threading model. Wire it
 // inline with Tee to keep an existing recorder (ring spill, counters)
-// running behind it, or replay a decoded stream offline with Verify
+// running behind it, or replay a decoded stream offline with Feed
 // (that is what `cellfi-trace verify` does).
 //
 // Evidence model: the lease FSM emits a KindLeaseBudget record —
@@ -287,13 +287,4 @@ func (c *Checker) Err() error {
 		return fmt.Errorf("invariant: %s (+%d more violations)", v, c.total-1)
 	}
 	return fmt.Errorf("invariant: %s", v)
-}
-
-// Verify replays a decoded stream through a fresh default checker and
-// returns the first violation, nil when the stream is clean. Offline
-// counterpart of wiring a Checker into a live run.
-func Verify(recs []trace.Record) *Violation {
-	c := &Checker{}
-	c.Feed(recs)
-	return c.First()
 }

@@ -38,9 +38,17 @@ func apLife(t int64, ap int32, up int64) trace.Record {
 		Args: [trace.MaxArgs]int64{up}}
 }
 
+// verify replays a decoded stream through a fresh default checker and
+// returns the first violation, nil when the stream is clean.
+func verify(recs []trace.Record) *Violation {
+	c := &Checker{}
+	c.Feed(recs)
+	return c.First()
+}
+
 func firstRule(t *testing.T, recs []trace.Record) string {
 	t.Helper()
-	v := Verify(recs)
+	v := verify(recs)
 	if v == nil {
 		return ""
 	}
@@ -55,7 +63,7 @@ func TestCleanStream(t *testing.T) {
 		budget(2*sec, 1, 21, 5*min, 2*sec+min),
 		tx(3*sec, 1, 21),
 	}
-	if v := Verify(recs); v != nil {
+	if v := verify(recs); v != nil {
 		t.Fatalf("clean stream flagged: %v", v)
 	}
 }
@@ -91,7 +99,7 @@ func TestTxPastVacateBudget(t *testing.T) {
 		tx(min, 1, 21), // exactly at the boundary: allowed
 		tx(min+sec, 1, 21),
 	}
-	v := Verify(recs)
+	v := verify(recs)
 	if v == nil || v.Rule != RuleTxPastVacateBudget {
 		t.Fatalf("past-budget TX: got %v, want %s", v, RuleTxPastVacateBudget)
 	}
@@ -111,7 +119,7 @@ func TestTxOnOccupiedChannel(t *testing.T) {
 		budget(40*sec, 1, 21, 10*min, 40*sec+min),
 		tx(sec+min+sec, 1, 21), // deadline blown
 	}
-	v := Verify(recs)
+	v := verify(recs)
 	if v == nil || v.Rule != RuleTxOnOccupiedChannel {
 		t.Fatalf("occupied-channel TX: got %v, want %s", v, RuleTxOnOccupiedChannel)
 	}
@@ -125,7 +133,7 @@ func TestTxOnOccupiedChannel(t *testing.T) {
 		incumbent(2*sec, 21, 0),
 		tx(50*sec, 1, 21),
 	}
-	if v := Verify(recs); v != nil {
+	if v := verify(recs); v != nil {
 		t.Fatalf("TX after incumbent departed flagged: %v", v)
 	}
 	// Slack widens the cross-clock comparison.
@@ -167,7 +175,7 @@ func TestRestartResetsAP(t *testing.T) {
 		budget(3*sec, 1, 23, 5*min, 3*sec+min),
 		tx(4*sec, 1, 23),
 	}
-	if v := Verify(recs); v != nil {
+	if v := verify(recs); v != nil {
 		t.Fatalf("post-restart reacquisition flagged: %v", v)
 	}
 }

@@ -1,7 +1,6 @@
 package lte
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -29,11 +28,6 @@ func (b Band) Candidates() int {
 		return 0
 	}
 	return int((b.HighHz-b.LowHz)/b.RasterHz) + 1
-}
-
-// Contains reports whether a frequency falls inside the band.
-func (b Band) Contains(freqHz float64) bool {
-	return freqHz >= b.LowHz && freqHz <= b.HighHz
 }
 
 // DefaultScanBands returns the band set a multi-band TVWS-capable
@@ -85,25 +79,6 @@ func (s *CellSearcher) TotalCandidates() int {
 // once and attach (the carrier is found on the last candidate).
 func (s *CellSearcher) FullScanTime() time.Duration {
 	return time.Duration(s.TotalCandidates())*s.DwellPerCandidate + s.SyncAndSIB
-}
-
-// SearchTime returns the time to find a carrier at the given frequency:
-// bands are scanned in order, low edge first, so the cost is the dwell
-// over all candidates visited before the carrier plus the fixed
-// synchronization tail. An error is returned when no configured band
-// covers the frequency.
-func (s *CellSearcher) SearchTime(carrierHz float64) (time.Duration, error) {
-	visited := 0
-	for _, b := range s.Bands {
-		if !b.Contains(carrierHz) {
-			visited += b.Candidates()
-			continue
-		}
-		within := int((carrierHz - b.LowHz) / b.RasterHz)
-		visited += within + 1
-		return time.Duration(visited)*s.DwellPerCandidate + s.SyncAndSIB, nil
-	}
-	return 0, fmt.Errorf("lte: frequency %.1f MHz outside all scan bands", carrierHz/1e6)
 }
 
 // RestrictToTVWS drops every band that does not overlap the TV

@@ -1,7 +1,6 @@
 package lte
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -13,9 +12,6 @@ func TestBandCandidates(t *testing.T) {
 	}
 	if (Band{LowHz: 1, HighHz: 0, RasterHz: 1}).Candidates() != 0 {
 		t.Fatal("inverted band should contribute nothing")
-	}
-	if !b.Contains(470.2e6) || b.Contains(471e6) {
-		t.Fatal("Contains wrong")
 	}
 }
 
@@ -30,29 +26,6 @@ func TestFullScanMatchesMeasured56s(t *testing.T) {
 	}
 }
 
-func TestSearchTimeOrdering(t *testing.T) {
-	s := NewCellSearcher()
-	// A carrier early in the first band is found quickly; one at the
-	// end of the last band costs the full scan.
-	early, err := s.SearchTime(746.1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	late, err := s.SearchTime(3799.9e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if early >= late {
-		t.Fatalf("early carrier (%v) not faster than late carrier (%v)", early, late)
-	}
-	if late > s.FullScanTime() {
-		t.Fatalf("late carrier %v exceeds the full scan %v", late, s.FullScanTime())
-	}
-	if _, err := s.SearchTime(10e9); err == nil {
-		t.Fatal("frequency outside all bands should error")
-	}
-}
-
 // The paper's optimization: restricting the scan to TVWS-overlapping
 // bands cuts reconnection by an order of magnitude.
 func TestRestrictToTVWS(t *testing.T) {
@@ -63,32 +36,12 @@ func TestRestrictToTVWS(t *testing.T) {
 			t.Fatalf("band %s survived the TVWS restriction", b.Name)
 		}
 	}
+	if len(s.Bands) == 0 {
+		t.Fatal("the TVWS restriction dropped the TVWS band")
+	}
 	restricted := s.FullScanTime()
 	if restricted > full/3 {
 		t.Fatalf("TVWS-only scan %v should be far below the full %v", restricted, full)
-	}
-	// A TVWS carrier must still be findable.
-	tvws, err := s.SearchTime(474e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tvws > restricted {
-		t.Fatal("TVWS carrier search exceeds the restricted full scan")
-	}
-}
-
-func TestSearchTimeMonotoneWithinBand(t *testing.T) {
-	s := NewCellSearcher()
-	prev := time.Duration(0)
-	for f := 470e6; f <= 698e6; f += 25e6 {
-		got, err := s.SearchTime(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got < prev {
-			t.Fatalf("search time decreased at %.0f MHz", f/1e6)
-		}
-		prev = got
 	}
 }
 
@@ -104,12 +57,5 @@ func TestScanTimeArithmetic(t *testing.T) {
 	want := 11*time.Millisecond + time.Second
 	if got := s.FullScanTime(); got != want {
 		t.Fatalf("full scan = %v, want %v", got, want)
-	}
-	at, err := s.SearchTime(500e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(at-(6*time.Millisecond+time.Second))) > float64(time.Millisecond) {
-		t.Fatalf("search time = %v", at)
 	}
 }

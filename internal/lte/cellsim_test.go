@@ -40,7 +40,7 @@ func TestCellSimThroughputNearPeak(t *testing.T) {
 	cs.Backlog(100, 1<<40)
 	eng.Run(2 * time.Second)
 	rate := float64(cs.DeliveredBits(100)) / 2
-	peak := PeakRateBps(BW5MHz, TDDConfig4)
+	peak := peakRateBps(BW5MHz, TDDConfig4)
 	if rate < 0.6*peak {
 		t.Fatalf("close-in rate %.1f Mbps below 60%% of the %.1f Mbps peak", rate/1e6, peak/1e6)
 	}

@@ -214,8 +214,3 @@ func CQISignalingOverheadBps() float64 {
 func EARFCNFromFreq(freqHz float64) int {
 	return int(freqHz / 100e3)
 }
-
-// FreqFromEARFCN inverts EARFCNFromFreq.
-func FreqFromEARFCN(earfcn int) float64 {
-	return float64(earfcn) * 100e3
-}

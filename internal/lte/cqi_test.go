@@ -74,52 +74,3 @@ func TestCQIReporterNoiseClamps(t *testing.T) {
 		}
 	}
 }
-
-func TestCQITrackerMaxWindow(t *testing.T) {
-	tr := NewCQITracker(2, 3)
-	add := func(a, b int) { tr.Add(CQIReport{Subband: []int{a, b}}) }
-	add(5, 10)
-	add(7, 9)
-	if tr.Max(0) != 7 || tr.Max(1) != 10 {
-		t.Fatalf("max = %d,%d want 7,10", tr.Max(0), tr.Max(1))
-	}
-	if tr.Samples() != 2 {
-		t.Fatalf("samples = %d", tr.Samples())
-	}
-	// Window slides: the 5 and the 10 fall out after 3 more adds.
-	add(3, 2)
-	add(3, 2)
-	add(3, 2)
-	if tr.Max(0) != 3 || tr.Max(1) != 2 {
-		t.Fatalf("stale maxima survived: %d,%d", tr.Max(0), tr.Max(1))
-	}
-	if tr.Samples() != 3 {
-		t.Fatalf("samples = %d, want window size 3", tr.Samples())
-	}
-}
-
-func TestCQITrackerEmpty(t *testing.T) {
-	tr := NewCQITracker(4, 8)
-	if tr.Max(2) != 0 || tr.Samples() != 0 {
-		t.Fatal("empty tracker should report zero")
-	}
-}
-
-func TestCQITrackerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched report should panic")
-		}
-	}()
-	tr := NewCQITracker(3, 4)
-	tr.Add(CQIReport{Subband: []int{1, 2}})
-}
-
-func TestNewCQITrackerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero window should panic")
-		}
-	}()
-	NewCQITracker(1, 0)
-}

@@ -83,79 +83,11 @@ func fftDir(x []complex128, inverse bool) []complex128 {
 	return y
 }
 
-// DFT computes the forward DFT of x for any length, using Bluestein's
-// algorithm on top of the radix-2 FFT. For power-of-two lengths it
-// falls through to FFT directly.
+// DFT computes the forward DFT of x for any length, through a one-shot
+// DFTPlan: Bluestein's algorithm on top of the radix-2 FFT, or FFT
+// directly for power-of-two lengths.
 func DFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		return FFT(x)
-	}
-	return bluestein(x, false)
-}
-
-// IDFT computes the inverse DFT (1/N normalized) for any length.
-func IDFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		return IFFT(x)
-	}
-	y := bluestein(x, true)
-	nc := complex(float64(n), 0)
-	for i := range y {
-		y[i] /= nc
-	}
-	return y
-}
-
-// bluestein converts a length-n DFT into a circular convolution of
-// length m >= 2n-1 (m a power of two), which the radix-2 FFT handles.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[k] = exp(sign * i*pi*k^2/n). Use k^2 mod 2n to keep the
-	// angle argument small and exact.
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		ang := sign * math.Pi * float64(kk) / float64(n)
-		chirp[k] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	a := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-	}
-	b := make([]complex128, m)
-	b[0] = cmplxConj(chirp[0])
-	for k := 1; k < n; k++ {
-		c := cmplxConj(chirp[k])
-		b[k] = c
-		b[m-k] = c
-	}
-	fa := FFT(a)
-	fb := FFT(b)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	conv := IFFT(fa)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = conv[k] * chirp[k]
-	}
-	return out
+	return NewDFTPlan(len(x), false).Transform(x)
 }
 
 func cmplxConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
@@ -238,20 +170,4 @@ func (p *DFTPlan) Transform(x []complex128) []complex128 {
 		}
 	}
 	return out
-}
-
-// CircularCorrelate returns the circular cross-correlation of a against
-// b (both length n): out[s] = sum_k a[k] * conj(b[k-s mod n]). It is
-// computed in the frequency domain: IDFT(DFT(a) * conj(DFT(b))).
-// A peak at index s means b appears in a with a cyclic shift of s.
-func CircularCorrelate(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic("lte: correlate length mismatch")
-	}
-	fa := DFT(a)
-	fb := DFT(b)
-	for i := range fa {
-		fa[i] *= cmplxConj(fb[i])
-	}
-	return IDFT(fa)
 }

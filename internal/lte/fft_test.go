@@ -80,8 +80,8 @@ func TestIDFTInverts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{8, 13, 839, 1024} {
 		x := randComplex(rng, n)
-		if e := maxErr(IDFT(DFT(x)), x); e > 1e-8*float64(n) {
-			t.Errorf("IDFT(DFT) n=%d round-trip error %g", n, e)
+		if e := maxErr(NewDFTPlan(n, true).Transform(DFT(x)), x); e > 1e-8*float64(n) {
+			t.Errorf("inverse plan(DFT) n=%d round-trip error %g", n, e)
 		}
 	}
 }
@@ -128,39 +128,8 @@ func TestParsevalEnergy(t *testing.T) {
 	}
 }
 
-func TestCircularCorrelateFindsShift(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 101
-	base := randComplex(rng, n)
-	for _, shift := range []int{0, 1, 17, 100} {
-		shifted := make([]complex128, n)
-		for k := 0; k < n; k++ {
-			shifted[k] = base[(k+shift)%n]
-		}
-		corr := CircularCorrelate(shifted, base)
-		best, bestIdx := 0.0, -1
-		for i, c := range corr {
-			if a := cmplx.Abs(c); a > best {
-				best, bestIdx = a, i
-			}
-		}
-		if got := (n - bestIdx) % n; got != shift {
-			t.Errorf("shift %d detected as %d", shift, got)
-		}
-	}
-}
-
-func TestCircularCorrelateLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	CircularCorrelate(make([]complex128, 4), make([]complex128, 8))
-}
-
 func TestEmptyTransforms(t *testing.T) {
-	if DFT(nil) != nil || IDFT(nil) != nil || FFT(nil) != nil {
+	if DFT(nil) != nil || IFFT(nil) != nil || FFT(nil) != nil {
 		t.Fatal("empty input should return nil")
 	}
 }

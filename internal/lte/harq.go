@@ -30,16 +30,8 @@ type HARQProcess struct {
 	done, delivered bool
 }
 
-// NewHARQProcess starts a process for a block encoded at the given CQI.
-func NewHARQProcess(cqi int) *HARQProcess {
-	return &HARQProcess{CQI: cqi}
-}
-
 // Attempts returns the number of transmissions performed.
 func (h *HARQProcess) Attempts() int { return h.attempts }
-
-// Delivered reports whether the block was decoded.
-func (h *HARQProcess) Delivered() bool { return h.delivered }
 
 // Done reports whether the process has terminated (success or drop).
 func (h *HARQProcess) Done() bool { return h.done }
@@ -76,51 +68,4 @@ func (h *HARQProcess) Transmit(sinrDB float64, rng *rand.Rand) bool {
 		h.done = true
 	}
 	return ok
-}
-
-// DeliveryStats summarizes many HARQ runs.
-type DeliveryStats struct {
-	Blocks      int
-	Delivered   int
-	Retransmits int // blocks that needed at least one retransmission
-	Dropped     int
-}
-
-// DeliveryRate is the fraction of blocks delivered.
-func (s DeliveryStats) DeliveryRate() float64 {
-	if s.Blocks == 0 {
-		return 0
-	}
-	return float64(s.Delivered) / float64(s.Blocks)
-}
-
-// HARQFraction is the fraction of blocks that needed at least one
-// retransmission — the Figure 1 "25% of packets beyond 500 m" metric.
-func (s DeliveryStats) HARQFraction() float64 {
-	if s.Blocks == 0 {
-		return 0
-	}
-	return float64(s.Retransmits) / float64(s.Blocks)
-}
-
-// RunHARQ transmits n blocks at the given CQI, drawing each attempt's
-// SINR from sinrFn (called once per attempt), and aggregates statistics.
-func RunHARQ(n, cqi int, rng *rand.Rand, sinrFn func() float64) DeliveryStats {
-	var st DeliveryStats
-	st.Blocks = n
-	for i := 0; i < n; i++ {
-		p := NewHARQProcess(cqi)
-		for !p.Done() {
-			p.Transmit(sinrFn(), rng)
-		}
-		if p.Delivered() {
-			st.Delivered++
-		} else {
-			st.Dropped++
-		}
-		if p.Attempts() > 1 {
-			st.Retransmits++
-		}
-	}
-	return st
 }

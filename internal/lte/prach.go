@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sort"
 )
 
 // PRACH: random-access preambles. An LTE client opens a connection by
@@ -79,17 +78,6 @@ func AddAWGN(rng *rand.Rand, signal []complex128, snrDB float64) []complex128 {
 	return out
 }
 
-// Attenuate scales a signal to the given power ratio in dB (negative
-// attenuates). Used to model weak preambles under a noise floor.
-func Attenuate(signal []complex128, gainDB float64) []complex128 {
-	g := complex(math.Pow(10, gainDB/20), 0)
-	out := make([]complex128, len(signal))
-	for i, s := range signal {
-		out[i] = s * g
-	}
-	return out
-}
-
 // DetectionResult reports a detector's verdict.
 type DetectionResult struct {
 	Detected bool
@@ -109,18 +97,6 @@ type DetectionResult struct {
 // processing gain is ~29 dB, so at -10 dB SNR a real preamble's peak
 // stands near 84x the mean — far above the threshold.
 const DetectionThreshold = 13.0
-
-// DetectPreambleFast is the paper's modified detector. It performs one
-// frequency-domain circular correlation of the received window against
-// the root sequence (two DFTs amortized: the root's transform is
-// precomputable) and finds the single strongest cyclic shift; the shift
-// absorbs both the unknown preamble index and the unknown timing, so no
-// per-preamble search is needed. The second "correlation" is the
-// peak-value check against the detection threshold.
-func DetectPreambleFast(rx []complex128, root int) DetectionResult {
-	ref := ZadoffChu(root, PRACHSequenceLength)
-	return detectFrom(CircularCorrelate(rx, ref))
-}
 
 // FastDetector precomputes the root sequence's conjugated spectrum and
 // the Bluestein transform plans, so each detection pays only the
@@ -216,97 +192,4 @@ func DetectPreambleNaive(rx []complex128, root int) DetectionResult {
 	}
 	ptm := peak / mean
 	return DetectionResult{Detected: ptm >= DetectionThreshold, Shift: (n - peakIdx) % n, PeakToMean: ptm}
-}
-
-// NcsGuard is the minimum cyclic-shift separation treated as two
-// distinct preambles. It mirrors the zero-correlation-zone (N_cs)
-// configuration that separates a cell's preambles: peaks closer than
-// this are one preamble's energy (including its delay spread).
-const NcsGuard = 13
-
-// DetectMultiple finds every preamble present in one received window:
-// clients of different cells (and different clients of one cell) land
-// on distinct cyclic shifts, so the correlation has one peak per
-// transmitter. Peaks above the detection threshold are accepted
-// greedily in descending power with an NcsGuard exclusion zone around
-// each. This is the detector a CellFi AP actually runs each second —
-// its client census needs a count, not just a presence bit.
-func (d *FastDetector) DetectMultiple(rx []complex128, maxCount int) []DetectionResult {
-	if len(rx) != PRACHSequenceLength {
-		panic("lte: PRACH window must be 839 samples")
-	}
-	fa := d.fwd.Transform(rx)
-	for i := range fa {
-		fa[i] *= d.refSpectrum[i]
-	}
-	corr := d.inv.Transform(fa)
-	n := len(corr)
-
-	powers := make([]float64, n)
-	var sum float64
-	for i, c := range corr {
-		p := real(c)*real(c) + imag(c)*imag(c)
-		powers[i] = p
-		sum += p
-	}
-	mean := sum / float64(n)
-	if mean == 0 {
-		return nil
-	}
-
-	// Candidate indices in descending power order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return powers[order[a]] > powers[order[b]] })
-
-	var out []DetectionResult
-	taken := make([]bool, n)
-	for _, idx := range order {
-		if maxCount > 0 && len(out) >= maxCount {
-			break
-		}
-		ptm := powers[idx] / mean
-		if ptm < DetectionThreshold {
-			break // powers are descending; nothing further qualifies
-		}
-		if taken[idx] {
-			continue
-		}
-		// Exclude the guard zone around this peak.
-		for off := -NcsGuard; off <= NcsGuard; off++ {
-			taken[(idx+off+n)%n] = true
-		}
-		out = append(out, DetectionResult{
-			Detected:   true,
-			Shift:      (n - idx) % n,
-			PeakToMean: ptm,
-		})
-	}
-	return out
-}
-
-// Superpose mixes several unit-power signals at the given per-signal
-// gains (dB) into one received window — the uplink of a busy RACH
-// occasion.
-func Superpose(signals [][]complex128, gainsDB []float64) []complex128 {
-	if len(signals) == 0 {
-		return nil
-	}
-	if len(signals) != len(gainsDB) {
-		panic("lte: superpose needs one gain per signal")
-	}
-	n := len(signals[0])
-	out := make([]complex128, n)
-	for s, sig := range signals {
-		if len(sig) != n {
-			panic("lte: superpose length mismatch")
-		}
-		g := complex(math.Pow(10, gainsDB[s]/20), 0)
-		for i, v := range sig {
-			out[i] += v * g
-		}
-	}
-	return out
 }

@@ -27,13 +27,6 @@ func SubchannelRateBps(bw Bandwidth, tdd TDDConfig, subchannel, cqi int) float64
 	return float64(bits) / SubframeDuration.Seconds() * tdd.DownlinkFraction()
 }
 
-// PeakRateBps returns the full-carrier downlink rate at the top CQI —
-// the cell's PHY ceiling.
-func PeakRateBps(bw Bandwidth, tdd TDDConfig) float64 {
-	bits := TransportBlockBits(phy.LTECQICount, bw.ResourceBlocks())
-	return float64(bits) / SubframeDuration.Seconds() * tdd.DownlinkFraction()
-}
-
 // GoodputBitsPerSymbol converts a CQI and block error rate into the
 // paper's Figure 7 metric: information bits per modulation symbol,
 // bit/symbol = coding_rate * modulation_bits * (1 - BLER).

@@ -30,14 +30,21 @@ func TestTransportBlockBits(t *testing.T) {
 	}
 }
 
+// peakRateBps is the full-carrier downlink rate at the top CQI: the
+// cell's PHY ceiling.
+func peakRateBps(bw Bandwidth, tdd TDDConfig) float64 {
+	bits := TransportBlockBits(phy.LTECQICount, bw.ResourceBlocks())
+	return float64(bits) / SubframeDuration.Seconds() * tdd.DownlinkFraction()
+}
+
 // The cell's PHY ceiling must land in the real-LTE ballpark: a 5 MHz
 // TDD carrier peaks around 12-14 Mbps downlink (FDD would be ~18 Mbps).
 func TestPeakRatePlausible(t *testing.T) {
-	peak := PeakRateBps(BW5MHz, TDDConfig4)
+	peak := peakRateBps(BW5MHz, TDDConfig4)
 	if peak < 10e6 || peak > 16e6 {
 		t.Fatalf("5 MHz TDD peak = %.1f Mbps, want 10-16", peak/1e6)
 	}
-	peak20 := PeakRateBps(BW20MHz, TDDConfig4)
+	peak20 := peakRateBps(BW20MHz, TDDConfig4)
 	if peak20 < 3.8*peak || peak20 > 4.2*peak {
 		t.Fatalf("20 MHz peak should be ~4x the 5 MHz peak (got %.1f vs %.1f Mbps)",
 			peak20/1e6, peak/1e6)

@@ -119,24 +119,6 @@ func (r *RRCSim) Release(clientID int) {
 	delete(r.pending, clientID)
 }
 
-// ReleaseAll drops every client — the cell going dark.
-func (r *RRCSim) ReleaseAll() {
-	for id := range r.states {
-		r.Release(id)
-	}
-}
-
-// Connected counts clients in RRCConnected.
-func (r *RRCSim) Connected() int {
-	n := 0
-	for _, s := range r.states {
-		if s == RRCConnected {
-			n++
-		}
-	}
-	return n
-}
-
 func (r *RRCSim) pickPreamble(clientID int) {
 	r.pending[clientID] = r.rng.Intn(r.Preambles)
 }

@@ -7,6 +7,17 @@ import (
 	"cellfi/internal/sim"
 )
 
+// connected counts clients in RRCConnected.
+func connected(r *RRCSim) int {
+	n := 0
+	for _, s := range r.states {
+		if s == RRCConnected {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRRCSingleClientAttaches(t *testing.T) {
 	eng := sim.NewEngine(1)
 	r := NewRRCSim(eng)
@@ -40,8 +51,8 @@ func TestRRCManyClientsAllAttach(t *testing.T) {
 	if done != n {
 		t.Fatalf("%d of %d clients attached", done, n)
 	}
-	if r.Connected() != n {
-		t.Fatalf("Connected() = %d", r.Connected())
+	if connected(r) != n {
+		t.Fatalf("connected = %d", connected(r))
 	}
 	// 40 clients over 54 preambles: collisions are certain, so total
 	// attempts must exceed n; but backoff resolves them quickly.
@@ -87,20 +98,22 @@ func TestRRCReleaseAllAndReattach(t *testing.T) {
 		r.Connect(i)
 	}
 	eng.Run(time.Second)
-	if r.Connected() != 5 {
-		t.Fatalf("setup failed: %d connected", r.Connected())
+	if connected(r) != 5 {
+		t.Fatalf("setup failed: %d connected", connected(r))
 	}
 	// The cell vacates its channel: everyone drops; later they return.
-	r.ReleaseAll()
-	if r.Connected() != 0 {
-		t.Fatal("ReleaseAll left connections")
+	for i := 0; i < 5; i++ {
+		r.Release(i)
+	}
+	if connected(r) != 0 {
+		t.Fatal("release left connections")
 	}
 	for i := 0; i < 5; i++ {
 		r.Connect(i)
 	}
 	eng.Run(2 * time.Second)
-	if r.Connected() != 5 {
-		t.Fatalf("re-attach failed: %d connected", r.Connected())
+	if connected(r) != 5 {
+		t.Fatalf("re-attach failed: %d connected", connected(r))
 	}
 }
 

@@ -72,17 +72,6 @@ func (s *AllocScratch) Reset(subchannels, ues int) {
 	}
 }
 
-// Grants returns the number of subchannels allocated this subframe.
-func (s *AllocScratch) Grants() int {
-	n := 0
-	for _, u := range s.UEOf {
-		if u >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Scheduler assigns allowed subchannels to clients each downlink
 // subframe, writing the allocation and the per-UE served bits into
 // scratch.

@@ -45,7 +45,6 @@ const (
 )
 
 var bwCode = map[Bandwidth]uint64{BW5MHz: 0, BW10MHz: 1, BW15MHz: 2, BW20MHz: 3}
-var bwFromCode = [4]Bandwidth{BW5MHz, BW10MHz, BW15MHz, BW20MHz}
 
 // bitWriter packs big-endian bit fields.
 type bitWriter struct {
@@ -63,28 +62,6 @@ func (w *bitWriter) write(v uint64, bits uint) {
 		}
 		w.nbit++
 	}
-}
-
-// bitReader unpacks big-endian bit fields.
-type bitReader struct {
-	buf  []byte
-	nbit uint
-}
-
-func (r *bitReader) read(bits uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < bits; i++ {
-		byteIdx := r.nbit / 8
-		if int(byteIdx) >= len(r.buf) {
-			return 0, errors.New("lte: SIB truncated")
-		}
-		v <<= 1
-		if r.buf[byteIdx]&(1<<(7-r.nbit%8)) != 0 {
-			v |= 1
-		}
-		r.nbit++
-	}
-	return v, nil
 }
 
 // Validate checks field ranges before encoding.
@@ -121,41 +98,6 @@ func (s SIB1) Marshal() ([]byte, error) {
 	w.write(uint64(s.TDDConfigIndex), tddBits)
 	w.write(bwCode[s.Bandwidth], bwBits)
 	return w.buf, nil
-}
-
-// UnmarshalSIB1 decodes an on-air broadcast.
-func UnmarshalSIB1(b []byte) (SIB1, error) {
-	r := &bitReader{buf: b}
-	magic, err := r.read(8)
-	if err != nil {
-		return SIB1{}, err
-	}
-	if magic != sibMagic {
-		return SIB1{}, errors.New("lte: not a SIB1 broadcast")
-	}
-	var s SIB1
-	fields := []struct {
-		bits uint
-		set  func(uint64)
-	}{
-		{cellIDBits, func(v uint64) { s.CellID = uint16(v) }},
-		{earfcnBits, func(v uint64) { s.DownlinkEARFCN = uint32(v) }},
-		{earfcnBits, func(v uint64) { s.UplinkEARFCN = uint32(v) }},
-		{powerBits, func(v uint64) { s.MaxTxPowerDBm = int8(v) - 30 }},
-		{tddBits, func(v uint64) { s.TDDConfigIndex = uint8(v) }},
-		{bwBits, func(v uint64) { s.Bandwidth = bwFromCode[v] }},
-	}
-	for _, f := range fields {
-		v, err := r.read(f.bits)
-		if err != nil {
-			return SIB1{}, err
-		}
-		f.set(v)
-	}
-	if err := s.Validate(); err != nil {
-		return SIB1{}, fmt.Errorf("lte: decoded SIB invalid: %w", err)
-	}
-	return s, nil
 }
 
 // SIB1ForLease builds the broadcast a CellFi AP transmits after the

@@ -132,8 +132,8 @@ type Config struct {
 	// APSpacingM is the minimum AP separation (jittered placement).
 	APSpacingM float64
 	// RadiusM is the interference-significance radius: APs farther than
-	// this from a UE contribute nothing (see
-	// propagation.Model.InterferenceRadius for the principled choice).
+	// this from a UE contribute nothing (see DESIGN.md, "The
+	// significance radius", for the principled choice).
 	RadiusM float64
 	// MaxNeighbors bounds each UE's adjacency row. Overflow keeps the
 	// lowest AP indices (the grid enumerates ascending). 0 selects 32;

@@ -37,9 +37,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v][u] = true
 }
 
-// HasEdge reports whether u and v conflict.
-func (g *Graph) HasEdge(u, v int) bool { return g.adj[u][v] }
-
 // Neighbors returns the vertices adjacent to v.
 func (g *Graph) Neighbors(v int) []int {
 	var out []int
@@ -167,16 +164,4 @@ func (g *Graph) GreedyColor(m int) (Assignment, bool) {
 		}
 	}
 	return a, ok
-}
-
-// MaxNeighborhoodDemand returns the largest neighbourhood demand sum —
-// the colouring lower bound the oracle compares against.
-func (g *Graph) MaxNeighborhoodDemand() int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		if d := g.NeighborhoodDemand(v); d > max {
-			max = d
-		}
-	}
-	return max
 }

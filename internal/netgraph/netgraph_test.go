@@ -18,10 +18,10 @@ func TestBasicsAndSelfLoop(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 1) // ignored
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+	if !g.adj[0][1] || !g.adj[1][0] {
 		t.Fatal("edge not symmetric")
 	}
-	if g.HasEdge(1, 1) {
+	if g.adj[1][1] {
 		t.Fatal("self-loop recorded")
 	}
 	if g.Degree(1) != 1 || g.Degree(2) != 0 {
@@ -42,8 +42,8 @@ func TestNeighborhoodDemand(t *testing.T) {
 	if got := g.NeighborhoodDemand(3); got != 7 {
 		t.Fatalf("NeighborhoodDemand(3) = %d, want 7", got)
 	}
-	if got := g.MaxNeighborhoodDemand(); got != 9 { // vertex 2: 2+3+4
-		t.Fatalf("MaxNeighborhoodDemand = %d, want 9", got)
+	if got := g.NeighborhoodDemand(2); got != 9 { // 2+3+4
+		t.Fatalf("NeighborhoodDemand(2) = %d, want 9", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // Config.InterferenceRadiusM > 0 every interference-bearing scan — the
 // SINR denominator, the PRACH census, the oracle's conflict edges, the
 // hybrid deconfliction test, the handover sweep — ignores nodes beyond
-// the significance radius (propagation.Model.InterferenceRadius). With
+// the significance radius (DESIGN.md, "The significance radius"). With
 // Config.UseSpatialIndex also set, the scans that would walk every node
 // run as uniform-grid queries instead; the SINR denominator walks its
 // subchannel's transmitter list in every mode (see sinrParts) and only

@@ -89,37 +89,21 @@ type Config struct {
 	Seed   int64
 	// BlocksPerEpoch is the number of fading blocks per 1 s epoch.
 	BlocksPerEpoch int
-	// APPowerDBm / ClientPowerDBm are the Section 6.3.4 values.
-	APPowerDBm, ClientPowerDBm float64
-	// DetectionRate / FalsePositiveRate inject the measured sensing
-	// imperfections; PerfectSensing overrides both (ablation).
-	DetectionRate, FalsePositiveRate float64
-	PerfectSensing                   bool
+	// PerfectSensing replaces the injected detectionRate /
+	// falsePositiveRate with ground truth (ablation).
+	PerfectSensing bool
 	// PackingEnabled toggles the channel re-use heuristic (ablation).
 	PackingEnabled bool
 	// Lambda is the hopping bucket mean.
 	Lambda float64
-	// PRACHFloorRiseDB raises the PRACH detector's effective noise
-	// floor above thermal: an AP overhearing *foreign* preambles has
-	// no timing advance, no power control and a busy co-channel
-	// uplink, so its detection floor sits well above the clean-lab
-	// -10 dB figure. 20 dB puts the audibility radius at roughly the
-	// interference-significant range (~650 m), which is exactly the
-	// paper's argument for why PRACH audibility approximates "my
-	// transmissions affect this client".
-	PRACHFloorRiseDB float64
 	// OracleInterferenceMarginDB: the oracle draws a conflict edge
 	// when an interferer lands this many dB above the thermal floor
 	// at a victim client (material SINR damage).
 	OracleInterferenceMarginDB float64
-	// NumProviders splits cells across operators for SchemeHybrid
-	// (cell i belongs to provider i mod NumProviders). Default 2.
-	NumProviders int
 	// InterferenceRadiusM, when positive, truncates every interference
-	// scan at the significance radius (see
-	// propagation.Model.InterferenceRadius): transmitters farther from
-	// a receiver contribute nothing. Zero keeps the historical
-	// all-pairs scans.
+	// scan at the significance radius (see DESIGN.md, "The significance
+	// radius"): transmitters farther from a receiver contribute nothing.
+	// Zero keeps the historical all-pairs scans.
 	InterferenceRadiusM float64
 	// UseSpatialIndex runs the truncated scans that walk every node —
 	// the PRACH census, the oracle's conflict edges, the handover sweep
@@ -136,6 +120,27 @@ type Config struct {
 	Trace trace.Recorder
 }
 
+// Simulation settings no run varies.
+const (
+	// apPowerDBm / clientPowerDBm are the Section 6.3.4 values.
+	apPowerDBm, clientPowerDBm = 30, 20
+	// detectionRate / falsePositiveRate inject the measured sensing
+	// imperfections; Config.PerfectSensing overrides both (ablation).
+	detectionRate, falsePositiveRate = core.MeasuredDetectionRate, core.MeasuredFalsePositiveRate
+	// prachFloorRiseDB raises the PRACH detector's effective noise
+	// floor above thermal: an AP overhearing *foreign* preambles has
+	// no timing advance, no power control and a busy co-channel
+	// uplink, so its detection floor sits well above the clean-lab
+	// -10 dB figure. 20 dB puts the audibility radius at roughly the
+	// interference-significant range (~650 m), which is exactly the
+	// paper's argument for why PRACH audibility approximates "my
+	// transmissions affect this client".
+	prachFloorRiseDB = 20
+	// numProviders splits cells across operators for SchemeHybrid
+	// (cell i belongs to provider i mod numProviders).
+	numProviders = 2
+)
+
 // DefaultConfig returns the paper's simulation settings for a scheme.
 func DefaultConfig(s Scheme, seed int64) Config {
 	return Config{
@@ -144,15 +149,9 @@ func DefaultConfig(s Scheme, seed int64) Config {
 		TDD:                        lte.TDDConfig4,
 		Seed:                       seed,
 		BlocksPerEpoch:             10,
-		APPowerDBm:                 30,
-		ClientPowerDBm:             20,
-		DetectionRate:              core.MeasuredDetectionRate,
-		FalsePositiveRate:          core.MeasuredFalsePositiveRate,
 		PackingEnabled:             true,
 		Lambda:                     core.DefaultLambda,
-		PRACHFloorRiseDB:           20,
 		OracleInterferenceMarginDB: 20,
-		NumProviders:               2,
 	}
 }
 
@@ -265,10 +264,10 @@ func New(t *topo.Topology, cfg Config) *Network {
 	}
 	n.noiseRBDBm = propagation.NoiseDBm(lte.RBBandwidthHz, 7)
 	n.noiseMW = propagation.DBmToMW(n.noiseRBDBm)
-	n.perRBDBm = cfg.APPowerDBm - 10*math.Log10(float64(cfg.BW.ResourceBlocks()))
+	n.perRBDBm = apPowerDBm - 10*math.Log10(float64(cfg.BW.ResourceBlocks()))
 	// PRACH occupies six RBs (1.08 MHz); the effective floor includes
-	// the configured co-channel uplink interference rise.
-	n.prachNoiseDBm = propagation.NoiseDBm(6*lte.RBBandwidthHz, 7) + cfg.PRACHFloorRiseDB
+	// the co-channel uplink interference rise.
+	n.prachNoiseDBm = propagation.NoiseDBm(6*lte.RBBandwidthHz, 7) + prachFloorRiseDB
 	n.precomputeLinkBudget()
 	n.setupNeighborhoods()
 	s := cfg.BW.Subchannels()
@@ -306,13 +305,9 @@ func New(t *topo.Topology, cfg Config) *Network {
 		// Hybrid runs the same per-cell distributed controllers as
 		// CellFi; its provider layer deconflicts on top each epoch.
 		if cfg.Scheme == SchemeHybrid {
-			np := cfg.NumProviders
-			if np < 1 {
-				np = 2
-			}
 			n.providers = make([]int, len(n.Cells))
 			for i := range n.providers {
-				n.providers[i] = i % np
+				n.providers[i] = i % numProviders
 			}
 		}
 		n.controllers = make([]core.IM, len(n.Cells))
@@ -366,7 +361,7 @@ func (n *Network) setLinkBudget(i, c int) {
 	// Omnidirectional cells with 6 dBi gain both ways.
 	n.rxRB[i][c] = n.perRBDBm + 6 - loss
 	n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxRB[i][c])
-	n.prachSNR[i][c] = n.Cfg.ClientPowerDBm + 6 - loss - n.prachNoiseDBm
+	n.prachSNR[i][c] = clientPowerDBm + 6 - loss - n.prachNoiseDBm
 }
 
 // LinkCacheStats reports zero counters: the dense budget tables above
@@ -554,9 +549,9 @@ func (n *Network) detect(truth bool) bool {
 		return truth
 	}
 	if truth {
-		return n.rng.Float64() < n.Cfg.DetectionRate
+		return n.rng.Float64() < detectionRate
 	}
-	return n.rng.Float64() < n.Cfg.FalsePositiveRate
+	return n.rng.Float64() < falsePositiveRate
 }
 
 // updateControllers builds each cell's EpochInput — the target share

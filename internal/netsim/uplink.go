@@ -25,7 +25,7 @@ import (
 func (n *Network) ulRxRB(i, c, rbs int) float64 {
 	// Recover the symmetric link loss from the cached downlink budget.
 	loss := n.perRBDBm + 6 - n.rxRB[i][c]
-	perRBUp := n.Cfg.ClientPowerDBm - 10*math.Log10(float64(rbs))
+	perRBUp := clientPowerDBm - 10*math.Log10(float64(rbs))
 	return perRBUp + 6 - loss
 }
 

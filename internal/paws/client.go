@@ -170,17 +170,6 @@ func (c *Client) endpointResult(idx int, transient bool) {
 	}
 }
 
-// ActiveEndpoint returns the endpoint the next call will use (modulo
-// a pending primary probe); URL when no endpoint list is configured.
-func (c *Client) ActiveEndpoint() string {
-	if len(c.Endpoints) == 0 {
-		return c.URL
-	}
-	c.epMu.Lock()
-	defer c.epMu.Unlock()
-	return c.Endpoints[c.epIdx]
-}
-
 // Failovers returns how many times the client advanced to another
 // endpoint after exhausting the failure threshold.
 func (c *Client) Failovers() uint64 {

@@ -49,6 +49,17 @@ func (w *failoverWorld) client() *Client {
 	return c
 }
 
+// activeEndpoint returns the endpoint the next call will use (modulo
+// a pending primary probe); URL when no endpoint list is configured.
+func activeEndpoint(c *Client) string {
+	if len(c.Endpoints) == 0 {
+		return c.URL
+	}
+	c.epMu.Lock()
+	defer c.epMu.Unlock()
+	return c.Endpoints[c.epIdx]
+}
+
 func TestFailoverToReplicaAndBack(t *testing.T) {
 	w := newFailoverWorld(t)
 	c := w.client()
@@ -57,7 +68,7 @@ func TestFailoverToReplicaAndBack(t *testing.T) {
 	if _, err := c.GetSpectrum(loc, 10); err != nil {
 		t.Fatalf("healthy primary: %v", err)
 	}
-	if got := c.ActiveEndpoint(); got != w.primary.URL {
+	if got := activeEndpoint(c); got != w.primary.URL {
 		t.Fatalf("active endpoint = %q, want primary", got)
 	}
 
@@ -67,7 +78,7 @@ func TestFailoverToReplicaAndBack(t *testing.T) {
 	if _, err := c.GetSpectrum(loc, 10); err == nil {
 		t.Fatal("call during primary outage with single-shot retry should fail")
 	}
-	if got := c.ActiveEndpoint(); got != w.replica.URL {
+	if got := activeEndpoint(c); got != w.replica.URL {
 		t.Fatalf("active endpoint after outage = %q, want replica", got)
 	}
 	if c.Failovers() != 1 {
@@ -96,7 +107,7 @@ func TestFailoverToReplicaAndBack(t *testing.T) {
 	if w.replicaHits.Load() != replicaBefore {
 		t.Fatalf("probe also hit replica")
 	}
-	if got := c.ActiveEndpoint(); got != w.primary.URL {
+	if got := activeEndpoint(c); got != w.primary.URL {
 		t.Fatalf("active endpoint after recovery = %q, want primary", got)
 	}
 	// Failing back is not a failover.
@@ -122,7 +133,7 @@ func TestFailedPrimaryProbeStaysOnReplica(t *testing.T) {
 	if _, err := c.GetSpectrum(loc, 10); err == nil {
 		t.Fatal("probe against dead primary should surface the failure")
 	}
-	if got := c.ActiveEndpoint(); got != w.replica.URL {
+	if got := activeEndpoint(c); got != w.replica.URL {
 		t.Fatalf("active endpoint after failed probe = %q, want replica", got)
 	}
 	if _, err := c.GetSpectrum(loc, 10); err != nil {
@@ -165,8 +176,8 @@ func TestSingleURLModeUnchanged(t *testing.T) {
 	if _, err := c.GetSpectrum(geo.Point{}, 10); err != nil {
 		t.Fatalf("single-URL call: %v", err)
 	}
-	if got := c.ActiveEndpoint(); got != w.primary.URL {
-		t.Fatalf("ActiveEndpoint = %q, want URL", got)
+	if got := activeEndpoint(c); got != w.primary.URL {
+		t.Fatalf("active endpoint = %q, want URL", got)
 	}
 	if r := ring.Snapshot()[0]; r.N != 3 {
 		t.Fatalf("single-URL paws-query N = %d, want 3 (no endpoint arg)", r.N)

@@ -120,9 +120,8 @@ func TestNotifyUse(t *testing.T) {
 	if err := c.NotifyUse(ap, use); err != nil {
 		t.Fatal(err)
 	}
-	log := srv.UseNotifications()
-	if len(log) != 1 || log[0].Spectra[0].Channel != use[0].Channel {
-		t.Fatalf("use log = %+v", log)
+	if got := srv.DB().Metrics().NotifyOK.Load(); got != 1 {
+		t.Fatalf("NotifyOK = %d, want 1", got)
 	}
 }
 

@@ -8,25 +8,18 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cellfi/internal/pawsdb"
 	"cellfi/internal/spectrum"
 )
 
-// DefaultUseLogCapacity bounds the spectrum-use notification log. The
-// seed's unbounded slice grew forever under load; the log is now a
-// ring that keeps the most recent notifications and counts what it
-// dropped.
-const DefaultUseLogCapacity = 4096
-
 // Server is a PAWS white-space database server. It serves the RFC 7545
 // JSON-RPC methods over HTTP on top of a pawsdb.DB (geospatial index,
 // response cache, lease store, metrics); the request path is lock-free
-// except for the registration map and the use-notification ring, so
-// concurrent queries scale with cores instead of serializing on one
-// mutex. It implements http.Handler.
+// except for the registration map, so concurrent queries scale with
+// cores instead of serializing on one mutex. It implements
+// http.Handler.
 type Server struct {
 	db      *pawsdb.DB
 	ruleset RulesetInfo
@@ -46,15 +39,6 @@ type Server struct {
 	// registered remembers fixed-device registrations by serial.
 	regMu      sync.RWMutex
 	registered map[string]RegisterReq
-
-	// useLog is a bounded ring of spectrum-use notifications:
-	// useLog[useHead] is the oldest of useCount entries.
-	useMu      sync.Mutex
-	useLog     []NotifyUseReq
-	useHead    int
-	useCount   int
-	useCap     int
-	useDropped atomic.Int64
 }
 
 // NewServer returns a PAWS server over the given incumbent registry,
@@ -78,7 +62,6 @@ func NewServerWith(db *pawsdb.DB) *Server {
 		},
 		Now:        time.Now,
 		registered: make(map[string]RegisterReq),
-		useCap:     DefaultUseLogCapacity,
 	}
 	s.rulesetJSON, _ = json.Marshal(s.ruleset)
 	return s
@@ -97,64 +80,6 @@ func (s *Server) DB() *pawsdb.DB { return s.db }
 // snapshot until the mutation lands.
 func (s *Server) Lock()   { s.db.Lock() }
 func (s *Server) Unlock() { s.db.Unlock() }
-
-// SetUseLogCapacity resizes the spectrum-use ring, keeping the newest
-// entries. Capacity 0 disables retention entirely (every notification
-// counts as dropped).
-func (s *Server) SetUseLogCapacity(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.useMu.Lock()
-	defer s.useMu.Unlock()
-	cur := s.useSnapshotLocked()
-	if len(cur) > n {
-		s.useDropped.Add(int64(len(cur) - n))
-		cur = cur[len(cur)-n:]
-	}
-	s.useCap = n
-	s.useLog = cur
-	s.useHead = 0
-	s.useCount = len(cur)
-}
-
-// UseNotifications returns a copy of the retained spectrum-use
-// reports, oldest first.
-func (s *Server) UseNotifications() []NotifyUseReq {
-	s.useMu.Lock()
-	defer s.useMu.Unlock()
-	return s.useSnapshotLocked()
-}
-
-// UseNotificationsDropped reports how many notifications the ring has
-// discarded since the server started.
-func (s *Server) UseNotificationsDropped() int64 { return s.useDropped.Load() }
-
-func (s *Server) useSnapshotLocked() []NotifyUseReq {
-	out := make([]NotifyUseReq, 0, s.useCount)
-	for i := 0; i < s.useCount; i++ {
-		out = append(out, s.useLog[(s.useHead+i)%len(s.useLog)])
-	}
-	return out
-}
-
-func (s *Server) recordUse(p NotifyUseReq) {
-	s.useMu.Lock()
-	defer s.useMu.Unlock()
-	if s.useCap == 0 {
-		s.useDropped.Add(1)
-		return
-	}
-	if s.useCount < s.useCap {
-		s.useLog = append(s.useLog, p)
-		s.useCount++
-		return
-	}
-	// Full: overwrite the oldest.
-	s.useLog[s.useHead] = p
-	s.useHead = (s.useHead + 1) % len(s.useLog)
-	s.useDropped.Add(1)
-}
 
 // bufPool recycles the scratch buffers of the request hot path: the
 // request-body read, the hand-assembled getSpectrum result, and the
@@ -418,6 +343,5 @@ func (s *Server) handleNotifyUse(p NotifyUseReq) (any, *RPCError) {
 		}
 	}
 	met.NotifyOK.Add(1)
-	s.recordUse(p)
 	return NotifyUseResp{}, nil
 }

@@ -3,7 +3,6 @@ package paws
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -33,46 +32,6 @@ func rpcCall(t *testing.T, srv *Server, method string, params any) rpcResponse {
 		t.Fatalf("bad RPC envelope: %v", err)
 	}
 	return resp
-}
-
-// TestUseLogRing: the spectrum-use log must stay bounded under load,
-// keep the newest notifications in order, and count what it dropped.
-func TestUseLogRing(t *testing.T) {
-	srv := NewServer(spectrum.NewRegistry(spectrum.EU))
-	srv.Now = func() time.Time { return time.Date(2017, 6, 1, 12, 0, 0, 0, time.UTC) }
-	srv.SetUseLogCapacity(3)
-
-	for i := 0; i < 5; i++ {
-		resp := rpcCall(t, srv, MethodNotifyUse, NotifyUseReq{
-			DeviceDesc: DeviceDescriptor{SerialNumber: fmt.Sprintf("AP-%d", i)},
-			Location:   ToGeo(geo.Point{}),
-			Spectra:    []FrequencyRange{{Channel: 21 + i}},
-		})
-		if resp.Error != nil {
-			t.Fatalf("notify %d: %v", i, resp.Error)
-		}
-	}
-	log := srv.UseNotifications()
-	if len(log) != 3 {
-		t.Fatalf("ring retained %d entries, want 3", len(log))
-	}
-	for i, want := range []string{"AP-2", "AP-3", "AP-4"} {
-		if got := log[i].DeviceDesc.SerialNumber; got != want {
-			t.Errorf("ring[%d] = %s, want %s (oldest-first order)", i, got, want)
-		}
-	}
-	if d := srv.UseNotificationsDropped(); d != 2 {
-		t.Errorf("dropped = %d, want 2", d)
-	}
-	// Shrinking discards oldest retained entries and counts them.
-	srv.SetUseLogCapacity(1)
-	log = srv.UseNotifications()
-	if len(log) != 1 || log[0].DeviceDesc.SerialNumber != "AP-4" {
-		t.Fatalf("after shrink: %+v", log)
-	}
-	if d := srv.UseNotificationsDropped(); d != 4 {
-		t.Errorf("dropped after shrink = %d, want 4", d)
-	}
 }
 
 // TestServerLeaseAndMetricsWiring: getSpectrum grants a lease keyed on

@@ -15,10 +15,6 @@ type Options struct {
 	// granularity). Default 2000 — metro AP densities put hundreds of
 	// APs per cell, TV protection contours span many cells.
 	CellSizeM float64
-	// MaxFootprintCells caps how many cells per axis one incumbent's
-	// footprint may bucket into before it is moved to the global
-	// always-checked list. Default 64 (128 km at the default cell).
-	MaxFootprintCells int
 	// DisableCache turns the response cache off (every query computes
 	// from the index). Used by the load harness to measure the
 	// cache's win and by tests.
@@ -28,9 +24,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CellSizeM <= 0 {
 		o.CellSizeM = 2000
-	}
-	if o.MaxFootprintCells <= 0 {
-		o.MaxFootprintCells = 64
 	}
 	return o
 }
@@ -109,7 +102,7 @@ func (db *DB) snapshotNow() *snapshot {
 	}
 	s = &snapshot{
 		epoch: v,
-		index: buildIndex(db.reg, db.opts.CellSizeM, db.opts.MaxFootprintCells),
+		index: buildIndex(db.reg, db.opts.CellSizeM),
 	}
 	if !db.opts.DisableCache {
 		s.cache = newRespCache()

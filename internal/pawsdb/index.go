@@ -23,6 +23,11 @@ type cellBucket struct {
 	mask uint64
 }
 
+// maxFootprintCells caps how many cells per axis one incumbent's
+// footprint may bucket into before it is moved to the global
+// always-checked list (128 km at the default cell).
+const maxFootprintCells = 64
+
 // gridIndex is the immutable geospatial availability index inside a
 // snapshot. Incumbents whose footprint would span more than
 // maxFootprintCells cells per axis go to the global list (a
@@ -47,7 +52,7 @@ func (g *gridIndex) chanBit(ch int) uint64 {
 	return 1 << uint(ch-g.first)
 }
 
-func buildIndex(reg *spectrum.Registry, cellSize float64, maxFootprintCells int) *gridIndex {
+func buildIndex(reg *spectrum.Registry, cellSize float64) *gridIndex {
 	first, last := reg.Domain.ChannelRange()
 	g := &gridIndex{
 		cellSize: cellSize,
@@ -72,8 +77,7 @@ func buildIndex(reg *spectrum.Registry, cellSize float64, maxFootprintCells int)
 		hiCX := g.coord(inc.Location.X + inc.ProtectRadius)
 		loCY := g.coord(inc.Location.Y - inc.ProtectRadius)
 		hiCY := g.coord(inc.Location.Y + inc.ProtectRadius)
-		span := int64(maxFootprintCells)
-		if int64(hiCX)-int64(loCX) >= span || int64(hiCY)-int64(loCY) >= span {
+		if int64(hiCX)-int64(loCX) >= maxFootprintCells || int64(hiCY)-int64(loCY) >= maxFootprintCells {
 			g.global = append(g.global, int32(i))
 			continue
 		}

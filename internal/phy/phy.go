@@ -185,14 +185,6 @@ func BLER(sinrDB float64, mcs MCS) float64 {
 	return bler
 }
 
-// ShannonRate returns the AWGN capacity bound in bits/s for the given
-// bandwidth and SINR, with a 25% implementation-loss derating. Used as a
-// sanity cap on modelled rates.
-func ShannonRate(bandwidthHz, sinrDB float64) float64 {
-	snr := math.Pow(10, sinrDB/10)
-	return 0.75 * bandwidthHz * math.Log2(1+snr)
-}
-
 // EffectiveSINRdB combines per-subcarrier or per-subchannel SINRs into a
 // single effective value using the exponential effective SINR mapping
 // (EESM) with beta=1, i.e. a capacity-style average in the linear domain

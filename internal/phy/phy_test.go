@@ -176,18 +176,6 @@ func TestBLERMonotoneInSINR(t *testing.T) {
 	}
 }
 
-func TestShannonRateSanity(t *testing.T) {
-	// 5 MHz at 22.7 dB: capacity bound must exceed the top LTE rate
-	// (eff 5.55 b/s/Hz) times bandwidth times data fraction.
-	cap := ShannonRate(5e6, 22.7)
-	if cap < 5.55*5e6*0.75*0.9 {
-		t.Errorf("Shannon cap %g too low vs top MCS", cap)
-	}
-	if ShannonRate(5e6, -30) > 1e5 {
-		t.Error("near-zero SINR should give near-zero capacity")
-	}
-}
-
 func TestEffectiveSINR(t *testing.T) {
 	// Uniform SINRs: effective equals the common value.
 	for _, s := range []float64{-5, 0, 10, 20} {

@@ -240,3 +240,31 @@ func benchLinks() []uint64 {
 	}
 	return links
 }
+
+// GainDB is defined as 10*log10(GainLinear); the two must agree
+// bit-for-bit so switching a hot path to the linear form cannot perturb
+// any seeded result.
+func TestFadingGainLinearMatchesGainDB(t *testing.T) {
+	f := NewFading(7)
+	for link := uint64(0); link < 50; link++ {
+		for sc := 0; sc < 4; sc++ {
+			for tMS := int64(0); tMS < 1000; tMS += 100 {
+				lin := f.GainLinear(link, sc, tMS)
+				if lin <= 0 {
+					t.Fatalf("GainLinear = %g, want positive", lin)
+				}
+				if db := f.GainDB(link, sc, tMS); db != 10*math.Log10(lin) {
+					t.Fatalf("GainDB %g != 10*log10(GainLinear) %g", db, 10*math.Log10(lin))
+				}
+			}
+		}
+	}
+	var nilF *Fading
+	if nilF.GainLinear(1, 0, 0) != 1 || nilF.GainDB(1, 0, 0) != 0 {
+		t.Fatal("nil Fading must be a unit gain")
+	}
+	off := &Fading{Disabled: true, BlockMS: 100}
+	if off.GainLinear(1, 0, 0) != 1 || off.GainDB(1, 0, 0) != 0 {
+		t.Fatal("disabled Fading must be a unit gain")
+	}
+}

@@ -196,47 +196,3 @@ func angleDiff(a, b float64) float64 {
 func LinkID(from, to int) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
-
-// SINRdB combines a signal power with a set of interferer powers and a
-// noise floor, all in dBm, and returns the SINR in dB.
-func SINRdB(signalDBm float64, interfDBm []float64, noiseDBm float64) float64 {
-	den := DBmToMW(noiseDBm)
-	for _, i := range interfDBm {
-		den += DBmToMW(i)
-	}
-	return signalDBm - MWToDBm(den)
-}
-
-// SNRdB is SINRdB with no interferers.
-func SNRdB(signalDBm, noiseDBm float64) float64 { return signalDBm - noiseDBm }
-
-// HataUrbanModel returns a Model whose parameters follow the
-// Okumura-Hata urban formula (valid 150-1500 MHz — it covers the TV
-// band, unlike COST-231 which starts at 1500 MHz):
-//
-//	L = 69.55 + 26.16 log10(f) - 13.82 log10(hb) - a(hm)
-//	    + (44.9 - 6.55 log10(hb)) log10(d_km)
-//
-// with the small/medium-city mobile-antenna correction a(hm). Hata is
-// log-distance in d, so it maps exactly onto Model. At 600 MHz with a
-// 15 m base station and 1.5 m mobile it gives a 37.2 dB/decade slope
-// and 126 dB at 1 km — within 2 dB of DefaultUrban's calibrated 48 dB
-// @10 m + 38 dB/decade, an independent check on the drive-test
-// calibration.
-func HataUrbanModel(freqMHz, baseHeightM, mobileHeightM float64, seed int64) *Model {
-	logF := math.Log10(freqMHz)
-	logHb := math.Log10(baseHeightM)
-	aHm := (1.1*logF-0.7)*mobileHeightM - (1.56*logF - 0.8)
-	slope := 44.9 - 6.55*logHb // dB per decade of distance
-	at1km := 69.55 + 26.16*logF - 13.82*logHb - aHm
-	refDist := 10.0
-	// L(10 m) = L(1 km) + slope*log10(0.01).
-	refLoss := at1km + slope*math.Log10(refDist/1000)
-	return &Model{
-		Exponent:      slope / 10,
-		RefLossDB:     refLoss,
-		RefDist:       refDist,
-		ShadowSigmaDB: 6,
-		Seed:          seed,
-	}
-}

@@ -3,7 +3,6 @@ package propagation
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"cellfi/internal/geo"
 )
@@ -226,35 +225,6 @@ func TestFadingDisabled(t *testing.T) {
 	}
 }
 
-func TestSINR(t *testing.T) {
-	// Signal -80 dBm, noise -100 dBm, no interference: SINR 20 dB.
-	if got := SINRdB(-80, nil, -100); math.Abs(got-20) > 1e-9 {
-		t.Errorf("SINR no-interference = %g, want 20", got)
-	}
-	// One interferer equal to noise halves the denominator budget: -3 dB.
-	got := SINRdB(-80, []float64{-100}, -100)
-	if math.Abs(got-(20-3.0103)) > 0.01 {
-		t.Errorf("SINR with equal interferer = %g, want about 16.99", got)
-	}
-	// Dominant interferer: SINR approaches S - I.
-	got = SINRdB(-80, []float64{-70}, -120)
-	if math.Abs(got-(-10)) > 0.05 {
-		t.Errorf("SINR interference-limited = %g, want about -10", got)
-	}
-}
-
-func TestSINRNeverExceedsSNR(t *testing.T) {
-	f := func(sig, i1, i2 float64) bool {
-		s := math.Mod(math.Abs(sig), 100) - 120
-		a := math.Mod(math.Abs(i1), 100) - 150
-		b := math.Mod(math.Abs(i2), 100) - 150
-		return SINRdB(s, []float64{a, b}, -100) <= SNRdB(s, -100)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLinkID(t *testing.T) {
 	if LinkID(1, 2) == LinkID(2, 1) {
 		t.Error("LinkID should be directed")
@@ -279,9 +249,31 @@ func BenchmarkFadingGain(b *testing.B) {
 	}
 }
 
+// hataUrbanModel returns a Model whose parameters follow the
+// Okumura-Hata urban formula (valid 150-1500 MHz — it covers the TV
+// band, unlike COST-231 which starts at 1500 MHz):
+//
+//	L = 69.55 + 26.16 log10(f) - 13.82 log10(hb) - a(hm)
+//	    + (44.9 - 6.55 log10(hb)) log10(d_km)
+//
+// with the small/medium-city mobile-antenna correction a(hm). Hata is
+// log-distance in d, so it maps exactly onto Model. It is the
+// independent referee for DefaultUrban's drive-test calibration.
+func hataUrbanModel(freqMHz, baseHeightM, mobileHeightM float64) *Model {
+	logF := math.Log10(freqMHz)
+	logHb := math.Log10(baseHeightM)
+	aHm := (1.1*logF-0.7)*mobileHeightM - (1.56*logF - 0.8)
+	slope := 44.9 - 6.55*logHb // dB per decade of distance
+	at1km := 69.55 + 26.16*logF - 13.82*logHb - aHm
+	refDist := 10.0
+	// L(10 m) = L(1 km) + slope*log10(0.01).
+	refLoss := at1km + slope*math.Log10(refDist/1000)
+	return &Model{Exponent: slope / 10, RefLossDB: refLoss, RefDist: refDist}
+}
+
 // Okumura-Hata spot checks at 600 MHz, 15 m base, 1.5 m mobile.
 func TestHataUrbanKnownValues(t *testing.T) {
-	m := HataUrbanModel(600, 15, 1.5, 1)
+	m := hataUrbanModel(600, 15, 1.5)
 	// Hand-computed: slope 37.2 dB/decade, 126.0 dB at 1 km.
 	if math.Abs(m.Exponent*10-37.2) > 0.1 {
 		t.Fatalf("Hata slope = %.1f dB/decade, want 37.2", m.Exponent*10)
@@ -290,7 +282,7 @@ func TestHataUrbanKnownValues(t *testing.T) {
 		t.Fatalf("Hata loss at 1 km = %.1f dB, want ~126", got)
 	}
 	// Higher masts lose less.
-	high := HataUrbanModel(600, 30, 1.5, 1)
+	high := hataUrbanModel(600, 30, 1.5)
 	if high.PathLossDB(1000) >= m.PathLossDB(1000) {
 		t.Fatal("taller base station should reduce path loss")
 	}
@@ -300,7 +292,7 @@ func TestHataUrbanKnownValues(t *testing.T) {
 // paper's deployment parameters agrees with DefaultUrban within 3 dB
 // from 100 m to 2 km.
 func TestHataValidatesDefaultUrban(t *testing.T) {
-	hata := HataUrbanModel(600, 15, 1.5, 1)
+	hata := hataUrbanModel(600, 15, 1.5)
 	def := DefaultUrban(1)
 	for d := 100.0; d <= 2000; d *= 1.3 {
 		gap := math.Abs(hata.PathLossDB(d) - def.PathLossDB(d))

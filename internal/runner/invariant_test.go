@@ -105,7 +105,9 @@ func TestInvariantsTeeWithCapture(t *testing.T) {
 			len(recs), bad.InvariantRecords, bad.TraceRecords)
 	}
 	// The offline verdict matches the online one.
-	if v := invariant.Verify(recs); v == nil || v.Rec.String() != bad.InvariantRecord {
+	offline := &invariant.Checker{}
+	offline.Feed(recs)
+	if v := offline.First(); v == nil || v.Rec.String() != bad.InvariantRecord {
 		t.Fatalf("offline verify disagrees: %v vs %q", v, bad.InvariantRecord)
 	}
 }

@@ -20,7 +20,7 @@ func newBenchCluster(k, cells int) (*Cluster, *ringWorld) {
 		},
 	})
 	for s := 0; s < k; s++ {
-		c.Shard(s).Engine.Every(win, func() {
+		c.Shard(s).Engine.EveryAt(win, win, func() {
 			sh := c.Shard(s)
 			at := sh.Engine.Now() + win
 			for i := range w.cells {

@@ -15,7 +15,7 @@ const win = 250 * time.Millisecond
 // tickers that spawn follow-up events, exercising same-instant
 // tie-breaks and window-boundary timestamps.
 func buildCascade(e *sim.Engine, fired *int) {
-	e.Every(win, func() {
+	e.EveryAt(win, win, func() {
 		*fired++
 		if e.Now() < 2*time.Second {
 			e.After(win/5, func() { *fired++ })
@@ -97,7 +97,7 @@ func runRing(t *testing.T, k, cells, windows int, seed int64) []int64 {
 	})
 	defer c.Close()
 	for s := 0; s < k; s++ {
-		c.Shard(s).Engine.Every(win, func() {
+		c.Shard(s).Engine.EveryAt(win, win, func() {
 			sh := c.Shard(s)
 			at := sh.Engine.Now() + win
 			for i := range w.cells {
@@ -175,7 +175,7 @@ func TestClusterStats(t *testing.T) {
 	c := New(Config{Shards: 3, Window: win, Seed: 1})
 	defer c.Close()
 	for s := 0; s < 3; s++ {
-		c.Shard(s).Engine.Every(win/10, func() {
+		c.Shard(s).Engine.EveryAt(win/10, win/10, func() {
 			x := 0
 			for i := 0; i < 1000; i++ {
 				x += i
@@ -223,7 +223,7 @@ func TestClusterRunChunkingInvariance(t *testing.T) {
 	}})
 	defer c.Close()
 	for s := 0; s < 2; s++ {
-		c.Shard(s).Engine.Every(win, func() {
+		c.Shard(s).Engine.EveryAt(win, win, func() {
 			sh := c.Shard(s)
 			at := sh.Engine.Now() + win
 			for i := range w.cells {

@@ -12,9 +12,9 @@
 // sent during a window must fire no earlier than the window's end —
 // the spatial analogue is that interference and mobility cannot
 // propagate between regions faster than the lookahead bound
-// (propagation delay / coherence-block granularity, see
-// propagation.Model.InterferenceRadius and the DESIGN.md section
-// "Sharded execution and the determinism contract").
+// (propagation delay / coherence-block granularity, see the DESIGN.md
+// sections "The significance radius" and "Sharded execution and the
+// determinism contract").
 //
 // # The determinism contract
 //

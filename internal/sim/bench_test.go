@@ -77,7 +77,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 func BenchmarkTicker(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
-	e.Every(time.Millisecond, func() { n++ })
+	e.EveryAt(time.Millisecond, time.Millisecond, func() { n++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	horizon := Time(0)
@@ -116,7 +116,7 @@ func TestDispatchZeroAllocs(t *testing.T) {
 				t.Errorf("Schedule+fire allocates %.1f allocs per 8-event chain, want 0", avg)
 			}
 
-			e.Every(time.Millisecond, func() {})
+			e.EveryAt(time.Millisecond, time.Millisecond, func() {})
 			horizon := e.Now()
 			period := func() {
 				horizon += time.Millisecond

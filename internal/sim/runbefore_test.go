@@ -16,7 +16,7 @@ func TestRunBeforeWindowComposition(t *testing.T) {
 			at := Time(i%13) * 100 * time.Millisecond // collisions + boundary hits
 			e.Schedule(at, func() { fired = append(fired, e.Now()) })
 		}
-		e.Every(250*time.Millisecond, func() {
+		e.EveryAt(250*time.Millisecond, 250*time.Millisecond, func() {
 			if e.Now() < 1200*time.Millisecond {
 				e.After(50*time.Millisecond, func() { fired = append(fired, e.Now()) })
 			}

@@ -233,15 +233,9 @@ func (e *Engine) After(d Time, fn func()) Event {
 	return e.Schedule(e.now+d, fn)
 }
 
-// Every schedules fn to run periodically with the given period, starting
-// after one period. It returns a Ticker that can be stopped. For an
-// explicit first-firing delay use EveryAt.
-func (e *Engine) Every(period Time, fn func()) *Ticker {
-	return e.EveryAt(period, period, fn)
-}
-
-// EveryAt is Every with an explicit first-firing delay: the first firing
-// happens after first, subsequent firings every period.
+// EveryAt schedules fn to run periodically: the first firing happens
+// after first, subsequent firings every period. It returns a Ticker
+// that can be stopped.
 func (e *Engine) EveryAt(first, period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")

@@ -204,7 +204,7 @@ func TestRunHorizon(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
-	tk := e.Every(100*time.Millisecond, func() {
+	tk := e.EveryAt(100*time.Millisecond, 100*time.Millisecond, func() {
 		times = append(times, e.Now())
 	})
 	e.After(350*time.Millisecond, func() { tk.Stop() })
@@ -224,7 +224,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
 	var tk *Ticker
-	tk = e.Every(10*time.Millisecond, func() {
+	tk = e.EveryAt(10*time.Millisecond, 10*time.Millisecond, func() {
 		n++
 		if n == 2 {
 			tk.Stop()
@@ -273,7 +273,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		e := NewEngine(seed)
 		rng := e.NewStream("test")
 		var out []int64
-		e.Every(time.Millisecond, func() {
+		e.EveryAt(time.Millisecond, time.Millisecond, func() {
 			out = append(out, rng.Int63n(1000))
 		})
 		e.Run(20 * time.Millisecond)
@@ -462,7 +462,7 @@ func BenchmarkTickerSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(1)
 		n := 0
-		e.Every(time.Millisecond, func() { n++ })
+		e.EveryAt(time.Millisecond, time.Millisecond, func() { n++ })
 		e.Run(time.Second)
 		if n != 1000 {
 			b.Fatalf("ticks = %d", n)

@@ -50,15 +50,6 @@ type Topology struct {
 	Clients [][]geo.Point
 }
 
-// TotalClients returns the client count.
-func (t *Topology) TotalClients() int {
-	n := 0
-	for _, c := range t.Clients {
-		n += len(c)
-	}
-	return n
-}
-
 // Generate builds one topology from the given seed.
 func Generate(p Params, seed int64) *Topology {
 	rng := rand.New(rand.NewSource(seed))
@@ -72,14 +63,4 @@ func Generate(p Params, seed int64) *Topology {
 		}
 	}
 	return &Topology{Params: p, APs: aps, Clients: clients}
-}
-
-// GenerateTrials builds n independent topologies (the paper repeats
-// every scenario 20 times on fresh topologies).
-func GenerateTrials(p Params, baseSeed int64, n int) []*Topology {
-	out := make([]*Topology, n)
-	for i := range out {
-		out[i] = Generate(p, baseSeed+int64(i)*7919)
-	}
-	return out
 }

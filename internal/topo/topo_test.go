@@ -12,8 +12,12 @@ func TestGenerateShape(t *testing.T) {
 	if len(tp.APs) != 14 {
 		t.Fatalf("APs = %d", len(tp.APs))
 	}
-	if tp.TotalClients() != 84 {
-		t.Fatalf("clients = %d, want 84", tp.TotalClients())
+	clients := 0
+	for _, cs := range tp.Clients {
+		clients += len(cs)
+	}
+	if clients != 84 {
+		t.Fatalf("clients = %d, want 84", clients)
 	}
 	area := geo.Square(p.AreaSide)
 	for i, ap := range tp.APs {
@@ -58,19 +62,5 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical placement")
-	}
-}
-
-func TestGenerateTrialsIndependent(t *testing.T) {
-	trials := GenerateTrials(Paper(6, 6), 7, 20)
-	if len(trials) != 20 {
-		t.Fatalf("trials = %d", len(trials))
-	}
-	seen := map[geo.Point]bool{}
-	for _, tr := range trials {
-		if seen[tr.APs[0]] {
-			t.Fatal("two trials share the first AP position")
-		}
-		seen[tr.APs[0]] = true
 	}
 }

@@ -114,19 +114,12 @@ type FlowTracker struct {
 	pageFlows  map[int]int
 	pageStart  map[int]time.Duration
 	pageClient map[int]int
-	completed  []CompletedFlow
 	pages      []CompletedPage
 }
 
 type pendingFlow struct {
 	flow      *Flow
 	threshold int64 // cumulative delivered bits at which it completes
-}
-
-// CompletedFlow records one finished transfer.
-type CompletedFlow struct {
-	Flow     *Flow
-	Finished time.Duration
 }
 
 // CompletedPage records a fully loaded page.
@@ -183,7 +176,6 @@ func (t *FlowTracker) Progress(clientID int, delivered int64, now time.Duration)
 	for len(q) > 0 && delivered >= q[0].threshold {
 		pf := q[0]
 		q = q[1:]
-		t.completed = append(t.completed, CompletedFlow{Flow: pf.flow, Finished: now})
 		t.pageFlows[pf.flow.PageID]--
 		if t.pageFlows[pf.flow.PageID] == 0 {
 			t.pages = append(t.pages, CompletedPage{
@@ -200,9 +192,6 @@ func (t *FlowTracker) Progress(clientID int, delivered int64, now time.Duration)
 	}
 	t.pending[clientID] = q
 }
-
-// CompletedFlows returns the finished transfers so far.
-func (t *FlowTracker) CompletedFlows() []CompletedFlow { return t.completed }
 
 // CompletedPages returns the fully loaded pages so far.
 func (t *FlowTracker) CompletedPages() []CompletedPage { return t.pages }

@@ -80,22 +80,22 @@ func TestFlowTrackerFIFOCompletion(t *testing.T) {
 	tr.Enqueue(f2)
 
 	tr.Progress(9, 999, time.Second)
-	if got := len(tr.CompletedFlows()); got != 0 {
-		t.Fatalf("%d flows completed at 999/1000 bits", got)
+	if got := len(tr.pending[9]); got != 2 {
+		t.Fatalf("%d of 2 flows pending at 999/1000 bits", got)
 	}
 	if q := tr.QueuedBits(9, 999); q != 501 {
 		t.Fatalf("queued = %d, want 501", q)
 	}
 	tr.Progress(9, 1000, 2*time.Second)
-	if got := len(tr.CompletedFlows()); got != 1 || tr.CompletedFlows()[0].Flow.ID != 1 {
-		t.Fatalf("flow 1 not completed first: %+v", tr.CompletedFlows())
+	if q := tr.pending[9]; len(q) != 1 || q[0].flow.ID != 2 {
+		t.Fatalf("flow 1 not completed first: pending %+v", q)
 	}
 	if len(tr.CompletedPages()) != 0 {
 		t.Fatal("page completed with a flow outstanding")
 	}
 	tr.Progress(9, 1500, 3*time.Second)
-	if got := len(tr.CompletedFlows()); got != 2 {
-		t.Fatalf("flows completed = %d, want 2", got)
+	if got := len(tr.pending[9]); got != 0 {
+		t.Fatalf("flows pending = %d, want 0", got)
 	}
 	pages := tr.CompletedPages()
 	if len(pages) != 1 || pages[0].PageID != 100 {

@@ -100,16 +100,6 @@ func (s MACStats) CollisionRate() float64 {
 	return float64(s.Failures) / float64(total)
 }
 
-// ControlOverhead returns the fraction of airtime spent on control
-// frames and preambles rather than data payloads.
-func (s MACStats) ControlOverhead() float64 {
-	total := s.DataAirtime + s.ControlAirtime
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ControlAirtime) / float64(total)
-}
-
 // Stats returns a copy of the accumulated MAC counters.
 func (n *Network) Stats() MACStats { return n.stats }
 

@@ -1,20 +1,22 @@
 #!/bin/sh
 # verify.sh — the repo's fast correctness gate.
 #
-# Runs static analysis, a full build, the legacy-harness and
-# collapsed-path guards, and the race detector over every package that
-# owns goroutines or is driven from them (race_pkgs below: persistent
-# shard workers, pawsdb's lock-free snapshot and lease wheel, the
-# runner's worker pool, ...). The collapsed-path guard fails if a
-# deleted selector, option, execution mode or slab is named again:
-# metro/wifi index knobs, metro's per-row link-ID slab, runner shard
+# Runs static analysis, a full build, the legacy-harness,
+# collapsed-path and dead-export guards, and the race detector over
+# every package that owns goroutines or is driven from them (race_pkgs
+# below: persistent shard workers, pawsdb's lock-free snapshot and
+# lease wheel, the runner's worker pool, ...). The collapsed-path guard
+# fails if a deleted selector, option, execution mode or slab is named
+# again: metro/wifi index knobs, metro's per-row link-ID slab, runner shard
 # telemetry and its ring-size and checker-slack options, netsim's shard
 # count and the cluster's fork-join entry point, the float
 # streaming-moments type in internal/stats; and internal/experiments'
 # hand-rolled trial loops — netsim.New( may appear in at most two
 # non-test files there (the sweep runner and Fig. 9c's web-workload
 # driver), and the per-trial fleet helper, the per-scheme sweep and the
-# Fig. 9 trial function may not be named again.
+# Fig. 9 trial function may not be named again. The dead-export guard
+# fails if an exported function or method in internal/ has no reference
+# in any non-test .go file, outside a short commented allowlist.
 #
 # Opt-in stages: VERIFY_RACE=1 (whole suite under -race),
 # VERIFY_CHAOS=1 (ETSI vacate soak), VERIFY_INVARIANTS=1 (chaos worlds
@@ -75,6 +77,60 @@ if [ "$exp_netsim_files" -gt 2 ]; then
 fi
 if git grep --untracked -n 'trial[F]leet\|scheme[S]weep\|runFig9[T]rial' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
 	echo "verify: a hand-rolled experiment trial loop helper reappeared (see CHANGES.md, PR 24)" >&2
+	exit 1
+fi
+
+# Every exported function and method in internal/ must be reached from
+# some non-test .go file (cmd/, examples/, bench/ and the root count);
+# its own declaration and full-line comments do not. One pass counts
+# the identifiers of every non-test file, so a name used anywhere keeps
+# every declaration of it alive (method-name collisions err towards
+# keeping). Methods of unexported types are not part of a package's
+# surface and are skipped. The allowlist is "directory name reason".
+echo "== dead-export guard"
+dead_allow='
+internal/netgraph Valid the oracle and core tests use it as their cross-package referee
+internal/netgraph MinSubchannels TestGreedyVsExact referees GreedyColor with it; ROADMAP item 2 needs the exact optimum
+internal/paws Unwrap implements the errors.Unwrap interface
+internal/trace WriteTo implements io.WriterTo
+internal/chaos Matrix the chaos-soak scenario harness, driven by its tests; ROADMAP item 6 folds it into metro
+'
+dead=$(git grep --untracked -n -e '' -- '*.go' ':!*_test.go' | awk -v allow="$dead_allow" '
+BEGIN {
+	n = split(allow, lines, "\n")
+	for (i = 1; i <= n; i++) {
+		split(lines[i], f, " ")
+		if (f[2] != "") ok[f[1] " " f[2]] = 1
+	}
+}
+{
+	i = index($0, ":"); path = substr($0, 1, i - 1); rest = substr($0, i + 1)
+	text = substr(rest, index(rest, ":") + 1)
+	if (text ~ /^[ \t]*\/\//) next
+	if (text ~ /^func /) {
+		recv = "T" # a plain function passes the exported-receiver test
+		if (match(text, /^func \([^)]*\) /)) {
+			recv = substr(text, 7, RLENGTH - 8)
+			sub(/^.* \**/, "", recv)
+		}
+		sub(/^func (\([^)]*\) )?/, "", text)
+		match(text, /^[A-Za-z_][A-Za-z0-9_]*/)
+		name = substr(text, 1, RLENGTH)
+		text = substr(text, RLENGTH + 1)
+		dir = path; sub(/\/[^\/]*$/, "", dir)
+		if (dir ~ /^internal\// && name ~ /^[A-Z]/ && recv ~ /^[A-Z]/ && !ok[dir " " name]) {
+			nd++; decl[nd] = name; where[nd] = path
+		}
+	}
+	while (match(text, /[A-Za-z_][A-Za-z0-9_]*/)) {
+		used[substr(text, RSTART, RLENGTH)] = 1
+		text = substr(text, RSTART + RLENGTH)
+	}
+}
+END { for (k = 1; k <= nd; k++) if (!used[decl[k]]) print where[k] ": " decl[k] }')
+if [ -n "$dead" ]; then
+	echo "verify: exported functions no non-test code reaches (delete them, or allowlist with a reason):" >&2
+	echo "$dead" >&2
 	exit 1
 fi
 
