@@ -12,8 +12,9 @@ test:
 
 # verify is the fast correctness gate: static analysis, a full build,
 # the legacy-harness and collapsed-path guards (no metro/wifi index
-# selector, no metro link-ID slab, no runner shard telemetry, ring-size
-# or slack option, no netsim shard count or cluster fork-join entry, no
+# selector, no metro link-ID slab, no link cache in wifi, no runner
+# shard telemetry, ring-size or slack option, no netsim shard count or
+# cluster fork-join entry, no
 # float streaming-moments type, no hand-rolled netsim trial loop in
 # internal/experiments), the dead-export guard (every exported function
 # in internal/ is reached from non-test code, or allowlisted with a
@@ -47,13 +48,14 @@ race:
 
 # fuzz-short gives the parsing surfaces a quick shake — the PAWS
 # client-side response decoder, the flight-recorder stream decoder,
-# the invariant verifier replaying arbitrary decoded streams — and
-# checks the squeezed ziggurat slow path against its pre-squeeze
-# reference on arbitrary hashes.
+# the invariant verifier replaying arbitrary decoded streams, the LTE
+# DCI grant decoder — and checks the squeezed ziggurat slow path
+# against its pre-squeeze reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
+	$(GO) test -fuzz=FuzzUnmarshalDCI -fuzztime=10s -run '^$$' ./internal/lte
 	$(GO) test -fuzz=FuzzExpFromHash -fuzztime=10s -run '^$$' ./internal/propagation
 
 # bench is for microbenchmarks while you work: the per-package

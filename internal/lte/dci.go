@@ -161,13 +161,13 @@ func (d DCI) Marshal(bw Bandwidth) ([]byte, error) {
 // UnmarshalDCI decodes a grant and validates it against the carrier.
 func UnmarshalDCI(b []byte, bw Bandwidth) (DCI, error) {
 	if len(b) == 0 {
-		return DCI{}, errors.New("lte: SIB truncated")
+		return DCI{}, errors.New("lte: DCI truncated")
 	}
 	if b[0] != dciMagic {
 		return DCI{}, errors.New("lte: not a DCI grant")
 	}
 	if len(b) < dciBytes {
-		return DCI{}, errors.New("lte: SIB truncated")
+		return DCI{}, errors.New("lte: DCI truncated")
 	}
 	v := uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
 		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])

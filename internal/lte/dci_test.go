@@ -60,11 +60,38 @@ func TestDCIValidation(t *testing.T) {
 			t.Errorf("case %d: invalid DCI marshalled", i)
 		}
 	}
-	if _, err := UnmarshalDCI([]byte{0x00, 1, 2, 3, 4, 5, 6, 7}, BW5MHz); err == nil {
-		t.Error("wrong magic decoded")
+}
+
+// Each rejection path of the decoder names what was wrong with the
+// input (the marshal side's checks are TestDCIValidation's).
+func TestUnmarshalDCIErrors(t *testing.T) {
+	valid, err := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}.Marshal(BW5MHz)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := UnmarshalDCI(nil, BW5MHz); err == nil {
-		t.Error("empty buffer decoded")
+	cases := []struct {
+		name string
+		in   []byte
+		want string // "" = accepted
+	}{
+		{"nil", nil, "lte: DCI truncated"},
+		{"empty", []byte{}, "lte: DCI truncated"},
+		{"magic only", []byte{dciMagic}, "lte: DCI truncated"},
+		{"seven bytes", valid[:7], "lte: DCI truncated"},
+		{"wrong magic", []byte{0x00, 1, 2, 3, 4, 5, 6, 7}, "lte: not a DCI grant"},
+		{"CQI 0", []byte{dciMagic, 0, 0, 0, 0, 0, 0, 0}, "lte: decoded DCI invalid: lte: DCI CQI 0 out of range"},
+		{"valid", valid, ""},
+		{"valid, trailing bytes", append(append([]byte{}, valid...), 0xff), ""},
+	}
+	for _, c := range cases {
+		_, err := UnmarshalDCI(c.in, BW5MHz)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -1,9 +1,37 @@
 package lte
 
 import (
+	"bytes"
 	"math/cmplx"
 	"testing"
 )
+
+// FuzzUnmarshalDCI: the grant decoder never panics on arbitrary bytes,
+// and any input it accepts re-marshals to the same leading 57 bits —
+// the codec's whole payload (the 7 padding bits and any trailing bytes
+// are not read).
+func FuzzUnmarshalDCI(f *testing.F) {
+	valid, _ := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}.Marshal(BW5MHz)
+	f.Add(valid, uint8(0))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{dciMagic}, uint8(2))
+	f.Add([]byte{dciMagic, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(3))
+	bws := []Bandwidth{BW5MHz, BW10MHz, BW15MHz, BW20MHz}
+	f.Fuzz(func(t *testing.T, raw []byte, bwSel uint8) {
+		bw := bws[int(bwSel)%len(bws)]
+		d, err := UnmarshalDCI(raw, bw)
+		if err != nil {
+			return
+		}
+		out, err := d.Marshal(bw)
+		if err != nil {
+			t.Fatalf("accepted %x as %+v, which does not re-marshal: %v", raw, d, err)
+		}
+		if !bytes.Equal(out[:7], raw[:7]) || out[7]&0x80 != raw[7]&0x80 {
+			t.Fatalf("accepted %x as %+v, which re-marshals to %x", raw, d, out)
+		}
+	})
+}
 
 // FuzzDFTRoundTrip: the inverse DFTPlan applied to the forward one
 // must reproduce x for arbitrary lengths (Bluestein path included) and

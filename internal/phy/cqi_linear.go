@@ -16,14 +16,17 @@ var lteCQILinearMin [16]float64
 func init() {
 	lteCQILinearMin[0] = math.Inf(1) // CQI 0: out of range, never reached
 	for i := 1; i <= 15; i++ {
-		lteCQILinearMin[i] = minRatioForDB(lteCQITable[i].MinSINRdB)
+		lteCQILinearMin[i] = MinRatioForDB(lteCQITable[i].MinSINRdB)
 	}
 }
 
-// minRatioForDB returns the smallest positive float64 r satisfying
+// MinRatioForDB returns the smallest positive float64 r satisfying
 // 10*math.Log10(r) >= db, by binary search over the ordered bit patterns
-// of positive float64s.
-func minRatioForDB(db float64) float64 {
+// of positive float64s. For every positive x, x >= MinRatioForDB(db)
+// decides exactly what 10*math.Log10(x) >= db does, which makes it the
+// linear-domain threshold for any dB or dBm level (wifi's energy-detect
+// test uses it in mW).
+func MinRatioForDB(db float64) float64 {
 	lo := math.Float64bits(math.SmallestNonzeroFloat64)
 	hi := math.Float64bits(math.MaxFloat64)
 	if 10*math.Log10(math.Float64frombits(hi)) < db {

@@ -5,10 +5,12 @@ import "cellfi/internal/geo"
 // LinkCache memoizes the static part of a link budget — path loss plus
 // frozen shadowing (Model.LinkLossDB) — keyed by a directed (tx, rx)
 // node-ID pair. Link loss between static endpoints never changes, yet
-// the SINR paths in internal/lte and internal/wifi recompute it on
-// every subframe and every carrier-sense scan; the shadowing term alone
-// seeds a fresh RNG per call. The cache turns those recomputations into
-// one map probe on the static-topology fast path.
+// internal/lte's SINR paths ask for it on every subframe; the cache
+// turns those recomputations into one map probe, and its epochs let a
+// moved client's links recompute. It serves internal/lte only:
+// internal/wifi never moves a node and, like internal/netsim, keeps its
+// static link budget in a dense per-pair table indexed by registration
+// order.
 //
 // Invalidation is epoch-based and O(1): every node ID carries an epoch
 // counter, each cache entry remembers the epochs of both endpoints at
@@ -22,8 +24,7 @@ import "cellfi/internal/geo"
 // Node IDs are caller-defined. The cache never normalizes key order, so
 // two ID spaces (say cells and clients) may overlap safely as long as
 // every (tx, rx) pair is unambiguous in the caller's convention —
-// internal/lte always keys (cell, client), internal/wifi uses one dense
-// space.
+// internal/lte always keys (cell, client).
 //
 // A LinkCache is deterministic by construction: it caches the exact
 // float64 LinkLossDB returns, so cached and uncached runs are
@@ -90,7 +91,8 @@ func (c *LinkCache) LossDB(tx, rx int, txPos, rxPos geo.Point) float64 {
 // factor, 10^(-LossDB/10), memoized alongside the dB entry. Interferer
 // sums in milliwatts multiply this by the transmit power instead of
 // converting dBm per (interferer, receiver) pair — the pow runs once
-// per link per topology, not once per sum term.
+// per link per topology, not once per sum term. No simulator calls it
+// today; the benchmark's propagation.linkcache_lookup_ns row times it.
 func (c *LinkCache) PathGainLinear(tx, rx int, txPos, rxPos geo.Point) float64 {
 	key := LinkID(tx, rx)
 	te, re := c.epoch(tx), c.epoch(rx)

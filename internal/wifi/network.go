@@ -40,12 +40,16 @@ type Network struct {
 	Params Params
 	eng    *sim.Engine
 	model  *propagation.Model
-	// cache memoizes per-pair link loss: carrier sensing evaluates
-	// every active transmission at every contending node on every
-	// slot tick, all over a static topology, so the cached path turns
-	// the CSMA inner loop into table lookups. Nodes are keyed by
-	// their dense registration index.
-	cache  *propagation.LinkCache
+	// links is the static link budget of every directed (tx, rx) node
+	// pair, row-major by dense registration index:
+	// links[tx.idx*stride+rx.idx]. Carrier sensing evaluates every
+	// active transmission at every contending node on every slot tick,
+	// all over a topology that never moves, so the CSMA inner loop is
+	// an indexed load. Entries fill on first use; the first lookup after
+	// a node registers re-strides the table, copying the filled rows
+	// across.
+	links  []linkBudget
+	stride int
 	rng    *rand.Rand
 	nodes  []*Node
 	aps    []*Node
@@ -65,9 +69,11 @@ type Network struct {
 	noiseDBmC  float64
 	noiseMWC   float64
 
-	// Carrier-sense threshold memo in mW, for the linear busyAt scan;
-	// self-validating against the dBm param it was derived from.
+	// Carrier-sense and energy-detect threshold memos in mW, for the
+	// linear busyAt scan; each self-validating against the dBm param it
+	// was derived from.
 	csMWC, csForDBm float64
+	edMWC, edForDBm float64
 
 	// Drops counts aggregates abandoned after the retry limit.
 	Drops int
@@ -110,7 +116,6 @@ func NewNetwork(eng *sim.Engine, model *propagation.Model, params Params) *Netwo
 		Params: params,
 		eng:    eng,
 		model:  model,
-		cache:  propagation.NewLinkCache(model, 0),
 		rng:    eng.NewStream("wifi:" + params.Name),
 	}
 }
@@ -127,8 +132,9 @@ type Node struct {
 	txMW, txMWFor float64
 
 	net *Network
-	// idx is the node's dense registration index, the link-cache key
-	// (caller-chosen IDs may collide across APs and stations).
+	// idx is the node's dense registration index, its row and column in
+	// the link table (caller-chosen IDs may collide across APs and
+	// stations).
 	idx  int
 	isAP bool
 	// AP-side state.
@@ -221,26 +227,57 @@ func (ap *Node) QueuedBits(client *Node) int64 { return client.qBits }
 // DeliveredBits returns the bits successfully delivered to a client.
 func (ap *Node) DeliveredBits(client *Node) int64 { return client.dBits }
 
-// rxPowerDBm is the power node rx sees from node tx, through the
-// link-gain cache (wifi topologies are static for a run).
+// linkBudget is one directed pair's static link budget: the exact
+// float64 Model.LinkLossDB returned, and DBmToMW(-lossDB), filled on the
+// pair's first linear query so loss-only pairs never pay the pow.
+type linkBudget struct {
+	lossDB, gainLin  float64
+	lossSet, gainSet bool
+}
+
+// link returns the (tx, rx) table entry with its loss filled,
+// re-striding first if a node registered since the last lookup.
+func (n *Network) link(tx, rx *Node) *linkBudget {
+	if n.stride != len(n.nodes) {
+		n.restride()
+	}
+	l := &n.links[tx.idx*n.stride+rx.idx]
+	if !l.lossSet {
+		l.lossDB, l.lossSet = n.model.LinkLossDB(tx.Pos, rx.Pos), true
+	}
+	return l
+}
+
+// restride sizes the table for every registered node, copying each
+// filled row to its offset under the new stride.
+func (n *Network) restride() {
+	m := len(n.nodes)
+	grown := make([]linkBudget, m*m)
+	for i := 0; i < n.stride; i++ {
+		copy(grown[i*m:i*m+n.stride], n.links[i*n.stride:(i+1)*n.stride])
+	}
+	n.links, n.stride = grown, m
+}
+
+// rxPowerDBm is the power node rx sees from node tx, through the link
+// table (wifi topologies are static for a run).
 func (n *Network) rxPowerDBm(tx, rx *Node) float64 {
-	return tx.TxPowerDBm - n.cache.LossDB(tx.idx, rx.idx, tx.Pos, rx.Pos)
+	return tx.TxPowerDBm - n.link(tx, rx).lossDB
 }
 
 // rxPowerMW is rxPowerDBm in milliwatts, computed entirely in the
-// linear domain: the node's memoized transmit power times the cached
-// linear path gain. Interference sums use it so the per-term
+// linear domain: the node's memoized transmit power times the pair's
+// memoized linear path gain. Interference sums use it so the per-term
 // dBm-to-mW pow disappears from the carrier-sense and decode paths.
 func (n *Network) rxPowerMW(tx, rx *Node) float64 {
 	if tx.txMW == 0 || tx.txMWFor != tx.TxPowerDBm {
 		tx.txMW, tx.txMWFor = propagation.DBmToMW(tx.TxPowerDBm), tx.TxPowerDBm
 	}
-	return tx.txMW * n.cache.PathGainLinear(tx.idx, rx.idx, tx.Pos, rx.Pos)
-}
-
-// LinkCacheStats exposes the link-gain cache counters for telemetry.
-func (n *Network) LinkCacheStats() propagation.CacheStats {
-	return n.cache.Stats()
+	l := n.link(tx, rx)
+	if !l.gainSet {
+		l.gainLin, l.gainSet = propagation.DBmToMW(-l.lossDB), true // 10^(-loss/10)
+	}
+	return tx.txMW * l.gainLin
 }
 
 // transmission is one frame in the air. interferers accumulates every
@@ -317,31 +354,45 @@ func (n *Network) noiseDBm() float64 {
 	return dbm
 }
 
+// thresholdsMW returns the carrier-sense and energy-detect thresholds
+// in mW, recomputed only when their dBm parameters change. The
+// energy-detect one is the exact preimage boundary phy.MinRatioForDB
+// finds, so den >= edMW decides what MWToDBm(den) >= EnergyDetectDBm
+// would for every den. The carrier-sense one is DBmToMW(CSThresholdDBm),
+// a pow that can land ulps off its boundary (DBmToMW(-62) sits 9 ulps
+// above -62 dBm's), so it is not bit for bit canHear's dBm compare.
+func (n *Network) thresholdsMW() (csMW, edMW float64) {
+	if n.csMWC == 0 || n.csForDBm != n.Params.CSThresholdDBm {
+		n.csMWC, n.csForDBm = propagation.DBmToMW(n.Params.CSThresholdDBm), n.Params.CSThresholdDBm
+	}
+	if n.edMWC == 0 || n.edForDBm != n.Params.EnergyDetectDBm {
+		n.edMWC, n.edForDBm = phy.MinRatioForDB(n.Params.EnergyDetectDBm), n.Params.EnergyDetectDBm
+	}
+	return n.csMWC, n.edMWC
+}
+
 // busyAt reports whether node sees the medium busy: an unexpired NAV,
 // any single frame above the preamble-detection sensitivity, or raw
 // aggregate energy above the (much higher) energy-detect threshold.
+// The scan runs in mW, with no pow or log per frame.
 func (n *Network) busyAt(node *Node) bool {
 	now := n.eng.Now()
 	if now < node.navUntil {
 		return true
 	}
-	if n.csMWC == 0 || n.csForDBm != n.Params.CSThresholdDBm {
-		n.csMWC, n.csForDBm = propagation.DBmToMW(n.Params.CSThresholdDBm), n.Params.CSThresholdDBm
-	}
+	csMW, edMW := n.thresholdsMW()
 	den := 0.0
 	for _, t := range n.active {
 		if t.from == node {
 			return true // transmitting counts as busy
 		}
-		// Linear-domain scan: the mW comparison decides exactly what the
-		// dB one did (dBm to mW is monotone), with no pow per frame.
 		p := n.rxPowerMW(t.from, node)
-		if p >= n.csMWC {
+		if p >= csMW {
 			return true
 		}
 		den += p
 	}
-	return den > 0 && propagation.MWToDBm(den) >= n.Params.EnergyDetectDBm
+	return den >= edMW
 }
 
 // sinrOf returns the SINR of transmission t at receiver rx, counting

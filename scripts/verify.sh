@@ -7,7 +7,8 @@
 # below: persistent shard workers, pawsdb's lock-free snapshot and
 # lease wheel, the runner's worker pool, ...). The collapsed-path guard
 # fails if a deleted selector, option, execution mode or slab is named
-# again: metro/wifi index knobs, metro's per-row link-ID slab, runner shard
+# again: metro/wifi index knobs, metro's per-row link-ID slab, a link
+# cache under internal/wifi (its dense link table replaced it), runner shard
 # telemetry and its ring-size and checker-slack options, netsim's shard
 # count and the cluster's fork-join entry point, the float
 # streaming-moments type in internal/stats; and internal/experiments'
@@ -56,14 +57,17 @@ fi
 # netsim one execution mode (sequential), a shard cluster one face (Run
 # windows) and metro one moment accumulator; the selectors and types
 # that made the other halves must not grow back. Nor must metro's
-# link-ID slab: the fused row kernel forms link IDs in registers.
+# link-ID slab: the fused row kernel forms link IDs in registers. Nor
+# must a LinkCache in wifi: its static link budget is a dense per-pair
+# table, like netsim's.
 echo "== collapsed-path guard"
 if git grep --untracked -n 'UseSpatialIndex' -- internal/metro internal/wifi examples ||
 	git grep --untracked -n 'nbr[L]ink' -- internal/metro ||
+	git grep --untracked -n 'LinkCache' -- internal/wifi ||
 	git grep --untracked -n 'AddShard[S]tats\|Stream[S]tat\|Invariant[S]lack\|Trace[R]ing:' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ||
 	git grep --untracked -nw 'Shards' -- internal/netsim ||
 	git grep --untracked -n 'func (c \*Cluster) Do(' -- internal/shard; then
-	echo "verify: a removed mode selector, option, type or slab reappeared (see CHANGES.md, PRs 15, 22 and 23)" >&2
+	echo "verify: a removed mode selector, option, type or slab reappeared (see CHANGES.md)" >&2
 	exit 1
 fi
 
