@@ -16,12 +16,14 @@ test:
 # shard telemetry, ring-size or slack option, no netsim shard count or
 # cluster fork-join entry, no
 # float streaming-moments type, no hand-rolled netsim trial loop in
-# internal/experiments), the dead-export guard (every exported function
-# in internal/ is reached from non-test code, or allowlisted with a
-# reason), and the race detector over
+# internal/experiments), the one-binary guard (one package main under
+# cmd/, and only cmd/cellfi/main.go touches exit codes, signals, the
+# global flag set and os.Stdout/os.Stderr), the dead-export guard
+# (every exported function in internal/ is reached from non-test code,
+# or allowlisted with a reason), and the race detector over
 # every package that owns goroutines or is driven from them (runner,
 # sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
-# netsim).
+# netsim, and cmd/cellfi's daemon drain tests).
 verify:
 	./scripts/verify.sh
 
@@ -49,14 +51,18 @@ race:
 # fuzz-short gives the parsing surfaces a quick shake — the PAWS
 # client-side response decoder, the flight-recorder stream decoder,
 # the invariant verifier replaying arbitrary decoded streams, the LTE
-# DCI grant decoder — and checks the squeezed ziggurat slow path
-# against its pre-squeeze reference on arbitrary hashes.
+# DCI grant decoder, the outage-window specs behind `cellfi db -flaky`
+# and `cellfi load -outages`, the comma-separated lists of `cellfi
+# sweep` — and checks the squeezed ziggurat slow path against its
+# pre-squeeze reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
 	$(GO) test -fuzz=FuzzUnmarshalDCI -fuzztime=10s -run '^$$' ./internal/lte
 	$(GO) test -fuzz=FuzzExpFromHash -fuzztime=10s -run '^$$' ./internal/propagation
+	$(GO) test -fuzz=FuzzParseWindows -fuzztime=10s -run '^$$' ./internal/faults
+	$(GO) test -fuzz=FuzzSweepLists -fuzztime=10s -run '^$$' ./cmd/cellfi
 
 # bench is for microbenchmarks while you work: the per-package
 # `go test -bench` sweep with allocation tracking (sim event core,
@@ -78,10 +84,10 @@ bench-all:
 	$(GO) run ./bench -workload all -seed 1
 
 sweep:
-	$(GO) run ./cmd/cellfi-sweep
+	$(GO) run ./cmd/cellfi sweep
 
 experiments:
-	$(GO) run ./cmd/experiments -quick
+	$(GO) run ./cmd/cellfi experiments -quick
 
 fmt:
 	gofmt -w $$(find . -name '*.go' -not -path './.git/*')

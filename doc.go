@@ -10,6 +10,7 @@
 // inventory and modelling decisions, and EXPERIMENTS.md for the
 // paper-versus-measured scorecard. The public surface lives under
 // internal/ (this is a research reproduction, not a semver-stable
-// library); cmd/experiments regenerates the evaluation and
-// `make bench-all` (bench/README.md) is the one benchmark.
+// library); cmd/cellfi is the one command (`cellfi experiments`
+// regenerates the evaluation) and `make bench-all` (bench/README.md)
+// is the one benchmark.
 package cellfi

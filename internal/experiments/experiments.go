@@ -4,7 +4,7 @@
 // lists all 21: table1, fig1, fig2, fig6, fig7, fig8, prach, fig9a,
 // fig9b, fig9c, theorem1, overhead, reuse, lambda, sensing, hopping,
 // hybrid, sched, uplink, aggregation, mobility); runners return typed
-// tables and series that cmd/experiments prints and the benchmark's
+// tables and series that `cellfi experiments` prints and the benchmark's
 // repro_full workload times.
 //
 // There is one sweep path. grid (parallel.go) fans a campaign's

@@ -22,7 +22,7 @@ var (
 )
 
 // SetWorkers bounds the worker pool used by experiment fleets
-// (cmd/experiments -workers). Zero restores the GOMAXPROCS default.
+// (`cellfi experiments -workers`). Zero restores the GOMAXPROCS default.
 func SetWorkers(n int) {
 	fleetMu.Lock()
 	fleetWorkers = n
@@ -30,7 +30,7 @@ func SetWorkers(n int) {
 }
 
 // SetProgress installs a callback observing every fleet run (used by
-// cmd/experiments -v). Pass nil to disable.
+// `cellfi experiments -progress`). Pass nil to disable.
 func SetProgress(fn func(runner.Progress)) {
 	fleetMu.Lock()
 	fleetProgress = fn

@@ -103,7 +103,7 @@ func TestGrid(t *testing.T) {
 }
 
 // TestFleetReportsAccumulate checks that experiment campaigns leave
-// telemetry behind for cmd/experiments -telemetry to drain and merge,
+// telemetry behind for `cellfi experiments -telemetry` to drain and merge,
 // and only telemetry: a kept report must not pin the legs' results.
 func TestFleetReportsAccumulate(t *testing.T) {
 	DrainReports() // discard campaigns from other tests

@@ -40,8 +40,8 @@ func ParseWindows(spec string) ([]Window, error) {
 // FlakyHandler wraps an http.Handler (typically a paws.Server) and
 // serves scripted outage windows: requests landing inside a window get
 // Status (default 503) instead of reaching the inner handler. This is
-// the server-side fault surface — pawsdb exposes it via -flaky so a
-// real cellfi-ap process can be soak-tested against database outages.
+// the server-side fault surface — `cellfi db` exposes it via -flaky so a
+// real `cellfi ap` process can be soak-tested against database outages.
 type FlakyHandler struct {
 	Inner http.Handler
 	// Windows are the outage intervals, as offsets from Start.

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzVerify feeds arbitrary bytes through the trace decoder and the
-// invariant checker — the exact pipeline `cellfi-trace verify` runs on
+// invariant checker — the exact pipeline `cellfi trace verify` runs on
 // an untrusted file. Neither stage may panic: Decode already promises
 // an error instead (FuzzDecode in internal/trace), and the checker
 // must absorb whatever records a corrupted-but-decodable stream

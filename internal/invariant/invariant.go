@@ -13,7 +13,7 @@
 // owns its checker, mirroring sim.Engine's threading model. Wire it
 // inline with Tee to keep an existing recorder (ring spill, counters)
 // running behind it, or replay a decoded stream offline with Feed
-// (that is what `cellfi-trace verify` does).
+// (that is what `cellfi trace verify` does).
 //
 // Evidence model: the lease FSM emits a KindLeaseBudget record —
 // (channel, lease expiry, vacate-by) — on every entry into Granted,
@@ -36,7 +36,7 @@ import (
 )
 
 // Rule identifiers. These are stable strings: they appear in runner
-// telemetry JSON and in `cellfi-trace verify` output, and tests match
+// telemetry JSON and in `cellfi trace verify` output, and tests match
 // on them.
 const (
 	// RuleTxWithoutLease: a KindRadioTX record with no live lease on

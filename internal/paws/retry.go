@@ -33,7 +33,7 @@ type RetryPolicy struct {
 	Sleep func(time.Duration)
 }
 
-// DefaultRetry is the policy cmd/cellfi-ap runs with: four attempts
+// DefaultRetry is the policy `cellfi ap` runs with: four attempts
 // spanning roughly a second of backoff — small against the vacate
 // deadline, large against a momentary database hiccup.
 func DefaultRetry(seed int64) RetryPolicy {

@@ -167,7 +167,7 @@ func (r *Report) WriteJSON(path string) error {
 }
 
 // Merge combines several campaign reports into one named campaign —
-// the shape cmd/experiments writes when a session spans many fleets.
+// the shape `cellfi experiments` writes when a session spans many fleets.
 // Wall time is summed (campaigns ran back to back), workers is the
 // maximum, and runs are concatenated with indices rebased.
 func Merge(name string, reps ...*Report) (*Report, error) {

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// ASCII plotting: cmd/experiments renders every figure's series as a
+// ASCII plotting: `cellfi experiments -plot` renders every figure's series as a
 // terminal plot so the reproduced shapes can be eyeballed next to the
 // paper without leaving the shell.
 

@@ -175,7 +175,7 @@ func TestHeatmapMarksOverlay(t *testing.T) {
 	}
 }
 
-// TestHeatmapOccupancyTimeline pins the rendering cellfi-trace timeline
+// TestHeatmapOccupancyTimeline pins the rendering `cellfi trace timeline`
 // relies on: a 0/1 occupancy grid renders held cells with the darkest
 // glyph, free cells as spaces, and hop marks on top.
 func TestHeatmapOccupancyTimeline(t *testing.T) {

@@ -28,7 +28,7 @@ type DiffResult struct {
 	ErrA, ErrB error
 }
 
-// String renders the result in the form cellfi-trace diff prints.
+// String renders the result in the form `cellfi trace diff` prints.
 func (d DiffResult) String() string {
 	if d.Identical {
 		return fmt.Sprintf("identical (%d records)", d.CountA)

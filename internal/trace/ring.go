@@ -29,7 +29,7 @@ type RingStats struct {
 // "what led up to this?" forensics; Snapshot and WriteTo export the
 // retained window. In spill mode (SpillTo) a full buffer is encoded
 // and flushed to the writer, so the stream on disk is complete — the
-// shape runner capture and cellfi-trace diff rely on.
+// shape runner capture and `cellfi trace diff` rely on.
 //
 // The record path never allocates in either mode: wrap mode is a
 // single slot store, and spill mode reuses one encode buffer for the

@@ -3,7 +3,7 @@
 // built on. Layers emit small, typed, fixed-size Records through a
 // Recorder; the Ring recorder buffers them allocation-free and can
 // spill the full stream to disk in a compact varint+delta binary
-// format that cmd/cellfi-trace decodes, filters, renders and diffs.
+// format that `cellfi trace` decodes, filters, renders and diffs.
 //
 // # The zero-cost contract
 //
@@ -51,7 +51,7 @@ const MaxArgs = 4
 // Kind identifies a record type. Zero is reserved as invalid so a
 // zeroed buffer never decodes as records. Decoders accept kinds they
 // do not know (the record layout is self-describing), which lets an
-// old cellfi-trace at least dump streams from a newer writer.
+// old `cellfi trace` at least dump streams from a newer writer.
 type Kind uint8
 
 const (

@@ -2,10 +2,11 @@
 # verify.sh — the repo's fast correctness gate.
 #
 # Runs static analysis, a full build, the legacy-harness,
-# collapsed-path and dead-export guards, and the race detector over
-# every package that owns goroutines or is driven from them (race_pkgs
-# below: persistent shard workers, pawsdb's lock-free snapshot and
-# lease wheel, the runner's worker pool, ...). The collapsed-path guard
+# collapsed-path, one-binary and dead-export guards, and the race
+# detector over every package that owns goroutines or is driven from
+# them (race_pkgs below: persistent shard workers, pawsdb's lock-free
+# snapshot and lease wheel, the runner's worker pool, ...; and
+# cmd/cellfi's daemon drain tests). The collapsed-path guard
 # fails if a deleted selector, option, execution mode or slab is named
 # again: metro/wifi index knobs, metro's per-row link-ID slab, a link
 # cache under internal/wifi (its dense link table replaced it), runner shard
@@ -84,6 +85,22 @@ if git grep --untracked -n 'trial[F]leet\|scheme[S]weep\|runFig9[T]rial' -- . ':
 	exit 1
 fi
 
+# There is one command, cmd/cellfi, and its main.go alone owns the
+# process: exit codes, signals, the global flag set and the real
+# stdout/stderr. Verbs get a context, their args and two writers, which
+# is what lets main_test.go drive every verb in-process.
+echo "== one-binary guard"
+mains=$(git grep --untracked -l '^package main$' -- 'cmd/*.go' | sed 's|/[^/]*$||' | sort -u)
+if [ "$mains" != "cmd/cellfi" ]; then
+	echo "verify: cmd/ must hold exactly one package main, cmd/cellfi; found:" $mains >&2
+	exit 1
+fi
+if git grep --untracked -nE 'os\.Exit|log\.Fatal|signal\.[A-Z]|flag\.Parse\(|os\.Std(out|err)' -- \
+	'cmd/cellfi/*.go' ':!cmd/cellfi/main.go' ':!cmd/cellfi/*_test.go'; then
+	echo "verify: only cmd/cellfi/main.go may exit, catch signals, parse the global flag set or write os.Stdout/os.Stderr" >&2
+	exit 1
+fi
+
 # Every exported function and method in internal/ must be reached from
 # some non-test .go file (cmd/, examples/, bench/ and the root count);
 # its own declaration and full-line comments do not. One pass counts
@@ -139,8 +156,8 @@ if [ -n "$dead" ]; then
 fi
 
 race_pkgs="runner sim core paws faults trace shard pawsdb pawsload metro netsim"
-echo "== go test -race ($race_pkgs)"
-go test -race $(printf './internal/%s ' $race_pkgs)
+echo "== go test -race ($race_pkgs cmd/cellfi)"
+go test -race $(printf './internal/%s ' $race_pkgs) ./cmd/cellfi
 
 # Optional full-race stage: VERIFY_RACE=1 runs the entire test suite
 # under the race detector (equivalent to `make race`).
