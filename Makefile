@@ -67,15 +67,17 @@ fuzz-short:
 # bench is for microbenchmarks while you work: the per-package
 # `go test -bench` sweep with allocation tracking (sim event core,
 # Wi-Fi CSMA and LTE subframe loops, propagation link cache and the
-# fused fade row kernel (BenchmarkFadeWeightedSum, ns/link), runner
-# fleet, netsim Step at 14 and 200 APs, the core controller). Nothing it
-# prints is committed or compared; `make bench-all` is the number of
-# record.
+# fused fade kernels in ns/link — metro's row kernel
+# (BenchmarkFadeWeightedSum) and netsim's transmitter-list walks
+# (BenchmarkFadeAddSum, BenchmarkFadeSumRows) — the linear CQI
+# quantizer, runner fleet, netsim Step at 14 and 200 APs, the core
+# controller). Nothing it prints is committed or compared; `make
+# bench-all` is the number of record.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 100ms -run '^$$' \
 		./internal/sim ./internal/propagation ./internal/wifi ./internal/lte \
 		./internal/runner ./internal/geo ./internal/stats ./internal/metro \
-		./internal/shard ./internal/netsim ./internal/core
+		./internal/shard ./internal/netsim ./internal/core ./internal/phy
 
 # bench-all runs the one benchmark (BENCHMARK.json, bench/README.md):
 # all seven workloads, one machine-stamped result set under bench/out/.

@@ -10,9 +10,9 @@ import (
 // hybrid deconfliction test, the handover sweep — ignores nodes beyond
 // the significance radius (DESIGN.md, "The significance radius"). With
 // Config.UseSpatialIndex also set, the scans that would walk every node
-// run as uniform-grid queries instead; the SINR denominator walks its
-// subchannel's transmitter list in every mode (see sinrParts) and only
-// applies the predicate.
+// run as uniform-grid queries instead; the SINR denominator, in every
+// mode, filters its subchannel's transmitter list through the predicate
+// into a scratch list and walks that (see sinrParts and interferers).
 //
 // The truncation rule is the same inclusive squared-distance test in
 // both modes, and every scan either visits survivors in ascending index

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"cellfi/internal/core"
@@ -87,8 +88,6 @@ type Config struct {
 	BW     lte.Bandwidth
 	TDD    lte.TDDConfig
 	Seed   int64
-	// BlocksPerEpoch is the number of fading blocks per 1 s epoch.
-	BlocksPerEpoch int
 	// PerfectSensing replaces the injected detectionRate /
 	// falsePositiveRate with ground truth (ablation).
 	PerfectSensing bool
@@ -139,6 +138,8 @@ const (
 	// numProviders splits cells across operators for SchemeHybrid
 	// (cell i belongs to provider i mod numProviders).
 	numProviders = 2
+	// blocksPerEpoch is the number of 100 ms fading blocks per 1 s epoch.
+	blocksPerEpoch = 10
 )
 
 // DefaultConfig returns the paper's simulation settings for a scheme.
@@ -148,7 +149,6 @@ func DefaultConfig(s Scheme, seed int64) Config {
 		BW:                         lte.BW5MHz,
 		TDD:                        lte.TDDConfig4,
 		Seed:                       seed,
-		BlocksPerEpoch:             10,
 		PackingEnabled:             true,
 		Lambda:                     core.DefaultLambda,
 		OracleInterferenceMarginDB: 20,
@@ -199,6 +199,14 @@ type Network struct {
 	perRBDBm, prachNoiseDBm float64
 	// rateBps[k][cqi] tables lte.SubchannelRateBps for this carrier.
 	rateBps [][phy.LTECQICount + 1]float64
+	// rows[k][b] is subchannel k's fade row for block b of epoch
+	// rowsEpoch; epochRows rebuilds the table when n.epoch has moved.
+	rows      [][blocksPerEpoch]propagation.FadeRow
+	rowsEpoch int64
+	// SINR kernel scratch: nearTx holds a transmitter list filtered by
+	// the truncation predicate, blockSig / blockDen sinrBlocks' result.
+	nearTx             []int32
+	blockSig, blockDen [blocksPerEpoch]float64
 
 	controllers []core.IM
 	// providers maps cell -> operator for SchemeHybrid.
@@ -243,16 +251,14 @@ type Network struct {
 
 // New builds a network over a generated topology.
 func New(t *topo.Topology, cfg Config) *Network {
-	if cfg.BlocksPerEpoch <= 0 {
-		cfg.BlocksPerEpoch = 10
-	}
 	n := &Network{
-		Cfg:    cfg,
-		Topo:   t,
-		Cells:  t.APs,
-		model:  propagation.DefaultUrban(cfg.Seed),
-		fading: propagation.NewFading(cfg.Seed + 1),
-		rng:    rand.New(rand.NewSource(cfg.Seed + 2)),
+		Cfg:       cfg,
+		Topo:      t,
+		Cells:     t.APs,
+		model:     propagation.DefaultUrban(cfg.Seed),
+		fading:    propagation.NewFading(cfg.Seed + 1),
+		rng:       rand.New(rand.NewSource(cfg.Seed + 2)),
+		rowsEpoch: -1,
 	}
 	n.ClientsOf = make([][]int, len(t.APs))
 	for i, pts := range t.Clients {
@@ -277,6 +283,7 @@ func New(t *topo.Topology, cfg Config) *Network {
 			n.rateBps[k][cqi] = lte.SubchannelRateBps(cfg.BW, cfg.TDD, k, cqi)
 		}
 	}
+	n.rows = make([][blocksPerEpoch]propagation.FadeRow, s)
 	n.tx, n.prevTx = make([][]int32, s), make([][]int32, s)
 	n.active, n.prevActive = make([][]int, len(n.Cells)), make([][]int, len(n.Cells))
 	n.imIn = core.EpochInput{
@@ -403,31 +410,80 @@ func (n *Network) appendActive(dst []int, i int) []int {
 // cell in subchannel k during fading block b, given an epoch's
 // per-subchannel transmitter lists: the received signal and the
 // interference-plus-noise sum, both in mW per RB. Everything stays in
-// the linear domain — one fading table probe per link, no per-interferer
-// pow — and the pair feeds phy.LTECQIFromLinearSINR directly on the CQI
-// paths; sig over noiseMW alone is the interference-free reference.
+// the linear domain — one fused fade-and-add pass over the interferers
+// (propagation.FadeRow.AddSum), no per-interferer pow — and the pair
+// feeds phy.LTECQIFromLinearSINR directly on the CQI paths; sig over
+// noiseMW alone is the interference-free reference.
 //
-// The denominator visits only the cells that transmit in k, in
-// ascending cell order. That order is the determinism contract: float
-// addition is not associative, so all-pairs, truncated and indexed runs
-// agree to the bit because they add the same terms in the same order —
-// the truncated modes merely drop, by the shared cellNearPos predicate,
-// terms from the one ascending list.
+// The denominator starts at the noise floor and adds the cells that
+// transmit in k in ascending cell order. That order is the determinism
+// contract: float addition is not associative, so all-pairs, truncated
+// and indexed runs agree to the bit because they add the same terms in
+// the same order — the truncated modes first filter the one ascending
+// list through the shared cellNearPos predicate (interferers), and the
+// kernel walks what is left.
 func (n *Network) sinrParts(c, k int, b int64, tx [][]int32) (sig, den float64) {
-	cl := n.Clients[c]
-	i := cl.Cell
+	i := n.Clients[c].Cell
 	rx := n.rxMW[c*len(n.Cells) : (c+1)*len(n.Cells)]
-	row := n.fading.Row(k, n.epoch*1000+b*100)
+	row := n.epochRows(k)[b]
 	sig = rx[i] * row.Gain(propagation.LinkID(i, c))
-	den = n.noiseMW
-	for _, jj := range tx[k] {
-		j := int(jj)
-		if j == i || (n.truncate && !n.cellNearPos(j, cl.Pos)) {
-			continue
-		}
-		den += rx[j] * row.Gain(propagation.LinkID(j, c))
+	return sig, row.AddSum(n.noiseMW, n.interferers(c, tx[k]), c, rx, int32(i))
+}
+
+// sinrBlocks is sinrParts for every fading block of the epoch at once:
+// (sig[b], den[b]) equals sinrParts(c, k, b, tx) to the bit. The
+// interferer list is walked once for all blocks (propagation.SumRows).
+// The slices are the network's own scratch, overwritten by the next call.
+func (n *Network) sinrBlocks(c, k int, tx [][]int32) (sig, den []float64) {
+	i := n.Clients[c].Cell
+	rx := n.rxMW[c*len(n.Cells) : (c+1)*len(n.Cells)]
+	rows := n.epochRows(k)
+	sig, den = n.blockSig[:], n.blockDen[:]
+	serving := propagation.LinkID(i, c)
+	for b, row := range rows {
+		sig[b] = rx[i] * row.Gain(serving)
+		den[b] = n.noiseMW
 	}
+	propagation.SumRows(rows[:], n.interferers(c, tx[k]), c, rx, int32(i), den)
 	return sig, den
+}
+
+// epochRows returns subchannel k's fade rows for the blocks of the
+// current epoch, rebuilding the whole table first if n.epoch has moved
+// since it was last built.
+func (n *Network) epochRows(k int) *[blocksPerEpoch]propagation.FadeRow {
+	if n.rowsEpoch != n.epoch {
+		for kk := range n.rows {
+			for b := range n.rows[kk] {
+				n.rows[kk][b] = n.fading.Row(kk, n.epoch*1000+int64(b)*100)
+			}
+		}
+		n.rowsEpoch = n.epoch
+	}
+	return &n.rows[k]
+}
+
+// interferers returns the transmitters in cells that can reach client
+// c: the list itself, or with truncation on, the cells the cellNearPos
+// predicate admits, in list order, in the network's reused nearTx
+// scratch.
+func (n *Network) interferers(c int, cells []int32) []int32 {
+	if !n.truncate {
+		return cells
+	}
+	pos := n.Clients[c].Pos
+	near := slices.Grow(n.nearTx[:0], len(cells))[:len(cells)]
+	m := 0
+	for _, j := range cells {
+		// Store every cell, keep it by advancing m: no branch on the
+		// distance, which varies too irregularly to predict.
+		near[m] = j
+		if n.cellNearPos(int(j), pos) {
+			m++
+		}
+	}
+	n.nearTx = near
+	return near[:m]
 }
 
 // EpochResult summarizes one stepped epoch.
@@ -518,17 +574,16 @@ func (n *Network) serveCell(j int) {
 	if len(active) == 0 {
 		return
 	}
-	blocks := int64(n.Cfg.BlocksPerEpoch)
 	nAct := float64(len(active))
 	for _, c := range active {
 		var rate float64 // bits per second for this client
 		for _, k := range n.allowed[j] {
+			sig, den := n.sinrBlocks(c, k, n.tx)
 			var scRate float64
-			for b := int64(0); b < blocks; b++ {
-				cqi := phy.LTECQIFromLinearSINR(n.sinrParts(c, k, b, n.tx))
-				scRate += n.rateBps[k][cqi]
+			for b := range sig {
+				scRate += n.rateBps[k][phy.LTECQIFromLinearSINR(sig[b], den[b])]
 			}
-			rate += scRate / float64(blocks)
+			rate += scRate / blocksPerEpoch
 		}
 		rate /= nAct
 		served := int64(rate) // 1-second epoch
@@ -563,7 +618,7 @@ func (n *Network) detect(truth bool) bool {
 // update runs.
 func (n *Network) updateControllers() {
 	s := n.Cfg.BW.Subchannels()
-	lastBlock := int64(n.Cfg.BlocksPerEpoch - 1)
+	const lastBlock = blocksPerEpoch - 1
 	nowActive, prevActive, prevTx := n.active, n.prevActive, n.prevTx
 	in, cleanForAll, held := n.imIn, n.cleanForAll, n.held
 	for i, ctl := range n.controllers {
@@ -571,29 +626,7 @@ func (n *Network) updateControllers() {
 		// preambles every second and sightings expire after one
 		// second (Section 5.1), so the census tracks current demand.
 		own := len(nowActive[i])
-		// PRACH census: active clients anywhere audible at >= -10 dB.
-		// A count, so set equality is enough for the indexed path.
-		sensed := 0
-		if n.clientGrid != nil {
-			n.clientScratch = n.clientGrid.AppendWithin(n.clientScratch[:0], n.Cells[i], n.sigRadius)
-			for _, cc := range n.clientScratch {
-				if n.activeFlag[cc] && n.prachSNR[i][cc] >= lte.PRACHDetectFloorDB {
-					sensed++
-				}
-			}
-		} else {
-			for j := range n.Cells {
-				for _, c := range nowActive[j] {
-					if n.truncate && !n.clientNearPos(c, n.Cells[i]) {
-						continue
-					}
-					if n.prachSNR[i][c] >= lte.PRACHDetectFloorDB {
-						sensed++
-					}
-				}
-			}
-		}
-		in.TargetShare = core.Share(s, own, sensed)
+		in.TargetShare = core.Share(s, own, n.prachCensus(i, nowActive))
 		clear(in.BadFrac)
 		clear(in.Utility)
 		clear(in.SensedBusy)
@@ -668,6 +701,39 @@ func (n *Network) updateControllers() {
 		n.allowed[i] = ctl.Epoch(in)
 		n.Hops += ctl.HopCount() - before
 	}
+}
+
+// prachCensus counts the clients in active that cell i hears anywhere
+// at or above the PRACH detection floor (-10 dB). It is a count, so set
+// equality is enough for the indexed path.
+func (n *Network) prachCensus(i int, active [][]int) int {
+	snr := n.prachSNR[i]
+	sensed := 0
+	if n.clientGrid != nil {
+		n.clientScratch = n.clientGrid.AppendWithin(n.clientScratch[:0], n.Cells[i], n.sigRadius)
+		for _, c := range n.clientScratch {
+			if n.activeFlag[c] && snr[c] >= lte.PRACHDetectFloorDB {
+				sensed++
+			}
+		}
+		return sensed
+	}
+	at := n.Cells[i]
+	for _, act := range active {
+		for _, c := range act {
+			if n.truncate && !n.clientNearPos(c, at) {
+				continue
+			}
+			// Counted without a branch on the SNR, which varies client to
+			// client too irregularly to predict.
+			audible := 0
+			if snr[c] >= lte.PRACHDetectFloorDB {
+				audible = 1
+			}
+			sensed += audible
+		}
+	}
+	return sensed
 }
 
 // cqiDropped is the ground truth behind a CQI-drop verdict: the

@@ -618,8 +618,10 @@ func BenchmarkStepDenseIndexed(b *testing.B) { benchStepDense(b, true) }
 
 // Steady-state Step at the im_dense shape reuses its per-epoch scratch
 // (active sets, transmitter lists, controller-input maps, the result
-// slice): what is left is one held-set slice per controller update
-// (209 measured, 5,002 before the scratch existed).
+// slice, the fade row table and the SINR kernel's block and interferer
+// buffers): what is left is one Controller.Held slice per controller
+// update, about 210 a step (209 measured, 5,002 before the scratch
+// existed).
 func TestStepDenseAllocs(t *testing.T) {
 	n := denseNetwork(t, false)
 	if allocs := testing.AllocsPerRun(10, func() { n.Step() }); allocs > 250 {

@@ -117,7 +117,7 @@ func (r *refNet) step() {
 		}
 	}
 
-	blocks := int64(n.Cfg.BlocksPerEpoch)
+	const blocks = blocksPerEpoch
 	for j := 0; j < nCells; j++ {
 		nAct := float64(len(active[j]))
 		for _, c := range active[j] {
@@ -150,7 +150,7 @@ func (r *refNet) updateControllers(nowActive [][]int) {
 	n := r.n
 	prevTxMask, prevActive := r.prevTxMask, r.prevActive
 	s := n.Cfg.BW.Subchannels()
-	lastBlock := int64(n.Cfg.BlocksPerEpoch - 1)
+	const lastBlock = blocksPerEpoch - 1
 	for i, ctl := range n.controllers {
 		own := len(nowActive[i])
 		sensed := 0
@@ -248,8 +248,9 @@ func maskOf(tx [][]int32, nCells int) [][]bool {
 
 // TestKernelMatchesReference pins the transmitter-list kernel to the old
 // one: over 20 seeds x every scheme x {all-pairs, truncated, indexed},
-// every (sig, den) the kernel can produce for the epoch just stepped
-// equals the reference's to the bit, and whole runs end with identical
+// every (sig, den) the kernel can produce for the epoch just stepped —
+// sinrBlocks' ten blocks and sinrParts at each of them — equals the
+// reference's to the bit, and whole runs end with identical
 // per-client throughputs and hop counts.
 func TestKernelMatchesReference(t *testing.T) {
 	const epochs = 6
@@ -288,11 +289,15 @@ func TestKernelMatchesReference(t *testing.T) {
 					mask := maskOf(n.prevTx, len(n.Cells))
 					for c := range n.Clients {
 						for k := range n.prevTx {
-							for _, b := range []int64{0, int64(n.Cfg.BlocksPerEpoch - 1)} {
-								sig, den := n.sinrParts(c, k, b, n.prevTx)
+							bsig, bden := n.sinrBlocks(c, k, n.prevTx)
+							for b := int64(0); b < blocksPerEpoch; b++ {
 								rsig, rden := n.refSinrParts(c, k, b, mask, &scratch)
-								if sig != rsig || den != rden {
-									t.Fatalf("%s epoch %d client %d k %d block %d: (sig, den) = (%v, %v), reference (%v, %v)",
+								if bsig[b] != rsig || bden[b] != rden {
+									t.Fatalf("%s epoch %d client %d k %d block %d: sinrBlocks (sig, den) = (%v, %v), reference (%v, %v)",
+										name, e, c, k, b, bsig[b], bden[b], rsig, rden)
+								}
+								if sig, den := n.sinrParts(c, k, b, n.prevTx); sig != rsig || den != rden {
+									t.Fatalf("%s epoch %d client %d k %d block %d: sinrParts (sig, den) = (%v, %v), reference (%v, %v)",
 										name, e, c, k, b, sig, den, rsig, rden)
 								}
 							}

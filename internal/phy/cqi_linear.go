@@ -50,11 +50,29 @@ func MinRatioForDB(db float64) float64 {
 // or negative signal, or a NaN, yields CQI 0, and sig = +Inf (or den
 // +Inf with sig finite) matches the -Inf/+Inf dB behavior because the
 // division produces the identical ratio the log chain would see.
+//
+// The CQI is the number of thresholds lteCQILinearMin[1..15] that r
+// reaches, found by a four-probe binary search over the ascending
+// table. Each probe adds its step unless r is below the threshold, read
+// from the sign of their difference rather than branched on: a compare
+// whose result picks the next probe's index compiles to a jump in Go,
+// and on a spread of CQIs those jumps mispredict about as often as not.
 func LTECQIFromLinearSINR(sig, den float64) int {
 	r := sig / den
-	best := 0
-	for best < 15 && r >= lteCQILinearMin[best+1] {
-		best++
+	if math.IsNaN(r) {
+		return 0
 	}
-	return best
+	i := 8 &^ below(r, lteCQILinearMin[8])
+	i += 4 &^ below(r, lteCQILinearMin[i+4])
+	i += 2 &^ below(r, lteCQILinearMin[i+2])
+	i += 1 &^ below(r, lteCQILinearMin[i+1])
+	return i
+}
+
+// below returns -1 (every bit set) when r < t and 0 when r >= t, for a
+// non-NaN r and a finite t: the sign bit of r - t. The sign is exact
+// because subtraction rounds toward, never across, zero, and with
+// gradual underflow r - t is zero only when r == t, where it is +0.
+func below(r, t float64) int {
+	return int(int64(math.Float64bits(r-t)) >> 63)
 }

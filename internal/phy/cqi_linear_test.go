@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -68,6 +69,56 @@ func TestLTECQILinearDegenerate(t *testing.T) {
 		want := LTECQIFromSINR(10 * math.Log10(c.sig/c.den))
 		if got := LTECQIFromLinearSINR(c.sig, c.den); got != want {
 			t.Errorf("sig %g den %g: linear CQI %d, log chain %d", c.sig, c.den, got, want)
+		}
+	}
+}
+
+// refCQIFromLinearSINR is the early-exit threshold scan the binary
+// search replaced, kept as its referee.
+func refCQIFromLinearSINR(sig, den float64) int {
+	r := sig / den
+	best := 0
+	for best < 15 && r >= lteCQILinearMin[best+1] {
+		best++
+	}
+	return best
+}
+
+// The four-probe binary search returns the scan's CQI for every ratio:
+// within 64 ulps of each threshold, at the special values and
+// subnormals (where the sign of r - t must still be exact), and over a
+// million random ratios — log-uniform across -40..+50 dB and raw
+// float64 bit patterns of either sign, NaNs included.
+func TestLTECQILinearMatchesScan(t *testing.T) {
+	check := func(r float64) {
+		t.Helper()
+		if got, want := LTECQIFromLinearSINR(r, 1), refCQIFromLinearSINR(r, 1); got != want {
+			t.Fatalf("ratio %g (%#016x): binary search CQI %d, scan %d", r, math.Float64bits(r), got, want)
+		}
+	}
+	for i := 1; i <= 15; i++ {
+		r := lteCQILinearMin[i]
+		for k := 0; k < 64; k++ {
+			r = math.Nextafter(r, 0)
+		}
+		for k := 0; k <= 128; k++ {
+			check(r)
+			r = math.Nextafter(r, math.Inf(1))
+		}
+	}
+	for _, r := range []float64{
+		0, math.Copysign(0, -1), -1, -1e-300, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 0x1p-1030, math.Float64frombits(0x000fffffffffffff),
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64,
+	} {
+		check(r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		if i%2 == 0 {
+			check(math.Pow(10, (rng.Float64()*90-40)/10))
+		} else {
+			check(math.Float64frombits(rng.Uint64()))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package propagation
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Fading generates deterministic block fast fading per (link, subchannel,
 // time block). Fades are exponential in power (Rayleigh envelope),
@@ -16,8 +19,8 @@ import "math"
 // exp only on the sliver of wedge tests the tangent/chord squeeze cannot
 // decide. The hash absorbs (subchannel, block) first and the link ID
 // last, so row callers pay the (subchannel, block) prefix once per row
-// and one mixing round per link (FadeRow.WeightedSum,
-// AppendGainsLinear). The distribution is unchanged — mean-1
+// and one mixing round per link (FadeRow.WeightedSum, FadeRow.AddSum,
+// SumRows, AppendGainsLinear). The distribution is unchanged — mean-1
 // exponential power, Rayleigh envelope — but individual per-link draws
 // re-rolled relative to kernel v1, following the ShadowingDB precedent:
 // goldens and bench artifacts regenerate, cross-mode and cross-shard
@@ -140,6 +143,81 @@ func (r FadeRow) WeightedSum(aps []int32, ue int, rx []float32, serving int) (to
 	return total, sig
 }
 
+// AddSum is the transmitter-list form of WeightedSum: for one receiver
+// ue, a list of transmitting cells and the receiver's mean rx powers
+// indexed by cell, it returns
+//
+//	acc + Σ rx[c] * Gain(LinkID(c, ue))   over c in cells, c != skip
+//
+// added one term at a time in list order onto acc, so every partial sum
+// is bit-identical to the scalar loop `acc += rx[c] * r.Gain(...)`. The
+// loop shape is WeightedSum's: link IDs in registers, the ziggurat
+// accept test open-coded, rejections through expFromHash.
+func (r FadeRow) AddSum(acc float64, cells []int32, ue int, rx []float64, skip int32) float64 {
+	if r.flat {
+		for _, c := range cells {
+			if c != skip {
+				acc += rx[c] // rx[c] * 1 == rx[c] exactly
+			}
+		}
+		return acc
+	}
+	base := r.base ^ uint64(uint32(ue))
+	for i := 0; i < len(cells); i++ {
+		var h uint64
+		var p float64
+		for ; i < len(cells); i++ {
+			c := cells[i]
+			if c == skip {
+				continue
+			}
+			p = rx[c]
+			h = fadeRound(base, uint64(uint32(c))<<32)
+			j := uint32(h)
+			zi := j & 0xff
+			if j >= zigK[zi] || j == 0 {
+				break
+			}
+			acc += p * (float64(j) * zigW[zi])
+		}
+		if i < len(cells) {
+			acc += p * expFromHash(h)
+		}
+	}
+	return acc
+}
+
+// SumRows is AddSum over several rows at once — in netsim, the coherence
+// blocks of one epoch for one (receiver, subchannel): it walks cells
+// once, loads rx[c] and forms the link ID once per cell, and adds that
+// cell's term onto acc[b] for every row b. Each acc[b] ends exactly
+// where rows[b].AddSum(acc[b], cells, ue, rx, skip) would. acc must be
+// at least as long as rows.
+//
+// The row loop (addTerms) holds no call: it leaves the cell's rejected
+// draws to expFromHash, which runs once the row loop is done and before
+// the next cell, so each accumulator still adds its terms in list
+// order. Rejections are kept as bits of a uint64, so the walk takes 64
+// rows at a time.
+func SumRows(rows []FadeRow, cells []int32, ue int, rx []float64, skip int32, acc []float64) {
+	if len(rows) > 64 {
+		SumRows(rows[64:], cells, ue, rx, skip, acc[64:])
+		rows = rows[:64]
+	}
+	acc = acc[:len(rows)]
+	for _, c := range cells {
+		if c == skip {
+			continue
+		}
+		p := rx[c]
+		link := LinkID(int(c), ue)
+		for slow := addTerms(rows, acc, p, link); slow != 0; slow &= slow - 1 {
+			b := bits.TrailingZeros64(slow)
+			acc[b] += p * expFromHash(fadeRound(rows[b].base, link))
+		}
+	}
+}
+
 // AppendGainsLinear appends one linear fading gain per link in links,
 // all on the same subchannel and coherence block, and returns the
 // extended slice. Each appended value is bit-identical to
@@ -181,6 +259,31 @@ func (f *Fading) AppendGainsLinear(dst []float64, links []uint64, subchannel int
 		}
 	}
 	return dst
+}
+
+// addTerms adds p times the link's fade in each of at most 64 rows onto
+// acc[b], except where the draw fails the ziggurat accept test: those
+// rows come back as set bits in slow, their terms not yet added. It is
+// a function of its own so that the loop keeps its handful of values in
+// registers (folded into sumRows64's cell loop, which holds a call, it
+// ran about 10% slower).
+func addTerms(rows []FadeRow, acc []float64, p float64, link uint64) (slow uint64) {
+	acc = acc[:len(rows)]
+	for b, r := range rows {
+		if r.flat {
+			acc[b] += p
+			continue
+		}
+		h := fadeRound(r.base, link)
+		j := uint32(h)
+		zi := j & 0xff
+		if j >= zigK[zi] || j == 0 {
+			slow |= 1 << b
+			continue
+		}
+		acc[b] += p * (float64(j) * zigW[zi])
+	}
+	return slow
 }
 
 // fadeBase is the hash state after absorbing the seed, the subchannel

@@ -220,6 +220,54 @@ func BenchmarkFadeWeightedSum(b *testing.B) {
 	_ = sink
 }
 
+// benchTransmitters is a netsim-shaped transmitter list: 32 ascending
+// cells out of 2000 and one receiver's rx powers indexed by cell.
+func benchTransmitters() (cells []int32, rx []float64) {
+	cells = make([]int32, 32)
+	rx = make([]float64, 2000)
+	for i := range cells {
+		cells[i] = int32(i * 61)
+	}
+	for c := range rx {
+		rx[c] = float64(c%97+1) * 1e-9
+	}
+	return cells, rx
+}
+
+// BenchmarkFadeAddSum is the kernel behind netsim's observation SINR:
+// one op = one pass over a 32-cell transmitter list onto a noise floor.
+func BenchmarkFadeAddSum(b *testing.B) {
+	row := NewFading(1).Row(3, 4200)
+	cells, rx := benchTransmitters()
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += row.AddSum(1e-12, cells, 2000+i&0xffff, rx, cells[i&31])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/32, "ns/link")
+	_ = sink
+}
+
+// BenchmarkFadeSumRows is the kernel behind netsim's served SINR: one op
+// = one pass over a 32-cell transmitter list for ten coherence blocks;
+// ns/link counts each (cell, block) draw.
+func BenchmarkFadeSumRows(b *testing.B) {
+	f := NewFading(1)
+	rows := make([]FadeRow, 10)
+	for i := range rows {
+		rows[i] = f.Row(3, 4000+int64(i)*100)
+	}
+	cells, rx := benchTransmitters()
+	acc := make([]float64, len(rows))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SumRows(rows, cells, 2000+i&0xffff, rx, cells[i&31], acc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/32/float64(len(rows)), "ns/link")
+}
+
 // The batch draw over one 32-link adjacency row writes into the caller's
 // slice and nothing else: the metro sweep's 0-alloc epoch depends on it.
 func TestAppendGainsLinearZeroAllocs(t *testing.T) {

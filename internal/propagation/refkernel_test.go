@@ -113,14 +113,154 @@ func FuzzExpFromHash(f *testing.F) {
 	})
 }
 
+// scalarAddSum is the loop AddSum and SumRows replace: one Gain call per
+// transmitter, added onto acc in list order.
+func scalarAddSum(r FadeRow, acc float64, cells []int32, ue int, rx []float64, skip int32) float64 {
+	for _, c := range cells {
+		if c != skip {
+			acc += rx[c] * r.Gain(LinkID(int(c), ue))
+		}
+	}
+	return acc
+}
+
+// transmitterCase is one randomized transmitter-list input: n distinct
+// cells out of 2000, the receiver's rx powers for every cell, a starting
+// sum of the order of the terms, and the four skip values the kernels
+// must honor — absent, first, middle and last.
+type transmitterCase struct {
+	cells []int32
+	rx    []float64
+	ue    int
+	acc   float64
+	skips []int32
+}
+
+func newTransmitterCase(rng *rand.Rand, n int) transmitterCase {
+	const nCells = 2000
+	tc := transmitterCase{rx: make([]float64, nCells), ue: rng.Intn(100_000), acc: math.Exp(rng.NormFloat64()*4 - 20)}
+	for c := range tc.rx {
+		tc.rx[c] = math.Exp(rng.NormFloat64()*4 - 20)
+	}
+	for _, c := range rng.Perm(nCells)[:n] {
+		tc.cells = append(tc.cells, int32(c))
+	}
+	tc.skips = []int32{-1}
+	if n > 0 {
+		tc.skips = append(tc.skips, tc.cells[0], tc.cells[n/2], tc.cells[n-1])
+	}
+	return tc
+}
+
+// slowDraws counts the terms of one row whose draw fails the open-coded
+// accept test and so goes through expFromHash.
+func slowDraws(r FadeRow, tc transmitterCase) int {
+	if r.flat {
+		return 0
+	}
+	slow := 0
+	for _, c := range tc.cells {
+		if slowPath(fadeRound(r.base, LinkID(int(c), tc.ue))) {
+			slow++
+		}
+	}
+	return slow
+}
+
+// rowFadings are the three fading processes every row kernel test runs
+// on: fading on, disabled, and nil.
+func rowFadings() []*Fading {
+	var nilF *Fading
+	return []*Fading{NewFading(9), {Seed: 9, BlockMS: 100, Disabled: true}, nilF}
+}
+
+// TestAddSumMatchesScalar: the open-coded transmitter-list sum equals
+// the scalar Gain loop bit for bit for list lengths 0..40, every skip
+// position, a non-zero starting sum and flat rows, and the inputs reach
+// expFromHash's slow path.
+func TestAddSumMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	slow := 0
+	for rep := 0; rep < 25; rep++ {
+		for n := 0; n <= 40; n++ {
+			tc := newTransmitterCase(rng, n)
+			sc, tMS := rng.Intn(13), int64(rng.Intn(1_000_000))
+			for _, f := range rowFadings() {
+				row := f.Row(sc, tMS)
+				slow += slowDraws(row, tc)
+				for _, skip := range tc.skips {
+					want := scalarAddSum(row, tc.acc, tc.cells, tc.ue, tc.rx, skip)
+					if got := row.AddSum(tc.acc, tc.cells, tc.ue, tc.rx, skip); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("list of %d, skip %d, fading %+v: AddSum %v, scalar %v", n, skip, f, got, want)
+					}
+				}
+			}
+		}
+	}
+	if slow < 100 {
+		t.Errorf("only %d draws took expFromHash's slow path, want at least 100", slow)
+	}
+}
+
+// TestSumRowsMatchesScalar: the ten-row walk leaves each accumulator
+// exactly where the scalar Gain loop over that row would, on the inputs
+// TestAddSumMatchesScalar uses, with fading on, flat, a row set that
+// mixes the two, and 130 rows (past two 64-row chunks).
+func TestSumRowsMatchesScalar(t *testing.T) {
+	const blocks = 10
+	rng := rand.New(rand.NewSource(12))
+	slow := 0
+	for rep := 0; rep < 25; rep++ {
+		for n := 0; n <= 40; n++ {
+			tc := newTransmitterCase(rng, n)
+			sc, epochMS := rng.Intn(13), int64(rng.Intn(1000))*1000
+			var rowSets [][]FadeRow
+			for _, f := range rowFadings() {
+				rows := make([]FadeRow, blocks)
+				for b := range rows {
+					rows[b] = f.Row(sc, epochMS+int64(b)*100)
+				}
+				rowSets = append(rowSets, rows)
+			}
+			mixed := append([]FadeRow(nil), rowSets[0]...)
+			mixed[rep%blocks] = rowSets[1][0]
+			long := make([]FadeRow, 130)
+			for b := range long {
+				long[b] = NewFading(9).Row(sc, epochMS+int64(b)*100)
+			}
+			rowSets = append(rowSets, mixed, long)
+			for _, rows := range rowSets {
+				for _, r := range rows {
+					slow += slowDraws(r, tc)
+				}
+				for _, skip := range tc.skips {
+					acc := make([]float64, len(rows))
+					for b := range acc {
+						acc[b] = tc.acc * float64(b+1)
+					}
+					SumRows(rows, tc.cells, tc.ue, tc.rx, skip, acc)
+					for b, r := range rows {
+						want := scalarAddSum(r, tc.acc*float64(b+1), tc.cells, tc.ue, tc.rx, skip)
+						if math.Float64bits(acc[b]) != math.Float64bits(want) {
+							t.Fatalf("list of %d, skip %d, row %d %+v: SumRows %v, scalar %v", n, skip, b, r, acc[b], want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if slow < 1000 {
+		t.Errorf("only %d draws took expFromHash's slow path, want at least 1000", slow)
+	}
+}
+
 // TestWeightedSumMatchesScalar: the fused row kernel returns exactly the
 // serial sum of float64(rx[i]) * GainLinear(LinkID(ap[i], ue), k, t) and
 // exactly the serving term, for every row length 0..32 and every serving
 // index (plus the out-of-row ones), with fading on, disabled and nil.
 func TestWeightedSumMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var nilF *Fading
-	fades := []*Fading{NewFading(9), {Seed: 9, BlockMS: 100, Disabled: true}, nilF}
+	fades := rowFadings()
 	for rep := 0; rep < 40; rep++ {
 		for n := 0; n <= 32; n++ {
 			aps := make([]int32, n)
