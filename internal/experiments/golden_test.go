@@ -102,6 +102,32 @@ func TestGoldenFull(t *testing.T) {
 	checkGolden(t, false, goldenFullSeed1)
 }
 
+// reproDigestSeed1 pins the benchmark's repro_full sim_digest: every
+// experiment in IDs() order at seed 1 in full mode, one SHA-256 over
+// each result's Table.String()s with prach skipped (its table reports
+// host timing), 8-byte prefix — the hash bench/repro.go takes per pass.
+// Skipped under -short.
+const reproDigestSeed1 = "f97d91fab4399ede"
+
+func TestReproDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-mode pass over every experiment")
+	}
+	h := sha256.New()
+	for _, id := range IDs() {
+		if id == "prach" {
+			continue
+		}
+		run, _ := Get(id)
+		for _, tb := range run(1, false).Tables {
+			h.Write([]byte(tb.String()))
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != reproDigestSeed1 {
+		t.Errorf("repro digest %s, golden %s", got, reproDigestSeed1)
+	}
+}
+
 func checkGolden(t *testing.T, quick bool, golden map[string]string) {
 	for _, id := range IDs() {
 		if id == "prach" {

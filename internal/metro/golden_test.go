@@ -80,6 +80,47 @@ func metroDigest(t *testing.T, cfg Config, epochs int) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
+// cityDigestSeed1 pins the benchmark's city_diurnal and city_sharded
+// sim_digest: DefaultCity(1) after ten warm steps and one diurnal cycle,
+// an 8-byte SHA-256 prefix over Epoch / AttachedCount / DeliveredBits
+// and the UEState of every 97th UE, floats as their bit patterns — the
+// hash bench/city.go's cityDigest takes. It must come out at Shards 1
+// and 2. Skipped under -short.
+const cityDigestSeed1 = "625262e58029f6aa"
+
+func TestCityDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full-size cities, one diurnal cycle each")
+	}
+	for _, k := range []int{1, 2} {
+		cfg := DefaultCity(1)
+		cfg.Shards = k
+		w := New(cfg)
+		w.Run(10 + cfg.DayEpochs)
+		h := sha256.New()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		put(uint64(w.Epoch()))
+		put(uint64(w.AttachedCount()))
+		put(uint64(w.DeliveredBits()))
+		for u := 0; u < cfg.NUEs; u += 97 {
+			x, y, cell, delivered, cqi := w.UEState(u)
+			put(math.Float64bits(x))
+			put(math.Float64bits(y))
+			put(uint64(cell))
+			put(uint64(delivered))
+			put(uint64(cqi))
+		}
+		w.Close()
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != cityDigestSeed1 {
+			t.Errorf("Shards %d: city digest %s, golden %s", k, got, cityDigestSeed1)
+		}
+	}
+}
+
 func TestMetroGolden(t *testing.T) {
 	const epochs = 60
 	for _, seed := range []int64{1, 2} {
