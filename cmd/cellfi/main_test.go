@@ -55,6 +55,11 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"sim", "-scheme", "wimax"}, want: exitUsage, oneLine: true},
 		{args: []string{"sim", "-aps", "0"}, want: exitUsage, oneLine: true},
 		{args: []string{"sim", "lte"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-area", "0"}, want: exitUsage, oneLine: true},
+		// No client ring fits a 10 m square: the trial fails, promptly.
+		{args: []string{"sim", "-area", "10"}, want: exitFailure},
+		{args: []string{"sim", "-interference-radius", "-5"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-lambda", "0"}, want: exitUsage, oneLine: true},
 
 		{args: []string{"sweep", "-h"}, want: 0},
 		{args: []string{"sweep", "-bogus"}, want: exitUsage},

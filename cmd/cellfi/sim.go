@@ -32,7 +32,7 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	perfect := fs.Bool("perfect-sensing", false, "disable the measured sensing error injection")
 	lambda := fs.Float64("lambda", 10, "hopping bucket mean")
 	ifRadius := fs.Float64("interference-radius", 0,
-		"interference-significance radius (m): truncate interference beyond this range and resolve neighborhoods through the spatial index (0 = exact all-pairs)")
+		"interference-significance radius (m): truncate interference beyond this range and resolve neighborhoods through the grid (0 = exact all-pairs)")
 	trials := fs.Int("trials", 1, "independent topologies to run")
 	workers := fs.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
 	traceDir := fs.String("trace-dir", "", "flight-record each trial into this directory (must exist)")
@@ -46,6 +46,12 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *aps < 1 || *clients < 1 || *trials < 1 || *epochs < 1 {
 		return fail(fs, exitUsage, "-aps, -clients, -trials and -epochs must be at least 1")
+	}
+	if *area <= 0 || *lambda <= 0 {
+		return fail(fs, exitUsage, "-area and -lambda must be positive")
+	}
+	if *ifRadius < 0 {
+		return fail(fs, exitUsage, "-interference-radius must not be negative")
 	}
 
 	type trialResult struct {
@@ -67,10 +73,7 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				cfg.PackingEnabled = !*noPacking
 				cfg.PerfectSensing = *perfect
 				cfg.Lambda = *lambda
-				if *ifRadius > 0 {
-					cfg.InterferenceRadiusM = *ifRadius
-					cfg.UseSpatialIndex = true
-				}
+				cfg.InterferenceRadiusM = *ifRadius
 				cfg.Trace = c.Recorder()
 
 				n := netsim.New(tp, cfg)

@@ -70,10 +70,21 @@ func (r Rect) RandomPoints(rng *rand.Rand, n int) []Point {
 }
 
 // RandomPointInRing returns a point uniform over the annulus
-// [minRadius, maxRadius] around c, clipped to r if clip is non-nil.
+// [minRadius, maxRadius] around c, clipped to r if clip is non-nil. It
+// panics if the ring and the clip region do not meet, which would
+// otherwise reject every draw forever.
 func RandomPointInRing(rng *rand.Rand, c Point, minRadius, maxRadius float64, clip *Rect) Point {
 	if minRadius < 0 || maxRadius < minRadius {
 		panic("geo: invalid ring radii")
+	}
+	if clip != nil {
+		// The clip region's points lie between near and far from c.
+		near := math.Hypot(max(clip.MinX-c.X, 0, c.X-clip.MaxX), max(clip.MinY-c.Y, 0, c.Y-clip.MaxY))
+		far := math.Hypot(max(c.X-clip.MinX, clip.MaxX-c.X), max(c.Y-clip.MinY, clip.MaxY-c.Y))
+		if maxRadius < near || minRadius > far {
+			panic(fmt.Sprintf("geo: ring [%g, %g] m around %v misses the clip region, whose points lie %g to %g m away",
+				minRadius, maxRadius, c, near, far))
+		}
 	}
 	for {
 		// Uniform over annulus: r^2 uniform on [min^2, max^2].

@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,35 @@ func TestRandomPointInRingBadRadii(t *testing.T) {
 		}
 	}()
 	RandomPointInRing(rand.New(rand.NewSource(1)), Point{}, 10, 5, nil)
+}
+
+// A ring the clip region cannot meet — wholly outside it, or wholly
+// around it — panics naming both distances instead of rejecting draws
+// forever; a ring that only reaches the region's corners still samples.
+func TestRandomPointInRingMissesClip(t *testing.T) {
+	area := Square(10)
+	for _, tc := range []struct {
+		c        Point
+		min, max float64
+	}{
+		{Point{5, 5}, 25, 700},   // every point of the square is < 7.1 m away
+		{Point{100, 5}, 10, 80},  // the square starts 90 m away
+		{Point{-30, -40}, 0, 49}, // the nearest corner is 50 m away
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "misses the clip region") {
+					t.Errorf("ring [%g, %g] around %v: recovered %q, want the misses-the-clip panic", tc.min, tc.max, tc.c, msg)
+				}
+			}()
+			RandomPointInRing(rand.New(rand.NewSource(1)), tc.c, tc.min, tc.max, &area)
+		}()
+	}
+	c := Point{5, 5}
+	if p := RandomPointInRing(rand.New(rand.NewSource(1)), c, 6, 50, &area); !area.Contains(p) || c.Dist(p) < 6 {
+		t.Fatalf("corner-reaching ring gave %v", p)
+	}
 }
 
 func TestMinSpacedPoints(t *testing.T) {

@@ -109,8 +109,8 @@ type Environment struct {
 	// shadowing) per (cell ID, client ID) pair, so per-subframe
 	// SINR/CQI queries over a static topology skip the full model —
 	// including the per-call RNG the shadowing term seeds. Positions
-	// are only consulted on a miss: code that moves a cell or client
-	// mid-run must call Invalidate with its ID.
+	// are only consulted on a miss: cells and clients stay where they
+	// were placed.
 	cache *propagation.LinkCache
 
 	// rxTab caches the full per-subchannel received power — static
@@ -119,9 +119,7 @@ type Environment struct {
 	// fading process is a pure function of (link, subchannel, block),
 	// so within one block the cached value is bit-identical to the
 	// recomputation it replaces; entries self-expire when the block
-	// advances. The Invalidate contract is the link-loss cache's:
-	// movers must call Invalidate, which bumps rxEpoch. Interferer
-	// activity is NOT cached —
+	// advances. Interferer activity is NOT cached —
 	// TransmitsIn gating stays per-call, so toggling a cell's
 	// Activity or ActiveSubchannels mid-run is safe.
 	//
@@ -130,9 +128,8 @@ type Environment struct {
 	// times, and the key set (links x subchannels) is small and fixed,
 	// so a flat table at < 1/2 load beats the general map by a wide
 	// margin and allocates only while new keys appear.
-	rxTab   []rxEntry
-	rxUsed  int
-	rxEpoch uint64
+	rxTab  []rxEntry
+	rxUsed int
 
 	// noise floor memo, guarded by the noise figure it was built for.
 	noiseSet  bool
@@ -144,13 +141,12 @@ type Environment struct {
 // rxEntry is one directed (cell -> receiver, subchannel) path's cached
 // state: the coherence block's received power, plus a memo of the last
 // interference denominator converted to dB (denDB is a pure function
-// of denMW, so it needs no epoch/block validation — an exact match on
-// the milliwatt sum guarantees an identical conversion).
+// of denMW, so it needs no block validation — an exact match on the
+// milliwatt sum guarantees an identical conversion).
 type rxEntry struct {
 	link  uint64
 	sc    int32
 	used  bool
-	epoch uint64
 	block int64
 	// mw is filled on every (re)compute; dbm lazily on the first dB
 	// query of the block (dbmOK) — interferer-only links never pay the
@@ -172,16 +168,6 @@ func NewEnvironment(seed int64) *Environment {
 		NoiseFigureDB: 7,
 		cache:         propagation.NewLinkCache(model, 0),
 	}
-}
-
-// Invalidate marks every cached link touching the given cell or client
-// ID stale. Call after moving a node.
-func (e *Environment) Invalidate(nodeID int) {
-	e.cache.Invalidate(nodeID)
-	// Received-power entries fold the (now stale) static gain in, so
-	// drop them all; the epoch bump is O(1) and misses repopulate from
-	// the link-loss cache, which invalidates per node underneath.
-	e.rxEpoch++
 }
 
 // rxPowerDBm returns the power a receiver at rxPos sees from cell tx on
@@ -222,8 +208,8 @@ func (e *Environment) rxLookup(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int6
 		block = tMS / f.BlockMS
 	}
 	ent := e.rxSlot(propagation.LinkID(tx.ID, rxID), int32(sc))
-	if ent.epoch != e.rxEpoch || ent.block != block {
-		ent.epoch, ent.block = e.rxEpoch, block
+	if ent.block != block {
+		ent.block = block
 		ent.mw = e.rxPowerMWUncached(tx, rxPos, rxID, sc, tMS)
 		ent.dbmOK = false
 	}

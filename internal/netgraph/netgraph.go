@@ -37,6 +37,9 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v][u] = true
 }
 
+// Adjacent reports whether u and v share an edge.
+func (g *Graph) Adjacent(u, v int) bool { return g.adj[u][v] }
+
 // Neighbors returns the vertices adjacent to v.
 func (g *Graph) Neighbors(v int) []int {
 	var out []int

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"cellfi/internal/core"
+	"cellfi/internal/netgraph"
 )
 
 // SchemeHybrid implements the Section 7 extension: "CellFi can be
@@ -31,32 +32,9 @@ func (n *Network) deconflictProviders() {
 	for i, p := range n.providers {
 		cellsOf[p] = append(cellsOf[p], i)
 	}
-	threshold := n.noiseRBDBm + n.Cfg.OracleInterferenceMarginDB
-	conflict := func(i, j int) bool {
-		// A boolean over a symmetric pair — truncation only has to
-		// admit the same verdict in indexed and brute modes, which the
-		// shared cellNearPos predicate guarantees.
-		for _, c := range n.ClientsOf[i] {
-			if n.truncate && !n.cellNearPos(j, n.Clients[c].Pos) {
-				continue
-			}
-			if n.rxRB[j][c] >= threshold {
-				return true
-			}
-		}
-		for _, c := range n.ClientsOf[j] {
-			if n.truncate && !n.cellNearPos(i, n.Clients[c].Pos) {
-				continue
-			}
-			if n.rxRB[i][c] >= threshold {
-				return true
-			}
-		}
-		return false
-	}
-
+	g := n.conflictGraph()
 	for _, cells := range cellsOf {
-		n.deconflictProvider(cells, conflict)
+		n.deconflictProvider(cells, g)
 	}
 }
 
@@ -64,12 +42,12 @@ func (n *Network) deconflictProviders() {
 // every conflicting pair of the provider's cells sharing a subchannel,
 // the cell with fewer active clients releases it and, where possible,
 // acquires a subchannel no conflicting same-provider cell holds.
-func (n *Network) deconflictProvider(cells []int, conflict func(i, j int) bool) {
+func (n *Network) deconflictProvider(cells []int, g *netgraph.Graph) {
 	ctl := func(i int) *core.Controller { return n.controllers[i].(*core.Controller) }
 
 	for ai, i := range cells {
 		for _, j := range cells[ai+1:] {
-			if !conflict(i, j) {
+			if !g.Adjacent(i, j) {
 				continue
 			}
 			heldI := map[int]bool{}
@@ -81,18 +59,17 @@ func (n *Network) deconflictProvider(cells []int, conflict func(i, j int) bool) 
 					continue
 				}
 				// Collision on k: the lighter cell moves.
-				loser, winner := j, i
+				loser := j
 				if len(n.active[j]) > len(n.active[i]) {
-					loser, winner = i, j
+					loser = i
 				}
-				_ = winner
 				lc := ctl(loser)
 				lc.Release(k)
 				// Re-acquire only where no same-provider conflict
 				// exists; if every such subchannel is also unknown
 				// territory, leave re-acquisition to the distributed
 				// layer's sensed-informed pick next epoch.
-				if repl, ok := n.freeOfProviderConflicts(loser, cells, conflict); ok {
+				if repl, ok := n.freeOfProviderConflicts(loser, cells, g); ok {
 					lc.Acquire(repl)
 				}
 				n.allowed[loser] = lc.Held()
@@ -104,13 +81,13 @@ func (n *Network) deconflictProvider(cells []int, conflict func(i, j int) bool) 
 // freeOfProviderConflicts finds the lowest-index subchannel that
 // neither cell `who` nor any conflicting same-provider cell currently
 // holds.
-func (n *Network) freeOfProviderConflicts(who int, cells []int, conflict func(i, j int) bool) (int, bool) {
+func (n *Network) freeOfProviderConflicts(who int, cells []int, g *netgraph.Graph) (int, bool) {
 	blocked := map[int]bool{}
 	for _, k := range n.controllers[who].Held() {
 		blocked[k] = true
 	}
 	for _, j := range cells {
-		if j == who || !conflict(who, j) {
+		if j == who || !g.Adjacent(who, j) {
 			continue
 		}
 		for _, k := range n.controllers[j].Held() {

@@ -86,64 +86,35 @@ func (n *Network) stepMobility() {
 		// Strongest-cell handover with hysteresis. Serving is always a
 		// fresh entry, so it seeds the scan; candidates beyond the
 		// significance radius are invisible (their budget entries may
-		// be stale, and no reader may touch them). Both modes visit
-		// candidates in ascending cell order with a strict >, so ties
-		// resolve identically.
-		best, bestRx := cl.Cell, n.rxRB[cl.Cell][ci]
-		if n.cellGrid != nil {
-			n.cellScratch = n.cellGrid.AppendWithin(n.cellScratch[:0], cl.Pos, n.sigRadius)
-			for _, jj := range n.cellScratch {
-				if j := int(jj); n.rxRB[j][ci] > bestRx {
-					best, bestRx = j, n.rxRB[j][ci]
-				}
-			}
-		} else {
-			for j := range n.Cells {
-				if n.truncate && !n.cellNearPos(j, cl.Pos) {
-					continue
-				}
-				if n.rxRB[j][ci] > bestRx {
-					best, bestRx = j, n.rxRB[j][ci]
-				}
+		// be stale, and no reader may touch them). Candidates come in
+		// ascending cell order and need a strict >, so ties go to the
+		// lowest index.
+		best, bestRx := cl.Cell, n.rxDBm(cl.Cell, ci)
+		for _, j := range n.cellsNear(cl.Pos) {
+			if rx := n.rxDBm(int(j), ci); rx > bestRx {
+				best, bestRx = int(j), rx
 			}
 		}
-		if best != cl.Cell && bestRx >= n.rxRB[cl.Cell][ci]+cfg.HandoverMarginDB {
+		if best != cl.Cell && bestRx >= n.rxDBm(cl.Cell, ci)+cfg.HandoverMarginDB {
 			n.reassign(ci, best)
 		}
 	}
 }
 
 // refreshLinkBudget recomputes the cached budget for one (moved)
-// client. Untruncated it covers every cell; truncated it covers the
-// cells inside the client's new neighborhood plus the serving cell
-// (always fresh for the handover seed). Entries outside that set go
-// stale, but every reader filters by the same radius, so they are
-// unreachable — and both modes apply identical refresh histories, so
-// even stale values stay bit-identical across modes.
+// client: the cells near its new position (cellsNear — every cell when
+// there is no radius) plus the serving cell, which is always fresh for
+// the handover seed. Entries outside that set go stale, but every
+// reader filters by the same radius, so they are unreachable.
 func (n *Network) refreshLinkBudget(ci int) {
 	cl := n.Clients[ci]
-	refresh := func(i int) { n.setLinkBudget(i, ci) }
-	switch {
-	case n.cellGrid != nil:
-		n.cellScratch = n.cellGrid.AppendWithin(n.cellScratch[:0], cl.Pos, n.sigRadius)
-		serving := false
-		for _, jj := range n.cellScratch {
-			refresh(int(jj))
-			serving = serving || int(jj) == cl.Cell
-		}
-		if !serving {
-			refresh(cl.Cell)
-		}
-	case n.truncate:
-		for i := range n.Cells {
-			if i == cl.Cell || n.cellNearPos(i, cl.Pos) {
-				refresh(i)
-			}
-		}
-	default:
-		for i := range n.Cells {
-			refresh(i)
-		}
+	serving := false
+	for _, j := range n.cellsNear(cl.Pos) {
+		n.setLinkBudget(int(j), ci)
+		serving = serving || int(j) == cl.Cell
+	}
+	if !serving {
+		n.setLinkBudget(cl.Cell, ci)
 	}
 }
 

@@ -95,21 +95,17 @@ type Config struct {
 	PackingEnabled bool
 	// Lambda is the hopping bucket mean.
 	Lambda float64
-	// OracleInterferenceMarginDB: the oracle draws a conflict edge
-	// when an interferer lands this many dB above the thermal floor
-	// at a victim client (material SINR damage).
-	OracleInterferenceMarginDB float64
 	// InterferenceRadiusM, when positive, truncates every interference
 	// scan at the significance radius (see DESIGN.md, "The significance
-	// radius"): transmitters farther from a receiver contribute nothing.
-	// Zero keeps the historical all-pairs scans.
+	// radius"): transmitters farther from a receiver contribute nothing,
+	// and the scans that would walk every node — the PRACH census, the
+	// conflict graph, the handover pick and the mobile budget refresh —
+	// run as uniform-grid queries (neighbors.go). Zero keeps the
+	// historical all-pairs scans.
 	InterferenceRadiusM float64
-	// UseSpatialIndex runs the truncated scans that walk every node —
-	// the PRACH census, the oracle's conflict edges, the handover sweep
-	// and the mobile budget refresh — through uniform-grid queries, O(N)
-	// to O(neighborhood) each, with bit-identical results. The SINR
-	// denominator is not among them: it walks the subchannel's
-	// transmitter list in both modes. Requires InterferenceRadiusM > 0.
+	// UseSpatialIndex does nothing: a positive InterferenceRadiusM always
+	// resolves neighborhoods through the grid. Kept for bench/imdense.go,
+	// which sets it.
 	UseSpatialIndex bool
 	// Trace, when non-nil, flight-records every cell's interference-
 	// management decisions (im-share per epoch, im-hop per holding
@@ -135,6 +131,10 @@ const (
 	// paper's argument for why PRACH audibility approximates "my
 	// transmissions affect this client".
 	prachFloorRiseDB = 20
+	// oracleMarginDB: two cells conflict when either lands this many dB
+	// above the thermal floor at a client of the other (material SINR
+	// damage) — the edge rule of conflictGraph.
+	oracleMarginDB = 20
 	// numProviders splits cells across operators for SchemeHybrid
 	// (cell i belongs to provider i mod numProviders).
 	numProviders = 2
@@ -145,13 +145,12 @@ const (
 // DefaultConfig returns the paper's simulation settings for a scheme.
 func DefaultConfig(s Scheme, seed int64) Config {
 	return Config{
-		Scheme:                     s,
-		BW:                         lte.BW5MHz,
-		TDD:                        lte.TDDConfig4,
-		Seed:                       seed,
-		PackingEnabled:             true,
-		Lambda:                     core.DefaultLambda,
-		OracleInterferenceMarginDB: 20,
+		Scheme:         s,
+		BW:             lte.BW5MHz,
+		TDD:            lte.TDDConfig4,
+		Seed:           seed,
+		PackingEnabled: true,
+		Lambda:         core.DefaultLambda,
 	}
 }
 
@@ -182,16 +181,14 @@ type Network struct {
 
 	// Cached link budget (path loss and shadowing are evaluated once per
 	// pair at New and again only for a client that moved; see
-	// setLinkBudget): rxRB[i][c] is the per-RB power in dBm client
-	// c receives from cell i, before fading (threshold scans, handover).
-	// rxMW is the same budget in milliwatts for the linear-domain SINR
-	// kernel, stored client-major — client c's row is
-	// rxMW[c*len(Cells):(c+1)*len(Cells)] — because the kernel walks one
-	// client's interferers at a time.
-	rxRB [][]float64
-	rxMW []float64
-	// prachSNR[i][c]: SNR of client c's PRACH at cell i.
-	prachSNR [][]float64
+	// setLinkBudget): lossDB[i][c] is the link loss between cell i and
+	// client c, from which rxDBm and the PRACH census derive their dB
+	// figures where they read them. rxMW is the downlink per-RB power
+	// in milliwatts for the linear-domain SINR kernel, stored
+	// client-major — client c's row is rxMW[c*len(Cells):(c+1)*len(Cells)]
+	// — because the kernel walks one client's interferers at a time.
+	lossDB [][]float64
+	rxMW   []float64
 	// Link-budget constants, computed once: the per-RB thermal noise
 	// floor (dBm and mW), the AP's per-RB transmit power, and the PRACH
 	// detector's effective floor.
@@ -229,14 +226,16 @@ type Network struct {
 	mobile    []mobileState
 	handovers int
 
-	// Interference neighborhood state (see neighbors.go). truncate is
-	// set when InterferenceRadiusM > 0; the grids and the dense
-	// active-client flags exist only with UseSpatialIndex.
+	// Interference neighborhood state (see neighbors.go). With
+	// InterferenceRadiusM > 0, truncate is set and the grids and the
+	// dense active-client flags exist; without, allCells lists every
+	// cell and activeAll every client with queued data, ascending.
 	truncate                   bool
 	sigRadius, sigR2           float64
 	cellGrid, clientGrid       *geo.Grid
 	cellScratch, clientScratch []int32
 	activeFlag                 []bool
+	allCells, activeAll        []int32
 
 	// Per-step scratch for updateControllers, reused across cells and
 	// epochs: the controller input (maps cleared between cells) and the
@@ -347,28 +346,30 @@ func New(t *topo.Topology, cfg Config) *Network {
 func (n *Network) Close() {}
 
 func (n *Network) precomputeLinkBudget() {
-	n.rxRB = make([][]float64, len(n.Cells))
+	n.lossDB = make([][]float64, len(n.Cells))
 	n.rxMW = make([]float64, len(n.Clients)*len(n.Cells))
-	n.prachSNR = make([][]float64, len(n.Cells))
 	for i := range n.Cells {
-		n.rxRB[i] = make([]float64, len(n.Clients))
-		n.prachSNR[i] = make([]float64, len(n.Clients))
+		n.lossDB[i] = make([]float64, len(n.Clients))
 		for c := range n.Clients {
 			n.setLinkBudget(i, c)
 		}
 	}
 }
 
-// setLinkBudget computes the (cell i, client c) budget at the client's
-// current position and writes all three cached forms — the dB entry,
-// the mW entry the SINR kernel reads, and the PRACH SNR — so a refresh
-// can never leave them disagreeing.
+// setLinkBudget computes the (cell i, client c) link loss at the
+// client's current position and writes both cached forms — the loss and
+// the mW entry the SINR kernel reads — so a refresh can never leave them
+// disagreeing.
 func (n *Network) setLinkBudget(i, c int) {
-	loss := n.model.LinkLossDB(n.Cells[i], n.Clients[c].Pos)
-	// Omnidirectional cells with 6 dBi gain both ways.
-	n.rxRB[i][c] = n.perRBDBm + 6 - loss
-	n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxRB[i][c])
-	n.prachSNR[i][c] = clientPowerDBm + 6 - loss - n.prachNoiseDBm
+	n.lossDB[i][c] = n.model.LinkLossDB(n.Cells[i], n.Clients[c].Pos)
+	n.rxMW[c*len(n.Cells)+i] = propagation.DBmToMW(n.rxDBm(i, c))
+}
+
+// rxDBm is the per-RB power in dBm client c receives from cell i,
+// before fading (threshold scans, handover): omnidirectional cells with
+// 6 dBi gain both ways.
+func (n *Network) rxDBm(i, c int) float64 {
+	return n.perRBDBm + 6 - n.lossDB[i][c]
 }
 
 // LinkCacheStats reports zero counters: the dense budget tables above
@@ -417,11 +418,11 @@ func (n *Network) appendActive(dst []int, i int) []int {
 //
 // The denominator starts at the noise floor and adds the cells that
 // transmit in k in ascending cell order. That order is the determinism
-// contract: float addition is not associative, so all-pairs, truncated
-// and indexed runs agree to the bit because they add the same terms in
-// the same order — the truncated modes first filter the one ascending
-// list through the shared cellNearPos predicate (interferers), and the
-// kernel walks what is left.
+// contract: float addition is not associative, so a truncated run
+// agrees to the bit with the reference kernel because both add the same
+// terms in the same order — truncation first filters the one ascending
+// list through the cellNearPos predicate (interferers), and the kernel
+// walks what is left.
 func (n *Network) sinrParts(c, k int, b int64, tx [][]int32) (sig, den float64) {
 	i := n.Clients[c].Cell
 	rx := n.rxMW[c*len(n.Cells) : (c+1)*len(n.Cells)]
@@ -513,7 +514,7 @@ func (n *Network) Step() EpochResult {
 	for j := 0; j < nCells; j++ {
 		active[j] = n.appendActive(active[j][:0], j)
 	}
-	n.markActive(active)
+	n.markActive()
 
 	// Interference management runs at the start of the epoch: shares
 	// follow the clients active now, observations come from the
@@ -626,7 +627,7 @@ func (n *Network) updateControllers() {
 		// preambles every second and sightings expire after one
 		// second (Section 5.1), so the census tracks current demand.
 		own := len(nowActive[i])
-		in.TargetShare = core.Share(s, own, n.prachCensus(i, nowActive))
+		in.TargetShare = core.Share(s, own, n.prachCensus(i))
 		clear(in.BadFrac)
 		clear(in.Utility)
 		clear(in.SensedBusy)
@@ -703,35 +704,19 @@ func (n *Network) updateControllers() {
 	}
 }
 
-// prachCensus counts the clients in active that cell i hears anywhere
-// at or above the PRACH detection floor (-10 dB). It is a count, so set
-// equality is enough for the indexed path.
-func (n *Network) prachCensus(i int, active [][]int) int {
-	snr := n.prachSNR[i]
+// prachCensus counts the active clients near cell i (activeNear) whose
+// PRACH it hears at or above the detection floor (-10 dB).
+func (n *Network) prachCensus(i int) int {
+	loss, noise := n.lossDB[i], n.prachNoiseDBm
 	sensed := 0
-	if n.clientGrid != nil {
-		n.clientScratch = n.clientGrid.AppendWithin(n.clientScratch[:0], n.Cells[i], n.sigRadius)
-		for _, c := range n.clientScratch {
-			if n.activeFlag[c] && snr[c] >= lte.PRACHDetectFloorDB {
-				sensed++
-			}
+	for _, c := range n.activeNear(n.Cells[i]) {
+		// Counted without a branch on the SNR, which varies client to
+		// client too irregularly to predict.
+		audible := 0
+		if clientPowerDBm+6-loss[c]-noise >= lte.PRACHDetectFloorDB {
+			audible = 1
 		}
-		return sensed
-	}
-	at := n.Cells[i]
-	for _, act := range active {
-		for _, c := range act {
-			if n.truncate && !n.clientNearPos(c, at) {
-				continue
-			}
-			// Counted without a branch on the SNR, which varies client to
-			// client too irregularly to predict.
-			audible := 0
-			if snr[c] >= lte.PRACHDetectFloorDB {
-				audible = 1
-			}
-			sensed += audible
-		}
+		sensed += audible
 	}
 	return sensed
 }
@@ -744,47 +729,32 @@ func cqiDropped(withI, clean int) bool {
 	return clean != 0 && float64(withI) < core.DetectDropFraction*float64(clean)
 }
 
-// oracleAllocate builds the true conflict graph over cells with active
-// clients and hands it to the centralized allocator.
-func (n *Network) oracleAllocate() [][]int {
-	nCells := len(n.Cells)
-	g := netgraph.New(nCells)
-	threshold := n.noiseRBDBm + n.Cfg.OracleInterferenceMarginDB
-	// Edge if cell j's signal at any of cell i's clients rises
-	// materially above the noise floor (it would visibly degrade SINR
-	// there). AddEdge is symmetric and idempotent, so the indexed and
-	// brute scans only need to admit the same edge set — visit order
-	// does not matter.
-	if n.cellGrid != nil {
-		for i := 0; i < nCells; i++ {
-			for _, c := range n.ClientsOf[i] {
-				n.cellScratch = n.cellGrid.AppendWithin(n.cellScratch[:0], n.Clients[c].Pos, n.sigRadius)
-				for _, jj := range n.cellScratch {
-					j := int(jj)
-					if j != i && n.rxRB[j][c] >= threshold {
-						g.AddEdge(i, j)
-					}
-				}
-			}
-		}
-	} else {
-		for i := 0; i < nCells; i++ {
-			for j := 0; j < nCells; j++ {
-				if i == j {
-					continue
-				}
-				for _, c := range n.ClientsOf[i] {
-					if n.truncate && !n.cellNearPos(j, n.Clients[c].Pos) {
-						continue
-					}
-					if n.rxRB[j][c] >= threshold {
-						g.AddEdge(i, j)
-						break
-					}
+// conflictGraph returns the true conflict relation over all cells, the
+// one the oracle allocates on and hybrid's provider layer deconflicts
+// by: cells i and j conflict when either lands oracleMarginDB above the
+// noise floor at any client of the other (it would visibly degrade SINR
+// there). AddEdge is symmetric and idempotent, so only the edge set
+// matters, not the visit order.
+func (n *Network) conflictGraph() *netgraph.Graph {
+	g := netgraph.New(len(n.Cells))
+	threshold := n.noiseRBDBm + oracleMarginDB
+	for i, clients := range n.ClientsOf {
+		for _, c := range clients {
+			for _, j := range n.cellsNear(n.Clients[c].Pos) {
+				if int(j) != i && n.rxDBm(int(j), c) >= threshold {
+					g.AddEdge(i, int(j))
 				}
 			}
 		}
 	}
+	return g
+}
+
+// oracleAllocate hands the conflict graph, with each cell's demand, to
+// the centralized allocator.
+func (n *Network) oracleAllocate() [][]int {
+	nCells := len(n.Cells)
+	g := n.conflictGraph()
 	s := n.Cfg.BW.Subchannels()
 	for i := 0; i < nCells; i++ {
 		own := len(n.active[i])

@@ -192,7 +192,7 @@ func TestOracleAssignmentsConflictFree(t *testing.T) {
 	n.Step()
 	// Rebuild the oracle's own conflict rule and assert disjointness
 	// across conflicting cells.
-	threshold := n.noiseRBDBm + n.Cfg.OracleInterferenceMarginDB
+	threshold := n.noiseRBDBm + oracleMarginDB
 	for i := range n.Cells {
 		for j := range n.Cells {
 			if i >= j {
@@ -200,12 +200,12 @@ func TestOracleAssignmentsConflictFree(t *testing.T) {
 			}
 			conflict := false
 			for _, c := range n.ClientsOf[i] {
-				if n.rxRB[j][c] >= threshold {
+				if n.rxDBm(j, c) >= threshold {
 					conflict = true
 				}
 			}
 			for _, c := range n.ClientsOf[j] {
-				if n.rxRB[i][c] >= threshold {
+				if n.rxDBm(i, c) >= threshold {
 					conflict = true
 				}
 			}
@@ -302,7 +302,7 @@ func TestHybridSchemeRuns(t *testing.T) {
 	}
 	// Intra-provider assignments must be conflict-free: two cells of
 	// the same provider that conflict may not share a subchannel.
-	threshold := n.noiseRBDBm + n.Cfg.OracleInterferenceMarginDB
+	threshold := n.noiseRBDBm + oracleMarginDB
 	for i := range n.Cells {
 		for j := range n.Cells {
 			if i >= j || n.providers[i] != n.providers[j] {
@@ -310,12 +310,12 @@ func TestHybridSchemeRuns(t *testing.T) {
 			}
 			conflict := false
 			for _, c := range n.ClientsOf[i] {
-				if n.rxRB[j][c] >= threshold {
+				if n.rxDBm(j, c) >= threshold {
 					conflict = true
 				}
 			}
 			for _, c := range n.ClientsOf[j] {
-				if n.rxRB[i][c] >= threshold {
+				if n.rxDBm(i, c) >= threshold {
 					conflict = true
 				}
 			}
@@ -540,12 +540,12 @@ func TestMobilityDeterministic(t *testing.T) {
 }
 
 // A moved client's interference must follow it: the budget refresh has
-// to rewrite the mW entries the SINR kernel reads, not only the dB and
-// PRACH ones. Teleport a client of cell 0 to 5 m from cell 1 (which
-// transmits in every subchannel under plain LTE) and refresh: the SINR
-// denominator must jump, and (sig, den) and the dB and PRACH entries
-// toward cell 1 must equal what a network built from scratch with the
-// client already there computes.
+// to rewrite the mW entries the SINR kernel reads, not only the link
+// loss. Teleport a client of cell 0 to 5 m from cell 1 (which transmits
+// in every subchannel under plain LTE) and refresh: the SINR denominator
+// must jump, and (sig, den) and the link loss toward cell 1 must equal
+// what a network built from scratch with the client already there
+// computes.
 func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	tp := topo.Generate(topo.Paper(4, 3), 73)
 	cfg := DefaultConfig(SchemeLTE, 73)
@@ -555,7 +555,7 @@ func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	c := n.ClientsOf[0][0]
 	const k, b = 2, 0
 	_, denBefore := n.sinrParts(c, k, b, n.prevTx)
-	rxBefore, prachBefore := n.rxRB[1][c], n.prachSNR[1][c]
+	lossBefore := n.lossDB[1][c]
 
 	pos := n.Cells[1].Add(5, 0)
 	n.Clients[c].Pos = pos
@@ -574,10 +574,8 @@ func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	if fsig, fden := fresh.sinrParts(c, k, b, n.prevTx); fsig != sig || fden != den {
 		t.Fatalf("refreshed (sig, den) = (%g, %g), from-scratch network at the new position (%g, %g)", sig, den, fsig, fden)
 	}
-	if rx, prach := n.rxRB[1][c], n.prachSNR[1][c]; rx == rxBefore || prach == prachBefore ||
-		rx != fresh.rxRB[1][c] || prach != fresh.prachSNR[1][c] {
-		t.Fatalf("refreshed dB / PRACH entries (%g, %g), before the move (%g, %g), from-scratch (%g, %g)",
-			rx, prach, rxBefore, prachBefore, fresh.rxRB[1][c], fresh.prachSNR[1][c])
+	if loss := n.lossDB[1][c]; loss == lossBefore || loss != fresh.lossDB[1][c] {
+		t.Fatalf("refreshed link loss %g, before the move %g, from-scratch %g", loss, lossBefore, fresh.lossDB[1][c])
 	}
 }
 
@@ -590,7 +588,6 @@ func denseNetwork(tb testing.TB, indexed bool) *Network {
 	cfg := DefaultConfig(SchemeCellFi, 1)
 	if indexed {
 		cfg.InterferenceRadiusM = 800
-		cfg.UseSpatialIndex = true
 	}
 	n := New(topo.Generate(p, 1), cfg)
 	n.Backlog()
@@ -612,8 +609,8 @@ func benchStepDense(b *testing.B, indexed bool) {
 // BenchmarkStepDense is one IM epoch at 200 APs x 10 clients, all-pairs.
 func BenchmarkStepDense(b *testing.B) { benchStepDense(b, false) }
 
-// BenchmarkStepDenseIndexed is the same world truncated at 800 m through
-// the spatial index.
+// BenchmarkStepDenseIndexed is the same world truncated at 800 m, its
+// neighborhoods resolved through the grids.
 func BenchmarkStepDenseIndexed(b *testing.B) { benchStepDense(b, true) }
 
 // Steady-state Step at the im_dense shape reuses its per-epoch scratch

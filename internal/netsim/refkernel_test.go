@@ -13,33 +13,23 @@ import (
 
 // The pre-transmitter-list SINR kernel and the epoch loop that fed it,
 // kept as the test-only reference the production kernel must match to
-// the bit: dense [][]bool transmit masks scanned over every cell, a
-// grid query per evaluation in indexed mode, the noise floor and the
-// fade prefix recomputed per call, scalar Fading.GainLinear per link,
-// and the (SINR, clean SINR, SINR again) triple per observation. Only
-// the budget lookup is adapted — the mW table is client-major now.
+// the bit: dense [][]bool transmit masks scanned over every cell with a
+// brute distance test when truncated, the noise floor and the fade
+// prefix recomputed per call, scalar Fading.GainLinear per link, the
+// (SINR, clean SINR, SINR again) triple per observation and a brute
+// PRACH census. Only the budget lookups are adapted — the mW table is
+// client-major now, and the PRACH SNR derives from the link loss.
 
 func (n *Network) refRxMW(j, c int) float64 { return n.rxMW[c*len(n.Cells)+j] }
 
 func refNoiseRBDBm() float64 { return propagation.NoiseDBm(lte.RBBandwidthHz, 7) }
 
-func (n *Network) refSinrParts(c, k int, b int64, txMask [][]bool, scratch *[]int32) (sig, den float64) {
+func (n *Network) refSinrParts(c, k int, b int64, txMask [][]bool) (sig, den float64) {
 	cl := n.Clients[c]
 	i := cl.Cell
 	tMS := n.epoch*1000 + b*100
 	sig = n.refRxMW(i, c) * n.fading.GainLinear(propagation.LinkID(i, c), k, tMS)
 	den = propagation.DBmToMW(refNoiseRBDBm())
-	if n.cellGrid != nil {
-		*scratch = n.cellGrid.AppendWithin((*scratch)[:0], cl.Pos, n.sigRadius)
-		for _, jj := range *scratch {
-			j := int(jj)
-			if j == i || !txMask[j][k] {
-				continue
-			}
-			den += n.refRxMW(j, c) * n.fading.GainLinear(propagation.LinkID(j, c), k, tMS)
-		}
-		return sig, den
-	}
 	for j := range n.Cells {
 		if j == i || !txMask[j][k] {
 			continue
@@ -59,8 +49,8 @@ func (n *Network) refCleanParts(c, k int, b int64) (sig, den float64) {
 	return sig, propagation.DBmToMW(refNoiseRBDBm())
 }
 
-func (n *Network) refClientSeesInterference(c, k int, b int64, txMask [][]bool, scratch *[]int32) bool {
-	withI := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, b, txMask, scratch))
+func (n *Network) refClientSeesInterference(c, k int, b int64, txMask [][]bool) bool {
+	withI := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, b, txMask))
 	clean := phy.LTECQIFromLinearSINR(n.refCleanParts(c, k, b))
 	if clean == 0 {
 		return false
@@ -77,7 +67,6 @@ type refNet struct {
 	n          *Network
 	prevTxMask [][]bool
 	prevActive [][]int
-	scratch    []int32
 }
 
 func (r *refNet) step() {
@@ -94,7 +83,7 @@ func (r *refNet) step() {
 		active[j] = n.appendActive(nil, j)
 	}
 	n.active = active
-	n.markActive(active)
+	n.markActive()
 
 	switch n.Cfg.Scheme {
 	case SchemeOracle:
@@ -125,7 +114,7 @@ func (r *refNet) step() {
 			for _, k := range n.allowed[j] {
 				var scRate float64
 				for b := int64(0); b < blocks; b++ {
-					cqi := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, b, txMask, &r.scratch))
+					cqi := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, b, txMask))
 					scRate += lte.SubchannelRateBps(n.Cfg.BW, n.Cfg.TDD, k, cqi)
 				}
 				rate += scRate / float64(blocks)
@@ -159,7 +148,7 @@ func (r *refNet) updateControllers(nowActive [][]int) {
 				if n.truncate && !n.clientNearPos(c, n.Cells[i]) {
 					continue
 				}
-				if n.prachSNR[i][c] >= lte.PRACHDetectFloorDB {
+				if clientPowerDBm+6-n.lossDB[i][c]-n.prachNoiseDBm >= lte.PRACHDetectFloorDB {
 					sensed++
 				}
 			}
@@ -191,13 +180,13 @@ func (r *refNet) updateControllers(nowActive [][]int) {
 			badFrac := 0.0
 			util := 0.0
 			for _, c := range prevActive[i] {
-				trueBad := n.refClientSeesInterference(c, k, lastBlock, prevTxMask, &r.scratch)
+				trueBad := n.refClientSeesInterference(c, k, lastBlock, prevTxMask)
 				if n.detect(trueBad) {
 					anyBad = true
 					badFrac += 1 / nAct
 					cleanForAll[k] = false
 				}
-				cqi := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, lastBlock, prevTxMask, &r.scratch))
+				cqi := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, lastBlock, prevTxMask))
 				util += lte.SubchannelRateBps(n.Cfg.BW, n.Cfg.TDD, k, cqi) / nAct
 			}
 			in.Utility[k] = util
@@ -247,8 +236,8 @@ func maskOf(tx [][]int32, nCells int) [][]bool {
 }
 
 // TestKernelMatchesReference pins the transmitter-list kernel to the old
-// one: over 20 seeds x every scheme x {all-pairs, truncated, indexed},
-// every (sig, den) the kernel can produce for the epoch just stepped —
+// one: over 20 seeds x every scheme x {all-pairs, truncated}, every
+// (sig, den) the kernel can produce for the epoch just stepped —
 // sinrBlocks' ten blocks and sinrParts at each of them — equals the
 // reference's to the bit, and whole runs end with identical
 // per-client throughputs and hop counts.
@@ -256,10 +245,9 @@ func TestKernelMatchesReference(t *testing.T) {
 	const epochs = 6
 	schemes := []Scheme{SchemeCellFi, SchemeRandomHop, SchemeHybrid, SchemeOracle, SchemeLTE}
 	modes := []struct {
-		name    string
-		radius  float64
-		indexed bool
-	}{{"all-pairs", 0, false}, {"truncated", 800, false}, {"indexed", 800, true}}
+		name   string
+		radius float64
+	}{{"all-pairs", 0}, {"truncated", 800}}
 	for seed := int64(1); seed <= 20; seed++ {
 		tp := topo.Generate(topo.Paper(8, 4), seed)
 		for _, scheme := range schemes {
@@ -267,7 +255,6 @@ func TestKernelMatchesReference(t *testing.T) {
 				build := func() *Network {
 					cfg := DefaultConfig(scheme, seed)
 					cfg.InterferenceRadiusM = mode.radius
-					cfg.UseSpatialIndex = mode.indexed
 					n := New(tp, cfg)
 					n.Backlog()
 					return n
@@ -280,7 +267,6 @@ func TestKernelMatchesReference(t *testing.T) {
 
 				name := fmt.Sprintf("seed %d %v %s", seed, scheme, mode.name)
 				n := build()
-				var scratch []int32
 				for e := 0; e < epochs; e++ {
 					n.Step()
 					// n.prevTx is the epoch just served; the epoch
@@ -291,7 +277,7 @@ func TestKernelMatchesReference(t *testing.T) {
 						for k := range n.prevTx {
 							bsig, bden := n.sinrBlocks(c, k, n.prevTx)
 							for b := int64(0); b < blocksPerEpoch; b++ {
-								rsig, rden := n.refSinrParts(c, k, b, mask, &scratch)
+								rsig, rden := n.refSinrParts(c, k, b, mask)
 								if bsig[b] != rsig || bden[b] != rden {
 									t.Fatalf("%s epoch %d client %d k %d block %d: sinrBlocks (sig, den) = (%v, %v), reference (%v, %v)",
 										name, e, c, k, b, bsig[b], bden[b], rsig, rden)

@@ -23,8 +23,10 @@ import (
 // ulRxRB returns the per-RB power AP i receives from client c when the
 // client concentrates its power in `rbs` resource blocks.
 func (n *Network) ulRxRB(i, c, rbs int) float64 {
-	// Recover the symmetric link loss from the cached downlink budget.
-	loss := n.perRBDBm + 6 - n.rxRB[i][c]
+	// Recover the symmetric link loss from the downlink budget — the
+	// round trip through rxDBm, not lossDB itself, keeps the uplink
+	// figures bit-identical to those the per-pair dB table gave.
+	loss := n.perRBDBm + 6 - n.rxDBm(i, c)
 	perRBUp := clientPowerDBm - 10*math.Log10(float64(rbs))
 	return perRBUp + 6 - loss
 }

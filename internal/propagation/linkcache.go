@@ -6,20 +6,15 @@ import "cellfi/internal/geo"
 // frozen shadowing (Model.LinkLossDB) — keyed by a directed (tx, rx)
 // node-ID pair. Link loss between static endpoints never changes, yet
 // internal/lte's SINR paths ask for it on every subframe; the cache
-// turns those recomputations into one map probe, and its epochs let a
-// moved client's links recompute. It serves internal/lte only:
-// internal/wifi never moves a node and, like internal/netsim, keeps its
-// static link budget in a dense per-pair table indexed by registration
-// order.
+// turns those recomputations into one map probe. It serves internal/lte
+// only: internal/wifi never moves a node and, like internal/netsim,
+// keeps its static link budget in a dense per-pair table indexed by
+// registration order.
 //
-// Invalidation is epoch-based and O(1): every node ID carries an epoch
-// counter, each cache entry remembers the epochs of both endpoints at
-// fill time, and an entry whose endpoint epochs no longer match is
-// recomputed on next use. Callers that move a node (mobility steps,
-// handover re-sites) must call Invalidate with that node's ID
-// (lte.Environment.Invalidate). Over-invalidation is harmless (one
-// extra recompute); skipping Invalidate after a position change serves
-// stale gains.
+// Entries never expire: the positions are consulted only on a miss, so
+// the cache is for static endpoints. No caller moves a node under one
+// (lte's scenarios place every cell and client once); a simulator that
+// does needs a fresh cache, or its own table as netsim keeps.
 //
 // Node IDs are caller-defined. The cache never normalizes key order, so
 // two ID spaces (say cells and clients) may overlap safely as long as
@@ -33,9 +28,8 @@ import "cellfi/internal/geo"
 type LinkCache struct {
 	model   *Model
 	entries map[uint64]linkEntry
-	epochs  []uint32
 
-	hits, misses, invalidations uint64
+	hits, misses uint64
 }
 
 type linkEntry struct {
@@ -43,47 +37,30 @@ type linkEntry struct {
 	// gainLin is 10^(-lossDB/10), filled lazily on the first
 	// PathGainLinear query of the entry (gainSet); loss-only users never
 	// pay the pow.
-	gainLin          float64
-	gainSet          bool
-	txEpoch, rxEpoch uint32
+	gainLin float64
+	gainSet bool
 }
 
-// NewLinkCache wraps a propagation model in a link-loss cache. nodes
-// sizes the epoch table; IDs at or above it grow the table on demand.
+// NewLinkCache wraps a propagation model in a link-loss cache. nodes is
+// the map's size hint.
 func NewLinkCache(model *Model, nodes int) *LinkCache {
-	if nodes < 0 {
-		nodes = 0
-	}
 	return &LinkCache{
 		model:   model,
-		entries: make(map[uint64]linkEntry),
-		epochs:  make([]uint32, nodes),
+		entries: make(map[uint64]linkEntry, max(nodes, 0)),
 	}
-}
-
-// epoch returns node's current epoch, growing the table if needed.
-func (c *LinkCache) epoch(node int) uint32 {
-	if node >= len(c.epochs) {
-		grown := make([]uint32, node+1)
-		copy(grown, c.epochs)
-		c.epochs = grown
-	}
-	return c.epochs[node]
 }
 
 // LossDB returns Model.LinkLossDB(txPos, rxPos), cached under the
-// directed pair (tx, rx). The positions are only consulted on a miss;
-// after a node moves, call Invalidate(node) or its links go stale.
+// directed pair (tx, rx). The positions are only consulted on a miss.
 func (c *LinkCache) LossDB(tx, rx int, txPos, rxPos geo.Point) float64 {
 	key := LinkID(tx, rx)
-	te, re := c.epoch(tx), c.epoch(rx)
-	if ent, ok := c.entries[key]; ok && ent.txEpoch == te && ent.rxEpoch == re {
+	if ent, ok := c.entries[key]; ok {
 		c.hits++
 		return ent.lossDB
 	}
 	c.misses++
 	loss := c.model.LinkLossDB(txPos, rxPos)
-	c.entries[key] = linkEntry{lossDB: loss, txEpoch: te, rxEpoch: re}
+	c.entries[key] = linkEntry{lossDB: loss}
 	return loss
 }
 
@@ -95,11 +72,10 @@ func (c *LinkCache) LossDB(tx, rx int, txPos, rxPos geo.Point) float64 {
 // today; the benchmark's propagation.linkcache_lookup_ns row times it.
 func (c *LinkCache) PathGainLinear(tx, rx int, txPos, rxPos geo.Point) float64 {
 	key := LinkID(tx, rx)
-	te, re := c.epoch(tx), c.epoch(rx)
 	ent, ok := c.entries[key]
-	if !ok || ent.txEpoch != te || ent.rxEpoch != re {
+	if !ok {
 		c.misses++
-		ent = linkEntry{lossDB: c.model.LinkLossDB(txPos, rxPos), txEpoch: te, rxEpoch: re}
+		ent = linkEntry{lossDB: c.model.LinkLossDB(txPos, rxPos)}
 	} else {
 		c.hits++
 	}
@@ -111,26 +87,17 @@ func (c *LinkCache) PathGainLinear(tx, rx int, txPos, rxPos geo.Point) float64 {
 	return ent.gainLin
 }
 
-// Invalidate marks every cached link touching node stale in O(1); the
-// affected entries recompute lazily on next lookup.
-func (c *LinkCache) Invalidate(node int) {
-	c.epoch(node) // ensure the table covers node
-	c.epochs[node]++
-	c.invalidations++
-}
-
 // CacheStats reports a LinkCache's hit/miss counters.
 type CacheStats struct {
-	Hits, Misses, Invalidations uint64
-	Entries                     int
+	Hits, Misses uint64
+	Entries      int
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *LinkCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Invalidations: c.invalidations,
-		Entries:       len(c.entries),
+		Hits:    c.hits,
+		Misses:  c.misses,
+		Entries: len(c.entries),
 	}
 }

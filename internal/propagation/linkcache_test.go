@@ -38,44 +38,6 @@ func TestLinkCacheDirectedKeys(t *testing.T) {
 	}
 }
 
-func TestLinkCacheInvalidate(t *testing.T) {
-	m := DefaultUrban(5)
-	c := NewLinkCache(m, 4)
-	a, old := geo.Point{X: 0}, geo.Point{X: 200}
-	moved := geo.Point{X: 900}
-
-	stale := c.LossDB(0, 1, a, old)
-	// Without invalidation the cache would keep serving the old value
-	// even for new positions — that is the documented contract.
-	if got := c.LossDB(0, 1, a, moved); got != stale {
-		t.Fatalf("cache recomputed without invalidation: %v vs %v", got, stale)
-	}
-
-	c.Invalidate(1)
-	want := m.LinkLossDB(a, moved)
-	if got := c.LossDB(0, 1, a, moved); got != want {
-		t.Fatalf("post-invalidate loss = %v, want %v", got, want)
-	}
-	// Links not touching node 1 survive invalidation.
-	c.LossDB(0, 2, a, old)
-	h0 := c.Stats().Hits
-	c.LossDB(0, 2, a, old)
-	if c.Stats().Hits != h0+1 {
-		t.Fatal("unrelated link was invalidated")
-	}
-}
-
-func TestLinkCacheGrowsEpochTable(t *testing.T) {
-	m := DefaultUrban(1)
-	c := NewLinkCache(m, 0)
-	a, b := geo.Point{X: 0}, geo.Point{X: 50}
-	c.LossDB(1000, 2000, a, b) // IDs beyond the initial table
-	c.Invalidate(5000)
-	if got := c.LossDB(1000, 2000, a, b); got != m.LinkLossDB(a, b) {
-		t.Fatalf("grown-table lookup wrong: %v", got)
-	}
-}
-
 func BenchmarkLinkLossUncached(b *testing.B) {
 	m := DefaultUrban(1)
 	a, p := geo.Point{X: 0}, geo.Point{X: 400, Y: 300}

@@ -8,7 +8,10 @@
 # snapshot and lease wheel, the runner's worker pool, ...; and
 # cmd/cellfi's daemon drain tests). The collapsed-path guard
 # fails if a deleted selector, option, execution mode or slab is named
-# again: metro/wifi index knobs, metro's per-row link-ID slab, a link
+# again: the spatial-index knob anywhere but netsim's no-op field, its
+# golden test and bench/, netsim's oracle-margin field outside the
+# history documents (CHANGES, ROADMAP), the link cache's
+# invalidation method, metro's per-row link-ID slab, a link
 # cache under internal/wifi (its dense link table replaced it), runner shard
 # telemetry and its ring-size and checker-slack options, netsim's shard
 # count and its fading-blocks-per-epoch knob (a constant that sizes the
@@ -54,17 +57,24 @@ if git grep --untracked -nE 'BENCH_[a-z]+\.json|bench[d]iff|_BENCH[_]OUT' -- . \
 	exit 1
 fi
 
-# metro and wifi have one neighbor-enumeration mode each (grid rows,
-# all-pairs), the runner no shard telemetry, ring-size or slack option,
+# metro, wifi and netsim have one neighbor-enumeration mode each (grid
+# rows; all-pairs; all-pairs or, with a radius, the grid), the runner
+# no shard telemetry, ring-size or slack option,
 # netsim one execution mode (sequential) and ten fading blocks per
 # epoch, a shard cluster one face (Run
 # windows) and metro one moment accumulator; the selectors and types
-# that made the other halves must not grow back. Nor must metro's
+# that made the other halves must not grow back. netsim's index knob
+# survives only as a no-op field bench/ still sets (and its golden test
+# still names), and its oracle margin is a constant. Nor must metro's
 # link-ID slab: the fused row kernel forms link IDs in registers. Nor
 # must a LinkCache in wifi: its static link budget is a dense per-pair
-# table, like netsim's.
+# table, like netsim's. Nor must the link cache's invalidation method:
+# no caller ever moved a node under it.
 echo "== collapsed-path guard"
-if git grep --untracked -n 'UseSpatialIndex' -- internal/metro internal/wifi examples ||
+if git grep --untracked -n 'UseSpatial[I]ndex' -- . ':!internal/netsim/netsim.go' ':!internal/netsim/golden_test.go' ':!bench' ':!*.md' ||
+	git grep --untracked -n 'OracleInterference[M]arginDB' -- . ':!*.md' ||
+	git grep --untracked -n 'OracleInterference[M]arginDB' -- README.md DESIGN.md EXPERIMENTS.md bench/README.md .claude ||
+	git grep --untracked -n 'func (c \*LinkCache) Invalidat[e]' -- '*.go' ||
 	git grep --untracked -n 'nbr[L]ink' -- internal/metro ||
 	git grep --untracked -n 'LinkCache' -- internal/wifi ||
 	git grep --untracked -n 'AddShard[S]tats\|Stream[S]tat\|Invariant[S]lack\|Trace[R]ing:' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ||
@@ -109,8 +119,10 @@ fi
 # its own declaration and full-line comments do not. One pass counts
 # the identifiers of every non-test file, so a name used anywhere keeps
 # every declaration of it alive (method-name collisions err towards
-# keeping). Methods of unexported types are not part of a package's
-# surface and are skipped. The allowlist is "directory name reason".
+# keeping). Its blind spot is that same-name pair: two dead methods of
+# one name, one calling the other, keep each other alive. Methods of
+# unexported types are not part of a package's surface and are
+# skipped. The allowlist is "directory name reason".
 echo "== dead-export guard"
 dead_allow='
 internal/netgraph Valid the oracle and core tests use it as their cross-package referee
