@@ -10,20 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the fast correctness gate: static analysis, a full build,
-# the legacy-harness and collapsed-path guards (no metro/wifi index
-# selector, no metro link-ID slab, no link cache in wifi, no runner
-# shard telemetry, ring-size or slack option, no netsim shard count or
-# cluster fork-join entry, no
-# float streaming-moments type, no hand-rolled netsim trial loop in
-# internal/experiments), the one-binary guard (one package main under
-# cmd/, and only cmd/cellfi/main.go touches exit codes, signals, the
-# global flag set and os.Stdout/os.Stderr), the dead-export guard
-# (every exported function in internal/ is reached from non-test code,
-# or allowlisted with a reason), and the race detector over
-# every package that owns goroutines or is driven from them (runner,
-# sim, core, paws, faults, trace, shard, pawsdb, pawsload, metro,
-# netsim, and cmd/cellfi's daemon drain tests).
+# verify is the fast correctness gate: gofmt, static analysis, a full
+# build, and the race detector over every package that owns goroutines
+# or is driven from them (runner, sim, core, paws, faults, trace, shard,
+# pawsdb, pawsload, metro, netsim, and cmd/cellfi's daemon drain tests).
+# The anti-regrowth guards (dead exports, collapsed paths, one binary,
+# doc references) are TestGuards in guards_test.go, run by `make test`.
 verify:
 	./scripts/verify.sh
 
@@ -49,7 +41,9 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-short gives the parsing surfaces a quick shake — the PAWS
-# client-side response decoder, the flight-recorder stream decoder,
+# client-side response decoder, the server's hand-assembled
+# AVAIL_SPECTRUM_RESP bytes against encoding/json over arbitrary
+# registries, locations and clocks, the flight-recorder stream decoder,
 # the invariant verifier replaying arbitrary decoded streams, the LTE
 # DCI grant decoder, the outage-window specs behind `cellfi db -flaky`
 # and `cellfi load -outages`, the comma-separated lists of `cellfi
@@ -57,6 +51,7 @@ race:
 # pre-squeeze reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
+	$(GO) test -fuzz=FuzzSpectrumRespBytes -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
 	$(GO) test -fuzz=FuzzUnmarshalDCI -fuzztime=10s -run '^$$' ./internal/lte

@@ -1,0 +1,635 @@
+package cellfi
+
+import (
+	"bytes"
+	"encoding/json"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// modPath is the module path every package under the repo root shares.
+const modPath = "cellfi"
+
+// pkg is one type-checked non-test package of the module.
+type pkg struct {
+	path  string // import path
+	dir   string // relative to the repo root
+	files []*ast.File
+	names []string // file names, relative to the repo root, parallel to files
+	types *types.Package
+	info  *types.Info
+	tests []string // *_test.go file names, relative to the repo root
+}
+
+// universe is every module package, type-checked once from source.
+type universe struct {
+	fset   *token.FileSet
+	pkgs   []*pkg // in dependency order
+	byPath map[string]*pkg
+}
+
+// listedPkg is the part of `go list -json` output the loader reads.
+type listedPkg struct {
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Module       *struct{ Path string }
+}
+
+// loadUniverse lists ./... with its dependencies and type-checks every
+// module package from source; the stdlib comes from the source importer,
+// so nothing is fetched or built.
+func loadUniverse(t *testing.T) *universe {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-json", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stdlib is checked for its declarations only; its cgo variants
+	// add nothing to them and would need a C toolchain.
+	build.Default.CgoEnabled = false
+	u := &universe{fset: token.NewFileSet(), byPath: map[string]*pkg{}}
+	src := importer.ForCompiler(u.fset, "source", nil).(types.ImporterFrom)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := u.byPath[path]; ok {
+			return p.types, nil
+		}
+		return src.ImportFrom(path, root, 0)
+	})
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var lp listedPkg
+		if err := dec.Decode(&lp); err != nil {
+			t.Fatalf("go list output: %v", err)
+		}
+		if lp.Module == nil || lp.Module.Path != modPath {
+			continue
+		}
+		rel, err := filepath.Rel(root, lp.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &pkg{path: lp.ImportPath, dir: filepath.ToSlash(rel)}
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(u.fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.files = append(p.files, f)
+			p.names = append(p.names, pathJoin(p.dir, name))
+		}
+		for _, name := range append(lp.TestGoFiles, lp.XTestGoFiles...) {
+			p.tests = append(p.tests, pathJoin(p.dir, name))
+		}
+		p.info = &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		}
+		conf := types.Config{Importer: imp}
+		p.types, err = conf.Check(lp.ImportPath, u.fset, p.files, p.info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", lp.ImportPath, err)
+		}
+		u.pkgs = append(u.pkgs, p)
+		u.byPath[p.path] = p
+	}
+	return u
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func pathJoin(dir, name string) string {
+	if dir == "." {
+		return name
+	}
+	return dir + "/" + name
+}
+
+// TestGuards holds the repo's anti-regrowth rules: no export that only
+// tests reach, no selector, option or type a simplification deleted,
+// one binary that alone owns the process, and docs whose backticked
+// references resolve. It type-checks the whole module once (~8 s on a
+// 2-core machine).
+func TestGuards(t *testing.T) {
+	u := loadUniverse(t)
+	t.Run("DeadExports", func(t *testing.T) { checkDeadExports(t, u) })
+	t.Run("CollapsedPaths", func(t *testing.T) { checkCollapsedPaths(t, u) })
+	t.Run("OneBinary", func(t *testing.T) { checkOneBinary(t, u) })
+	t.Run("DocRefs", func(t *testing.T) { checkDocRefs(t, u) })
+}
+
+// deadAllow lists exports no non-test code reaches that stay anyway,
+// keyed "package-dir Name", each with its reason.
+var deadAllow = map[string]string{
+	"internal/netgraph Valid":          "the oracle and core tests use it as their cross-package referee",
+	"internal/netgraph MinSubchannels": "TestGreedyVsExact referees GreedyColor with it; ROADMAP item 2 needs the exact optimum",
+	"internal/paws Unwrap":             "implements the errors.Unwrap interface",
+	"internal/trace WriteTo":           "implements io.WriterTo",
+	"internal/chaos Matrix":            "the chaos-soak scenario harness, driven by its tests; ROADMAP item 6 folds it into metro",
+	"internal/metro SetRecorder":       "TestMetroGolden and TestMetroShardEquivalence pin the city's trace stream through it",
+	"internal/phy Bits":                "TestLTECQITableConsistency referees the CQI table's efficiencies with it (bits x code rate)",
+}
+
+// checkDeadExports fails on every exported function, method, interface
+// method, constant, variable and type declared under internal/ that no
+// non-test code of the module reaches. Reached is a least fixpoint: a
+// use counts once every export whose declaration holds it (for a
+// method, its receiver type too) is reached, so an export used only by
+// itself, its own methods or other unreached exports stays unreached.
+// A method of a reached type is also reached when the type satisfies a
+// stdlib interface, or a module interface whose method of that name is
+// reached, that declares it. Only declarations in module files count,
+// so methods a type gets from outside the module (sim.Time is an alias
+// of time.Duration) are not checked.
+func checkDeadExports(t *testing.T, u *universe) {
+	type use struct {
+		obj    types.Object
+		owners []types.Object // the exports whose declarations hold the use
+	}
+	type export struct {
+		pos  token.Position
+		dir  string
+		uses []use
+	}
+	exports := map[types.Object]*export{}
+	var uses []use
+	for _, p := range u.pkgs {
+		internal := strings.HasPrefix(p.dir, "internal/")
+		add := func(id *ast.Ident, obj types.Object) {
+			if internal && id.IsExported() && obj != nil {
+				exports[obj] = &export{pos: u.fset.Position(id.Pos()), dir: p.dir}
+			}
+		}
+		collect := func(node ast.Node, owners ...types.Object) {
+			ast.Inspect(node, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := p.info.Uses[id]; obj != nil {
+						uses = append(uses, use{obj: origin(obj), owners: owners})
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name]
+					add(d.Name, fn)
+					if recv := recvNamed(fn); recv != nil {
+						collect(d, fn, recv.Obj())
+					} else {
+						collect(d, fn)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							obj := p.info.Defs[s.Name]
+							add(s.Name, obj)
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, n := range m.Names {
+										add(n, p.info.Defs[n])
+									}
+								}
+							}
+							collect(s, obj)
+						case *ast.ValueSpec:
+							var owners []types.Object
+							for _, n := range s.Names {
+								add(n, p.info.Defs[n])
+								owners = append(owners, p.info.Defs[n])
+							}
+							collect(s, owners...)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, us := range uses {
+		if e := exports[us.obj]; e != nil {
+			e.uses = append(e.uses, us)
+		}
+	}
+
+	ifaces := u.interfaces()
+	reached := map[types.Object]bool{}
+	allowed := map[string]bool{}
+	for obj, e := range exports {
+		if key := e.dir + " " + obj.Name(); deadAllow[key] != "" {
+			reached[obj], allowed[key] = true, true
+		}
+	}
+	for key := range deadAllow {
+		if !allowed[key] {
+			t.Errorf("deadAllow entry %q names no export; drop it", key)
+		}
+	}
+	live := func(obj types.Object) bool { return exports[obj] == nil || reached[obj] }
+	for changed := true; changed; {
+		changed = false
+		for obj, e := range exports {
+			if reached[obj] {
+				continue
+			}
+			for _, us := range e.uses {
+				ok := true
+				for _, o := range us.owners {
+					ok = ok && live(o)
+				}
+				if ok {
+					reached[obj] = true
+					break
+				}
+			}
+			if !reached[obj] && satisfies(obj, ifaces, live) {
+				reached[obj] = true
+			}
+			changed = changed || reached[obj]
+		}
+	}
+
+	var dead []string
+	for obj, e := range exports {
+		if !reached[obj] {
+			dead = append(dead, e.pos.String()+": "+describe(obj))
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("exports no non-test code reaches (delete them, or add them to deadAllow with a reason):\n%s", strings.Join(dead, "\n"))
+	}
+}
+
+// interfaces returns every named interface type declared at package
+// level in the module or in a stdlib package the module imports,
+// directly or not.
+func (u *universe) interfaces() []*types.Named {
+	out := []*types.Named{types.Universe.Lookup("error").Type().(*types.Named)}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && types.IsInterface(n) && n.TypeParams() == nil {
+					out = append(out, n)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range u.pkgs {
+		walk(p.types)
+	}
+	return out
+}
+
+// satisfies reports whether obj is a method of a live type that
+// implements one of ifaces through a live method of obj's name.
+func satisfies(obj types.Object, ifaces []*types.Named, live func(types.Object) bool) bool {
+	recv := recvNamed(obj)
+	if recv == nil || types.IsInterface(recv) || !live(recv.Obj()) {
+		return false
+	}
+	for _, n := range ifaces {
+		it := n.Underlying().(*types.Interface)
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			if m.Name() != obj.Name() || !live(m) {
+				continue
+			}
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// describe names obj the way the docs do: pkg.Name or pkg.Type.Method.
+func describe(obj types.Object) string {
+	if recv := recvNamed(obj); recv != nil {
+		return obj.Pkg().Name() + "." + recv.Obj().Name() + "." + obj.Name()
+	}
+	return obj.Pkg().Name() + "." + obj.Name()
+}
+
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// recvNamed returns the named receiver type of a method (for an
+// interface method, the interface), or nil.
+func recvNamed(obj types.Object) *types.Named {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// forbidden names declarations a simplification deleted: metro, wifi
+// and netsim have one neighbour-enumeration mode each, the runner no
+// shard telemetry, ring-size or slack option, netsim one execution
+// mode, a constant oracle margin and a constant fading-block count, a
+// shard cluster one face (Run windows), metro one moment accumulator
+// and no link-ID slab (the fused row kernel forms link IDs in
+// registers), the link cache no invalidation (no caller ever moved a
+// node under it), and internal/experiments one sweep path. An entry is
+// "dir name": dir "" is the whole module, a trailing * matches a
+// prefix, and Type.Method names a method.
+var forbidden = []string{
+	" OracleInterferenceMarginDB",
+	"internal/propagation LinkCache.Invalidate",
+	"internal/metro nbrLink*",
+	" AddShardStats",
+	" StreamStat",
+	" InvariantSlack",
+	" TraceRing",
+	"internal/netsim Shards",
+	" BlocksPerEpoch",
+	"internal/shard Cluster.Do",
+	" trialFleet",
+	" schemeSweep",
+	" runFig9Trial",
+}
+
+// checkCollapsedPaths fails if a deleted selector, option, type or
+// helper is declared again, or a kept one is reached from where it
+// must not be.
+func checkCollapsedPaths(t *testing.T, u *universe) {
+	for _, f := range forbidden {
+		dir, name, _ := strings.Cut(f, " ")
+		for _, p := range u.pkgs {
+			if dir != "" && p.dir != dir {
+				continue
+			}
+			for id, obj := range p.info.Defs {
+				if obj == nil {
+					continue
+				}
+				key := obj.Name()
+				if recv := recvNamed(obj); recv != nil && strings.Contains(name, ".") {
+					key = recv.Obj().Name() + "." + key
+				}
+				if key == name || strings.HasSuffix(name, "*") && strings.HasPrefix(key, strings.TrimSuffix(name, "*")) {
+					t.Errorf("%s: %s is declared again (see CHANGES.md)", u.fset.Position(id.Pos()), key)
+				}
+			}
+		}
+	}
+
+	// netsim's spatial-index knob is a no-op field bench/ still sets.
+	netsim := u.byPath[modPath+"/internal/netsim"].types
+	cfg := netsim.Scope().Lookup("Config").Type()
+	knob, _, _ := types.LookupFieldOrMethod(cfg, false, netsim, "UseSpatialIndex")
+	u.eachUse(func(p *pkg, file string, pos token.Pos, obj types.Object) {
+		if knob != nil && obj == knob && p.path != modPath+"/bench" {
+			t.Errorf("%s: netsim.Config.UseSpatialIndex does nothing; only bench/ may still set it", u.fset.Position(pos))
+		}
+		// wifi's static link budget is a dense per-pair table, like netsim's.
+		if p.dir == "internal/wifi" && obj.Pkg() != nil && obj.Pkg().Path() == modPath+"/internal/propagation" {
+			if recv := recvNamed(obj); strings.Contains(obj.Name(), "LinkCache") || recv != nil && recv.Obj().Name() == "LinkCache" {
+				t.Errorf("%s: internal/wifi references propagation.%s", u.fset.Position(pos), obj.Name())
+			}
+		}
+	})
+
+	// internal/experiments has one sweep path: sweep's arm.run builds
+	// every backlogged netsim network, and Fig. 9c's web-workload driver
+	// is the one other caller.
+	files := map[string]bool{}
+	newNet := netsim.Scope().Lookup("New")
+	u.eachUse(func(p *pkg, file string, _ token.Pos, obj types.Object) {
+		if p.dir == "internal/experiments" && obj == newNet {
+			files[file] = true
+		}
+	})
+	if len(files) > 2 {
+		t.Errorf("netsim.New is called from %d non-test files of internal/experiments, want at most 2 (go through sweep.go): %v", len(files), sortedKeys(files))
+	}
+
+	// The doc-side halves: the oracle margin is a constant no doc names
+	// as a field, and the six per-subsystem bench harnesses the one
+	// benchmark replaced are named only in the history documents.
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md", ".claude"} {
+		grepFiles(t, doc, regexp.MustCompile(`OracleInterference[M]arginDB`), "netsim's oracle margin is a constant", nil)
+	}
+	legacy := regexp.MustCompile(`BENCH_[a-z]+\.json|bench[d]iff|_BENCH[_]OUT`)
+	history := map[string]bool{"bench/README.md": true, "CHANGES.md": true, "ROADMAP.md": true}
+	grepFiles(t, ".", legacy, "a legacy bench harness reappeared (see bench/README.md)", history)
+}
+
+// eachUse calls fn for every identifier use in the module's non-test
+// code, with the file, relative to the repo root, that holds it.
+func (u *universe) eachUse(fn func(p *pkg, file string, pos token.Pos, obj types.Object)) {
+	for _, p := range u.pkgs {
+		for i, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := p.info.Uses[id]; obj != nil {
+						fn(p, p.names[i], id.Pos(), origin(obj))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// grepFiles fails on every line matching re in the regular files under
+// root (or root itself), skipping .git, build output and the files in
+// skip.
+func grepFiles(t *testing.T, root string, re *regexp.Regexp, why string, skip map[string]bool) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if d.Name() == ".git" || path == "bench/out" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if skip[path] {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if re.MatchString(line) {
+				t.Errorf("%s:%d: %s: %s", path, i+1, why, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkOneBinary fails unless cmd/ holds one package main, cmd/cellfi,
+// and its main.go alone owns the process: exit codes, signals, the
+// global flag set and the real stdout/stderr. Verbs get a context,
+// their args and two writers, which is what lets main_test.go drive
+// every verb in-process. internal/ owns none of these either; the
+// benchmark and the examples are programs of their own.
+func checkOneBinary(t *testing.T, u *universe) {
+	var mains []string
+	for _, p := range u.pkgs {
+		if strings.HasPrefix(p.dir, "cmd/") && p.types.Name() == "main" {
+			mains = append(mains, p.dir)
+		}
+	}
+	if len(mains) != 1 || mains[0] != "cmd/cellfi" {
+		t.Errorf("cmd/ must hold exactly one package main, cmd/cellfi; found %v", mains)
+	}
+	owned := map[string]bool{"os.Exit": true, "os.Stdout": true, "os.Stderr": true, "flag.Parse": true,
+		"log.Fatal": true, "log.Fatalf": true, "log.Fatalln": true}
+	u.eachUse(func(p *pkg, file string, pos token.Pos, obj types.Object) {
+		if obj.Pkg() == nil || file == "cmd/cellfi/main.go" || !strings.HasPrefix(p.dir, "cmd/") && !strings.HasPrefix(p.dir, "internal/") {
+			return
+		}
+		if name := obj.Pkg().Path() + "." + obj.Name(); owned[name] || obj.Pkg().Path() == "os/signal" {
+			t.Errorf("%s: %s: only cmd/cellfi/main.go may exit, catch signals, parse the global flag set or write os.Stdout/os.Stderr", u.fset.Position(pos), name)
+		}
+	})
+}
+
+// docRef is a backticked pkg.Ident, pkg.Type.Method or pkg.TestName,
+// optionally written as a call or composite literal.
+var docRef = regexp.MustCompile("`" + `\(?\*?([a-z][a-z0-9]*)\.([A-Za-z_]\w*)\)?(?:\.([A-Za-z_]\w*))?(?:[({ ][^` + "`" + `]*)?` + "`")
+
+// checkDocRefs fails on every backticked reference to a module package
+// in the docs that names nothing: an identifier in the package's scope,
+// a field or method of one of its types, or a test, benchmark, fuzz
+// target or example in its _test.go files. BENCHMARK.json's per-layer
+// metric names are pkg.metric too and pass.
+func checkDocRefs(t *testing.T, u *universe) {
+	pkgs := map[string]*pkg{}
+	for _, p := range u.pkgs {
+		if strings.HasPrefix(p.dir, "internal/") {
+			pkgs[p.types.Name()] = p
+		}
+	}
+	metrics := map[string]bool{}
+	b, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range spec.PerLayer {
+		metrics[m.Name] = true
+	}
+	tests := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, p := range pkgs {
+		for _, name := range p.tests {
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					tests[p.types.Name()+"."+fn.Name.Name] = true
+				}
+			}
+		}
+	}
+	resolves := func(pkgName, name, member string) bool {
+		p := pkgs[pkgName]
+		if p == nil || metrics[pkgName+"."+name] {
+			return true
+		}
+		obj := p.types.Scope().Lookup(name)
+		if member == "" {
+			return obj != nil || tests[pkgName+"."+name]
+		}
+		if _, ok := obj.(*types.TypeName); !ok {
+			return false
+		}
+		m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p.types, member)
+		return m != nil
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range docRef.FindAllStringSubmatch(line, -1) {
+				if !resolves(m[1], m[2], m[3]) {
+					t.Errorf("%s:%d: %s names nothing in the module", doc, i+1, m[0])
+				}
+			}
+		}
+	}
+}

@@ -50,12 +50,12 @@ func ExampleInterferenceDetector() {
 	for i := 0; i < 50; i++ {
 		det.Observe(12) // clean baseline
 	}
-	det.Observe(5) // one bad report: not enough
-	fmt.Println("after one drop:", det.Detected())
+	fmt.Println("after one drop:", det.Observe(5)) // one bad report: not enough
+	tripped := false
 	for i := 0; i < 10; i++ {
-		det.Observe(5)
+		tripped = det.Observe(5)
 	}
-	fmt.Println("after a sustained drop:", det.Detected())
+	fmt.Println("after a sustained drop:", tripped)
 	// Output:
 	// after one drop: false
 	// after a sustained drop: true

@@ -45,24 +45,6 @@ func (h *HopModel) Converged() bool {
 	return true
 }
 
-// Held returns vertex v's acquired subchannels.
-func (h *HopModel) Held(v int) []int {
-	out := make([]int, 0, len(h.held[v]))
-	for k := range h.held[v] {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Assignment exports the current state for validation.
-func (h *HopModel) Assignment() netgraph.Assignment {
-	a := make(netgraph.Assignment, h.Graph.Len())
-	for v := range a {
-		a[v] = h.Held(v)
-	}
-	return a
-}
-
 // Round executes one synchronous hopping round: every vertex with
 // unmet demand makes one attempt per missing unit. An attempt picks a
 // uniform subchannel among those sensed free (not held by the vertex

@@ -131,9 +131,6 @@ type SelectorStats struct {
 	LastContact time.Time
 }
 
-// State returns the selector's current lifecycle state.
-func (s *ChannelSelector) State() LeaseState { return s.state }
-
 // Stats returns a snapshot of the selector's activity counters.
 func (s *ChannelSelector) Stats() SelectorStats {
 	st := s.stats

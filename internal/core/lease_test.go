@@ -78,8 +78,8 @@ func TestEmptySpectraListWithoutLease(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no usable channel") {
 		t.Fatalf("empty offer should report no usable channel, got %v", err)
 	}
-	if act != NoChange || sel.State() != StateAcquiring {
-		t.Fatalf("empty offer off-channel: act=%v state=%v", act, sel.State())
+	if act != NoChange || sel.state != StateAcquiring {
+		t.Fatalf("empty offer off-channel: act=%v state=%v", act, sel.state)
 	}
 	// The database answered: this is contact, not a failure.
 	st := sel.Stats()
@@ -99,8 +99,8 @@ func TestEmptySpectraListWithdrawsLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withdrawal via empty list is a valid answer: %v", err)
 	}
-	if act != Vacated || sel.State() != StateVacated || sel.Current() != nil {
-		t.Fatalf("empty offer with lease: act=%v state=%v", act, sel.State())
+	if act != Vacated || sel.state != StateVacated || sel.Current() != nil {
+		t.Fatalf("empty offer with lease: act=%v state=%v", act, sel.state)
 	}
 	if sel.TransmitAllowed(at) {
 		t.Fatal("radio on after withdrawal")
@@ -120,8 +120,8 @@ func TestRPCErrorVacatesImmediately(t *testing.T) {
 	if paws.Classify(err) != paws.RegulatoryDeny {
 		t.Fatalf("classification = %v, want regulatory-deny", paws.Classify(err))
 	}
-	if act != Vacated || sel.State() != StateVacated {
-		t.Fatalf("regulatory deny: act=%v state=%v", act, sel.State())
+	if act != Vacated || sel.state != StateVacated {
+		t.Fatalf("regulatory deny: act=%v state=%v", act, sel.state)
 	}
 	if sel.TransmitAllowed(at) {
 		t.Fatal("radio on after regulatory deny")
@@ -142,8 +142,8 @@ func TestHTTPTimeoutEntersGracePeriod(t *testing.T) {
 	if paws.Classify(err) != paws.Transient {
 		t.Fatalf("timeout classified %v, want transient", paws.Classify(err))
 	}
-	if act != NoChange || sel.State() != StateGracePeriod {
-		t.Fatalf("timeout inside lease: act=%v state=%v", act, sel.State())
+	if act != NoChange || sel.state != StateGracePeriod {
+		t.Fatalf("timeout inside lease: act=%v state=%v", act, sel.state)
 	}
 	if !sel.TransmitAllowed(at) {
 		t.Fatal("grace period should keep the radio on inside the budget")
@@ -153,8 +153,8 @@ func TestHTTPTimeoutEntersGracePeriod(t *testing.T) {
 	if act, err := sel.Refresh(t0.Add(2 * time.Second)); err != nil || act != NoChange {
 		t.Fatalf("recovery: %v %v", act, err)
 	}
-	if sel.State() != StateGranted {
-		t.Fatalf("state after recovery = %v", sel.State())
+	if sel.state != StateGranted {
+		t.Fatalf("state after recovery = %v", sel.state)
 	}
 }
 
@@ -188,8 +188,8 @@ func TestLifecycleTransitionsAndStats(t *testing.T) {
 	var edges []string
 	sel.OnTransition = func(tr Transition) { edges = append(edges, tr.String()) }
 
-	if sel.State() != StateAcquiring {
-		t.Fatalf("zero state = %v, want acquiring", sel.State())
+	if sel.state != StateAcquiring {
+		t.Fatalf("zero state = %v, want acquiring", sel.state)
 	}
 	sel.Refresh(t0)                  // acquire
 	sel.Refresh(t0.Add(time.Second)) // renew

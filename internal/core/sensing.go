@@ -32,11 +32,10 @@ const (
 // interference after DetectRunLength consecutive reports below
 // DetectDropFraction of that maximum.
 type InterferenceDetector struct {
-	window  []int
-	pos     int
-	filled  int
-	run     int
-	tripped bool
+	window []int
+	pos    int
+	filled int
+	run    int
 }
 
 // NewInterferenceDetector keeps the max over the given number of
@@ -64,7 +63,6 @@ func (d *InterferenceDetector) Observe(cqi int) bool {
 	}
 	if max == 0 {
 		d.run = 0
-		d.tripped = false
 		return false
 	}
 	if float64(cqi) < DetectDropFraction*float64(max) {
@@ -72,12 +70,8 @@ func (d *InterferenceDetector) Observe(cqi int) bool {
 	} else {
 		d.run = 0
 	}
-	d.tripped = d.run >= DetectRunLength
-	return d.tripped
+	return d.run >= DetectRunLength
 }
-
-// Detected reports the current verdict without feeding a sample.
-func (d *InterferenceDetector) Detected() bool { return d.tripped }
 
 // Share calculation (Section 5.2): AP i with Ni associated active
 // clients, sensing NPi active clients in its neighbourhood (its own

@@ -64,9 +64,6 @@ func TestInterferenceDetectorTriggers(t *testing.T) {
 	if !d.Observe(4) {
 		t.Fatal("did not trip after the full run of low reports")
 	}
-	if !d.Detected() {
-		t.Fatal("Detected() disagrees with Observe result")
-	}
 }
 
 func TestInterferenceDetectorRunResets(t *testing.T) {
@@ -78,12 +75,11 @@ func TestInterferenceDetectorRunResets(t *testing.T) {
 	// resets on each good sample (the "should not trigger reallocation
 	// on weak interference" property of Section 6.3.2).
 	for i := 0; i < 100; i++ {
+		cqi := 4
 		if i%5 == 4 {
-			d.Observe(10)
-		} else {
-			d.Observe(4)
+			cqi = 10
 		}
-		if d.Detected() {
+		if d.Observe(cqi) {
 			t.Fatal("detector tripped on interrupted low runs")
 		}
 	}
@@ -101,10 +97,11 @@ func TestInterferenceDetectorBoundary(t *testing.T) {
 		}
 	}
 	// 5 of 10 is below.
+	tripped := false
 	for i := 0; i < DetectRunLength; i++ {
-		d.Observe(5)
+		tripped = d.Observe(5)
 	}
-	if !d.Detected() {
+	if !tripped {
 		t.Fatal("did not trip below the boundary")
 	}
 }

@@ -81,26 +81,6 @@ type Fault struct {
 	Status int
 }
 
-// Event records one applied fault, for telemetry and golden logs.
-type Event struct {
-	// Call is the zero-based index of the HTTP call the fault applied
-	// to (retries count as separate calls).
-	Call  int
-	Fault Fault
-}
-
-// String renders the event in the stable form golden logs compare.
-func (e Event) String() string {
-	switch e.Fault.Kind {
-	case Latency:
-		return fmt.Sprintf("call=%d fault=%s delay=%s", e.Call, e.Fault.Kind, e.Fault.Delay)
-	case ServerError:
-		return fmt.Sprintf("call=%d fault=%s status=%d", e.Call, e.Fault.Kind, e.Fault.Status)
-	default:
-		return fmt.Sprintf("call=%d fault=%s", e.Call, e.Fault.Kind)
-	}
-}
-
 // errInjectedDrop is the transport error Drop faults surface.
 type errInjectedDrop struct{ call int }
 
@@ -109,9 +89,10 @@ func (e errInjectedDrop) Error() string {
 }
 
 // Injector is an http.RoundTripper that perturbs calls per a Schedule.
-// It is safe for concurrent use; the call counter and event log are
-// internally synchronised. For byte-determinism, drive it from a
-// single goroutine (the PAWS client's poll loop is one).
+// It is safe for concurrent use; the call counter is internally
+// synchronised, and the schedule is asked once per call, under the
+// lock, in call order. For byte-determinism, drive it from a single
+// goroutine (the PAWS client's poll loop is one).
 type Injector struct {
 	// Base is the wrapped transport; nil means http.DefaultTransport.
 	Base http.RoundTripper
@@ -123,23 +104,12 @@ type Injector struct {
 
 	mu    sync.Mutex
 	calls int
-	log   []Event
 }
 
 // NewInjector wraps base (nil for http.DefaultTransport) with the
 // given schedule.
 func NewInjector(base http.RoundTripper, sched Schedule) *Injector {
 	return &Injector{Base: base, Schedule: sched}
-}
-
-// Log returns a copy of the injected-fault event log (None faults are
-// not recorded).
-func (in *Injector) Log() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]Event, len(in.log))
-	copy(out, in.log)
-	return out
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -150,9 +120,6 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	var f Fault
 	if in.Schedule != nil {
 		f = in.Schedule.FaultFor(call)
-	}
-	if f.Kind != None {
-		in.log = append(in.log, Event{Call: call, Fault: f})
 	}
 	sleep := in.Sleep
 	in.mu.Unlock()

@@ -14,18 +14,6 @@ type Schedule interface {
 	FaultFor(call int) Fault
 }
 
-// Script is an explicit per-call schedule: call i receives Script[i];
-// calls past the end pass through untouched.
-type Script []Fault
-
-// FaultFor implements Schedule.
-func (s Script) FaultFor(call int) Fault {
-	if call < 0 || call >= len(s) {
-		return Fault{Kind: None}
-	}
-	return s[call]
-}
-
 // Profile is a named mix of fault probabilities. Weights are relative;
 // whatever probability mass (out of Total) they do not claim passes
 // through clean.

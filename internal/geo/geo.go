@@ -47,11 +47,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Center returns the midpoint of the region.
-func (r Rect) Center() Point {
-	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
-}
-
 // RandomPoint returns a uniformly distributed point inside r.
 func (r Rect) RandomPoint(rng *rand.Rand) Point {
 	return Point{

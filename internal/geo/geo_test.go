@@ -78,11 +78,8 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectCenterAndDims(t *testing.T) {
+func TestRectDims(t *testing.T) {
 	r := Rect{10, 20, 30, 60}
-	if c := r.Center(); c != (Point{20, 40}) {
-		t.Errorf("Center = %v", c)
-	}
 	if r.Width() != 20 || r.Height() != 40 {
 		t.Errorf("dims = %g x %g", r.Width(), r.Height())
 	}

@@ -88,15 +88,6 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 // Len returns the number of indexed nodes.
 func (g *Grid) Len() int { return g.count }
 
-// At returns the indexed position of id. It panics if id was never
-// inserted.
-func (g *Grid) At(id int32) Point {
-	if int(id) >= len(g.bucket) || g.bucket[id] < 0 {
-		panic("geo: Grid.At on unindexed id")
-	}
-	return g.pos[id]
-}
-
 // cellIndex maps a point to its bucket, clamping out-of-bounds
 // coordinates into the border row/column.
 func (g *Grid) cellIndex(p Point) int32 {

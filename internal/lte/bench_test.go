@@ -149,7 +149,4 @@ func TestBenchCellSimDelivers(t *testing.T) {
 	if cs.DeliveredBits(100) == 0 {
 		t.Fatal("benchmark-shaped cell delivered nothing")
 	}
-	if env.cache.Stats().Hits == 0 {
-		t.Fatalf("link cache saw no hits: %+v", env.cache.Stats())
-	}
 }

@@ -95,8 +95,6 @@ func (b Bandwidth) SubchannelHz(i int) float64 {
 const (
 	// SubframeDuration is the LTE TTI.
 	SubframeDuration = time.Millisecond
-	// FrameDuration is one radio frame (10 subframes).
-	FrameDuration = 10 * time.Millisecond
 	// RBBandwidthHz is one resource block's bandwidth.
 	RBBandwidthHz = 180e3
 )
@@ -192,14 +190,9 @@ const (
 	// one 4-bit wideband value plus 13 two-bit sub-band values,
 	// reported by the paper as 20 bits.
 	CQIReportBits = 20
-	// PRACHSolicitPeriod is how often an AP issues PDCCH-order RACH
-	// to solicit preambles from neighbourhood clients.
-	PRACHSolicitPeriod = time.Second
 	// PRACHDetectFloorDB is the SNR down to which a PRACH preamble is
 	// reliably detectable.
 	PRACHDetectFloorDB = -10
-	// IMEpoch is the interference-management update interval.
-	IMEpoch = time.Second
 )
 
 // CQISignalingOverheadBps returns the uplink signalling load of

@@ -31,17 +31,6 @@ type DCI struct {
 
 const dciMagic = 0xD1
 
-// Subchannels lists the granted subchannel indices in ascending order.
-func (d DCI) Subchannels(bw Bandwidth) []int {
-	var out []int
-	for k := 0; k < bw.Subchannels(); k++ {
-		if d.RBGMask&(1<<uint(k)) != 0 {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // AppendGrants builds per-client DCIs from the subframe's allocation in
 // scratch and appends them to dst, which it returns. Grants come out in
 // ascending RNTI order with HARQ process numbers assigned round-robin,
@@ -151,11 +140,6 @@ func (d DCI) MarshalAppend(dst []byte, bw Bandwidth) ([]byte, error) {
 	return append(dst,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v)), nil
-}
-
-// Marshal encodes the grant into a fresh buffer.
-func (d DCI) Marshal(bw Bandwidth) ([]byte, error) {
-	return d.MarshalAppend(nil, bw)
 }
 
 // UnmarshalDCI decodes a grant and validates it against the carrier.

@@ -7,7 +7,7 @@ import (
 
 func TestDCIRoundTrip(t *testing.T) {
 	d := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}
-	raw, err := d.Marshal(BW5MHz)
+	raw, err := d.MarshalAppend(nil, BW5MHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDCIQuickRoundTrip(t *testing.T) {
 			HARQProcess: harq % 8,
 			NewData:     nd,
 		}
-		raw, err := d.Marshal(BW20MHz)
+		raw, err := d.MarshalAppend(nil, BW20MHz)
 		if err != nil {
 			return false
 		}
@@ -56,7 +56,7 @@ func TestDCIValidation(t *testing.T) {
 	for i, mutate := range cases {
 		d := base
 		mutate(&d)
-		if _, err := d.Marshal(BW5MHz); err == nil {
+		if _, err := d.MarshalAppend(nil, BW5MHz); err == nil {
 			t.Errorf("case %d: invalid DCI marshalled", i)
 		}
 	}
@@ -65,7 +65,7 @@ func TestDCIValidation(t *testing.T) {
 // Each rejection path of the decoder names what was wrong with the
 // input (the marshal side's checks are TestDCIValidation's).
 func TestUnmarshalDCIErrors(t *testing.T) {
-	valid, err := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}.Marshal(BW5MHz)
+	valid, err := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}.MarshalAppend(nil, BW5MHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,20 +91,6 @@ func TestUnmarshalDCIErrors(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s: error %q, want %q", c.name, got, c.want)
-		}
-	}
-}
-
-func TestDCISubchannels(t *testing.T) {
-	d := DCI{RBGMask: 0b1000000000101}
-	got := d.Subchannels(BW5MHz)
-	want := []int{0, 2, 12}
-	if len(got) != len(want) {
-		t.Fatalf("subchannels = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("subchannels = %v, want %v", got, want)
 		}
 	}
 }
@@ -141,7 +127,7 @@ func TestAppendGrants(t *testing.T) {
 		}
 		byRNTI[g.RNTI] = g
 		// Codec round trip for every emitted grant.
-		raw, err := g.Marshal(BW5MHz)
+		raw, err := g.MarshalAppend(nil, BW5MHz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,12 +137,8 @@ func TestAppendGrants(t *testing.T) {
 		}
 	}
 	g7 := byRNTI[7]
-	got := g7.Subchannels(BW5MHz)
-	want := []int{0, 1, 12}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("UE 7 granted %v, want %v", got, want)
-		}
+	if want := uint32(1<<0 | 1<<1 | 1<<12); g7.RBGMask != want {
+		t.Fatalf("UE 7 mask = %b, want %b", g7.RBGMask, want)
 	}
 	// Transport format follows the worst granted sub-band.
 	if g7.CQI != 4 {

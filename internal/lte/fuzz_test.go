@@ -11,7 +11,7 @@ import (
 // the codec's whole payload (the 7 padding bits and any trailing bytes
 // are not read).
 func FuzzUnmarshalDCI(f *testing.F) {
-	valid, _ := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}.Marshal(BW5MHz)
+	valid, _ := DCI{RNTI: 61, RBGMask: 0b1010110, CQI: 9, HARQProcess: 3, NewData: true}.MarshalAppend(nil, BW5MHz)
 	f.Add(valid, uint8(0))
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{dciMagic}, uint8(2))
@@ -23,7 +23,7 @@ func FuzzUnmarshalDCI(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := d.Marshal(bw)
+		out, err := d.MarshalAppend(nil, bw)
 		if err != nil {
 			t.Fatalf("accepted %x as %+v, which does not re-marshal: %v", raw, d, err)
 		}

@@ -30,9 +30,6 @@ type HARQProcess struct {
 	done, delivered bool
 }
 
-// Attempts returns the number of transmissions performed.
-func (h *HARQProcess) Attempts() int { return h.attempts }
-
 // Done reports whether the process has terminated (success or drop).
 func (h *HARQProcess) Done() bool { return h.done }
 

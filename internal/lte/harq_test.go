@@ -10,8 +10,8 @@ func TestHARQFirstAttemptSuccess(t *testing.T) {
 	// Far above threshold: deterministic rule decodes immediately.
 	p := &HARQProcess{CQI: 7}
 	ok := p.Transmit(30, nil)
-	if !ok || !p.delivered || p.Attempts() != 1 {
-		t.Fatalf("strong signal: ok=%v delivered=%v attempts=%d", ok, p.delivered, p.Attempts())
+	if !ok || !p.delivered || p.attempts != 1 {
+		t.Fatalf("strong signal: ok=%v delivered=%v attempts=%d", ok, p.delivered, p.attempts)
 	}
 }
 
@@ -26,10 +26,10 @@ func TestHARQCombiningGain(t *testing.T) {
 	}
 	if !m.delivered {
 		t.Fatalf("combining failed to deliver: eff SINR %g after %d attempts",
-			m.EffectiveSINRdB(), m.Attempts())
+			m.EffectiveSINRdB(), m.attempts)
 	}
-	if m.Attempts() < 2 {
-		t.Fatalf("expected retransmissions, got %d attempts", m.Attempts())
+	if m.attempts < 2 {
+		t.Fatalf("expected retransmissions, got %d attempts", m.attempts)
 	}
 	// Two equal-power copies are +3 dB.
 	p := &HARQProcess{CQI: 7}
@@ -48,8 +48,8 @@ func TestHARQDropsAfterMaxAttempts(t *testing.T) {
 	if !p.Done() || p.delivered {
 		t.Fatalf("hopeless block: done=%v delivered=%v", p.Done(), p.delivered)
 	}
-	if p.Attempts() != MaxHARQTransmissions {
-		t.Fatalf("attempts = %d, want %d", p.Attempts(), MaxHARQTransmissions)
+	if p.attempts != MaxHARQTransmissions {
+		t.Fatalf("attempts = %d, want %d", p.attempts, MaxHARQTransmissions)
 	}
 	// Further transmits are no-ops.
 	if p.Transmit(30, nil) {
@@ -78,7 +78,7 @@ func harqStats(n, cqi int, rng *rand.Rand, sinrFn func() float64) (delivery, har
 		if p.delivered {
 			delivered++
 		}
-		if p.Attempts() > 1 {
+		if p.attempts > 1 {
 			retx++
 		}
 	}

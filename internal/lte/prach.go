@@ -20,10 +20,6 @@ import (
 // formats 0-3 (TS 36.211); it is prime.
 const PRACHSequenceLength = 839
 
-// PRACHPreamblesPerCell is the number of distinct preambles a cell
-// exposes (TS 36.211: 64, generated from roots and cyclic shifts).
-const PRACHPreamblesPerCell = 64
-
 // ZadoffChu returns the length-n root-u Zadoff-Chu sequence
 // x_u(k) = exp(-i*pi*u*k*(k+1)/n) for odd n. gcd(u, n) must be 1;
 // with n prime any u in 1..n-1 works.

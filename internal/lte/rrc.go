@@ -96,9 +96,6 @@ func NewRRCSim(eng *sim.Engine) *RRCSim {
 	return r
 }
 
-// State returns a client's connection state.
-func (r *RRCSim) State(clientID int) RRCState { return r.states[clientID] }
-
 // Connect starts (or restarts) a client's attach procedure.
 func (r *RRCSim) Connect(clientID int) {
 	if r.states[clientID] == RRCConnected {
@@ -110,13 +107,6 @@ func (r *RRCSim) Connect(clientID int) {
 	}
 	r.states[clientID] = RRCConnecting
 	r.pickPreamble(clientID)
-}
-
-// Release drops a client to idle (cell vacated the channel, or
-// inactivity timeout).
-func (r *RRCSim) Release(clientID int) {
-	r.states[clientID] = RRCIdle
-	delete(r.pending, clientID)
 }
 
 func (r *RRCSim) pickPreamble(clientID int) {

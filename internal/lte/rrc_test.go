@@ -25,8 +25,8 @@ func TestRRCSingleClientAttaches(t *testing.T) {
 	r.OnConnected = func(a AttachResult) { result = &a }
 	r.Connect(1)
 	eng.Run(time.Second)
-	if r.State(1) != RRCConnected {
-		t.Fatalf("state = %v, want connected", r.State(1))
+	if r.states[1] != RRCConnected {
+		t.Fatalf("state = %v, want connected", r.states[1])
 	}
 	if result == nil || result.Attempts != 1 {
 		t.Fatalf("result = %+v, want a 1-attempt attach", result)
@@ -73,47 +73,8 @@ func TestRRCCollisionBackoffResolves(t *testing.T) {
 	r.Connect(1)
 	r.Connect(2)
 	eng.Run(10 * time.Second)
-	if r.State(1) != RRCConnected && r.State(2) != RRCConnected {
+	if r.states[1] != RRCConnected && r.states[2] != RRCConnected {
 		t.Fatal("neither client ever won the single preamble")
-	}
-}
-
-func TestRRCReleaseDuringProcedure(t *testing.T) {
-	eng := sim.NewEngine(4)
-	r := NewRRCSim(eng)
-	r.Connect(7)
-	// Release before the first occasion resolves: the client must end
-	// idle, not connected.
-	eng.After(5*time.Millisecond, func() { r.Release(7) })
-	eng.Run(time.Second)
-	if r.State(7) != RRCIdle {
-		t.Fatalf("released client ended %v", r.State(7))
-	}
-}
-
-func TestRRCReleaseAllAndReattach(t *testing.T) {
-	eng := sim.NewEngine(5)
-	r := NewRRCSim(eng)
-	for i := 0; i < 5; i++ {
-		r.Connect(i)
-	}
-	eng.Run(time.Second)
-	if connected(r) != 5 {
-		t.Fatalf("setup failed: %d connected", connected(r))
-	}
-	// The cell vacates its channel: everyone drops; later they return.
-	for i := 0; i < 5; i++ {
-		r.Release(i)
-	}
-	if connected(r) != 0 {
-		t.Fatal("release left connections")
-	}
-	for i := 0; i < 5; i++ {
-		r.Connect(i)
-	}
-	eng.Run(2 * time.Second)
-	if connected(r) != 5 {
-		t.Fatalf("re-attach failed: %d connected", connected(r))
 	}
 }
 

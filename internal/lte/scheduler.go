@@ -81,8 +81,6 @@ type Scheduler interface {
 	// UEs by the amount served. It resets and overwrites scratch; the
 	// caller owns the scratch and reuses it across subframes.
 	Allocate(scratch *AllocScratch, bw Bandwidth, allowed []int, ues []*SchedUE)
-	// Name identifies the policy in experiment output.
-	Name() string
 }
 
 // serve grants subchannel sc of bw to u and returns the bits served.
@@ -104,9 +102,6 @@ func serve(bw Bandwidth, sc int, u *SchedUE) int64 {
 type RoundRobin struct {
 	next int
 }
-
-// Name implements Scheduler.
-func (r *RoundRobin) Name() string { return "round-robin" }
 
 // Allocate implements Scheduler.
 func (r *RoundRobin) Allocate(s *AllocScratch, bw Bandwidth, allowed []int, ues []*SchedUE) {
@@ -141,9 +136,6 @@ type ProportionalFair struct {
 	// (per subframe) by default.
 	Beta float64
 }
-
-// Name implements Scheduler.
-func (p *ProportionalFair) Name() string { return "proportional-fair" }
 
 // Allocate implements Scheduler.
 func (p *ProportionalFair) Allocate(s *AllocScratch, bw Bandwidth, allowed []int, ues []*SchedUE) {

@@ -82,12 +82,12 @@ func TestSchedulerRespectsAllowedSet(t *testing.T) {
 				}
 			}
 			if !ok {
-				t.Fatalf("%s scheduled outside allowed set: subchannel %d", sched.Name(), sc)
+				t.Fatalf("%T scheduled outside allowed set: subchannel %d", sched, sc)
 			}
 		}
 		if len(alloc) != len(allowed) {
-			t.Fatalf("%s used %d of %d allowed subchannels for a backlogged client",
-				sched.Name(), len(alloc), len(allowed))
+			t.Fatalf("%T used %d of %d allowed subchannels for a backlogged client",
+				sched, len(alloc), len(allowed))
 		}
 	}
 }
@@ -102,10 +102,10 @@ func TestSchedulerDrainsBacklog(t *testing.T) {
 			total += scratch.Served[0]
 		}
 		if u.BacklogBits != 0 {
-			t.Fatalf("%s left %d bits queued", sched.Name(), u.BacklogBits)
+			t.Fatalf("%T left %d bits queued", sched, u.BacklogBits)
 		}
 		if total != 3000 {
-			t.Fatalf("%s served %d bits, want exactly the 3000 queued", sched.Name(), total)
+			t.Fatalf("%T served %d bits, want exactly the 3000 queued", sched, total)
 		}
 	}
 }
@@ -123,8 +123,8 @@ func TestSchedulerSkipsIdleAndZeroCQI(t *testing.T) {
 			granted = granted || u >= 0
 		}
 		if granted || len(servedMap(&scratch, ues)) != 0 {
-			t.Fatalf("%s scheduled idle or undecodable clients: %v",
-				sched.Name(), servedMap(&scratch, ues))
+			t.Fatalf("%T scheduled idle or undecodable clients: %v",
+				sched, servedMap(&scratch, ues))
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 // goldenShardCity pins 60 epochs of shardCity per (seed, incumbents on
 // or off): an 8-byte SHA-256 prefix over the trace bytes, Epoch /
 // AttachedCount / DeliveredBits, every UE's UEState, Throughput()'s
-// five fields and ThroughputQ() at q ∈ {0, 0.05, 0.5, 0.95, 1} plus its
-// Count(), floats as their bit patterns. Each entry must come out at
+// five fields, ThroughputQ() at q ∈ {0, 0.05, 0.5, 0.95, 1} and the
+// sketch's sample count (Throughput's, as both absorb one stream),
+// floats as their bit patterns. Each entry must come out at
 // K = 1 and at K = 2. TestMetroShardEquivalence compares one shard
 // count against another in the same binary; this table compares today
 // against yesterday, aggregates included.
@@ -76,7 +77,7 @@ func metroDigest(t *testing.T, cfg Config, epochs int) string {
 	for _, p := range []float64{0, 0.05, 0.5, 0.95, 1} {
 		putFloat(q.Quantile(p))
 	}
-	putInt(q.Count())
+	putInt(thr.Count)
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 

@@ -3,11 +3,14 @@ package paws
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"cellfi/internal/geo"
 	"cellfi/internal/spectrum"
 )
 
@@ -100,6 +103,90 @@ func FuzzServerRobustness(f *testing.F) {
 		}
 		if rr.Error == nil && rr.Result == nil {
 			t.Fatalf("response carries neither result nor error for body %q", body)
+		}
+	})
+}
+
+// FuzzSpectrumRespBytes: over arbitrary registries, locations, times and
+// clock zones, the AVAIL_SPECTRUM_RESP result the server assembles by
+// hand (writeTimeJSON, premarshaled ruleset and spectra), cold and from
+// the warm cache, is byte-identical to json.Marshal of the
+// AvailSpectrumResp built from the registry's own linear scan.
+func FuzzSpectrumRespBytes(f *testing.F) {
+	f.Add(int64(1), false, 100.0, 100.0, int64(1496318400), uint32(0), int32(0))
+	f.Add(int64(2), true, -2500.5, 4e4, int64(1513069200), uint32(123456789), int32(19800))
+	f.Add(int64(3), false, 0.0, 0.0, int64(0), uint32(999999999), int32(-36000))
+	f.Fuzz(func(t *testing.T, seed int64, us bool, x, y float64, unix int64, nanos uint32, zoneSec int32) {
+		if math.IsNaN(x) || math.IsNaN(y) || math.Abs(x) > 1e6 || math.Abs(y) > 1e6 {
+			return
+		}
+		// Any instant in 1970..2200 in any zone up to ±14 h, seconds
+		// included: the range json.Marshal accepts.
+		const span = 230 * 365 * 24 * 3600
+		unix = (unix%span + span) % span
+		zone := time.FixedZone("", int(zoneSec%(14*3600)))
+		now := time.Unix(unix, int64(nanos%1e9)).In(zone)
+
+		domain := spectrum.EU
+		if us {
+			domain = spectrum.US
+		}
+		reg := spectrum.NewRegistry(domain)
+		rng := rand.New(rand.NewSource(seed))
+		first, last := domain.ChannelRange()
+		for i := rng.Intn(12); i > 0; i-- {
+			inc := spectrum.Incumbent{
+				Kind:          spectrum.IncumbentKind(rng.Intn(2)),
+				Channel:       first + rng.Intn(last-first+1),
+				Location:      geo.Point{X: x + rng.NormFloat64()*2e4, Y: y + rng.NormFloat64()*2e4},
+				ProtectRadius: rng.Float64() * 3e4,
+				From:          now.Add(-time.Duration(rng.Int63n(int64(48 * time.Hour)))),
+			}
+			if rng.Intn(2) == 0 {
+				inc.To = inc.From.Add(time.Duration(rng.Int63n(int64(96 * time.Hour))))
+			}
+			if err := reg.AddIncumbent(inc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := NewServer(reg)
+		srv.Now = func() time.Time { return now }
+		req := AvailSpectrumReq{
+			DeviceDesc: DeviceDescriptor{SerialNumber: "AP-F", DeviceType: "FIXED"},
+			Location:   ToGeo(geo.Point{X: x, Y: y}),
+		}
+
+		avail := reg.AvailableAt(FromGeo(req.Location), now)
+		stop := now.Add(reg.LeaseDuration)
+		spectra := make([]FrequencyRange, 0, len(avail))
+		for _, ci := range avail {
+			if ci.Until.Before(stop) {
+				stop = ci.Until
+			}
+			spectra = append(spectra, FrequencyRange{
+				StartHz:    ci.CenterFreqHz - ci.WidthHz/2,
+				StopHz:     ci.CenterFreqHz + ci.WidthHz/2,
+				MaxEIRPdBm: ci.MaxEIRPdBm,
+				Channel:    ci.Channel,
+			})
+		}
+		want, err := json.Marshal(AvailSpectrumResp{
+			Timestamp:           now,
+			RulesetInfo:         srv.ruleset,
+			Schedules:           []SpectrumSchedule{{StartTime: now, StopTime: stop, Spectra: spectra}},
+			NeedsSpectrumReport: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			resp := rpcCall(t, srv, MethodGetSpectrum, req)
+			if resp.Error != nil {
+				t.Fatalf("%s: getSpectrum: %v", pass, resp.Error)
+			}
+			if !bytes.Equal(resp.Result, want) {
+				t.Fatalf("%s result diverges from encoding/json:\n fast %s\n json %s", pass, resp.Result, want)
+			}
 		}
 	})
 }

@@ -343,5 +343,11 @@ func (s *Server) handleNotifyUse(p NotifyUseReq) (any, *RPCError) {
 		}
 	}
 	met.NotifyOK.Add(1)
+	// An empty report is the cessation notice a device sends when it
+	// stops transmitting (cellfi ap's shutdown): free its lease now
+	// rather than at expiry.
+	if len(p.Spectra) == 0 {
+		s.db.Leases().Release(p.DeviceDesc.SerialNumber, now)
+	}
 	return NotifyUseResp{}, nil
 }

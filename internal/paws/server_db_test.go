@@ -78,6 +78,55 @@ func TestServerLeaseAndMetricsWiring(t *testing.T) {
 	}
 }
 
+// TestCessationNotifyReleasesLease: an empty spectrum-use report (the
+// cessation notice cellfi ap sends on shutdown) frees that device's
+// lease at once; a report that names spectrum keeps it.
+func TestCessationNotifyReleasesLease(t *testing.T) {
+	reg := spectrum.NewRegistry(spectrum.EU)
+	srv := NewServer(reg)
+	now := time.Date(2017, 6, 1, 12, 0, 0, 0, time.UTC)
+	srv.Now = func() time.Time { return now }
+	loc := ToGeo(geo.Point{X: 100, Y: 100})
+	var ch int
+	for _, serial := range []string{"AP-A", "AP-B"} {
+		resp := rpcCall(t, srv, MethodGetSpectrum, AvailSpectrumReq{
+			DeviceDesc: DeviceDescriptor{SerialNumber: serial, DeviceType: "FIXED"},
+			Location:   loc,
+		})
+		if resp.Error != nil {
+			t.Fatalf("getSpectrum: %v", resp.Error)
+		}
+		var ar AvailSpectrumResp
+		if err := json.Unmarshal(resp.Result, &ar); err != nil {
+			t.Fatal(err)
+		}
+		ch = ar.Schedules[0].Spectra[0].Channel
+	}
+	leases := srv.DB().Leases()
+	if n := leases.Active(now); n != 2 {
+		t.Fatalf("active leases = %d, want 2", n)
+	}
+	notify := func(serial string, spectra []FrequencyRange) {
+		t.Helper()
+		resp := rpcCall(t, srv, MethodNotifyUse, NotifyUseReq{
+			DeviceDesc: DeviceDescriptor{SerialNumber: serial, DeviceType: "FIXED"},
+			Location:   loc,
+			Spectra:    spectra,
+		})
+		if resp.Error != nil {
+			t.Fatalf("notifyUse: %v", resp.Error)
+		}
+	}
+	notify("AP-B", []FrequencyRange{{Channel: ch}})
+	if n := leases.Active(now); n != 2 {
+		t.Fatalf("active leases after a use report = %d, want 2", n)
+	}
+	notify("AP-A", nil)
+	if n := leases.Active(now); n != 1 {
+		t.Fatalf("active leases after AP-A's cessation report = %d, want 1", n)
+	}
+}
+
 // TestCachedResponseBytesIdentical: a cache-hit response must be
 // byte-identical to the cold-path response for the same virtual time,
 // including the pre-marshaled spectra fast path.

@@ -187,12 +187,6 @@ func (db *DB) Query(p geo.Point, class, ruleset string, t time.Time) QueryResult
 	return res
 }
 
-// AvailableAt is the drop-in replacement for
-// spectrum.Registry.AvailableAt, answered through the index and cache.
-func (db *DB) AvailableAt(p geo.Point, t time.Time) []spectrum.ChannelInfo {
-	return db.Query(p, "", "", t).Avail
-}
-
 // ChannelAvailable reports whether one channel is usable at (p, t),
 // answered through the index (no cache — single-channel checks are
 // already cheap and appear on the notify path where exactness against

@@ -110,7 +110,7 @@ func envInt(name string, def int) int {
 // TestIndexScanEquivalence is the acceptance property for the grid
 // index and response cache: across 100 seeded random registries
 // (PAWSDB_SEEDS overrides), at boundary-adversarial points and times
-// that cross incumbent schedule edges, DB.AvailableAt must return a
+// that cross incumbent schedule edges, DB.Query must return a
 // byte-identical ChannelInfo set to the registry's linear scan — with
 // the cache cold, warm, and disabled. Repeated queries per point make
 // the second pass hit the cache, so a cache that ever served a wrong
@@ -141,13 +141,13 @@ func TestIndexScanEquivalence(t *testing.T) {
 			for pi, p := range pts {
 				want := reg.AvailableAt(p, now)
 				for pass := 0; pass < 2; pass++ { // cold then (maybe) cached
-					got := db.AvailableAt(p, now)
+					got := db.Query(p, "", "", now).Avail
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d cell %.0f t=%v point %d pass %d: index answer diverged from linear scan\n got %v\nwant %v",
 							seed, cellSize, now.Sub(t0), pi, pass, got, want)
 					}
 				}
-				if got := dbNoCache.AvailableAt(p, now); !reflect.DeepEqual(got, want) {
+				if got := dbNoCache.Query(p, "", "", now).Avail; !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d cell %.0f t=%v point %d: uncached index diverged\n got %v\nwant %v",
 						seed, cellSize, now.Sub(t0), pi, got, want)
 				}
@@ -175,7 +175,7 @@ func TestEquivalenceAcrossMutation(t *testing.T) {
 		now = now.Add(45 * time.Second)
 		for _, p := range pts {
 			want := reg.AvailableAt(p, now)
-			if got := db.AvailableAt(p, now); !reflect.DeepEqual(got, want) {
+			if got := db.Query(p, "", "", now).Avail; !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d: diverged after mutation\n got %v\nwant %v", round, got, want)
 			}
 		}
@@ -261,7 +261,7 @@ func TestOversizedIncumbentGoesGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(reg, Options{CellSizeM: 2000})
-	avail := db.AvailableAt(geo.Point{X: 1e6, Y: 1e6}, t0)
+	avail := db.Query(geo.Point{X: 1e6, Y: 1e6}, "", "", t0).Avail
 	for _, ci := range avail {
 		if ci.Channel == 21 {
 			t.Fatal("blanket incumbent not enforced far from origin")

@@ -19,7 +19,7 @@ func TestSnapshotEpoch(t *testing.T) {
 	if e := db.SnapshotEpoch(); e != -1 {
 		t.Fatalf("epoch before first build = %d, want -1", e)
 	}
-	db.AvailableAt(geo.Point{}, t0)
+	db.Query(geo.Point{}, "", "", t0)
 	if e := db.SnapshotEpoch(); e != reg.Epoch() {
 		t.Fatalf("epoch after build = %d, registry at %d", e, reg.Epoch())
 	}
@@ -35,7 +35,7 @@ func TestSnapshotEpoch(t *testing.T) {
 	if e := db.SnapshotEpoch(); e == reg.Epoch() {
 		t.Fatal("snapshot claims current epoch before rebuild")
 	}
-	db.AvailableAt(geo.Point{}, t0)
+	db.Query(geo.Point{}, "", "", t0)
 	if e := db.SnapshotEpoch(); e != reg.Epoch() {
 		t.Fatalf("epoch after mutation+query = %d, registry at %d", e, reg.Epoch())
 	}

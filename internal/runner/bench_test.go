@@ -49,11 +49,7 @@ func latencySpecs(n int, d time.Duration) []Spec {
 			Label: fmt.Sprintf("latency/%02d", i),
 			Seed:  int64(i),
 			Run: func(c *Ctx) (any, error) {
-				select {
-				case <-time.After(d):
-				case <-c.Context().Done():
-					return nil, c.Context().Err()
-				}
+				time.Sleep(d)
 				c.AddSteps(1)
 				return float64(c.Seed()), nil
 			},

@@ -56,11 +56,10 @@ type Spec struct {
 }
 
 // Ctx is the per-run context handed to a Spec's Run function. It wires
-// scenario-internal simulation engines into the campaign telemetry and
-// carries the cancellation signal. A Ctx is owned by one run; it is
-// safe for use from goroutines the scenario itself spawns.
+// scenario-internal simulation engines into the campaign telemetry. A
+// Ctx is owned by one run; it is safe for use from goroutines the
+// scenario itself spawns.
 type Ctx struct {
-	ctx   context.Context
 	spec  *Spec
 	index int
 	opts  *Options
@@ -77,17 +76,8 @@ type Ctx struct {
 	rec     trace.Recorder
 }
 
-// Context returns the campaign's cancellation context.
-func (c *Ctx) Context() context.Context { return c.ctx }
-
 // Seed returns the spec's deterministic seed.
 func (c *Ctx) Seed() int64 { return c.spec.Seed }
-
-// Label returns the spec's label.
-func (c *Ctx) Label() string { return c.spec.Label }
-
-// Index returns the spec's position in the campaign.
-func (c *Ctx) Index() int { return c.index }
 
 // Engine creates a discrete-event engine seeded with seed and tracks
 // it: its event counters are pulled into the run's telemetry after the
@@ -379,7 +369,7 @@ func Run(ctx context.Context, name string, specs []Spec, opts Options) *Report {
 					res.Status = StatusCanceled
 					res.Err = ctx.Err().Error()
 				} else {
-					runOne(ctx, &specs[i], i, res, &opts)
+					runOne(&specs[i], i, res, &opts)
 				}
 				finish(i)
 			}
@@ -393,8 +383,8 @@ func Run(ctx context.Context, name string, specs []Spec, opts Options) *Report {
 }
 
 // runOne executes a single spec with panic isolation and telemetry.
-func runOne(ctx context.Context, s *Spec, i int, res *RunResult, opts *Options) {
-	c := &Ctx{ctx: ctx, spec: s, index: i, opts: opts}
+func runOne(s *Spec, i int, res *RunResult, opts *Options) {
+	c := &Ctx{spec: s, index: i, opts: opts}
 	t0 := time.Now()
 	func() {
 		defer func() {

@@ -36,7 +36,7 @@ func scenarioSpecs(n int) []Spec {
 				tick = func() {
 					sum += rng.Float64() * float64(eng.Now().Microseconds()+1)
 					fires++
-					if fires < 200+c.Index()*13 {
+					if fires < 200+c.index*13 {
 						eng.After(time.Duration(1+rng.Intn(50))*time.Microsecond, tick)
 					}
 				}

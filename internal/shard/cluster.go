@@ -106,9 +106,6 @@ func (c *Cluster) worker(i int) {
 	}
 }
 
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
 // Shard returns shard i for workload setup (scheduling region events,
 // handler access to region state).
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }

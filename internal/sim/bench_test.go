@@ -65,7 +65,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 		if i%2 == 0 {
 			ev.Cancel()
 		}
-		if e.Pending() > 1024 {
+		if e.Stats().Pending > 1024 {
 			e.RunAll()
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkTicker measures the periodic-event path: after construction
-// a Ticker must reschedule in place, alloc-free.
+// a ticker must reschedule in place, alloc-free.
 func BenchmarkTicker(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
@@ -90,7 +90,7 @@ func BenchmarkTicker(b *testing.B) {
 	}
 }
 
-// Schedule+fire and the Ticker's in-place reschedule are the engine's
+// Schedule+fire and the ticker's in-place reschedule are the engine's
 // fixed cost under every simulation. Both must stay allocation-free
 // with the recorder nil (the default) and with a live trace.Ring
 // attached — the two halves of the trace package's zero-cost contract.
@@ -123,7 +123,7 @@ func TestDispatchZeroAllocs(t *testing.T) {
 				e.Run(horizon)
 			}
 			if avg := testing.AllocsPerRun(200, period); avg != 0 {
-				t.Errorf("Ticker period allocates %.1f allocs/op, want 0", avg)
+				t.Errorf("ticker period allocates %.1f allocs/op, want 0", avg)
 			}
 		})
 	}

@@ -19,7 +19,7 @@
 // one or two cache lines. Event handles returned by Schedule/After are
 // small values stamped with the slot's generation; a stale handle
 // (fired, cancelled, or slot since recycled) is detected by a generation
-// mismatch, which makes Cancel and Pending safe without per-event
+// mismatch, which makes Cancel safe without per-event
 // pointers. Determinism is unaffected by the heap arity: the (time,
 // sequence) key is a strict total order, so the firing sequence is
 // byte-for-byte identical to any other correct priority queue.
@@ -39,19 +39,15 @@ type Time = time.Duration
 
 // Event is a handle to a scheduled callback. It is a small value, cheap
 // to copy and store; the zero value is an invalid handle on which Cancel
-// and Pending are safe no-ops. Handles are generation-stamped: once the
-// event fires or is cancelled the handle goes stale, and any later
-// Cancel/Pending on it is a no-op even if the engine has recycled the
-// underlying slot for a new event.
+// is a safe no-op. Handles are generation-stamped: once the event fires
+// or is cancelled the handle goes stale, and any later Cancel on it is a
+// no-op even if the engine has recycled the underlying slot for a new
+// event.
 type Event struct {
 	engine *Engine
-	at     Time
 	slot   int32
 	gen    uint32
 }
-
-// At reports the virtual time the event fires (or fired) at.
-func (ev Event) At() Time { return ev.at }
 
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired, was already cancelled, or was never scheduled (the zero
@@ -69,16 +65,6 @@ func (ev Event) Cancel() {
 	e.heapRemoveAt(sl.heapIdx)
 	e.cancelled++
 	e.freeSlot(ev.slot)
-}
-
-// Pending reports whether the event is still scheduled to fire.
-func (ev Event) Pending() bool {
-	e := ev.engine
-	if e == nil {
-		return false
-	}
-	sl := &e.slots[ev.slot]
-	return sl.gen == ev.gen && sl.heapIdx >= 0
 }
 
 // slot is the in-engine storage of one event. Slots are recycled
@@ -105,7 +91,6 @@ type Engine struct {
 	fired      uint64
 	cancelled  uint64
 	maxPending int
-	stopped    bool
 	// streamSeed seeds the decorrelated child RNGs; see NewStream.
 	streamSeed int64
 	// rec, when non-nil, receives a trace record per dispatched event.
@@ -222,7 +207,7 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	if len(e.heap) > e.maxPending {
 		e.maxPending = len(e.heap)
 	}
-	return Event{engine: e, at: at, slot: s, gen: sl.gen}
+	return Event{engine: e, slot: s, gen: sl.gen}
 }
 
 // After runs fn after delay d from the current virtual time.
@@ -233,58 +218,39 @@ func (e *Engine) After(d Time, fn func()) Event {
 	return e.Schedule(e.now+d, fn)
 }
 
-// EveryAt schedules fn to run periodically: the first firing happens
-// after first, subsequent firings every period. It returns a Ticker
-// that can be stopped.
-func (e *Engine) EveryAt(first, period Time, fn func()) *Ticker {
+// EveryAt schedules fn to run periodically for the rest of the run: the
+// first firing happens after first, subsequent firings every period.
+func (e *Engine) EveryAt(first, period Time, fn func()) {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
+	t := &ticker{engine: e, period: period, fn: fn}
 	// Bind the tick method once so periodic rescheduling reuses the
 	// same func value instead of allocating a closure per period.
 	t.tickFn = t.tick
-	t.ev = e.After(first, t.tickFn)
-	return t
+	e.After(first, t.tickFn)
 }
 
-// Ticker fires a callback periodically until stopped.
-type Ticker struct {
-	engine  *Engine
-	period  Time
-	fn      func()
-	tickFn  func()
-	ev      Event
-	stopped bool
+// ticker fires a callback periodically.
+type ticker struct {
+	engine *Engine
+	period Time
+	fn     func()
+	tickFn func()
 }
 
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
+func (t *ticker) tick() {
 	t.fn()
-	if !t.stopped { // fn may have stopped us
-		t.ev = t.engine.After(t.period, t.tickFn)
-	}
+	t.engine.After(t.period, t.tickFn)
 }
 
-// Stop cancels future firings.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.ev.Cancel()
-}
-
-// Stop halts the run loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run processes events until the queue is empty, until is reached, or
-// Stop is called, whichever comes first. The clock is left at the last
-// processed event time, or at until if the horizon was hit. It returns
-// the number of events processed.
+// Run processes events until the queue is empty or until is reached,
+// whichever comes first. The clock is left at the last processed event
+// time, or at until if the horizon was hit. It returns the number of
+// events processed.
 func (e *Engine) Run(until Time) int {
-	e.stopped = false
 	n := 0
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		s := e.heap[0]
 		sl := &e.slots[s]
 		if sl.at > until {
@@ -316,9 +282,8 @@ func (e *Engine) Run(until Time) int {
 // byte-identical to an unwindowed Run. It returns the number of events
 // processed.
 func (e *Engine) RunBefore(horizon Time) int {
-	e.stopped = false
 	n := 0
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		s := e.heap[0]
 		sl := &e.slots[s]
 		if sl.at >= horizon {
@@ -341,13 +306,12 @@ func (e *Engine) RunBefore(horizon Time) int {
 	return n
 }
 
-// RunAll processes events until the queue is empty or Stop is called.
-// It returns the number of events processed. Use with care: a Ticker
-// keeps the queue non-empty forever.
+// RunAll processes events until the queue is empty. It returns the
+// number of events processed. Use with care: EveryAt keeps the queue
+// non-empty forever.
 func (e *Engine) RunAll() int {
-	e.stopped = false
 	n := 0
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		s := e.heap[0]
 		sl := &e.slots[s]
 		e.now = sl.at
@@ -363,10 +327,6 @@ func (e *Engine) RunAll() int {
 	}
 	return n
 }
-
-// Pending returns the number of scheduled (not yet fired or cancelled)
-// events. Cancelled events leave the heap immediately, so this is O(1).
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // The priority queue: a 4-ary min-heap of slot indices. Children of
 // node i sit at 4i+1..4i+4, the parent at (i-1)/4.

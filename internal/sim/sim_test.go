@@ -68,12 +68,12 @@ func TestCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
 	ev := e.After(10*time.Millisecond, func() { fired = true })
-	if !ev.Pending() {
-		t.Fatal("event not pending after scheduling")
+	if got := e.Stats().Pending; got != 1 {
+		t.Fatalf("Pending after scheduling = %d, want 1", got)
 	}
 	ev.Cancel()
-	if ev.Pending() {
-		t.Fatal("event still pending after cancel")
+	if got := e.Stats().Pending; got != 0 {
+		t.Fatalf("Pending after cancel = %d, want 0", got)
 	}
 	ev.Cancel() // double-cancel is a no-op
 	e.Run(time.Second)
@@ -118,9 +118,6 @@ func TestCancelStatsCountOnce(t *testing.T) {
 
 	var never Event // never scheduled
 	never.Cancel()  // must be a safe no-op
-	if never.Pending() {
-		t.Fatal("zero-value handle reports Pending")
-	}
 	if got := e.Stats().Cancelled; got != 1 {
 		t.Fatalf("Cancelled after zero-handle cancel = %d, want still 1", got)
 	}
@@ -136,12 +133,16 @@ func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 	replacementFired := false
 	repl := e.After(time.Millisecond, func() { replacementFired = true })
 	old.Cancel() // stale: must not cancel repl even if slots collide
-	if !repl.Pending() {
-		t.Fatal("stale Cancel removed a recycled slot's new event")
+	if got := e.Stats().Pending; got != 1 {
+		t.Fatalf("Pending after a stale Cancel = %d, want 1: it removed a recycled slot's new event", got)
 	}
 	e.Run(time.Second)
 	if !replacementFired {
 		t.Fatal("recycled-slot event did not fire")
+	}
+	repl.Cancel() // fired: a no-op
+	if got := e.Stats().Cancelled; got != 0 {
+		t.Fatalf("Cancelled = %d, want 0", got)
 	}
 }
 
@@ -204,11 +205,10 @@ func TestRunHorizon(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
-	tk := e.EveryAt(100*time.Millisecond, 100*time.Millisecond, func() {
+	e.EveryAt(100*time.Millisecond, 100*time.Millisecond, func() {
 		times = append(times, e.Now())
 	})
-	e.After(350*time.Millisecond, func() { tk.Stop() })
-	e.Run(time.Second)
+	e.Run(350 * time.Millisecond)
 	if len(times) != 3 {
 		t.Fatalf("ticker fired %d times, want 3 (at %v)", len(times), times)
 	}
@@ -220,51 +220,17 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-func TestTickerStopFromCallback(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	var tk *Ticker
-	tk = e.EveryAt(10*time.Millisecond, 10*time.Millisecond, func() {
-		n++
-		if n == 2 {
-			tk.Stop()
-		}
-	})
-	e.Run(time.Second)
-	if n != 2 {
-		t.Fatalf("ticker fired %d times after self-stop, want 2", n)
-	}
-}
-
 func TestEveryAtFirstDelay(t *testing.T) {
 	e := NewEngine(1)
 	var first Time = -1
-	tk := e.EveryAt(0, 50*time.Millisecond, func() {
+	e.EveryAt(0, 50*time.Millisecond, func() {
 		if first < 0 {
 			first = e.Now()
 		}
 	})
-	defer tk.Stop()
 	e.Run(200 * time.Millisecond)
 	if first != 0 {
 		t.Fatalf("first firing at %v, want 0", first)
-	}
-}
-
-func TestStopMidRun(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*time.Millisecond, func() {
-			count++
-			if count == 4 {
-				e.Stop()
-			}
-		})
-	}
-	n := e.Run(time.Second)
-	if n != 4 || count != 4 {
-		t.Fatalf("processed %d events after Stop, want 4", n)
 	}
 }
 
@@ -319,16 +285,16 @@ func TestPendingCount(t *testing.T) {
 	e := NewEngine(1)
 	ev1 := e.After(time.Millisecond, func() {})
 	e.After(2*time.Millisecond, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if got := e.Stats().Pending; got != 2 {
+		t.Fatalf("Pending = %d, want 2", got)
 	}
 	ev1.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
+	if got := e.Stats().Pending; got != 1 {
+		t.Fatalf("Pending after cancel = %d, want 1", got)
 	}
 	e.Run(time.Second)
-	if e.Pending() != 0 {
-		t.Fatalf("Pending after run = %d, want 0", e.Pending())
+	if got := e.Stats().Pending; got != 0 {
+		t.Fatalf("Pending after run = %d, want 0", got)
 	}
 }
 
@@ -396,14 +362,18 @@ func TestRandomCancelStress(t *testing.T) {
 		e := NewEngine(int64(trial))
 		const n = 300
 		events := make([]Event, n)
+		ats := make([]Time, n)
 		firedSeq := make([]int, 0, n)
+		fired := make(map[int]bool)
 		cancelled := make(map[int]bool)
+		pending := func(v int) bool { return !fired[v] && !cancelled[v] }
 		for i := 0; i < n; i++ {
-			at := Time(rng.Intn(50)) * time.Millisecond
-			events[i] = e.Schedule(at, func() {
+			ats[i] = Time(rng.Intn(50)) * time.Millisecond
+			events[i] = e.Schedule(ats[i], func() {
 				firedSeq = append(firedSeq, i)
+				fired[i] = true
 				// Occasionally cancel a random later event mid-run.
-				if v := rng.Intn(n); rng.Intn(4) == 0 && events[v].Pending() {
+				if v := rng.Intn(n); rng.Intn(4) == 0 && pending(v) {
 					events[v].Cancel()
 					cancelled[v] = true
 				}
@@ -412,7 +382,7 @@ func TestRandomCancelStress(t *testing.T) {
 		// Cancel a random subset up front.
 		for i := 0; i < n/4; i++ {
 			v := rng.Intn(n)
-			if events[v].Pending() {
+			if pending(v) {
 				events[v].Cancel()
 				cancelled[v] = true
 			}
@@ -428,11 +398,11 @@ func TestRandomCancelStress(t *testing.T) {
 			}
 		}
 		for j := 1; j < len(firedSeq); j++ {
-			a, b := events[firedSeq[j-1]], events[firedSeq[j]]
-			if b.At() < a.At() {
-				t.Fatalf("trial %d: out-of-order firing at %v after %v", trial, b.At(), a.At())
+			a, b := ats[firedSeq[j-1]], ats[firedSeq[j]]
+			if b < a {
+				t.Fatalf("trial %d: out-of-order firing at %v after %v", trial, b, a)
 			}
-			if b.At() == a.At() && firedSeq[j] < firedSeq[j-1] {
+			if b == a && firedSeq[j] < firedSeq[j-1] {
 				t.Fatalf("trial %d: FIFO tie-break violated", trial)
 			}
 		}

@@ -17,7 +17,6 @@ import (
 // which is what an open-loop load harness pushing millions of requests
 // needs.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
@@ -54,30 +53,12 @@ func histUpper(idx int) int64 {
 
 // Record adds one observation.
 func (h *Histogram) Record(v int64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[histIndex(v)].Add(1)
 }
 
 // Observe records a duration in nanoseconds.
 func (h *Histogram) Observe(d time.Duration) { h.Record(int64(d)) }
-
-// Count returns how many observations have been recorded.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Mean returns the arithmetic mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]) with
-// ~3% relative error, or 0 when empty. For consistent multi-quantile
-// reads under concurrent writers, take a Snapshot first.
-func (h *Histogram) Quantile(q float64) int64 { return h.Snapshot().Quantile(q) }
 
 // HistSnapshot is an immutable copy of a Histogram's state.
 type HistSnapshot struct {
@@ -88,20 +69,16 @@ type HistSnapshot struct {
 
 // Snapshot copies the current counts. Under concurrent writers the
 // copy is not a single atomic cut, but every bucket value is itself
-// consistent, which is all quantile estimation needs.
+// consistent, which is all quantile estimation needs; N is the count
+// the bucket sweep saw, so ranks stay within the copied buckets.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.N = h.count.Load()
 	s.Sum = h.sum.Load()
-	total := int64(0)
 	for i := range h.buckets {
 		c := h.buckets[i].Load()
 		s.buckets[i] = c
-		total += c
+		s.N += c
 	}
-	// The bucket sweep may observe more or fewer samples than the
-	// count field did; rank against what the sweep actually saw.
-	s.N = total
 	return s
 }
 

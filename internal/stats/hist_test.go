@@ -86,17 +86,18 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := h.Count(); n != workers*per {
-		t.Fatalf("lost observations: %d != %d", n, workers*per)
+	snap := h.Snapshot()
+	if snap.N != workers*per {
+		t.Fatalf("lost observations: %d != %d", snap.N, workers*per)
 	}
-	if q := h.Quantile(0.5); q <= 0 || q > 2e6 {
+	if q := snap.Quantile(0.5); q <= 0 || q > 2e6 {
 		t.Fatalf("implausible median %d", q)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Count() != 0 {
+	if s := h.Snapshot(); s.Quantile(0.99) != 0 || s.Mean() != 0 || s.N != 0 {
 		t.Fatal("empty histogram should read as zeros")
 	}
 }

@@ -26,16 +26,6 @@ func NewCDF(samples []float64) *CDF {
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// First index with value > x.
-	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear
 // interpolation.
 func (c *CDF) Quantile(q float64) float64 {

@@ -17,14 +17,14 @@ func TestCDFBasics(t *testing.T) {
 	if c.Min() != 1 || c.Max() != 4 {
 		t.Fatalf("extremes %g %g", c.Min(), c.Max())
 	}
-	if got := c.At(2); got != 0.5 {
-		t.Fatalf("At(2) = %g, want 0.5", got)
+	if got := c.FractionBelow(3); got != 0.5 {
+		t.Fatalf("FractionBelow(3) = %g, want 0.5", got)
 	}
-	if got := c.At(0.5); got != 0 {
-		t.Fatalf("At(0.5) = %g, want 0", got)
+	if got := c.FractionBelow(1); got != 0 {
+		t.Fatalf("FractionBelow(1) = %g, want 0", got)
 	}
-	if got := c.At(100); got != 1 {
-		t.Fatalf("At(100) = %g, want 1", got)
+	if got := c.FractionBelow(100); got != 1 {
+		t.Fatalf("FractionBelow(100) = %g, want 1", got)
 	}
 	if got := c.Mean(); got != 2.5 {
 		t.Fatalf("mean = %g", got)
@@ -52,7 +52,7 @@ func TestEmptyCDF(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) || !math.IsNaN(c.Mean()) {
 		t.Fatal("empty CDF should be NaN")
 	}
-	if c.At(1) != 0 || c.FractionBelow(1) != 0 {
+	if c.FractionBelow(1) != 0 {
 		t.Fatal("empty CDF probabilities should be 0")
 	}
 	if c.Points(5) != nil {

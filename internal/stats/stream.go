@@ -119,9 +119,6 @@ func (s *QuantileSketch) valueOf(i int) float64 {
 	return 2 * math.Pow(s.gamma, float64(i)) / (1 + s.gamma)
 }
 
-// Count returns the number of observations absorbed.
-func (s *QuantileSketch) Count() int64 { return s.count }
-
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) within
 // relative error alpha of the true sample value. Empty sketches return
 // 0.

@@ -23,8 +23,8 @@ func checkSketchAccuracy(t *testing.T, name string, samples []float64, alpha flo
 	for _, v := range samples {
 		s.Add(v)
 	}
-	if s.Count() != int64(len(samples)) {
-		t.Fatalf("%s: count %d, want %d", name, s.Count(), len(samples))
+	if s.count != int64(len(samples)) {
+		t.Fatalf("%s: count %d, want %d", name, s.count, len(samples))
 	}
 	for q := 0.0; q <= 1.0; q += 0.1 {
 		got := s.Quantile(q)
@@ -100,8 +100,8 @@ func TestQuantileSketchMergeExact(t *testing.T) {
 	for _, sh := range rng.Perm(shards) {
 		merged.Merge(parts[sh])
 	}
-	if merged.Count() != single.Count() {
-		t.Fatalf("merged count %d, want %d", merged.Count(), single.Count())
+	if merged.count != single.count {
+		t.Fatalf("merged count %d, want %d", merged.count, single.count)
 	}
 	for q := 0.0; q <= 1.0; q += 0.05 {
 		if a, b := merged.Quantile(q), single.Quantile(q); a != b {
@@ -131,8 +131,8 @@ func TestQuantileSketchRejectsNegative(t *testing.T) {
 				if recover() == nil {
 					t.Errorf("%s did not panic", c.name)
 				}
-				if s.Count() != 0 || len(s.counts) != 0 {
-					t.Errorf("%s left state behind: count %d, %d buckets", c.name, s.Count(), len(s.counts))
+				if s.count != 0 || len(s.counts) != 0 {
+					t.Errorf("%s left state behind: count %d, %d buckets", c.name, s.count, len(s.counts))
 				}
 			}()
 			c.add(s)

@@ -146,9 +146,6 @@ func (r *Ring) Close() error {
 	return err
 }
 
-// Err returns the first spill-write error, if any.
-func (r *Ring) Err() error { return r.err }
-
 // Stats returns a snapshot of the ring's counters.
 func (r *Ring) Stats() RingStats { return r.stats }
 

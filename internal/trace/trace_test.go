@@ -241,8 +241,8 @@ func TestRingSpillWriteFailure(t *testing.T) {
 	if err := r.Close(); err == nil {
 		t.Fatal("write failure not surfaced by Close")
 	}
-	if r.Err() == nil {
-		t.Fatal("Err() lost the write failure")
+	if err := r.Flush(); err == nil {
+		t.Fatal("Flush after the failure lost it")
 	}
 	if w.calls != 1 {
 		t.Fatalf("writer called %d times after failing, want 1", w.calls)

@@ -159,16 +159,6 @@ func (t *FlowTracker) Enqueue(f *Flow) {
 	}
 }
 
-// QueuedBits returns the bits a client still has outstanding given the
-// delivered total.
-func (t *FlowTracker) QueuedBits(clientID int, delivered int64) int64 {
-	q := t.enqueued[clientID] - delivered
-	if q < 0 {
-		return 0
-	}
-	return q
-}
-
 // Progress reports the client's cumulative delivered bits at time now,
 // completing any flows whose thresholds were crossed.
 func (t *FlowTracker) Progress(clientID int, delivered int64, now time.Duration) {

@@ -83,9 +83,6 @@ func TestFlowTrackerFIFOCompletion(t *testing.T) {
 	if got := len(tr.pending[9]); got != 2 {
 		t.Fatalf("%d of 2 flows pending at 999/1000 bits", got)
 	}
-	if q := tr.QueuedBits(9, 999); q != 501 {
-		t.Fatalf("queued = %d, want 501", q)
-	}
 	tr.Progress(9, 1000, 2*time.Second)
 	if q := tr.pending[9]; len(q) != 1 || q[0].flow.ID != 2 {
 		t.Fatalf("flow 1 not completed first: pending %+v", q)
@@ -114,7 +111,7 @@ func TestFlowTrackerMultipleClients(t *testing.T) {
 	if len(tr.CompletedPages()) != 1 {
 		t.Fatal("client 1's page should be done")
 	}
-	if tr.QueuedBits(2, 0) != 100 {
+	if len(tr.pending[2]) != 1 {
 		t.Fatal("client 2's queue touched by client 1's progress")
 	}
 }
@@ -137,13 +134,5 @@ func TestFlowTrackerCrossPageFIFO(t *testing.T) {
 		if p.PageID == 10 && p.Finished != 3*time.Second {
 			t.Fatalf("page 10 finished at %v, want 3s", p.Finished)
 		}
-	}
-}
-
-func TestQueuedBitsNeverNegative(t *testing.T) {
-	tr := NewFlowTracker()
-	tr.Enqueue(&Flow{ID: 1, ClientID: 1, Bits: 100, PageID: 1})
-	if q := tr.QueuedBits(1, 500); q != 0 {
-		t.Fatalf("over-delivery produced queue %d", q)
 	}
 }
