@@ -39,8 +39,8 @@ var goldenCSMA = map[string]string{
 // schedules for the same MAC stream moves it and leaves goldenCSMA
 // alone. Re-roll it the same way from TestCSMAEngineFires' output.
 var goldenCSMAFires = map[string]uint64{
-	"fig9-af":  31495,
-	"bench-ac": 4728,
+	"fig9-af":  8094,
+	"bench-ac": 3417,
 }
 
 // fig9AfNetwork builds the densest Fig. 9 Wi-Fi arm: topo.Paper(14, 6)

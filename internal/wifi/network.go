@@ -75,6 +75,13 @@ type Network struct {
 	csMWC, csForDBm float64
 	edMWC, edForDBm float64
 
+	// difsSeq numbers DIFS ticks in the order they are scheduled, which
+	// is the order the engine dispatches those due at one instant.
+	difsSeq uint64
+	// expiring is the AP whose countdown expiry is starting its
+	// exchange, nil otherwise: the cause other APs' folds consult.
+	expiring *Node
+
 	// Drops counts aggregates abandoned after the retry limit.
 	Drops int
 	// stats accumulates MAC-level counters.
@@ -146,20 +153,29 @@ type Node struct {
 	// path never hashes.
 	qBits, dBits int64
 
-	// Contention state.
+	// Contention state. deferEv is the pending DIFS tick (difsSeq > 0,
+	// due at difsAt) or NAV wake-up; slotEv is the running countdown's
+	// expiry. While counting, backoff holds the slots the countdown
+	// started with at cdStart; reschedule folds the elapsed ones back.
 	contending bool
 	inTX       bool
+	counting   bool
 	backoff    int
 	cw         int
 	retries    int
 	navUntil   sim.Time
 	slotEv     sim.Event
 	deferEv    sim.Event
+	difsAt     sim.Time
+	difsSeq    uint64
+	cdStart    sim.Time
+	cdSeq      uint64
 
 	// Pre-bound event handlers (allocated once at registration so the
-	// per-slot and per-exchange paths never allocate closures).
+	// contention and per-exchange paths never allocate closures).
 	rescheduleFn func()
-	slotTickFn   func()
+	difsTickFn   func()
+	expiryFn     func()
 	afterRTSFn   func()
 	sendCTSFn    func()
 	afterCTSFn   func()
@@ -185,7 +201,8 @@ func (n *Network) AddAP(id int, pos geo.Point, txPowerDBm float64) *Node {
 		cw:  n.Params.CWMin,
 	}
 	ap.rescheduleFn = ap.reschedule
-	ap.slotTickFn = ap.slotTick
+	ap.difsTickFn = ap.difsTick
+	ap.expiryFn = ap.countdownExpiry
 	ap.afterRTSFn = ap.afterRTS
 	ap.sendCTSFn = ap.sendCTS
 	ap.afterCTSFn = ap.afterCTS
@@ -497,13 +514,59 @@ func (ap *Node) tryStart() {
 	ap.reschedule()
 }
 
+// The backoff countdown
+//
+// The MAC is slotted: after DIFS of idle medium an AP with backoff b
+// consumes one slot per SlotTime, at cdStart, cdStart+SlotTime, ...,
+// and starts its exchange at cdStart + b·SlotTime. Within a countdown
+// the medium cannot turn busy without a frame starting or ending, and
+// every frame start and end reschedules every contending AP; NAV is
+// only raised right after a frame end, SIFS before the next frame
+// starts, and SIFS < DIFS. So the slot ticks between cdStart and the
+// last one would only decrement backoff, and the countdown costs one
+// event: difsTick records its start and schedules countdownExpiry at
+// the instant of the last slot. A frame that cuts the countdown
+// short folds the slots that elapsed back into backoff (countedSlots).
+//
+// The per-slot model this replaces dispatched a slot tick one
+// SlotTime after the previous one, and the engine breaks same-instant
+// ties by scheduling order. The one-event model reproduces its order
+// exactly under these timing inequalities, which every shipped Params
+// satisfies (TestCountdownTimingBounds):
+//
+//   - DIFS > SlotTime: a DIFS tick due at an instant was scheduled
+//     before any slot tick due then, so it is dispatched first.
+//   - SIFS < DIFS: no countdown runs, and no DIFS tick is due, when a
+//     SIFS continuation puts the next frame of an exchange on the air.
+//   - Every frame is longer than DIFS: a frame end is dispatched before
+//     every DIFS tick due at its instant, and a countdown live at a
+//     frame end started after that frame did.
+//   - DIFS + CWMax·SlotTime is shorter than the 50 ms queue top-up
+//     period: an expiry is scheduled after every top-up due at its
+//     instant, as the last slot tick was. Callers that enqueue traffic
+//     from events scheduled less than a countdown ahead of a countdown's
+//     last slot could see the two in the other order.
+//
+// Between two countdowns, or a countdown and a DIFS tick, due at the
+// same instant, the per-slot order is: DIFS ticks in scheduling order,
+// then slot ticks, the countdown that started later first (its DIFS
+// tick was scheduled after the other's slot tick was), and for equal
+// starts the one whose DIFS tick fired first. countdownExpiry's
+// arbiter (runAhead) and countedSlots' tie rule both follow it.
+
 // reschedule (re)arms the defer/backoff machinery after any medium
-// state change.
+// state change, first folding a running countdown's elapsed slots
+// into backoff.
 func (ap *Node) reschedule() {
 	ap.slotEv.Cancel()
 	ap.slotEv = sim.Event{}
 	ap.deferEv.Cancel()
 	ap.deferEv = sim.Event{}
+	ap.difsSeq = 0
+	if ap.counting {
+		ap.backoff -= ap.countedSlots()
+		ap.counting = false
+	}
 	if !ap.contending || ap.inTX {
 		return
 	}
@@ -516,22 +579,115 @@ func (ap *Node) reschedule() {
 		return
 	}
 	// Idle: wait DIFS then count down slots.
-	ap.deferEv = n.eng.After(n.Params.DIFS, ap.slotTickFn)
+	n.difsSeq++
+	ap.difsSeq, ap.difsAt = n.difsSeq, n.eng.Now()+n.Params.DIFS
+	ap.deferEv = n.eng.After(n.Params.DIFS, ap.difsTickFn)
 }
 
-// slotTick consumes one backoff slot while the medium stays idle.
-func (ap *Node) slotTick() {
+// countedSlots returns how many backoff slots of the running countdown
+// the per-slot model had consumed when the current event cut it: every
+// slot tick strictly before now (the first, at cdStart, is the DIFS
+// tick itself and has fired), and one due exactly now if it would have
+// been dispatched before the event that cut the countdown. Only
+// another AP's countdown expiry can be ordered after it; frame ends,
+// SIFS continuations and DIFS ticks are all dispatched first.
+func (ap *Node) countedSlots() int {
 	n := ap.net
+	slot := n.Params.SlotTime
+	elapsed := n.eng.Now() - ap.cdStart
+	k := int((elapsed + slot - 1) / slot)
+	if elapsed%slot == 0 && (elapsed == 0 || n.expiring != nil && ap.slotsBefore(n.expiring)) {
+		k++
+	}
+	return min(k, ap.backoff)
+}
+
+// slotsBefore reports whether ap's slot ticks are dispatched before
+// peer's at an instant both countdowns have a slot on.
+func (ap *Node) slotsBefore(peer *Node) bool {
+	return ap.cdStart > peer.cdStart || ap.cdStart == peer.cdStart && ap.cdSeq < peer.cdSeq
+}
+
+// expiryAt is the instant of the running countdown's last slot.
+func (ap *Node) expiryAt() sim.Time {
+	return ap.cdStart + sim.Time(ap.backoff)*ap.net.Params.SlotTime
+}
+
+// difsTick ends a DIFS wait: on an idle medium it starts the exchange
+// (backoff 0) or the countdown, whose first slot is this tick.
+func (ap *Node) difsTick() {
+	n := ap.net
+	seq := ap.difsSeq
+	ap.difsSeq = 0
 	if n.busyAt(ap) {
 		ap.reschedule()
 		return
 	}
-	if ap.backoff > 0 {
-		ap.backoff--
-		ap.slotEv = n.eng.After(n.Params.SlotTime, ap.slotTickFn)
+	if ap.backoff == 0 {
+		ap.startExchange()
 		return
 	}
+	ap.counting, ap.cdStart, ap.cdSeq = true, n.eng.Now(), seq
+	ap.slotEv = n.eng.After(sim.Time(ap.backoff)*n.Params.SlotTime, ap.expiryFn)
+}
+
+// countdownExpiry fires at the countdown's last slot. It first runs
+// the peer events the per-slot model dispatched before that slot at
+// this instant; if none of them cut the countdown, the AP starts its
+// exchange.
+func (ap *Node) countdownExpiry() {
+	n := ap.net
+	n.runAhead(ap)
+	if !ap.counting {
+		return
+	}
+	ap.counting = false
+	ap.slotEv = sim.Event{}
+	ap.backoff = 0
+	if n.busyAt(ap) {
+		ap.reschedule()
+		return
+	}
+	n.expiring = ap
 	ap.startExchange()
+	n.expiring = nil
+}
+
+// runAhead is the expiry arbiter. The engine orders ap's expiry by
+// when the countdown started, the per-slot model by when its last slot
+// tick was scheduled, one slot earlier; so before ap acts it runs, in
+// per-slot order, every peer event due now that the per-slot model
+// dispatched first — DIFS ticks, then expiries of countdowns whose
+// slots go first — cancelling their engine events. Any of them may
+// put a frame on the air and so cut ap's countdown.
+func (n *Network) runAhead(ap *Node) {
+	now := n.eng.Now()
+	for {
+		var next *Node
+		for _, p := range n.aps {
+			switch {
+			case p == ap:
+			case p.difsSeq != 0:
+				if p.difsAt == now && (next == nil || next.difsSeq == 0 || p.difsSeq < next.difsSeq) {
+					next = p
+				}
+			case p.counting && p.expiryAt() == now && p.slotsBefore(ap):
+				if next == nil || next.difsSeq == 0 && p.slotsBefore(next) {
+					next = p
+				}
+			}
+		}
+		switch {
+		case next == nil:
+			return
+		case next.difsSeq != 0:
+			next.deferEv.Cancel()
+			next.difsTick()
+		default:
+			next.slotEv.Cancel()
+			next.countdownExpiry()
+		}
+	}
 }
 
 // pickClient round-robins over clients with queued data.
