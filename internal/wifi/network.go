@@ -31,7 +31,7 @@ func frameCode(kind string) int64 {
 // through the propagation model; carrier sensing, NAV, collisions,
 // hidden and exposed terminals all follow from received powers.
 //
-// The per-slot and per-frame paths are allocation-free in steady
+// The contention and per-frame paths are allocation-free in steady
 // state: transmissions come from a pool with their end-of-frame
 // handler bound once, overlap tracking uses reusable slices instead of
 // per-frame maps, exchange continuations are functions bound per AP at
@@ -43,9 +43,9 @@ type Network struct {
 	// links is the static link budget of every directed (tx, rx) node
 	// pair, row-major by dense registration index:
 	// links[tx.idx*stride+rx.idx]. Carrier sensing evaluates every
-	// active transmission at every contending node on every slot tick,
-	// all over a topology that never moves, so the CSMA inner loop is
-	// an indexed load. Entries fill on first use; the first lookup after
+	// active transmission at every contending node on every frame start
+	// and end, all over a topology that never moves, so the CSMA inner
+	// loop is an indexed load. Entries fill on first use; the first lookup after
 	// a node registers re-strides the table, copying the filled rows
 	// across.
 	links  []linkBudget
@@ -733,8 +733,8 @@ func (ap *Node) startExchange() {
 
 	budget := n.Params.MaxTXDuration
 	payloadBytes := n.Params.MaxPayloadForDuration(budget, mcs)
-	if q := client.qBits / 8; int64(payloadBytes) > q {
-		payloadBytes = int(q)
+	if q := (client.qBits + 7) / 8; int64(payloadBytes) > q {
+		payloadBytes = int(q) // the last byte may carry a partial one
 	}
 	ap.exClient = client
 	ap.exMCS = mcs
@@ -817,12 +817,11 @@ func (ap *Node) afterAck() {
 	ap.success(ap.exClient, int64(ap.exPayload)*8)
 }
 
-// success completes a TXOP: credit delivery, reset contention state.
+// success completes a TXOP: credit delivery (at most the queued bits),
+// reset contention state.
 func (ap *Node) success(client *Node, bits int64) {
+	bits = min(bits, client.qBits)
 	client.qBits -= bits
-	if client.qBits < 0 {
-		client.qBits = 0
-	}
 	client.dBits += bits
 	ap.net.stats.TXOPs++
 	ap.net.stats.DeliveredBits += bits

@@ -202,6 +202,31 @@ func TestQueueConservation(t *testing.T) {
 	}
 }
 
+// A queue that is not a whole number of bytes drains in one TXOP that
+// carries its last partial byte and credits exactly the queued bits. A
+// payload truncated to whole bytes left 4 of 12 bits stuck behind an
+// endless run of zero-byte TXOPs, each counted in TXOPs and airtime.
+func TestPartialByteQueueDrains(t *testing.T) {
+	eng := sim.NewEngine(4)
+	p := Params11ac20()
+	n := NewNetwork(eng, quietModel(4), p)
+	ap := n.AddAP(1, geo.Point{}, 20)
+	cli := n.AddClient(100, geo.Point{X: 25, Y: 0}, 20, ap)
+	ap.Enqueue(cli, 12)
+	eng.Run(100 * time.Millisecond)
+	if d, q := ap.DeliveredBits(cli), ap.QueuedBits(cli); d != 12 || q != 0 {
+		t.Fatalf("delivered %d, queued %d bits; want 12 and 0", d, q)
+	}
+	st := n.Stats()
+	if st.TXOPs != 1 || st.Failures != 0 || st.DeliveredBits != 12 {
+		t.Fatalf("stats %+v: want one TXOP delivering 12 bits", st)
+	}
+	mcs, _ := phy.WiFiMCSFromSINR(n.rxPowerDBm(ap, cli) - n.noiseDBm() - p.LinkMarginDB)
+	if want := p.FrameDuration(2, mcs) - p.PreambleDur; st.DataAirtime != want {
+		t.Fatalf("data airtime %v, want one 2-byte frame's %v", st.DataAirtime, want)
+	}
+}
+
 func TestEnqueueOnNonAPPanics(t *testing.T) {
 	eng := sim.NewEngine(3)
 	n := NewNetwork(eng, quietModel(3), Params11ac20())
