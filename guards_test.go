@@ -3,6 +3,7 @@ package cellfi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -612,24 +614,158 @@ func checkDocRefs(t *testing.T, u *universe) {
 		m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p.types, member)
 		return m != nil
 	}
+	docs := &docIndex{resolves: resolves, files: map[string]int{}, targets: map[string]bool{}}
+	if err := docs.load(); err != nil {
+		t.Fatal(err)
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fenced := false
-		for i, line := range strings.Split(string(b), "\n") {
-			if strings.HasPrefix(line, "```") {
-				fenced = !fenced
+		for _, p := range docs.problems(doc, string(b)) {
+			t.Error(p)
+		}
+	}
+	// One planted bad reference of each kind must be reported.
+	planted := "`wifi.NoSuchThing` `internal/wifi/nosuch.go` `bench/imdense.go:9999` `nosuch_test.go` `lte/nosuch`\n" +
+		"`make nosuch`\n```\nmake nosuch-either\n```\n"
+	if got := docs.problems("planted.md", planted); len(got) != 7 {
+		t.Errorf("planted doc: %d problems reported, want 7:\n%s", len(got), strings.Join(got, "\n"))
+	}
+}
+
+// docIndex answers what a doc's backticked references may name: module
+// identifiers (resolves), repo files and directories by path (files:
+// path -> line count, -1 for a directory) and by basename (files:
+// "base:"+name -> how many files carry it), and Makefile targets.
+type docIndex struct {
+	resolves func(pkgName, name, member string) bool
+	files    map[string]int
+	targets  map[string]bool
+}
+
+var (
+	// docPath is a backticked path: a file with one of the repo's
+	// extensions, optionally :line or :line,line, or a directory path
+	// with a slash (resolvePath skips those outside the repo, such as
+	// math/rand).
+	docPath = regexp.MustCompile("`" + `(?:\./)?([\w.-]+(?:/[\w.-]+)*\.(?:go|md|json|sh|golden|mod)|[\w-]+/(?:[\w-]+(?:/[\w-]+)*/?)?)(?::(\d+)(?:[,–-](\d+))?)?` + "`")
+	// docMake is a make invocation: anywhere in a backticked span, or
+	// at the start of a line of a fenced block, after env assignments.
+	docMakeInline = regexp.MustCompile(`(?:^|\s)make\s+([a-z][\w-]*)`)
+	docMakeFenced = regexp.MustCompile(`^\s*(?:\w+=\S*\s+)*make\s+([a-z][\w-]*)`)
+	codeSpan      = regexp.MustCompile("`[^`]+`")
+	makeTarget    = regexp.MustCompile(`(?m)^([a-z][\w-]*):`)
+)
+
+// load walks the repo for its files and directories and reads the
+// Makefile's targets.
+func (d *docIndex) load() error {
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if e.IsDir() {
+			if e.Name() == ".git" || path == "bench/out" {
+				return filepath.SkipDir
 			}
-			if fenced {
-				continue
+			d.files[path] = -1
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		d.files[path] = bytes.Count(b, []byte("\n")) + 1
+		d.files["base:"+e.Name()]++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	b, err := os.ReadFile("Makefile")
+	if err != nil {
+		return err
+	}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(b), -1) {
+		d.targets[m[1]] = true
+	}
+	return nil
+}
+
+// problems lists every reference in one doc that names nothing.
+// Identifier and path references are read outside fenced blocks, make
+// invocations everywhere. A path resolves against the repo root, then
+// internal/, then (a bare file name) as the basename of exactly one
+// file; a line number must lie inside the file.
+func (d *docIndex) problems(doc, text string) []string {
+	var out []string
+	bad := func(i int, ref, why string) { out = append(out, fmt.Sprintf("%s:%d: %s %s", doc, i+1, ref, why)) }
+	fenced := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			if m := docMakeFenced.FindStringSubmatch(line); m != nil && !d.targets[m[1]] {
+				bad(i, "make "+m[1], "is no Makefile target")
 			}
-			for _, m := range docRef.FindAllStringSubmatch(line, -1) {
-				if !resolves(m[1], m[2], m[3]) {
-					t.Errorf("%s:%d: %s names nothing in the module", doc, i+1, m[0])
-				}
+			continue
+		}
+		for _, m := range docRef.FindAllStringSubmatch(line, -1) {
+			if !d.resolves(m[1], m[2], m[3]) {
+				bad(i, m[0], "names nothing in the module")
+			}
+		}
+		for _, m := range docPath.FindAllStringSubmatch(line, -1) {
+			if why := d.resolvePath(m[1], m[2], m[3]); why != "" {
+				bad(i, m[0], why)
+			}
+		}
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			if m := docMakeInline.FindStringSubmatch(strings.Trim(span, "`")); m != nil && !d.targets[m[1]] {
+				bad(i, "make "+m[1], "is no Makefile target")
 			}
 		}
 	}
+	return out
+}
+
+// resolvePath returns why a path reference (with optional line numbers)
+// names nothing, or "" when it resolves.
+func (d *docIndex) resolvePath(path, from, to string) string {
+	path = strings.TrimSuffix(path, "/")
+	if !strings.Contains(path, ".") {
+		// A directory path counts only when it starts at a top-level
+		// directory or an internal/ package.
+		first, _, _ := strings.Cut(path, "/")
+		if d.files[first] != -1 && d.files["internal/"+first] != -1 {
+			return ""
+		}
+	}
+	lines, ok := d.files[path]
+	if !ok {
+		lines, ok = d.files["internal/"+path]
+	}
+	if !ok && !strings.Contains(path, "/") {
+		switch d.files["base:"+path] {
+		case 0:
+		case 1:
+			ok, lines = true, 0
+		default:
+			return "names several files; give its directory"
+		}
+	}
+	if !ok {
+		return "is no file or directory in the repo"
+	}
+	for _, l := range []string{from, to} {
+		if n, err := strconv.Atoi(l); err == nil && (lines == -1 || lines > 0 && n > lines) {
+			return fmt.Sprintf("points past the end of the file (%d lines)", lines)
+		}
+	}
+	return ""
 }
