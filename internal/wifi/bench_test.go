@@ -27,10 +27,11 @@ func benchNetwork(tb testing.TB, params Params) (*sim.Engine, *Network) {
 }
 
 // BenchmarkCSMASlotLoop measures the contention inner loop — DIFS
-// deferral, slot countdown, carrier-sense scans and the RTS/CTS/data/
-// ACK exchanges they gate — per millisecond of virtual time. Tracked
-// with allocations because busyAt runs on every slot tick for every
-// contender; TestCSMASlotStepZeroAllocs gates them.
+// deferral, backoff countdowns, carrier-sense scans and the RTS/CTS/
+// data/ACK exchanges they gate — per millisecond of virtual time.
+// Tracked with allocations because busyAt runs for every contender on
+// every frame start and end and every DIFS tick and countdown expiry;
+// TestCSMASlotStepZeroAllocs gates them.
 func BenchmarkCSMASlotLoop(b *testing.B) {
 	eng, _ := benchNetwork(b, Params11af())
 	b.ReportAllocs()
@@ -55,8 +56,9 @@ func BenchmarkCSMASlotLoop11ac(b *testing.B) {
 	}
 }
 
-// The CSMA slot step — carrier-sense scans, backoff, pooled frame
-// records and the pre-bound exchange handlers — must be allocation-free
+// The CSMA contention step — carrier-sense scans, DIFS ticks, one-event
+// countdowns and their arbiter, pooled frame records and the pre-bound
+// exchange handlers — must be allocation-free
 // once the transmission pool and overlap slices are warm, with the
 // flight recorder off (nil) and on (a live ring).
 func TestCSMASlotStepZeroAllocs(t *testing.T) {

@@ -528,11 +528,11 @@ func (ap *Node) tryStart() {
 // the instant of the last slot. A frame that cuts the countdown
 // short folds the slots that elapsed back into backoff (countedSlots).
 //
-// The per-slot model this replaces dispatched a slot tick one
-// SlotTime after the previous one, and the engine breaks same-instant
-// ties by scheduling order. The one-event model reproduces its order
-// exactly under these timing inequalities, which every shipped Params
-// satisfies (TestCountdownTimingBounds):
+// The reference is the per-slot model, one engine event per slot, each
+// scheduled by the one before it; the engine breaks same-instant ties
+// by scheduling order. The one-event countdown reproduces that order,
+// and so the MAC stream, under these timing inequalities, which every
+// shipped Params satisfies (TestCountdownTimingBounds):
 //
 //   - DIFS > SlotTime: a DIFS tick due at an instant was scheduled
 //     before any slot tick due then, so it is dispatched first.
@@ -543,9 +543,12 @@ func (ap *Node) tryStart() {
 //     frame end started after that frame did.
 //   - DIFS + CWMax·SlotTime is shorter than the 50 ms queue top-up
 //     period: an expiry is scheduled after every top-up due at its
-//     instant, as the last slot tick was. Callers that enqueue traffic
-//     from events scheduled less than a countdown ahead of a countdown's
-//     last slot could see the two in the other order.
+//     instant, as the last slot tick was. An outside event due at a
+//     countdown's last slot and scheduled after the countdown started,
+//     but more than a slot before that instant, would run after the
+//     expiry, not before the slot tick. The experiments schedule none:
+//     their top-ups are periodic, and page arrivals are scheduled at
+//     least a second ahead or at their own instant.
 //
 // Between two countdowns, or a countdown and a DIFS tick, due at the
 // same instant, the per-slot order is: DIFS ticks in scheduling order,
