@@ -614,7 +614,7 @@ func checkDocRefs(t *testing.T, u *universe) {
 		m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p.types, member)
 		return m != nil
 	}
-	docs := &docIndex{resolves: resolves, files: map[string]int{}, targets: map[string]bool{}}
+	docs := &docIndex{resolves: resolves, lines: map[string]int{}, bases: map[string][]string{}, targets: map[string]bool{}}
 	if err := docs.load(); err != nil {
 		t.Fatal(err)
 	}
@@ -636,12 +636,13 @@ func checkDocRefs(t *testing.T, u *universe) {
 }
 
 // docIndex answers what a doc's backticked references may name: module
-// identifiers (resolves), repo files and directories by path (files:
-// path -> line count, -1 for a directory) and by basename (files:
-// "base:"+name -> how many files carry it), and Makefile targets.
+// identifiers (resolves), repo files and directories by path (lines:
+// path -> line count, -1 for a directory), files by basename, and
+// Makefile targets.
 type docIndex struct {
 	resolves func(pkgName, name, member string) bool
-	files    map[string]int
+	lines    map[string]int
+	bases    map[string][]string
 	targets  map[string]bool
 }
 
@@ -651,8 +652,9 @@ var (
 	// with a slash (resolvePath skips those outside the repo, such as
 	// math/rand).
 	docPath = regexp.MustCompile("`" + `(?:\./)?([\w.-]+(?:/[\w.-]+)*\.(?:go|md|json|sh|golden|mod)|[\w-]+/(?:[\w-]+(?:/[\w-]+)*/?)?)(?::(\d+)(?:[,–-](\d+))?)?` + "`")
-	// docMake is a make invocation: anywhere in a backticked span, or
-	// at the start of a line of a fenced block, after env assignments.
+	// docMakeInline and docMakeFenced find a make invocation: anywhere
+	// in a backticked span, or at the start of a fenced line after env
+	// assignments.
 	docMakeInline = regexp.MustCompile(`(?:^|\s)make\s+([a-z][\w-]*)`)
 	docMakeFenced = regexp.MustCompile(`^\s*(?:\w+=\S*\s+)*make\s+([a-z][\w-]*)`)
 	codeSpan      = regexp.MustCompile("`[^`]+`")
@@ -671,15 +673,15 @@ func (d *docIndex) load() error {
 			if e.Name() == ".git" || path == "bench/out" {
 				return filepath.SkipDir
 			}
-			d.files[path] = -1
+			d.lines[path] = -1
 			return nil
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		d.files[path] = bytes.Count(b, []byte("\n")) + 1
-		d.files["base:"+e.Name()]++
+		d.lines[path] = bytes.Count(b, []byte("\n")) + 1
+		d.bases[e.Name()] = append(d.bases[e.Name()], path)
 		return nil
 	})
 	if err != nil {
@@ -742,19 +744,19 @@ func (d *docIndex) resolvePath(path, from, to string) string {
 		// A directory path counts only when it starts at a top-level
 		// directory or an internal/ package.
 		first, _, _ := strings.Cut(path, "/")
-		if d.files[first] != -1 && d.files["internal/"+first] != -1 {
+		if d.lines[first] != -1 && d.lines["internal/"+first] != -1 {
 			return ""
 		}
 	}
-	lines, ok := d.files[path]
+	lines, ok := d.lines[path]
 	if !ok {
-		lines, ok = d.files["internal/"+path]
+		lines, ok = d.lines["internal/"+path]
 	}
 	if !ok && !strings.Contains(path, "/") {
-		switch d.files["base:"+path] {
+		switch files := d.bases[path]; len(files) {
 		case 0:
 		case 1:
-			ok, lines = true, 0
+			lines, ok = d.lines[files[0]]
 		default:
 			return "names several files; give its directory"
 		}
@@ -763,7 +765,7 @@ func (d *docIndex) resolvePath(path, from, to string) string {
 		return "is no file or directory in the repo"
 	}
 	for _, l := range []string{from, to} {
-		if n, err := strconv.Atoi(l); err == nil && (lines == -1 || lines > 0 && n > lines) {
+		if n, err := strconv.Atoi(l); err == nil && n > lines {
 			return fmt.Sprintf("points past the end of the file (%d lines)", lines)
 		}
 	}

@@ -45,9 +45,9 @@ type Network struct {
 	// links[tx.idx*stride+rx.idx]. Carrier sensing evaluates every
 	// active transmission at every contending node on every frame start
 	// and end, all over a topology that never moves, so the CSMA inner
-	// loop is an indexed load. Entries fill on first use; the first lookup after
-	// a node registers re-strides the table, copying the filled rows
-	// across.
+	// loop is an indexed load. Entries fill on first use; the first
+	// lookup after a node registers re-strides the table, copying the
+	// filled rows across.
 	links  []linkBudget
 	stride int
 	rng    *rand.Rand
@@ -539,8 +539,9 @@ func (ap *Node) tryStart() {
 //   - SIFS < DIFS: no countdown runs, and no DIFS tick is due, when a
 //     SIFS continuation puts the next frame of an exchange on the air.
 //   - Every frame is longer than DIFS: a frame end is dispatched before
-//     every DIFS tick due at its instant, and a countdown live at a
-//     frame end started after that frame did.
+//     every DIFS tick due at its instant. (A countdown live at a frame
+//     end started after the frame did, whose start rescheduled it, so
+//     its expiry is dispatched after the frame end too.)
 //   - DIFS + CWMax·SlotTime is shorter than the 50 ms queue top-up
 //     period: an expiry is scheduled after every top-up due at its
 //     instant, as the last slot tick was. An outside event due at a
@@ -645,7 +646,6 @@ func (ap *Node) countdownExpiry() {
 		return
 	}
 	ap.counting = false
-	ap.slotEv = sim.Event{}
 	ap.backoff = 0
 	if n.busyAt(ap) {
 		ap.reschedule()
