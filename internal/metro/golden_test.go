@@ -11,8 +11,7 @@ import (
 	"cellfi/internal/trace"
 )
 
-// goldenShardCity pins 60 epochs of shardCity per (seed, incumbents on
-// or off): an 8-byte SHA-256 prefix over the trace bytes, Epoch /
+// goldenShardCity pins 60 epochs of shardCity per seed: an 8-byte SHA-256 prefix over the trace bytes, Epoch /
 // AttachedCount / DeliveredBits, every UE's UEState, Throughput()'s
 // five fields, ThroughputQ() at q ∈ {0, 0.05, 0.5, 0.95, 1} and the
 // sketch's sample count (Throughput's, as both absorb one stream),
@@ -29,9 +28,7 @@ import (
 // says in CHANGES.md what moved and why. A digest that moves without
 // such a reason is a regression.
 var goldenShardCity = map[string]string{
-	"seed1/inc":   "828412ea71759c25",
 	"seed1/noinc": "67735b831ba4609e",
-	"seed2/inc":   "8e770f32938ee3f3",
 	"seed2/noinc": "0db5bcd360fe0d4e",
 }
 
@@ -125,23 +122,14 @@ func TestCityDigest(t *testing.T) {
 func TestMetroGolden(t *testing.T) {
 	const epochs = 60
 	for _, seed := range []int64{1, 2} {
-		for _, inc := range []bool{true, false} {
-			key := fmt.Sprintf("seed%d/noinc", seed)
-			if inc {
-				key = fmt.Sprintf("seed%d/inc", seed)
+		key := fmt.Sprintf("seed%d/noinc", seed)
+		for _, k := range []int{1, 2} {
+			got := metroDigest(t, shardCity(seed, k), epochs)
+			if k == 1 {
+				t.Logf("%q: %q,", key, got)
 			}
-			for _, k := range []int{1, 2} {
-				cfg := shardCity(seed, k)
-				if !inc {
-					cfg.Incumbents = nil
-				}
-				got := metroDigest(t, cfg, epochs)
-				if k == 1 {
-					t.Logf("%q: %q,", key, got)
-				}
-				if want := goldenShardCity[key]; got != want {
-					t.Errorf("%s K=%d: digest %s, golden %s", key, k, got, want)
-				}
+			if want := goldenShardCity[key]; got != want {
+				t.Errorf("%s K=%d: digest %s, golden %s", key, k, got, want)
 			}
 		}
 	}

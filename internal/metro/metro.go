@@ -51,9 +51,8 @@
 //	       the barrier
 //	t+500  the SINR/throughput sweep over owned attached UEs
 //	t+750  (fold, single-threaded) load deltas and per-shard aggregates
-//	       merge, streaming stats recompute, trace records emit, the
-//	       epoch counter advances and incumbent arrivals/departures for
-//	       the next epoch apply
+//	       merge, streaming stats recompute, the epoch's trace record
+//	       emits and the epoch counter advances
 //
 // With Shards <= 1 there is one slab and no cluster: Step runs the same
 // phases and the same folds inline on the caller's goroutine.
@@ -110,18 +109,6 @@ const (
 	msgHandoff int32 = iota + 1
 )
 
-// IncumbentEvent is a primary-user pop-up: at Epoch, every AP within
-// RadiusM of (X, Y) falls silent (no signal, no interference) until the
-// incumbent departs Duration epochs later; Duration <= 0 keeps it on
-// the air forever. Overlapping incumbents nest (an AP is silent while
-// covered by at least one).
-type IncumbentEvent struct {
-	Epoch    int64
-	Duration int64
-	X, Y     float64
-	RadiusM  float64
-}
-
 // Config sizes a metro world.
 type Config struct {
 	Seed int64
@@ -159,8 +146,6 @@ type Config struct {
 	// either way. New panics above 256: slab ownership is one byte per
 	// UE.
 	Shards int
-	// Incumbents are scheduled primary-user pop-ups.
-	Incumbents []IncumbentEvent
 }
 
 // DefaultCity returns the headline scenario: 2,000 APs and 100k UEs on
@@ -250,13 +235,6 @@ type ThroughputStats struct {
 	Min, Max       float64
 }
 
-// incChange is one precomputed incumbent timeline entry.
-type incChange struct {
-	epoch  int64
-	idx    int32
-	arrive bool
-}
-
 // World is one instantiated city. All per-UE state is SoA.
 type World struct {
 	Cfg   Config
@@ -306,17 +284,10 @@ type World struct {
 	attachSeq     []int32 // diurnal attach order (permutation)
 	attachedCount int32
 
-	// Incumbent machinery.
-	apDownCnt   []int32 // >0: AP silenced by that many incumbents
-	incTimeline []incChange
-	incNext     int
-	hasInc      bool
-
 	// Execution plumbing; cluster is nil with a single slab.
 	cluster *shard.Cluster
 	sctx    []*shardCtx
 	slabW   float64
-	started bool
 	rec     trace.Recorder
 }
 
@@ -343,12 +314,11 @@ func New(cfg Config) *World {
 		panic(fmt.Sprintf("metro: MinLoadFrac %v, MaxLoadFrac %v, want both in [0, 1]", lo, hi))
 	}
 	w := &World{
-		Cfg:    cfg,
-		model:  propagation.DefaultUrban(cfg.Seed),
-		fade:   propagation.NewFading(cfg.Seed + 1),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		slabW:  cfg.AreaW / float64(cfg.Shards),
-		hasInc: len(cfg.Incumbents) > 0,
+		Cfg:   cfg,
+		model: propagation.DefaultUrban(cfg.Seed),
+		fade:  propagation.NewFading(cfg.Seed + 1),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		slabW: cfg.AreaW / float64(cfg.Shards),
 	}
 	w.sctx = make([]*shardCtx, cfg.Shards)
 	for i := range w.sctx {
@@ -362,7 +332,6 @@ func New(cfg Config) *World {
 	w.apX = make([]float64, cfg.NAPs)
 	w.apY = make([]float64, cfg.NAPs)
 	w.apLoad = make([]int32, cfg.NAPs)
-	w.apDownCnt = make([]int32, cfg.NAPs)
 	for i, p := range aps {
 		w.apX[i], w.apY[i] = p.X, p.Y
 	}
@@ -407,8 +376,6 @@ func New(cfg Config) *World {
 	}
 	w.noiseMW = propagation.DBmToMW(propagation.NoiseDBm(bw.SubchannelHz(w.sc), 7))
 
-	w.incTimeline = buildIncTimeline(cfg.Incumbents)
-
 	if cfg.Shards > 1 {
 		w.cluster = shard.New(shard.Config{
 			Shards:      cfg.Shards,
@@ -422,34 +389,6 @@ func New(cfg Config) *World {
 		}
 	}
 	return w
-}
-
-// buildIncTimeline flattens incumbent events into a sorted change list:
-// (epoch asc, arrivals before departures, event index asc) — one fixed
-// application order at every shard count.
-func buildIncTimeline(evs []IncumbentEvent) []incChange {
-	if len(evs) == 0 {
-		return nil
-	}
-	tl := make([]incChange, 0, 2*len(evs))
-	for i, ev := range evs {
-		tl = append(tl, incChange{epoch: ev.Epoch, idx: int32(i), arrive: true})
-		if ev.Duration > 0 {
-			tl = append(tl, incChange{epoch: ev.Epoch + ev.Duration, idx: int32(i), arrive: false})
-		}
-	}
-	for i := 1; i < len(tl); i++ { // insertion sort: tiny, stable-by-construction keys
-		for j := i; j > 0; j-- {
-			a, b := tl[j-1], tl[j]
-			if a.epoch < b.epoch ||
-				(a.epoch == b.epoch && a.arrive && !b.arrive) ||
-				(a.epoch == b.epoch && a.arrive == b.arrive && a.idx < b.idx) {
-				break
-			}
-			tl[j-1], tl[j] = b, a
-		}
-	}
-	return tl
 }
 
 // slabOf maps an x coordinate to its owning shard.
@@ -671,9 +610,9 @@ func mix64(x uint64) uint64 {
 }
 
 // sweepPhase is the cache-linear SINR/throughput sweep over shard s's
-// attached UEs. It reads the shared load and incumbent tables (frozen
-// during windows) and writes only owned per-UE slots and the shard's
-// own aggregates.
+// attached UEs: one fused fade-and-sum pass per adjacency row. It reads
+// the shared load table (frozen during windows) and writes only owned
+// per-UE slots and the shard's own aggregates.
 func (w *World) sweepPhase(s int) {
 	cfg := &w.Cfg
 	sc := w.sctx[s]
@@ -696,35 +635,14 @@ func (w *World) sweepPhase(s int) {
 		base := u * k
 		n := int(w.nbrN[u])
 		aps, rx := w.nbrAP[base:base+n], w.nbrRxMW[base:base+n]
-		var sig float64
-		den := w.noiseMW
-		if w.hasInc {
-			for i, a := range aps {
-				if w.apDownCnt[a] > 0 {
-					continue // incumbent-silenced: no signal, no interference, no draw
-				}
-				p := float64(rx[i]) * row.Gain(propagation.LinkID(int(a), cfg.NAPs+u))
-				if a == serving {
-					sig = p
-				} else {
-					den += p
-				}
-			}
-		} else {
-			// Branchless: one fused draw-and-sum pass over the whole row,
-			// then peel the serving term off by its cached row index. The
-			// subtraction's rounding error is bounded by ~n ulps of the
-			// total — negligible next to the thermal noise floor already in
-			// den, and identical across shard counts.
-			var total float64
-			total, sig = row.WeightedSum(aps, cfg.NAPs+u, rx, int(w.ueServI[u]))
-			den += total - sig
-		}
-		if sig == 0 { // serving AP silenced by an incumbent
-			w.ueCQI[u] = 0
-			sc.addSample(0)
-			continue
-		}
+		// Branchless: one fused draw-and-sum pass over the whole row, then
+		// peel the serving term off by its cached row index. The
+		// subtraction's rounding error is bounded by ~n ulps of the total —
+		// negligible next to the thermal noise floor already in den, and
+		// identical across shard counts. sig is positive: the serving AP
+		// was picked with rx > 0 and the fade draw never returns 0.
+		total, sig := row.WeightedSum(aps, cfg.NAPs+u, rx, int(w.ueServI[u]))
+		den := w.noiseMW + (total - sig)
 		cqi := phy.LTECQIFromLinearSINR(sig, den)
 		w.ueCQI[u] = uint8(cqi)
 		sc.cqiSum += int64(cqi)
@@ -774,8 +692,8 @@ func (sc *shardCtx) addSample(bits int64) {
 }
 
 // epochFold closes one epoch, single-threaded: commit the attach
-// target, sum the per-shard epoch counters, emit trace records, advance
-// the epoch and apply the next epoch's incumbent changes.
+// target, sum the per-shard epoch counters, emit the epoch's
+// KindMetroEpoch record and advance the epoch.
 func (w *World) epochFold() {
 	target := w.attachTarget(w.epoch)
 	w.attachedCount = int32(target)
@@ -796,51 +714,6 @@ func (w *World) epochFold() {
 		})
 	}
 	w.epoch++
-	w.applyIncumbents(w.epoch)
-}
-
-// applyIncumbents replays incumbent timeline changes due at or before
-// epoch: flip the per-AP silence counters and emit one KindIncumbent
-// record per change (Args: event index, 1 = arrive / 0 = depart,
-// affected AP count). Runs at construction/fold time only — never
-// inside a window.
-func (w *World) applyIncumbents(epoch int64) {
-	for w.incNext < len(w.incTimeline) && w.incTimeline[w.incNext].epoch <= epoch {
-		ch := w.incTimeline[w.incNext]
-		w.incNext++
-		ev := w.Cfg.Incumbents[ch.idx]
-		delta, arr := int32(1), int64(1)
-		if !ch.arrive {
-			delta, arr = -1, 0
-		}
-		r2 := ev.RadiusM * ev.RadiusM
-		var n int64
-		for a := range w.apX {
-			dx, dy := w.apX[a]-ev.X, w.apY[a]-ev.Y
-			if dx*dx+dy*dy <= r2 {
-				w.apDownCnt[a] += delta
-				n++
-			}
-		}
-		if w.rec != nil {
-			w.rec.Record(trace.Record{
-				T:    int64(time.Duration(ch.epoch) * epochDur),
-				Args: [4]int64{int64(ch.idx), arr, n},
-				AP:   -1,
-				Kind: trace.KindIncumbent,
-			})
-		}
-	}
-}
-
-// ensureStarted applies epoch-0 incumbents exactly once, after the
-// recorder is attached but before the first phase runs.
-func (w *World) ensureStarted() {
-	if w.started {
-		return
-	}
-	w.started = true
-	w.applyIncumbents(0)
 }
 
 // Step advances one 1-second epoch.
@@ -850,7 +723,6 @@ func (w *World) Step() { w.Run(1) }
 // the cluster's schedule — phase, load fold, ..., epoch fold — inline on
 // the caller's goroutine; more slabs advance the cluster.
 func (w *World) Run(epochs int) {
-	w.ensureStarted()
 	if w.cluster != nil {
 		w.cluster.Run(time.Duration(w.epoch+int64(epochs)) * epochDur)
 		return
@@ -873,8 +745,8 @@ func (w *World) Close() {
 	}
 }
 
-// SetRecorder attaches a flight recorder for KindMetroEpoch /
-// KindIncumbent records. Attach before the first Step/Run; the fold
+// SetRecorder attaches a flight recorder for the per-epoch
+// KindMetroEpoch records. Attach before the first Step/Run; the fold
 // emits single-threaded, so one recorder serves every shard.
 func (w *World) SetRecorder(r trace.Recorder) { w.rec = r }
 

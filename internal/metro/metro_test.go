@@ -187,53 +187,51 @@ func TestMetroStepZeroAllocs(t *testing.T) {
 // sample per attached UE, equal to the bits that UE was delivered: give
 // every seventh attached UE a 5-bit queue, step once, and rebuild the
 // expected moments and sketch one Add at a time from the per-UE
-// delivered deltas. With and without incumbents, so both row loops run.
+// delivered deltas. The zero samples come from UEs out of coverage.
 func TestMetroSamplesAreDeliveredBits(t *testing.T) {
-	for _, cfg := range []Config{smallCity(4), shardCity(4, 1)} {
-		w := New(cfg)
-		w.Run(8) // rising ramp; shardCity's first incumbent is on the air
-		short := 0
-		for u := range w.ueQueued {
-			if w.ueAttached[u] && w.ueCell[u] >= 0 {
-				if short++; short%7 == 0 {
-					w.ueQueued[u] = 5
-				}
+	w := New(smallCity(4))
+	w.Run(8) // rising ramp
+	short := 0
+	for u := range w.ueQueued {
+		if w.ueAttached[u] && w.ueCell[u] >= 0 {
+			if short++; short%7 == 0 {
+				w.ueQueued[u] = 5
 			}
 		}
-		before := append([]int64(nil), w.ueDelivered...)
-		wantThr, wantQ := w.sctx[0].thr, w.ThroughputQ()
-		w.Step()
+	}
+	before := append([]int64(nil), w.ueDelivered...)
+	wantThr, wantQ := w.sctx[0].thr, w.ThroughputQ()
+	w.Step()
 
-		var clipped, unclipped, zeros int
-		for u, attached := range w.ueAttached {
-			if !attached {
-				continue
-			}
-			d := w.ueDelivered[u] - before[u]
-			switch {
-			case d == 0:
-				zeros++
-			case d == 5 && w.ueQueued[u] == 0:
-				clipped++
-			default:
-				unclipped++
-			}
-			wantThr.add(d)
-			wantQ.Add(float64(d) / 1e6)
+	var clipped, unclipped, zeros int
+	for u, attached := range w.ueAttached {
+		if !attached {
+			continue
 		}
-		if clipped == 0 || unclipped == 0 || zeros == 0 {
-			t.Fatalf("vacuous epoch: %d clipped, %d unclipped, %d zero samples", clipped, unclipped, zeros)
+		d := w.ueDelivered[u] - before[u]
+		switch {
+		case d == 0:
+			zeros++
+		case d == 5 && w.ueQueued[u] == 0:
+			clipped++
+		default:
+			unclipped++
 		}
-		if got := w.sctx[0].thr; got != wantThr {
-			t.Fatalf("moments %+v, per-UE deltas give %+v", got, wantThr)
-		}
-		// A sketch that lost or gained a sample shifts some rank.
-		gotQ := w.ThroughputQ()
-		n := float64(wantThr.n - 1)
-		for r := 0.5; r < n; r++ { // every rank
-			if a, b := gotQ.Quantile(r/n), wantQ.Quantile(r/n); a != b {
-				t.Fatalf("rank %d: sketch %v Mbps, per-UE deltas give %v", int(r), a, b)
-			}
+		wantThr.add(d)
+		wantQ.Add(float64(d) / 1e6)
+	}
+	if clipped == 0 || unclipped == 0 || zeros == 0 {
+		t.Fatalf("vacuous epoch: %d clipped, %d unclipped, %d zero samples", clipped, unclipped, zeros)
+	}
+	if got := w.sctx[0].thr; got != wantThr {
+		t.Fatalf("moments %+v, per-UE deltas give %+v", got, wantThr)
+	}
+	// A sketch that lost or gained a sample shifts some rank.
+	gotQ := w.ThroughputQ()
+	n := float64(wantThr.n - 1)
+	for r := 0.5; r < n; r++ { // every rank
+		if a, b := gotQ.Quantile(r/n), wantQ.Quantile(r/n); a != b {
+			t.Fatalf("rank %d: sketch %v Mbps, per-UE deltas give %v", int(r), a, b)
 		}
 	}
 }

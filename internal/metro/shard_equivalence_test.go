@@ -7,17 +7,12 @@ import (
 	"cellfi/internal/trace"
 )
 
-// shardCity is smallCity plus the two hazards the sharded path must
-// survive: a mobility cohort that walks UEs across slab boundaries, and
-// an incumbent pop-up centered exactly on the K=2/K=8 boundary line
-// (x = AreaW/2), so its silenced APs straddle two slabs.
+// shardCity is smallCity cut into shards slabs. Its mobility cohort
+// walks UEs across the slab boundaries, the hazard the sharded path
+// must survive.
 func shardCity(seed int64, shards int) Config {
 	cfg := smallCity(seed)
 	cfg.Shards = shards
-	cfg.Incumbents = []IncumbentEvent{
-		{Epoch: 6, Duration: 12, X: cfg.AreaW / 2, Y: cfg.AreaH / 2, RadiusM: 450},
-		{Epoch: 20, X: cfg.AreaW / 4, Y: cfg.AreaH / 3, RadiusM: 300}, // permanent
-	}
 	return cfg
 }
 
@@ -53,8 +48,7 @@ func runShardCity(t *testing.T, seed int64, shards, epochs int) shardRunResult {
 // produce byte-identical trace streams, identical per-UE state,
 // identical AP load tables, identical delivered-bit totals and
 // identical whole-run throughput aggregates (moments and quantiles) —
-// with boundary-crossing mobility and a shard-boundary incumbent in
-// play.
+// with boundary-crossing mobility in play.
 func TestMetroShardEquivalence(t *testing.T) {
 	seeds := int64(50)
 	if testing.Short() {
@@ -115,39 +109,6 @@ func TestMetroShardEquivalence(t *testing.T) {
 	// The contract is vacuous if no UE ever crossed a slab boundary.
 	if totalHandoffs == 0 {
 		t.Fatal("no cross-shard handoff messages over any seed — boundary mobility untested")
-	}
-}
-
-// The incumbent must actually silence APs: mid-outage throughput and
-// CQI drop relative to the same world without the pop-up, identically
-// at every shard count (already pinned above) and materially (pinned
-// here).
-func TestMetroIncumbentBitesAndClears(t *testing.T) {
-	cfgOn := shardCity(3, 1)
-	cfgOn.Incumbents = cfgOn.Incumbents[:1] // the bounded-duration pop-up only
-	cfgOff := shardCity(3, 1)
-	cfgOff.Incumbents = nil
-	on, off := New(cfgOn), New(cfgOff)
-	on.Run(10) // epochs 0-9; incumbent 0 active from epoch 6
-	off.Run(10)
-	if on.DeliveredBits() >= off.DeliveredBits() {
-		t.Fatalf("incumbent outage delivered %d bits >= undisturbed %d", on.DeliveredBits(), off.DeliveredBits())
-	}
-	silenced := 0
-	for a := range on.apDownCnt {
-		if on.apDownCnt[a] > 0 {
-			silenced++
-		}
-	}
-	if silenced == 0 {
-		t.Fatal("incumbent arrival silenced no APs")
-	}
-	// After Epoch+Duration the first incumbent departs again.
-	on.Run(10) // through epoch 19; departure at epoch 18
-	for a := range on.apDownCnt {
-		if on.apDownCnt[a] != 0 {
-			t.Fatalf("AP %d still silenced after incumbent departure", a)
-		}
 	}
 }
 
