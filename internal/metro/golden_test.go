@@ -28,8 +28,8 @@ import (
 // says in CHANGES.md what moved and why. A digest that moves without
 // such a reason is a regression.
 var goldenShardCity = map[string]string{
-	"seed1/noinc": "67735b831ba4609e",
-	"seed2/noinc": "0db5bcd360fe0d4e",
+	"seed1": "cadb6dd387273e5a",
+	"seed2": "95d7f6f659c51753",
 }
 
 func metroDigest(t *testing.T, cfg Config, epochs int) string {
@@ -122,7 +122,7 @@ func TestCityDigest(t *testing.T) {
 func TestMetroGolden(t *testing.T) {
 	const epochs = 60
 	for _, seed := range []int64{1, 2} {
-		key := fmt.Sprintf("seed%d/noinc", seed)
+		key := fmt.Sprintf("seed%d", seed)
 		for _, k := range []int{1, 2} {
 			got := metroDigest(t, shardCity(seed, k), epochs)
 			if k == 1 {
@@ -131,6 +131,44 @@ func TestMetroGolden(t *testing.T) {
 			if want := goldenShardCity[key]; got != want {
 				t.Errorf("%s K=%d: digest %s, golden %s", key, k, got, want)
 			}
+		}
+	}
+}
+
+// Every epoch fold emits one KindMetroEpoch record whose four args
+// survive the encoder: the attached count, handovers, delivered bits
+// and CQI sum. A record that sets Args without N encodes none of them,
+// and the trace the goldens hash would hold only timestamps and kinds.
+func TestMetroEpochRecordArgs(t *testing.T) {
+	const epochs = 3
+	w := New(smallCity(1))
+	var buf bytes.Buffer
+	ring := trace.NewRing(16)
+	ring.SpillTo(&buf)
+	w.SetRecorder(ring)
+	var attached, delivered []int64
+	for i := 0; i < epochs; i++ {
+		before := w.DeliveredBits()
+		w.Step()
+		attached = append(attached, int64(w.AttachedCount()))
+		delivered = append(delivered, w.DeliveredBits()-before)
+	}
+	if err := ring.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != epochs {
+		t.Fatalf("%d records for %d epochs", len(recs), epochs)
+	}
+	for i, r := range recs {
+		if r.Kind != trace.KindMetroEpoch || r.N != 4 {
+			t.Fatalf("epoch %d: %v, want a metro-epoch record with four args", i, r)
+		}
+		if r.Args[0] != attached[i] || r.Args[2] != delivered[i] {
+			t.Fatalf("epoch %d: %v, want a0=%d (attached) and a2=%d (delivered bits)", i, r, attached[i], delivered[i])
 		}
 	}
 }

@@ -711,6 +711,7 @@ func (w *World) epochFold() {
 			Args: [4]int64{int64(target), hand, served, cqis},
 			AP:   -1,
 			Kind: trace.KindMetroEpoch,
+			N:    4,
 		})
 	}
 	w.epoch++
