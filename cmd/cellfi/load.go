@@ -40,8 +40,11 @@ func runLoad(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if *clients < 1 || *requests < 1 || *incumbents < 1 {
 		return fail(fs, exitUsage, "-clients, -requests and -incumbents must be at least 1")
 	}
-	if *regionKM < 0 || *qps < 0 {
-		return fail(fs, exitUsage, "-region-km and -qps must not be negative")
+	if *regionKM <= 0 {
+		return fail(fs, exitUsage, "-region-km must be positive")
+	}
+	if *qps < 0 {
+		return fail(fs, exitUsage, "-qps must not be negative")
 	}
 	windows, err := faults.ParseWindows(*outages)
 	if err != nil {

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -121,7 +122,10 @@ func newFlags(name string, stderr io.Writer) *flag.FlagSet {
 
 // parse parses a verb's arguments, which must leave exactly nargs
 // positional arguments. ok is false when the verb must return code at
-// once: 0 after -h, exitUsage after a bad flag or argument count.
+// once: 0 after -h, exitUsage after a bad flag or argument count, or a
+// float flag set to NaN or an infinity. Every range check a verb makes
+// after parse (-area <= 0, say) is false for NaN, so this one refusal
+// is what keeps a NaN out of every verb.
 func parse(fs *flag.FlagSet, args []string, nargs int) (code int, ok bool) {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -131,6 +135,17 @@ func parse(fs *flag.FlagSet, args []string, nargs int) (code int, ok bool) {
 	}
 	if fs.NArg() != nargs {
 		return fail(fs, exitUsage, "want %d argument(s), got %d", nargs, fs.NArg()), false
+	}
+	var nonFinite string
+	fs.Visit(func(f *flag.Flag) {
+		if g, ok := f.Value.(flag.Getter); ok && nonFinite == "" {
+			if v, isFloat := g.Get().(float64); isFloat && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				nonFinite = f.Name
+			}
+		}
+	})
+	if nonFinite != "" {
+		return fail(fs, exitUsage, "-%s must be a finite number", nonFinite), false
 	}
 	return 0, true
 }

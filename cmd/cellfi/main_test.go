@@ -60,12 +60,18 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"sim", "-area", "10"}, want: exitFailure},
 		{args: []string{"sim", "-interference-radius", "-5"}, want: exitUsage, oneLine: true},
 		{args: []string{"sim", "-lambda", "0"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-area", "NaN"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-lambda", "NaN"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-interference-radius", "NaN"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-area", "+Inf"}, want: exitUsage, oneLine: true},
 
 		{args: []string{"sweep", "-h"}, want: 0},
 		{args: []string{"sweep", "-bogus"}, want: exitUsage},
 		{args: []string{"sweep", "-schemes", "lte", "-aps", "2", "-clients", "1", "-trials", "1", "-epochs", "1"}, want: 0},
 		{args: []string{"sweep", "-aps", "6,0"}, want: exitUsage, oneLine: true},
 		{args: []string{"sweep", "-bw", "7"}, want: exitUsage, oneLine: true},
+		{args: []string{"sweep", "-starve", "NaN"}, want: exitUsage, oneLine: true},
+		{args: []string{"sweep", "-starve", "-1"}, want: exitUsage, oneLine: true},
 
 		{args: []string{"map", "-h"}, want: 0},
 		{args: []string{"map", "-bogus"}, want: exitUsage},
@@ -96,6 +102,7 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"ap", "-db", db.URL, "-poll", "10ms", "-duration", "1ms"}, want: 0},
 		{args: []string{"ap", "-poll", "0"}, want: exitUsage, oneLine: true},
 		{args: []string{"ap", "-poll", "-1s"}, want: exitUsage, oneLine: true},
+		{args: []string{"ap", "-height", "NaN"}, want: exitUsage, oneLine: true},
 		{args: []string{"ap", "-chaos-profile", "bogus"}, want: exitUsage, oneLine: true},
 
 		{args: []string{"db", "-h"}, want: 0},
@@ -115,6 +122,9 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"load", "-requests", "0"}, want: exitUsage, oneLine: true},
 		{args: []string{"load", "-incumbents", "0"}, want: exitUsage, oneLine: true},
 		{args: []string{"load", "-region-km", "-1"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-region-km", "0"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-region-km", "NaN"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-qps", "Inf"}, want: exitUsage, oneLine: true},
 		{args: []string{"load", "-qps", "-1"}, want: exitUsage, oneLine: true},
 		{args: []string{"load", "-outages", "junk"}, want: exitUsage, oneLine: true},
 

@@ -55,6 +55,9 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	if *trials < 1 || *epochs < 1 {
 		return fail(fs, exitUsage, "-trials and -epochs must be at least 1")
 	}
+	if *starve < 0 {
+		return fail(fs, exitUsage, "-starve must not be negative")
+	}
 	var bw lte.Bandwidth
 	switch *bwFlag {
 	case 5, 10, 15, 20:

@@ -76,7 +76,7 @@ func RandomPointInRing(rng *rand.Rand, c Point, minRadius, maxRadius float64, cl
 		// The clip region's points lie between near and far from c.
 		near := math.Hypot(max(clip.MinX-c.X, 0, c.X-clip.MaxX), max(clip.MinY-c.Y, 0, c.Y-clip.MaxY))
 		far := math.Hypot(max(c.X-clip.MinX, clip.MaxX-c.X), max(c.Y-clip.MinY, clip.MaxY-c.Y))
-		if maxRadius < near || minRadius > far {
+		if !(maxRadius >= near && minRadius <= far) { // NaN misses too
 			panic(fmt.Sprintf("geo: ring [%g, %g] m around %v misses the clip region, whose points lie %g to %g m away",
 				minRadius, maxRadius, c, near, far))
 		}

@@ -183,9 +183,10 @@ func TestRandomPointInRingMissesClip(t *testing.T) {
 		c        Point
 		min, max float64
 	}{
-		{Point{5, 5}, 25, 700},   // every point of the square is < 7.1 m away
-		{Point{100, 5}, 10, 80},  // the square starts 90 m away
-		{Point{-30, -40}, 0, 49}, // the nearest corner is 50 m away
+		{Point{5, 5}, 25, 700},        // every point of the square is < 7.1 m away
+		{Point{100, 5}, 10, 80},       // the square starts 90 m away
+		{Point{-30, -40}, 0, 49},      // the nearest corner is 50 m away
+		{Point{math.NaN(), 5}, 0, 49}, // a NaN centre is no distance from anything
 	} {
 		func() {
 			defer func() {
