@@ -102,8 +102,9 @@ func loadUniverse(t *testing.T) *universe {
 			p.tests = append(p.tests, pathJoin(p.dir, name))
 		}
 		p.info = &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: imp}
 		p.types, err = conf.Check(lp.ImportPath, u.fset, p.files, p.info)
@@ -129,14 +130,15 @@ func pathJoin(dir, name string) string {
 
 // TestGuards holds the repo's anti-regrowth rules: no export that only
 // tests reach, no selector, option or type a simplification deleted,
-// one binary that alone owns the process, and docs whose backticked
-// references resolve. It type-checks the whole module once (~8 s on a
-// 2-core machine).
+// one binary that alone owns the process, trace records whose args
+// reach the encoder, and docs whose backticked references resolve. It
+// type-checks the whole module once (~8 s on a 2-core machine).
 func TestGuards(t *testing.T) {
 	u := loadUniverse(t)
 	t.Run("DeadExports", func(t *testing.T) { checkDeadExports(t, u) })
 	t.Run("CollapsedPaths", func(t *testing.T) { checkCollapsedPaths(t, u) })
 	t.Run("OneBinary", func(t *testing.T) { checkOneBinary(t, u) })
+	t.Run("TraceArgs", func(t *testing.T) { checkTraceArgs(t, u) })
 	t.Run("DocRefs", func(t *testing.T) { checkDocRefs(t, u) })
 }
 
@@ -377,10 +379,12 @@ func recvNamed(obj types.Object) *types.Named {
 // and netsim have one neighbour-enumeration mode each, the runner no
 // shard telemetry, ring-size or slack option, netsim one execution
 // mode, a constant oracle margin and a constant fading-block count, a
-// shard cluster one face (Run windows), metro one moment accumulator
-// and no link-ID slab (the fused row kernel forms link IDs in
-// registers), the link cache no invalidation (no caller ever moved a
-// node under it), and internal/experiments one sweep path. An entry is
+// shard cluster one face (Run windows), metro one moment accumulator,
+// no link-ID slab (the fused row kernel forms link IDs in registers)
+// and no incumbent model of its own (spectrum.Registry is the one; the
+// fiat pop-ups forced a second sweep kernel), the link cache no
+// invalidation (no caller ever moved a node under it), and
+// internal/experiments one sweep path. An entry is
 // "dir name": dir "" is the whole module, a trailing * matches a
 // prefix, and Type.Method names a method.
 var forbidden = []string{
@@ -397,6 +401,17 @@ var forbidden = []string{
 	" trialFleet",
 	" schemeSweep",
 	" runFig9Trial",
+	"internal/metro IncumbentEvent",
+	"internal/metro Incumbents",
+	"internal/metro incChange",
+	"internal/metro apDownCnt",
+	"internal/metro incTimeline",
+	"internal/metro incNext",
+	"internal/metro hasInc",
+	"internal/metro started",
+	"internal/metro buildIncTimeline",
+	"internal/metro applyIncumbents",
+	"internal/metro ensureStarted",
 }
 
 // checkCollapsedPaths fails if a deleted selector, option, type or
@@ -437,6 +452,10 @@ func checkCollapsedPaths(t *testing.T, u *universe) {
 			if recv := recvNamed(obj); strings.Contains(obj.Name(), "LinkCache") || recv != nil && recv.Obj().Name() == "LinkCache" {
 				t.Errorf("%s: internal/wifi references propagation.%s", u.fset.Position(pos), obj.Name())
 			}
+		}
+		// metro's sweep has one kernel, the fused FadeRow.WeightedSum pass.
+		if p.dir == "internal/metro" && obj.Pkg() != nil && describe(obj) == "propagation.FadeRow.Gain" {
+			t.Errorf("%s: internal/metro draws per link through propagation.FadeRow.Gain; the sweep's one kernel is FadeRow.WeightedSum", u.fset.Position(pos))
 		}
 	})
 
@@ -552,6 +571,35 @@ func checkOneBinary(t *testing.T, u *universe) {
 			t.Errorf("%s: %s: only cmd/cellfi/main.go may exit, catch signals, parse the global flag set or write os.Stdout/os.Stderr", u.fset.Position(pos), name)
 		}
 	})
+}
+
+// checkTraceArgs fails on every trace.Record composite literal that sets
+// Args but not N: the encoder writes only Args[:N], so such a record
+// reaches disk with its timestamp and kind alone.
+func checkTraceArgs(t *testing.T, u *universe) {
+	record := u.byPath[modPath+"/internal/trace"].types.Scope().Lookup("Record").Type()
+	for _, p := range u.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok || !types.Identical(p.info.TypeOf(lit), record) {
+					return true
+				}
+				set := map[string]bool{}
+				for _, e := range lit.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
+						}
+					}
+				}
+				if set["Args"] && !set["N"] {
+					t.Errorf("%s: trace.Record sets Args but not N; the encoder writes only Args[:N]", u.fset.Position(lit.Pos()))
+				}
+				return true
+			})
+		}
+	}
 }
 
 // docRef is a backticked pkg.Ident, pkg.Type.Method or pkg.TestName,
