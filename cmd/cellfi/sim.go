@@ -36,7 +36,9 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	trials := fs.Int("trials", 1, "independent topologies to run")
 	workers := fs.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
 	traceDir := fs.String("trace-dir", "", "flight-record each trial into this directory (must exist)")
-	invariants := fs.Bool("invariants", false, "attach the online regulatory invariant watchdog to every trial; any violation fails the run")
+	invariants := fs.Bool("invariants", false,
+		"attach the online regulatory invariant watchdog to every trial; any violation fails the run "+
+			"(its rules read lease, lease-budget, radio-tx, incumbent and ap-life records; a sim trial emits only im-share and im-hop, so no sim run fails it today)")
 	if code, ok := parse(fs, args, 0); !ok {
 		return code
 	}

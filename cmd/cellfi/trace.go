@@ -26,8 +26,11 @@ import (
 // determinism check behind "same seed, same trace". verify replays a
 // recorded stream through the regulatory invariant checker
 // (internal/invariant) and exits 1 with the first violating record on
-// any breach — the offline audit of what sim's -invariants watchdog
-// enforces online.
+// any breach — the offline audit of what the runner's watchdog checks
+// online. Its rules read lease, lease-budget, radio-tx, incumbent and
+// ap-life records (the lease FSM's and the chaos worlds' evidence); a
+// sim stream holds only im-share/im-hop records, so it always verifies
+// clean until an IM catalog (ROADMAP item 2) gives those kinds rules.
 func runTrace(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	code := exitUsage
 	if len(args) > 0 {

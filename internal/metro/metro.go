@@ -26,8 +26,8 @@
 //     samples. A backlogged UE's served bits are a pure function of
 //     (serving-AP load, CQI), so the sweep counts UEs per pair in a
 //     per-shard tally and folds each non-empty pair once at the end of
-//     the phase; only a UE whose queue runs dry, or one with no usable
-//     serving AP, is recorded sample by sample.
+//     the phase; only a UE whose queue runs dry, or one out of
+//     coverage, is recorded sample by sample.
 //
 // The transcendental math left in an epoch: rebuildRow's link budgets
 // for the UEs that moved (distance, log10, shadowing, exp per link);
