@@ -6,21 +6,35 @@ import (
 	"sync"
 )
 
-// twiddleCache holds forward twiddle factors w_n^k = exp(-2*pi*i*k/n)
-// for k < n/2, keyed by n. Smaller stages reuse the table with a
-// stride. Inverse transforms conjugate on the fly.
+// twiddleCache holds the twiddle factors of length-n transforms, keyed
+// by n for the forward and -n for the inverse direction, laid out by
+// stage: the stage of half-size h reads w_n^(k*n/(2h)), k < h, from
+// tw[h-1 : 2h-1], so every stage walks its factors contiguously.
 var twiddleCache sync.Map // map[int][]complex128
 
-func twiddles(n int) []complex128 {
-	if v, ok := twiddleCache.Load(n); ok {
+func twiddles(n int, inverse bool) []complex128 {
+	key := n
+	if inverse {
+		key = -n
+	}
+	if v, ok := twiddleCache.Load(key); ok {
 		return v.([]complex128)
 	}
-	tw := make([]complex128, n/2)
-	for k := range tw {
+	base := make([]complex128, n/2)
+	for k := range base {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		tw[k] = complex(c, s)
+		if inverse {
+			s = -s
+		}
+		base[k] = complex(c, s)
 	}
-	twiddleCache.Store(n, tw)
+	tw := make([]complex128, 0, n)
+	for h := 1; h < n; h <<= 1 {
+		for k := 0; k < h; k++ {
+			tw = append(tw, base[k*(n/(2*h))])
+		}
+	}
+	twiddleCache.Store(key, tw)
 	return tw
 }
 
@@ -56,31 +70,37 @@ func fftDir(x []complex128, inverse bool) []complex128 {
 		panic("lte: FFT length must be a power of two")
 	}
 	y := make([]complex128, n)
+	copy(y, x)
+	fftInPlace(y, inverse)
+	return y
+}
+
+// fftInPlace overwrites y (power-of-two length) with its unnormalized
+// forward or inverse DFT.
+func fftInPlace(y []complex128, inverse bool) {
+	n := len(y)
 	// Bit-reversal permutation.
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
-		y[bits.Reverse64(uint64(i))>>shift] = x[i]
+		if j := int(bits.Reverse64(uint64(i)) >> shift); i < j {
+			y[i], y[j] = y[j], y[i]
+		}
 	}
-	// Iterative Cooley-Tukey butterflies with cached twiddles. The
-	// table for n serves every stage: stage `size` uses stride n/size.
-	tw := twiddles(n)
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		stride := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tw[k*stride]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				a := y[start+k]
-				b := y[start+k+half] * w
-				y[start+k] = a + b
-				y[start+k+half] = a - b
+	// Iterative Cooley-Tukey butterflies with cached twiddles.
+	tw := twiddles(n, inverse)
+	for half := 1; half < n; half <<= 1 {
+		w := tw[half-1 : 2*half-1]
+		for start := 0; start < n; start += 2 * half {
+			lo := y[start : start+half]
+			hi := y[start+half : start+2*half]
+			hi, w := hi[:len(lo)], w[:len(lo)]
+			for k, a := range lo {
+				b := hi[k] * w[k]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
-	return y
 }
 
 // DFT computes the forward DFT of x for any length, through a one-shot
@@ -96,7 +116,7 @@ func cmplxConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 // repeated fixed-length transforms. For power-of-two lengths it
 // delegates to the radix-2 FFT; otherwise it runs Bluestein with all
 // per-call trigonometry and the kernel transform amortized away. The
-// PRACH detector uses plans to stay far ahead of line rate.
+// PRACH detector transforms its kernel through one.
 type DFTPlan struct {
 	n, m    int
 	inverse bool

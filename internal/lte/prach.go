@@ -94,38 +94,49 @@ type DetectionResult struct {
 // stands near 84x the mean — far above the threshold.
 const DetectionThreshold = 13.0
 
-// FastDetector precomputes the root sequence's conjugated spectrum and
-// the Bluestein transform plans, so each detection pays only the
-// forward and inverse transforms of the received window.
+// FastDetector computes the 839 cyclic correlations of a received
+// window with its root sequence as one zero-padded linear convolution:
+// a forward and an inverse power-of-two FFT per window, against a
+// kernel spectrum precomputed once per root.
 type FastDetector struct {
-	refSpectrum []complex128
-	fwd, inv    *DFTPlan
+	kernel []complex128 // FFT of the periodically extended, reversed, conjugated root
 }
 
 // NewFastDetector builds a detector for one root sequence.
 func NewFastDetector(root int) *FastDetector {
-	ref := ZadoffChu(root, PRACHSequenceLength)
-	spec := DFT(ref)
-	for i := range spec {
-		spec[i] = complex(real(spec[i]), -imag(spec[i]))
+	n := PRACHSequenceLength
+	ref := ZadoffChu(root, n)
+	// corr[s] = sum_k rx[k]*conj(ref[(k-s) mod n]) = sum_k rx[k]*q[s-k+n-1]
+	// with q[t] = conj(ref[(n-1-t) mod n]) for t in 0..2n-2. Zero-padding
+	// both to m >= 2n-1 keeps lags n-1..2n-2 of the circular convolution
+	// free of wrap-around, so they are exactly corr[0..n-1].
+	m := 1
+	for m < 2*n-1 {
+		m <<= 1
 	}
-	return &FastDetector{
-		refSpectrum: spec,
-		fwd:         NewDFTPlan(PRACHSequenceLength, false),
-		inv:         NewDFTPlan(PRACHSequenceLength, true),
+	q := make([]complex128, m)
+	for t := 0; t < 2*n-1; t++ {
+		q[t] = cmplxConj(ref[((n-1-t)%n+n)%n])
 	}
+	return &FastDetector{kernel: DFT(q)}
 }
 
-// Detect runs the two-correlation detection on one received window.
+// Detect runs the correlation detection on one received window.
 func (d *FastDetector) Detect(rx []complex128) DetectionResult {
-	if len(rx) != PRACHSequenceLength {
+	n := PRACHSequenceLength
+	if len(rx) != n {
 		panic("lte: PRACH window must be 839 samples")
 	}
-	fa := d.fwd.Transform(rx)
-	for i := range fa {
-		fa[i] *= d.refSpectrum[i]
+	buf := make([]complex128, len(d.kernel))
+	copy(buf, rx)
+	fftInPlace(buf, false)
+	for i, k := range d.kernel {
+		buf[i] *= k
 	}
-	return detectFrom(d.inv.Transform(fa))
+	// The inverse is left unnormalized: detectFrom's statistic is a
+	// ratio of powers.
+	fftInPlace(buf, true)
+	return detectFrom(buf[n-1 : 2*n-1])
 }
 
 func detectFrom(corr []complex128) DetectionResult {

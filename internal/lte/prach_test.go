@@ -93,10 +93,10 @@ func TestFastDetectorCleanSignal(t *testing.T) {
 	}
 }
 
-// The detector the prach experiment and the benchmark run (Bluestein
-// plans, precomputed conjugate root spectrum) must return exactly what
-// the conventional time-domain detector returns: the paper's
-// "identical result, 16x cheaper" claim.
+// The detector the prach experiment and the benchmark run (one
+// zero-padded FFT convolution against a precomputed kernel) must
+// return exactly what the conventional time-domain detector returns:
+// the paper's "identical result, 16x cheaper" claim.
 func TestDetectorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, root := range []int{1, 17, 129} {
