@@ -33,6 +33,13 @@ func TestSmoke(t *testing.T) {
 	// A radio on the air with no lease ever granted breaks the catalog.
 	illegal := writeTrace(t, dir, "illegal.trace",
 		trace.Record{T: 1e9, AP: 0, Kind: trace.KindRadioTX, N: 1, Args: [trace.MaxArgs]int64{30}})
+	// A leased AP still on the air 58 s after an incumbent took its
+	// channel: inside the ETSI minute, so clean unless the deadline
+	// shrinks.
+	occupied := writeTrace(t, dir, "occupied.trace",
+		trace.Record{T: 0, AP: 0, Kind: trace.KindLeaseBudget, N: 3, Args: [trace.MaxArgs]int64{30, 300e9, 120e9}},
+		trace.Record{T: 0, AP: -1, Kind: trace.KindIncumbent, N: 3, Args: [trace.MaxArgs]int64{30, 1, 0}},
+		trace.Record{T: 58e9, AP: 0, Kind: trace.KindRadioTX, N: 1, Args: [trace.MaxArgs]int64{30}})
 	db, _ := pawsWire(t, 0)
 
 	cases := []struct {
@@ -50,7 +57,7 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"sim", "-h"}, want: 0},
 		{args: []string{"sim", "-bogus"}, want: exitUsage},
 		{args: []string{"sim", "-aps", "2", "-clients", "1", "-epochs", "1"}, want: 0},
-		{args: []string{"sim", "-invariants", "-trials", "2", "-epochs", "4", "-aps", "4"}, want: 0},
+		{args: []string{"sim", "-invariants"}, want: exitUsage},
 		{args: []string{"sim", "-aps", "2", "-clients", "1", "-epochs", "1"}, want: exitFailure, oneLine: true, cancelled: true},
 		{args: []string{"sim", "-scheme", "wimax"}, want: exitUsage, oneLine: true},
 		{args: []string{"sim", "-aps", "0"}, want: exitUsage, oneLine: true},
@@ -94,6 +101,11 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"trace", "diff", streamA, streamB}, want: exitFailure},
 		{args: []string{"trace", "verify", streamA}, want: 0},
 		{args: []string{"trace", "verify", illegal}, want: exitFailure},
+		{args: []string{"trace", "verify", occupied}, want: 0},
+		{args: []string{"trace", "verify", "-deadline", "0", occupied}, want: 0},
+		{args: []string{"trace", "verify", "-deadline", "30s", occupied}, want: exitFailure},
+		{args: []string{"trace", "verify", "-slack", "-5s", occupied}, want: exitUsage, oneLine: true},
+		{args: []string{"trace", "verify", "-deadline", "-50s", occupied}, want: exitUsage, oneLine: true},
 		{args: []string{"trace", "info"}, want: exitUsage, oneLine: true},
 		{args: []string{"trace", "info", filepath.Join(dir, "missing.trace")}, want: exitFailure, oneLine: true},
 

@@ -36,9 +36,6 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	trials := fs.Int("trials", 1, "independent topologies to run")
 	workers := fs.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
 	traceDir := fs.String("trace-dir", "", "flight-record each trial into this directory (must exist)")
-	invariants := fs.Bool("invariants", false,
-		"attach the online regulatory invariant watchdog to every trial; any violation fails the run "+
-			"(its rules read lease, lease-budget, radio-tx, incumbent and ap-life records; a sim trial emits only im-share and im-hop, so no sim run fails it today)")
 	if code, ok := parse(fs, args, 0); !ok {
 		return code
 	}
@@ -89,16 +86,7 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	rep := runner.Run(ctx, "cellfi sim", specs,
-		runner.Options{Workers: *workers, TraceDir: *traceDir, Invariants: *invariants})
-	if *invariants {
-		for _, r := range rep.Runs {
-			if r.InvariantRule != "" {
-				return fail(fs, exitFailure, "trial %d (%s): invariant %s violated %d time(s), first at record %d: %s",
-					r.Index, r.Label, r.InvariantRule, r.InvariantViolations, r.InvariantIndex, r.InvariantRecord)
-			}
-		}
-	}
+	rep := runner.Run(ctx, "cellfi sim", specs, runner.Options{Workers: *workers, TraceDir: *traceDir})
 	results, err := runner.Values[trialResult](rep)
 	if err != nil {
 		return fail(fs, exitFailure, "%v", err)

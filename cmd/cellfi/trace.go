@@ -290,11 +290,14 @@ func apSuffix(ap int64) string {
 // evidence file is an audit failure, not a pass.
 func traceVerify(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("trace verify", stderr)
-	deadline := fs.Duration("deadline", 0, "evacuation deadline (default: the ETSI minute)")
+	deadline := fs.Duration("deadline", 0, "evacuation deadline (0 = the ETSI minute)")
 	slack := fs.Duration("slack", 0, "cross-clock slack for the incumbent rule (max per-AP skew)")
 	all := fs.Bool("all", false, "print every retained violation, not just the first")
 	if code, ok := parse(fs, args, 1); !ok {
 		return code
+	}
+	if *deadline < 0 || *slack < 0 {
+		return fail(fs, exitUsage, "-deadline and -slack must not be negative")
 	}
 	recs, err := trace.ReadFile(fs.Arg(0))
 	if err != nil {

@@ -149,7 +149,7 @@ var deadAllow = map[string]string{
 	"internal/netgraph MinSubchannels": "TestGreedyVsExact referees GreedyColor with it; ROADMAP item 2 needs the exact optimum",
 	"internal/paws Unwrap":             "implements the errors.Unwrap interface",
 	"internal/trace WriteTo":           "implements io.WriterTo",
-	"internal/chaos Matrix":            "the chaos-soak scenario harness, driven by its tests; ROADMAP item 6 folds it into metro",
+	"internal/chaos Run":               "the chaos-soak scenario harness, driven by its tests; ROADMAP item 6 folds it into metro",
 	"internal/metro SetRecorder":       "TestMetroGolden and TestMetroShardEquivalence pin the city's trace stream through it",
 	"internal/phy Bits":                "TestLTECQITableConsistency referees the CQI table's efficiencies with it (bits x code rate)",
 }
@@ -383,8 +383,13 @@ func recvNamed(obj types.Object) *types.Named {
 // no link-ID slab (the fused row kernel forms link IDs in registers)
 // and no incumbent model of its own (spectrum.Registry is the one; the
 // fiat pop-ups forced a second sweep kernel), the link cache no
-// invalidation (no caller ever moved a node under it), and
-// internal/experiments one sweep path. An entry is
+// invalidation (no caller ever moved a node under it),
+// internal/experiments one sweep path, a run one regulatory referee
+// (the offline `cellfi trace verify` replay; a world that needs a
+// checker online takes it as its recorder, so the runner has no
+// invariant hook, the checker no tee and chaos no campaign adapter),
+// and lte one transform (the radix-2 FFT; the PRACH detector pads to
+// a power of two, so Bluestein's arbitrary-length DFT went). An entry is
 // "dir name": dir "" is the whole module, a trailing * matches a
 // prefix, and Type.Method names a method.
 var forbidden = []string{
@@ -412,6 +417,18 @@ var forbidden = []string{
 	"internal/metro buildIncTimeline",
 	"internal/metro applyIncumbents",
 	"internal/metro ensureStarted",
+	"internal/runner Invariant*",
+	"internal/runner closeInvariants",
+	"internal/invariant Checker.Tee",
+	"internal/invariant Checker.Err",
+	"internal/invariant tee",
+	"internal/chaos Spec",
+	"internal/chaos Matrix",
+	"internal/chaos Result.Err",
+	"internal/lte DFT",
+	"internal/lte DFTPlan",
+	"internal/lte NewDFTPlan",
+	"internal/lte IFFT",
 }
 
 // checkCollapsedPaths fails if a deleted selector, option, type or

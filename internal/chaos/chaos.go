@@ -311,10 +311,10 @@ type ap struct {
 
 // Run executes one chaos world and returns its result. Every record
 // the world emits is fed to the online invariant checker and, when out
-// is non-nil, forwarded there too (that is how runner campaigns spill
-// chaos traces to disk). Run fails the run — in Result, not by error —
-// when the watchdog flags a violation; the error return is reserved
-// for harness breakage (registry rejects an incumbent, etc.).
+// is non-nil, forwarded there too (a trace.Ring spills the stream to
+// disk for `cellfi trace verify`). The watchdog's verdict lands in
+// Result (Violations, First), not in the error return, which is
+// reserved for harness breakage (registry rejects an incumbent, etc.).
 func Run(cfg Config, out trace.Recorder) (Result, error) {
 	p := buildPlan(cfg)
 	n, steps := cfg.aps(), cfg.steps()
@@ -516,13 +516,4 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 	res.Violations = checker.Total()
 	res.First = checker.First()
 	return res, nil
-}
-
-// Err renders the result's regulatory verdict: nil when the watchdog
-// stayed green, the first violation otherwise.
-func (r Result) Err() error {
-	if r.First == nil {
-		return nil
-	}
-	return fmt.Errorf("chaos: %d invariant violation(s), first: %s", r.Violations, r.First)
 }

@@ -9,7 +9,31 @@ import (
 
 	"cellfi/internal/faults"
 	"cellfi/internal/invariant"
+	"cellfi/internal/trace"
 )
+
+// FromSeed derives one matrix cell: the seed's low bits switch the
+// crash / storm / failover / skew axes on a copy of base, so the
+// matrix covers all 16 combinations every 16 seeds (brownouts ride
+// along whenever crashes or storms are on, so calm cells stay calm).
+func FromSeed(seed int64, base Config) Config {
+	cfg := base
+	cfg.Seed = seed
+	cfg.Crashes = seed&1 != 0
+	cfg.Storms = seed&2 != 0
+	cfg.Failover = seed&4 != 0
+	if seed&8 == 0 {
+		cfg.MaxSkew = 0
+	}
+	cfg.Brownouts = cfg.Crashes || cfg.Storms
+	return cfg
+}
+
+type capture struct {
+	recs []trace.Record
+}
+
+func (c *capture) Record(r trace.Record) { c.recs = append(c.recs, r) }
 
 func envInt(name string, def int) int {
 	if v := os.Getenv(name); v != "" {
@@ -122,9 +146,6 @@ func TestWatchdogCatchesBrokenGate(t *testing.T) {
 	}
 	if v.Index <= 0 || v.Index >= res.Records {
 		t.Fatalf("first violating record index %d out of stream [0,%d)", v.Index, res.Records)
-	}
-	if res.Err() == nil {
-		t.Fatal("Result.Err() nil despite violation")
 	}
 	// The healthy APs must have vacated cleanly: every violation in
 	// the stream belongs to the broken AP.

@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"net/http/httptest"
+	"net/http"
 	"time"
 
 	"cellfi/internal/core"
+	"cellfi/internal/faults"
 	"cellfi/internal/geo"
 	"cellfi/internal/paws"
 	"cellfi/internal/runner"
@@ -35,11 +36,13 @@ func figure6Timeline(cx *runner.Ctx) Result {
 	reg := spectrum.NewRegistry(spectrum.EU)
 	srv := paws.NewServer(reg)
 	srv.Now = func() time.Time { return now }
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
+	// The client speaks the real PAWS wire encoding, served in-process:
+	// the timeline opens no socket.
+	cl := paws.NewClient("http://pawsdb.virtual/paws", "AP-FIG6")
+	cl.HTTPClient = &http.Client{Transport: faults.HandlerTransport{Handler: srv}}
 
 	apPos := geo.Point{X: 100, Y: 100}
-	sel := core.NewChannelSelector(paws.NewClient(hs.URL, "AP-FIG6"), apPos, 15)
+	sel := core.NewChannelSelector(cl, apPos, 15)
 
 	type event struct {
 		at   time.Duration

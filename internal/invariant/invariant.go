@@ -10,9 +10,9 @@
 // nil-default at emit sites, its Record method does not allocate on
 // the non-violating path (per-AP and per-channel state cells are
 // allocated once and reused), and it is not goroutine-safe — each run
-// owns its checker, mirroring sim.Engine's threading model. Wire it
-// inline with Tee to keep an existing recorder (ring spill, counters)
-// running behind it, or replay a decoded stream offline with Feed
+// owns its checker, mirroring sim.Engine's threading model. Hand it to
+// a world as its recorder (chaos.Run's out, netsim.Config.Trace,
+// metro's SetRecorder), or replay a decoded stream offline with Feed
 // (that is what `cellfi trace verify` does).
 //
 // Evidence model: the lease FSM emits a KindLeaseBudget record —
@@ -35,9 +35,8 @@ import (
 	"cellfi/internal/trace"
 )
 
-// Rule identifiers. These are stable strings: they appear in runner
-// telemetry JSON and in `cellfi trace verify` output, and tests match
-// on them.
+// Rule identifiers. These are stable strings: they appear in
+// `cellfi trace verify` output, and tests match on them.
 const (
 	// RuleTxWithoutLease: a KindRadioTX record with no live lease on
 	// that channel — never granted, already vacated, expired, on a
@@ -229,25 +228,6 @@ func (c *Checker) Record(r trace.Record) {
 	}
 }
 
-// Tee returns a recorder that feeds the checker and then next. A nil
-// next returns the checker itself, so emit sites stay single-branch.
-func (c *Checker) Tee(next trace.Recorder) trace.Recorder {
-	if next == nil {
-		return c
-	}
-	return &tee{c: c, next: next}
-}
-
-type tee struct {
-	c    *Checker
-	next trace.Recorder
-}
-
-func (t *tee) Record(r trace.Record) {
-	t.c.Record(r)
-	t.next.Record(r)
-}
-
 // Feed replays a decoded record slice through the checker.
 func (c *Checker) Feed(recs []trace.Record) {
 	for _, r := range recs {
@@ -274,17 +254,3 @@ func (c *Checker) Total() int { return c.total }
 
 // Records returns how many records the checker has consumed.
 func (c *Checker) Records() int { return c.n }
-
-// Err renders the stream's verdict as an error: nil when clean,
-// otherwise the first violation (with the total count when more than
-// one record violated).
-func (c *Checker) Err() error {
-	v := c.First()
-	if v == nil {
-		return nil
-	}
-	if c.total > 1 {
-		return fmt.Errorf("invariant: %s (+%d more violations)", v, c.total-1)
-	}
-	return fmt.Errorf("invariant: %s", v)
-}

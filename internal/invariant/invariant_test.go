@@ -205,25 +205,6 @@ func TestTotalsAndBound(t *testing.T) {
 	if c.Records() != 5 {
 		t.Fatalf("Records = %d, want 5", c.Records())
 	}
-	if c.Err() == nil {
-		t.Fatal("Err() = nil with violations present")
-	}
-}
-
-func TestTee(t *testing.T) {
-	c := &Checker{}
-	if got := c.Tee(nil); got != trace.Recorder(c) {
-		t.Fatal("Tee(nil) should return the checker itself")
-	}
-	ring := trace.NewRing(8)
-	rec := c.Tee(ring)
-	rec.Record(tx(0, 1, 21))
-	if c.Total() != 1 {
-		t.Fatalf("checker missed teed record: total=%d", c.Total())
-	}
-	if got := len(ring.Snapshot()); got != 1 {
-		t.Fatalf("ring missed teed record: n=%d", got)
-	}
 }
 
 func TestUnknownKindsIgnored(t *testing.T) {

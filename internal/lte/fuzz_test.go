@@ -2,6 +2,7 @@ package lte
 
 import (
 	"bytes"
+	"math/bits"
 	"math/cmplx"
 	"testing"
 )
@@ -33,9 +34,8 @@ func FuzzUnmarshalDCI(f *testing.F) {
 	})
 }
 
-// FuzzDFTRoundTrip: the inverse DFTPlan applied to the forward one
-// must reproduce x for arbitrary lengths (Bluestein path included) and
-// values.
+// FuzzDFTRoundTrip: the inverse FFT applied to the forward one must
+// reproduce x for any power-of-two length and values.
 func FuzzDFTRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0})
@@ -45,13 +45,14 @@ func FuzzDFTRoundTrip(f *testing.F) {
 		if len(raw) == 0 || len(raw) > 512 {
 			return
 		}
-		x := make([]complex128, len(raw)/2+1)
+		// The largest power of two not above len(raw)/2+1.
+		x := make([]complex128, 1<<(bits.Len(uint(len(raw)/2+1))-1))
 		for i := range x {
 			re := float64(int(raw[(2*i)%len(raw)]) - 128)
 			im := float64(int(raw[(2*i+1)%len(raw)]) - 128)
 			x[i] = complex(re, im)
 		}
-		y := NewDFTPlan(len(x), true).Transform(NewDFTPlan(len(x), false).Transform(x))
+		y := ifft(FFT(x))
 		for i := range x {
 			if cmplx.Abs(y[i]-x[i]) > 1e-6*float64(len(x)+1)*256 {
 				t.Fatalf("round trip diverged at %d: %v vs %v (n=%d)", i, y[i], x[i], len(x))

@@ -118,7 +118,7 @@ func NewFastDetector(root int) *FastDetector {
 	for t := 0; t < 2*n-1; t++ {
 		q[t] = cmplxConj(ref[((n-1-t)%n+n)%n])
 	}
-	return &FastDetector{kernel: DFT(q)}
+	return &FastDetector{kernel: FFT(q)}
 }
 
 // Detect runs the correlation detection on one received window.

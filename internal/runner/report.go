@@ -56,16 +56,6 @@ type RunResult struct {
 	// lost (spill-write failures) for the run's trace.
 	TraceRecords int64 `json:"trace_records,omitempty"`
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
-	// InvariantRecords counts records the online regulatory verifier
-	// consumed (Options.Invariants); the remaining invariant_* fields
-	// are present only when the run violated the catalog: the total
-	// violation count, the rule, and the first violating record (its
-	// stream index and stable dump form).
-	InvariantRecords    int64  `json:"invariant_records,omitempty"`
-	InvariantViolations int    `json:"invariant_violations,omitempty"`
-	InvariantRule       string `json:"invariant_rule,omitempty"`
-	InvariantIndex      int    `json:"invariant_index,omitempty"`
-	InvariantRecord     string `json:"invariant_record,omitempty"`
 	// Value is the scenario's return value (not serialized).
 	Value any `json:"-"`
 }

@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"cellfi/internal/invariant"
 	"cellfi/internal/sim"
 	"cellfi/internal/trace"
 )
@@ -71,9 +70,6 @@ type Ctx struct {
 	traceRing *trace.Ring
 	tracePath string
 	traceErr  error
-
-	checker *invariant.Checker
-	rec     trace.Recorder
 }
 
 // Seed returns the spec's deterministic seed.
@@ -87,7 +83,7 @@ func (c *Ctx) Engine(seed int64) *sim.Engine {
 	e := sim.NewEngine(seed)
 	c.mu.Lock()
 	c.engines = append(c.engines, e)
-	if r := c.recorderLocked(); r != nil {
+	if r := c.ringLocked(); r != nil {
 		e.SetRecorder(r)
 	}
 	c.mu.Unlock()
@@ -95,44 +91,20 @@ func (c *Ctx) Engine(seed int64) *sim.Engine {
 }
 
 // Recorder returns the run's flight recorder, or nil when the campaign
-// neither captures traces (Options.TraceDir) nor verifies invariants
-// (Options.Invariants). With capture on, records spill to
-// <TraceDir>/run<index>-<label>.trace; the file is flushed and closed
-// after the scenario finishes, and its path lands in
-// RunResult.TracePath. With invariants on, the same stream feeds an
-// online invariant.Checker whose verdict lands in the result (a
-// violation fails the run); both together tee the stream.
+// does not capture traces (Options.TraceDir). With capture on, records
+// spill to <TraceDir>/run<index>-<label>.trace; the file is flushed and
+// closed after the scenario finishes, and its path lands in
+// RunResult.TracePath.
 //
 // The returned recorder is not synchronized: scenarios that spawn
 // goroutines must record from a single one.
 func (c *Ctx) Recorder() trace.Recorder {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.recorderLocked()
-}
-
-// recorderLocked composes the run's record sink from the invariant
-// checker and/or the spill ring, caching the result. Callers hold
-// c.mu. A nil return means neither capture nor verification is on.
-func (c *Ctx) recorderLocked() trace.Recorder {
-	if c.rec != nil {
-		return c.rec
+	if r := c.ringLocked(); r != nil {
+		return r
 	}
-	ring := c.ringLocked()
-	if c.opts != nil && c.opts.Invariants && c.checker == nil {
-		c.checker = &invariant.Checker{}
-	}
-	switch {
-	case c.checker != nil:
-		var next trace.Recorder
-		if ring != nil {
-			next = ring
-		}
-		c.rec = c.checker.Tee(next)
-	case ring != nil:
-		c.rec = ring
-	}
-	return c.rec
+	return nil // untyped, so callers' nil checks hold
 }
 
 // ringLocked lazily opens the spill file and ring. Callers hold c.mu.
@@ -200,31 +172,6 @@ func (c *Ctx) closeTrace(res *RunResult) {
 	}
 }
 
-// closeInvariants publishes the online checker's verdict: record
-// count always, and on any violation the rule, the first violating
-// record and the total — failing an otherwise-successful run. A
-// regulatory violation must never hide behind a green campaign.
-func (c *Ctx) closeInvariants(res *RunResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.checker == nil {
-		return
-	}
-	res.InvariantRecords = int64(c.checker.Records())
-	v := c.checker.First()
-	if v == nil {
-		return
-	}
-	res.InvariantViolations = c.checker.Total()
-	res.InvariantRule = v.Rule
-	res.InvariantIndex = v.Index
-	res.InvariantRecord = v.Rec.String()
-	if res.Status == StatusOK {
-		res.Status = StatusFailed
-		res.Err = c.checker.Err().Error()
-	}
-}
-
 // AddSteps accounts coarse simulation work for scenarios that are not
 // driven by a sim.Engine (the fluid epoch simulator, analytic models).
 // Steps are added to the run's SimEvents count.
@@ -279,13 +226,6 @@ type Options struct {
 	// scenario wires to Ctx.Recorder) spills a binary trace stream to
 	// <TraceDir>/run<index>-<label>.trace. The directory must exist.
 	TraceDir string
-	// Invariants, when true, attaches an online regulatory verifier
-	// (invariant.Checker) to every run's record stream — everything a
-	// scenario emits through Ctx.Recorder or a Ctx.Engine flight
-	// recorder is checked as it is written. A violation fails the run
-	// and its details land in the RunResult (invariant_* JSON fields).
-	// Works with or without TraceDir.
-	Invariants bool
 }
 
 // Run executes the campaign and returns its report. It blocks until
@@ -405,5 +345,4 @@ func runOne(s *Spec, i int, res *RunResult, opts *Options) {
 	res.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	c.collect(res)
 	c.closeTrace(res)
-	c.closeInvariants(res)
 }
