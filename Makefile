@@ -40,21 +40,28 @@ chaos-soak:
 race:
 	$(GO) test -race ./...
 
-# fuzz-short gives the parsing surfaces a quick shake — the PAWS
-# client-side response decoder, the server's hand-assembled
-# AVAIL_SPECTRUM_RESP bytes against encoding/json over arbitrary
-# registries, locations and clocks, the flight-recorder stream decoder,
-# the invariant verifier replaying arbitrary decoded streams, the LTE
-# DCI grant decoder, the outage-window specs behind `cellfi db -flaky`
-# and `cellfi load -outages`, the comma-separated lists of `cellfi
-# sweep` — and checks the squeezed ziggurat slow path against its
-# pre-squeeze reference on arbitrary hashes.
+# fuzz-short runs every fuzz target for 10 s: the PAWS client-side
+# response decoder; the PAWS server against arbitrary bodies (never
+# panics, always a well-formed envelope) and against its two-step
+# reference decode (same bytes, same leases, registrations and
+# counters); the server's hand-assembled AVAIL_SPECTRUM_RESP bytes
+# against encoding/json over arbitrary registries, locations and
+# clocks; the flight-recorder stream decoder; the invariant verifier
+# replaying arbitrary decoded streams; the IM share invariants; the LTE
+# DCI grant decoder and DFT round trip; the outage-window specs behind
+# `cellfi db -flaky` and `cellfi load -outages`; the comma-separated
+# lists of `cellfi sweep`; and the squeezed ziggurat slow path against
+# its pre-squeeze reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
+	$(GO) test -fuzz=FuzzServerRobustness -fuzztime=10s -run '^$$' ./internal/paws
+	$(GO) test -fuzz=FuzzOnePassDecode -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzSpectrumRespBytes -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
+	$(GO) test -fuzz=FuzzShareInvariants -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzUnmarshalDCI -fuzztime=10s -run '^$$' ./internal/lte
+	$(GO) test -fuzz=FuzzDFTRoundTrip -fuzztime=10s -run '^$$' ./internal/lte
 	$(GO) test -fuzz=FuzzExpFromHash -fuzztime=10s -run '^$$' ./internal/propagation
 	$(GO) test -fuzz=FuzzParseWindows -fuzztime=10s -run '^$$' ./internal/faults
 	$(GO) test -fuzz=FuzzSweepLists -fuzztime=10s -run '^$$' ./cmd/cellfi

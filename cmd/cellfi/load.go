@@ -43,8 +43,11 @@ func runLoad(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if *regionKM <= 0 {
 		return fail(fs, exitUsage, "-region-km must be positive")
 	}
-	if *qps < 0 {
-		return fail(fs, exitUsage, "-qps must not be negative")
+	if *qps < 0 || *workers < 0 {
+		return fail(fs, exitUsage, "-qps and -workers must not be negative")
+	}
+	if *profile != "" && !*wire {
+		return fail(fs, exitUsage, "-profile needs -wire (lean mode injects no faults)")
 	}
 	windows, err := faults.ParseWindows(*outages)
 	if err != nil {

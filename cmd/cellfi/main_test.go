@@ -138,6 +138,10 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"load", "-region-km", "NaN"}, want: exitUsage, oneLine: true},
 		{args: []string{"load", "-qps", "Inf"}, want: exitUsage, oneLine: true},
 		{args: []string{"load", "-qps", "-1"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-workers", "-2"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-profile", "bogus", "-clients", "10", "-requests", "10"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-profile", "mild", "-clients", "10", "-requests", "10"}, want: exitUsage, oneLine: true},
+		{args: []string{"load", "-wire", "-profile", "mild", "-clients", "10", "-requests", "20", "-incumbents", "4"}, want: 0},
 		{args: []string{"load", "-outages", "junk"}, want: exitUsage, oneLine: true},
 
 		{args: []string{"metro", "-h"}, want: 0},

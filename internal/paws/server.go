@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"cellfi/internal/pawsdb"
 	"cellfi/internal/spectrum"
@@ -36,9 +37,9 @@ type Server struct {
 	// before serving traffic.
 	RequireRegistration bool
 
-	// registered remembers fixed-device registrations by serial.
+	// registered holds the serials of registered fixed devices.
 	regMu      sync.RWMutex
-	registered map[string]RegisterReq
+	registered map[string]struct{}
 }
 
 // NewServer returns a PAWS server over the given incumbent registry,
@@ -61,7 +62,7 @@ func NewServerWith(db *pawsdb.DB) *Server {
 			MaxPollingSecs:     3600,
 		},
 		Now:        time.Now,
-		registered: make(map[string]RegisterReq),
+		registered: make(map[string]struct{}),
 	}
 	s.rulesetJSON, _ = json.Marshal(s.ruleset)
 	return s
@@ -109,11 +110,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		met.Errors.Add(1)
 		return
 	}
-	var req rpcRequest
-	if err := json.Unmarshal(bb.Bytes(), &req); err != nil {
-		writeRPC(w, rpcResponse{JSONRPC: "2.0", Error: &RPCError{ErrCodeInvalidValue, "malformed JSON-RPC"}, ID: 0})
-		met.Errors.Add(1)
-		return
+	var req decodedRequest
+	var raw json.RawMessage
+	if !decodeOnce(bb.Bytes(), &req) {
+		// The two-step decode: the envelope with params kept raw,
+		// then (in dispatch) the params into the method's own type.
+		var two rpcRequest
+		if err := json.Unmarshal(bb.Bytes(), &two); err != nil {
+			writeRPC(w, rpcResponse{JSONRPC: "2.0", Error: &RPCError{ErrCodeInvalidValue, "malformed JSON-RPC"}, ID: 0})
+			met.Errors.Add(1)
+			return
+		}
+		req = decodedRequest{JSONRPC: two.JSONRPC, Method: two.Method, ID: two.ID}
+		raw = two.Params
 	}
 	if req.JSONRPC != "2.0" {
 		writeRPC(w, rpcResponse{JSONRPC: "2.0", Error: &RPCError{ErrCodeVersion, "jsonrpc must be 2.0"}, ID: req.ID})
@@ -121,7 +130,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	result, rpcErr := s.dispatch(req.Method, req.Params)
+	result, rpcErr := s.dispatch(req.Method, req.Params, raw)
 
 	resp := rpcResponse{JSONRPC: "2.0", ID: req.ID}
 	var recycle *bytes.Buffer
@@ -169,32 +178,72 @@ func writeRPC(w http.ResponseWriter, resp rpcResponse) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-func (s *Server) dispatch(method string, params json.RawMessage) (any, *RPCError) {
+// decodeOnce decodes body, params included, into req in one
+// json.Unmarshal. It reports false, leaving the body to the two-step
+// decode, unless the one pass provably agrees with it: the body decodes
+// without error, its params are present and not null, and no second
+// envelope key could match "params". Duplicate keys are where the two
+// part: a json.RawMessage keeps the last, a struct merges them field
+// by field. encoding/json matches keys case-insensitively, through
+// escapes and under Unicode folding (ſ folds to s), so the guard is
+// conservative: no backslash, no byte >= 0x80, and one
+// ASCII-case-insensitive "params" anywhere in the body.
+func decodeOnce(body []byte, req *decodedRequest) bool {
+	n := 0
+	for i, c := range body {
+		switch {
+		case c == '\\' || c >= utf8.RuneSelf:
+			return false
+		case c == '"' && i+7 < len(body) && body[i+7] == '"' && bytes.EqualFold(body[i+1:i+7], []byte("params")):
+			n++
+		}
+	}
+	return n == 1 && json.Unmarshal(body, req) == nil && req.Params != nil
+}
+
+// dispatch hands the request to its method's handler. p holds the
+// params when decodeOnce decoded them; otherwise raw holds them and
+// they are decoded here into the method's own request type, which
+// keeps each method's error text and ignores fields only other
+// methods read.
+func (s *Server) dispatch(method string, p *requestParams, raw json.RawMessage) (any, *RPCError) {
 	switch method {
 	case MethodInit:
-		var p InitReq
-		if err := json.Unmarshal(params, &p); err != nil {
+		if p != nil {
+			return s.handleInit(InitReq{DeviceDesc: p.DeviceDesc, Location: p.Location})
+		}
+		var r InitReq
+		if err := json.Unmarshal(raw, &r); err != nil {
 			return nil, &RPCError{ErrCodeInvalidValue, "bad INIT_REQ"}
 		}
-		return s.handleInit(p)
+		return s.handleInit(r)
 	case MethodRegister:
-		var p RegisterReq
-		if err := json.Unmarshal(params, &p); err != nil {
+		if p != nil {
+			return s.handleRegister(RegisterReq{DeviceDesc: p.DeviceDesc, Location: p.Location, Owner: p.Owner})
+		}
+		var r RegisterReq
+		if err := json.Unmarshal(raw, &r); err != nil {
 			return nil, &RPCError{ErrCodeInvalidValue, "bad REGISTRATION_REQ"}
 		}
-		return s.handleRegister(p)
+		return s.handleRegister(r)
 	case MethodGetSpectrum:
-		var p AvailSpectrumReq
-		if err := json.Unmarshal(params, &p); err != nil {
+		if p != nil {
+			return s.handleGetSpectrum(AvailSpectrumReq{DeviceDesc: p.DeviceDesc, Location: p.Location, AntennaHeightM: p.AntennaHeightM})
+		}
+		var r AvailSpectrumReq
+		if err := json.Unmarshal(raw, &r); err != nil {
 			return nil, &RPCError{ErrCodeInvalidValue, "bad AVAIL_SPECTRUM_REQ"}
 		}
-		return s.handleGetSpectrum(p)
+		return s.handleGetSpectrum(r)
 	case MethodNotifyUse:
-		var p NotifyUseReq
-		if err := json.Unmarshal(params, &p); err != nil {
+		if p != nil {
+			return s.handleNotifyUse(NotifyUseReq{DeviceDesc: p.DeviceDesc, Location: p.Location, Spectra: p.Spectra})
+		}
+		var r NotifyUseReq
+		if err := json.Unmarshal(raw, &r); err != nil {
 			return nil, &RPCError{ErrCodeInvalidValue, "bad SPECTRUM_USE_NOTIFY"}
 		}
-		return s.handleNotifyUse(p)
+		return s.handleNotifyUse(r)
 	default:
 		return nil, &RPCError{ErrCodeUnsupported, fmt.Sprintf("unsupported method %q", method)}
 	}
@@ -212,7 +261,7 @@ func (s *Server) handleRegister(p RegisterReq) (any, *RPCError) {
 		return nil, &RPCError{ErrCodeMissing, "deviceDesc.serialNumber required"}
 	}
 	s.regMu.Lock()
-	s.registered[p.DeviceDesc.SerialNumber] = p
+	s.registered[p.DeviceDesc.SerialNumber] = struct{}{}
 	s.regMu.Unlock()
 	return RegisterResp{RulesetInfos: []RulesetInfo{s.ruleset}}, nil
 }
