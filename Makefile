@@ -13,7 +13,8 @@ test:
 # verify is the fast correctness gate: gofmt, static analysis, a full
 # build, and the race detector over every package that owns goroutines
 # or is driven from them (runner, sim, core, paws, faults, trace, shard,
-# pawsdb, pawsload, metro, netsim, and cmd/cellfi's daemon drain tests).
+# pawsdb, pawsload, metro, and cmd/cellfi's daemon drain tests; netsim
+# at -cpu 1,4, so its forked epoch kernels race even on a 1-core box).
 # The anti-regrowth guards (dead exports, collapsed paths, one binary,
 # doc references) are TestGuards in guards_test.go, run by `make test`.
 verify:

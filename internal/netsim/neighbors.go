@@ -72,13 +72,13 @@ func (n *Network) cellsNear(p geo.Point) []int32 {
 
 // activeNear returns, ascending, the clients with queued data this epoch
 // (as markActive last recorded them) within the significance radius of
-// p — every such client when there is no radius. The slice is the
-// network's own scratch, valid until the next call.
-func (n *Network) activeNear(p geo.Point) []int32 {
+// p — every such client when there is no radius. The slice is ks's,
+// valid until its next call.
+func (n *Network) activeNear(ks *kernelScratch, p geo.Point) []int32 {
 	if n.clientGrid == nil {
 		return n.activeAll
 	}
-	near := n.clientGrid.AppendWithin(n.clientScratch[:0], p, n.sigRadius)
+	near := n.clientGrid.AppendWithin(ks.clientScratch[:0], p, n.sigRadius)
 	m := 0
 	for _, c := range near {
 		// Keep c by advancing m: no branch on the flag.
@@ -87,7 +87,7 @@ func (n *Network) activeNear(p geo.Point) []int32 {
 			m++
 		}
 	}
-	n.clientScratch = near
+	ks.clientScratch = near
 	return near[:m]
 }
 

@@ -70,7 +70,7 @@ func checkNeighborhoods(t *testing.T, name string, n *Network) {
 		}
 	}
 	for i, p := range n.Cells {
-		if got, want := n.activeNear(p), bruteActiveNear(n, p); !slices.Equal(got, want) {
+		if got, want := n.activeNear(&n.scratch[0], p), bruteActiveNear(n, p); !slices.Equal(got, want) {
 			t.Fatalf("%s: activeNear(cell %d) = %v, brute %v", name, i, got, want)
 		}
 	}

@@ -200,10 +200,9 @@ type Network struct {
 	// rowsEpoch; epochRows rebuilds the table when n.epoch has moved.
 	rows      [][blocksPerEpoch]propagation.FadeRow
 	rowsEpoch int64
-	// SINR kernel scratch: nearTx holds a transmitter list filtered by
-	// the truncation predicate, blockSig / blockDen sinrBlocks' result.
-	nearTx             []int32
-	blockSig, blockDen [blocksPerEpoch]float64
+	// scratch[w] is worker w's kernel scratch in a forCells pass;
+	// worker 0 is the calling goroutine.
+	scratch []kernelScratch
 
 	controllers []core.IM
 	// providers maps cell -> operator for SchemeHybrid.
@@ -230,16 +229,22 @@ type Network struct {
 	// InterferenceRadiusM > 0, truncate is set and the grids and the
 	// dense active-client flags exist; without, allCells lists every
 	// cell and activeAll every client with queued data, ascending.
-	truncate                   bool
-	sigRadius, sigR2           float64
-	cellGrid, clientGrid       *geo.Grid
-	cellScratch, clientScratch []int32
-	activeFlag                 []bool
-	allCells, activeAll        []int32
+	truncate             bool
+	sigRadius, sigR2     float64
+	cellGrid, clientGrid *geo.Grid
+	cellScratch          []int32
+	activeFlag           []bool
+	allCells, activeAll  []int32
 
 	// Per-step scratch for updateControllers, reused across cells and
-	// epochs: the controller input (maps cleared between cells) and the
-	// per-subchannel clean/held flags. servedBits backs EpochResult.
+	// epochs: the observe pass's per-cell PRACH census and CQI pairs
+	// (cell i's pairs are obs[obsOff[i]:obsOff[i+1]], subchannel-major
+	// over prevActive[i]), the controller input (maps cleared between
+	// cells) and the per-subchannel clean/held flags. servedBits backs
+	// EpochResult.
+	census            []int
+	obs               []cqiPair
+	obsOff            []int
 	imIn              core.EpochInput
 	cleanForAll, held []bool
 	servedBits        []int64
@@ -258,6 +263,7 @@ func New(t *topo.Topology, cfg Config) *Network {
 		fading:    propagation.NewFading(cfg.Seed + 1),
 		rng:       rand.New(rand.NewSource(cfg.Seed + 2)),
 		rowsEpoch: -1,
+		scratch:   make([]kernelScratch, 1),
 	}
 	n.ClientsOf = make([][]int, len(t.APs))
 	for i, pts := range t.Clients {
@@ -291,6 +297,7 @@ func New(t *topo.Topology, cfg Config) *Network {
 		SensedBusy:    map[int]bool{},
 		PackCandidate: map[int]int{},
 	}
+	n.census, n.obsOff = make([]int, len(n.Cells)), make([]int, len(n.Cells)+1)
 	n.cleanForAll, n.held = make([]bool, s), make([]bool, s)
 	n.servedBits = make([]int64, len(n.Clients))
 	n.allowed = make([][]int, len(n.Cells))
@@ -423,35 +430,36 @@ func (n *Network) appendActive(dst []int, i int) []int {
 // terms in the same order — truncation first filters the one ascending
 // list through the cellNearPos predicate (interferers), and the kernel
 // walks what is left.
-func (n *Network) sinrParts(c, k int, b int64, tx [][]int32) (sig, den float64) {
+func (n *Network) sinrParts(ks *kernelScratch, c, k int, b int64, tx [][]int32) (sig, den float64) {
 	i := n.Clients[c].Cell
 	rx := n.rxMW[c*len(n.Cells) : (c+1)*len(n.Cells)]
 	row := n.epochRows(k)[b]
 	sig = rx[i] * row.Gain(propagation.LinkID(i, c))
-	return sig, row.AddSum(n.noiseMW, n.interferers(c, tx[k]), c, rx, int32(i))
+	return sig, row.AddSum(n.noiseMW, n.interferers(ks, c, tx[k]), c, rx, int32(i))
 }
 
 // sinrBlocks is sinrParts for every fading block of the epoch at once:
-// (sig[b], den[b]) equals sinrParts(c, k, b, tx) to the bit. The
+// (sig[b], den[b]) equals sinrParts(ks, c, k, b, tx) to the bit. The
 // interferer list is walked once for all blocks (propagation.SumRows).
-// The slices are the network's own scratch, overwritten by the next call.
-func (n *Network) sinrBlocks(c, k int, tx [][]int32) (sig, den []float64) {
+// The slices are ks's, overwritten by its next call.
+func (n *Network) sinrBlocks(ks *kernelScratch, c, k int, tx [][]int32) (sig, den []float64) {
 	i := n.Clients[c].Cell
 	rx := n.rxMW[c*len(n.Cells) : (c+1)*len(n.Cells)]
 	rows := n.epochRows(k)
-	sig, den = n.blockSig[:], n.blockDen[:]
+	sig, den = ks.blockSig[:], ks.blockDen[:]
 	serving := propagation.LinkID(i, c)
 	for b, row := range rows {
 		sig[b] = rx[i] * row.Gain(serving)
 		den[b] = n.noiseMW
 	}
-	propagation.SumRows(rows[:], n.interferers(c, tx[k]), c, rx, int32(i), den)
+	propagation.SumRows(rows[:], n.interferers(ks, c, tx[k]), c, rx, int32(i), den)
 	return sig, den
 }
 
 // epochRows returns subchannel k's fade rows for the blocks of the
 // current epoch, rebuilding the whole table first if n.epoch has moved
-// since it was last built.
+// since it was last built. A forCells pass only reads the table, so the
+// code that forks builds it first.
 func (n *Network) epochRows(k int) *[blocksPerEpoch]propagation.FadeRow {
 	if n.rowsEpoch != n.epoch {
 		for kk := range n.rows {
@@ -466,14 +474,13 @@ func (n *Network) epochRows(k int) *[blocksPerEpoch]propagation.FadeRow {
 
 // interferers returns the transmitters in cells that can reach client
 // c: the list itself, or with truncation on, the cells the cellNearPos
-// predicate admits, in list order, in the network's reused nearTx
-// scratch.
-func (n *Network) interferers(c int, cells []int32) []int32 {
+// predicate admits, in list order, in ks's reused nearTx.
+func (n *Network) interferers(ks *kernelScratch, c int, cells []int32) []int32 {
 	if !n.truncate {
 		return cells
 	}
 	pos := n.Clients[c].Pos
-	near := slices.Grow(n.nearTx[:0], len(cells))[:len(cells)]
+	near := slices.Grow(ks.nearTx[:0], len(cells))[:len(cells)]
 	m := 0
 	for _, j := range cells {
 		// Store every cell, keep it by advancing m: no branch on the
@@ -483,7 +490,7 @@ func (n *Network) interferers(c int, cells []int32) []int32 {
 			m++
 		}
 	}
-	n.nearTx = near
+	ks.nearTx = near
 	return near[:m]
 }
 
@@ -528,6 +535,8 @@ func (n *Network) Step() EpochResult {
 			}
 		}
 	}
+	// The epoch's fade rows, built before the forCells passes read them.
+	n.epochRows(0)
 	switch n.Cfg.Scheme {
 	case SchemeOracle:
 		n.allowed = n.oracleAllocate()
@@ -556,11 +565,10 @@ func (n *Network) Step() EpochResult {
 
 	// Fluid service: each allowed subchannel's airtime is shared
 	// equally among the cell's active clients; rates average over
-	// fading blocks.
+	// fading blocks. Cells are served in parallel: each client belongs
+	// to one cell and writes only its own queue and servedBits entry.
 	clear(n.servedBits)
-	for j := 0; j < nCells; j++ {
-		n.serveCell(j)
-	}
+	n.forCells((*Network).serveCell)
 
 	n.tx, n.prevTx = n.prevTx, n.tx
 	n.active, n.prevActive = n.prevActive, n.active
@@ -570,7 +578,7 @@ func (n *Network) Step() EpochResult {
 
 // serveCell delivers one epoch of fluid service to cell j's active
 // clients.
-func (n *Network) serveCell(j int) {
+func (n *Network) serveCell(ks *kernelScratch, j int) {
 	active := n.active[j]
 	if len(active) == 0 {
 		return
@@ -579,7 +587,7 @@ func (n *Network) serveCell(j int) {
 	for _, c := range active {
 		var rate float64 // bits per second for this client
 		for _, k := range n.allowed[j] {
-			sig, den := n.sinrBlocks(c, k, n.tx)
+			sig, den := n.sinrBlocks(ks, c, k, n.tx)
 			var scRate float64
 			for b := range sig {
 				scRate += n.rateBps[k][phy.LTECQIFromLinearSINR(sig[b], den[b])]
@@ -617,17 +625,29 @@ func (n *Network) detect(truth bool) bool {
 // epoch's clock (its last fading block) against the *previous* epoch's
 // transmitter lists: the epoch counter has not advanced yet when the
 // update runs.
+//
+// It runs in two passes. Observing is pure per cell and runs in
+// parallel (observeCell). Deciding draws the sensing errors from the
+// shared n.rng and steps the controllers, so it runs serially in
+// ascending cell order over the observed CQI pairs, exactly as a
+// single pass would.
 func (n *Network) updateControllers() {
 	s := n.Cfg.BW.Subchannels()
-	const lastBlock = blocksPerEpoch - 1
-	nowActive, prevActive, prevTx := n.active, n.prevActive, n.prevTx
+	nowActive, prevActive := n.active, n.prevActive
+	off := n.obsOff
+	for i := range n.Cells {
+		off[i+1] = off[i] + s*len(prevActive[i])
+	}
+	n.obs = slices.Grow(n.obs[:0], off[len(n.Cells)])[:off[len(n.Cells)]]
+	n.forCells((*Network).observeCell)
+
 	in, cleanForAll, held := n.imIn, n.cleanForAll, n.held
 	for i, ctl := range n.controllers {
 		// Shares count *active* clients: PDCCH-order RACH solicits
 		// preambles every second and sightings expire after one
 		// second (Section 5.1), so the census tracks current demand.
 		own := len(nowActive[i])
-		in.TargetShare = core.Share(s, own, n.prachCensus(i))
+		in.TargetShare = core.Share(s, own, n.census[i])
 		clear(in.BadFrac)
 		clear(in.Utility)
 		clear(in.SensedBusy)
@@ -653,17 +673,16 @@ func (n *Network) updateControllers() {
 		}
 		// Per-subchannel observations from this cell's clients' CQI
 		// reports (LTE clients sense all subchannels, Section 5). One
-		// SINR evaluation per (client, subchannel) yields the CQI-drop
+		// observed CQI pair per (client, subchannel) yields the CQI-drop
 		// ground truth and the utility.
+		obs := n.obs[off[i]:off[i+1]]
 		for k := 0; k < s; k++ {
 			anyBad := false
 			badFrac := 0.0
 			util := 0.0
-			for _, c := range prevActive[i] {
-				sig, den := n.sinrParts(c, k, lastBlock, prevTx)
-				withI := phy.LTECQIFromLinearSINR(sig, den)
-				clean := phy.LTECQIFromLinearSINR(sig, n.noiseMW)
-				if n.detect(cqiDropped(withI, clean)) {
+			for _, p := range obs[k*len(prevActive[i]) : (k+1)*len(prevActive[i])] {
+				withI := int(p.withI)
+				if n.detect(cqiDropped(withI, int(p.clean))) {
 					anyBad = true
 					badFrac += 1 / nAct
 					cleanForAll[k] = false
@@ -704,12 +723,36 @@ func (n *Network) updateControllers() {
 	}
 }
 
+// cqiPair is one client's CQI report for one subchannel: with the
+// previous epoch's interference and without it. CQIs run 0..15.
+type cqiPair struct{ withI, clean uint8 }
+
+// observeCell is cell i's sensing for the coming controller update:
+// its PRACH census and, for each subchannel k and each client of
+// prevActive[i], the CQI pair at the epoch's last fading block against
+// the previous epoch's transmitters.
+func (n *Network) observeCell(ks *kernelScratch, i int) {
+	const lastBlock = blocksPerEpoch - 1
+	n.census[i] = n.prachCensus(ks, i)
+	act := n.prevActive[i]
+	obs := n.obs[n.obsOff[i]:n.obsOff[i+1]]
+	for k := range n.Cfg.BW.Subchannels() {
+		for ci, c := range act {
+			sig, den := n.sinrParts(ks, c, k, lastBlock, n.prevTx)
+			obs[k*len(act)+ci] = cqiPair{
+				withI: uint8(phy.LTECQIFromLinearSINR(sig, den)),
+				clean: uint8(phy.LTECQIFromLinearSINR(sig, n.noiseMW)),
+			}
+		}
+	}
+}
+
 // prachCensus counts the active clients near cell i (activeNear) whose
 // PRACH it hears at or above the detection floor (-10 dB).
-func (n *Network) prachCensus(i int) int {
+func (n *Network) prachCensus(ks *kernelScratch, i int) int {
 	loss, noise := n.lossDB[i], n.prachNoiseDBm
 	sensed := 0
-	for _, c := range n.activeNear(n.Cells[i]) {
+	for _, c := range n.activeNear(ks, n.Cells[i]) {
 		// Counted without a branch on the SNR, which varies client to
 		// client too irregularly to predict.
 		audible := 0

@@ -554,13 +554,13 @@ func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	n.Step()
 	c := n.ClientsOf[0][0]
 	const k, b = 2, 0
-	_, denBefore := n.sinrParts(c, k, b, n.prevTx)
+	_, denBefore := n.sinrParts(&n.scratch[0], c, k, b, n.prevTx)
 	lossBefore := n.lossDB[1][c]
 
 	pos := n.Cells[1].Add(5, 0)
 	n.Clients[c].Pos = pos
 	n.refreshLinkBudget(c)
-	sig, den := n.sinrParts(c, k, b, n.prevTx)
+	sig, den := n.sinrParts(&n.scratch[0], c, k, b, n.prevTx)
 	if den < 100*denBefore {
 		t.Fatalf("denominator %g -> %g after moving beside a transmitting cell: interference did not follow the client", denBefore, den)
 	}
@@ -571,7 +571,7 @@ func TestRefreshLinkBudgetMovesSINR(t *testing.T) {
 	moved.Clients[0][0] = pos
 	fresh := New(&moved, cfg)
 	fresh.epoch = n.epoch
-	if fsig, fden := fresh.sinrParts(c, k, b, n.prevTx); fsig != sig || fden != den {
+	if fsig, fden := fresh.sinrParts(&fresh.scratch[0], c, k, b, n.prevTx); fsig != sig || fden != den {
 		t.Fatalf("refreshed (sig, den) = (%g, %g), from-scratch network at the new position (%g, %g)", sig, den, fsig, fden)
 	}
 	if loss := n.lossDB[1][c]; loss == lossBefore || loss != fresh.lossDB[1][c] {
@@ -614,11 +614,15 @@ func BenchmarkStepDense(b *testing.B) { benchStepDense(b, false) }
 func BenchmarkStepDenseIndexed(b *testing.B) { benchStepDense(b, true) }
 
 // Steady-state Step at the im_dense shape reuses its per-epoch scratch
-// (active sets, transmitter lists, controller-input maps, the result
-// slice, the fade row table and the SINR kernel's block and interferer
-// buffers): what is left is one Controller.Held slice per controller
-// update, about 210 a step (209 measured, 5,002 before the scratch
-// existed).
+// (active sets, transmitter lists, controller-input maps, the observed
+// CQI pairs, the result slice, the fade row table and the per-worker
+// kernel scratch): what is left is one Controller.Held slice per
+// controller update, about 210 a step (5,002 before the scratch
+// existed). AllocsPerRun runs at GOMAXPROCS 1, where Step does not
+// fork: 210 measured. At GOMAXPROCS 2 a step averages 212 (MemStats
+// over ten steps): each of its two forks adds its shared claim state
+// and one worker goroutine's closure, and nothing scales with cells or
+// clients.
 func TestStepDenseAllocs(t *testing.T) {
 	n := denseNetwork(t, false)
 	if allocs := testing.AllocsPerRun(10, func() { n.Step() }); allocs > 250 {

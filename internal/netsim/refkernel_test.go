@@ -275,14 +275,14 @@ func TestKernelMatchesReference(t *testing.T) {
 					mask := maskOf(n.prevTx, len(n.Cells))
 					for c := range n.Clients {
 						for k := range n.prevTx {
-							bsig, bden := n.sinrBlocks(c, k, n.prevTx)
+							bsig, bden := n.sinrBlocks(&n.scratch[0], c, k, n.prevTx)
 							for b := int64(0); b < blocksPerEpoch; b++ {
 								rsig, rden := n.refSinrParts(c, k, b, mask)
 								if bsig[b] != rsig || bden[b] != rden {
 									t.Fatalf("%s epoch %d client %d k %d block %d: sinrBlocks (sig, den) = (%v, %v), reference (%v, %v)",
 										name, e, c, k, b, bsig[b], bden[b], rsig, rden)
 								}
-								if sig, den := n.sinrParts(c, k, b, n.prevTx); sig != rsig || den != rden {
+								if sig, den := n.sinrParts(&n.scratch[0], c, k, b, n.prevTx); sig != rsig || den != rden {
 									t.Fatalf("%s epoch %d client %d k %d block %d: sinrParts (sig, den) = (%v, %v), reference (%v, %v)",
 										name, e, c, k, b, sig, den, rsig, rden)
 								}

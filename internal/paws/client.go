@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"mime"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,8 +328,10 @@ func (c *Client) callOnce(method, url string, params json.RawMessage, result any
 	return decodeRPCResponse(method, respBody, result)
 }
 
-// decodeRPCResponse parses a JSON-RPC response body into result. It is
-// the parsing surface FuzzParse exercises: arbitrary bytes must yield
+// decodeRPCResponse parses a JSON-RPC response body into result, which
+// it zeroes first: a retry reuses one result, and nothing a rejected
+// attempt decoded may leak into a later attempt's answer. It is the
+// parsing surface FuzzParse exercises: arbitrary bytes must yield
 // either a nil error or a classified *Error, never a panic.
 func decodeRPCResponse(method string, body []byte, result any) *Error {
 	var resp rpcResponse
@@ -342,6 +345,7 @@ func decodeRPCResponse(method string, body []byte, result any) *Error {
 		return &Error{Method: method, Class: classifyRPC(resp.Error), Err: resp.Error}
 	}
 	if result != nil {
+		reflect.ValueOf(result).Elem().SetZero()
 		if err := json.Unmarshal(resp.Result, result); err != nil {
 			return &Error{Method: method, Class: Transient,
 				Err: fmt.Errorf("decode result: %w", err)}

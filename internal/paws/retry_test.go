@@ -122,6 +122,33 @@ func TestNoRetryOnRegulatoryDeny(t *testing.T) {
 	}
 }
 
+// A rejected attempt's partial decode must not reach a successful
+// retry's answer: attempt 1 lists channel 21 but mistypes its
+// timestamp (a transient decode error), attempt 2 lists no schedules,
+// so the answer offers no channel.
+func TestRetryDiscardsRejectedAttempt(t *testing.T) {
+	bodies := []string{
+		`{"jsonrpc":"2.0","result":{"spectrumSchedules":[{"spectra":[{"startHz":4.7e8,"stopHz":4.78e8,"maxEirpDbm":36,"channel":21}]}],"timestamp":12},"id":1}`,
+		`{"jsonrpc":"2.0","result":{"timestamp":"2017-12-12T09:00:00Z"},"id":2}`,
+	}
+	var hits atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, bodies[min(int(hits.Add(1)), len(bodies))-1])
+	})
+	c, _ := newTestClient(t, h, 2)
+	resp, err := c.GetSpectrum(geo.Point{}, 15)
+	if err != nil {
+		t.Fatalf("second attempt should succeed: %v", err)
+	}
+	if hits.Load() != 2 {
+		t.Fatalf("server hit %d times, want 2", hits.Load())
+	}
+	if ch := resp.Channels(); len(ch) != 0 {
+		t.Fatalf("answer offers %v from the rejected attempt, want no channel", ch)
+	}
+}
+
 func TestOversizedResponseRejected(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

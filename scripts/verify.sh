@@ -31,9 +31,15 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-race_pkgs="runner sim core paws faults trace shard pawsdb pawsload metro netsim"
+race_pkgs="runner sim core paws faults trace shard pawsdb pawsload metro"
 echo "== go test -race ($race_pkgs cmd/cellfi)"
 go test -race $(printf './internal/%s ' $race_pkgs) ./cmd/cellfi
+
+# netsim forks its per-cell kernels over GOMAXPROCS workers and skips
+# the fork on one core, so it also runs at -cpu 4: a 1-core runner
+# still races the forked path.
+echo "== go test -race -cpu 1,4 (netsim)"
+go test -race -cpu 1,4 ./internal/netsim
 
 # Optional full-race stage: VERIFY_RACE=1 runs the entire test suite
 # under the race detector (equivalent to `make race`).
