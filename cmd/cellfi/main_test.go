@@ -149,6 +149,9 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"metro", "-epochs", "1"}, want: 0},
 		{args: []string{"metro", "-shards", "0"}, want: exitUsage, oneLine: true},
 		{args: []string{"metro", "-epochs", "0"}, want: exitUsage, oneLine: true},
+		// 9.3e9 one-second epochs end past sim.Time's range: a wrapped
+		// horizon must not pass for a finished run.
+		{args: []string{"metro", "-shards", "2", "-epochs", "9300000000"}, want: exitUsage, oneLine: true},
 	}
 	for _, c := range cases {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"time"
 
 	"cellfi/internal/metro"
@@ -20,15 +22,16 @@ import (
 // from bounded-memory streaming aggregates, so memory stays flat no
 // matter how long the city runs.
 //
-// With -shards K > 1 the same world runs on K region shards in
-// conservative lockstep windows, one engine per core; every number
-// except the wall-clock ones is identical at every K (see DESIGN.md,
-// "Sharded execution and the determinism contract").
+// Every epoch phase forks over GOMAXPROCS workers. With -shards K > 1
+// the same world runs on K region shards in conservative lockstep
+// windows, one engine per shard; every number except the wall-clock
+// ones is identical at every K and core count (see DESIGN.md, "Sharded
+// execution and the determinism contract").
 func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("metro", stderr)
 	epochs := fs.Int("epochs", 240, "simulated seconds (one diurnal cycle = 240)")
 	seed := fs.Int64("seed", 1, "world seed")
-	shards := fs.Int("shards", 1, "region shards (1 = single-threaded)")
+	shards := fs.Int("shards", 1, "region shards (1 = no cluster; every phase still forks over GOMAXPROCS)")
 	asJSON := fs.Bool("json", false, "emit a JSON summary instead of text")
 	if code, ok := parse(fs, args, 0); !ok {
 		return code
@@ -38,6 +41,10 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *epochs < 1 {
 		return fail(fs, exitUsage, "-epochs must be at least 1")
+	}
+	// An epoch is one simulated second; the run's end must fit sim.Time.
+	if maxEpochs := math.MaxInt64 / int64(time.Second); int64(*epochs) > maxEpochs {
+		return fail(fs, exitUsage, "-epochs %d past what a simulated clock holds, want at most %d", *epochs, maxEpochs)
 	}
 
 	cfg := metro.DefaultCity(*seed)
@@ -88,12 +95,12 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "metro: %d APs, %d UEs on %.0f km²\n",
 		cfg.NAPs, cfg.NUEs, cfg.AreaW*cfg.AreaH/1e6)
 	fmt.Fprintf(stdout, "built world in %v\n", buildWall.Round(time.Millisecond))
-	mode := "single-threaded"
+	mode := "1 slab"
 	if cfg.Shards > 1 {
 		mode = fmt.Sprintf("%d shards", cfg.Shards)
 	}
-	fmt.Fprintf(stdout, "simulated %d s in %v — %.1fx real time, %s\n",
-		*epochs, simWall.Round(time.Millisecond), realtime, mode)
+	fmt.Fprintf(stdout, "simulated %d s in %v — %.1fx real time, %s on GOMAXPROCS %d\n",
+		*epochs, simWall.Round(time.Millisecond), realtime, mode, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(stdout, "attached: %.0f mean / %d peak UEs\n", attMean, attPeak)
 	fmt.Fprintf(stdout, "delivered: %.1f Gbit total\n", float64(w.DeliveredBits())/1e9)
 	fmt.Fprintf(stdout, "per-UE throughput: %.2f Mbps mean, %.2f p50, %.2f p95\n",

@@ -1,7 +1,6 @@
 // Package metro simulates one city-scale CellFi deployment — thousands
 // of access points and 100k+ UEs in a single world — fast enough to
-// outrun the wall clock on one core, and across many cores without
-// giving up determinism.
+// outrun the wall clock, on every core without giving up determinism.
 //
 // The epoch simulator in internal/netsim keeps per-object structs and
 // dense [cells][clients] budget matrices; at 2,000 APs x 100k UEs that
@@ -39,7 +38,7 @@
 //
 // With Config.Shards > 1 the city is cut into vertical slabs of equal
 // width and driven by an internal/shard cluster: each slab owns the UEs
-// inside it and runs its epoch phases on its own goroutine, in
+// inside it and runs its epoch phases from its own goroutine, in
 // conservative 250 ms windows. One 1-second epoch is four windows:
 //
 //	t+0    attach/detach walk over the shard's slice of the global
@@ -55,7 +54,21 @@
 //	       emits and the epoch counter advances
 //
 // With Shards <= 1 there is one slab and no cluster: Step runs the same
-// phases and the same folds inline on the caller's goroutine.
+// phases and the same folds from the caller's goroutine.
+//
+// # Forked phases
+//
+// At every shard count, the three per-UE passes — construction's row
+// build, mobility and the sweep — fork-join over chunks of the UE index
+// range (shard.Fork), up to GOMAXPROCS workers per shard. A worker
+// writes only its own UEs' slots and its own partials (a worker value:
+// row scratch, serving-AP moves, handoffs, served bits, CQI sum,
+// (load, CQI) tally, zero and queue-clipped samples). After the join
+// the shard folds the partials into its shardCtx in worker order and
+// sends its handoffs in ascending UE order; every folded quantity is an
+// integer sum or a sketch bucket count, so no output depends on which
+// worker ran which chunk. Attach, the folds and the trace record stay
+// serial.
 //
 // Every quantity that crosses a shard boundary is either an integer
 // delta or moment (commutative, so fold order cannot matter) or a
@@ -72,6 +85,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cellfi/internal/geo"
@@ -101,6 +115,10 @@ const (
 	offSweep    = 500 * time.Millisecond
 	offFold     = 750 * time.Millisecond
 )
+
+// ueGrain is how many consecutive UE indices a worker claims at a time
+// in a forked phase: about a quarter millisecond of sweep.
+const ueGrain = 1024
 
 // Cross-shard message kinds.
 const (
@@ -142,15 +160,16 @@ type Config struct {
 	SpeedMps     float64
 	// Shards > 1 runs the world on a conservative parallel cluster of
 	// that many vertical slabs (see package doc); 0 or 1 runs the one
-	// slab inline on the caller's goroutine. Results are byte-identical
-	// either way. New panics above 256: slab ownership is one byte per
-	// UE.
+	// slab's phases from the caller's goroutine. Either way each phase
+	// forks over GOMAXPROCS workers, and results are byte-identical at
+	// any shard and core count. New panics above 256: slab ownership is
+	// one byte per UE.
 	Shards int
 }
 
 // DefaultCity returns the headline scenario: 2,000 APs and 100k UEs on
-// a 14 km x 7 km city, which must simulate faster than real time on a
-// single core (the benchmark's city_diurnal workload measures it).
+// a 14 km x 7 km city, which must simulate faster than real time (the
+// benchmark's city_diurnal workload measures it at one shard).
 func DefaultCity(seed int64) Config {
 	return Config{
 		Seed:         seed,
@@ -170,11 +189,10 @@ func DefaultCity(seed int64) Config {
 	}
 }
 
-// shardCtx is the per-shard working set: scratch, per-AP load deltas
-// staged during a window, per-epoch integer aggregates, and the shard's
-// share of the whole-run throughput samples.
+// shardCtx is the per-shard working set: per-AP load deltas staged
+// during a window, per-epoch integer aggregates, the shard's share of
+// the whole-run throughput samples, and its phases' fork-join workers.
 type shardCtx struct {
-	scratch   []int32
 	loadDelta []int32 // per-AP attach/handover deltas, folded at barriers
 
 	handovers int64 // this epoch
@@ -183,11 +201,44 @@ type shardCtx struct {
 
 	thr  bitMoments
 	thrQ *stats.QuantileSketch
+
+	// workers[i] holds fork-join worker i's partials for this shard's
+	// phases; worker 0 is the goroutine running the phase. move and
+	// sweep are the phases' chunk functions, built once in New.
+	workers     []worker
+	move, sweep func(wk *worker, lo, hi int)
+	// row is the sweep's fade row, built before the fork.
+	row propagation.FadeRow
+	// handoffs gathers the workers' handoffs for sending in ascending
+	// UE order.
+	handoffs []int32
+}
+
+// worker is one fork-join worker's partials within a shard's phase. The
+// shard folds them into its shardCtx after the join and clears them.
+type worker struct {
+	scratch []int32 // rebuildRow's grid answer
+	// moves holds (old, new) serving-AP pairs, -1 for none, of attached
+	// UEs whose row rebuild changed their serving AP: one handover each.
+	moves []int32
+	// handoffs lists the UEs whose mobility step left the shard's slab.
+	handoffs []int32
+
+	served, cqiSum int64
 	// tally[load<<4|cqi] counts this sweep's unclipped samples by
-	// (serving-AP load, CQI); the end of the sweep folds each non-empty
-	// cell into thr and thrQ and zeroes it. Grows on demand to the
-	// highest load seen, then stays.
+	// (serving-AP load, CQI); the fold adds each non-empty cell to the
+	// shard's thr and thrQ once. Grows on demand to the highest load
+	// seen, then stays.
 	tally []int32
+	// zeros counts this sweep's out-of-coverage samples; clipped holds
+	// its queue-clipped ones, which are not a function of (load, CQI).
+	zeros   int64
+	clipped []int64
+
+	// chunks counts the chunks this worker has ever claimed.
+	chunks int64
+	// Keeps neighbouring workers' partials off a shared cache line.
+	_ [64]byte
 }
 
 // bitMoments accumulates one shard's per-UE served-bit samples as
@@ -321,10 +372,12 @@ func New(cfg Config) *World {
 		slabW: cfg.AreaW / float64(cfg.Shards),
 	}
 	w.sctx = make([]*shardCtx, cfg.Shards)
-	for i := range w.sctx {
-		w.sctx[i] = &shardCtx{
+	for s := range w.sctx {
+		w.sctx[s] = &shardCtx{
 			loadDelta: make([]int32, cfg.NAPs),
 			thrQ:      stats.NewQuantileSketch(0),
+			move:      func(wk *worker, lo, hi int) { w.moveChunk(s, wk, lo, hi) },
+			sweep:     func(wk *worker, lo, hi int) { w.sweepChunk(s, wk, lo, hi) },
 		}
 	}
 	area := geo.Rect{MinX: 0, MinY: 0, MaxX: cfg.AreaW, MaxY: cfg.AreaH}
@@ -362,8 +415,14 @@ func New(cfg Config) *World {
 		w.ueX[u], w.ueY[u] = p.X, p.Y
 		w.ueWpX[u], w.ueWpY[u] = q.X, q.Y
 		w.ueShard[u] = uint8(w.slabOf(p.X))
-		w.rebuildRow(u, w.sctx[0])
 	}
+	// No UE is attached yet, so the rows' build stages no move.
+	shard.Fork(&w.sctx[0].workers, n, ueGrain, func(wk *worker, lo, hi int) {
+		wk.chunks++
+		for u := lo; u < hi; u++ {
+			w.rebuildRow(u, wk)
+		}
+	})
 	w.attachSeq = make([]int32, n)
 	for i, v := range w.rng.Perm(n) {
 		w.attachSeq[i] = int32(v)
@@ -453,13 +512,14 @@ func (w *World) foldLoads() {
 // current position — the only place link budgets are evaluated, run at
 // construction and after a mobility step. The grid returns the APs
 // within RadiusM (inclusive r^2 predicate) in ascending index order.
-func (w *World) rebuildRow(u int, sc *shardCtx) {
+// It writes only UE u's slots and wk.
+func (w *World) rebuildRow(u int, wk *worker) {
 	k := w.Cfg.MaxNeighbors
 	base := u * k
 	pos := geo.Point{X: w.ueX[u], Y: w.ueY[u]}
-	sc.scratch = w.grid.AppendWithin(sc.scratch[:0], pos, w.Cfg.RadiusM)
+	wk.scratch = w.grid.AppendWithin(wk.scratch[:0], pos, w.Cfg.RadiusM)
 	cnt := 0
-	for _, a := range sc.scratch {
+	for _, a := range wk.scratch {
 		if cnt >= k {
 			break // bounded degree: keep the lowest indices
 		}
@@ -487,13 +547,7 @@ func (w *World) rebuildRow(u int, sc *shardCtx) {
 	w.ueCell[u] = best
 	w.ueServI[u] = uint8(bestI)
 	if w.ueAttached[u] && oldCell != best {
-		sc.handovers++
-		if oldCell >= 0 {
-			sc.loadDelta[oldCell]--
-		}
-		if best >= 0 {
-			sc.loadDelta[best]++
-		}
+		wk.moves = append(wk.moves, oldCell, best)
 	}
 }
 
@@ -544,30 +598,71 @@ func (w *World) attachPhase(s int) {
 }
 
 // mobilityPhase advances random-waypoint walks for shard s's members of
-// the epoch's deterministic cohort and rebuilds their adjacency rows.
-// Fresh waypoints come from a per-UE counter hash — not a shared RNG —
-// so the draw a UE sees is independent of which shard moves it and of
-// how many other UEs moved first.
+// the epoch's deterministic cohort and rebuilds their adjacency rows,
+// forked over UE chunks. Fresh waypoints come from a per-UE counter
+// hash — not a shared RNG — so the draw a UE sees is independent of
+// which shard or worker moves it and of how many other UEs moved first.
+// After the join the shard stages the handovers' load deltas and sends
+// a handoff Msg for each UE that stepped across a slab boundary, in
+// ascending UE order, so Send numbers them the same at any core count.
 func (w *World) mobilityPhase(s int) {
-	cfg := &w.Cfg
-	if cfg.MoveFraction <= 0 {
+	if w.Cfg.MoveFraction <= 0 {
 		return
 	}
-	// A rotating deterministic cohort moves each epoch: identical at
-	// every shard count.
-	stride := int64(1)
-	if cfg.MoveFraction < 1 {
-		stride = int64(1 / cfg.MoveFraction)
-	}
 	sc := w.sctx[s]
+	shard.Fork(&sc.workers, w.Cfg.NUEs, ueGrain, sc.move)
+	sc.handoffs = sc.handoffs[:0]
+	for i := range sc.workers {
+		wk := &sc.workers[i]
+		sc.handovers += int64(len(wk.moves) / 2)
+		for j := 0; j < len(wk.moves); j += 2 {
+			if old := wk.moves[j]; old >= 0 {
+				sc.loadDelta[old]--
+			}
+			if best := wk.moves[j+1]; best >= 0 {
+				sc.loadDelta[best]++
+			}
+		}
+		wk.moves = wk.moves[:0]
+		sc.handoffs = append(sc.handoffs, wk.handoffs...)
+		wk.handoffs = wk.handoffs[:0]
+	}
+	if len(sc.handoffs) == 0 { // always with a single slab
+		return
+	}
+	slices.Sort(sc.handoffs)
+	sh := w.cluster.Shard(s)
+	for _, u := range sc.handoffs {
+		ns := w.slabOf(w.ueX[u])
+		sh.Send(shard.Msg{
+			At:   sh.Engine.Now() + shardWindow,
+			Dst:  int32(ns),
+			Kind: msgHandoff,
+			Args: [4]int64{int64(u), int64(ns)},
+		})
+	}
+}
+
+// moveChunk is mobilityPhase's work on UEs [lo, hi): a rotating
+// deterministic cohort, every stride-th UE, moves each epoch, identical
+// at every shard count.
+func (w *World) moveChunk(s int, wk *worker, lo, hi int) {
+	wk.chunks++
+	cfg := &w.Cfg
+	stride := 1
+	if cfg.MoveFraction < 1 {
+		stride = int(1 / cfg.MoveFraction)
+	}
+	step := cfg.SpeedMps * float64(stride) // cohort moves every stride epochs
 	own := uint8(s)
-	for u := int(w.epoch % stride); u < cfg.NUEs; u += int(stride) {
+	// The first cohort member at or after lo.
+	first := lo + (int(w.epoch%int64(stride))-lo%stride+stride)%stride
+	for u := first; u < hi; u += stride {
 		if w.ueShard[u] != own || !w.ueAttached[u] {
 			continue
 		}
 		dx, dy := w.ueWpX[u]-w.ueX[u], w.ueWpY[u]-w.ueY[u]
 		d := math.Sqrt(dx*dx + dy*dy)
-		step := cfg.SpeedMps * float64(stride) // cohort moves every stride epochs
 		if d <= step {
 			w.ueX[u], w.ueY[u] = w.ueWpX[u], w.ueWpY[u]
 			w.ueWpN[u]++
@@ -578,15 +673,9 @@ func (w *World) mobilityPhase(s int) {
 			w.ueX[u] += step * dx / d
 			w.ueY[u] += step * dy / d
 		}
-		w.rebuildRow(u, sc)
-		if ns := w.slabOf(w.ueX[u]); ns != s { // never with a single slab
-			sh := w.cluster.Shard(s)
-			sh.Send(shard.Msg{
-				At:   sh.Engine.Now() + shardWindow,
-				Dst:  int32(ns),
-				Kind: msgHandoff,
-				Args: [4]int64{int64(u), int64(ns)},
-			})
+		w.rebuildRow(u, wk)
+		if w.slabOf(w.ueX[u]) != s { // never with a single slab
+			wk.handoffs = append(wk.handoffs, int32(u))
 		}
 	}
 }
@@ -610,26 +699,62 @@ func mix64(x uint64) uint64 {
 }
 
 // sweepPhase is the cache-linear SINR/throughput sweep over shard s's
-// attached UEs: one fused fade-and-sum pass per adjacency row. It reads
-// the shared load table (frozen during windows) and writes only owned
-// per-UE slots and the shard's own aggregates.
+// attached UEs, forked over UE chunks: one fused fade-and-sum pass per
+// adjacency row. It reads the shared load table (frozen during windows)
+// and writes only owned per-UE slots and its workers' partials, which
+// it then folds into the shard's aggregates.
 func (w *World) sweepPhase(s int) {
-	cfg := &w.Cfg
 	sc := w.sctx[s]
-	own := uint8(s)
 	// The whole sweep shares the subchannel and coherence block, so one
 	// fade row serves every UE; draws are counter-hashed per link, so
 	// which of them get evaluated does not perturb any other.
-	row := w.fade.Row(w.sc, w.epoch*1000)
+	sc.row = w.fade.Row(w.sc, w.epoch*1000)
+	shard.Fork(&sc.workers, w.Cfg.NUEs, ueGrain, sc.sweep)
+	for i := range sc.workers {
+		wk := &sc.workers[i]
+		sc.served += wk.served
+		sc.cqiSum += wk.cqiSum
+		wk.served, wk.cqiSum = 0, 0
+		// One moments update and one sketch insert (one log) per
+		// distinct (load, CQI) pair the worker saw, instead of one per
+		// attached UE.
+		for cell, n := range wk.tally {
+			if n == 0 {
+				continue
+			}
+			wk.tally[cell] = 0
+			served := servedBits(w.rateBps[cell&15], int32(cell>>4))
+			sc.thr.addN(served, int64(n))
+			sc.thrQ.AddN(float64(served)/1e6, int64(n))
+		}
+		if wk.zeros > 0 {
+			sc.thr.addN(0, wk.zeros)
+			sc.thrQ.AddN(0, wk.zeros)
+			wk.zeros = 0
+		}
+		for _, v := range wk.clipped {
+			sc.thr.add(v)
+			sc.thrQ.Add(float64(v) / 1e6)
+		}
+		wk.clipped = wk.clipped[:0]
+	}
+}
+
+// sweepChunk is sweepPhase's work on UEs [lo, hi).
+func (w *World) sweepChunk(s int, wk *worker, lo, hi int) {
+	wk.chunks++
+	cfg := &w.Cfg
+	sc := w.sctx[s]
+	own := uint8(s)
 	k := cfg.MaxNeighbors
-	for u := 0; u < cfg.NUEs; u++ {
+	for u := lo; u < hi; u++ {
 		if w.ueShard[u] != own || !w.ueAttached[u] {
 			continue
 		}
 		serving := w.ueCell[u]
 		if serving < 0 {
 			w.ueCQI[u] = 0
-			sc.addSample(0)
+			wk.zeros++
 			continue
 		}
 		base := u * k
@@ -641,39 +766,28 @@ func (w *World) sweepPhase(s int) {
 		// negligible next to the thermal noise floor already in den, and
 		// identical across shard counts. sig is positive: the serving AP
 		// was picked with rx > 0 and the fade draw never returns 0.
-		total, sig := row.WeightedSum(aps, cfg.NAPs+u, rx, int(w.ueServI[u]))
+		total, sig := sc.row.WeightedSum(aps, cfg.NAPs+u, rx, int(w.ueServI[u]))
 		den := w.noiseMW + (total - sig)
 		cqi := phy.LTECQIFromLinearSINR(sig, den)
 		w.ueCQI[u] = uint8(cqi)
-		sc.cqiSum += int64(cqi)
+		wk.cqiSum += int64(cqi)
 		load := w.apLoad[serving]
 		served := servedBits(w.rateBps[cqi], load)
 		if served > w.ueQueued[u] {
 			// Queue-clipped: the sample is what was left, not a function
 			// of (load, CQI), so it takes the per-sample path.
 			served = w.ueQueued[u]
-			sc.addSample(served)
+			wk.clipped = append(wk.clipped, served)
 		} else {
 			cell := int(load)<<4 | cqi
-			if cell >= len(sc.tally) {
-				sc.tally = append(sc.tally, make([]int32, cell+1-len(sc.tally))...)
+			if cell >= len(wk.tally) {
+				wk.tally = append(wk.tally, make([]int32, cell+1-len(wk.tally))...)
 			}
-			sc.tally[cell]++
+			wk.tally[cell]++
 		}
 		w.ueQueued[u] -= served
 		w.ueDelivered[u] += served
-		sc.served += served
-	}
-	// Fold the tally: one moments update and one sketch insert (one log)
-	// per distinct (load, CQI) pair seen, instead of one per attached UE.
-	for cell, n := range sc.tally {
-		if n == 0 {
-			continue
-		}
-		sc.tally[cell] = 0
-		served := servedBits(w.rateBps[cell&15], int32(cell>>4))
-		sc.thr.addN(served, int64(n))
-		sc.thrQ.AddN(float64(served)/1e6, int64(n))
+		wk.served += served
 	}
 }
 
@@ -682,13 +796,6 @@ func (w *World) sweepPhase(s int) {
 // what lets the sweep tally pairs and fold each once.
 func servedBits(rateBps float64, load int32) int64 {
 	return int64(rateBps / float64(load))
-}
-
-// addSample records one per-UE throughput observation (bits served in
-// the 1 s epoch) in the shard's partials.
-func (sc *shardCtx) addSample(bits int64) {
-	sc.thr.add(bits)
-	sc.thrQ.Add(float64(bits) / 1e6)
 }
 
 // epochFold closes one epoch, single-threaded: commit the attach
@@ -721,9 +828,15 @@ func (w *World) epochFold() {
 func (w *World) Step() { w.Run(1) }
 
 // Run advances the world the given number of epochs. A single slab runs
-// the cluster's schedule — phase, load fold, ..., epoch fold — inline on
-// the caller's goroutine; more slabs advance the cluster.
+// the cluster's schedule — phase, load fold, ..., epoch fold — from the
+// caller's goroutine; more slabs advance the cluster. Run panics if the
+// run would end past the last epoch a sim.Time can hold (about 9.2e9),
+// rather than wrap its horizon and simulate nothing.
 func (w *World) Run(epochs int) {
+	if int64(epochs) > math.MaxInt64/int64(epochDur)-w.epoch {
+		panic(fmt.Sprintf("metro: Run(%d) from epoch %d ends past the last epoch a sim.Time holds (%d)",
+			epochs, w.epoch, math.MaxInt64/int64(epochDur)))
+	}
 	if w.cluster != nil {
 		w.cluster.Run(time.Duration(w.epoch+int64(epochs)) * epochDur)
 		return

@@ -21,7 +21,7 @@ type workerRun struct {
 }
 
 // runAtProcs steps a world for epochs under GOMAXPROCS procs (restored
-// on return). The world has 24 cells, six forCells chunks, and mixes
+// on return). The world has 24 cells, six shard.Fork chunks, and mixes
 // idle, backlogged and finite-queue clients, so cells drop in and out
 // of the observe and serve passes.
 func runAtProcs(t *testing.T, procs int, cfg Config, mobile, traced bool, epochs int) workerRun {

@@ -28,6 +28,7 @@ import (
 	"cellfi/internal/oracle"
 	"cellfi/internal/phy"
 	"cellfi/internal/propagation"
+	"cellfi/internal/shard"
 	"cellfi/internal/topo"
 	"cellfi/internal/trace"
 )
@@ -200,9 +201,11 @@ type Network struct {
 	// rowsEpoch; epochRows rebuilds the table when n.epoch has moved.
 	rows      [][blocksPerEpoch]propagation.FadeRow
 	rowsEpoch int64
-	// scratch[w] is worker w's kernel scratch in a forCells pass;
-	// worker 0 is the calling goroutine.
-	scratch []kernelScratch
+	// scratch[w] is worker w's kernel scratch in a shard.Fork pass over
+	// cells; worker 0 is the calling goroutine. observe and serve are
+	// the two passes' chunk functions, built once in New.
+	scratch        []kernelScratch
+	observe, serve func(ks *kernelScratch, lo, hi int)
 
 	controllers []core.IM
 	// providers maps cell -> operator for SchemeHybrid.
@@ -265,6 +268,8 @@ func New(t *topo.Topology, cfg Config) *Network {
 		rowsEpoch: -1,
 		scratch:   make([]kernelScratch, 1),
 	}
+	n.observe = n.overCells((*Network).observeCell)
+	n.serve = n.overCells((*Network).serveCell)
 	n.ClientsOf = make([][]int, len(t.APs))
 	for i, pts := range t.Clients {
 		for _, p := range pts {
@@ -458,8 +463,8 @@ func (n *Network) sinrBlocks(ks *kernelScratch, c, k int, tx [][]int32) (sig, de
 
 // epochRows returns subchannel k's fade rows for the blocks of the
 // current epoch, rebuilding the whole table first if n.epoch has moved
-// since it was last built. A forCells pass only reads the table, so the
-// code that forks builds it first.
+// since it was last built. A forked pass over cells only reads the
+// table, so the code that forks builds it first.
 func (n *Network) epochRows(k int) *[blocksPerEpoch]propagation.FadeRow {
 	if n.rowsEpoch != n.epoch {
 		for kk := range n.rows {
@@ -535,7 +540,7 @@ func (n *Network) Step() EpochResult {
 			}
 		}
 	}
-	// The epoch's fade rows, built before the forCells passes read them.
+	// The epoch's fade rows, built before the forked passes read them.
 	n.epochRows(0)
 	switch n.Cfg.Scheme {
 	case SchemeOracle:
@@ -568,7 +573,7 @@ func (n *Network) Step() EpochResult {
 	// fading blocks. Cells are served in parallel: each client belongs
 	// to one cell and writes only its own queue and servedBits entry.
 	clear(n.servedBits)
-	n.forCells((*Network).serveCell)
+	shard.Fork(&n.scratch, len(n.Cells), cellGrain, n.serve)
 
 	n.tx, n.prevTx = n.prevTx, n.tx
 	n.active, n.prevActive = n.prevActive, n.active
@@ -639,7 +644,7 @@ func (n *Network) updateControllers() {
 		off[i+1] = off[i] + s*len(prevActive[i])
 	}
 	n.obs = slices.Grow(n.obs[:0], off[len(n.Cells)])[:off[len(n.Cells)]]
-	n.forCells((*Network).observeCell)
+	shard.Fork(&n.scratch, len(n.Cells), cellGrain, n.observe)
 
 	in, cleanForAll, held := n.imIn, n.cleanForAll, n.held
 	for i, ctl := range n.controllers {

@@ -41,6 +41,11 @@
 // its 50-seed trace-byte equivalence test pins the property the same
 // way scheduler_ref_test.go pinned the scheduler rewrite.
 //
+// Fork is the package's other face: a fork-join pass over an index
+// range, for work inside one window (or outside any cluster) whose
+// items write disjoint state. netsim's per-cell kernels and each metro
+// shard's per-UE phases run on it.
+//
 // The steady-state barrier path — dispatch, busy/stall accounting,
 // message harvest, sort, delivery — performs zero heap allocations
 // once buffers have grown to the workload's high-water mark;

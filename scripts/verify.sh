@@ -31,15 +31,20 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-race_pkgs="runner sim core paws faults trace shard pawsdb pawsload metro"
+race_pkgs="runner sim core paws faults trace shard pawsdb pawsload"
 echo "== go test -race ($race_pkgs cmd/cellfi)"
 go test -race $(printf './internal/%s ' $race_pkgs) ./cmd/cellfi
 
-# netsim forks its per-cell kernels over GOMAXPROCS workers and skips
-# the fork on one core, so it also runs at -cpu 4: a 1-core runner
-# still races the forked path.
-echo "== go test -race -cpu 1,4 (netsim)"
+# netsim and metro fork their per-cell and per-UE passes over
+# GOMAXPROCS workers (shard.Fork) and skip the fork on one core, so they
+# run at -cpu 4: a 1-core runner still races the forked path. metro's
+# own tests already cover the unforked path (AllocsPerRun runs at
+# GOMAXPROCS 1, TestMetroWorkerInvariant sets 1 and 4), and its race
+# suite takes ~110 s per -cpu value, so it runs at -cpu 4 alone; netsim
+# also runs at -cpu 1.
+echo "== go test -race -cpu 1,4 (netsim), -cpu 4 (metro)"
 go test -race -cpu 1,4 ./internal/netsim
+go test -race -cpu 4 ./internal/metro
 
 # Optional full-race stage: VERIFY_RACE=1 runs the entire test suite
 # under the race detector (equivalent to `make race`).
