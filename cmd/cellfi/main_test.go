@@ -45,8 +45,9 @@ func TestSmoke(t *testing.T) {
 	cases := []struct {
 		args      []string
 		want      int
-		oneLine   bool // the refusal is exactly one stderr line
-		cancelled bool // run under an already-cancelled context
+		oneLine   bool           // the refusal is exactly one stderr line
+		cancelled bool           // run under an already-cancelled context
+		stdout    *regexp.Regexp // if set, stdout must match it
 	}{
 		{args: nil, want: exitUsage},
 		{args: []string{"bogus"}, want: exitUsage, oneLine: true},
@@ -146,7 +147,9 @@ func TestSmoke(t *testing.T) {
 
 		{args: []string{"metro", "-h"}, want: 0},
 		{args: []string{"metro", "-bogus"}, want: exitUsage},
-		{args: []string{"metro", "-epochs", "1"}, want: 0},
+		// Per-UE rates are kbps-scale: the text line prints kbps, and its p50 must not round to zero.
+		{args: []string{"metro", "-epochs", "1"}, want: 0,
+			stdout: regexp.MustCompile(`per-UE throughput: [0-9.]+ kbps mean, [0-9.]*[1-9][0-9.]* p50, `)},
 		{args: []string{"metro", "-shards", "0"}, want: exitUsage, oneLine: true},
 		{args: []string{"metro", "-epochs", "0"}, want: exitUsage, oneLine: true},
 		// 9.3e9 one-second epochs end past sim.Time's range: a wrapped
@@ -168,6 +171,9 @@ func TestSmoke(t *testing.T) {
 		}
 		if c.oneLine && strings.Count(stderr.String(), "\n") != 1 {
 			t.Errorf("%s: want one stderr line, got:\n%s", line, stderr.String())
+		}
+		if c.stdout != nil && !c.stdout.MatchString(stdout.String()) {
+			t.Errorf("%s: stdout does not match %q:\n%s", line, c.stdout, stdout.String())
 		}
 	}
 }

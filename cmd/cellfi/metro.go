@@ -103,8 +103,9 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		*epochs, simWall.Round(time.Millisecond), realtime, mode, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(stdout, "attached: %.0f mean / %d peak UEs\n", attMean, attPeak)
 	fmt.Fprintf(stdout, "delivered: %.1f Gbit total\n", float64(w.DeliveredBits())/1e9)
-	fmt.Fprintf(stdout, "per-UE throughput: %.2f Mbps mean, %.2f p50, %.2f p95\n",
-		thr.Mean, thrQ.Quantile(0.5), thrQ.Quantile(0.95))
+	// Per-UE rates are kbps-scale; the JSON keys keep Mbps at full precision.
+	fmt.Fprintf(stdout, "per-UE throughput: %.1f kbps mean, %.1f p50, %.1f p95\n",
+		thr.Mean*1e3, thrQ.Quantile(0.5)*1e3, thrQ.Quantile(0.95)*1e3)
 	if st, ok := w.ShardStats(); ok {
 		fmt.Fprintf(stdout, "shards: %d windows, %.1f ms total barrier stall, utilization",
 			st.Windows, st.BarrierStallMS())

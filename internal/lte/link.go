@@ -372,12 +372,3 @@ func (e *Environment) UplinkSINR(cl *Client, serving *Cell, nRBs, sc int, tMS in
 	noise, _ := e.noise()
 	return signal - noise
 }
-
-// SNRAtDistance returns the median (no shadowing, no fading) downlink
-// SNR over the full carrier at the given distance — the link-budget
-// helper behind the coverage discussions.
-func (e *Environment) SNRAtDistance(tx *Cell, d float64) float64 {
-	eirp := tx.TxPowerDBm + tx.Antenna.GainDBi
-	noise := propagation.NoiseDBm(tx.BW.Hz(), e.NoiseFigureDB)
-	return eirp - e.Model.PathLossDB(d) - noise
-}

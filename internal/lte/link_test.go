@@ -213,10 +213,15 @@ func TestDownlinkRSSIConsistent(t *testing.T) {
 func TestLinkRangeCalibration(t *testing.T) {
 	e := quietEnv(8)
 	c := testCell(1, 0, 0)
-	if snr := e.SNRAtDistance(c, 1300); snr < -3 {
+	// The median link budget over the full carrier: no shadowing, no fading.
+	median := func(d float64) float64 {
+		noise := propagation.NoiseDBm(c.BW.Hz(), e.NoiseFigureDB)
+		return c.TxPowerDBm + c.Antenna.GainDBi - e.Model.PathLossDB(d) - noise
+	}
+	if snr := median(1300); snr < -3 {
 		t.Errorf("median SNR at 1.3 km = %g dB; link should be alive", snr)
 	}
-	if snr := e.SNRAtDistance(c, 2500); snr > -3 {
+	if snr := median(2500); snr > -3 {
 		t.Errorf("median SNR at 2.5 km = %g dB; link should be dead", snr)
 	}
 }
