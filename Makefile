@@ -48,8 +48,10 @@ race:
 # reference decode (same bytes, same leases, registrations and
 # counters); the server's hand-assembled AVAIL_SPECTRUM_RESP bytes
 # against encoding/json over arbitrary registries, locations and
-# clocks; the flight-recorder stream decoder; the invariant verifier
-# replaying arbitrary decoded streams; the IM share invariants; the LTE
+# clocks; the lease store against a brute map under random grants,
+# renewals, releases and clock jumps; the flight-recorder stream
+# decoder; the invariant verifier replaying arbitrary decoded streams;
+# the IM share invariants; the LTE
 # DCI grant decoder and DFT round trip; the outage-window specs behind
 # `cellfi db -flaky` and `cellfi load -outages`; the comma-separated
 # lists of `cellfi sweep`; and the squeezed ziggurat slow path against
@@ -59,6 +61,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzServerRobustness -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzOnePassDecode -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzSpectrumRespBytes -fuzztime=10s -run '^$$' ./internal/paws
+	$(GO) test -fuzz=FuzzLeaseStore -fuzztime=10s -run '^$$' ./internal/pawsdb
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
 	$(GO) test -fuzz=FuzzShareInvariants -fuzztime=10s -run '^$$' ./internal/core

@@ -180,6 +180,39 @@ func TestRestartResetsAP(t *testing.T) {
 	}
 }
 
+// TestRestartDropsLease: a restart wipes the lease along with the
+// radio state, so a transmission after the AP comes back up, on the
+// pre-crash lease and inside its budget, is one without a lease.
+func TestRestartDropsLease(t *testing.T) {
+	recs := []trace.Record{
+		budget(0, 1, 21, 5*min, min),
+		apLife(sec, 1, 0),
+		apLife(2*sec, 1, 1),
+		tx(3*sec, 1, 21),
+	}
+	if got := firstRule(t, recs); got != RuleTxWithoutLease {
+		t.Fatalf("TX on the pre-crash lease after restart: got %q, want %q", got, RuleTxWithoutLease)
+	}
+}
+
+// TestTxPastExpiry: a budget whose vacate-by lies past its own lease
+// expiry (a corrupted or fuzzed stream) does not stretch the lease; a
+// transmission 1 ns past expiry is one without a lease.
+func TestTxPastExpiry(t *testing.T) {
+	recs := []trace.Record{
+		budget(0, 1, 21, 30*sec, min),
+		tx(30*sec, 1, 21), // exactly at expiry: allowed
+		tx(30*sec+1, 1, 21),
+	}
+	v := verify(recs)
+	if v == nil || v.Rule != RuleTxWithoutLease {
+		t.Fatalf("TX past expiry: got %v, want %s", v, RuleTxWithoutLease)
+	}
+	if v.Index != 2 {
+		t.Fatalf("violation index = %d, want 2 (TX at expiry must pass)", v.Index)
+	}
+}
+
 func TestPerAPIsolation(t *testing.T) {
 	// AP 2's lease must not cover AP 1's transmissions.
 	recs := []trace.Record{

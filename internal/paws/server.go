@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"cellfi/internal/pawsdb"
 	"cellfi/internal/spectrum"
@@ -110,29 +109,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		met.Errors.Add(1)
 		return
 	}
-	var req decodedRequest
+	sc := scanPool.Get().(*reqScanner)
+	defer scanPool.Put(sc)
+	p := &sc.p
 	var raw json.RawMessage
-	if !decodeOnce(bb.Bytes(), &req) {
+	ok := sc.scan(bb.Bytes())
+	method, id := sc.method, sc.id
+	if !ok {
 		// The two-step decode: the envelope with params kept raw,
 		// then (in dispatch) the params into the method's own type.
-		var two rpcRequest
-		if err := json.Unmarshal(bb.Bytes(), &two); err != nil {
+		var req rpcRequest
+		if err := json.Unmarshal(bb.Bytes(), &req); err != nil {
 			writeRPC(w, rpcResponse{JSONRPC: "2.0", Error: &RPCError{ErrCodeInvalidValue, "malformed JSON-RPC"}, ID: 0})
 			met.Errors.Add(1)
 			return
 		}
-		req = decodedRequest{JSONRPC: two.JSONRPC, Method: two.Method, ID: two.ID}
-		raw = two.Params
-	}
-	if req.JSONRPC != "2.0" {
-		writeRPC(w, rpcResponse{JSONRPC: "2.0", Error: &RPCError{ErrCodeVersion, "jsonrpc must be 2.0"}, ID: req.ID})
-		met.Errors.Add(1)
-		return
+		if req.JSONRPC != "2.0" {
+			writeRPC(w, rpcResponse{JSONRPC: "2.0", Error: &RPCError{ErrCodeVersion, "jsonrpc must be 2.0"}, ID: req.ID})
+			met.Errors.Add(1)
+			return
+		}
+		p, method, id, raw = nil, req.Method, req.ID, req.Params
 	}
 
-	result, rpcErr := s.dispatch(req.Method, req.Params, raw)
+	result, rpcErr := s.dispatch(method, p, raw)
 
-	resp := rpcResponse{JSONRPC: "2.0", ID: req.ID}
+	resp := rpcResponse{JSONRPC: "2.0", ID: id}
 	var recycle *bytes.Buffer
 	switch {
 	case rpcErr != nil:
@@ -178,39 +180,20 @@ func writeRPC(w http.ResponseWriter, resp rpcResponse) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// decodeOnce decodes body, params included, into req in one
-// json.Unmarshal. It reports false, leaving the body to the two-step
-// decode, unless the one pass provably agrees with it: the body decodes
-// without error, its params are present and not null, and no second
-// envelope key could match "params". Duplicate keys are where the two
-// part: a json.RawMessage keeps the last, a struct merges them field
-// by field. encoding/json matches keys case-insensitively, through
-// escapes and under Unicode folding (ſ folds to s), so the guard is
-// conservative: no backslash, no byte >= 0x80, and one
-// ASCII-case-insensitive "params" anywhere in the body.
-func decodeOnce(body []byte, req *decodedRequest) bool {
-	n := 0
-	for i, c := range body {
-		switch {
-		case c == '\\' || c >= utf8.RuneSelf:
-			return false
-		case c == '"' && i+7 < len(body) && body[i+7] == '"' && bytes.EqualFold(body[i+1:i+7], []byte("params")):
-			n++
-		}
-	}
-	return n == 1 && json.Unmarshal(body, req) == nil && req.Params != nil
-}
-
 // dispatch hands the request to its method's handler. p holds the
-// params when decodeOnce decoded them; otherwise raw holds them and
+// params when the scanner took the body; otherwise raw holds them and
 // they are decoded here into the method's own request type, which
 // keeps each method's error text and ignores fields only other
 // methods read.
 func (s *Server) dispatch(method string, p *requestParams, raw json.RawMessage) (any, *RPCError) {
+	var dev DeviceDescriptor
+	if p != nil {
+		dev = DeviceDescriptor{SerialNumber: p.Serial, DeviceType: p.DeviceType}
+	}
 	switch method {
 	case MethodInit:
 		if p != nil {
-			return s.handleInit(InitReq{DeviceDesc: p.DeviceDesc, Location: p.Location})
+			return s.handleInit(InitReq{DeviceDesc: dev, Location: p.Location})
 		}
 		var r InitReq
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -219,7 +202,7 @@ func (s *Server) dispatch(method string, p *requestParams, raw json.RawMessage) 
 		return s.handleInit(r)
 	case MethodRegister:
 		if p != nil {
-			return s.handleRegister(RegisterReq{DeviceDesc: p.DeviceDesc, Location: p.Location, Owner: p.Owner})
+			return s.handleRegister(RegisterReq{DeviceDesc: dev, Location: p.Location})
 		}
 		var r RegisterReq
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -228,7 +211,7 @@ func (s *Server) dispatch(method string, p *requestParams, raw json.RawMessage) 
 		return s.handleRegister(r)
 	case MethodGetSpectrum:
 		if p != nil {
-			return s.handleGetSpectrum(AvailSpectrumReq{DeviceDesc: p.DeviceDesc, Location: p.Location, AntennaHeightM: p.AntennaHeightM})
+			return s.handleGetSpectrum(AvailSpectrumReq{DeviceDesc: dev, Location: p.Location})
 		}
 		var r AvailSpectrumReq
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -237,7 +220,7 @@ func (s *Server) dispatch(method string, p *requestParams, raw json.RawMessage) 
 		return s.handleGetSpectrum(r)
 	case MethodNotifyUse:
 		if p != nil {
-			return s.handleNotifyUse(NotifyUseReq{DeviceDesc: p.DeviceDesc, Location: p.Location, Spectra: p.Spectra})
+			return s.handleNotifyUse(NotifyUseReq{DeviceDesc: dev, Location: p.Location, Spectra: p.Spectra})
 		}
 		var r NotifyUseReq
 		if err := json.Unmarshal(raw, &r); err != nil {

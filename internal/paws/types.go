@@ -45,28 +45,6 @@ type rpcRequest struct {
 	ID      int64           `json:"id"`
 }
 
-// decodedRequest is the one-pass decode target: the JSON-RPC envelope
-// with params decoded straight into requestParams. Params is nil when
-// the body carries no params or null ones.
-type decodedRequest struct {
-	JSONRPC string         `json:"jsonrpc"`
-	Method  string         `json:"method"`
-	Params  *requestParams `json:"params"`
-	ID      int64          `json:"id"`
-}
-
-// requestParams holds the union of the request types' fields, under
-// the same keys and types, so that decoding params into it yields each
-// method's request fields exactly as decoding them into that method's
-// own type would.
-type requestParams struct {
-	DeviceDesc     DeviceDescriptor `json:"deviceDesc"`
-	Location       GeoLocation      `json:"location"`
-	AntennaHeightM float64          `json:"antennaHeight"`
-	Owner          string           `json:"deviceOwner"`
-	Spectra        []FrequencyRange `json:"spectra"`
-}
-
 // RPCRequest builds a marshal-ready JSON-RPC 2.0 request envelope for
 // the given method. Load generators use it to pre-marshal request
 // bodies once and replay them; the Client builds its own envelopes.

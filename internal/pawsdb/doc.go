@@ -30,7 +30,10 @@
 //   - a lease store keyed by device serial with a TTL timing wheel
 //     for eviction and a renewal fast path that refreshes an existing
 //     lease in place, sharded 64 ways so concurrent grants do not
-//     serialize;
+//     serialize. Each lease keeps one live wheel reference; a renewal
+//     moves it only when the new expiry falls before its slot (the
+//     sweep re-buckets the rest), so the wheel holds O(live leases)
+//     references however often devices renew;
 //
 //   - metrics: atomic counters (queries, cache hits/misses, rebuilds,
 //     lease churn) plus a lock-free latency histogram giving p50/p99.

@@ -22,9 +22,15 @@ type lease struct {
 	class  string
 	cell   CellKey
 	until  time.Time
-	// gen invalidates stale wheel references: renewals bump it and
-	// re-insert, and the sweep drops references whose gen no longer
-	// matches (lazy deletion — no wheel search on the renewal path).
+	// slot is the absolute wheel slot of the lease's one live
+	// reference. A renewal that keeps the expiry at or past that slot
+	// leaves the reference where it is: the sweep re-buckets any
+	// reference whose lease has not expired yet.
+	slot int64
+	// gen invalidates stale wheel references: a renewal that pulls the
+	// expiry before slot bumps it and re-inserts, and the sweep drops
+	// references whose gen no longer matches (lazy deletion — no wheel
+	// search on the renewal path).
 	gen uint32
 }
 
@@ -96,8 +102,8 @@ func (s *LeaseStore) advance(sh *leaseShard, now time.Time) {
 		}
 		sh.wheel[idx] = slot[:0]
 		for _, ref := range slot {
-			if ref.gen != ref.l.gen {
-				continue // stale reference from before a renewal
+			if ref.gen != ref.l.gen || sh.m[ref.l.serial] != ref.l {
+				continue // stale since a renewal, or released
 			}
 			if !ref.l.until.After(now) {
 				delete(sh.m, ref.l.serial)
@@ -112,61 +118,83 @@ func (s *LeaseStore) advance(sh *leaseShard, now time.Time) {
 	sh.lastSlot = target
 }
 
-// insertRef buckets a reference by expiry, clamping expiries beyond
-// the wheel horizon to the farthest slot (they re-bucket on sweep).
-// Caller holds sh.mu; cur is the wheel's current absolute slot.
+// refSlot is the absolute slot a reference to a lease expiring at
+// until goes in: its expiry's slot, clamped to the wheel horizon
+// (expiries beyond it re-bucket on sweep). cur is the wheel's current
+// absolute slot.
+func refSlot(until time.Time, cur int64) int64 {
+	return min(max(slotOf(until), cur+1), cur+wheelSlots-1)
+}
+
+// insertRef buckets a reference by expiry and records its slot as the
+// lease's live one. Caller holds sh.mu; cur is the wheel's current
+// absolute slot.
 func (s *LeaseStore) insertRef(sh *leaseShard, cur int64, ref wheelRef) {
-	slot := slotOf(ref.l.until)
-	if slot <= cur {
-		slot = cur + 1
-	}
-	if slot > cur+wheelSlots-1 {
-		slot = cur + wheelSlots - 1
-	}
-	idx := wheelIdx(slot)
+	ref.l.slot = refSlot(ref.l.until, cur)
+	idx := wheelIdx(ref.l.slot)
 	sh.wheel[idx] = append(sh.wheel[idx], ref)
 }
 
 // Acquire grants or renews the lease for a device serial. Renewal is
 // the fast path: an existing live lease is refreshed in place (map
-// entry reused, one wheel append) rather than deleted and re-created.
-// Returns true when this was a renewal.
+// entry and wheel reference reused) rather than deleted and re-created;
+// only a renewal that pulls the expiry before the reference's slot
+// appends a new one. A lease that expired but has not been swept yet
+// counts as expired and is reused for the fresh grant. Returns true
+// when this was a renewal.
 func (s *LeaseStore) Acquire(serial, class string, cell CellKey, until, now time.Time) (renewed bool) {
 	sh := s.shard(serial)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.advance(sh, now)
 	cur := sh.lastSlot
-	if l, ok := sh.m[serial]; ok && l.until.After(now) {
-		l.until = until
-		l.cell = cell
-		l.class = class
+	l, ok := sh.m[serial]
+	renewed = ok && l.until.After(now)
+	if s.met != nil {
+		switch {
+		case renewed:
+			s.met.LeasesRenewed.Add(1)
+		case ok:
+			s.met.LeasesExpired.Add(1)
+			fallthrough
+		default:
+			s.met.LeasesGranted.Add(1)
+		}
+	}
+	if !ok {
+		l = &lease{serial: serial, class: class, cell: cell, until: until, gen: 1}
+		sh.m[serial] = l
+		s.insertRef(sh, cur, wheelRef{l, l.gen})
+		return false
+	}
+	l.until = until
+	l.cell = cell
+	l.class = class
+	if refSlot(until, cur) < l.slot {
 		l.gen++
 		s.insertRef(sh, cur, wheelRef{l, l.gen})
-		if s.met != nil {
-			s.met.LeasesRenewed.Add(1)
-		}
-		return true
 	}
-	l := &lease{serial: serial, class: class, cell: cell, until: until, gen: 1}
-	sh.m[serial] = l
-	s.insertRef(sh, cur, wheelRef{l, l.gen})
-	if s.met != nil {
-		s.met.LeasesGranted.Add(1)
-	}
-	return false
+	return renewed
 }
 
 // Release drops a device's lease (a polite vacate / cessation notify).
-// Returns true if a lease existed.
+// Returns true if an unexpired lease existed; one that expired but has
+// not been swept yet is dropped and counted as expired.
 func (s *LeaseStore) Release(serial string, now time.Time) bool {
 	sh := s.shard(serial)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.advance(sh, now)
-	if _, ok := sh.m[serial]; ok {
-		delete(sh.m, serial) // wheel refs go stale and sweep out
+	l, ok := sh.m[serial]
+	if !ok {
+		return false
+	}
+	delete(sh.m, serial) // its wheel ref sweeps out unevicted
+	if l.until.After(now) {
 		return true
+	}
+	if s.met != nil {
+		s.met.LeasesExpired.Add(1)
 	}
 	return false
 }
