@@ -43,7 +43,9 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-short runs every fuzz target for 10 s: the PAWS client-side
-# response decoder; the PAWS server against arbitrary bodies (never
+# response decoder, never panicking and, for getSpectrum, against its
+# two-step reference decode (same value, or same error class and
+# text); the PAWS server against arbitrary bodies (never
 # panics, always a well-formed envelope) and against its two-step
 # reference decode (same bytes, same leases, registrations and
 # counters); the server's hand-assembled AVAIL_SPECTRUM_RESP bytes
@@ -58,6 +60,7 @@ race:
 # its pre-squeeze reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
+	$(GO) test -fuzz=FuzzClientDecode -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzServerRobustness -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzOnePassDecode -fuzztime=10s -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzSpectrumRespBytes -fuzztime=10s -run '^$$' ./internal/paws

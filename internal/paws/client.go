@@ -10,6 +10,7 @@ import (
 	"mime"
 	"net/http"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,6 +220,7 @@ func (c *Client) call(method string, params, result any) error {
 		return &Error{Method: method, Class: Fatal, Attempts: 1,
 			Err: fmt.Errorf("encode params: %w", err)}
 	}
+	env := requestHead(method, raw)
 	attempts := 1
 	if c.Retry.enabled() {
 		attempts = c.Retry.MaxAttempts
@@ -228,7 +230,10 @@ func (c *Client) call(method string, params, result any) error {
 	for attempt := 1; attempt <= attempts; attempt++ {
 		url, epIdx := c.pickEndpoint()
 		lastEp = epIdx
-		last = c.callOnce(method, url, raw, result)
+		last = c.callOnce(method, url, env, result)
+		// The transport may still hold this attempt's body after an
+		// error, so a retry appends its id to a copy.
+		env = env[:len(env):len(env)]
 		c.endpointResult(epIdx, last != nil && last.Class == Transient)
 		if last == nil {
 			c.traceQuery(method, -1, attempt, epIdx)
@@ -242,6 +247,22 @@ func (c *Client) call(method string, params, result any) error {
 	}
 	c.traceQuery(method, int64(last.Class), last.Attempts, lastEp)
 	return last
+}
+
+// requestHead writes the JSON-RPC request envelope around params up to
+// its id, which each attempt appends with the closing brace; the spare
+// capacity fits any int64. The bytes are those json.Marshal writes for
+// rpcRequest: the method constants need no escaping, and params from
+// json.Marshal are already compact and HTML-escaped, so RawMessage's
+// re-compaction would change nothing.
+func requestHead(method string, params []byte) []byte {
+	const maxTail = len(`-9223372036854775808}`)
+	b := make([]byte, 0, len(`{"jsonrpc":"2.0","method":"","params":,"id":`)+len(method)+len(params)+maxTail)
+	b = append(b, `{"jsonrpc":"2.0","method":"`...)
+	b = append(b, method...)
+	b = append(b, `","params":`...)
+	b = append(b, params...)
+	return append(b, `,"id":`...)
 }
 
 // traceQuery emits one paws-query record for a completed call; class
@@ -267,22 +288,14 @@ func (c *Client) traceQuery(method string, class int64, attempts, endpoint int) 
 	c.Trace.Record(rec)
 }
 
-// callOnce performs a single HTTP exchange against url. It returns
-// nil on success and a classified *Error otherwise.
-func (c *Client) callOnce(method, url string, params json.RawMessage, result any) *Error {
+// callOnce performs a single HTTP exchange against url, sending env,
+// the request envelope up to its id. It returns nil on success and a
+// classified *Error otherwise.
+func (c *Client) callOnce(method, url string, env []byte, result any) *Error {
 	fail := func(class ErrorClass, err error) *Error {
 		return &Error{Method: method, Class: class, Err: err}
 	}
-	req := rpcRequest{
-		JSONRPC: "2.0",
-		Method:  method,
-		Params:  params,
-		ID:      atomic.AddInt64(&c.nextID, 1),
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fail(Fatal, fmt.Errorf("encode request: %w", err))
-	}
+	body := append(strconv.AppendInt(env, atomic.AddInt64(&c.nextID, 1), 10), '}')
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = defaultHTTPClient
@@ -297,7 +310,7 @@ func (c *Client) callOnce(method, url string, params json.RawMessage, result any
 	if err != nil {
 		return fail(Fatal, fmt.Errorf("build request: %w", err))
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header["Content-Type"] = jsonContentType
 	httpResp, err := hc.Do(httpReq)
 	if err != nil {
 		// Network-level failure: connection refused/reset, timeout.
@@ -313,19 +326,27 @@ func (c *Client) callOnce(method, url string, params json.RawMessage, result any
 		io.Copy(io.Discard, io.LimitReader(httpResp.Body, maxResponseBytes))
 		return fail(class, fmt.Errorf("HTTP %d", httpResp.StatusCode))
 	}
-	if mt, _, err := mime.ParseMediaType(httpResp.Header.Get("Content-Type")); err != nil || mt != "application/json" {
-		// A proxy error page or garbage endpoint; retryable because
-		// intermediaries come and go.
-		return fail(Transient, fmt.Errorf("non-JSON content type %q", httpResp.Header.Get("Content-Type")))
+	// The exact value, which paws.Server sends, skips ParseMediaType's
+	// parameter map.
+	if ct := httpResp.Header.Get("Content-Type"); ct != "application/json" {
+		if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
+			// A proxy error page or garbage endpoint; retryable because
+			// intermediaries come and go.
+			return fail(Transient, fmt.Errorf("non-JSON content type %q", ct))
+		}
 	}
-	respBody, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes+1))
-	if err != nil {
+	// The body is read into a pooled buffer; the decoded result owns
+	// every byte it keeps, so the buffer goes back once decoded.
+	bb := bufPool.Get().(*bytes.Buffer)
+	bb.Reset()
+	defer bufPool.Put(bb)
+	if _, err := bb.ReadFrom(io.LimitReader(httpResp.Body, maxResponseBytes+1)); err != nil {
 		return fail(Transient, fmt.Errorf("read response: %w", err))
 	}
-	if len(respBody) > maxResponseBytes {
+	if bb.Len() > maxResponseBytes {
 		return fail(Transient, fmt.Errorf("response exceeds %d bytes", maxResponseBytes))
 	}
-	return decodeRPCResponse(method, respBody, result)
+	return decodeRPCResponse(method, bb.Bytes(), result)
 }
 
 // decodeRPCResponse parses a JSON-RPC response body into result, which
@@ -333,7 +354,22 @@ func (c *Client) callOnce(method, url string, params json.RawMessage, result any
 // attempt decoded may leak into a later attempt's answer. It is the
 // parsing surface FuzzParse exercises: arbitrary bytes must yield
 // either a nil error or a classified *Error, never a panic.
+//
+// A getSpectrum result, the fleet's hot path, is decoded in one strict
+// pass of the scanner (scan.go); a body outside the scanner's subset,
+// and every other result type, takes the two-step encoding/json
+// decode, the reference FuzzClientDecode compares the scanner with.
+// Neither keeps a reference into body.
 func decodeRPCResponse(method string, body []byte, result any) *Error {
+	if out, ok := result.(*AvailSpectrumResp); ok {
+		sc := scanPool.Get().(*scanner)
+		ok = sc.spectrumResp(body, out)
+		sc.b = nil
+		scanPool.Put(sc)
+		if ok {
+			return nil
+		}
+	}
 	var resp rpcResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		// Malformed or truncated JSON: classically a torn connection

@@ -149,6 +149,33 @@ func TestRetryDiscardsRejectedAttempt(t *testing.T) {
 	}
 }
 
+// The same for a result the scanner never takes: attempt 1's
+// INIT_RESP lists a ruleset but mistypes its polling period (a
+// transient decode error after a partial decode), attempt 2 lists
+// none, so the answer holds none.
+func TestRetryDiscardsRejectedInit(t *testing.T) {
+	bodies := []string{
+		`{"jsonrpc":"2.0","result":{"rulesetInfos":[{"authority":"gb","maxPollingSecs":"soon"}]},"id":1}`,
+		`{"jsonrpc":"2.0","result":{},"id":2}`,
+	}
+	var hits atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, bodies[min(int(hits.Add(1)), len(bodies))-1])
+	})
+	c, _ := newTestClient(t, h, 2)
+	resp, err := c.Init(geo.Point{})
+	if err != nil {
+		t.Fatalf("second attempt should succeed: %v", err)
+	}
+	if hits.Load() != 2 {
+		t.Fatalf("server hit %d times, want 2", hits.Load())
+	}
+	if resp.RulesetInfos != nil {
+		t.Fatalf("answer holds %v from the rejected attempt, want no ruleset", resp.RulesetInfos)
+	}
+}
+
 func TestOversizedResponseRejected(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -1,8 +1,10 @@
 package paws
 
 import (
+	"io"
 	"strconv"
 	"sync"
+	"time"
 	"unicode/utf8"
 )
 
@@ -21,13 +23,16 @@ type requestParams struct {
 // take the two-step decode.
 const scanMaxDepth = 32
 
-// reqScanner decodes a JSON-RPC request body in one strict pass: the
-// envelope keys jsonrpc, method, params and id, and params into the
-// union of the request types' fields. It accepts a body only when the
-// two-step encoding/json decode (the envelope with params kept raw,
-// then params into the method's own type) would yield the same
-// request, and reports false otherwise, leaving the body to that
-// decode. It refuses:
+// scanner decodes JSON-RPC bodies in one strict pass, in both
+// directions: a request (scan: the envelope keys jsonrpc, method,
+// params and id, and params into the union of the request types'
+// fields) and a getSpectrum response (spectrumResp: the envelope keys
+// jsonrpc, result, error and id, and result into an
+// AvailSpectrumResp). It accepts a body only when the two-step
+// encoding/json decode (the envelope with params or result kept raw,
+// then those into their own type) would yield the same value, and
+// reports false otherwise, leaving the body to that decode. It
+// refuses:
 //
 //   - a backslash, a control byte or a byte >= 0x80 inside a string
 //     (escapes and Unicode case folding are where encoding/json's key
@@ -38,27 +43,34 @@ const scanMaxDepth = 32
 //   - a value of the wrong JSON type for its field, and a number that
 //     strconv.ParseFloat or ParseInt rejects (the calls encoding/json
 //     makes, so "id":1e3 is refused);
-//   - absent params, a jsonrpc other than "2.0" and an unknown method
-//     (the reference answers those with an error);
+//   - in a request, absent params, a jsonrpc other than "2.0" and an
+//     unknown method (the reference answers those with an error);
+//   - in a response, an error member with any value, and a result
+//     that is absent or not an object (the reference classifies
+//     those);
 //   - nesting deeper than scanMaxDepth, invalid JSON and trailing
 //     non-space bytes.
 //
 // Unknown keys are skipped after checking that their values are valid
-// JSON, as encoding/json ignores them too. The scan allocates only the
-// serial and an unfamiliar device type; method, version and the usual
-// device types match constants, and Spectra reuses the scanner's
-// backing array.
-type reqScanner struct {
+// JSON, as encoding/json ignores them too. A request scan allocates
+// only the serial and an unfamiliar device type; method, version and
+// the usual device types match constants, and Spectra reuses the
+// scanner's backing array.
+type scanner struct {
 	b      []byte
 	i      int
 	method string
 	id     int64
 	p      requestParams
+	// lr bounds the server's read of a request body; it lives here
+	// so that the pooled scanner carries it instead of each request
+	// allocating one.
+	lr io.LimitedReader
 }
 
 // scanPool recycles scanners, so that Spectra's backing array is
 // reused across requests rather than allocated per notify.
-var scanPool = sync.Pool{New: func() any { return new(reqScanner) }}
+var scanPool = sync.Pool{New: func() any { return new(scanner) }}
 
 // Field names; a key's index is its bit in object's duplicate mask.
 var (
@@ -69,12 +81,17 @@ var (
 	rangeKeys    = []string{"startHz", "stopHz", "maxEirpDbm", "channel"}
 	methods      = []string{MethodInit, MethodGetSpectrum, MethodNotifyUse, MethodRegister}
 	deviceTypes  = []string{"FIXED", "MODE_1", "MODE_2"}
+
+	responseKeys = []string{"jsonrpc", "result", "error", "id"}
+	availKeys    = []string{"timestamp", "rulesetInfo", "spectrumSchedules", "needsSpectrumReport"}
+	rulesetKeys  = []string{"authority", "rulesetId", "maxLocationChange", "maxPollingSecs"}
+	scheduleKeys = []string{"startTime", "stopTime", "spectra"}
 )
 
 // scan decodes body into s.method, s.id and s.p, reporting whether it
 // took the body.
-func (s *reqScanner) scan(body []byte) bool {
-	*s = reqScanner{b: body, p: requestParams{Spectra: s.p.Spectra[:0]}}
+func (s *scanner) scan(body []byte) bool {
+	*s = scanner{b: body, p: requestParams{Spectra: s.p.Spectra[:0]}}
 	s.ws()
 	seen, ok := s.object(envelopeKeys, func(k int) bool {
 		switch k {
@@ -99,7 +116,7 @@ func (s *reqScanner) scan(body []byte) bool {
 	return ok && s.i == len(s.b) && seen&required == required
 }
 
-func (s *reqScanner) params() bool {
+func (s *scanner) params() bool {
 	_, ok := s.object(paramsKeys, func(k int) bool {
 		switch k {
 		case 0:
@@ -113,14 +130,16 @@ func (s *reqScanner) params() bool {
 			_, ok := s.str()
 			return ok
 		case 4:
-			return s.spectra()
+			var ok bool
+			s.p.Spectra, ok = s.ranges(s.p.Spectra, 2)
+			return ok
 		}
 		return s.skip(2)
 	})
 	return ok
 }
 
-func (s *reqScanner) deviceDesc() bool {
+func (s *scanner) deviceDesc() bool {
 	_, ok := s.object(deviceKeys, func(k int) bool {
 		switch k {
 		case 0:
@@ -147,7 +166,7 @@ func (s *reqScanner) deviceDesc() bool {
 	return ok
 }
 
-func (s *reqScanner) location() bool {
+func (s *scanner) location() bool {
 	loc := &s.p.Location
 	_, ok := s.object(locationKeys, func(k int) bool {
 		var ok bool
@@ -166,8 +185,10 @@ func (s *reqScanner) location() bool {
 	return ok
 }
 
-func (s *reqScanner) spectra() bool {
-	return s.array(func() bool {
+// ranges scans the array of frequency ranges at s.i, which sits at
+// nesting depth depth, appending each range to dst.
+func (s *scanner) ranges(dst []FrequencyRange, depth int) ([]FrequencyRange, bool) {
+	ok := s.array(func() bool {
 		var fr FrequencyRange
 		_, ok := s.object(rangeKeys, func(k int) bool {
 			var ok bool
@@ -179,18 +200,129 @@ func (s *reqScanner) spectra() bool {
 			case 2:
 				fr.MaxEIRPdBm, ok = s.float()
 			case 3:
-				var n int64
-				n, ok = s.int()
-				fr.Channel = int(n)
-				ok = ok && int64(fr.Channel) == n
+				fr.Channel, ok = s.intField()
 			default:
-				ok = s.skip(4)
+				ok = s.skip(depth + 2)
 			}
 			return ok
 		})
-		s.p.Spectra = append(s.p.Spectra, fr)
+		dst = append(dst, fr)
 		return ok
 	})
+	return dst, ok
+}
+
+// spectrumResp decodes a JSON-RPC response body carrying an
+// AVAIL_SPECTRUM_RESP into out, reporting whether it took the body.
+// out is zeroed first, as the two-step decode zeroes its result, and
+// again when the scan is refused midway, so that nothing a refused
+// body decoded reaches the fallback's caller. The decoded value owns
+// every byte it keeps: strings and spectra are copied out of body and
+// out of the scanner's scratch.
+func (s *scanner) spectrumResp(body []byte, out *AvailSpectrumResp) bool {
+	*s = scanner{b: body, p: requestParams{Spectra: s.p.Spectra[:0]}}
+	*out = AvailSpectrumResp{}
+	s.ws()
+	seen, ok := s.object(responseKeys, func(k int) bool {
+		switch k {
+		case 0:
+			_, ok := s.str()
+			return ok
+		case 1:
+			return s.availSpectrum(out)
+		case 2:
+			return false // an error member, even null, takes the reference
+		case 3:
+			_, ok := s.int()
+			return ok
+		}
+		return s.skip(1)
+	})
+	s.ws()
+	const result = 0b10
+	if ok && s.i == len(s.b) && seen&result != 0 {
+		return true
+	}
+	*out = AvailSpectrumResp{}
+	return false
+}
+
+func (s *scanner) availSpectrum(out *AvailSpectrumResp) bool {
+	_, ok := s.object(availKeys, func(k int) bool {
+		switch k {
+		case 0:
+			return s.time(&out.Timestamp)
+		case 1:
+			return s.rulesetInfo(&out.RulesetInfo)
+		case 2:
+			// Non-nil when empty, as encoding/json decodes [].
+			out.Schedules = []SpectrumSchedule{}
+			return s.array(func() bool {
+				out.Schedules = append(out.Schedules, SpectrumSchedule{})
+				return s.schedule(&out.Schedules[len(out.Schedules)-1])
+			})
+		case 3:
+			out.NeedsSpectrumReport = s.literal("true")
+			return out.NeedsSpectrumReport || s.literal("false")
+		}
+		return s.skip(2)
+	})
+	return ok
+}
+
+func (s *scanner) rulesetInfo(r *RulesetInfo) bool {
+	_, ok := s.object(rulesetKeys, func(k int) bool {
+		var ok bool
+		switch k {
+		case 0:
+			var v []byte
+			v, ok = s.str()
+			r.Authority = string(v)
+		case 1:
+			var v []byte
+			v, ok = s.str()
+			r.RulesetID = string(v)
+		case 2:
+			r.MaxLocationChangeM, ok = s.float()
+		case 3:
+			r.MaxPollingSecs, ok = s.intField()
+		default:
+			ok = s.skip(3)
+		}
+		return ok
+	})
+	return ok
+}
+
+func (s *scanner) schedule(sch *SpectrumSchedule) bool {
+	_, ok := s.object(scheduleKeys, func(k int) bool {
+		switch k {
+		case 0:
+			return s.time(&sch.StartTime)
+		case 1:
+			return s.time(&sch.StopTime)
+		case 2:
+			// Scan into the pooled scratch, then copy out at the exact
+			// length: one allocation, and non-nil when empty.
+			var ok bool
+			s.p.Spectra, ok = s.ranges(s.p.Spectra[:0], 4)
+			sch.Spectra = append(make([]FrequencyRange, 0, len(s.p.Spectra)), s.p.Spectra...)
+			return ok
+		}
+		return s.skip(4)
+	})
+	return ok
+}
+
+// time decodes the JSON string at s.i into t by the call encoding/json
+// makes, (*time.Time).UnmarshalJSON on the quoted literal, so offsets,
+// fractional seconds and the strict RFC 3339 checks agree.
+func (s *scanner) time(t *time.Time) bool {
+	start := s.i
+	if _, ok := s.str(); !ok {
+		return false
+	}
+	return t.UnmarshalJSON(s.b[start:s.i]) == nil
 }
 
 // object scans the object at s.i, calling member with each key's index
@@ -198,7 +330,7 @@ func (s *reqScanner) spectra() bool {
 // It fails on a known key seen before and on a key that matches one in
 // keys only under ASCII case folding, and returns the keys it saw as a
 // bit mask.
-func (s *reqScanner) object(keys []string, member func(k int) bool) (seen uint32, ok bool) {
+func (s *scanner) object(keys []string, member func(k int) bool) (seen uint32, ok bool) {
 	if !s.consume('{') {
 		return 0, false
 	}
@@ -248,7 +380,7 @@ func (s *reqScanner) object(keys []string, member func(k int) bool) (seen uint32
 }
 
 // array scans the array at s.i, calling elem with s.i on each element.
-func (s *reqScanner) array(elem func() bool) bool {
+func (s *scanner) array(elem func() bool) bool {
 	if !s.consume('[') {
 		return false
 	}
@@ -274,7 +406,7 @@ func (s *reqScanner) array(elem func() bool) bool {
 
 // skip scans past the value at s.i, which sits at nesting depth
 // depth, checking that it is valid JSON the scanner accepts.
-func (s *reqScanner) skip(depth int) bool {
+func (s *scanner) skip(depth int) bool {
 	if depth >= scanMaxDepth || s.i >= len(s.b) {
 		return false
 	}
@@ -297,7 +429,7 @@ func (s *reqScanner) skip(depth int) bool {
 	}
 }
 
-func (s *reqScanner) literal(lit string) bool {
+func (s *scanner) literal(lit string) bool {
 	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
 		return false
 	}
@@ -308,7 +440,7 @@ func (s *reqScanner) literal(lit string) bool {
 // str scans the string at s.i and returns its contents, which are its
 // bytes: a string with an escape, a control byte or a non-ASCII byte
 // fails.
-func (s *reqScanner) str() ([]byte, bool) {
+func (s *scanner) str() ([]byte, bool) {
 	if !s.consume('"') {
 		return nil, false
 	}
@@ -326,7 +458,7 @@ func (s *reqScanner) str() ([]byte, bool) {
 }
 
 // number scans the JSON number at s.i and returns its text.
-func (s *reqScanner) number() ([]byte, bool) {
+func (s *scanner) number() ([]byte, bool) {
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '-' {
 		i++
@@ -360,7 +492,7 @@ func (s *reqScanner) number() ([]byte, bool) {
 }
 
 // int scans a JSON number as encoding/json decodes it into an int64.
-func (s *reqScanner) int() (int64, bool) {
+func (s *scanner) int() (int64, bool) {
 	v, ok := s.number()
 	if !ok {
 		return 0, false
@@ -369,8 +501,15 @@ func (s *reqScanner) int() (int64, bool) {
 	return n, err == nil
 }
 
+// intField scans a JSON number as encoding/json decodes it into an
+// int, which refuses a value that overflows it.
+func (s *scanner) intField() (int, bool) {
+	n, ok := s.int()
+	return int(n), ok && int64(int(n)) == n
+}
+
 // float scans a JSON number as encoding/json decodes it into a float64.
-func (s *reqScanner) float() (float64, bool) {
+func (s *scanner) float() (float64, bool) {
 	v, ok := s.number()
 	if !ok {
 		return 0, false
@@ -386,7 +525,7 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-func (s *reqScanner) consume(c byte) bool {
+func (s *scanner) consume(c byte) bool {
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
 		return true
@@ -394,7 +533,7 @@ func (s *reqScanner) consume(c byte) bool {
 	return false
 }
 
-func (s *reqScanner) ws() {
+func (s *scanner) ws() {
 	for s.i < len(s.b) {
 		switch s.b[s.i] {
 		case ' ', '\t', '\n', '\r':

@@ -87,6 +87,12 @@ func (s *Server) Unlock() { s.db.Unlock() }
 // would otherwise generate dominates the profile.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// jsonContentType is the one Content-Type value both ends send,
+// assigned rather than Set so that no message allocates a copy.
+// net/http only reads header values and replaces, never writes, a
+// header's slice; its capacity of 1 makes an Add copy it too.
+var jsonContentType = []string{"application/json"}
+
 // rawResult wraps a pooled, fully marshaled JSON result. Handlers on
 // the hot path return it to tell ServeHTTP the encoding is already
 // done; the buffer goes back to the pool after the envelope is
@@ -104,13 +110,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	bb := bufPool.Get().(*bytes.Buffer)
 	bb.Reset()
 	defer bufPool.Put(bb)
-	if _, err := bb.ReadFrom(io.LimitReader(r.Body, 1<<20)); err != nil {
+	sc := scanPool.Get().(*scanner)
+	defer scanPool.Put(sc)
+	sc.lr = io.LimitedReader{R: r.Body, N: 1 << 20}
+	_, err := bb.ReadFrom(&sc.lr)
+	sc.lr.R = nil
+	if err != nil {
 		http.Error(w, "paws: read error", http.StatusBadRequest)
 		met.Errors.Add(1)
 		return
 	}
-	sc := scanPool.Get().(*reqScanner)
-	defer scanPool.Put(sc)
 	p := &sc.p
 	var raw json.RawMessage
 	ok := sc.scan(bb.Bytes())
@@ -164,7 +173,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // second pass over the body. Error envelopes take the encoder path so
 // message escaping stays exactly the stdlib's.
 func writeRPC(w http.ResponseWriter, resp rpcResponse) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if resp.Error == nil && resp.Result != nil && resp.JSONRPC == "2.0" {
 		eb := bufPool.Get().(*bytes.Buffer)
 		eb.Reset()
