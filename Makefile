@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify bench bench-all sweep experiments fmt chaos chaos-soak fuzz-short race
+.PHONY: all build test verify mutants bench bench-all sweep experiments fmt chaos chaos-soak fuzz-short race
 
 all: build
 
@@ -16,10 +16,18 @@ test:
 # pawsdb, pawsload, and cmd/cellfi's daemon drain tests; netsim at
 # -cpu 1,4 and metro at -cpu 4, so their forked passes race even on a
 # 1-core box).
-# The anti-regrowth guards (dead exports, collapsed paths, one binary,
-# doc references) are TestGuards in guards_test.go, run by `make test`.
+# The anti-regrowth guards (dead exports, options only tests set,
+# collapsed paths, one binary, doc references) are TestGuards in
+# guards_test.go, run by `make test`.
 verify:
 	./scripts/verify.sh
+
+# mutants runs the mutant catalogue (TestMutants in mutants_test.go)
+# alone: each mutant is applied to its own copy of the module and the
+# test it names must fail; none may survive. `make test` runs it too,
+# and `go test -short` checks only that every anchor and test exists.
+mutants:
+	$(GO) test -count=1 -run '^TestMutants$$' -v .
 
 # chaos is the fault-injection soak: the ETSI vacate property suite
 # (100 seeded schedules + the 10k-step run + golden-log determinism)
@@ -32,7 +40,8 @@ chaos:
 # matrix (AP crash/restart x incumbent storms x PAWS failover x clock
 # skew) under the race detector, every world audited online by the
 # regulatory invariant watchdog — zero violations or the run fails
-# with the first violating trace record.
+# with the first violating trace record. That the watchdog can fail
+# at all is the vacate-gate mutant's job (`make mutants`).
 chaos-soak:
 	CHAOS_WORLD_SEEDS=100 $(GO) test -race -run 'TestChaosMatrix|TestWatchdog' -v ./internal/chaos
 

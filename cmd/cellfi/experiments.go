@@ -75,7 +75,7 @@ func runExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 			// per plot to keep glyphs readable.
 			for start := 0; start < len(res.Series); start += 4 {
 				end := min(start+4, len(res.Series))
-				fmt.Fprintln(stdout, stats.Plot(res.Series[start:end], stats.DefaultPlotOptions()))
+				fmt.Fprintln(stdout, stats.Plot(res.Series[start:end]))
 			}
 		}
 		if *series {

@@ -102,9 +102,10 @@ func loadUniverse(t *testing.T) *universe {
 			p.tests = append(p.tests, pathJoin(p.dir, name))
 		}
 		p.info = &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		p.types, err = conf.Check(lp.ImportPath, u.fset, p.files, p.info)
@@ -129,13 +130,15 @@ func pathJoin(dir, name string) string {
 }
 
 // TestGuards holds the repo's anti-regrowth rules: no export that only
-// tests reach, no selector, option or type a simplification deleted,
-// one binary that alone owns the process, trace records whose args
-// reach the encoder, and docs whose backticked references resolve. It
-// type-checks the whole module once (~8 s on a 2-core machine).
+// tests reach, no option that only tests set, no selector, option or
+// type a simplification deleted, one binary that alone owns the
+// process, trace records whose args reach the encoder, and docs whose
+// backticked references resolve. It type-checks the whole module once
+// (~8 s on a 2-core machine).
 func TestGuards(t *testing.T) {
 	u := loadUniverse(t)
 	t.Run("DeadExports", func(t *testing.T) { checkDeadExports(t, u) })
+	t.Run("UnwrittenFields", func(t *testing.T) { checkUnwrittenFields(t, u) })
 	t.Run("CollapsedPaths", func(t *testing.T) { checkCollapsedPaths(t, u) })
 	t.Run("OneBinary", func(t *testing.T) { checkOneBinary(t, u) })
 	t.Run("TraceArgs", func(t *testing.T) { checkTraceArgs(t, u) })
@@ -288,6 +291,223 @@ func checkDeadExports(t *testing.T, u *universe) {
 	}
 }
 
+// unwrittenAllow lists exported fields non-test code reads but never
+// writes that stay anyway, keyed "package-dir Type.Field", each with
+// its reason.
+// A trailing * matches a prefix.
+var unwrittenAllow = map[string]string{
+	"internal/core ChannelSelector.Listen":   "ROADMAP item 27 decides its fate: a world's network listen sets it, or it goes",
+	"internal/chaos Config.*":                "chaos.Run is the test-driven soak harness (see deadAllow); its tests are its callers",
+	"internal/propagation CacheStats.Hits":   "netsim.Network.LinkCacheStats reports zeros for bench/, which still reads it (ROADMAP item 3)",
+	"internal/propagation CacheStats.Misses": "netsim.Network.LinkCacheStats reports zeros for bench/, which still reads it (ROADMAP item 3)",
+	"internal/paws Client.Trace":             "the paws-query record's tests set it; no world wires a client's recorder yet (see CHANGES.md)",
+	"internal/paws Client.TraceAP":           "tags the paws-query record, as Client.Trace",
+	"internal/paws Client.TraceNow":          "stamps the paws-query record, as Client.Trace",
+	"internal/faults Injector.Sleep":         "the test clock for Latency faults; nil sleeps in real time",
+}
+
+// checkUnwrittenFields fails on every option only tests set: an
+// exported, untagged, non-embedded field of an exported struct type
+// declared under internal/ that non-test code reads but never writes.
+// Fields with struct tags are wire types, filled by a decoder.
+func checkUnwrittenFields(t *testing.T, u *universe) {
+	allowed := map[string]bool{}
+	for _, f := range unwrittenFields(u) {
+		if key := allowKey(f.key); key != "" {
+			allowed[key] = true
+			continue
+		}
+		t.Errorf("%s: %s is read but never written by non-test code; make it a constant or delete it (or add it to unwrittenAllow with a reason)", f.pos, f.key)
+	}
+	for key := range unwrittenAllow {
+		if !allowed[key] {
+			t.Errorf("unwrittenAllow entry %q names no unwritten field; drop it", key)
+		}
+	}
+
+	// A deleted option planted back must be reported, and nothing
+	// else: a keyed, an unkeyed and a pointer-method write each count.
+	planted := `package invariant
+type Checker struct{ Deadline, MaxViolations int }
+func New() *Checker { return &Checker{Deadline: 1} }
+func (c *Checker) bound() int { return c.Deadline + c.MaxViolations }
+type counter struct{ n int }
+func (c *counter) Add(d int) { c.n += d }
+type Metrics struct{ Queries counter }
+func (m *Metrics) hit() int { m.Queries.Add(1); return m.Queries.n }
+type Pair struct{ A, B int }
+func sum() int { p := Pair{1, 2}; return p.A + p.B }
+`
+	var got []string
+	for _, f := range unwrittenFields(plantedUniverse(t, "internal/invariant", planted)) {
+		got = append(got, f.key)
+	}
+	if want := "internal/invariant Checker.MaxViolations"; strings.Join(got, ",") != want {
+		t.Errorf("planted source: unwritten fields %q, want [%s]", got, want)
+	}
+}
+
+// plantedUniverse type-checks one import-free source file as the only
+// package of a universe, at dir.
+func plantedUniverse(t *testing.T, dir, src string) *universe {
+	t.Helper()
+	u := &universe{fset: token.NewFileSet(), byPath: map[string]*pkg{}}
+	f, err := parser.ParseFile(u.fset, dir+"/planted.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &pkg{path: modPath + "/" + dir, dir: dir, files: []*ast.File{f}, names: []string{dir + "/planted.go"},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+	if p.types, err = new(types.Config).Check(p.path, u.fset, p.files, p.info); err != nil {
+		t.Fatal(err)
+	}
+	u.pkgs = append(u.pkgs, p)
+	u.byPath[p.path] = p
+	return u
+}
+
+// allowKey returns the unwrittenAllow entry that matches key, or "".
+func allowKey(key string) string {
+	for k := range unwrittenAllow {
+		if k == key || strings.HasSuffix(k, "*") && strings.HasPrefix(key, strings.TrimSuffix(k, "*")) {
+			return k
+		}
+	}
+	return ""
+}
+
+// unwrittenField is one field checkUnwrittenFields flags.
+type unwrittenField struct {
+	pos token.Position
+	key string // "package-dir Type.Field"
+}
+
+// unwrittenFields returns, sorted by key, the fields of exported
+// internal/ struct types that non-test code reads and never writes. A
+// write is an assignment, increment or range assignment to the field
+// (or to anything reached through it), taking its address (calling a
+// pointer method on it does), or a keyed composite literal naming it;
+// an unkeyed literal writes every field of its type. Every other use
+// is a read.
+func unwrittenFields(u *universe) []unwrittenField {
+	keys := map[*types.Var]unwrittenField{}
+	for _, p := range u.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
+					keys[f] = unwrittenField{u.fset.Position(f.Pos()), p.dir + " " + tn.Name() + "." + f.Name()}
+				}
+			}
+		}
+	}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, p := range u.pkgs {
+		field := func(id *ast.Ident) *types.Var {
+			if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+				return origin(v).(*types.Var)
+			}
+			return nil
+		}
+		writes := map[*ast.Ident]bool{}
+		var write func(e ast.Expr)
+		write = func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.ParenExpr:
+				write(e.X)
+			case *ast.StarExpr:
+				write(e.X)
+			case *ast.IndexExpr:
+				write(e.X)
+			case *ast.SelectorExpr:
+				writes[e.Sel] = true
+				write(e.X)
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						write(e)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						write(n.Key)
+						write(n.Value)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.SelectorExpr:
+					if sel := p.info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+						_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+						if _, ptrX := sel.Recv().Underlying().(*types.Pointer); ptrRecv && !ptrX {
+							write(n.X)
+						}
+					}
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							written[origin(st.Field(i)).(*types.Var)] = true
+						}
+						break
+					}
+					for _, e := range n.Elts {
+						if id, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if v := field(id); v != nil {
+						if writes[id] {
+							written[v] = true
+						} else {
+							read[v] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []unwrittenField
+	for v, f := range keys {
+		if read[v] && !written[v] {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
 // interfaces returns every named interface type declared at package
 // level in the module or in a stdlib package the module imports,
 // directly or not.
@@ -392,9 +612,14 @@ func recvNamed(obj types.Object) *types.Named {
 // lte one transform (the radix-2 FFT; the PRACH detector pads to
 // a power of two, so Bluestein's arbitrary-length DFT went), and the
 // client reconnect one model (Fig. 6's measured constant; lte's band
-// scan and Msg1-4 attach state machine fed nothing). An entry is
-// "dir name": dir "" is the whole module, a trailing * matches a
-// prefix, and Type.Method names a method.
+// scan and Msg1-4 attach state machine fed nothing), and no option only
+// tests set: the vacate gate has no sabotage switch (a mutant in
+// mutants_test.go proves the watchdog instead), the PAWS server no FCC
+// registration gate, and the client's failover thresholds, the PF
+// scheduler's forgetting factor, the checker's retention and the plot
+// size are constants. An entry is "dir name": dir "" is the whole
+// module, a trailing * matches a prefix, and Type.Method names a
+// method or Type.Field a field of a package-level struct type.
 var forbidden = []string{
 	" OracleInterferenceMarginDB",
 	"internal/propagation LinkCache.Invalidate",
@@ -441,12 +666,38 @@ var forbidden = []string{
 	"internal/lte RRCState",
 	"internal/lte AttachResult",
 	"internal/lte Environment.SNRAtDistance",
+	"internal/core ChannelSelector.UnsafeIgnoreVacateBudget",
+	"internal/chaos Config.BreakVacate",
+	"internal/paws Server.RequireRegistration",
+	"internal/paws Server.registered",
+	"internal/paws Server.regMu",
+	"internal/paws Client.FailoverAfter",
+	"internal/paws Client.PrimaryProbeAfter",
+	"internal/lte Cell.ActiveSubchannels",
+	"internal/lte ProportionalFair.Beta",
+	"internal/propagation Fading.Disabled",
+	"internal/invariant Checker.MaxViolations",
+	"internal/stats PlotOptions",
+	"internal/stats DefaultPlotOptions",
 }
 
 // checkCollapsedPaths fails if a deleted selector, option, type or
 // helper is declared again, or a kept one is reached from where it
 // must not be.
 func checkCollapsedPaths(t *testing.T, u *universe) {
+	owners := map[types.Object]string{} // field -> its package-level struct type
+	for _, p := range u.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						owners[st.Field(i)] = tn.Name()
+					}
+				}
+			}
+		}
+	}
 	for _, f := range forbidden {
 		dir, name, _ := strings.Cut(f, " ")
 		for _, p := range u.pkgs {
@@ -458,8 +709,12 @@ func checkCollapsedPaths(t *testing.T, u *universe) {
 					continue
 				}
 				key := obj.Name()
-				if recv := recvNamed(obj); recv != nil && strings.Contains(name, ".") {
-					key = recv.Obj().Name() + "." + key
+				if strings.Contains(name, ".") {
+					if recv := recvNamed(obj); recv != nil {
+						key = recv.Obj().Name() + "." + key
+					} else if owner := owners[obj]; owner != "" {
+						key = owner + "." + key
+					}
 				}
 				if key == name || strings.HasSuffix(name, "*") && strings.HasPrefix(key, strings.TrimSuffix(name, "*")) {
 					t.Errorf("%s: %s is declared again (see CHANGES.md)", u.fset.Position(id.Pos()), key)

@@ -16,9 +16,10 @@
 // deterministic and race-free.
 //
 // The non-goal is subtlety: incumbent protection contours cover the
-// whole world (every AP on the channel must move), outages hit every
-// AP at once, and the broken-gate mode (Config.BreakVacate) exists
-// only to prove the watchdog is not vacuously green.
+// whole world (every AP on the channel must move) and outages hit
+// every AP at once. The watchdog is proved not vacuously green by a
+// mutant of the vacate gate in the repo's mutant catalogue
+// (mutants_test.go), not by a switch in this package.
 package chaos
 
 import (
@@ -86,12 +87,6 @@ type Config struct {
 	// LeaseDuration overrides the database lease validity; zero means
 	// 90 s, short enough that renewal is always load-bearing.
 	LeaseDuration time.Duration
-
-	// BreakVacate disables the regulatory fail-safe on AP 0
-	// (core.ChannelSelector.UnsafeIgnoreVacateBudget): under a long
-	// enough double outage the AP transmits past its vacate budget and
-	// the invariant watchdog MUST flag it. Proof-of-watchdog only.
-	BreakVacate bool
 }
 
 func (c Config) aps() int {
@@ -378,9 +373,6 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 		}
 		a.sel = core.NewChannelSelector(a.cl, a.loc, 15)
 		a.sel.Trace, a.sel.TraceAP = a.buf, int32(i)
-		if cfg.BreakVacate && i == 0 {
-			a.sel.UnsafeIgnoreVacateBudget = true
-		}
 		return a
 	}
 	for i := range fleet {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cellfi/internal/faults"
-	"cellfi/internal/invariant"
 	"cellfi/internal/trace"
 )
 
@@ -115,51 +114,12 @@ func TestChaosMatrix(t *testing.T) {
 		agg.StormArrivals, agg.StormDeparts, agg.Failovers, agg.Vacates, agg.Records)
 }
 
-// TestWatchdogCatchesBrokenGate is the non-vacuity proof the issue
-// demands: with the selector's vacate fail-safe deliberately disabled
-// on AP 0 and both database endpoints dead for well over the ETSI
-// minute, the watchdog must flag tx-past-vacate-budget and identify
-// the first violating record.
-func TestWatchdogCatchesBrokenGate(t *testing.T) {
-	outage := []faults.Window{{From: 60 * time.Second, To: 220 * time.Second}}
-	cfg := Config{
-		Seed:           1,
-		APs:            3,
-		Steps:          260,
-		BreakVacate:    true,
-		PrimaryOutages: outage,
-		ReplicaOutages: outage,
-	}
-	res, err := Run(cfg, nil)
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-	if res.First == nil {
-		t.Fatalf("broken gate not caught: %+v", res)
-	}
-	v := res.First
-	if v.Rule != invariant.RuleTxPastVacateBudget {
-		t.Fatalf("rule = %q, want %q (violation: %v)", v.Rule, invariant.RuleTxPastVacateBudget, v)
-	}
-	if v.Rec.AP != 0 {
-		t.Fatalf("violating AP = %d, want 0 (the broken one); violation: %v", v.Rec.AP, v)
-	}
-	if v.Index <= 0 || v.Index >= res.Records {
-		t.Fatalf("first violating record index %d out of stream [0,%d)", v.Index, res.Records)
-	}
-	// The healthy APs must have vacated cleanly: every violation in
-	// the stream belongs to the broken AP.
-	for _, w := range []int32{1, 2} {
-		if v.Rec.AP == w {
-			t.Fatalf("healthy AP %d flagged", w)
-		}
-	}
-}
-
-// TestWatchdogIgnoresHealthyFleetUnderSameOutage is the control for
-// the broken-gate proof: the identical double outage with the
-// fail-safe intact yields zero violations — so the catch above is the
-// broken gate, not the outage.
+// TestWatchdogIgnoresHealthyFleetUnderSameOutage: both database
+// endpoints dead for well over the ETSI minute, and the fleet vacates
+// cleanly with zero violations. The vacate-gate mutant in
+// mutants_test.go (the radio stays on, the lost-contact vacate never
+// fires) must make this test fail with tx-past-vacate-budget, which is
+// what proves the watchdog is not vacuously green.
 func TestWatchdogIgnoresHealthyFleetUnderSameOutage(t *testing.T) {
 	outage := []faults.Window{{From: 60 * time.Second, To: 220 * time.Second}}
 	cfg := Config{

@@ -124,12 +124,6 @@ type ChannelSelector struct {
 	// tags the owning access point.
 	Trace   trace.Recorder
 	TraceAP int32
-	// UnsafeIgnoreVacateBudget disables the regulatory fail-safe: the
-	// radio stays on past the vacate budget and the lost-contact vacate
-	// never fires. It exists ONLY so chaos harnesses can prove the
-	// invariant watchdog catches a broken gate (internal/chaos's
-	// broken-selector scenario); never set it outside such a proof.
-	UnsafeIgnoreVacateBudget bool
 
 	current     *Lease
 	state       LeaseState
@@ -221,7 +215,7 @@ func (s *ChannelSelector) refreshFailed(now time.Time, err error) (Action, error
 		// Off-channel: keep acquiring; nothing to vacate.
 		return NoChange, err
 	}
-	if now.After(s.VacateBy()) && !s.UnsafeIgnoreVacateBudget {
+	if now.After(s.VacateBy()) {
 		s.current = nil
 		s.transition(StateVacated, now, "vacate budget expired")
 		return Vacated, err

@@ -164,11 +164,6 @@ func (s *ChannelSelector) TransmitAllowed(now time.Time) bool {
 	if s.current == nil || s.state == StateVacated || s.state == StateAcquiring {
 		return false
 	}
-	if s.UnsafeIgnoreVacateBudget {
-		// Broken-gate mode: hold the channel regardless of budget or
-		// expiry. The invariant watchdog must flag this.
-		return true
-	}
 	return !now.After(s.VacateBy())
 }
 

@@ -1,9 +1,9 @@
 package faults
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"time"
@@ -92,9 +92,74 @@ type HandlerTransport struct {
 
 // RoundTrip implements http.RoundTripper.
 func (t HandlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.Handler.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
+	w := &responseWriter{}
+	t.Handler.ServeHTTP(w, req)
+	return w.result(req), nil
+}
+
+// responseWriter records one in-process exchange and becomes its
+// response: the response, its header and its body share one
+// allocation, and the body reads back what the handler wrote. The
+// response is what httptest.ResponseRecorder.Result returns (status
+// line, the header as it stood at the first write, a sniffed
+// Content-Type, an unknown ContentLength), without the recorder's
+// header copies. A Content-Length header and trailers are not
+// supported: no handler served in-process sets them.
+type responseWriter struct {
+	resp   http.Response
+	header http.Header
+	body   bytes.Buffer
+	wrote  bool
+}
+
+// Header implements http.ResponseWriter.
+func (w *responseWriter) Header() http.Header {
+	if w.header == nil {
+		w.header = make(http.Header)
+	}
+	return w.header
+}
+
+// WriteHeader implements http.ResponseWriter. The response keeps the
+// header map as it stands; later changes go to a fresh map, since
+// net/http ignores them too.
+func (w *responseWriter) WriteHeader(code int) {
+	if w.wrote {
+		return
+	}
+	w.wrote = true
+	w.resp.StatusCode = code
+	w.resp.Header = w.Header()
+	w.header = nil
+}
+
+// Write implements http.ResponseWriter, sniffing a missing
+// Content-Type from the first write as net/http does.
+func (w *responseWriter) Write(b []byte) (int, error) {
+	if !w.wrote {
+		h := w.Header()
+		if _, ok := h["Content-Type"]; !ok && h.Get("Transfer-Encoding") == "" {
+			h.Set("Content-Type", http.DetectContentType(b))
+		}
+		w.WriteHeader(http.StatusOK)
+	}
+	return w.body.Write(b)
+}
+
+// Read and Close make the writer its own response body.
+func (w *responseWriter) Read(p []byte) (int, error) { return w.body.Read(p) }
+func (w *responseWriter) Close() error               { return nil }
+
+func (w *responseWriter) result(req *http.Request) *http.Response {
+	w.WriteHeader(http.StatusOK) // a no-op once the handler wrote
+	r := &w.resp
+	r.Proto, r.ProtoMajor, r.ProtoMinor = "HTTP/1.1", 1, 1
+	r.Status = "200 OK"
+	if r.StatusCode != http.StatusOK {
+		r.Status = fmt.Sprintf("%03d %s", r.StatusCode, http.StatusText(r.StatusCode))
+	}
+	r.Body = w
+	r.ContentLength = -1
+	r.Request = req
+	return r
 }

@@ -47,7 +47,7 @@ func FuzzVerify(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, _ := trace.Decode(data)
-		c := &Checker{Deadline: time.Second, Slack: time.Millisecond, MaxViolations: 4}
+		c := &Checker{Deadline: time.Second, Slack: time.Millisecond}
 		c.Feed(recs)
 		if c.Records() != len(recs) {
 			t.Fatalf("checker consumed %d of %d records", c.Records(), len(recs))

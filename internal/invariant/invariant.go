@@ -104,9 +104,6 @@ type Checker struct {
 	// scenario's maximum skew as headroom. Per-AP rules compare
 	// records from one clock and take no slack.
 	Slack time.Duration
-	// MaxViolations bounds how many violations are retained (the rest
-	// are only counted); zero means 16.
-	MaxViolations int
 
 	n          int
 	aps        map[int32]*apState
@@ -114,6 +111,10 @@ type Checker struct {
 	violations []Violation
 	total      int
 }
+
+// maxViolations bounds how many violations a Checker retains; the rest
+// are only counted.
+const maxViolations = 16
 
 func (c *Checker) deadlineNS() int64 {
 	if c.Deadline > 0 {
@@ -136,11 +137,7 @@ func (c *Checker) ap(id int32) *apState {
 
 func (c *Checker) fail(rule string, idx int, rec trace.Record, format string, args ...any) {
 	c.total++
-	max := c.MaxViolations
-	if max <= 0 {
-		max = 16
-	}
-	if len(c.violations) < max {
+	if len(c.violations) < maxViolations {
 		c.violations = append(c.violations,
 			Violation{Rule: rule, Index: idx, Rec: rec, Detail: fmt.Sprintf(format, args...)})
 	}
@@ -245,7 +242,7 @@ func (c *Checker) First() *Violation {
 }
 
 // Violations returns the retained violations (stream order, bounded
-// by MaxViolations).
+// by maxViolations).
 func (c *Checker) Violations() []Violation { return c.violations }
 
 // Total returns how many violations occurred, including ones beyond

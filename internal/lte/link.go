@@ -64,24 +64,15 @@ type Cell struct {
 	// Activity is the cell's transmit behaviour when viewed as an
 	// interferer.
 	Activity Activity
-	// ActiveSubchannels restricts which subchannels the cell
-	// transmits in; nil means all (plain LTE). This is the hook the
-	// CellFi interference-management component drives.
-	ActiveSubchannels map[int]bool
 }
 
 // TransmitsIn reports whether the cell emits data energy in subchannel
-// sc. Signalling (CRS/sync/PDCCH) is spread across the whole carrier
-// regardless of the data allocation, which is why a cell is never
-// interference-free while powered on (Section 6.3.1).
+// sc: a FullBuffer cell transmits in every subchannel. Signalling
+// (CRS/sync/PDCCH) is spread across the whole carrier regardless of
+// the data allocation, which is why a cell is never interference-free
+// while powered on (Section 6.3.1).
 func (c *Cell) TransmitsIn(sc int) bool {
-	if c.Activity != FullBuffer {
-		return false
-	}
-	if c.ActiveSubchannels == nil {
-		return true
-	}
-	return c.ActiveSubchannels[sc]
+	return c.Activity == FullBuffer
 }
 
 // PerRBPowerDBm returns the transmit power allocated to one resource
@@ -121,7 +112,7 @@ type Environment struct {
 	// recomputation it replaces; entries self-expire when the block
 	// advances. Interferer activity is NOT cached —
 	// TransmitsIn gating stays per-call, so toggling a cell's
-	// Activity or ActiveSubchannels mid-run is safe.
+	// Activity mid-run is safe.
 	//
 	// The table is open-addressed with linear probing rather than a Go
 	// map: every SINR query on the subframe path probes it several
@@ -204,7 +195,7 @@ func (e *Environment) rxPowerMWUncached(tx *Cell, rxPos geo.Point, rxID, sc int,
 // until the next rxSlot call, which may grow the table.
 func (e *Environment) rxLookup(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int64) *rxEntry {
 	block := int64(0)
-	if f := e.Fading; f != nil && !f.Disabled {
+	if f := e.Fading; f != nil {
 		block = tMS / f.BlockMS
 	}
 	ent := e.rxSlot(propagation.LinkID(tx.ID, rxID), int32(sc))

@@ -23,7 +23,7 @@ func testCell(id int, x, y float64) *Cell {
 func quietEnv(seed int64) *Environment {
 	e := NewEnvironment(seed)
 	e.Model.ShadowSigmaDB = 0
-	e.Fading.Disabled = true
+	e.Fading = nil
 	return e
 }
 
@@ -47,12 +47,8 @@ func TestPerRBPower(t *testing.T) {
 
 func TestTransmitsIn(t *testing.T) {
 	c := testCell(1, 0, 0)
-	if !c.TransmitsIn(5) {
-		t.Fatal("nil mask should mean all subchannels")
-	}
-	c.ActiveSubchannels = map[int]bool{3: true}
-	if c.TransmitsIn(5) || !c.TransmitsIn(3) {
-		t.Fatal("mask not respected")
+	if !c.TransmitsIn(5) || !c.TransmitsIn(3) {
+		t.Fatal("a full-buffer cell should transmit in every subchannel")
 	}
 	c.Activity = SignallingOnly
 	if c.TransmitsIn(3) {
@@ -144,19 +140,18 @@ func TestDownlinkSINRSubchannelMask(t *testing.T) {
 	e := quietEnv(3)
 	serving := testCell(1, 0, 0)
 	interferer := testCell(2, 500, 0)
-	interferer.ActiveSubchannels = map[int]bool{0: true}
 	cl := &Client{ID: 100, Pos: geo.Point{X: 350, Y: 0}}
 	ifs := []*Cell{interferer}
-	hit := e.DownlinkSINR(serving, ifs, cl, 0, 0)
+	hit := e.DownlinkSINR(serving, ifs, cl, 7, 0)
+	// This is the whole point of CellFi's interference management: a
+	// subchannel the neighbour vacates recovers the interference-free
+	// data SINR, control overhead aside.
+	interferer.Activity = Off
 	clear := e.DownlinkSINR(serving, ifs, cl, 7, 0)
 	if clear <= hit {
-		t.Fatalf("masked subchannel not cleaner: hit=%g clear=%g", hit, clear)
+		t.Fatalf("vacated subchannel not cleaner: hit=%g clear=%g", hit, clear)
 	}
-	// This is the whole point of CellFi's interference management: a
-	// subchannel the neighbour vacates recovers (nearly) the
-	// interference-free SINR, control overhead aside.
-	interferer.Activity = Off
-	pristine := e.DownlinkSINR(serving, ifs, cl, 7, 0)
+	pristine := e.DownlinkSINR(serving, nil, cl, 7, 0)
 	if clear != pristine {
 		t.Fatalf("vacated subchannel data SINR %g != pristine %g", clear, pristine)
 	}

@@ -131,18 +131,14 @@ func (r *RoundRobin) Allocate(s *AllocScratch, bw Bandwidth, allowed []int, ues 
 // to the client with the highest instantaneous-rate / average-rate
 // ratio, exploiting multi-user diversity across sub-bands (the standard
 // LTE policy).
-type ProportionalFair struct {
-	// Beta is the EWMA forgetting factor; the conventional 1/1000
-	// (per subframe) by default.
-	Beta float64
-}
+type ProportionalFair struct{}
+
+// pfBeta is the average rate's EWMA forgetting factor, the
+// conventional 1/1000 per subframe.
+const pfBeta = 1.0 / 1000
 
 // Allocate implements Scheduler.
 func (p *ProportionalFair) Allocate(s *AllocScratch, bw Bandwidth, allowed []int, ues []*SchedUE) {
-	beta := p.Beta
-	if beta == 0 {
-		beta = 1.0 / 1000
-	}
 	s.Reset(bw.Subchannels(), len(ues))
 	tbs := &scTBS[bw.bwIndex()]
 	for _, sc := range allowed {
@@ -184,6 +180,6 @@ func (p *ProportionalFair) Allocate(s *AllocScratch, bw Bandwidth, allowed []int
 	}
 	// EWMA update for every client, scheduled or not.
 	for i, u := range ues {
-		u.avgRate = (1-beta)*u.avgRate + beta*float64(s.Served[i])
+		u.avgRate = (1-pfBeta)*u.avgRate + pfBeta*float64(s.Served[i])
 	}
 }

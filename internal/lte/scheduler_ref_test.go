@@ -46,13 +46,10 @@ func (r *refRoundRobin) allocate(bw Bandwidth, allowed []int, ues []*SchedUE) (r
 	return alloc, served
 }
 
-type refProportionalFair struct{ beta float64 }
+type refProportionalFair struct{}
 
 func (p *refProportionalFair) allocate(bw Bandwidth, allowed []int, ues []*SchedUE) (refAllocation, map[int]int64) {
-	beta := p.beta
-	if beta == 0 {
-		beta = 1.0 / 1000
-	}
+	const beta = 1.0 / 1000
 	alloc := make(refAllocation)
 	served := make(map[int]int64)
 	for _, sc := range allowed {

@@ -62,21 +62,13 @@ type Client struct {
 	URL string
 	// Endpoints, when non-empty, is an ordered endpoint list — the
 	// primary first, replicas after — and overrides URL. The client
-	// pins the first endpoint until FailoverAfter consecutive
+	// pins the first endpoint until failoverAfter consecutive
 	// Transient failures, then advances to the next (wrapping), and
 	// probes back toward the primary after the active replica proves
-	// healthy (see PrimaryProbeAfter). Non-transient answers — success,
+	// healthy (see probeAfter). Non-transient answers — success,
 	// regulatory denials, fatal RPC errors — count as healthy: the
 	// database answered, the content is someone else's problem.
 	Endpoints []string
-	// FailoverAfter is the consecutive-Transient-failure threshold
-	// that triggers failover; zero means 1 (the ETSI vacate budget is
-	// too tight to burn it re-asking a dead primary).
-	FailoverAfter int
-	// PrimaryProbeAfter is how many consecutive successes on a
-	// non-primary endpoint earn one probe of the primary; zero
-	// means 8. A failed probe just stays on the replica.
-	PrimaryProbeAfter int
 	// HTTPClient overrides the transport. When nil, an owned client
 	// with a 10-second timeout is used (never http.DefaultClient).
 	HTTPClient *http.Client
@@ -108,20 +100,16 @@ type Client struct {
 	failovers uint64
 }
 
-// failoverAfter / probeAfter apply the documented zero-value defaults.
-func (c *Client) failoverAfter() int {
-	if c.FailoverAfter > 0 {
-		return c.FailoverAfter
-	}
-	return 1
-}
-
-func (c *Client) probeAfter() int {
-	if c.PrimaryProbeAfter > 0 {
-		return c.PrimaryProbeAfter
-	}
-	return 8
-}
+const (
+	// failoverAfter is the consecutive-Transient-failure count that
+	// triggers failover: the ETSI vacate budget is too tight to burn it
+	// re-asking a dead primary.
+	failoverAfter = 1
+	// probeAfter is how many consecutive successes on a non-primary
+	// endpoint earn one probe of the primary. A failed probe just stays
+	// on the replica.
+	probeAfter = 8
+)
 
 // pickEndpoint chooses the URL and endpoint index for one attempt:
 // the active endpoint, or the primary when the active replica has
@@ -133,7 +121,7 @@ func (c *Client) pickEndpoint() (string, int) {
 	c.epMu.Lock()
 	defer c.epMu.Unlock()
 	idx := c.epIdx
-	if idx != 0 && c.epOK >= c.probeAfter() {
+	if idx != 0 && c.epOK >= probeAfter {
 		c.epOK = 0
 		idx = 0 // spend the earned probe on the primary
 	}
@@ -164,7 +152,7 @@ func (c *Client) endpointResult(idx int, transient bool) {
 		// was already spent in pickEndpoint).
 	default:
 		c.epFails++
-		if c.epFails >= c.failoverAfter() {
+		if c.epFails >= failoverAfter {
 			c.epIdx = (c.epIdx + 1) % len(c.Endpoints)
 			c.epFails, c.epOK = 0, 0
 			c.failovers++

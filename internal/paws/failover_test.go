@@ -45,7 +45,6 @@ func newFailoverWorld(t *testing.T) *failoverWorld {
 func (w *failoverWorld) client() *Client {
 	c := NewClient("", "fo-ap")
 	c.Endpoints = []string{w.primary.URL, w.replica.URL}
-	c.PrimaryProbeAfter = 3
 	return c
 }
 
@@ -72,8 +71,9 @@ func TestFailoverToReplicaAndBack(t *testing.T) {
 		t.Fatalf("active endpoint = %q, want primary", got)
 	}
 
-	// Kill the primary: the next call fails over (default threshold 1)
-	// but still surfaces the transient error for that call.
+	// Kill the primary: the next call fails over (one transient
+	// failure is enough) but still surfaces the transient error for
+	// that call.
 	w.primaryDown.Store(true)
 	if _, err := c.GetSpectrum(loc, 10); err == nil {
 		t.Fatal("call during primary outage with single-shot retry should fail")
@@ -85,9 +85,9 @@ func TestFailoverToReplicaAndBack(t *testing.T) {
 		t.Fatalf("failovers = %d, want 1", c.Failovers())
 	}
 
-	// Subsequent calls land on the replica and succeed; three in a row
+	// Subsequent calls land on the replica and succeed; eight in a row
 	// earn a primary probe.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 8; i++ {
 		if _, err := c.GetSpectrum(loc, 10); err != nil {
 			t.Fatalf("replica call %d: %v", i, err)
 		}
@@ -95,7 +95,7 @@ func TestFailoverToReplicaAndBack(t *testing.T) {
 	replicaBefore := w.replicaHits.Load()
 	primaryBefore := w.primaryHits.Load()
 
-	// Primary recovers; the third consecutive replica success earns a
+	// Primary recovers; the eighth consecutive replica success earned a
 	// probe, which succeeds and fails back.
 	w.primaryDown.Store(false)
 	if _, err := c.GetSpectrum(loc, 10); err != nil {
@@ -123,7 +123,7 @@ func TestFailedPrimaryProbeStaysOnReplica(t *testing.T) {
 
 	w.primaryDown.Store(true)
 	c.GetSpectrum(loc, 10) // transient failure; advances to the replica
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 8; i++ {
 		if _, err := c.GetSpectrum(loc, 10); err != nil {
 			t.Fatalf("replica call %d: %v", i, err)
 		}

@@ -140,18 +140,22 @@ func TestNotifyUseRejectsProtectedChannel(t *testing.T) {
 	}
 }
 
+// The server announces the ETSI ruleset, which has no registration
+// step: an unregistered FIXED device gets spectrum, and a registration
+// is acknowledged with that ruleset.
 func TestRegistrationFlow(t *testing.T) {
-	srv, _, c := newTestServer(t, spectrum.US)
-	srv.RequireRegistration = true
+	_, _, c := newTestServer(t, spectrum.US)
 	ap := geo.Point{X: 0, Y: 0}
 
-	_, err := c.GetSpectrum(ap, 15)
-	var rpcErr *RPCError
-	if !errors.As(err, &rpcErr) || rpcErr.Code != ErrCodeNotRegistered {
-		t.Fatalf("unregistered fixed device should be rejected, got %v", err)
+	if _, err := c.GetSpectrum(ap, 15); err != nil {
+		t.Fatalf("unregistered device rejected: %v", err)
 	}
-	if _, err := c.Register(ap, "Example Charity"); err != nil {
+	rs, err := c.Register(ap, "Example Charity")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rs.RulesetInfos) != 1 || rs.RulesetInfos[0].RulesetID != "ETSI-EN-301-598-2014" {
+		t.Fatalf("register answered %+v, want the one ETSI ruleset", rs)
 	}
 	if _, err := c.GetSpectrum(ap, 15); err != nil {
 		t.Fatalf("registered device rejected: %v", err)

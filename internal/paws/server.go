@@ -16,10 +16,9 @@ import (
 
 // Server is a PAWS white-space database server. It serves the RFC 7545
 // JSON-RPC methods over HTTP on top of a pawsdb.DB (geospatial index,
-// response cache, lease store, metrics); the request path is lock-free
-// except for the registration map, so concurrent queries scale with
-// cores instead of serializing on one mutex. It implements
-// http.Handler.
+// response cache, lease store, metrics); the request path is
+// lock-free, so concurrent queries scale with cores instead of
+// serializing on one mutex. It implements http.Handler.
 type Server struct {
 	db      *pawsdb.DB
 	ruleset RulesetInfo
@@ -31,14 +30,6 @@ type Server struct {
 	// it to drive virtual time. Defaults to time.Now. Set before
 	// serving traffic.
 	Now func() time.Time
-	// RequireRegistration rejects getSpectrum from unregistered FIXED
-	// devices (FCC behaviour); off by default for ETSI mode. Set
-	// before serving traffic.
-	RequireRegistration bool
-
-	// registered holds the serials of registered fixed devices.
-	regMu      sync.RWMutex
-	registered map[string]struct{}
 }
 
 // NewServer returns a PAWS server over the given incumbent registry,
@@ -60,8 +51,7 @@ func NewServerWith(db *pawsdb.DB) *Server {
 			MaxLocationChangeM: 50,
 			MaxPollingSecs:     3600,
 		},
-		Now:        time.Now,
-		registered: make(map[string]struct{}),
+		Now: time.Now,
 	}
 	s.rulesetJSON, _ = json.Marshal(s.ruleset)
 	return s
@@ -98,6 +88,11 @@ var jsonContentType = []string{"application/json"}
 // done; the buffer goes back to the pool after the envelope is
 // written.
 type rawResult struct{ buf *bytes.Buffer }
+
+// notifyResult is the one SPECTRUM_USE_NOTIFY result, the empty
+// NotifyUseResp, encoded once; held in an interface so that returning
+// it allocates nothing.
+var notifyResult any = json.RawMessage(`{}`)
 
 // ServeHTTP handles one JSON-RPC request.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -150,13 +145,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		resp.Error = rpcErr
 		met.Errors.Add(1)
 	default:
-		if rr, ok := result.(rawResult); ok {
-			resp.Result = rr.buf.Bytes()
-			recycle = rr.buf
-		} else if raw, err := json.Marshal(result); err != nil {
-			resp.Error = &RPCError{ErrCodeInvalidValue, "encode failure"}
-		} else {
-			resp.Result = raw
+		switch r := result.(type) {
+		case rawResult:
+			resp.Result = r.buf.Bytes()
+			recycle = r.buf
+		case json.RawMessage:
+			resp.Result = r
+		default:
+			if raw, err := json.Marshal(result); err != nil {
+				resp.Error = &RPCError{ErrCodeInvalidValue, "encode failure"}
+			} else {
+				resp.Result = raw
+			}
 		}
 	}
 	writeRPC(w, resp)
@@ -252,41 +252,12 @@ func (s *Server) handleRegister(p RegisterReq) (any, *RPCError) {
 	if p.DeviceDesc.SerialNumber == "" {
 		return nil, &RPCError{ErrCodeMissing, "deviceDesc.serialNumber required"}
 	}
-	s.regMu.Lock()
-	s.registered[p.DeviceDesc.SerialNumber] = struct{}{}
-	s.regMu.Unlock()
 	return RegisterResp{RulesetInfos: []RulesetInfo{s.ruleset}}, nil
-}
-
-// availSpectrumRespRaw mirrors AvailSpectrumResp but carries the
-// spectra as pre-marshaled JSON, so cache hits skip re-encoding the
-// (up to 40-element) frequency-range list. The bytes come from
-// json.Marshal of the exact []FrequencyRange the un-cached path would
-// have embedded, so the wire output is byte-identical either way.
-type availSpectrumRespRaw struct {
-	Timestamp           time.Time             `json:"timestamp"`
-	RulesetInfo         RulesetInfo           `json:"rulesetInfo"`
-	Schedules           []spectrumScheduleRaw `json:"spectrumSchedules"`
-	NeedsSpectrumReport bool                  `json:"needsSpectrumReport"`
-}
-
-type spectrumScheduleRaw struct {
-	StartTime time.Time       `json:"startTime"`
-	StopTime  time.Time       `json:"stopTime"`
-	Spectra   json.RawMessage `json:"spectra"`
 }
 
 func (s *Server) handleGetSpectrum(p AvailSpectrumReq) (any, *RPCError) {
 	if p.DeviceDesc.SerialNumber == "" {
 		return nil, &RPCError{ErrCodeMissing, "deviceDesc.serialNumber required"}
-	}
-	if s.RequireRegistration && p.DeviceDesc.DeviceType == "FIXED" {
-		s.regMu.RLock()
-		_, ok := s.registered[p.DeviceDesc.SerialNumber]
-		s.regMu.RUnlock()
-		if !ok {
-			return nil, &RPCError{ErrCodeNotRegistered, "fixed device must register first"}
-		}
 	}
 	loc := FromGeo(p.Location)
 	now := s.Now()
@@ -339,10 +310,11 @@ func (s *Server) handleGetSpectrum(p AvailSpectrumReq) (any, *RPCError) {
 	}
 
 	// Assemble the AVAIL_SPECTRUM_RESP by hand, splicing in the
-	// premarshaled ruleset and spectra. The layout mirrors
-	// availSpectrumRespRaw field for field, so the bytes are identical
-	// to json.Marshal of that struct — without reflecting over it and
-	// re-compacting the embedded raw segments on every request.
+	// premarshaled ruleset and spectra. The bytes are identical to
+	// json.Marshal of the same response with its spectra kept raw
+	// (server_db_test.go's availSpectrumRespRaw pins this) — without
+	// reflecting over it and re-compacting the embedded raw segments on
+	// every request.
 	rb := bufPool.Get().(*bytes.Buffer)
 	rb.Reset()
 	rb.WriteString(`{"timestamp":`)
@@ -390,5 +362,5 @@ func (s *Server) handleNotifyUse(p NotifyUseReq) (any, *RPCError) {
 	if len(p.Spectra) == 0 {
 		s.db.Leases().Release(p.DeviceDesc.SerialNumber, now)
 	}
-	return NotifyUseResp{}, nil
+	return notifyResult, nil
 }

@@ -202,3 +202,19 @@ func TestCachedResponseBytesIdentical(t *testing.T) {
 		t.Fatalf("decoded channels diverge from registry scan:\n got %v\nwant %v", got, want)
 	}
 }
+
+// availSpectrumRespRaw mirrors AvailSpectrumResp but carries the
+// spectra as pre-marshaled JSON: re-encoding a served result through it
+// must give back the server's hand-assembled bytes.
+type availSpectrumRespRaw struct {
+	Timestamp           time.Time             `json:"timestamp"`
+	RulesetInfo         RulesetInfo           `json:"rulesetInfo"`
+	Schedules           []spectrumScheduleRaw `json:"spectrumSchedules"`
+	NeedsSpectrumReport bool                  `json:"needsSpectrumReport"`
+}
+
+type spectrumScheduleRaw struct {
+	StartTime time.Time       `json:"startTime"`
+	StopTime  time.Time       `json:"stopTime"`
+	Spectra   json.RawMessage `json:"spectra"`
+}

@@ -32,8 +32,6 @@ type Fading struct {
 	// BlockMS is the coherence time in milliseconds (default 100 ms —
 	// nomadic outdoor clients).
 	BlockMS int64
-	// Disabled turns fading off (0 dB always).
-	Disabled bool
 }
 
 // NewFading returns a fading process with 100 ms coherence blocks.
@@ -45,7 +43,7 @@ func NewFading(seed int64) *Fading { return &Fading{Seed: seed, BlockMS: 100} }
 // in the linear domain). It delegates to GainLinear, so the dB and
 // linear paths are bit-for-bit coupled through the one v2 sampler.
 func (f *Fading) GainDB(linkID uint64, subchannel int, tMS int64) float64 {
-	if f == nil || f.Disabled {
+	if f == nil {
 		return 0
 	}
 	return 10 * math.Log10(f.GainLinear(linkID, subchannel, tMS))
@@ -66,13 +64,13 @@ func (f *Fading) GainLinear(linkID uint64, subchannel int, tMS int64) float64 {
 // batch — comes out of this one sampler.
 type FadeRow struct {
 	base uint64
-	flat bool // fading nil or disabled: every gain is 1
+	flat bool // fading nil: every gain is 1
 }
 
 // Row returns the fade row for the subchannel during the coherence block
 // containing tMS.
 func (f *Fading) Row(subchannel int, tMS int64) FadeRow {
-	if f == nil || f.Disabled {
+	if f == nil {
 		return FadeRow{flat: true}
 	}
 	return FadeRow{base: f.fadeBase(subchannel, tMS/f.BlockMS)}

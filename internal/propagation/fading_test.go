@@ -146,12 +146,6 @@ func TestAppendGainsLinearMatchesScalar(t *testing.T) {
 			t.Fatalf("nil fading batch gain %g, want 1", g)
 		}
 	}
-	off := &Fading{Disabled: true, BlockMS: 100}
-	for _, g := range off.AppendGainsLinear(nil, links[:4], 0, 0) {
-		if g != 1 {
-			t.Fatalf("disabled fading batch gain %g, want 1", g)
-		}
-	}
 }
 
 // The ziggurat fast path must dominate: count slow-path entries (tail
@@ -310,9 +304,5 @@ func TestFadingGainLinearMatchesGainDB(t *testing.T) {
 	var nilF *Fading
 	if nilF.GainLinear(1, 0, 0) != 1 || nilF.GainDB(1, 0, 0) != 0 {
 		t.Fatal("nil Fading must be a unit gain")
-	}
-	off := &Fading{Disabled: true, BlockMS: 100}
-	if off.GainLinear(1, 0, 0) != 1 || off.GainDB(1, 0, 0) != 0 {
-		t.Fatal("disabled Fading must be a unit gain")
 	}
 }

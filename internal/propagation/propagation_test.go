@@ -214,14 +214,14 @@ func TestFadingBlockStructure(t *testing.T) {
 	}
 }
 
+// Fading is off when the *Fading is nil: every gain is 0 dB.
 func TestFadingDisabled(t *testing.T) {
-	f := &Fading{Disabled: true}
-	if f.GainDB(1, 1, 1) != 0 {
-		t.Error("disabled fading should be 0 dB")
-	}
 	var nilF *Fading
-	if nilF.GainDB(1, 1, 1) != 0 {
+	if nilF.GainDB(1, 1, 1) != 0 || nilF.GainLinear(1, 1, 1) != 1 {
 		t.Error("nil fading should be 0 dB")
+	}
+	if got := nilF.Row(1, 1).Gain(7); got != 1 {
+		t.Errorf("nil fading row gain = %g, want 1", got)
 	}
 }
 

@@ -10,17 +10,9 @@ import (
 // terminal plot so the reproduced shapes can be eyeballed next to the
 // paper without leaving the shell.
 
-// PlotOptions sizes a terminal plot.
-type PlotOptions struct {
-	Width, Height int
-	// XLabel / YLabel annotate the axes.
-	XLabel, YLabel string
-}
-
-// DefaultPlotOptions fits a standard terminal.
-func DefaultPlotOptions() PlotOptions {
-	return PlotOptions{Width: 72, Height: 18}
-}
+// plotWidth and plotHeight size the plot area to fit a standard
+// terminal.
+const plotWidth, plotHeight = 72, 18
 
 // plotGlyphs distinguishes up to eight overlaid series.
 var plotGlyphs = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
@@ -28,10 +20,7 @@ var plotGlyphs = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 // Plot renders one or more series into a character grid with shared
 // axes. Series are drawn in order; later series overwrite earlier ones
 // where they collide.
-func Plot(series []Series, opts PlotOptions) string {
-	if opts.Width <= 10 || opts.Height <= 4 {
-		opts = DefaultPlotOptions()
-	}
+func Plot(series []Series) string {
 	// Bounds across all series.
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
@@ -56,7 +45,7 @@ func Plot(series []Series, opts PlotOptions) string {
 		maxY = minY + 1
 	}
 
-	w, h := opts.Width, opts.Height
+	w, h := plotWidth, plotHeight
 	grid := make([][]byte, h)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", w))
@@ -74,9 +63,6 @@ func Plot(series []Series, opts PlotOptions) string {
 	}
 
 	var b strings.Builder
-	if opts.YLabel != "" {
-		fmt.Fprintf(&b, "%s\n", opts.YLabel)
-	}
 	for r, line := range grid {
 		var label string
 		switch r {
@@ -89,9 +75,6 @@ func Plot(series []Series, opts PlotOptions) string {
 	}
 	fmt.Fprintf(&b, "%10s +%s\n", "", strings.Repeat("-", w))
 	fmt.Fprintf(&b, "%10s  %-*s%s\n", "", w-len(trimNum(maxX)), trimNum(minX), trimNum(maxX))
-	if opts.XLabel != "" {
-		fmt.Fprintf(&b, "%10s  %s\n", "", opts.XLabel)
-	}
 	if len(series) > 1 {
 		b.WriteString("            ")
 		for si, s := range series {

@@ -17,7 +17,7 @@ func linePoints(f func(x float64) float64, from, to float64, n int) [][2]float64
 
 func TestPlotBasicShape(t *testing.T) {
 	s := Series{Name: "line", Points: linePoints(func(x float64) float64 { return x }, 0, 10, 50)}
-	out := Plot([]Series{s}, DefaultPlotOptions())
+	out := Plot([]Series{s})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) < 18 {
 		t.Fatalf("plot too short: %d lines", len(lines))
@@ -41,7 +41,7 @@ func TestPlotBasicShape(t *testing.T) {
 func TestPlotMultipleSeriesLegend(t *testing.T) {
 	a := Series{Name: "first", Points: linePoints(func(x float64) float64 { return x }, 0, 1, 10)}
 	b := Series{Name: "second", Points: linePoints(func(x float64) float64 { return 1 - x }, 0, 1, 10)}
-	out := Plot([]Series{a, b}, DefaultPlotOptions())
+	out := Plot([]Series{a, b})
 	if !strings.Contains(out, "* first") || !strings.Contains(out, "o second") {
 		t.Fatalf("legend missing:\n%s", out)
 	}
@@ -51,36 +51,40 @@ func TestPlotMultipleSeriesLegend(t *testing.T) {
 }
 
 func TestPlotEmptyAndDegenerate(t *testing.T) {
-	if got := Plot(nil, DefaultPlotOptions()); got != "(no data)\n" {
+	if got := Plot(nil); got != "(no data)\n" {
 		t.Fatalf("empty plot = %q", got)
 	}
 	nanSeries := Series{Points: [][2]float64{{math.NaN(), math.NaN()}}}
-	if got := Plot([]Series{nanSeries}, DefaultPlotOptions()); got != "(no data)\n" {
+	if got := Plot([]Series{nanSeries}); got != "(no data)\n" {
 		t.Fatalf("NaN-only plot = %q", got)
 	}
 	// A single point (zero range) must not divide by zero.
 	one := Series{Points: [][2]float64{{5, 5}}}
-	out := Plot([]Series{one}, DefaultPlotOptions())
+	out := Plot([]Series{one})
 	if !strings.Contains(out, "*") {
 		t.Fatal("single point not rendered")
 	}
 }
 
+// Every plot is 18 rows of 72 columns behind a 10-column axis label
+// and a bar, however few points or how narrow a range it draws.
 func TestPlotRespectsSize(t *testing.T) {
-	s := Series{Points: linePoints(math.Sin, 0, 6.28, 100)}
-	out := Plot([]Series{s}, PlotOptions{Width: 40, Height: 10})
-	for _, line := range strings.Split(out, "\n") {
-		if len(line) > 40+13 {
-			t.Fatalf("line too wide: %q", line)
+	for _, s := range []Series{
+		{Points: linePoints(math.Sin, 0, 6.28, 100)},
+		{Points: linePoints(math.Sin, 0, 1, 5)},
+	} {
+		lines := strings.Split(Plot([]Series{s}), "\n")
+		if len(lines) < 18 {
+			t.Fatalf("plot has %d lines, want at least 18 rows", len(lines))
 		}
-	}
-}
-
-func TestPlotTinySizeFallsBack(t *testing.T) {
-	s := Series{Points: linePoints(math.Sin, 0, 1, 5)}
-	out := Plot([]Series{s}, PlotOptions{Width: 1, Height: 1})
-	if len(strings.Split(out, "\n")) < 10 {
-		t.Fatal("tiny options should fall back to defaults")
+		for _, line := range lines[:18] {
+			if len(line) != 10+2+72 {
+				t.Fatalf("row is %d wide, want %d: %q", len(line), 10+2+72, line)
+			}
+		}
+		if !strings.HasSuffix(lines[18], "+"+strings.Repeat("-", 72)) {
+			t.Fatalf("x axis = %q, want 72 dashes", lines[18])
+		}
 	}
 }
 

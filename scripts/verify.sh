@@ -6,9 +6,11 @@
 # below: persistent shard workers, pawsdb's lock-free snapshot and
 # lease wheel, the runner's worker pool, ...; and cmd/cellfi's daemon
 # drain tests). The repo's anti-regrowth rules — no export only tests
-# reach, no deleted selector, option or type declared again, one
-# binary that alone owns the process, docs whose backticked references
-# resolve — are TestGuards in guards_test.go, part of `go test ./...`.
+# reach, no option only tests set, no deleted selector, option or type
+# declared again, one binary that alone owns the process, docs whose
+# backticked references resolve — are TestGuards in guards_test.go,
+# part of `go test ./...`; the mutant catalogue that proves the pins
+# bite is TestMutants in mutants_test.go (`make mutants`).
 #
 # Opt-in stages: VERIFY_RACE=1 (whole suite under -race),
 # VERIFY_CHAOS=1 (ETSI vacate soak), VERIFY_INVARIANTS=1 (chaos worlds
