@@ -67,25 +67,31 @@ func TestPlotEmptyAndDegenerate(t *testing.T) {
 }
 
 // Every plot is 18 rows of 72 columns behind a 10-column axis label
-// and a bar, however few points or how narrow a range it draws.
-func TestPlotRespectsSize(t *testing.T) {
-	for _, s := range []Series{
-		{Points: linePoints(math.Sin, 0, 6.28, 100)},
-		{Points: linePoints(math.Sin, 0, 1, 5)},
-	} {
-		lines := strings.Split(Plot([]Series{s}), "\n")
-		if len(lines) < 18 {
-			t.Fatalf("plot has %d lines, want at least 18 rows", len(lines))
-		}
-		for _, line := range lines[:18] {
-			if len(line) != 10+2+72 {
-				t.Fatalf("row is %d wide, want %d: %q", len(line), 10+2+72, line)
-			}
-		}
-		if !strings.HasSuffix(lines[18], "+"+strings.Repeat("-", 72)) {
-			t.Fatalf("x axis = %q, want 72 dashes", lines[18])
+// and a bar, followed by the x axis.
+func checkPlotSize(t *testing.T, s Series) {
+	t.Helper()
+	lines := strings.Split(Plot([]Series{s}), "\n")
+	if len(lines) < 19 {
+		t.Fatalf("plot has %d lines, want 18 rows and an x axis", len(lines))
+	}
+	for _, line := range lines[:18] {
+		if len(line) != 10+2+72 {
+			t.Fatalf("row is %d wide, want %d: %q", len(line), 10+2+72, line)
 		}
 	}
+	if !strings.HasSuffix(lines[18], "+"+strings.Repeat("-", 72)) {
+		t.Fatalf("x axis = %q, want 72 dashes", lines[18])
+	}
+}
+
+func TestPlotRespectsSize(t *testing.T) {
+	checkPlotSize(t, Series{Points: linePoints(math.Sin, 0, 6.28, 100)})
+}
+
+// A tiny series (five points over a narrow range) still gets the full
+// standard plot, not one shrunk to its data.
+func TestPlotTinySizeFallsBack(t *testing.T) {
+	checkPlotSize(t, Series{Points: linePoints(math.Sin, 0, 1, 5)})
 }
 
 func TestTrimNum(t *testing.T) {
