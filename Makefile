@@ -85,9 +85,9 @@ fuzz-short:
 
 # bench is for microbenchmarks while you work: the per-package
 # `go test -bench` sweep with allocation tracking (sim event core,
-# Wi-Fi CSMA and LTE subframe loops, propagation link cache and the
-# fused fade kernels in ns/link — metro's row kernel
-# (BenchmarkFadeWeightedSum) and netsim's transmitter-list walks
+# Wi-Fi CSMA and LTE subframe loops, link loss with and without the
+# benchmark's propagation.LinkCache, and the fused fade kernels in
+# ns/link — metro's row kernel (BenchmarkFadeWeightedSum) and netsim's transmitter-list walks
 # (BenchmarkFadeAddSum, BenchmarkFadeSumRows) — the linear CQI
 # quantizer, runner fleet, netsim Step at 14 and 200 APs, the core
 # controller). Nothing it prints is committed or compared; `make

@@ -300,9 +300,6 @@ var unwrittenAllow = map[string]string{
 	"internal/chaos Config.*":                "chaos.Run is the test-driven soak harness (see deadAllow); its tests are its callers",
 	"internal/propagation CacheStats.Hits":   "netsim.Network.LinkCacheStats reports zeros for bench/, which still reads it (ROADMAP item 3)",
 	"internal/propagation CacheStats.Misses": "netsim.Network.LinkCacheStats reports zeros for bench/, which still reads it (ROADMAP item 3)",
-	"internal/paws Client.Trace":             "the paws-query record's tests set it; no world wires a client's recorder yet (see CHANGES.md)",
-	"internal/paws Client.TraceAP":           "tags the paws-query record, as Client.Trace",
-	"internal/paws Client.TraceNow":          "stamps the paws-query record, as Client.Trace",
 	"internal/faults Injector.Sleep":         "the test clock for Latency faults; nil sleeps in real time",
 }
 
@@ -347,27 +344,38 @@ func sum() int { p := Pair{1, 2}; return p.A + p.B }
 	}
 }
 
-// plantedUniverse type-checks one import-free source file as the only
-// package of a universe, at dir.
-func plantedUniverse(t *testing.T, dir, src string) *universe {
+// plantedUniverse type-checks planted source files as the packages of
+// a universe: dirSrc alternates a package directory and its one file's
+// source. A file imports nothing but the module packages planted before
+// it.
+func plantedUniverse(t *testing.T, dirSrc ...string) *universe {
 	t.Helper()
 	u := &universe{fset: token.NewFileSet(), byPath: map[string]*pkg{}}
-	f, err := parser.ParseFile(u.fset, dir+"/planted.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := u.byPath[path]; p != nil {
+			return p.types, nil
+		}
+		return nil, fmt.Errorf("planted universe has no package %s", path)
+	})
+	for i := 0; i+1 < len(dirSrc); i += 2 {
+		dir, src := dirSrc[i], dirSrc[i+1]
+		f, err := parser.ParseFile(u.fset, dir+"/planted.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &pkg{path: modPath + "/" + dir, dir: dir, files: []*ast.File{f}, names: []string{dir + "/planted.go"},
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}}
+		if p.types, err = (&types.Config{Importer: imp}).Check(p.path, u.fset, p.files, p.info); err != nil {
+			t.Fatal(err)
+		}
+		u.pkgs = append(u.pkgs, p)
+		u.byPath[p.path] = p
 	}
-	p := &pkg{path: modPath + "/" + dir, dir: dir, files: []*ast.File{f}, names: []string{dir + "/planted.go"},
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}}
-	if p.types, err = new(types.Config).Check(p.path, u.fset, p.files, p.info); err != nil {
-		t.Fatal(err)
-	}
-	u.pkgs = append(u.pkgs, p)
-	u.byPath[p.path] = p
 	return u
 }
 
@@ -604,7 +612,9 @@ func recvNamed(obj types.Object) *types.Named {
 // no link-ID slab (the fused row kernel forms link IDs in registers)
 // and no incumbent model of its own (spectrum.Registry is the one; the
 // fiat pop-ups forced a second sweep kernel), the link cache no
-// invalidation (no caller ever moved a node under it),
+// invalidation (no caller ever moved a node under it) and no dB entry
+// (lte keeps a link's static loss in its rxTab entry), the CQI reporter
+// one report entry and phy one EESM (both linear),
 // internal/experiments one sweep path, a run one regulatory referee
 // (the offline `cellfi trace verify` replay; a world that needs a
 // checker online takes it as its recorder, so the runner has no
@@ -679,6 +689,10 @@ var forbidden = []string{
 	"internal/invariant Checker.MaxViolations",
 	"internal/stats PlotOptions",
 	"internal/stats DefaultPlotOptions",
+	"internal/lte CQIReporter.Report",
+	"internal/lte CQIReporter.ReportInto",
+	"internal/phy EffectiveSINRdB",
+	"internal/propagation LinkCache.LossDB",
 }
 
 // checkCollapsedPaths fails if a deleted selector, option, type or
@@ -731,17 +745,30 @@ func checkCollapsedPaths(t *testing.T, u *universe) {
 		if knob != nil && obj == knob && p.path != modPath+"/bench" {
 			t.Errorf("%s: netsim.Config.UseSpatialIndex does nothing; only bench/ may still set it", u.fset.Position(pos))
 		}
-		// wifi's static link budget is a dense per-pair table, like netsim's.
-		if p.dir == "internal/wifi" && obj.Pkg() != nil && obj.Pkg().Path() == modPath+"/internal/propagation" {
-			if recv := recvNamed(obj); strings.Contains(obj.Name(), "LinkCache") || recv != nil && recv.Obj().Name() == "LinkCache" {
-				t.Errorf("%s: internal/wifi references propagation.%s", u.fset.Position(pos), obj.Name())
-			}
-		}
 		// metro's sweep has one kernel, the fused FadeRow.WeightedSum pass.
 		if p.dir == "internal/metro" && obj.Pkg() != nil && describe(obj) == "propagation.FadeRow.Gain" {
 			t.Errorf("%s: internal/metro draws per link through propagation.FadeRow.Gain; the sweep's one kernel is FadeRow.WeightedSum", u.fset.Position(pos))
 		}
 	})
+
+	// No simulator keeps a link cache: lte keeps a link's static loss in
+	// its rxTab entry, wifi and netsim in dense per-pair tables.
+	for _, use := range linkCacheUses(u) {
+		t.Errorf("%s: only bench/ may name propagation.LinkCache", use)
+	}
+	// A reference planted in lte must be reported: the constructor and
+	// the method, not the package's own declarations.
+	planted := linkCacheUses(plantedUniverse(t, "internal/propagation", `package propagation
+type LinkCache struct{}
+func NewLinkCache() *LinkCache { return &LinkCache{} }
+func (c *LinkCache) PathGainLinear() float64 { return 0 }
+`, "internal/lte", `package lte
+import "cellfi/internal/propagation"
+func gain() float64 { return propagation.NewLinkCache().PathGainLinear() }
+`))
+	if len(planted) != 2 {
+		t.Errorf("planted lte reference to propagation.LinkCache: %d uses reported, want 2 (NewLinkCache, PathGainLinear): %v", len(planted), planted)
+	}
 
 	// internal/experiments has one sweep path: sweep's arm.run builds
 	// every backlogged netsim network, and Fig. 9c's web-workload driver
@@ -766,6 +793,23 @@ func checkCollapsedPaths(t *testing.T, u *universe) {
 	legacy := regexp.MustCompile(`BENCH_[a-z]+\.json|bench[d]iff|_BENCH[_]OUT`)
 	history := map[string]bool{"bench/README.md": true, "CHANGES.md": true, "ROADMAP.md": true}
 	grepFiles(t, ".", legacy, "a legacy bench harness reappeared (see bench/README.md)", history)
+}
+
+// linkCacheUses returns the position and name of every non-test use of
+// propagation.LinkCache, its constructor or its methods outside
+// internal/propagation and bench/.
+func linkCacheUses(u *universe) []string {
+	var uses []string
+	u.eachUse(func(p *pkg, file string, pos token.Pos, obj types.Object) {
+		if p.dir == "internal/propagation" || p.path == modPath+"/bench" ||
+			obj.Pkg() == nil || obj.Pkg().Path() != modPath+"/internal/propagation" {
+			return
+		}
+		if recv := recvNamed(obj); strings.Contains(obj.Name(), "LinkCache") || recv != nil && recv.Obj().Name() == "LinkCache" {
+			uses = append(uses, u.fset.Position(pos).String()+": propagation."+obj.Name())
+		}
+	})
+	return uses
 }
 
 // eachUse calls fn for every identifier use in the module's non-test

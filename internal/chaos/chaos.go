@@ -304,6 +304,10 @@ type ap struct {
 	down bool
 }
 
+// worldStart is the world clock's reading at step 0; outage and
+// brownout windows are offsets from it.
+var worldStart = time.Date(2017, 6, 1, 12, 0, 0, 0, time.UTC)
+
 // Run executes one chaos world and returns its result. Every record
 // the world emits is fed to the online invariant checker and, when out
 // is non-nil, forwarded there too (a trace.Ring spills the stream to
@@ -326,9 +330,8 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 		}
 	}
 
-	start := time.Date(2017, 6, 1, 12, 0, 0, 0, time.UTC)
 	var elapsed atomic.Int64
-	vnow := func() time.Time { return start.Add(time.Duration(elapsed.Load())) }
+	vnow := func() time.Time { return worldStart.Add(time.Duration(elapsed.Load())) }
 
 	reg := spectrum.NewRegistry(spectrum.EU)
 	reg.LeaseDuration = cfg.lease()
@@ -337,7 +340,7 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 
 	wrap := func(windows []faults.Window) http.RoundTripper {
 		return faults.HandlerTransport{Handler: &faults.FlakyHandler{
-			Inner: srv, Windows: windows, Start: start, Now: vnow,
+			Inner: srv, Windows: windows, Start: worldStart, Now: vnow,
 		}}
 	}
 	router := hostRouter{primary: wrap(p.primary), replica: wrap(p.replica)}
@@ -365,12 +368,17 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 		a.cl = paws.NewClient("", fmt.Sprintf("AP-CHAOS-%d-%03d", cfg.Seed, i))
 		a.cl.Endpoints = []string{PrimaryURL, ReplicaURL}
 		a.cl.HTTPClient = &http.Client{Transport: &brownoutGate{
-			inner: router, start: start, now: vnow, windows: p.brownout[i]}}
+			inner: router, start: worldStart, now: vnow, windows: p.brownout[i]}}
 		a.cl.Retry = paws.RetryPolicy{
 			MaxAttempts: 2,
 			Seed:        cfg.Seed<<8 + int64(i) + 1,
 			Sleep:       func(time.Duration) {}, // retries are instant in virtual time
 		}
+		// The client records its paws-query calls beside the selector's
+		// lease records: same staging buffer, same AP tag, stamped by
+		// the AP's skewed clock.
+		a.cl.Trace, a.cl.TraceAP = a.buf, int32(i)
+		a.cl.TraceNow = func() time.Time { return vnow().Add(a.skew) }
 		a.sel = core.NewChannelSelector(a.cl, a.loc, 15)
 		a.sel.Trace, a.sel.TraceAP = a.buf, int32(i)
 		return a

@@ -174,3 +174,63 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatal("world emitted no records")
 	}
 }
+
+// TestClientQueriesReachStream: each AP's PAWS client records its calls
+// into the merged stream. On a world with brownouts and primary
+// failover (no skew, so record times are world times), every paws-query
+// record of a browned-out AP inside its brownout window is a failure,
+// and there is at least one; every successful query inside a primary
+// outage was served by the replica (endpoint 1), and there is at least
+// one.
+func TestClientQueriesReachStream(t *testing.T) {
+	cfg := Config{Seed: 3, Brownouts: true, Failover: true}
+	p := buildPlan(cfg)
+	var rec capture
+	res, err := Run(cfg, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.First != nil {
+		t.Fatalf("invariant violation: %v", res.First)
+	}
+	if res.BrownoutAPs == 0 || len(p.primary) == 0 {
+		t.Fatalf("world has %d browned-out APs and %d primary outages; nothing to check", res.BrownoutAPs, len(p.primary))
+	}
+	inside := func(ws []faults.Window, r trace.Record) bool {
+		at := time.Duration(r.T - worldStart.UnixNano())
+		for _, w := range ws {
+			if at >= w.From && at < w.To {
+				return true
+			}
+		}
+		return false
+	}
+	failedInBrownout := make([]int, res.APs)
+	servedInOutage := 0
+	for _, r := range rec.recs {
+		if r.Kind != trace.KindPAWSQuery {
+			continue
+		}
+		ok := r.Args[1] == -1
+		if inside(p.brownout[r.AP], r) {
+			if ok {
+				t.Errorf("AP %d: query succeeded inside its brownout: %v", r.AP, r)
+			}
+			failedInBrownout[r.AP]++
+		}
+		if ok && inside(p.primary, r) {
+			if r.N != 4 || r.Args[3] != 1 {
+				t.Errorf("AP %d: successful query inside a primary outage not served by the replica: %v", r.AP, r)
+			}
+			servedInOutage++
+		}
+	}
+	for i, ws := range p.brownout {
+		if len(ws) > 0 && failedInBrownout[i] == 0 {
+			t.Errorf("AP %d: no failed paws-query record inside its brownout %v", i, ws)
+		}
+	}
+	if servedInOutage == 0 {
+		t.Error("no successful paws-query record inside a primary outage")
+	}
+}

@@ -67,6 +67,10 @@ func Figure8(seed int64, quick bool) Result {
 			detector := core.NewInterferenceDetector(500)
 			var out fig8Timeline
 			var fpOnsets int
+			// One sub-band, reused: subchannel 6's signal, denominator
+			// and CQI.
+			var sig, den [1]float64
+			sub := make([]int, 1)
 			inEpisode, episodeHit, prevTrip := false, false, false
 			for t := int64(0); t < totalMS; t += sampleEveryMS {
 				if onAt(t) {
@@ -83,9 +87,8 @@ func Figure8(seed int64, quick bool) Result {
 					}
 					inEpisode = on
 				}
-				sinr := r.env.DownlinkSINR(r.serving, r.ifs, r.cl, 6, t)
-				rep := reporter.Report([]float64{sinr})
-				cqi := rep.Subband[0]
+				sig[0], den[0] = r.env.DownlinkSINRParts(r.serving, r.ifs, r.cl, 6, t)
+				cqi := reporter.ReportLinearInto(sig[:], den[:], sub).Subband[0]
 				tput := lte.SubchannelRateBps(lte.BW5MHz, lte.TDDConfig4, 6, cqi) *
 					float64(lte.BW5MHz.Subchannels()) / 1e6
 				if t%50 == 0 { // decimate for the plotted series
@@ -117,9 +120,11 @@ func Figure8(seed int64, quick bool) Result {
 			cleanDetector := core.NewInterferenceDetector(500)
 			r.interferer.Activity = lte.Off
 			var out fig8Timeline
+			var sig, den [1]float64
+			sub := make([]int, 1)
 			for t := int64(0); t < totalMS; t += sampleEveryMS {
-				sinr := r.env.DownlinkSINR(r.serving, r.ifs, r.cl, 6, t+777777)
-				rep := reporter.Report([]float64{sinr})
+				sig[0], den[0] = r.env.DownlinkSINRParts(r.serving, r.ifs, r.cl, 6, t+777777)
+				rep := reporter.ReportLinearInto(sig[:], den[:], sub)
 				if cleanDetector.Observe(rep.Subband[0]) {
 					out.fpSamples++
 				}

@@ -7,10 +7,21 @@ import (
 	"cellfi/internal/phy"
 )
 
+// report feeds dB SINRs to ReportLinearInto over a unit denominator.
+// Each signal is phy.MinRatioForDB of its SINR, the smallest ratio whose
+// dB value reaches it, so a SINR on a CQI threshold quantizes exactly
+// as the threshold says.
+func report(r *CQIReporter, sinrsDB ...float64) CQIReport {
+	sig, den := make([]float64, len(sinrsDB)), make([]float64, len(sinrsDB))
+	for i, s := range sinrsDB {
+		sig[i], den[i] = phy.MinRatioForDB(s), 1
+	}
+	return r.ReportLinearInto(sig, den, make([]int, len(sinrsDB)))
+}
+
 func TestCQIReporterNoiseless(t *testing.T) {
 	r := NewCQIReporter(0, nil)
-	sinrs := []float64{-10, -6.7, 0.2, 10.3, 25}
-	rep := r.Report(sinrs)
+	rep := report(r, -10, -6.7, 0.2, 10.3, 25)
 	want := []int{0, 1, 4, 9, 15}
 	for i := range want {
 		if rep.Subband[i] != want[i] {
@@ -30,7 +41,7 @@ func TestCQIReporterWidebandDominatedByWeak(t *testing.T) {
 	r := NewCQIReporter(0, nil)
 	// One very bad subchannel drags the EESM wideband value well
 	// below the best subband CQI.
-	rep := r.Report([]float64{-20, 20, 20, 20})
+	rep := report(r, -20, 20, 20, 20)
 	best := 0
 	for _, c := range rep.Subband {
 		if c > best {
@@ -48,7 +59,7 @@ func TestCQIReporterNoise(t *testing.T) {
 	diffs := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		rep := r.Report([]float64{10})
+		rep := report(r, 10)
 		truth := phy.LTECQIFromSINR(10)
 		d := rep.Subband[0] - truth
 		if d != 0 {
@@ -68,7 +79,7 @@ func TestCQIReporterNoiseClamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r := NewCQIReporter(1, rng) // always noisy
 	for i := 0; i < 200; i++ {
-		rep := r.Report([]float64{-20, 40})
+		rep := report(r, -20, 40)
 		if rep.Subband[0] < 0 || rep.Subband[1] > phy.LTECQICount {
 			t.Fatalf("noise escaped valid range: %v", rep.Subband)
 		}

@@ -96,23 +96,18 @@ type Environment struct {
 	Model         *propagation.Model
 	Fading        *propagation.Fading
 	NoiseFigureDB float64
-	// cache memoizes the static link loss (path loss + frozen
-	// shadowing) per (cell ID, client ID) pair, so per-subframe
-	// SINR/CQI queries over a static topology skip the full model —
-	// including the per-call RNG the shadowing term seeds. Positions
-	// are only consulted on a miss: cells and clients stay where they
-	// were placed.
-	cache *propagation.LinkCache
 
 	// rxTab caches the full per-subchannel received power — static
 	// link gain plus the fading draw of the current coherence block —
-	// in both dBm and mW, keyed by directed link and subchannel. The
-	// fading process is a pure function of (link, subchannel, block),
-	// so within one block the cached value is bit-identical to the
-	// recomputation it replaces; entries self-expire when the block
-	// advances. Interferer activity is NOT cached —
-	// TransmitsIn gating stays per-call, so toggling a cell's
-	// Activity mid-run is safe.
+	// in both dBm and mW, keyed by directed link and subchannel. Each
+	// entry also holds the link's static loss, computed on insertion,
+	// so per-subframe SINR/CQI queries over a static topology never
+	// rerun the propagation model. The fading process is a pure
+	// function of (link, subchannel, block), so within one block the
+	// cached value is bit-identical to the recomputation it replaces;
+	// entries self-expire when the block advances. Interferer activity
+	// is NOT cached — TransmitsIn gating stays per-call, so toggling a
+	// cell's Activity mid-run is safe.
 	//
 	// The table is open-addressed with linear probing rather than a Go
 	// map: every SINR query on the subframe path probes it several
@@ -130,15 +125,20 @@ type Environment struct {
 }
 
 // rxEntry is one directed (cell -> receiver, subchannel) path's cached
-// state: the coherence block's received power, plus a memo of the last
-// interference denominator converted to dB (denDB is a pure function
-// of denMW, so it needs no block validation — an exact match on the
-// milliwatt sum guarantees an identical conversion).
+// state: the link's static loss, the coherence block's received power,
+// plus a memo of the last interference denominator converted to dB
+// (denDB is a pure function of denMW, so it needs no block validation —
+// an exact match on the milliwatt sum guarantees an identical
+// conversion).
 type rxEntry struct {
 	link  uint64
 	sc    int32
 	used  bool
 	block int64
+	// lossDB is Model.LinkLossDB(cell, receiver) — path loss plus
+	// frozen shadowing — computed once, when the entry is inserted:
+	// cells and clients stay where they were placed.
+	lossDB float64
 	// mw is filled on every (re)compute; dbm lazily on the first dB
 	// query of the block (dbmOK) — interferer-only links never pay the
 	// log10 at all.
@@ -148,16 +148,14 @@ type rxEntry struct {
 }
 
 // NewEnvironment builds the default evaluation environment: calibrated
-// urban propagation, block Rayleigh fading, 7 dB receiver noise figure,
-// link-gain caching on. It is the only constructor: a zero-value
-// Environment has no link-loss cache and panics on its first query.
+// urban propagation, block Rayleigh fading, 7 dB receiver noise figure.
+// A link's static loss is computed once per subchannel, when its rxTab
+// entry is inserted, and read from there by every later query.
 func NewEnvironment(seed int64) *Environment {
-	model := propagation.DefaultUrban(seed)
 	return &Environment{
-		Model:         model,
+		Model:         propagation.DefaultUrban(seed),
 		Fading:        propagation.NewFading(seed + 1),
 		NoiseFigureDB: 7,
-		cache:         propagation.NewLinkCache(model, 0),
 	}
 }
 
@@ -178,45 +176,42 @@ func (e *Environment) rxPowerMW(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int
 	return e.rxLookup(tx, rxPos, rxID, sc, tMS).mw
 }
 
-// rxPowerMWUncached is the direct computation behind the memo, in the
-// linear domain end to end: the static dB budget converts once, then the
-// fading draw multiplies in as a linear gain (no per-call log10 of the
-// fade).
-func (e *Environment) rxPowerMWUncached(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int64) float64 {
-	gain := tx.Antenna.GainDB(tx.Pos.Bearing(rxPos))
-	loss := e.cache.LossDB(tx.ID, rxID, tx.Pos, rxPos)
-	static := propagation.DBmToMW(tx.PerRBPowerDBm() + gain - loss)
-	return static * e.Fading.GainLinear(propagation.LinkID(tx.ID, rxID), sc, tMS)
-}
-
 // rxLookup serves rxPowerDBm/rxPowerMW from the memo, computing and
 // storing the mW power on the first query of a coherence block (dBm
-// converts lazily; see rxEntry). The returned pointer is only valid
-// until the next rxSlot call, which may grow the table.
+// converts lazily; see rxEntry). The computation stays in the linear
+// domain: the static dB budget converts once, then the fading draw
+// multiplies in as a linear gain (no per-call log10 of the fade). The
+// returned pointer is only valid until the next rxSlot call, which may
+// grow the table.
 func (e *Environment) rxLookup(tx *Cell, rxPos geo.Point, rxID, sc int, tMS int64) *rxEntry {
 	block := int64(0)
 	if f := e.Fading; f != nil {
 		block = tMS / f.BlockMS
 	}
-	ent := e.rxSlot(propagation.LinkID(tx.ID, rxID), int32(sc))
+	ent := e.rxSlot(tx, rxPos, rxID, sc)
 	if ent.block != block {
 		ent.block = block
-		ent.mw = e.rxPowerMWUncached(tx, rxPos, rxID, sc, tMS)
+		gain := tx.Antenna.GainDB(tx.Pos.Bearing(rxPos))
+		static := propagation.DBmToMW(tx.PerRBPowerDBm() + gain - ent.lossDB)
+		ent.mw = static * e.Fading.GainLinear(ent.link, sc, tMS)
 		ent.dbmOK = false
 	}
 	return ent
 }
 
-// rxSlot returns the table slot for (link, sc), inserting the key on
-// its first appearance. Growth keeps the load factor under 1/2 so the
-// linear probes in rxProbe stay short.
-func (e *Environment) rxSlot(link uint64, sc int32) *rxEntry {
+// rxSlot returns the table slot for the link tx -> rxID on subchannel
+// sc, inserting it, with the link's static loss, on its first
+// appearance. Growth keeps the load factor under 1/2 so the linear
+// probes in rxProbe stay short.
+func (e *Environment) rxSlot(tx *Cell, rxPos geo.Point, rxID, sc int) *rxEntry {
 	if 2*(e.rxUsed+1) > len(e.rxTab) {
 		e.rxGrow()
 	}
-	ent := rxProbe(e.rxTab, link, sc)
+	link := propagation.LinkID(tx.ID, rxID)
+	ent := rxProbe(e.rxTab, link, int32(sc))
 	if !ent.used {
-		ent.used, ent.link, ent.sc = true, link, sc
+		ent.used, ent.link, ent.sc = true, link, int32(sc)
+		ent.lossDB = e.Model.LinkLossDB(tx.Pos, rxPos)
 		// block -1 never matches a real coherence block (time is
 		// non-negative), so the first lookup always computes.
 		ent.block = -1
@@ -355,9 +350,10 @@ func (e *Environment) UplinkSINR(cl *Client, serving *Cell, nRBs, sc int, tMS in
 	}
 	perRB := cl.TxPowerDBm - 10*math.Log10(float64(nRBs))
 	gain := serving.Antenna.GainDB(serving.Pos.Bearing(cl.Pos))
-	// Link loss is symmetric, so the uplink shares the downlink's
-	// (cell, client) cache entry.
-	loss := e.cache.LossDB(serving.ID, cl.ID, serving.Pos, cl.Pos)
+	// Link loss is symmetric, so the uplink reads it from the
+	// downlink's (cell, client, subchannel) entry, inserting it if the
+	// downlink has not.
+	loss := e.rxSlot(serving, cl.Pos, cl.ID, sc).lossDB
 	fade := e.Fading.GainDB(propagation.LinkID(cl.ID+1<<16, serving.ID), sc, tMS)
 	signal := perRB + gain - loss + fade
 	noise, _ := e.noise()

@@ -191,6 +191,34 @@ func TestUplinkValidation(t *testing.T) {
 	e.UplinkSINR(&Client{}, testCell(1, 0, 0), 0, 0, 0)
 }
 
+// TestUplinkSINRClosedForm pins UplinkSINR to its link budget, bit for
+// bit: per-RB client power plus the serving antenna's gain, minus the
+// static link loss, plus the uplink's own fade, minus the noise floor.
+// The loss is read from the downlink's table entry, so the test runs
+// both on a fresh environment (the uplink inserts the entry) and after
+// a downlink query on the same link and subchannel inserted it.
+func TestUplinkSINRClosedForm(t *testing.T) {
+	serving := testCell(3, 40, -25)
+	serving.Antenna = propagation.Sector(0.5)
+	cl := &Client{ID: 17, Pos: geo.Point{X: 520, Y: 310}, TxPowerDBm: 20}
+	const nRBs, sc, tMS = 4, 5, 1234
+	for _, downlinkFirst := range []bool{false, true} {
+		e := NewEnvironment(11)
+		if downlinkFirst {
+			e.DownlinkSINR(serving, nil, cl, sc, tMS)
+		}
+		perRB := cl.TxPowerDBm - 10*math.Log10(nRBs)
+		gain := serving.Antenna.GainDB(serving.Pos.Bearing(cl.Pos))
+		loss := e.Model.LinkLossDB(serving.Pos, cl.Pos)
+		fade := e.Fading.GainDB(propagation.LinkID(cl.ID+1<<16, serving.ID), sc, tMS)
+		noise := propagation.NoiseDBm(RBBandwidthHz, e.NoiseFigureDB)
+		want := perRB + gain - loss + fade - noise
+		if got := e.UplinkSINR(cl, serving, nRBs, sc, tMS); got != want {
+			t.Errorf("downlink first %v: UplinkSINR = %v, want %v", downlinkFirst, got, want)
+		}
+	}
+}
+
 func TestDownlinkRSSIConsistent(t *testing.T) {
 	e := quietEnv(7)
 	c := testCell(1, 0, 0)

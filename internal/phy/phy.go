@@ -185,34 +185,16 @@ func BLER(sinrDB float64, mcs MCS) float64 {
 	return bler
 }
 
-// EffectiveSINRdB combines per-subcarrier or per-subchannel SINRs into a
-// single effective value using the exponential effective SINR mapping
-// (EESM) with beta=1, i.e. a capacity-style average in the linear domain
-// of exp(-sinr). This is how wideband CQI summarizes frequency-selective
-// conditions.
-func EffectiveSINRdB(sinrsDB []float64) float64 {
-	if len(sinrsDB) == 0 {
-		return math.Inf(-1)
-	}
-	sum := 0.0
-	for _, s := range sinrsDB {
-		sum += math.Exp(-math.Pow(10, s/10))
-	}
-	avg := sum / float64(len(sinrsDB))
-	if avg >= 1 {
-		// All SINRs effectively zero or negative-infinite.
-		return -30
-	}
-	return 10 * math.Log10(-math.Log(avg))
-}
-
-// EffectiveSINRdBFromLinear is EffectiveSINRdB taking the per-subchannel
-// SINRs as linear ratios: EESM works in the linear domain natively, so
-// the ratio form drops the pow(10, s/10) per subchannel. Given
-// r = pow(10, s/10) it returns EffectiveSINRdB(s) up to that round
-// trip's rounding (EESM feeds a ~2 dB-wide CQI quantizer, so the last-
-// ulp wobble is immaterial — unlike the per-subband thresholds, which
-// stay exact via LTECQIFromLinearSINR).
+// EffectiveSINRdBFromLinear combines per-subcarrier or per-subchannel
+// SINRs, given as linear ratios, into a single effective value in dB
+// using the exponential effective SINR mapping (EESM) with beta=1, i.e.
+// a capacity-style average in the linear domain of exp(-ratio). This is
+// how wideband CQI summarizes frequency-selective conditions. EESM works
+// in the linear domain natively, so ratios need no pow(10, s/10) per
+// subchannel; fed r = pow(10, s/10), it matches the dB-input formula up
+// to that round trip's rounding (EESM feeds a ~2 dB-wide CQI quantizer,
+// so the last-ulp wobble is immaterial — unlike the per-subband
+// thresholds, which stay exact via LTECQIFromLinearSINR).
 func EffectiveSINRdBFromLinear(ratios []float64) float64 {
 	if len(ratios) == 0 {
 		return math.Inf(-1)

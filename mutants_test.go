@@ -102,6 +102,20 @@ var mutants = []mutant{
 	{name: "plot-height-17", edits: []mutantEdit{
 		{"internal/stats/plot.go", "plotWidth, plotHeight = 72, 18", "plotWidth, plotHeight = 72, 17"},
 	}, pkg: "./internal/stats", test: "TestPlotRespectsSize"},
+	// The uplink reads its static loss from the downlink's table entry.
+	{name: "uplink-loss", edits: []mutantEdit{
+		{"internal/lte/link.go", "loss := e.rxSlot(serving, cl.Pos, cl.ID, sc).lossDB", "loss := e.rxSlot(serving, cl.Pos, cl.ID, sc).lossDB + 0.001"},
+	}, pkg: "./internal/lte", test: "TestUplinkSINRClosedForm"},
+	// Grid neighbourhoods that drift from the brute-force reference.
+	{name: "cells-near-short", edits: []mutantEdit{
+		{"internal/netsim/neighbors.go", "n.cellGrid.AppendWithin(n.cellScratch[:0], p, n.sigRadius)", "n.cellGrid.AppendWithin(n.cellScratch[:0], p, n.sigRadius-1)"},
+	}, pkg: "./internal/netsim", test: "TestNeighborhoodsMatchBrute"},
+	{name: "active-near-unfiltered", edits: []mutantEdit{
+		{"internal/netsim/neighbors.go", "if n.activeFlag[c] {", "if true {"},
+	}, pkg: "./internal/netsim", test: "TestNeighborhoodsMatchBrute"},
+	{name: "metro-row-one-short", edits: []mutantEdit{
+		{"internal/metro/metro.go", "if cnt >= k {", "if cnt >= k-1 {"},
+	}, pkg: "./internal/metro", test: "TestMetroIndexedEquivalence"},
 	// A deleted option added back: the guards must refuse it.
 	{name: "option-readded", edits: []mutantEdit{
 		{"internal/invariant/invariant.go", "\tSlack time.Duration\n", "\tSlack time.Duration\n\tMaxViolations int\n"},
