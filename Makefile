@@ -65,7 +65,7 @@ race:
 # the IM share invariants; the LTE
 # DCI grant decoder and DFT round trip; the outage-window specs behind
 # `cellfi db -flaky` and `cellfi load -outages`; the comma-separated
-# lists of `cellfi sweep`; and the squeezed ziggurat slow path against
+# lists of `cellfi sim`; and the squeezed ziggurat slow path against
 # its pre-squeeze reference on arbitrary hashes.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
@@ -81,7 +81,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzDFTRoundTrip -fuzztime=10s -run '^$$' ./internal/lte
 	$(GO) test -fuzz=FuzzExpFromHash -fuzztime=10s -run '^$$' ./internal/propagation
 	$(GO) test -fuzz=FuzzParseWindows -fuzztime=10s -run '^$$' ./internal/faults
-	$(GO) test -fuzz=FuzzSweepLists -fuzztime=10s -run '^$$' ./cmd/cellfi
+	$(GO) test -fuzz=FuzzSimLists -fuzztime=10s -run '^$$' ./cmd/cellfi
 
 # bench is for microbenchmarks while you work: the per-package
 # `go test -bench` sweep with allocation tracking (sim event core,
@@ -105,7 +105,7 @@ bench-all:
 	$(GO) run ./bench -workload all -seed 1
 
 sweep:
-	$(GO) run ./cmd/cellfi sweep
+	$(GO) run ./cmd/cellfi sim -scheme cellfi,lte,oracle -aps 6,8,10,12,14 -trials 3 -epochs 20
 
 experiments:
 	$(GO) run ./cmd/cellfi experiments -quick

@@ -18,8 +18,8 @@
 //
 // SIGINT and SIGTERM cancel the context every verb runs under: `ap`
 // vacates and sends its cessation notify, `db` drains in-flight
-// requests, and `sim`, `sweep` and `experiments` start no further run
-// and exit 1. A second signal kills the process.
+// requests, and `sim` and `experiments` start no further run and exit
+// 1. A second signal kills the process.
 package main
 
 import (
@@ -47,8 +47,7 @@ var verbs = []struct {
 	name, synopsis string
 	run            func(ctx context.Context, args []string, stdout, stderr io.Writer) int
 }{
-	{"sim", "run one interference-management scenario and print per-client results", runSim},
-	{"sweep", "run a grid of scenarios and print one CSV row per configuration", runSweep},
+	{"sim", "run a grid of interference-management scenarios and print one CSV row per run", runSim},
 	{"map", "render an ASCII best-server SINR map of a deployment", runMap},
 	{"experiments", "regenerate the paper's tables and figures", runExperiments},
 	{"trace", "dump, summarize, render, diff or verify flight-recorder streams", runTrace},

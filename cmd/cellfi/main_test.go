@@ -57,7 +57,8 @@ func TestSmoke(t *testing.T) {
 
 		{args: []string{"sim", "-h"}, want: 0},
 		{args: []string{"sim", "-bogus"}, want: exitUsage},
-		{args: []string{"sim", "-aps", "2", "-clients", "1", "-epochs", "1"}, want: 0},
+		{args: []string{"sim", "-aps", "2", "-clients", "1", "-epochs", "1"}, want: 0,
+			stdout: regexp.MustCompile(`^scheme,aps,clients_per_ap,trial,median_mbps,.*,max_mbps\ncellfi,2,1,0,[^\n]*\n$`)},
 		{args: []string{"sim", "-invariants"}, want: exitUsage},
 		{args: []string{"sim", "-aps", "2", "-clients", "1", "-epochs", "1"}, want: exitFailure, oneLine: true, cancelled: true},
 		{args: []string{"sim", "-scheme", "wimax"}, want: exitUsage, oneLine: true},
@@ -73,13 +74,13 @@ func TestSmoke(t *testing.T) {
 		{args: []string{"sim", "-interference-radius", "NaN"}, want: exitUsage, oneLine: true},
 		{args: []string{"sim", "-area", "+Inf"}, want: exitUsage, oneLine: true},
 
-		{args: []string{"sweep", "-h"}, want: 0},
-		{args: []string{"sweep", "-bogus"}, want: exitUsage},
-		{args: []string{"sweep", "-schemes", "lte", "-aps", "2", "-clients", "1", "-trials", "1", "-epochs", "1"}, want: 0},
-		{args: []string{"sweep", "-aps", "6,0"}, want: exitUsage, oneLine: true},
-		{args: []string{"sweep", "-bw", "7"}, want: exitUsage, oneLine: true},
-		{args: []string{"sweep", "-starve", "NaN"}, want: exitUsage, oneLine: true},
-		{args: []string{"sweep", "-starve", "-1"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-scheme", "lte,oracle", "-aps", "2,3", "-clients", "1", "-epochs", "1"}, want: 0},
+		{args: []string{"sim", "-scheme", "lte,wimax"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-aps", "6,0"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-clients", "1,x"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-bw", "7"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-starve", "NaN"}, want: exitUsage, oneLine: true},
+		{args: []string{"sim", "-starve", "-1"}, want: exitUsage, oneLine: true},
 
 		{args: []string{"map", "-h"}, want: 0},
 		{args: []string{"map", "-bogus"}, want: exitUsage},
@@ -150,11 +151,11 @@ func TestSmoke(t *testing.T) {
 		// Per-UE rates are kbps-scale: the text line prints kbps, and its p50 must not round to zero.
 		{args: []string{"metro", "-epochs", "1"}, want: 0,
 			stdout: regexp.MustCompile(`per-UE throughput: [0-9.]+ kbps mean, [0-9.]*[1-9][0-9.]* p50, `)},
-		{args: []string{"metro", "-shards", "0"}, want: exitUsage, oneLine: true},
+		{args: []string{"metro", "-shards", "2"}, want: exitUsage},
 		{args: []string{"metro", "-epochs", "0"}, want: exitUsage, oneLine: true},
 		// 9.3e9 one-second epochs end past sim.Time's range: a wrapped
 		// horizon must not pass for a finished run.
-		{args: []string{"metro", "-shards", "2", "-epochs", "9300000000"}, want: exitUsage, oneLine: true},
+		{args: []string{"metro", "-epochs", "9300000000"}, want: exitUsage, oneLine: true},
 	}
 	for _, c := range cases {
 		ctx, cancel := context.WithCancel(context.Background())

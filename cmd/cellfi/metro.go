@@ -22,22 +22,16 @@ import (
 // from bounded-memory streaming aggregates, so memory stays flat no
 // matter how long the city runs.
 //
-// Every epoch phase forks over GOMAXPROCS workers. With -shards K > 1
-// the same world runs on K region shards in conservative lockstep
-// windows, one engine per shard; every number except the wall-clock
-// ones is identical at every K and core count (see DESIGN.md, "Sharded
-// execution and the determinism contract").
+// The world is one slab whose every epoch phase forks over GOMAXPROCS
+// workers; every number except the wall-clock ones is identical at any
+// core count.
 func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("metro", stderr)
 	epochs := fs.Int("epochs", 240, "simulated seconds (one diurnal cycle = 240)")
 	seed := fs.Int64("seed", 1, "world seed")
-	shards := fs.Int("shards", 1, "region shards (1 = no cluster; every phase still forks over GOMAXPROCS)")
 	asJSON := fs.Bool("json", false, "emit a JSON summary instead of text")
 	if code, ok := parse(fs, args, 0); !ok {
 		return code
-	}
-	if *shards < 1 || *shards > 256 {
-		return fail(fs, exitUsage, "-shards %d out of range, want 1..256", *shards)
 	}
 	if *epochs < 1 {
 		return fail(fs, exitUsage, "-epochs must be at least 1")
@@ -48,7 +42,6 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := metro.DefaultCity(*seed)
-	cfg.Shards = *shards
 	buildStart := time.Now()
 	w := metro.New(cfg)
 	defer w.Close()
@@ -67,7 +60,6 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 			"ues":                 cfg.NUEs,
 			"area_km2":            cfg.AreaW * cfg.AreaH / 1e6,
 			"epochs":              *epochs,
-			"shards":              cfg.Shards,
 			"build_ms":            buildWall.Milliseconds(),
 			"sim_wall_ms":         simWall.Milliseconds(),
 			"sim_realtime_factor": realtime,
@@ -77,12 +69,6 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 			"ue_mbps_mean":        thr.Mean,
 			"ue_mbps_p50":         thrQ.Quantile(0.5),
 			"ue_mbps_p95":         thrQ.Quantile(0.95),
-		}
-		if st, ok := w.ShardStats(); ok {
-			summary["shard_windows"] = st.Windows
-			summary["shard_utilization"] = st.Utilization()
-			summary["shard_barrier_stall_ms"] = st.BarrierStallMS()
-			summary["cross_shard_messages"] = st.Msgs
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -95,25 +81,13 @@ func runMetro(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "metro: %d APs, %d UEs on %.0f km²\n",
 		cfg.NAPs, cfg.NUEs, cfg.AreaW*cfg.AreaH/1e6)
 	fmt.Fprintf(stdout, "built world in %v\n", buildWall.Round(time.Millisecond))
-	mode := "1 slab"
-	if cfg.Shards > 1 {
-		mode = fmt.Sprintf("%d shards", cfg.Shards)
-	}
-	fmt.Fprintf(stdout, "simulated %d s in %v — %.1fx real time, %s on GOMAXPROCS %d\n",
-		*epochs, simWall.Round(time.Millisecond), realtime, mode, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(stdout, "simulated %d s in %v — %.1fx real time on GOMAXPROCS %d\n",
+		*epochs, simWall.Round(time.Millisecond), realtime, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(stdout, "attached: %.0f mean / %d peak UEs\n", attMean, attPeak)
 	fmt.Fprintf(stdout, "delivered: %.1f Gbit total\n", float64(w.DeliveredBits())/1e9)
 	// Per-UE rates are kbps-scale; the JSON keys keep Mbps at full precision.
 	fmt.Fprintf(stdout, "per-UE throughput: %.1f kbps mean, %.1f p50, %.1f p95\n",
 		thr.Mean*1e3, thrQ.Quantile(0.5)*1e3, thrQ.Quantile(0.95)*1e3)
-	if st, ok := w.ShardStats(); ok {
-		fmt.Fprintf(stdout, "shards: %d windows, %.1f ms total barrier stall, utilization",
-			st.Windows, st.BarrierStallMS())
-		for _, u := range st.Utilization() {
-			fmt.Fprintf(stdout, " %.0f%%", u*100)
-		}
-		fmt.Fprintln(stdout)
-	}
 	if realtime < 1 {
 		fmt.Fprintln(stdout, "WARNING: slower than real time")
 		return exitFailure

@@ -626,8 +626,9 @@ func recvNamed(obj types.Object) *types.Named {
 // tests set: the vacate gate has no sabotage switch (a mutant in
 // mutants_test.go proves the watchdog instead), the PAWS server no FCC
 // registration gate, and the client's failover thresholds, the PF
-// scheduler's forgetting factor, the checker's retention and the plot
-// size are constants. An entry is "dir name": dir "" is the whole
+// scheduler's forgetting factor, the checker's retention, the plot
+// size, netsim's TDD split and the chaos world's lease duration are
+// constants. An entry is "dir name": dir "" is the whole
 // module, a trailing * matches a prefix, and Type.Method names a
 // method or Type.Field a field of a package-level struct type.
 var forbidden = []string{
@@ -693,6 +694,8 @@ var forbidden = []string{
 	"internal/lte CQIReporter.ReportInto",
 	"internal/phy EffectiveSINRdB",
 	"internal/propagation LinkCache.LossDB",
+	"internal/netsim Config.TDD",
+	"internal/chaos Config.LeaseDuration",
 }
 
 // checkCollapsedPaths fails if a deleted selector, option, type or

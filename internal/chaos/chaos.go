@@ -83,11 +83,11 @@ type Config struct {
 	// Explicit windows apply even without Failover set.
 	PrimaryOutages []faults.Window
 	ReplicaOutages []faults.Window
-
-	// LeaseDuration overrides the database lease validity; zero means
-	// 90 s, short enough that renewal is always load-bearing.
-	LeaseDuration time.Duration
 }
+
+// leaseDuration is the database lease validity, short enough that
+// renewal is always load-bearing.
+const leaseDuration = 90 * time.Second
 
 func (c Config) aps() int {
 	if c.APs > 0 {
@@ -101,13 +101,6 @@ func (c Config) steps() int {
 		return c.Steps
 	}
 	return 240
-}
-
-func (c Config) lease() time.Duration {
-	if c.LeaseDuration > 0 {
-		return c.LeaseDuration
-	}
-	return 90 * time.Second
 }
 
 // event kinds in a plan, applied at the top of their step in slice
@@ -334,7 +327,7 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 	vnow := func() time.Time { return worldStart.Add(time.Duration(elapsed.Load())) }
 
 	reg := spectrum.NewRegistry(spectrum.EU)
-	reg.LeaseDuration = cfg.lease()
+	reg.LeaseDuration = leaseDuration
 	srv := paws.NewServerWith(pawsdb.New(reg, pawsdb.Options{}))
 	srv.Now = vnow
 

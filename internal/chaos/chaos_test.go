@@ -234,3 +234,31 @@ func TestClientQueriesReachStream(t *testing.T) {
 		t.Error("no successful paws-query record inside a primary outage")
 	}
 }
+
+// TestCalmWorldLeaseExpiry: in a calm world (no fault axis, no skew,
+// so record times are world times) every grant is fresh from the
+// database, so each lease-budget record's expiry lies exactly one
+// lease duration, 90 s, after the record.
+func TestCalmWorldLeaseExpiry(t *testing.T) {
+	var rec capture
+	res, err := Run(Config{Seed: 1, Steps: 200}, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.First != nil {
+		t.Fatalf("invariant violation: %v", res.First)
+	}
+	budgets := 0
+	for _, r := range rec.recs {
+		if r.Kind != trace.KindLeaseBudget {
+			continue
+		}
+		budgets++
+		if got := time.Duration(r.Args[1] - r.T); got != 90*time.Second {
+			t.Errorf("AP %d: lease expires %v after its grant, want 90s: %v", r.AP, got, r)
+		}
+	}
+	if budgets == 0 {
+		t.Fatal("no lease-budget record in a calm world")
+	}
+}

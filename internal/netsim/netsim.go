@@ -87,7 +87,6 @@ func ParseScheme(name string) (Scheme, error) {
 type Config struct {
 	Scheme Scheme
 	BW     lte.Bandwidth
-	TDD    lte.TDDConfig
 	Seed   int64
 	// PerfectSensing replaces the injected detectionRate /
 	// falsePositiveRate with ground truth (ablation).
@@ -143,12 +142,14 @@ const (
 	blocksPerEpoch = 10
 )
 
+// tdd is the evaluation's UL/DL frame split (7 DL / 2 UL / 1 S).
+var tdd = lte.TDDConfig4
+
 // DefaultConfig returns the paper's simulation settings for a scheme.
 func DefaultConfig(s Scheme, seed int64) Config {
 	return Config{
 		Scheme:         s,
 		BW:             lte.BW5MHz,
-		TDD:            lte.TDDConfig4,
 		Seed:           seed,
 		PackingEnabled: true,
 		Lambda:         core.DefaultLambda,
@@ -290,7 +291,7 @@ func New(t *topo.Topology, cfg Config) *Network {
 	n.rateBps = make([][phy.LTECQICount + 1]float64, s)
 	for k := range n.rateBps {
 		for cqi := range n.rateBps[k] {
-			n.rateBps[k][cqi] = lte.SubchannelRateBps(cfg.BW, cfg.TDD, k, cqi)
+			n.rateBps[k][cqi] = lte.SubchannelRateBps(cfg.BW, tdd, k, cqi)
 		}
 	}
 	n.rows = make([][blocksPerEpoch]propagation.FadeRow, s)

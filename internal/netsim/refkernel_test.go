@@ -115,7 +115,7 @@ func (r *refNet) step() {
 				var scRate float64
 				for b := int64(0); b < blocks; b++ {
 					cqi := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, b, txMask))
-					scRate += lte.SubchannelRateBps(n.Cfg.BW, n.Cfg.TDD, k, cqi)
+					scRate += lte.SubchannelRateBps(n.Cfg.BW, tdd, k, cqi)
 				}
 				rate += scRate / float64(blocks)
 			}
@@ -187,7 +187,7 @@ func (r *refNet) updateControllers(nowActive [][]int) {
 					cleanForAll[k] = false
 				}
 				cqi := phy.LTECQIFromLinearSINR(n.refSinrParts(c, k, lastBlock, prevTxMask))
-				util += lte.SubchannelRateBps(n.Cfg.BW, n.Cfg.TDD, k, cqi) / nAct
+				util += lte.SubchannelRateBps(n.Cfg.BW, tdd, k, cqi) / nAct
 			}
 			in.Utility[k] = util
 			if held[k] {

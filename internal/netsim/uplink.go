@@ -88,7 +88,7 @@ func (n *Network) UplinkThroughputs(epochs int) []float64 {
 					sinr := sig - propagation.MWToDBm(den)
 					cqi := phy.LTECQIFromSINR(sinr)
 					bits := float64(lte.TransportBlockBits(cqi, rbs))
-					rate += bits / lte.SubframeDuration.Seconds() * n.Cfg.TDD.UplinkFraction()
+					rate += bits / lte.SubframeDuration.Seconds() * tdd.UplinkFraction()
 				}
 				delivered[c] += rate / nAct // 1-second epoch, shared airtime
 			}

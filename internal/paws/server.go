@@ -263,14 +263,9 @@ func (s *Server) handleGetSpectrum(p AvailSpectrumReq) (any, *RPCError) {
 	now := s.Now()
 	q := s.db.Query(loc, p.DeviceDesc.DeviceType, s.ruleset.RulesetID, now)
 
-	// Validity window: until the earliest lease expiry in the answer
-	// (they are uniform today, but keep the min for safety).
+	// Validity window: Query stamps every channel with the same lease
+	// expiry, now plus the registry's lease duration.
 	stop := now.Add(s.db.Registry().LeaseDuration)
-	for _, ci := range q.Avail {
-		if ci.Until.Before(stop) {
-			stop = ci.Until
-		}
-	}
 
 	// Record the grant in the lease store: renewal when the device
 	// already holds a live lease, fresh grant otherwise.

@@ -102,6 +102,16 @@ var mutants = []mutant{
 	{name: "plot-height-17", edits: []mutantEdit{
 		{"internal/stats/plot.go", "plotWidth, plotHeight = 72, 18", "plotWidth, plotHeight = 72, 17"},
 	}, pkg: "./internal/stats", test: "TestPlotRespectsSize"},
+	{name: "netsim-tdd-5", edits: []mutantEdit{
+		{"internal/netsim/netsim.go", "var tdd = lte.TDDConfig4", "var tdd = lte.TDDConfigs[5]"},
+	}, pkg: "./internal/netsim", test: "TestStepGolden"},
+	{name: "chaos-lease-91", edits: []mutantEdit{
+		{"internal/chaos/chaos.go", "const leaseDuration = 90 * time.Second", "const leaseDuration = 91 * time.Second"},
+	}, pkg: "./internal/chaos", test: "TestCalmWorldLeaseExpiry"},
+	// The merged grid verb's seed rule.
+	{name: "sim-seed-rule", edits: []mutantEdit{
+		{"cmd/cellfi/sim.go", "int64(aps)*131", "int64(aps)*132"},
+	}, pkg: "./cmd/cellfi", test: "TestSimGrid"},
 	// The uplink reads its static loss from the downlink's table entry.
 	{name: "uplink-loss", edits: []mutantEdit{
 		{"internal/lte/link.go", "loss := e.rxSlot(serving, cl.Pos, cl.ID, sc).lossDB", "loss := e.rxSlot(serving, cl.Pos, cl.ID, sc).lossDB + 0.001"},
