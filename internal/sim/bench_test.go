@@ -72,6 +72,39 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	e.RunAll()
 }
 
+// BenchmarkEngineReschedule measures moving one of 64 pending events,
+// the Wi-Fi contention path (each contending AP's one pending event
+// moves on every frame start and end): in place with Reschedule, and
+// by Cancel then Schedule, which it replaces.
+func BenchmarkEngineReschedule(b *testing.B) {
+	for _, inPlace := range []bool{true, false} {
+		name := "cancel+schedule"
+		if inPlace {
+			name = "reschedule"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := NewEngine(1)
+			fn := func() {}
+			evs := make([]Event, 64)
+			for i := range evs {
+				evs[i] = e.Schedule(time.Duration(i)*time.Microsecond, fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(evs)
+				at := time.Duration(i%97) * time.Microsecond
+				if inPlace {
+					evs[k] = e.Reschedule(evs[k], at, fn)
+				} else {
+					evs[k].Cancel()
+					evs[k] = e.Schedule(at, fn)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTicker measures the periodic-event path: after construction
 // a ticker must reschedule in place, alloc-free.
 func BenchmarkTicker(b *testing.B) {

@@ -23,6 +23,13 @@
 // pointers. Determinism is unaffected by the heap arity: the (time,
 // sequence) key is a strict total order, so the firing sequence is
 // byte-for-byte identical to any other correct priority queue.
+//
+// Reschedule re-arms a pending event in place: a new time, handler and
+// sequence number in the same slot, restored by one sift instead of a
+// removal and a push. The sequence number is the one the next Schedule
+// would have taken, so a re-arm orders exactly as Cancel then Schedule
+// does. The Wi-Fi MAC re-arms each contending AP's one pending event on
+// every frame start and end this way.
 package sim
 
 import (
@@ -112,11 +119,14 @@ func (e *Engine) Recorder() trace.Recorder { return e.rec }
 // Stats is a snapshot of an engine's activity counters, used by run
 // telemetry (internal/runner) and throughput benchmarks.
 type Stats struct {
-	// Scheduled counts every Schedule/After call since construction.
+	// Scheduled counts every Schedule/After/Reschedule call since
+	// construction.
 	Scheduled uint64
 	// Fired counts event callbacks that actually ran.
 	Fired uint64
-	// Cancelled counts events cancelled before firing.
+	// Cancelled counts events cancelled before firing. A Reschedule of
+	// a pending event is a re-arm, not a cancellation: it counts once
+	// in Scheduled and never here.
 	Cancelled uint64
 	// Clock is the current virtual time.
 	Clock Time
@@ -208,6 +218,37 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 		e.maxPending = len(e.heap)
 	}
 	return Event{engine: e, slot: s, gen: sl.gen}
+}
+
+// Reschedule re-arms the pending event ev to run fn at absolute time
+// at, in its existing slot, and returns the new handle; ev goes stale.
+// The event takes a fresh sequence number from the counter Schedule
+// uses, so the (time, sequence) key — and with it every later firing —
+// is exactly what ev.Cancel() followed by Schedule(at, fn) would give,
+// without releasing and re-taking the slot or re-heaping twice. A
+// stale or zero ev (fired, cancelled, never scheduled) just schedules
+// a new event. A re-arm counts as scheduled, not as cancelled.
+func (e *Engine) Reschedule(ev Event, at Time, fn func()) Event {
+	if ev.engine != e {
+		return e.Schedule(at, fn)
+	}
+	sl := &e.slots[ev.slot]
+	if sl.gen != ev.gen || sl.heapIdx < 0 {
+		return e.Schedule(at, fn)
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
+	e.seq++
+	sl.seq = e.seq
+	sl.at, sl.fn = at, fn
+	sl.gen++
+	i := sl.heapIdx
+	e.siftDown(i)
+	if sl.heapIdx == i {
+		e.siftUp(i)
+	}
+	return Event{engine: e, slot: ev.slot, gen: sl.gen}
 }
 
 // After runs fn after delay d from the current virtual time.

@@ -137,6 +137,12 @@ type Node struct {
 	// sums, self-validating against the dBm it was computed from (the
 	// field is public and may be reassigned mid-run).
 	txMW, txMWFor float64
+	// hear lists the nodes that can hear this one (NAV setting), valid
+	// while hearN nodes are registered and hearTx and hearCS are the
+	// transmit power and carrier-sense threshold it was built under.
+	hear           []*Node
+	hearN          int
+	hearTx, hearCS float64
 
 	net *Network
 	// idx is the node's dense registration index, its row and column in
@@ -153,10 +159,11 @@ type Node struct {
 	// path never hashes.
 	qBits, dBits int64
 
-	// Contention state. deferEv is the pending DIFS tick (difsSeq > 0,
-	// due at difsAt) or NAV wake-up; slotEv is the running countdown's
-	// expiry. While counting, backoff holds the slots the countdown
-	// started with at cdStart; reschedule folds the elapsed ones back.
+	// Contention state. ev is the AP's one pending event (or a stale
+	// handle): the running countdown's expiry while counting, else the
+	// DIFS tick (difsSeq > 0, due at difsAt) or NAV wake-up. While
+	// counting, backoff holds the slots the countdown started with at
+	// cdStart; reschedule folds the elapsed ones back.
 	contending bool
 	inTX       bool
 	counting   bool
@@ -164,8 +171,7 @@ type Node struct {
 	cw         int
 	retries    int
 	navUntil   sim.Time
-	slotEv     sim.Event
-	deferEv    sim.Event
+	ev         sim.Event
 	difsAt     sim.Time
 	difsSeq    uint64
 	cdStart    sim.Time
@@ -466,17 +472,38 @@ func (n *Network) notifyMediumChange() {
 }
 
 // setNAVFromExchange makes third-party nodes that can decode an RTS/CTS
-// defer until the exchange would complete.
+// defer until the exchange would complete. Raising a NAV is a max, so
+// walking the two hear lists in turn sets what a scan of every node
+// would.
 func (n *Network) setNAVFromExchange(initiator, responder *Node, until sim.Time) {
-	for _, node := range n.nodes {
-		if node == initiator || node == responder {
-			continue
-		}
-		heard := n.canHear(initiator, node) || n.canHear(responder, node)
-		if heard && until > node.navUntil {
+	raiseNAV(n.hearList(initiator), initiator, responder, until)
+	raiseNAV(n.hearList(responder), initiator, responder, until)
+}
+
+// raiseNAV extends the NAV of every listed node but the exchange's two
+// ends to until.
+func raiseNAV(nodes []*Node, initiator, responder *Node, until sim.Time) {
+	for _, node := range nodes {
+		if node != initiator && node != responder && until > node.navUntil {
 			node.navUntil = until
 		}
 	}
+}
+
+// hearList returns the nodes that can hear tx, in registration order,
+// rebuilding it when a node has registered or tx's transmit power or
+// the carrier-sense threshold has changed since it was built.
+func (n *Network) hearList(tx *Node) []*Node {
+	if tx.hearN != len(n.nodes) || tx.hearTx != tx.TxPowerDBm || tx.hearCS != n.Params.CSThresholdDBm {
+		tx.hear = tx.hear[:0]
+		for _, rx := range n.nodes {
+			if rx != tx && n.canHear(tx, rx) {
+				tx.hear = append(tx.hear, rx)
+			}
+		}
+		tx.hearN, tx.hearTx, tx.hearCS = len(n.nodes), tx.TxPowerDBm, n.Params.CSThresholdDBm
+	}
+	return tx.hear
 }
 
 // canHear reports whether rx detects a preamble from tx: above the
@@ -557,35 +584,43 @@ func (ap *Node) tryStart() {
 // tick was scheduled after the other's slot tick was), and for equal
 // starts the one whose DIFS tick fired first. countdownExpiry's
 // arbiter (runAhead) and countedSlots' tie rule both follow it.
+//
+// reschedule moves an AP's one pending event with sim.Engine.Reschedule
+// rather than cancelling it and scheduling a new one. That keeps every
+// order above: the re-armed event takes its sequence number from the
+// engine's one counter at the point the new Schedule would have, so
+// its (time, seq) key — and its place among same-instant events, such
+// as a NAV wake-up re-armed at an unchanged instant — is the one
+// Cancel + Schedule gives.
 
 // reschedule (re)arms the defer/backoff machinery after any medium
 // state change, first folding a running countdown's elapsed slots
 // into backoff.
 func (ap *Node) reschedule() {
-	ap.slotEv.Cancel()
-	ap.slotEv = sim.Event{}
-	ap.deferEv.Cancel()
-	ap.deferEv = sim.Event{}
 	ap.difsSeq = 0
 	if ap.counting {
 		ap.backoff -= ap.countedSlots()
 		ap.counting = false
 	}
 	if !ap.contending || ap.inTX {
+		ap.ev.Cancel()
 		return
 	}
 	n := ap.net
+	now := n.eng.Now()
 	if n.busyAt(ap) {
 		// Wait for the next medium change (or NAV expiry).
-		if wait := ap.navUntil - n.eng.Now(); wait > 0 {
-			ap.deferEv = n.eng.After(wait, ap.rescheduleFn)
+		if ap.navUntil > now {
+			ap.ev = n.eng.Reschedule(ap.ev, ap.navUntil, ap.rescheduleFn)
+		} else {
+			ap.ev.Cancel()
 		}
 		return
 	}
 	// Idle: wait DIFS then count down slots.
 	n.difsSeq++
-	ap.difsSeq, ap.difsAt = n.difsSeq, n.eng.Now()+n.Params.DIFS
-	ap.deferEv = n.eng.After(n.Params.DIFS, ap.difsTickFn)
+	ap.difsSeq, ap.difsAt = n.difsSeq, now+n.Params.DIFS
+	ap.ev = n.eng.Reschedule(ap.ev, ap.difsAt, ap.difsTickFn)
 }
 
 // countedSlots returns how many backoff slots of the running countdown
@@ -632,7 +667,7 @@ func (ap *Node) difsTick() {
 		return
 	}
 	ap.counting, ap.cdStart, ap.cdSeq = true, n.eng.Now(), seq
-	ap.slotEv = n.eng.After(sim.Time(ap.backoff)*n.Params.SlotTime, ap.expiryFn)
+	ap.ev = n.eng.After(sim.Time(ap.backoff)*n.Params.SlotTime, ap.expiryFn)
 }
 
 // countdownExpiry fires at the countdown's last slot. It first runs
@@ -680,14 +715,13 @@ func (n *Network) runAhead(ap *Node) {
 				}
 			}
 		}
-		switch {
-		case next == nil:
+		if next == nil {
 			return
-		case next.difsSeq != 0:
-			next.deferEv.Cancel()
+		}
+		next.ev.Cancel()
+		if next.difsSeq != 0 {
 			next.difsTick()
-		default:
-			next.slotEv.Cancel()
+		} else {
 			next.countdownExpiry()
 		}
 	}

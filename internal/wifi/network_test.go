@@ -417,3 +417,70 @@ func TestMACStatsEmpty(t *testing.T) {
 		t.Fatal("zero stats should be a zero collision rate")
 	}
 }
+
+// Every node's NAV hear list must be exactly the nodes a brute canHear
+// scan finds, in registration order — on random topologies, and still
+// after a node registers mid-run (the link table re-strides), after a
+// node's TxPowerDBm is reassigned and after the carrier-sense threshold
+// moves.
+func TestHearListMatchesCanHear(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		eng := sim.NewEngine(seed)
+		n := NewNetwork(eng, propagation.DefaultUrban(seed), Params11af20()) // RTS/CTS on
+		rng := rand.New(rand.NewSource(seed))
+		register := func(k int) {
+			for i := 0; i < k; i++ {
+				pos := geo.Point{X: rng.Float64() * 1500, Y: rng.Float64() * 1500}
+				txDBm := 10 + rng.Float64()*20
+				if i%3 == 0 {
+					n.AddAP(len(n.nodes), pos, txDBm)
+				} else {
+					c := n.AddClient(len(n.nodes), pos, txDBm, n.APs()[len(n.APs())-1])
+					n.APs()[len(n.APs())-1].Enqueue(c, 1<<30)
+				}
+			}
+		}
+		partial := 0
+		check := func(stage string) {
+			for _, tx := range n.nodes {
+				var want []*Node
+				for _, rx := range n.nodes {
+					if rx != tx && n.canHear(tx, rx) {
+						want = append(want, rx)
+					}
+				}
+				got := n.hearList(tx)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d, %s: %v hears %d nodes, canHear finds %d", seed, stage, tx, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d, %s: %v hear list[%d] = %v, canHear finds %v", seed, stage, tx, i, got[i], want[i])
+					}
+				}
+				if len(want) > 0 && len(want) < len(n.nodes)-1 {
+					partial++
+				}
+			}
+		}
+		register(12)
+		check("first build")
+		eng.Run(200 * time.Millisecond)
+		register(7)
+		check("after a mid-run registration")
+		eng.Run(400 * time.Millisecond)
+		for i := 0; i < len(n.nodes); i += 2 {
+			n.nodes[i].TxPowerDBm -= 8
+		}
+		check("after TxPowerDBm changed")
+		n.Params.CSThresholdDBm += 6
+		check("after CSThresholdDBm changed")
+		eng.Run(600 * time.Millisecond)
+		if n.Stats().TXOPs == 0 {
+			t.Fatalf("seed %d: no exchange completed; the run exercises no NAV", seed)
+		}
+		if partial == 0 {
+			t.Fatalf("seed %d: every hear list is empty or complete; the topology is degenerate", seed)
+		}
+	}
+}

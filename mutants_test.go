@@ -126,6 +126,15 @@ var mutants = []mutant{
 	{name: "metro-row-one-short", edits: []mutantEdit{
 		{"internal/metro/metro.go", "if cnt >= k {", "if cnt >= k-1 {"},
 	}, pkg: "./internal/metro", test: "TestMetroIndexedEquivalence"},
+	// Wi-Fi contention re-arms its pending event in place: the re-arm
+	// must take a fresh sequence number, as Cancel + Schedule would, and
+	// NAV must reach everyone who hears either end of the exchange.
+	{name: "reschedule-keeps-seq", edits: []mutantEdit{
+		{"internal/sim/sim.go", "\tsl.seq = e.seq\n", ""},
+	}, pkg: "./internal/wifi", test: "TestCSMAGolden"},
+	{name: "nav-drops-responder", edits: []mutantEdit{
+		{"internal/wifi/network.go", "\traiseNAV(n.hearList(responder), initiator, responder, until)\n", ""},
+	}, pkg: "./internal/wifi", test: "TestCSMAGolden"},
 	// A deleted option added back: the guards must refuse it.
 	{name: "option-readded", edits: []mutantEdit{
 		{"internal/invariant/invariant.go", "\tSlack time.Duration\n", "\tSlack time.Duration\n\tMaxViolations int\n"},
