@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
+	"cellfi/internal/experiments"
 	"cellfi/internal/geo"
 	"cellfi/internal/lte"
 	"cellfi/internal/netsim"
 	"cellfi/internal/phy"
 	"cellfi/internal/propagation"
+	"cellfi/internal/runner"
 	"cellfi/internal/stats"
 	"cellfi/internal/topo"
 )
@@ -19,7 +22,7 @@ import (
 // best-server downlink SINR at every grid point, with access points
 // marked. Run it once with -scheme lte and once with -scheme cellfi to
 // see what interference management buys at the cell edges.
-func runMap(_ context.Context, args []string, stdout, stderr io.Writer) int {
+func runMap(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("map", stderr)
 	aps := fs.Int("aps", 10, "access points")
 	clients := fs.Int("clients", 6, "clients per AP")
@@ -39,14 +42,17 @@ func runMap(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if *aps < 1 || *clients < 1 || *epochs < 1 || *cols < 1 || *rows < 1 {
 		return fail(fs, exitUsage, "-aps, -clients, -epochs, -cols and -rows must be at least 1")
 	}
-	cfg := netsim.DefaultConfig(s, *seed)
-	if n := cfg.BW.Subchannels(); *subchannel < 0 || *subchannel >= n {
+	if n := netsim.DefaultConfig(s, *seed).BW.Subchannels(); *subchannel < 0 || *subchannel >= n {
 		return fail(fs, exitUsage, "-subchannel %d is outside the carrier's 0..%d", *subchannel, n-1)
 	}
 
-	tp := topo.Generate(topo.Paper(*aps, *clients), *seed)
-	n := netsim.New(tp, cfg)
-	n.Run(*epochs) // converge the reservations
+	g := experiments.Grid{Arms: []experiments.Arm{experiments.SchemeArm(s, nil)}, APs: []int{*aps}, Clients: []int{*clients},
+		Trials: 1, Epochs: *epochs, Seeds: experiments.SameSeeds(*seed, 0, 0, 0)}
+	res, _, err := g.Run(ctx, runner.Options{Workers: 1}) // converge the reservations
+	if err != nil {
+		return fail(fs, exitFailure, "%v", err)
+	}
+	tp := topo.Generate(topo.Paper(*aps, *clients), *seed) // the grid's one topology
 
 	// Who transmits in the mapped subchannel after convergence?
 	model := propagation.DefaultUrban(*seed)
@@ -54,11 +60,9 @@ func runMap(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	perRB := 30 - 10*math.Log10(25) + 6
 	noise := propagation.NoiseDBm(lte.RBBandwidthHz, 7)
 	active := map[int]bool{}
-	for i := range tp.APs {
-		for _, k := range n.Allowed(i) {
-			if k == *subchannel {
-				active[i] = true
-			}
+	for i, held := range res[0][0][0].Held {
+		if slices.Contains(held, *subchannel) {
+			active[i] = true
 		}
 	}
 

@@ -7,32 +7,22 @@ import (
 	"strconv"
 	"strings"
 
+	"cellfi/internal/experiments"
 	"cellfi/internal/lte"
 	"cellfi/internal/netsim"
 	"cellfi/internal/runner"
 	"cellfi/internal/stats"
-	"cellfi/internal/topo"
 )
 
-// runSim runs a grid of large-scale interference-management scenarios
-// — every scheme in -scheme at every AP count in -aps and client count
-// in -clients, over -trials independently seeded topologies — and
-// prints one CSV row per run. The defaults are one scenario: cellfi,
-// 14 APs, 6 clients per AP.
-//
-// Output columns: scheme, aps, clients_per_ap, trial, median_mbps,
-// mean_mbps, p10_mbps, p90_mbps, starved_frac, total_mbps, hops,
-// min_mbps, p25_mbps, p75_mbps, max_mbps; rows run in (aps, clients,
-// trial, scheme) order.
-//
-// Each run is one runner spec, labelled <scheme>/aps=N/clients=M/trial=T
-// and seeded from (seed, aps, clients, trial) alone, so every scheme of
-// a grid point runs on the same topology and the CSV is byte-identical
-// at any -workers. With -trace-dir set, each run flight-records its
-// interference-management decisions to DIR/run<index>-<label>.trace for
-// `cellfi trace` to inspect (`cellfi trace timeline -ap N` draws a
-// cell's subchannel holdings per epoch). -telemetry writes the
-// campaign's per-run wall times and simulated-event counts as JSON.
+// runSim runs every scheme in -scheme at every AP count in -aps and
+// client count in -clients over -trials topologies, and prints one CSV
+// row per run in (aps, clients, trial, scheme) order. It is a config of
+// experiments.Grid, the program behind Figure 9: one arm per scheme, its
+// netsim config edited by the flags, each run a leg labelled
+// <scheme>/aps=N/clients=M/trial=T and seeded from (seed, aps, clients,
+// trial) alone, so the CSV is byte-identical at any -workers. -trace-dir
+// flight-records each run to DIR/run<index>-<label>.trace for `cellfi
+// trace`; -telemetry writes the campaign report as JSON.
 func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("sim", stderr)
 	schemeFlag := fs.String("scheme", "cellfi", "comma-separated schemes: lte, cellfi, oracle, random-hop or hybrid")
@@ -76,62 +66,45 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ifRadius < 0 || *starve < 0 {
 		return fail(fs, exitUsage, "-interference-radius and -starve must not be negative")
 	}
-	var bw lte.Bandwidth
-	switch *bwFlag {
-	case 5, 10, 15, 20:
-		bw = lte.Bandwidth(*bwFlag)
-	default:
+	if *bwFlag != 5 && *bwFlag != 10 && *bwFlag != 15 && *bwFlag != 20 {
 		return fail(fs, exitUsage, "bandwidth must be 5, 10, 15 or 20 MHz")
 	}
 
-	var specs []runner.Spec
-	for _, aps := range apsList {
-		for _, clients := range clientsList {
-			for tr := 0; tr < *trials; tr++ {
-				for _, s := range schemes {
-					specs = append(specs, runner.Spec{
-						Label: fmt.Sprintf("%s/aps=%d/clients=%d/trial=%d", s, aps, clients, tr),
-						Seed:  *seed + int64(tr)*7919 + int64(aps)*131 + int64(clients)*17,
-						Run: func(c *runner.Ctx) (any, error) {
-							p := topo.Paper(aps, clients)
-							p.AreaSide = *area
-							tp := topo.Generate(p, c.Seed())
-							cfg := netsim.DefaultConfig(s, c.Seed())
-							cfg.BW = bw
-							cfg.PackingEnabled = !*noPacking
-							cfg.PerfectSensing = *perfect
-							cfg.Lambda = *lambda
-							cfg.InterferenceRadiusM = *ifRadius
-							cfg.Trace = c.Recorder()
-
-							n := netsim.New(tp, cfg)
-							th := n.Run(*epochs)
-							c.AddSteps(int64(*epochs))
-							cdf := stats.NewCDF(th)
-							var total float64
-							for _, v := range th {
-								total += v
-							}
-							return fmt.Sprintf("%s,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.2f,%d,%.4f,%.4f,%.4f,%.4f",
-								s, aps, clients, tr,
-								cdf.Median(), cdf.Mean(), cdf.Quantile(0.1), cdf.Quantile(0.9),
-								cdf.FractionBelow(*starve), total, n.Hops,
-								cdf.Min(), cdf.Quantile(0.25), cdf.Quantile(0.75), cdf.Max()), nil
-						},
-					})
-				}
-			}
-		}
+	tune := func(cfg *netsim.Config) {
+		cfg.BW = lte.Bandwidth(*bwFlag)
+		cfg.PackingEnabled = !*noPacking
+		cfg.PerfectSensing = *perfect
+		cfg.Lambda = *lambda
+		cfg.InterferenceRadiusM = *ifRadius
 	}
-
-	rep := runner.Run(ctx, "cellfi sim", specs, runner.Options{Workers: *workers, TraceDir: *traceDir})
-	rows, err := runner.Values[string](rep)
+	g := experiments.Grid{APs: apsList, Clients: clientsList, Trials: *trials, Epochs: *epochs, Area: *area,
+		Seeds: experiments.SameSeeds(*seed, 7919, 131, 17)}
+	for _, s := range schemes {
+		g.Arms = append(g.Arms, experiments.SchemeArm(s, tune))
+	}
+	res, rep, err := g.Run(ctx, runner.Options{Workers: *workers, TraceDir: *traceDir})
 	if err != nil {
 		return fail(fs, exitFailure, "%v", err)
 	}
+	rep.Campaign = "cellfi sim" // the grid's legs carry no campaign prefix
 	fmt.Fprintln(stdout, "scheme,aps,clients_per_ap,trial,median_mbps,mean_mbps,p10_mbps,p90_mbps,starved_frac,total_mbps,hops,min_mbps,p25_mbps,p75_mbps,max_mbps")
-	for _, row := range rows {
-		fmt.Fprintln(stdout, row)
+	for p, arms := range res {
+		aps, clients := apsList[p/len(clientsList)], clientsList[p%len(clientsList)]
+		for tr := 0; tr < *trials; tr++ {
+			for ai, s := range schemes {
+				r := arms[ai][tr]
+				cdf := stats.NewCDF(r.Samples)
+				var total float64
+				for _, v := range r.Samples {
+					total += v
+				}
+				fmt.Fprintf(stdout, "%s,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.2f,%d,%.4f,%.4f,%.4f,%.4f\n",
+					s, aps, clients, tr,
+					cdf.Median(), cdf.Mean(), cdf.Quantile(0.1), cdf.Quantile(0.9),
+					cdf.FractionBelow(*starve), total, r.Hops,
+					cdf.Min(), cdf.Quantile(0.25), cdf.Quantile(0.75), cdf.Max())
+			}
+		}
 	}
 	if *traceDir != "" {
 		for _, r := range rep.Runs {
@@ -150,25 +123,23 @@ func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // parseSizes parses a comma-separated list of counts, each at least 1.
 func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
+	return parseList(s, func(f string) (int, error) {
+		v, err := strconv.Atoi(f)
+		if err == nil && v < 1 {
+			err = fmt.Errorf("%d is below 1", v)
 		}
-		if v < 1 {
-			return nil, fmt.Errorf("%d is below 1", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+		return v, err
+	})
 }
 
 // parseSchemes parses a comma-separated list of scheme names.
-func parseSchemes(s string) ([]netsim.Scheme, error) {
-	var out []netsim.Scheme
+func parseSchemes(s string) ([]netsim.Scheme, error) { return parseList(s, netsim.ParseScheme) }
+
+// parseList parses each comma-separated, space-trimmed field of s.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
-		v, err := netsim.ParseScheme(strings.TrimSpace(f))
+		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
 		}

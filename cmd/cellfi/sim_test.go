@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"cellfi/internal/experiments"
+	"cellfi/internal/runner"
+	"cellfi/internal/trace"
 )
 
 // TestSimGrid pins `cellfi sim` over two small grids. The first 11
@@ -83,4 +89,87 @@ func FuzzSimLists(f *testing.F) {
 			t.Fatalf("parseSchemes(%q) = %v: %d entries for %d fields", s, schemes, len(schemes), fields)
 		}
 	})
+}
+
+// TestSimTraceTelemetry pins what `cellfi sim -trace-dir D -telemetry F`
+// leaves behind: one trace file per run, named run<index>-<label>.trace
+// in row order; a CellFi stream that decodes to records; each trace path
+// on stderr; and F a report with one run per row.
+func TestSimTraceTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	traces := filepath.Join(dir, "traces")
+	if err := os.Mkdir(traces, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tel := filepath.Join(dir, "sim.json")
+	args := []string{"sim", "-scheme", "cellfi,oracle", "-aps", "2", "-clients", "1", "-epochs", "2",
+		"-trace-dir", traces, "-telemetry", tel}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("cellfi %s = %d; stderr:\n%s", strings.Join(args, " "), code, stderr.String())
+	}
+	want := []string{"run0000-cellfi_aps_2_clients_1_trial_0.trace", "run0001-oracle_aps_2_clients_1_trial_0.trace"}
+	entries, err := os.ReadDir(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace files %v, want %v", got, want)
+	}
+	for _, name := range want {
+		if path := filepath.Join(traces, name); !strings.Contains(stderr.String(), "trace: "+path+" (") {
+			t.Errorf("stderr does not list %s:\n%s", path, stderr.String())
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(traces, want[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := trace.Decode(raw); err != nil || len(recs) == 0 {
+		t.Fatalf("cellfi stream: %d records, err %v", len(recs), err)
+	}
+	if rep := readReport(t, tel); len(rep.Runs) != 2 {
+		t.Fatalf("telemetry has %d runs, want 2", len(rep.Runs))
+	}
+}
+
+// TestExperimentsTelemetry pins `cellfi experiments -telemetry F`: the
+// reuse ablation in quick mode is two arms of one trial, so F holds two
+// runs, each under its own label.
+func TestExperimentsTelemetry(t *testing.T) {
+	experiments.DrainReports() // drop reports earlier in-process runs left behind
+	tel := filepath.Join(t.TempDir(), "experiments.json")
+	args := []string{"experiments", "-id", "reuse", "-quick", "-telemetry", tel}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("cellfi %s = %d; stderr:\n%s", strings.Join(args, " "), code, stderr.String())
+	}
+	rep := readReport(t, tel)
+	if len(rep.Runs) != 2 {
+		t.Fatalf("telemetry has %d runs, want 2 (two arms, one trial)", len(rep.Runs))
+	}
+	seen := map[string]bool{}
+	for _, r := range rep.Runs {
+		if seen[r.Label] {
+			t.Errorf("label %q appears twice", r.Label)
+		}
+		seen[r.Label] = true
+	}
+}
+
+func readReport(t *testing.T, path string) runner.Report {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep runner.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }

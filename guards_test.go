@@ -773,7 +773,7 @@ func gain() float64 { return propagation.NewLinkCache().PathGainLinear() }
 		t.Errorf("planted lte reference to propagation.LinkCache: %d uses reported, want 2 (NewLinkCache, PathGainLinear): %v", len(planted), planted)
 	}
 
-	// internal/experiments has one sweep path: sweep's arm.run builds
+	// internal/experiments has one sweep path: the Grid's Arm.run builds
 	// every backlogged netsim network, and Fig. 9c's web-workload driver
 	// is the one other caller.
 	files := map[string]bool{}

@@ -4,7 +4,6 @@ import (
 	"cellfi/internal/lte"
 	"cellfi/internal/netsim"
 	"cellfi/internal/stats"
-	"cellfi/internal/topo"
 )
 
 // coreCQIOverheadKbps returns the computed CQI overhead in kbps.
@@ -18,26 +17,26 @@ func ReuseAblation(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	res := sweep("reuse", []arm{
+	res := sweep(Grid{Campaign: "reuse", Arms: []Arm{
 		{name: "packing-on", scheme: netsim.SchemeCellFi},
 		{name: "packing-off", scheme: netsim.SchemeCellFi, tune: func(cfg *netsim.Config) { cfg.PackingEnabled = false }},
-	}, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 911))
+	}, APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 911)})[0]
 	t := &stats.Table{
 		Title:   "Ablation: channel re-use (packing) heuristic",
 		Headers: []string{"Metric", "Packing on", "Packing off"},
 	}
 	statRow(t, "Median throughput (Mbps)", res, fmtMedian)
-	statRow(t, "90th pct throughput (Mbps)", res, func(a armRun) string { return stats.Fmt(a.cdf.Quantile(0.9)) })
+	statRow(t, "90th pct throughput (Mbps)", res, func(a ArmRun) string { return stats.Fmt(a.cdf.Quantile(0.9)) })
 	statRow(t, "Starved (%)", res, fmtStarved)
 	statRow(t, "Total hops", res, fmtHops)
-	statRow(t, "Low-index concentration", res, func(a armRun) string { return stats.Fmt(a.lowIdx*100) + "%" })
+	statRow(t, "Low-index concentration", res, func(a ArmRun) string { return stats.Fmt(a.LowIdx*100) + "%" })
 	return Result{
 		ID:     "reuse",
 		Title:  "Ablation: channel re-use heuristic (Section 5.3)",
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("packing concentrates reservations on low-index subchannels (%.0f%% vs %.0f%% without), the self-organization Section 5.3 describes; in dense random topologies its throughput effect is small, while exposed near-AP clients gain by overlapping harmlessly",
-				res[0].lowIdx*100, res[1].lowIdx*100),
+				res[0].LowIdx*100, res[1].LowIdx*100),
 		},
 	}
 }
@@ -52,16 +51,16 @@ func LambdaAblation(seed int64, quick bool) Result {
 		lambdas = []float64{1, 10, 50}
 		trials, epochs = 1, 10
 	}
-	var arms []arm
+	var arms []Arm
 	for _, l := range lambdas {
-		arms = append(arms, arm{name: note("l=%g", l), scheme: netsim.SchemeCellFi,
+		arms = append(arms, Arm{name: note("l=%g", l), scheme: netsim.SchemeCellFi,
 			tune: func(cfg *netsim.Config) { cfg.Lambda = l }})
 	}
 	t := &stats.Table{
 		Title:   "Ablation: hopping bucket mean (lambda)",
 		Headers: []string{"Lambda", "Median Mbps", "Starved %", "Hops"},
 	}
-	for li, a := range sweep("lambda", arms, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 733)) {
+	for li, a := range sweep(Grid{Campaign: "lambda", Arms: arms, APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 733)})[0] {
 		t.AddRow(stats.Fmt(lambdas[li]), fmtMedian(a), fmtStarved(a), fmtHops(a))
 	}
 	return Result{
@@ -79,10 +78,10 @@ func SensingAblation(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	res := sweep("sensing", []arm{
+	res := sweep(Grid{Campaign: "sensing", Arms: []Arm{
 		{name: "measured", scheme: netsim.SchemeCellFi},
 		{name: "perfect", scheme: netsim.SchemeCellFi, tune: func(cfg *netsim.Config) { cfg.PerfectSensing = true }},
-	}, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 577))
+	}, APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 577)})[0]
 	t := &stats.Table{
 		Title:   "Ablation: measured vs perfect sensing",
 		Headers: []string{"Metric", "Measured (80%/2%)", "Perfect"},

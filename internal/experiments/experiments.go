@@ -7,20 +7,18 @@
 // tables and series that `cellfi experiments` prints and the benchmark's
 // repro_full workload times.
 //
-// There is one sweep path. grid (parallel.go) fans a campaign's
-// (arm, trial) legs across the runner pool and hands back
-// results[arm][trial]; every trial loop in the package goes through it.
-// The large-scale evaluation and everything built on it — fig9a, fig9b,
-// reuse, lambda, sensing, hopping, hybrid, uplink, aggregation,
-// mobility — is an arm list, a seed rule and table text on top of sweep
-// (sweep.go), whose arm.run is the single place a backlogged
-// netsim.Network is built and driven; Figure 9c's web-workload driver
-// is the only other netsim caller.
+// There is one fan-out: runGrid (parallel.go) runs a campaign's
+// (arm, trial) legs on the runner pool. The large-scale evaluation and
+// everything built on it — fig9a, fig9b, reuse, lambda, sensing,
+// hopping, hybrid, uplink, aggregation, mobility — is an arm list, grid
+// points, a seed rule and table text on a Grid (sweep.go), whose
+// Arm.run is the single place a backlogged netsim.Network is built and
+// driven; `cellfi sim` and `cellfi map` are Grid configs too, and
+// Figure 9c's web-workload driver is the only other netsim caller.
 package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cellfi/internal/stats"
 )
@@ -84,9 +82,4 @@ func note(format string, args ...any) string {
 // cdfSeries converts samples into a plottable CDF line.
 func cdfSeries(name string, samples []float64, points int) stats.Series {
 	return stats.Series{Name: name, Points: stats.NewCDF(samples).Points(points)}
-}
-
-// newSeededRand returns a rand.Rand on its own deterministic source.
-func newSeededRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }

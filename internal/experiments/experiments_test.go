@@ -126,7 +126,7 @@ func TestFigure9bDirections(t *testing.T) {
 	tp := topo.Generate(topo.Paper(10, 6), 99)
 	starved := map[string]float64{}
 	for _, a := range fig9Arms(500*time.Millisecond, true) {
-		th := a.run(nil, tp, 99, 12).samples
+		th := a.run(nil, tp, 99, 12).Samples
 		if len(th) == 0 {
 			t.Errorf("%s arm missing", a.name)
 		}

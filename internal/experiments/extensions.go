@@ -5,7 +5,6 @@ import (
 	"cellfi/internal/lte"
 	"cellfi/internal/netsim"
 	"cellfi/internal/stats"
-	"cellfi/internal/topo"
 )
 
 // HybridExtension evaluates the Section 7 proposal: centralized
@@ -16,8 +15,8 @@ func HybridExtension(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	res := sweep("hybrid", []arm{schemeArm(netsim.SchemeCellFi), schemeArm(netsim.SchemeHybrid), schemeArm(netsim.SchemeOracle)},
-		trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 3571))
+	res := sweep(Grid{Campaign: "hybrid", Arms: []Arm{SchemeArm(netsim.SchemeCellFi, nil), SchemeArm(netsim.SchemeHybrid, nil), SchemeArm(netsim.SchemeOracle, nil)},
+		APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 3571)})[0]
 	cf, hy, orc := res[0], res[1], res[2]
 
 	t := &stats.Table{
@@ -34,9 +33,9 @@ func HybridExtension(seed int64, quick bool) Result {
 		Title:  "Extension: hybrid control plane (Section 7)",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("hybrid: CellFi throughput CDF (Mbps)", cf.samples, 41),
-			cdfSeries("hybrid: hybrid throughput CDF (Mbps)", hy.samples, 41),
-			cdfSeries("hybrid: oracle throughput CDF (Mbps)", orc.samples, 41),
+			cdfSeries("hybrid: CellFi throughput CDF (Mbps)", cf.Samples, 41),
+			cdfSeries("hybrid: hybrid throughput CDF (Mbps)", hy.Samples, 41),
+			cdfSeries("hybrid: oracle throughput CDF (Mbps)", orc.Samples, 41),
 		},
 		Notes: []string{
 			note("hybrid starves %.1f%% vs CellFi's %.1f%% — confirming the paper's speculation that intra-provider coordination 'could further improve performance'",
@@ -54,8 +53,8 @@ func HoppingBaseline(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	res := sweep("hopping", []arm{schemeArm(netsim.SchemeCellFi), schemeArm(netsim.SchemeRandomHop)},
-		trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 3571))
+	res := sweep(Grid{Campaign: "hopping", Arms: []Arm{SchemeArm(netsim.SchemeCellFi, nil), SchemeArm(netsim.SchemeRandomHop, nil)},
+		APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 3571)})[0]
 	cf, rh := res[0], res[1]
 
 	t := &stats.Table{
@@ -72,7 +71,7 @@ func HoppingBaseline(seed int64, quick bool) Result {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("buckets hop %.1fx less than memoryless re-hopping (%d vs %d) — the hysteresis that lets reservations converge",
-				float64(rh.hops)/maxf(float64(cf.hops), 1), cf.hops, rh.hops),
+				float64(rh.Hops)/max(float64(cf.Hops), 1), cf.Hops, rh.Hops),
 		},
 	}
 }
@@ -85,24 +84,24 @@ func UplinkExtension(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 10
 	}
-	res := sweep("uplink", []arm{
+	res := sweep(Grid{Campaign: "uplink", Arms: []Arm{
 		{name: "lte", scheme: netsim.SchemeLTE, uplink: true},
 		{name: "cellfi", scheme: netsim.SchemeCellFi, uplink: true},
-	}, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 4219))
+	}, APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 4219)})[0]
 	lteUL, cfUL := res[0], res[1]
 	t := &stats.Table{
 		Title:   "Extension (Section 5): uplink over the same reservations",
 		Headers: []string{"Metric", "LTE uplink", "CellFi uplink"},
 	}
 	statRow(t, "Median (Mbps)", res, fmtMedian)
-	statRow(t, "Starved (< 10 kbps)", res, func(a armRun) string { return stats.Fmt(starvedPct(a, 0.01)) + "%" })
+	statRow(t, "Starved (< 10 kbps)", res, func(a ArmRun) string { return stats.Fmt(starvedPct(a, 0.01)) + "%" })
 	return Result{
 		ID:     "uplink",
 		Title:  "Extension: uplink interference management",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("uplink: LTE uplink throughput CDF (Mbps)", lteUL.samples, 41),
-			cdfSeries("uplink: CellFi uplink throughput CDF (Mbps)", cfUL.samples, 41),
+			cdfSeries("uplink: LTE uplink throughput CDF (Mbps)", lteUL.Samples, 41),
+			cdfSeries("uplink: CellFi uplink throughput CDF (Mbps)", cfUL.Samples, 41),
 		},
 		Notes: []string{
 			note("the TDD reservations protect PUSCH too: CellFi's uplink starves %.1f%% vs LTE's %.1f%%",
@@ -121,12 +120,12 @@ func AggregationExtension(seed int64, quick bool) Result {
 		trials, epochs = 1, 10
 	}
 	bws := []lte.Bandwidth{lte.BW5MHz, lte.BW10MHz, lte.BW20MHz}
-	var arms []arm
+	var arms []Arm
 	for _, bw := range bws {
-		arms = append(arms, arm{name: note("bw=%gMHz", float64(bw)), scheme: netsim.SchemeCellFi,
+		arms = append(arms, Arm{name: note("bw=%gMHz", float64(bw)), scheme: netsim.SchemeCellFi,
 			tune: func(cfg *netsim.Config) { cfg.BW = bw }})
 	}
-	res := sweep("aggregation", arms, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 6113))
+	res := sweep(Grid{Campaign: "aggregation", Arms: arms, APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 6113)})[0]
 	t := &stats.Table{
 		Title:   "Extension (Section 7): carrier width via TV-channel aggregation",
 		Headers: []string{"Carrier", "Subchannels", "TV channels (EU)", "Median Mbps", "Starved %"},
@@ -144,7 +143,7 @@ func AggregationExtension(seed int64, quick bool) Result {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("median client throughput scales %.1fx from one TV channel to an aggregated 20 MHz carrier; the IM protocol needs no changes, only more subchannels",
-				res[2].cdf.Median()/maxf(res[0].cdf.Median(), 1e-9)),
+				res[2].cdf.Median()/max(res[0].cdf.Median(), 1e-9)),
 			note("wider carriers need runs of contiguous free TV channels, which the channel selector already demands (RequiredTVChannels)"),
 		},
 	}
@@ -159,13 +158,13 @@ func MobilityExtension(seed int64, quick bool) Result {
 	if quick {
 		trials, epochs = 1, 15
 	}
-	res := sweep("mobility", []arm{
+	res := sweep(Grid{Campaign: "mobility", Arms: []Arm{
 		{name: "static", scheme: netsim.SchemeCellFi},
 		{name: "walk", scheme: netsim.SchemeCellFi, speed: 1.5},
 		{name: "drive", scheme: netsim.SchemeCellFi, speed: 15},
-	}, trials, epochs, topo.Paper(10, 6), splitSeeds(seed, 8191))
+	}, APs: []int{10}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: splitSeeds(seed, 8191)})[0]
 	static, walk, drive := res[0], res[1], res[2]
-	fmtHandovers := func(a armRun) string { return stats.Fmt(float64(a.handovers)) }
+	fmtHandovers := func(a ArmRun) string { return stats.Fmt(float64(a.Handovers)) }
 
 	t := &stats.Table{
 		Title:   "Extension (Section 7): mobility and roaming under CellFi",
@@ -181,7 +180,7 @@ func MobilityExtension(seed int64, quick bool) Result {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			note("vehicular clients hand over %d times yet starvation moves %.1f -> %.1f%% — the PRACH census tracks movers with no protocol additions",
-				drive.handovers, starvedPct(static, StarveThresholdMbps), starvedPct(drive, StarveThresholdMbps)),
+				drive.Handovers, starvedPct(static, StarveThresholdMbps), starvedPct(drive, StarveThresholdMbps)),
 		},
 	}
 }

@@ -107,7 +107,7 @@ func Figure1(seed int64, quick bool) Result {
 					out.ulFrac = append(out.ulFrac, float64(nRBs)/25)
 				}
 			}
-			addSteps(c, blocksPerLoc)
+			c.AddSteps(int64(blocksPerLoc))
 			out.tput = locBits / (float64(blocksPerLoc) * 0.1) * tcpEfficiency / 1e6
 			return out
 		})[0]

@@ -32,7 +32,7 @@ func wifiNet(eng *sim.Engine, t *topo.Topology, params wifi.Params, model *propa
 // downlink queues refilled every topUp, and returns per-client
 // throughput in Mbps.
 func wifiTrial(c *runner.Ctx, t *topo.Topology, params wifi.Params, model *propagation.Model, txPowerDBm float64, seed int64, dur, topUp time.Duration) []float64 {
-	eng := fleetEngine(c, seed)
+	eng := c.Engine(seed)
 	n := wifiNet(eng, t, params, model, txPowerDBm)
 	top := func() {
 		for _, ap := range n.APs() {
@@ -79,16 +79,16 @@ func Figure2(seed int64, quick bool) Result {
 	// SNR at the receiver is same").
 	res := pool(grid("fig2", []string{"11af", "11ac"}, trials,
 		func(tr int) int64 { return seed + int64(tr)*131 },
-		func(c *runner.Ctx, ai, tr int) armRun {
+		func(c *runner.Ctx, ai, tr int) ArmRun {
 			if ai == 0 {
 				afTopo := topo.Generate(topo.Paper(8, 6), c.Seed())
-				return armRun{samples: wifiTrial(c, afTopo, wifi.Params11af20(),
+				return ArmRun{Samples: wifiTrial(c, afTopo, wifi.Params11af20(),
 					propagation.DefaultUrban(c.Seed()), 30, c.Seed(), dur, 50*time.Millisecond)}
 			}
 			acParams := topo.Paper(8, 6)
 			acParams.CellRadius = 290 // 20 dBm indoor edge SNR == 30 dBm urban at 700 m
 			acTopo := topo.Generate(acParams, c.Seed())
-			return armRun{samples: wifiTrial(c, acTopo, wifi.Params11ac20(),
+			return ArmRun{Samples: wifiTrial(c, acTopo, wifi.Params11ac20(),
 				propagation.IndoorShortRange(c.Seed()), 20, c.Seed(), dur, 50*time.Millisecond)}
 		}))
 	af, ac := res[0], res[1]
@@ -99,15 +99,15 @@ func Figure2(seed int64, quick bool) Result {
 	}
 	statRow(t, "Median (Mbps)", res, fmtMedian)
 	statRow(t, "Mean (Mbps)", res, fmtMean)
-	statRow(t, "Starved (< 0.1 Mbps)", res, func(a armRun) string { return stats.Fmt(starvedPct(a, 0.1)) + "%" })
+	statRow(t, "Starved (< 0.1 Mbps)", res, func(a ArmRun) string { return stats.Fmt(starvedPct(a, 0.1)) + "%" })
 
 	return Result{
 		ID:     "fig2",
 		Title:  "Figure 2: Wi-Fi MAC inefficiencies on long links",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("fig2: 802.11af client throughput CDF (Mbps)", af.samples, 41),
-			cdfSeries("fig2: 802.11ac client throughput CDF (Mbps)", ac.samples, 41),
+			cdfSeries("fig2: 802.11af client throughput CDF (Mbps)", af.Samples, 41),
+			cdfSeries("fig2: 802.11ac client throughput CDF (Mbps)", ac.Samples, 41),
 		},
 		Notes: []string{
 			note("802.11af median %.2f Mbps vs 802.11ac %.2f Mbps — the paper's Figure 2 gap direction",

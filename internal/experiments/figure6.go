@@ -24,10 +24,8 @@ import (
 func Figure6(seed int64, quick bool) Result {
 	// A single scripted timeline: one fleet leg, so the campaign report
 	// still carries its wall time and poll count.
-	runs := fleet("fig6", []leg[Result]{
-		{label: "fig6/timeline", seed: seed, run: figure6Timeline},
-	})
-	return runs[0]
+	return grid("fig6", []string{"timeline"}, 1, func(int) int64 { return seed },
+		func(c *runner.Ctx, _, _ int) Result { return figure6Timeline(c) })[0][0]
 }
 
 func figure6Timeline(cx *runner.Ctx) Result {
@@ -108,7 +106,7 @@ func figure6Timeline(cx *runner.Ctx) Result {
 		timeline = append(timeline, event{apOnAt, "AP radio up after reboot"})
 		timeline = append(timeline, event{clientOnAt, "client reconnected, traffic resumes"})
 	}
-	addSteps(cx, int(now.Sub(t0)/step)) // one step per database poll
+	cx.AddSteps(int64(now.Sub(t0) / step)) // one step per database poll
 
 	t := &stats.Table{
 		Title:   "Figure 6: spectrum database interaction timeline",

@@ -109,7 +109,7 @@ func Figure7(seed int64, quick bool) Result {
 					}
 				}
 			}
-			addSteps(c, blocks)
+			c.AddSteps(int64(blocks))
 			return out
 		})[0]
 

@@ -60,8 +60,8 @@ func Figure8(seed int64, quick bool) Result {
 		detectedEpisodes, episodes int
 		fpSamples, cleanSamples    int
 	}
-	legs := []leg[fig8Timeline]{
-		{label: "fig8/timeline", seed: seed, run: func(c *runner.Ctx) fig8Timeline {
+	legs := []func(c *runner.Ctx) fig8Timeline{
+		func(c *runner.Ctx) fig8Timeline {
 			r := rig()
 			reporter := lte.NewCQIReporter(0.05, rand.New(rand.NewSource(seed)))
 			detector := core.NewInterferenceDetector(500)
@@ -108,13 +108,13 @@ func Figure8(seed int64, quick bool) Result {
 			if inEpisode && episodeHit {
 				out.detectedEpisodes++
 			}
-			addSteps(c, int(totalMS/sampleEveryMS))
+			c.AddSteps(totalMS / sampleEveryMS)
 			return out
-		}},
+		},
 		// False-positive rate per sample on a clean channel (fresh
 		// detector, no interferer), matching the paper's metric of <2%
 		// of samples.
-		{label: "fig8/clean", seed: seed + 1, run: func(c *runner.Ctx) fig8Timeline {
+		func(c *runner.Ctx) fig8Timeline {
 			r := rig()
 			reporter := lte.NewCQIReporter(0.05, rand.New(rand.NewSource(seed+1)))
 			cleanDetector := core.NewInterferenceDetector(500)
@@ -130,12 +130,13 @@ func Figure8(seed int64, quick bool) Result {
 				}
 				out.cleanSamples++
 			}
-			addSteps(c, int(totalMS/sampleEveryMS))
+			c.AddSteps(totalMS / sampleEveryMS)
 			return out
-		}},
+		},
 	}
-	runs := fleet("fig8", legs)
-	timeline, clean := runs[0], runs[1]
+	runs := grid("fig8", []string{"timeline", "clean"}, 1, func(int) int64 { return seed },
+		func(c *runner.Ctx, arm, _ int) fig8Timeline { return legs[arm](c) })
+	timeline, clean := runs[0][0], runs[1][0]
 	tputSeries, cqiSeries := timeline.tputSeries, timeline.cqiSeries
 	detectedEpisodes, episodes := timeline.detectedEpisodes, timeline.episodes
 	fpSamples, cleanSamples := clean.fpSamples, clean.cleanSamples

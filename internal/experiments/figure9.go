@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand"
 	"time"
 
 	"cellfi/internal/netsim"
@@ -18,8 +19,8 @@ const StarveThresholdMbps = 0.05
 
 // fig9Arms are the systems compared in Figure 9, in column order; the
 // arm names are the column headers.
-func fig9Arms(wifiDur time.Duration, withOracle bool) []arm {
-	arms := []arm{
+func fig9Arms(wifiDur time.Duration, withOracle bool) []Arm {
+	arms := []Arm{
 		// 802.11af on a 6 MHz TV channel (the paper's Wi-Fi arm).
 		{name: "802.11af", custom: func(c *runner.Ctx, tp *topo.Topology, seed int64) []float64 {
 			return wifiTrial(c, tp, wifi.Params11af(), propagation.DefaultUrban(seed), 30, seed, wifiDur, 100*time.Millisecond)
@@ -28,13 +29,13 @@ func fig9Arms(wifiDur time.Duration, withOracle bool) []arm {
 		{name: "CellFi", scheme: netsim.SchemeCellFi},
 	}
 	if withOracle {
-		arms = append(arms, arm{name: "Oracle", scheme: netsim.SchemeOracle})
+		arms = append(arms, Arm{name: "Oracle", scheme: netsim.SchemeOracle})
 	}
 	return arms
 }
 
 // connectedPct is each arm's share of clients at or above barMbps.
-func connectedPct(arms []armRun, barMbps float64) []float64 {
+func connectedPct(arms []ArmRun, barMbps float64) []float64 {
 	out := make([]float64, len(arms))
 	for i, a := range arms {
 		out[i] = (1 - a.cdf.FractionBelow(barMbps)) * 100
@@ -61,10 +62,10 @@ func Figure9a(seed int64, quick bool) Result {
 	for ai, a := range arms {
 		series[ai].Name = note("fig9a: %s connected %%", a.name)
 	}
+	res := sweep(Grid{Campaign: "fig9a", Arms: arms, APs: densities, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: SameSeeds(seed, 7919, 1, 0)})
 	var last []float64
-	for _, aps := range densities {
-		last = connectedPct(sweep(note("fig9a/aps=%d", aps), arms, trials, epochs,
-			topo.Paper(aps, 6), sameSeeds(seed+int64(aps), 7919)), StarveThresholdMbps)
+	for i, aps := range densities {
+		last = connectedPct(res[i], StarveThresholdMbps)
 		row := []string{stats.Fmt(float64(aps))}
 		for ai, pct := range last {
 			row = append(row, stats.Fmt(pct))
@@ -83,8 +84,8 @@ func Figure9a(seed int64, quick bool) Result {
 	// is ~55 kbps, so the 6-client 50 kbps threshold would label
 	// half of a perfect network "starved". Scale the connectivity
 	// bar with the load (50 kbps x 6/16 ~ 19 kbps).
-	dense := connectedPct(sweep("fig9a-dense", arms, min(trials, 2), epochs,
-		topo.Paper(14, 16), sameSeeds(seed, 52361)), StarveThresholdMbps*6/16)
+	dense := connectedPct(sweep(Grid{Campaign: "fig9a-dense", Arms: arms,
+		APs: []int{14}, Clients: []int{16}, Trials: min(trials, 2), Epochs: epochs, Seeds: SameSeeds(seed, 52361, 0, 0)})[0], StarveThresholdMbps*6/16)
 	for ai, a := range arms {
 		t16.AddRow(a.name, stats.Fmt(dense[ai]))
 	}
@@ -112,7 +113,7 @@ func Figure9b(seed int64, quick bool) Result {
 		trials, epochs, wifiDur = 1, 10, 500*time.Millisecond
 	}
 	arms := fig9Arms(wifiDur, true)
-	res := sweep("fig9b", arms, trials, epochs, topo.Paper(14, 6), sameSeeds(seed, 104729))
+	res := sweep(Grid{Campaign: "fig9b", Arms: arms, APs: []int{14}, Clients: []int{6}, Trials: trials, Epochs: epochs, Seeds: SameSeeds(seed, 104729, 0, 0)})[0]
 	w, l, c, o := res[0].cdf, res[1].cdf, res[2].cdf, res[3].cdf
 
 	t := &stats.Table{
@@ -121,15 +122,15 @@ func Figure9b(seed int64, quick bool) Result {
 	}
 	statRow(t, "Median (Mbps)", res, fmtMedian)
 	statRow(t, "Mean (Mbps)", res, fmtMean)
-	statRow(t, "Starved", res, func(a armRun) string { return fmtStarved(a) + "%" })
-	statRow(t, "Jain fairness", res, func(a armRun) string { return stats.Fmt(stats.JainIndex(a.samples)) })
+	statRow(t, "Starved", res, func(a ArmRun) string { return fmtStarved(a) + "%" })
+	statRow(t, "Jain fairness", res, func(a ArmRun) string { return stats.Fmt(stats.JainIndex(a.Samples)) })
 
-	starvedReductionWifi := 1 - c.FractionBelow(StarveThresholdMbps)/maxf(w.FractionBelow(StarveThresholdMbps), 1e-9)
-	starvedReductionLTE := 1 - c.FractionBelow(StarveThresholdMbps)/maxf(l.FractionBelow(StarveThresholdMbps), 1e-9)
+	starvedReductionWifi := 1 - c.FractionBelow(StarveThresholdMbps)/max(w.FractionBelow(StarveThresholdMbps), 1e-9)
+	starvedReductionLTE := 1 - c.FractionBelow(StarveThresholdMbps)/max(l.FractionBelow(StarveThresholdMbps), 1e-9)
 
 	series := make([]stats.Series, len(arms))
 	for ai, a := range arms {
-		series[ai] = cdfSeries(note("fig9b: %s throughput CDF (Mbps)", a.name), res[ai].samples, 41)
+		series[ai] = cdfSeries(note("fig9b: %s throughput CDF (Mbps)", a.name), res[ai].Samples, 41)
 	}
 	return Result{
 		ID:     "fig9b",
@@ -143,13 +144,6 @@ func Figure9b(seed int64, quick bool) Result {
 				c.Median(), w.Median(), o.Median()),
 		},
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Figure9c reproduces the web-workload page-load-time comparison:
@@ -175,12 +169,12 @@ func Figure9c(seed int64, quick bool) Result {
 	schemes := []netsim.Scheme{netsim.SchemeLTE, netsim.SchemeCellFi}
 	res := pool(grid("fig9c", []string{"wifi", "lte", "cellfi"}, trials,
 		func(tr int) int64 { return seed + int64(tr)*60013 },
-		func(c *runner.Ctx, ai, tr int) armRun {
+		func(c *runner.Ctx, ai, tr int) ArmRun {
 			tp := topo.Generate(topo.Paper(aps, clients), c.Seed())
 			if ai == 0 {
-				return armRun{samples: wifiWebPageLoads(c, tp, web, c.Seed(), durS)}
+				return ArmRun{Samples: wifiWebPageLoads(c, tp, web, c.Seed(), durS)}
 			}
-			return armRun{samples: netsimWebPageLoads(c, tp, web, schemes[ai-1], c.Seed(), durS)}
+			return ArmRun{Samples: netsimWebPageLoads(c, tp, web, schemes[ai-1], c.Seed(), durS)}
 		}))
 	w, l, c := res[0].cdf, res[1].cdf, res[2].cdf
 
@@ -189,18 +183,18 @@ func Figure9c(seed int64, quick bool) Result {
 		Headers: []string{"Metric", "802.11af", "LTE", "CellFi"},
 	}
 	statRow(t, "Median (s)", res, fmtMedian)
-	statRow(t, "90th pct (s)", res, func(a armRun) string { return stats.Fmt(a.cdf.Quantile(0.9)) })
-	statRow(t, "Pages (incl. censored)", res, func(a armRun) string { return stats.Fmt(float64(a.cdf.Len())) })
+	statRow(t, "90th pct (s)", res, func(a ArmRun) string { return stats.Fmt(a.cdf.Quantile(0.9)) })
+	statRow(t, "Pages (incl. censored)", res, func(a ArmRun) string { return stats.Fmt(float64(a.cdf.Len())) })
 
-	speedup := w.Median() / maxf(c.Median(), 1e-9)
+	speedup := w.Median() / max(c.Median(), 1e-9)
 	return Result{
 		ID:     "fig9c",
 		Title:  "Figure 9(c): application-level performance",
 		Tables: []*stats.Table{t},
 		Series: []stats.Series{
-			cdfSeries("fig9c: 802.11af page load time CDF (s)", res[0].samples, 41),
-			cdfSeries("fig9c: LTE page load time CDF (s)", res[1].samples, 41),
-			cdfSeries("fig9c: CellFi page load time CDF (s)", res[2].samples, 41),
+			cdfSeries("fig9c: 802.11af page load time CDF (s)", res[0].Samples, 41),
+			cdfSeries("fig9c: LTE page load time CDF (s)", res[1].Samples, 41),
+			cdfSeries("fig9c: CellFi page load time CDF (s)", res[2].Samples, 41),
 		},
 		Notes: []string{
 			note("CellFi median page load %.1fx faster than 802.11af (paper: 2.3x)", speedup),
@@ -213,13 +207,13 @@ func Figure9c(seed int64, quick bool) Result {
 // netsimWebPageLoads drives the fluid simulator with the web workload
 // and returns completed page load times in seconds.
 func netsimWebPageLoads(c *runner.Ctx, tp *topo.Topology, web traffic.WebParams, scheme netsim.Scheme, seed int64, durS int) []float64 {
-	addSteps(c, durS)
+	c.AddSteps(int64(durS))
 	n := netsim.New(tp, netsim.DefaultConfig(scheme, seed))
 	gens := make([]*traffic.WebGenerator, len(n.Clients))
 	next := make([]traffic.Page, len(n.Clients))
 	tracker := traffic.NewFlowTracker()
 	for i := range gens {
-		gens[i] = traffic.NewWebGenerator(web, newSeededRand(seed+int64(i)*31+7))
+		gens[i] = traffic.NewWebGenerator(web, rand.New(rand.NewSource(seed+int64(i)*31+7)))
 		next[i] = gens[i].NextPage(i, 0)
 	}
 	for e := 0; e < durS; e++ {
@@ -277,7 +271,7 @@ func pageLoadSamples(tracker *traffic.FlowTracker, horizon time.Duration) []floa
 // Page arrivals are quantized to whole seconds exactly as the fluid
 // simulator's epochs quantize them, so neither side gets a head start.
 func wifiWebPageLoads(c *runner.Ctx, tp *topo.Topology, web traffic.WebParams, seed int64, durS int) []float64 {
-	eng := fleetEngine(c, seed)
+	eng := c.Engine(seed)
 	n := wifiNet(eng, tp, wifi.Params11af(), propagation.DefaultUrban(seed), 30)
 	tracker := traffic.NewFlowTracker()
 	type pair struct {
@@ -290,7 +284,7 @@ func wifiWebPageLoads(c *runner.Ctx, tp *topo.Topology, web traffic.WebParams, s
 		}
 	}
 	for i := range pairs {
-		gen := traffic.NewWebGenerator(web, newSeededRand(seed+int64(i)*31+7))
+		gen := traffic.NewWebGenerator(web, rand.New(rand.NewSource(seed+int64(i)*31+7)))
 		var schedule func(p traffic.Page)
 		schedule = func(p traffic.Page) {
 			// Quantize the enqueue instant to the next whole second,

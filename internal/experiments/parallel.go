@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cellfi/internal/runner"
-	"cellfi/internal/sim"
 )
 
 // Experiment fleets: every trial loop in this package fans out through
@@ -53,85 +52,58 @@ func fleetOptions() runner.Options {
 	return runner.Options{Workers: fleetWorkers, OnProgress: fleetProgress}
 }
 
-func recordReport(rep *runner.Report) {
-	fleetMu.Lock()
-	fleetReports = append(fleetReports, rep)
-	fleetMu.Unlock()
-}
-
-// leg is one unit of an experiment fleet.
-type leg[T any] struct {
-	label string
-	seed  int64
-	run   func(c *runner.Ctx) T
-}
-
-// fleet runs the legs through the shared pool and returns their values
-// in leg order. A failed leg aborts the experiment by panicking — the
-// sequential code had no partial-trial semantics and silent gaps would
-// skew aggregated statistics — but only after every other leg has
-// finished, so the failure report names the exact scenario and seed.
-func fleet[T any](campaign string, legs []leg[T]) []T {
-	specs := make([]runner.Spec, len(legs))
-	for i := range legs {
-		l := legs[i]
-		specs[i] = runner.Spec{
-			Label: l.label,
-			Seed:  l.seed,
-			Run:   func(c *runner.Ctx) (any, error) { return l.run(c), nil },
-		}
-	}
-	rep := runner.Run(context.Background(), campaign, specs, fleetOptions())
-	vals, err := runner.Values[T](rep)
-	// The report outlives this call in fleetReports; it is kept for its
-	// telemetry, so it must not pin every leg's result with it.
+// keep files a fleet's report, without its legs' results, for
+// DrainReports, then panics if a leg failed: silent gaps would skew the
+// aggregated statistics, and the report names the failed scenario and
+// seed once every other leg has finished.
+func keep(campaign string, rep *runner.Report, err error) {
 	for i := range rep.Runs {
 		rep.Runs[i].Value = nil
 	}
-	recordReport(rep)
+	fleetMu.Lock()
+	fleetReports = append(fleetReports, rep)
+	fleetMu.Unlock()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: campaign %s: %v", campaign, err))
 	}
-	return vals
 }
 
-// fleetEngine returns a telemetry-tracked engine when running inside a
-// fleet, or a plain engine when the scenario helper is called directly
-// (tests, examples) with a nil Ctx.
-func fleetEngine(c *runner.Ctx, seed int64) *sim.Engine {
-	if c != nil {
-		return c.Engine(seed)
-	}
-	return sim.NewEngine(seed)
-}
-
-// addSteps accounts coarse work (fluid-simulator epochs) when inside a
-// fleet; a no-op with a nil Ctx.
-func addSteps(c *runner.Ctx, n int) {
-	if c != nil {
-		c.AddSteps(int64(n))
-	}
-}
-
-// grid runs every (arm, trial) pair of a campaign as its own fleet leg,
-// labelled campaign/arm/trial=N and seeded seedOf(trial) whatever the
-// arm, and returns results[arm][trial]. It is the one fan-out every
-// experiment in this package goes through.
-func grid[T any](campaign string, arms []string, trials int, seedOf func(tr int) int64, run func(c *runner.Ctx, arm, tr int) T) [][]T {
-	legs := make([]leg[T], 0, len(arms)*trials)
+// runGrid runs every (arm, trial) pair of a campaign under opts as a
+// runner leg labelled [campaign/]arm/trial=N and seeded seedOf(arm,
+// trial), and returns results[arm][trial] with the campaign's report; a
+// failed leg is an error. Every experiment and Grid fans out through it.
+func runGrid[T any](ctx context.Context, opts runner.Options, campaign string, arms []string, trials int,
+	seedOf func(arm, tr int) int64, run func(c *runner.Ctx, arm, tr int) T) ([][]T, *runner.Report, error) {
+	specs := make([]runner.Spec, 0, len(arms)*trials)
 	for ai, name := range arms {
+		if campaign != "" {
+			name = campaign + "/" + name
+		}
 		for tr := 0; tr < trials; tr++ {
-			legs = append(legs, leg[T]{
-				label: fmt.Sprintf("%s/%s/trial=%d", campaign, name, tr),
-				seed:  seedOf(tr),
-				run:   func(c *runner.Ctx) T { return run(c, ai, tr) },
+			specs = append(specs, runner.Spec{
+				Label: fmt.Sprintf("%s/trial=%d", name, tr),
+				Seed:  seedOf(ai, tr),
+				Run:   func(c *runner.Ctx) (any, error) { return run(c, ai, tr), nil },
 			})
 		}
 	}
-	flat := fleet(campaign, legs)
+	rep := runner.Run(ctx, campaign, specs, opts)
+	flat, err := runner.Values[T](rep)
+	if err != nil {
+		return nil, rep, err
+	}
 	out := make([][]T, len(arms))
 	for ai := range out {
 		out[ai] = flat[ai*trials : (ai+1)*trials]
 	}
-	return out
+	return out, rep, nil
+}
+
+// grid is runGrid as an experiment fleet on the shared pool, seeding
+// every arm of a trial seedOf(trial).
+func grid[T any](campaign string, arms []string, trials int, seedOf func(tr int) int64, run func(c *runner.Ctx, arm, tr int) T) [][]T {
+	res, rep, err := runGrid(context.Background(), fleetOptions(), campaign, arms, trials,
+		func(_, tr int) int64 { return seedOf(tr) }, run)
+	keep(campaign, rep, err)
+	return res
 }

@@ -41,7 +41,7 @@ func PRACH(seed int64, quick bool) Result {
 					hits++
 				}
 			}
-			addSteps(c, trials)
+			c.AddSteps(int64(trials))
 			return hits
 		})[0]
 

@@ -26,7 +26,7 @@ func SchedulerAblation(seed int64, quick bool) Result {
 	dists := []float64{200, 500, 800, 1100}
 
 	run := func(c *runner.Ctx, sched lte.Scheduler, allowed []int, s int64) (total int64, min int64, bler float64) {
-		eng := fleetEngine(c, s)
+		eng := c.Engine(s)
 		env := lte.NewEnvironment(s)
 		env.Model.ShadowSigmaDB = 0
 		cell := &lte.Cell{
@@ -104,8 +104,8 @@ func SchedulerAblation(seed int64, quick bool) Result {
 		results[r.name] = [2]float64{float64(total) / secs / 1e6, float64(min) / secs / 1e6}
 	}
 
-	pfGain := results["PF, full carrier"][0] / maxf(results["RR, full carrier"][0], 1e-9)
-	grantCut := results["PF, 5-subchannel grant"][0] / maxf(results["PF, full carrier"][0], 1e-9)
+	pfGain := results["PF, full carrier"][0] / max(results["RR, full carrier"][0], 1e-9)
+	grantCut := results["PF, 5-subchannel grant"][0] / max(results["PF, full carrier"][0], 1e-9)
 	return Result{
 		ID:     "sched",
 		Title:  "Section 4.3: the unmodified scheduler over CellFi grants",

@@ -1,20 +1,22 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+
 	"cellfi/internal/netsim"
 	"cellfi/internal/runner"
 	"cellfi/internal/stats"
 	"cellfi/internal/topo"
 )
 
-// The large-scale evaluation, its ablations and its extensions are one
-// program: generate a topology per trial, run named system variants
-// over it, pool each variant's per-client samples in trial order, print
-// rows. arm is a variant, sweep the program, and arm.run the only place
-// a backlogged netsim.Network is built and driven.
+// The large-scale evaluation, its ablations and extensions, `cellfi sim`
+// and `cellfi map` are one program: run named system variants (Arm) on
+// a topology per (point, trial) (Grid). Arm.run is the only place a
+// backlogged netsim.Network is built and driven.
 
-// arm is one named system variant of a sweep.
-type arm struct {
+// Arm is one named system variant of a grid.
+type Arm struct {
 	name   string
 	scheme netsim.Scheme
 	tune   func(*netsim.Config) // edits the scheme's default config; nil keeps it
@@ -24,44 +26,51 @@ type arm struct {
 	custom func(c *runner.Ctx, tp *topo.Topology, seed int64) []float64
 }
 
-func schemeArm(s netsim.Scheme) arm { return arm{name: s.String(), scheme: s} }
-
-// armRun is what an arm yields on one topology or, after pool, over all
-// of a sweep's trials.
-type armRun struct {
-	samples         []float64 // per-client Mbps (page-load seconds in Figure 9c)
-	hops, handovers int
-	lowIdx          float64    // share of held subchannels in the carrier's lower half
-	cdf             *stats.CDF // of samples; set by pool
+// SchemeArm is scheme s, its default config edited by tune if not nil.
+func SchemeArm(s netsim.Scheme, tune func(*netsim.Config)) Arm {
+	return Arm{name: s.String(), scheme: s, tune: tune}
 }
 
-// run executes the arm backlogged over tp for epochs IM epochs. c may
-// be nil outside a fleet.
-func (a arm) run(c *runner.Ctx, tp *topo.Topology, seed int64, epochs int) armRun {
+// ArmRun is what an arm yields on one topology or, after pool, over all
+// of a sweep's trials.
+type ArmRun struct {
+	Samples         []float64 // per-client Mbps (page-load seconds in Figure 9c)
+	Hops, Handovers int
+	Held            [][]int    // each cell's subchannels at the end of the run; not pooled
+	LowIdx          float64    // share of held subchannels in the carrier's lower half
+	cdf             *stats.CDF // of Samples; set by pool
+}
+
+// run executes the arm backlogged over tp for epochs IM epochs, into
+// the leg's flight recorder if any. c is nil outside a fleet.
+func (a Arm) run(c *runner.Ctx, tp *topo.Topology, seed int64, epochs int) ArmRun {
 	if a.custom != nil {
-		return armRun{samples: a.custom(c, tp, seed)}
+		return ArmRun{Samples: a.custom(c, tp, seed)}
 	}
 	cfg := netsim.DefaultConfig(a.scheme, seed)
 	if a.tune != nil {
 		a.tune(&cfg)
 	}
+	cfg.Trace = c.Recorder()
 	n := netsim.New(tp, cfg)
 	if a.speed > 0 {
 		m := netsim.DefaultMobility()
 		m.SpeedMps = a.speed
 		n.EnableMobility(m)
 	}
-	var out armRun
+	var out ArmRun
 	if a.uplink {
-		out.samples = n.UplinkThroughputs(epochs)
+		out.Samples = n.UplinkThroughputs(epochs)
 	} else {
-		out.samples = n.Run(epochs)
+		out.Samples = n.Run(epochs)
 	}
-	addSteps(c, epochs)
-	out.hops, out.handovers = n.Hops, n.Handovers()
+	c.AddSteps(int64(epochs))
+	out.Hops, out.Handovers = n.Hops, n.Handovers()
+	out.Held = make([][]int, len(n.Cells))
 	held, low := 0, 0
 	for i := range n.Cells {
-		for _, k := range n.Allowed(i) {
+		out.Held[i] = n.Allowed(i)
+		for _, k := range out.Held[i] {
 			held++
 			if k < n.Cfg.BW.Subchannels()/2 {
 				low++
@@ -69,62 +78,106 @@ func (a arm) run(c *runner.Ctx, tp *topo.Topology, seed int64, epochs int) armRu
 		}
 	}
 	if held > 0 {
-		out.lowIdx = float64(low) / float64(held)
+		out.LowIdx = float64(low) / float64(held)
 	}
 	return out
 }
 
 // pool merges each arm's trials: samples concatenated in trial order,
 // counters summed, the low-index share averaged.
-func pool(runs [][]armRun) []armRun {
-	out := make([]armRun, len(runs))
+func pool(runs [][]ArmRun) []ArmRun {
+	out := make([]ArmRun, len(runs))
 	for ai, trials := range runs {
 		a := &out[ai]
 		for _, r := range trials {
-			a.samples = append(a.samples, r.samples...)
-			a.hops += r.hops
-			a.handovers += r.handovers
-			a.lowIdx += r.lowIdx
+			a.Samples = append(a.Samples, r.Samples...)
+			a.Hops += r.Hops
+			a.Handovers += r.Handovers
+			a.LowIdx += r.LowIdx
 		}
-		a.lowIdx /= float64(len(trials))
-		a.cdf = stats.NewCDF(a.samples)
+		a.LowIdx /= float64(len(trials))
+		a.cdf = stats.NewCDF(a.Samples)
 	}
 	return out
 }
 
-// trialSeeds gives trial tr's leg seed (netsim config, fading, the
-// Wi-Fi engine) and the seed its topology is generated from; every arm
-// of a trial sees the same pair, hence the same topology.
-type trialSeeds func(tr int) (leg, topology int64)
+// Seeds gives trial tr's leg seed (netsim config, fading, the Wi-Fi
+// engine) and topology seed at a point; every arm of a (point, trial)
+// gets the same pair, hence the same topology.
+type Seeds func(aps, clients, tr int) (leg, topology int64)
 
-// sameSeeds is Figure 9's rule: one seed, base + tr*stride, for both.
-func sameSeeds(base, stride int64) trialSeeds {
-	return func(tr int) (int64, int64) { s := base + int64(tr)*stride; return s, s }
+// SameSeeds is Figure 9's and `cellfi sim`'s rule: one seed,
+// base + tr*stride + aps*perAP + clients*perClient, for both.
+func SameSeeds(base, stride, perAP, perClient int64) Seeds {
+	return func(aps, clients, tr int) (int64, int64) {
+		s := base + int64(tr)*stride + int64(aps)*perAP + int64(clients)*perClient
+		return s, s
+	}
 }
 
 // splitSeeds is the ablations' rule: legs seeded seed + tr, topologies
 // seed + tr*stride.
-func splitSeeds(seed, stride int64) trialSeeds {
-	return func(tr int) (int64, int64) { return seed + int64(tr), seed + int64(tr)*stride }
+func splitSeeds(seed, stride int64) Seeds {
+	return func(_, _, tr int) (int64, int64) { return seed + int64(tr), seed + int64(tr)*stride }
 }
 
-// sweep runs every arm over trials topologies drawn from tp, one fleet
-// leg per (arm, trial), and returns each arm pooled over its trials.
-func sweep(campaign string, arms []arm, trials, epochs int, tp topo.Params, seeds trialSeeds) []armRun {
-	names := make([]string, len(arms))
-	for i, a := range arms {
-		names[i] = a.name
+// Grid runs every arm at every point (each of APs with each of Clients)
+// over Trials topologies: one leg per (point, arm, trial), labelled
+// [Campaign/]arm/aps=N/clients=M/trial=T, a point's arms claimed in
+// order, so its long 802.11af legs go first.
+type Grid struct {
+	Campaign       string
+	Arms           []Arm
+	APs, Clients   []int
+	Trials, Epochs int
+	Seeds          Seeds
+	Area           float64 // topology side in m; 0 keeps topo.Paper's
+}
+
+// Run runs the grid under opts and returns results[point][arm][trial]
+// with the campaign report. A failed leg is an error, not a panic.
+func (g Grid) Run(ctx context.Context, opts runner.Options) ([][][]ArmRun, *runner.Report, error) {
+	// runGrid's arm i is Arms[i%na] at the point (APs[i/na/nc], Clients[i/na%nc]).
+	na, nc := len(g.Arms), len(g.Clients)
+	names := make([]string, len(g.APs)*nc*na)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s/aps=%d/clients=%d", g.Arms[i%na].name, g.APs[i/na/nc], g.Clients[i/na%nc])
 	}
-	return pool(grid(campaign, names, trials,
-		func(tr int) int64 { s, _ := seeds(tr); return s },
-		func(c *runner.Ctx, ai, tr int) armRun {
-			_, topoSeed := seeds(tr)
-			return arms[ai].run(c, topo.Generate(tp, topoSeed), c.Seed(), epochs)
-		}))
+	seeds := func(i, tr int) (leg, topology int64) { return g.Seeds(g.APs[i/na/nc], g.Clients[i/na%nc], tr) }
+	res, rep, err := runGrid(ctx, opts, g.Campaign, names, g.Trials,
+		func(i, tr int) int64 { leg, _ := seeds(i, tr); return leg },
+		func(c *runner.Ctx, i, tr int) ArmRun {
+			p := topo.Paper(g.APs[i/na/nc], g.Clients[i/na%nc])
+			if g.Area > 0 {
+				p.AreaSide = g.Area
+			}
+			_, topoSeed := seeds(i, tr)
+			return g.Arms[i%na].run(c, topo.Generate(p, topoSeed), c.Seed(), g.Epochs)
+		})
+	if err != nil {
+		return nil, rep, err
+	}
+	out := make([][][]ArmRun, len(g.APs)*nc)
+	for p := range out {
+		out[p] = res[p*na : (p+1)*na]
+	}
+	return out, rep, nil
+}
+
+// sweep runs g as an experiment fleet, panicking on a failed leg, and
+// returns each point's arms pooled over their trials.
+func sweep(g Grid) [][]ArmRun {
+	res, rep, err := g.Run(context.Background(), fleetOptions())
+	keep(g.Campaign, rep, err)
+	out := make([][]ArmRun, len(res))
+	for p := range res {
+		out[p] = pool(res[p])
+	}
+	return out
 }
 
 // statRow appends a row holding one statistic of every arm.
-func statRow(t *stats.Table, label string, arms []armRun, f func(armRun) string) {
+func statRow(t *stats.Table, label string, arms []ArmRun, f func(ArmRun) string) {
 	cells := []string{label}
 	for _, a := range arms {
 		cells = append(cells, f(a))
@@ -132,11 +185,11 @@ func statRow(t *stats.Table, label string, arms []armRun, f func(armRun) string)
 	t.AddRow(cells...)
 }
 
-func fmtMedian(a armRun) string { return stats.Fmt(a.cdf.Median()) }
-func fmtMean(a armRun) string   { return stats.Fmt(a.cdf.Mean()) }
-func fmtHops(a armRun) string   { return stats.Fmt(float64(a.hops)) }
+func fmtMedian(a ArmRun) string { return stats.Fmt(a.cdf.Median()) }
+func fmtMean(a ArmRun) string   { return stats.Fmt(a.cdf.Mean()) }
+func fmtHops(a ArmRun) string   { return stats.Fmt(float64(a.Hops)) }
 
 // starvedPct is the share of an arm's clients below barMbps, in percent.
-func starvedPct(a armRun, barMbps float64) float64 { return a.cdf.FractionBelow(barMbps) * 100 }
+func starvedPct(a ArmRun, barMbps float64) float64 { return a.cdf.FractionBelow(barMbps) * 100 }
 
-func fmtStarved(a armRun) string { return stats.Fmt(starvedPct(a, StarveThresholdMbps)) }
+func fmtStarved(a ArmRun) string { return stats.Fmt(starvedPct(a, StarveThresholdMbps)) }

@@ -87,7 +87,7 @@ func Theorem1(seed int64, quick bool) Result {
 		func(c *runner.Ctx, _, i int) caseRun {
 			rng := rand.New(rand.NewSource(c.Seed()))
 			r, gamma := mean(cases[i].n, cases[i].p, cases[i].budget, rng)
-			addSteps(c, trials)
+			c.AddSteps(int64(trials))
 			return caseRun{rounds: r, gamma: gamma}
 		})[0]
 	for i, c := range cases {

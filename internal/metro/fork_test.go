@@ -113,6 +113,44 @@ func TestMetroWorkerInvariant(t *testing.T) {
 		if one.msgs != four.msgs || (k > 1 && one.msgs == 0) {
 			t.Fatalf("K=%d: %d handoffs at GOMAXPROCS 1, %d at 4", k, one.msgs, four.msgs)
 		}
+		checkChunkOwnPartials(t, b, k)
+	}
+}
+
+// checkChunkOwnPartials runs shard 0's sweep chunk on worker 1 over every
+// UE and checks that only worker 1's partials move. Unlike the GOMAXPROCS
+// comparison, this does not depend on two workers' chunks interleaving,
+// so a chunk that writes a shared worker's partials fails it every run.
+// It mutates w's per-UE state; call it last.
+func checkChunkOwnPartials(t *testing.T, w *World, k int) {
+	t.Helper()
+	sc := w.sctx[0]
+	if len(sc.workers) < 2 {
+		t.Fatalf("K=%d: shard 0 has %d workers, want at least 2", k, len(sc.workers))
+	}
+	type partials struct{ tallied, zeros, cqiSum, clipped int64 }
+	read := func(wk *worker) partials {
+		p := partials{zeros: wk.zeros, cqiSum: wk.cqiSum, clipped: int64(len(wk.clipped))}
+		for _, n := range wk.tally {
+			p.tallied += int64(n)
+		}
+		return p
+	}
+	var owned int64
+	for u := 0; u < w.Cfg.NUEs; u++ {
+		if w.ueShard[u] == 0 && w.ueAttached[u] {
+			owned++
+		}
+	}
+	w0, w1 := read(&sc.workers[0]), read(&sc.workers[1])
+	sc.sweep(&sc.workers[1], 0, w.Cfg.NUEs)
+	if got := read(&sc.workers[0]); got != w0 {
+		t.Fatalf("K=%d: a sweep chunk on worker 1 moved worker 0's partials from %+v to %+v", k, w0, got)
+	}
+	got := read(&sc.workers[1])
+	if samples := got.tallied + got.zeros + got.clipped - w1.tallied - w1.zeros - w1.clipped; samples != owned || got.cqiSum <= w1.cqiSum {
+		t.Fatalf("K=%d: worker 1's partials went from %+v to %+v over %d attached UEs; want one sample each and a CQI sum",
+			k, w1, got, owned)
 	}
 }
 

@@ -43,7 +43,7 @@ import (
 // scenario randomness must derive from, and the scenario constructor/
 // executor itself.
 type Spec struct {
-	// Label identifies the run in reports ("fig9a/aps=14/trial=2").
+	// Label identifies the run in reports ("fig9a/CellFi/aps=14/clients=6/trial=2").
 	Label string
 	// Seed is the run's deterministic seed. The runner never touches
 	// it; it is recorded in telemetry and exposed via Ctx.Seed.
@@ -57,7 +57,7 @@ type Spec struct {
 // Ctx is the per-run context handed to a Spec's Run function. It wires
 // scenario-internal simulation engines into the campaign telemetry. A
 // Ctx is owned by one run; it is safe for use from goroutines the
-// scenario itself spawns.
+// scenario itself spawns. A nil *Ctx (no campaign) tracks nothing.
 type Ctx struct {
 	spec  *Spec
 	index int
@@ -81,6 +81,9 @@ func (c *Ctx) Seed() int64 { return c.spec.Seed }
 // engine's flight recorder is attached automatically.
 func (c *Ctx) Engine(seed int64) *sim.Engine {
 	e := sim.NewEngine(seed)
+	if c == nil {
+		return e
+	}
 	c.mu.Lock()
 	c.engines = append(c.engines, e)
 	if r := c.ringLocked(); r != nil {
@@ -99,6 +102,9 @@ func (c *Ctx) Engine(seed int64) *sim.Engine {
 // The returned recorder is not synchronized: scenarios that spawn
 // goroutines must record from a single one.
 func (c *Ctx) Recorder() trace.Recorder {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r := c.ringLocked(); r != nil {
@@ -131,7 +137,7 @@ func (c *Ctx) ringLocked() *trace.Ring {
 
 // sanitizeLabel maps a run label onto the filename-safe alphabet
 // [a-zA-Z0-9._-], bounded to 64 bytes, so labels like
-// "fig9a/aps=14/trial=2" become stable file names.
+// "fig9a/CellFi/aps=14/clients=6/trial=2" become stable file names.
 func sanitizeLabel(s string) string {
 	out := []byte(s)
 	for i, b := range out {
@@ -176,6 +182,9 @@ func (c *Ctx) closeTrace(res *RunResult) {
 // driven by a sim.Engine (the fluid epoch simulator, analytic models).
 // Steps are added to the run's SimEvents count.
 func (c *Ctx) AddSteps(n int64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	c.steps += n
 	c.mu.Unlock()

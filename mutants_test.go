@@ -108,9 +108,9 @@ var mutants = []mutant{
 	{name: "chaos-lease-91", edits: []mutantEdit{
 		{"internal/chaos/chaos.go", "const leaseDuration = 90 * time.Second", "const leaseDuration = 91 * time.Second"},
 	}, pkg: "./internal/chaos", test: "TestCalmWorldLeaseExpiry"},
-	// The merged grid verb's seed rule.
+	// The grid's point-keyed seed rule, which `cellfi sim` runs on.
 	{name: "sim-seed-rule", edits: []mutantEdit{
-		{"cmd/cellfi/sim.go", "int64(aps)*131", "int64(aps)*132"},
+		{"internal/experiments/sweep.go", "int64(aps)*perAP", "int64(aps)*(perAP+1)"},
 	}, pkg: "./cmd/cellfi", test: "TestSimGrid"},
 	// The uplink reads its static loss from the downlink's table entry.
 	{name: "uplink-loss", edits: []mutantEdit{

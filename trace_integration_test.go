@@ -8,38 +8,28 @@ import (
 	"testing"
 	"time"
 
+	"cellfi/internal/experiments"
 	"cellfi/internal/geo"
 	"cellfi/internal/lte"
 	"cellfi/internal/netsim"
 	"cellfi/internal/runner"
 	"cellfi/internal/sim"
-	"cellfi/internal/topo"
 	"cellfi/internal/trace"
 )
 
-// traceShardSpecs builds a two-shard campaign over the fluid netsim:
-// each shard generates a topology from its seed, runs epochs of CellFi
-// interference management, and flight-records the controllers' IM
-// decisions through the runner's per-run capture.
-func traceShardSpecs(seedOf func(shard int) int64) []runner.Spec {
-	specs := make([]runner.Spec, 2)
-	for i := range specs {
-		specs[i] = runner.Spec{
-			Label: fmt.Sprintf("shard=%d", i),
-			Seed:  seedOf(i),
-			Run: func(c *runner.Ctx) (any, error) {
-				p := topo.Paper(6, 3)
-				tp := topo.Generate(p, c.Seed())
-				cfg := netsim.DefaultConfig(netsim.SchemeCellFi, c.Seed())
-				cfg.Trace = c.Recorder()
-				n := netsim.New(tp, cfg)
-				n.Run(8)
-				c.AddSteps(8)
-				return nil, nil
-			},
-		}
+// traceGrid is a two-trial campaign over the fluid netsim: each trial
+// generates a topology from its seed, runs epochs of CellFi interference
+// management, and flight-records the controllers' IM decisions through
+// the runner's per-run capture.
+func traceGrid(seeds experiments.Seeds) experiments.Grid {
+	return experiments.Grid{
+		Arms:    []experiments.Arm{experiments.SchemeArm(netsim.SchemeCellFi, nil)},
+		APs:     []int{6},
+		Clients: []int{3},
+		Trials:  2,
+		Epochs:  8,
+		Seeds:   seeds,
 	}
-	return specs
 }
 
 // TestTraceReplayDiff is the acceptance check for the flight recorder:
@@ -48,10 +38,9 @@ func traceShardSpecs(seedOf func(shard int) int64) []runner.Spec {
 // localized first divergence carrying timestamp, AP and kind.
 func TestTraceReplayDiff(t *testing.T) {
 	dir := t.TempDir()
-	rep := runner.Run(context.Background(), "trace-same-seed",
-		traceShardSpecs(func(int) int64 { return 17 }),
+	_, rep, err := traceGrid(experiments.SameSeeds(17, 0, 0, 0)).Run(context.Background(),
 		runner.Options{Workers: 2, TraceDir: dir})
-	if err := rep.Err(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	var streams [][]byte
@@ -73,10 +62,9 @@ func TestTraceReplayDiff(t *testing.T) {
 		t.Fatalf("Diff on same-seed shards: %s", d)
 	}
 
-	rep2 := runner.Run(context.Background(), "trace-diff-seed",
-		traceShardSpecs(func(shard int) int64 { return int64(40 + shard) }),
+	_, rep2, err := traceGrid(experiments.SameSeeds(40, 1, 0, 0)).Run(context.Background(),
 		runner.Options{Workers: 2, TraceDir: dir})
-	if err := rep2.Err(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	rawA, err := os.ReadFile(rep2.Runs[0].TracePath)
